@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 SCHEMA_VERSION = 1
 
-from .exact import ParamPoly, Rational, SparseMatrix, det, nullspace_basis, rank
+from .exact import ParamPoly, Rational, nullspace_basis, rank
 from .dpoly import (DiffPoly, Gradings, UniPoly, from_json, gradings,
                     is_diff_homogeneous, matrix_action, parse, q_action,
                     span_rank, to_json, to_text)

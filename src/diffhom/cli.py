@@ -34,6 +34,17 @@ def _manifest_hash(manifest: list[dict]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory, then rename it over
+    ``path``: readers see the old content or the new, never a partial file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def cached_manifest(n: int, d: int, cache_dir: str | None) -> list[dict]:
     """Canonical-basis manifest, read through the on-disk cache when enabled.
 
@@ -56,7 +67,7 @@ def cached_manifest(n: int, d: int, cache_dir: str | None) -> list[dict]:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"schema_version": SCHEMA_VERSION, "N": n, "d": d,
                "content_hash": _manifest_hash(manifest), "basis": manifest}
-    path.write_text(_json_dump(payload) + "\n")
+    _write_atomic(path, _json_dump(payload) + "\n")
     return manifest
 
 
@@ -83,7 +94,11 @@ def cmd_basis(args) -> int:
 def cmd_check(args) -> int:
     text = args.expression
     path = Path(text)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. an expression longer than the file-name limit
+        is_file = False
+    if is_file:
         text = path.read_text().strip()
     bound = args.n
     if bound is None:
@@ -216,6 +231,9 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        print("verify requires --jobs >= 1", file=sys.stderr)
+        return 2
     report = run_suite(args.suite, max_d=args.max_d, max_n=args.max_n,
                        seed=args.seed, jobs=args.jobs)
     if args.format == "json":

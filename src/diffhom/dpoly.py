@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exact import Coeff, ParamPoly, SparseMatrix, ZERO, ONE, echelon
+from .exact import Coeff, ParamPoly, ZERO, ONE, echelon
 from .exact import solve as _solve
 
 # A differential monomial: ((i, k, e), ...) with e > 0, sorted by (i, -k).
@@ -392,9 +392,7 @@ def solve_in_span(basis: Sequence[DiffPoly], target: DiffPoly) -> list[Fraction]
     rhs = [ZERO] * len(monos)
     for mono_idx, c in rows[nb].items():
         rhs[mono_idx] = c
-    m = SparseMatrix(len(monos), nb,
-                     {(r, j): c for r, eq in enumerate(eqs) for j, c in eq.items()})
-    return _solve(m, rhs)
+    return _solve(eqs, nb, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ so ranks, kernels and determinants are reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -146,29 +146,6 @@ class ParamPoly:
             out = out * self
         return out
 
-    def substitute(self, values: Mapping[str, "Coeff"]) -> "ParamPoly":
-        """Replace named parameters by scalars or polynomials; others stay formal."""
-        out = ParamPoly.const(0)
-        for mono, c in self.terms.items():
-            acc = ParamPoly.const(c)
-            for name, e in mono:
-                if name in values:
-                    v = values[name]
-                    v = v if isinstance(v, ParamPoly) else ParamPoly.const(v)
-                    acc = acc * v ** e
-                else:
-                    acc = acc * ParamPoly.var(name, e)
-            out = out + acc
-        return out
-
-    def names(self) -> set[str]:
-        return {name for mono in self.terms for name, _ in mono}
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -196,93 +173,6 @@ def _coerce(v) -> ParamPoly:
     if isinstance(v, (int, Fraction)):
         return ParamPoly.const(v)
     return NotImplemented
-
-
-def divexact(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Exact polynomial quotient a / b; raises if the division has a remainder."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if b.is_constant():
-        inv = 1 / b.constant_value()
-        return ParamPoly({m: c * inv for m, c in a.terms.items()})
-    names = sorted(a.names() | b.names())
-    index = {n: i for i, n in enumerate(names)}
-
-    def expvec(mono: PMono) -> tuple[int, ...]:
-        v = [0] * len(names)
-        for n, e in mono:
-            v[index[n]] = e
-        return tuple(v)
-
-    def from_expvec(v: Sequence[int]) -> PMono:
-        return tuple((names[i], e) for i, e in enumerate(v) if e)
-
-    rem = {expvec(m): c for m, c in a.terms.items()}
-    bterms = {expvec(m): c for m, c in b.terms.items()}
-    blead = max(bterms)
-    bcoef = bterms[blead]
-    qterms: dict[PMono, Fraction] = {}
-    while rem:
-        lead = max(rem)
-        if any(l < bl for l, bl in zip(lead, blead)):
-            raise ArithmeticError("inexact polynomial division")
-        qv = tuple(l - bl for l, bl in zip(lead, blead))
-        qc = rem[lead] / bcoef
-        qterms[from_expvec(qv)] = qc
-        for bm, bc in bterms.items():
-            m = tuple(q + b_ for q, b_ in zip(qv, bm))
-            s = rem.get(m, ZERO) - qc * bc
-            if s:
-                rem[m] = s
-            else:
-                rem.pop(m, None)
-    return ParamPoly(qterms)
-
-
-class SparseMatrix:
-    """Sparse exact matrix; entries are Fraction or ParamPoly, zeros never stored."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int,
-                 entries: Mapping[tuple[int, int], Coeff] | None = None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimension")
-        self.rows = rows
-        self.cols = cols
-        clean: dict[tuple[int, int], Coeff] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"index ({r},{c}) out of range")
-                if v:
-                    clean[(r, c)] = v
-        self.entries = clean
-
-    @classmethod
-    def from_dense(cls, data: Sequence[Sequence[Coeff]], cols: int | None = None) -> "SparseMatrix":
-        nrows = len(data)
-        ncols = cols if cols is not None else (len(data[0]) if data else 0)
-        entries = {}
-        for r, row in enumerate(data):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return cls(nrows, ncols, entries)
-
-    def row_dicts(self) -> list[dict[int, Coeff]]:
-        rows: list[dict[int, Coeff]] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SparseMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    __hash__ = None
 
 
 def echelon(rows: list[dict[int, Fraction]], ncols: int,
@@ -333,100 +223,56 @@ def echelon(rows: list[dict[int, Fraction]], ncols: int,
     return pivots
 
 
-def rank(m: SparseMatrix) -> int:
-    """Rank over Q, deterministic."""
-    return len(echelon(m.row_dicts(), m.cols, reduce_back=False))
-
-
-def rank_of_rows(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> int:
+def rank(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> int:
+    """Rank over Q of sparse rows (dicts col -> nonzero Fraction), deterministic."""
     return len(echelon([dict(r) for r in rows], ncols, reduce_back=False))
 
 
-def nullspace_basis(m: SparseMatrix) -> list[tuple[Fraction, ...]]:
+def nullspace_basis(rows: Sequence[Mapping[int, Fraction]],
+                    ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel, returned in reduced echelon form."""
-    pivots = echelon(m.row_dicts(), m.cols, reduce_back=True)
+    pivots = echelon([dict(r) for r in rows], ncols, reduce_back=True)
     pivot_cols = {col for col, _ in pivots}
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
     raw: list[dict[int, Fraction]] = []
-    for f in free_cols:
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
         v: dict[int, Fraction] = {f: ONE}
         for col, row in pivots:
             coef = row.get(f)
             if coef:
                 v[col] = -coef
         raw.append(v)
-    reduced = echelon(raw, m.cols, reduce_back=True)
-    out = []
-    for _, row in reduced:
-        out.append(tuple(row.get(c, ZERO) for c in range(m.cols)))
-    return out
+    reduced = echelon(raw, ncols, reduce_back=True)
+    return [tuple(row.get(c, ZERO) for c in range(ncols)) for _, row in reduced]
 
 
-def nullity(m: SparseMatrix) -> int:
-    return m.cols - rank(m)
-
-
-def solve(m: SparseMatrix, rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution of m x = rhs (free variables set to 0), or None."""
-    if len(rhs) != m.rows:
+def solve(rows: Sequence[Mapping[int, Fraction]], ncols: int,
+          rhs: Sequence[Fraction]) -> list[Fraction] | None:
+    """One exact solution of rows . x = rhs (free variables set to 0), or None."""
+    if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
-    rows = m.row_dicts()
-    aug = m.cols  # extra column holding -rhs, treated as a fixed variable = 1
-    for r, row in enumerate(rows):
-        if rhs[r]:
-            row[aug] = -Fraction(rhs[r])
-    pivots = echelon(rows, m.cols, reduce_back=True)  # never pivots on column `aug`
-    x = [ZERO] * m.cols
-    for col, row in pivots:
+    aug = ncols  # extra column holding -rhs, treated as a fixed variable = 1
+    work = []
+    for row, b in zip(rows, rhs):
+        row = dict(row)
+        if b:
+            row[aug] = -Fraction(b)
+        work.append(row)
+    x = [ZERO] * ncols
+    for col, row in echelon(work, ncols, reduce_back=True):  # never pivots on `aug`
         x[col] = -row.get(aug, ZERO)
-    # consistency: every equation must hold (cheap re-check, exact)
-    check = [ZERO] * m.rows
-    for (r, c), v in m.entries.items():
-        if x[c]:
-            check[r] += v * x[c]
-    if any(check[r] != rhs[r] for r in range(m.rows)):
+    # consistency: every equation must hold, an empty row with rhs != 0 included
+    if any(sum(v * x[c] for c, v in row.items()) != b for row, b in zip(rows, rhs)):
         return None
     return x
-
-
-def det(m: SparseMatrix) -> ParamPoly:
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    Entries may be Fraction or ParamPoly; the result is a ParamPoly
-    (constant when the input is rational).
-    """
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return ParamPoly.const(1)
-    a: list[list[ParamPoly]] = [[ParamPoly.const(0)] * n for _ in range(n)]
-    for (r, c), v in m.entries.items():
-        a[r][c] = v if isinstance(v, ParamPoly) else ParamPoly.const(v)
-    sign = 1
-    prev = ParamPoly.const(1)
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return ParamPoly.const(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = divexact(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            a[i][k] = ParamPoly.const(0)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result
 
 
 def det_expansion(rows: Sequence[Sequence], zero, one):
     """Division-free determinant by memoized minor expansion.
 
     Works over any commutative ring whose elements support +, -, * and
-    truthiness; used for matrices of differential polynomials and as an
-    independent cross-check of :func:`det`.
+    truthiness: differential polynomials, ParamPoly, and Fraction.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -451,17 +297,23 @@ def det_expansion(rows: Sequence[Sequence], zero, one):
     return minor(tuple(range(n)))
 
 
-def stack_rows(groups: Iterable[Iterable[Mapping[int, Fraction]]]) -> list[dict[int, Fraction]]:
-    out = []
-    for g in groups:
-        out.extend(dict(r) for r in g)
-    return out
-
-
 def intersection_dim(rows_a: Sequence[Mapping[int, Fraction]],
                      rows_b: Sequence[Mapping[int, Fraction]], ncols: int) -> int:
     """dim(span A  intersect  span B) = dim A + dim B - dim(A + B)."""
-    ra = rank_of_rows(rows_a, ncols)
-    rb = rank_of_rows(rows_b, ncols)
-    rub = rank_of_rows(list(rows_a) + list(rows_b), ncols)
-    return ra + rb - rub
+    return (rank(rows_a, ncols) + rank(rows_b, ncols)
+            - rank(list(rows_a) + list(rows_b), ncols))
+
+
+def operator_rows(keys: Sequence, apply: Callable[[object], Iterable[tuple[object, Fraction]]]
+                  ) -> list[dict[int, Fraction]]:
+    """Sparse matrix of a linear map given on basis keys.
+
+    ``apply(key)`` yields (output key, coefficient) pairs, each output key at
+    most once.  The result has one row per output key, in sorted key order,
+    and column j holds the image of ``keys[j]``.
+    """
+    rows: dict[object, dict[int, Fraction]] = {}
+    for j, key in enumerate(keys):
+        for out, c in apply(key):
+            rows.setdefault(out, {})[j] = c
+    return [rows[out] for out in sorted(rows)]

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exact import (Coeff, ONE, ZERO, ParamPoly, SparseMatrix, det_expansion,
-                    intersection_dim, nullspace_basis, rank)
+from .exact import (Coeff, ONE, ZERO, ParamPoly, det_expansion, intersection_dim,
+                    nullspace_basis, operator_rows, rank)
 from .dpoly import DiffPoly, derivative_shift, solve_in_span
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                        canonical_tableau, semistandard_tableaux, young_symmetrizer)
@@ -201,31 +201,26 @@ def _basis_index(d: int, k: int) -> dict[Index, int]:
 
 def stacked_operator_rows(d: int, k: int) -> tuple[list[dict[int, Fraction]], int]:
     """Rows of all J^(l), l = 1..d, as one sparse matrix over the tensor basis."""
-    index = _basis_index(d, k)
-    rows: dict[tuple[int, Index], dict[int, Fraction]] = {}
-    for idx, col in index.items():
+    keys = list(itertools.product(range(k + 1), repeat=d))
+
+    def apply(idx: Index):
         t = Tensor.basis(idx, k)
         for ell in range(1, d + 1):
             for out, c in j_ell(t, ell).terms.items():
-                rows.setdefault((ell, out), {})[col] = c
-    ordered = [rows[key] for key in sorted(rows)]
-    return ordered, len(index)
+                yield (ell, out), c
+
+    return operator_rows(keys, apply), len(keys)
 
 
 def kernel_dim_full(d: int, k: int) -> int:
     """Dimension of the simultaneous kernel of all J^(l) on the full tensor power."""
     rows, ncols = stacked_operator_rows(d, k)
-    m = SparseMatrix(len(rows), ncols,
-                     {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
-    return ncols - rank(m)
+    return ncols - rank(rows, ncols)
 
 
 @lru_cache(maxsize=None)
 def full_kernel_vectors(d: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    rows, ncols = stacked_operator_rows(d, k)
-    m = SparseMatrix(len(rows), ncols,
-                     {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
-    return tuple(nullspace_basis(m))
+    return tuple(nullspace_basis(*stacked_operator_rows(d, k)))
 
 
 def isotypic_image_rows(lam: Partition, k: int) -> list[dict[int, Fraction]]:
@@ -307,16 +302,13 @@ def functional_solution_dim(lam: Partition, k: int, n: int) -> int:
         return 0
     d = lam.size
     al = ParamPoly.var("al")
-    cols = len(ss)
-    eqs: dict[tuple, dict[int, Fraction]] = {}
-    for j, s in enumerate(ss):
+
+    def apply(s: Tableau):
         p = d_t(s, n)
         delta = derivative_shift(p, [al, ONE]) - p.scale(al ** d)
         for mono, c in delta.terms.items():
             cp = c if isinstance(c, ParamPoly) else ParamPoly.const(c)
             for pmono, frac in cp.terms.items():
-                eqs.setdefault((mono, pmono), {})[j] = frac
-    rows = [eqs[key] for key in sorted(eqs)]
-    m = SparseMatrix(len(rows), cols,
-                     {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
-    return cols - rank(m)
+                yield (mono, pmono), frac
+
+    return len(ss) - rank(operator_rows(ss, apply), len(ss))

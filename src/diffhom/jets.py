@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dpoly import DiffPoly, gradings, mono_order
-from .exact import echelon
+from .exact import operator_rows, rank
 from .wronskian import CanonicalDatum, enumerate_canonical_basis
 
 
@@ -85,21 +85,11 @@ def census(n: int, d: int, k: int) -> list[CensusEntry]:
         if k >= d - 1:
             count = len(polys)
         else:
-            # kernel of the map picking out all monomial coefficients of order > k
-            high = sorted({m for p in polys for m in p.terms if mono_order(m) > k})
-            col = {m: j for j, m in enumerate(high)}
-            rows = []
-            for p in polys:
-                rows.append({col[m]: c for m, c in p.rational_terms().items()
-                             if mono_order(m) > k})
-            # transpose: one equation per high monomial, unknowns = block elements
-            eqs: dict[int, dict[int, Fraction]] = {}
-            for j, row in enumerate(rows):
-                for mono_idx, c in row.items():
-                    eqs.setdefault(mono_idx, {})[j] = c
-            row_list = [eqs[i] for i in sorted(eqs)]
-            r = len(echelon(row_list, len(polys), reduce_back=False))
-            count = len(polys) - r
+            # kernel of the map picking out all monomial coefficients of order > k:
+            # one equation per high monomial, unknowns = block elements
+            rows = operator_rows(polys, lambda p: ((m, c) for m, c in p.rational_terms().items()
+                                                   if mono_order(m) > k))
+            count = len(polys) - rank(rows, len(polys))
         if count:
             out.append(CensusEntry(k=k, n=weight, count=count))
     return out
@@ -153,11 +143,3 @@ def verify_theorem2(n: int, d: int, extra_k: int = 2) -> Theorem2Report:
 
     return Theorem2Report(n=n, d=d, items=tuple(items))
 
-
-def census_csv_rows(n: int, d: int, ks: list[int]) -> list[tuple[int, int, int, int, int]]:
-    """Rows (N, d, k, n, count) ready for CSV emission."""
-    out = []
-    for k in ks:
-        for e in census(n, d, k):
-            out.append((n, d, e.k, e.n, e.count))
-    return out

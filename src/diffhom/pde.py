@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import ONE, ZERO, SparseMatrix, echelon, nullspace_basis, rank_of_rows
+from .exact import ONE, ZERO, nullspace_basis, operator_rows, rank
 
 Expo = tuple[int, ...]
 
@@ -142,26 +142,27 @@ def monomials_of_degree(nvars: int, deg: int) -> list[Expo]:
     return sorted(out)
 
 
-def _graded_solution_dims(d: int, bound: int,
-                          apply_op) -> list[int]:
-    """Per-degree kernel dimensions of the stacked operators l = 1..d.
+def _degree_rows(d: int, deg: int, apply_op) -> tuple[list[Expo], list[dict[int, Fraction]]]:
+    """The degree-deg monomials and the rows of the stacked operators l = 1..d
+    on them.  The operators are homogeneous, so the stacked coefficient matrix
+    is a direct sum over the input degree; solving degree by degree is exact."""
+    monos = monomials_of_degree(d, deg)
 
-    The operators are homogeneous, so the stacked coefficient matrix is a
-    direct sum over the input degree; solving degree by degree is exact.
-    """
+    def apply(e: Expo):
+        p = MultiPoly(d, {e: ONE})
+        for ell in range(1, d + 1):
+            for out_e, c in apply_op(p, ell).terms.items():
+                yield (ell, out_e), c
+
+    return monos, operator_rows(monos, apply)
+
+
+def _graded_solution_dims(d: int, bound: int, apply_op) -> list[int]:
+    """Per-degree kernel dimensions of the stacked operators l = 1..d."""
     dims = []
     for deg in range(bound + 1):
-        monos = monomials_of_degree(d, deg)
-        col = {e: j for j, e in enumerate(monos)}
-        rows: dict[tuple[int, Expo], dict[int, Fraction]] = {}
-        for e, j in col.items():
-            p = MultiPoly(d, {e: ONE})
-            for ell in range(1, d + 1):
-                for out_e, c in apply_op(p, ell).terms.items():
-                    rows.setdefault((ell, out_e), {})[j] = c
-        row_list = [rows[key] for key in sorted(rows)]
-        r = len(echelon(row_list, len(monos), reduce_back=False))
-        dims.append(len(monos) - r)
+        monos, rows = _degree_rows(d, deg, apply_op)
+        dims.append(len(monos) - rank(rows, len(monos)))
     return dims
 
 
@@ -223,7 +224,7 @@ def poly_family_rank(polys: Sequence[MultiPoly]) -> int:
     monos = sorted({e for p in polys for e in p.terms})
     col = {e: j for j, e in enumerate(monos)}
     rows = [{col[e]: c for e, c in p.terms.items()} for p in polys]
-    return rank_of_rows(rows, len(monos))
+    return rank(rows, len(monos))
 
 
 def solution_space_rows(d: int, bound: int | None = None,
@@ -233,22 +234,11 @@ def solution_space_rows(d: int, bound: int | None = None,
     if bound is None:
         bound = d * (d - 1) // 2
     monos: list[Expo] = []
-    for deg in range(bound + 1):
-        monos.extend(monomials_of_degree(d, deg))
-    col = {e: j for j, e in enumerate(monos)}
     rows_out: list[dict[int, Fraction]] = []
     for deg in range(bound + 1):
-        degree_monos = monomials_of_degree(d, deg)
-        local = {e: j for j, e in enumerate(degree_monos)}
-        op_rows: dict[tuple[int, Expo], dict[int, Fraction]] = {}
-        for e, j in local.items():
-            p = MultiPoly(d, {e: ONE})
-            for ell in range(1, d + 1):
-                for out_e, c in apply_op(p, ell).terms.items():
-                    op_rows.setdefault((ell, out_e), {})[j] = c
-        row_list = [op_rows[key] for key in sorted(op_rows)]
-        m = SparseMatrix(len(row_list), len(degree_monos),
-                         {(r, c): v for r, row in enumerate(row_list) for c, v in row.items()})
-        for vec in nullspace_basis(m):
-            rows_out.append({col[degree_monos[j]]: c for j, c in enumerate(vec) if c})
+        degree_monos, op_rows = _degree_rows(d, deg, apply_op)
+        offset = len(monos)
+        monos.extend(degree_monos)
+        for vec in nullspace_basis(op_rows, len(degree_monos)):
+            rows_out.append({offset + j: c for j, c in enumerate(vec) if c})
     return rows_out, monos

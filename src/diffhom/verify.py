@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, ZERO, ParamPoly, rank_of_rows
+from .exact import ONE, ZERO, ParamPoly, rank
 from .dpoly import is_diff_homogeneous, matrix_action, solve_in_span, span_rank
 from .tableaux import (Partition, canonical_tableau, count_semistandard,
                        count_standard, group_algebra_mul, kostka, partitions_of,
                        young_symmetrizer)
-from .wronskian import (_det_fraction, build_formal_wronskian,
+from .wronskian import (build_formal_wronskian,
                         enumerate_canonical_basis, expand_combination,
                         reduce_to_triangular, standard_nilpotent,
                         verify_wedge_identity)
@@ -94,7 +95,7 @@ def check_basis_diffhom(n: int, d: int) -> CheckResult:
 def _random_invertible(size: int, rng: random.Random) -> list[list[Fraction]]:
     while True:
         a = [[Fraction(rng.randint(-5, 5)) for _ in range(size)] for _ in range(size)]
-        if _det_fraction([row[:] for row in a]):
+        if rank([{j: v for j, v in enumerate(row) if v} for row in a], size) == size:
             return a
 
 
@@ -240,7 +241,7 @@ def check_pde_system_equivalence(d: int) -> CheckResult:
     rows_b, monos_b = solution_space_rows(d, apply_op=distinct_tuple_operator)
     same_span = (monos_a == monos_b
                  and len(rows_a) == len(rows_b)
-                 and rank_of_rows(rows_a + rows_b, len(monos_a)) == len(rows_a))
+                 and rank(rows_a + rows_b, len(monos_a)) == len(rows_a))
     return _result("pde_system_equivalence", {"d": d}, True, same_span)
 
 
@@ -365,7 +366,7 @@ def check_e_iso_injective(parts: tuple, k: int) -> CheckResult:
         for idx, c in v.terms.items():
             row[index.setdefault(idx, len(index))] = c
         rows.append(row)
-    r = rank_of_rows(rows, len(index)) if rows else 0
+    r = rank(rows, len(index)) if rows else 0
     return _result("e_iso_injective", {"lam": parts, "k": k}, expected, r)
 
 
@@ -545,6 +546,7 @@ def run_suite(suite: str, max_d: int | None = None, max_n: int | None = None,
         tasks.extend(builder(max_d if max_d is not None else defaults["max_d"],
                              max_n if max_n is not None else defaults["max_n"],
                              seed))
+    jobs = min(jobs, os.cpu_count() or 1)
     start = time.monotonic()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -227,30 +227,6 @@ def _is_nilpotent(m: Sequence[Sequence[Fraction]]) -> bool:
     return all(v == 0 for row in power for v in row)
 
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return ONE
-    a = [list(r) for r in rows]
-    sign = 1
-    out = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pval = a[col][col]
-        out *= pval
-        for r in range(col + 1, n):
-            f = a[r][col] / pval
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return out if sign > 0 else -out
-
-
 def standard_nilpotent(d: int) -> list[list[Fraction]]:
     """The map sending basis vector e_i to i * e_{i+1} (1-based), e_d to 0."""
     m = [[ZERO] * d for _ in range(d)]
@@ -290,7 +266,7 @@ def verify_wedge_identity(nilpotent: Sequence[Sequence[Fraction]],
         cols = [powers[j][exps[j]] for j in range(count)]
         for rows in totals:
             sub = [[cols[j][r] for j in range(count)] for r in rows]
-            totals[rows] += _det_fraction(sub)
+            totals[rows] += det_expansion(sub, ZERO, ONE)
     return all(v == 0 for v in totals.values())
 
 

@@ -10,12 +10,12 @@ import math
 import random
 from fractions import Fraction
 
-from diffhom.exact import ParamPoly
+from diffhom.exact import ONE, ZERO, ParamPoly, det_expansion, rank
 from diffhom.dpoly import is_diff_homogeneous, matrix_action, solve_in_span, span_rank
 from diffhom.tableaux import (canonical_tableau, count_semistandard,
                               count_standard, group_algebra_mul, partitions_of,
                               young_symmetrizer)
-from diffhom.wronskian import (_det_fraction, build_formal_wronskian,
+from diffhom.wronskian import (build_formal_wronskian,
                                enumerate_canonical_basis, expand_combination,
                                reduce_to_triangular, standard_nilpotent,
                                verify_wedge_identity)
@@ -23,7 +23,6 @@ from diffhom.hwv import e_iso, hwv_basis, kernel_dim_full, kernel_dim_isotypic
 from diffhom.pde import (newton_operator, poly_family_rank, solution_space_dim,
                          vandermonde_derivative_basis)
 from diffhom.jets import census, classify_basis, verify_theorem2
-from diffhom.exact import rank_of_rows
 
 SEED = 20240817
 
@@ -72,7 +71,7 @@ def test_criterion_3_gl_stability():
             while True:
                 a = [[Fraction(rng.randint(-5, 5)) for _ in range(n + 1)]
                      for _ in range(n + 1)]
-                if _det_fraction([row[:] for row in a]):
+                if det_expansion(a, ZERO, ONE):
                     break
             for idx, p in enumerate(basis):
                 if solve_in_span(basis, matrix_action(a, p)) is None:
@@ -190,7 +189,7 @@ def test_criterion_8_highest_weight_machinery():
                 v = e_iso(p, lam, k)
                 rows.append({index.setdefault(i, len(index)): c
                              for i, c in v.terms.items()})
-            got = rank_of_rows(rows, len(index)) if rows else 0
+            got = rank(rows, len(index)) if rows else 0
             if got != count_semistandard(lam, k + 1):
                 failures.append(("e_iso rank", lam.parts, k, got))
     recorded = {}

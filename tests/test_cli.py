@@ -177,3 +177,66 @@ def test_cache_env_default(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "basis", "--n", "0", "--d", "1", "--format", "json")
     assert code == 0
     assert list((tmp_path / "envcache").glob("*.json"))
+
+
+def _long_wronskian_sum():
+    # ten 2x2 Wronskians x_i x_j' - x_j x_i': a 20-term sum, homogeneous of degree 2
+    pairs = [(i, j) for i in range(10, 15) for j in range(i + 1, 15)]
+    return " + ".join(f"x{i}*x{j}[1] - x{j}*x{i}[1]" for i, j in pairs)
+
+
+def test_check_long_expression(capsys):
+    expr = _long_wronskian_sum()
+    assert len(expr.encode()) > 255
+    code, out, _ = run(capsys, "check", expr)
+    assert code == 0 and "degree 2" in out
+
+
+def test_check_long_inhomogeneous_expression(capsys):
+    expr = _long_wronskian_sum() + " + x0[1]"
+    assert len(expr.encode()) > 255
+    code, out, _ = run(capsys, "check", expr)
+    assert code == 1 and out.startswith("no")
+
+
+def test_cache_write_is_atomic(tmp_path, capsys, monkeypatch):
+    import diffhom.cli as cli
+    from pathlib import Path
+
+    cache = tmp_path / "cache"
+    args = ("basis", "--n", "0", "--d", "2", "--format", "json", "--cache", str(cache))
+    _, out1, _ = run(capsys, *args)
+    path = next(cache.glob("*.json"))
+
+    def write_half_then_fail(self, data, *a, **kw):
+        with open(self, "w") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError):
+        cli._write_atomic(path, path.read_text().replace("basis", "BASIS"))
+    assert list(cache.iterdir()) == [path]
+
+    def no_recompute(n, d):
+        raise AssertionError("the cached entry should have been read back")
+
+    monkeypatch.setattr(cli, "basis_manifest", no_recompute)
+    _, out2, _ = run(capsys, *args)
+    assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_rejects_nonpositive_jobs(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--suite", "rsk", "--max-d", "2", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs" in err
+
+
+def test_verify_two_jobs(capsys):
+    _, serial, _ = run(capsys, "verify", "--suite", "rsk", "--max-d", "3", "--format", "json")
+    code, parallel, _ = run(capsys, "verify", "--suite", "rsk", "--max-d", "3",
+                            "--format", "json", "--jobs", "2")
+    assert code == 0
+    strip = lambda s: {k: v for k, v in json.loads(s).items() if k != "wall_time_seconds"}
+    assert strip(parallel) == strip(serial)

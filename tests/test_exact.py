@@ -1,93 +1,145 @@
-"""Exact scalars and deterministic linear algebra."""
+"""Exact scalars and deterministic linear algebra on sparse row dicts.
 
+sympy is an independent oracle here (tests only): ranks, reduced kernel
+bases and determinants are compared with its dense exact results.
+"""
+
+import copy
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from diffhom.exact import (ParamPoly, SparseMatrix, det, det_expansion,
-                           divexact, nullspace_basis, rank)
+from diffhom.exact import (ONE, ZERO, ParamPoly, det_expansion, nullspace_basis,
+                           operator_rows, rank, solve)
 
 F = Fraction
+P0 = ParamPoly.const(0)
+P1 = ParamPoly.const(1)
+
+sympy_det = sympy.Matrix.det
+
+
+def sparse(dense):
+    return [{j: F(v) for j, v in enumerate(row) if v} for row in dense]
+
+
+def to_sympy(rows, ncols):
+    return sympy.Matrix([[sympy.Rational(r.get(c, 0).numerator, r.get(c, 0).denominator)
+                          for c in range(ncols)] for r in rows])
+
+
+def from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
+def param_to_sympy(p: ParamPoly):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(sympy.Symbol(n) ** e for n, e in mono))
+                for mono, c in p.terms.items()), sympy.Integer(0))
 
 
 def test_rank_empty_matrix():
-    assert rank(SparseMatrix(0, 0)) == 0
+    assert rank([], 0) == 0
 
 
 def test_rank_identity():
-    m = SparseMatrix.from_dense([[1 if i == j else 0 for j in range(3)] for i in range(3)])
-    assert rank(m) == 3
+    assert rank(sparse([[1 if i == j else 0 for j in range(3)] for i in range(3)]), 3) == 3
 
 
 def test_rank_dependent_rows():
-    assert rank(SparseMatrix.from_dense([[F(1), F(2)], [F(2), F(4)]])) == 1
+    assert rank(sparse([[1, 2], [2, 4]]), 2) == 1
 
 
 def test_nullspace_identity_empty():
-    m = SparseMatrix.from_dense([[1, 0], [0, 1]])
-    assert nullspace_basis(m) == []
+    assert nullspace_basis(sparse([[1, 0], [0, 1]]), 2) == []
 
 
 def test_nullspace_single_relation():
-    m = SparseMatrix.from_dense([[F(1), F(1)]])
-    assert nullspace_basis(m) == [(F(1), F(-1))]
+    assert nullspace_basis(sparse([[1, 1]]), 2) == [(F(1), F(-1))]
 
 
 def test_nullspace_zero_matrix():
-    m = SparseMatrix(1, 3)
-    basis = nullspace_basis(m)
+    basis = nullspace_basis([{}], 3)
     assert len(basis) == 3
     assert basis[0] == (F(1), F(0), F(0))
 
 
 def test_nullspace_vectors_annihilate():
-    m = SparseMatrix.from_dense([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]])
-    for v in nullspace_basis(m):
-        rows = m.row_dicts()
+    rows = sparse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    for v in nullspace_basis(rows, 3):
         for row in rows:
             assert sum(c * v[j] for j, c in row.items()) == 0
 
 
+def test_rank_nullspace_solve_leave_input_intact():
+    rows = sparse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    before = copy.deepcopy(rows)
+    rank(rows, 3)
+    nullspace_basis(rows, 3)
+    solve(rows, 3, [F(1), F(2), F(0)])
+    assert rows == before
+
+
+def test_solve_exact_solution():
+    rows = sparse([[1, 1], [1, -1]])
+    assert solve(rows, 2, [F(3), F(1)]) == [F(2), F(1)]
+
+
+def test_solve_rejects_inconsistent_system():
+    assert solve(sparse([[1, 1], [2, 2]]), 2, [F(1), F(3)]) is None
+
+
+def test_solve_checks_empty_rows_with_nonzero_rhs():
+    # 0 = 1 has no solution even though no column is involved
+    assert solve([{0: ONE}, {}], 1, [F(2), F(1)]) is None
+    assert solve([{0: ONE}, {}], 1, [F(2), ZERO]) == [F(2)]
+
+
+def test_solve_rhs_length_mismatch():
+    with pytest.raises(ValueError):
+        solve([{0: ONE}], 1, [])
+
+
+def test_operator_rows_sorted_outputs_and_columns():
+    # three input keys mapped onto the output keys 0 and 1
+    keys = ["a", "b", "c"]
+    images = {"a": [(1, F(1))], "b": [(0, F(2)), (1, F(5))], "c": [(0, F(3))]}
+    rows = operator_rows(keys, lambda key: images[key])
+    assert rows == [{1: F(2), 2: F(3)}, {0: F(1), 1: F(5)}]
+    assert list(rows[0]) == [1, 2]
+    assert operator_rows([], lambda key: []) == []
+
+
 def test_det_single_parameter():
     mu = ParamPoly.var("mu0")
-    assert det(SparseMatrix.from_dense([[mu]])) == mu
+    assert det_expansion([[mu]], P0, P1) == mu
 
 
 def test_det_two_by_two():
     t = ParamPoly.var("t")
-    m = SparseMatrix.from_dense([[ParamPoly.const(1), t], [t, ParamPoly.const(1)]])
-    assert det(m) == ParamPoly.const(1) - t ** 2
+    assert det_expansion([[P1, t], [t, P1]], P0, P1) == P1 - t ** 2
 
 
 def test_det_repeated_rows_is_zero():
-    m = SparseMatrix.from_dense([[1, 1, 1]] * 3)
-    assert not det(m)
+    assert not det_expansion([[F(1), F(1), F(1)]] * 3, ZERO, ONE)
 
 
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
-        det(SparseMatrix(2, 3))
+        det_expansion([[F(1), F(2), F(3)], [F(4), F(5), F(6)]], ZERO, ONE)
 
 
 def test_det_matches_expansion():
     t = ParamPoly.var("t")
     u = ParamPoly.var("u")
-    rows = [[t, u, ParamPoly.const(1)],
+    rows = [[t, u, P1],
             [ParamPoly.const(2), t * u, u],
-            [t + u, ParamPoly.const(0), t]]
-    m = SparseMatrix.from_dense(rows)
-    assert det(m) == det_expansion(rows, ParamPoly.const(0), ParamPoly.const(1))
-
-
-def test_divexact_roundtrip():
-    t = ParamPoly.var("t")
-    u = ParamPoly.var("u")
-    a = (t + u) ** 2 * (t - ParamPoly.const(3))
-    b = t + u
-    assert divexact(a, b) == (t + u) * (t - ParamPoly.const(3))
-    with pytest.raises(ArithmeticError):
-        divexact(t * t + ParamPoly.const(1), t + u)
+            [t + u, P0, t]]
+    oracle = sympy_det(sympy.Matrix([[param_to_sympy(e) for e in row] for row in rows]))
+    got = param_to_sympy(det_expansion(rows, P0, P1))
+    assert sympy.expand(oracle - got) == 0
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -99,41 +151,72 @@ def test_rational_arithmetic_exact(a, b):
 
 
 @st.composite
-def small_matrices(draw):
-    rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 5))
-    entries = {}
-    for r in range(rows):
-        for c in range(cols):
+def small_matrices(draw, max_rows=5, max_cols=5):
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for c in range(ncols):
             if draw(st.booleans()):
-                entries[(r, c)] = draw(rationals)
-    return SparseMatrix(rows, cols, entries)
+                v = draw(rationals)
+                if v:
+                    row[c] = v
+        rows.append(row)
+    return rows, ncols
 
 
 @given(m=small_matrices())
 @settings(max_examples=60)
-def test_rank_plus_nullity(m):
-    assert rank(m) + len(nullspace_basis(m)) == m.cols
+def test_rank_plus_kernel_dimension(m):
+    rows, ncols = m
+    assert rank(rows, ncols) + len(nullspace_basis(rows, ncols)) == ncols
 
 
 @given(m=small_matrices(), data=st.data())
 @settings(max_examples=60)
 def test_insertion_order_does_not_matter(m, data):
-    items = list(m.entries.items())
-    shuffled = data.draw(st.permutations(items))
-    m2 = SparseMatrix(m.rows, m.cols, dict(shuffled))
-    assert rank(m) == rank(m2)
-    assert nullspace_basis(m) == nullspace_basis(m2)
+    rows, ncols = m
+    rows2 = [dict(data.draw(st.permutations(list(r.items())))) for r in rows]
+    assert rank(rows, ncols) == rank(rows2, ncols)
+    assert nullspace_basis(rows, ncols) == nullspace_basis(rows2, ncols)
 
 
 @given(m=small_matrices(), data=st.data())
 @settings(max_examples=60)
 def test_row_permutation_preserves_kernel(m, data):
-    perm = data.draw(st.permutations(range(m.rows)))
-    entries = {(perm[r], c): v for (r, c), v in m.entries.items()}
-    m2 = SparseMatrix(m.rows, m.cols, entries)
-    assert rank(m) == rank(m2)
-    assert nullspace_basis(m) == nullspace_basis(m2)
+    rows, ncols = m
+    rows2 = data.draw(st.permutations(rows))
+    assert rank(rows, ncols) == rank(rows2, ncols)
+    assert nullspace_basis(rows, ncols) == nullspace_basis(rows2, ncols)
+
+
+@given(m=small_matrices(max_rows=6, max_cols=6))
+@settings(max_examples=60, deadline=None)
+def test_rank_matches_sympy(m):
+    rows, ncols = m
+    assert rank(rows, ncols) == to_sympy(rows, ncols).rank()
+
+
+@given(m=small_matrices(max_rows=6, max_cols=6))
+@settings(max_examples=60, deadline=None)
+def test_nullspace_matches_sympy_rref(m):
+    rows, ncols = m
+    kernel = to_sympy(rows, ncols).nullspace()
+    expected = []
+    if kernel:
+        reduced, pivots = sympy.Matrix.hstack(*kernel).T.rref()
+        expected = [tuple(from_sympy(x) for x in reduced.row(i)) for i in range(len(pivots))]
+    assert nullspace_basis(rows, ncols) == expected
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_det_expansion_matches_sympy(data):
+    n = data.draw(st.integers(0, 5))
+    rows = [[data.draw(rationals) for _ in range(n)] for _ in range(n)]
+    expected = sympy_det(to_sympy(sparse(rows), n)) if n else sympy.Integer(1)
+    assert det_expansion(rows, ZERO, ONE) == from_sympy(sympy.Rational(expected))
 
 
 @given(data=st.data())
@@ -144,6 +227,4 @@ def test_det_row_swap_changes_sign(data):
     i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]))
     swapped = list(rows)
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    d1 = det(SparseMatrix.from_dense(rows))
-    d2 = det(SparseMatrix.from_dense(swapped))
-    assert d1 == -d2
+    assert det_expansion(rows, ZERO, ONE) == -det_expansion(swapped, ZERO, ONE)

@@ -204,8 +204,8 @@ def test_e_iso_injective_on_basis():
         rows = []
         for v in vectors:
             rows.append({index.setdefault(i, len(index)): c for i, c in v.terms.items()})
-        from diffhom.exact import rank_of_rows
-        assert rank_of_rows(rows, len(index)) == len(basis) == count_semistandard(lam, k + 1)
+        from diffhom.exact import rank
+        assert rank(rows, len(index)) == len(basis) == count_semistandard(lam, k + 1)
 
 
 def test_commutative_diagram_small_shapes():

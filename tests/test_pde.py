@@ -9,7 +9,7 @@ from diffhom.pde import (MultiPoly, distinct_tuple_operator, monomials_of_degree
                          newton_operator, poly_family_rank, solution_space_dim,
                          solution_space_dim_distinct, solution_space_rows,
                          vandermonde, vandermonde_derivative_basis)
-from diffhom.exact import rank_of_rows
+from diffhom.exact import rank
 
 F = Fraction
 
@@ -82,7 +82,7 @@ def test_vandermonde_span_inside_solution_space():
     col = {e: j for j, e in enumerate(monos)}
     van_rows = [{col[e]: c for e, c in p.terms.items()}
                 for p in vandermonde_derivative_basis(d)]
-    joint = rank_of_rows(sol_rows + van_rows, len(monos))
+    joint = rank(sol_rows + van_rows, len(monos))
     assert joint == len(sol_rows) == math.factorial(d)
 
 
@@ -92,7 +92,7 @@ def test_two_operator_systems_agree():
         rows_a, monos_a = solution_space_rows(d)
         rows_b, monos_b = solution_space_rows(d, apply_op=distinct_tuple_operator)
         assert monos_a == monos_b and len(rows_a) == len(rows_b)
-        assert rank_of_rows(rows_a + rows_b, len(monos_a)) == len(rows_a)
+        assert rank(rows_a + rows_b, len(monos_a)) == len(rows_a)
 
 
 def test_distinct_tuple_operator_counts_orderings():

@@ -39,3 +39,14 @@ def test_observation_entries_always_pass():
     report = run_suite("kernel", max_d=3)
     observed = [r for r in report.results if r.check_id.startswith("observe")]
     assert observed and all(r.passed for r in observed)
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    import diffhom.verify as verify
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single CPU must not start a process pool")
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    assert run_suite("rsk", max_d=3, jobs=2).passed
