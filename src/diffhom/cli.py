@@ -2,7 +2,8 @@
 
 Subcommands: basis, check, census, tableaux, kernel, verify.  Global flags
 ``--format {text,json,csv}``, ``--cache DIR`` (default from $DH_CACHE),
-``--seed``, ``--jobs``.  All JSON payloads carry a ``schema_version`` field.
+``--seed``; ``verify`` also takes ``--jobs``.  All JSON payloads carry a
+``schema_version`` field.
 Exit codes: 0 success, 1 failed check/verification, 2 invalid input.
 """
 
@@ -265,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cache directory for basis manifests (default $DH_CACHE)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for the randomized checks")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for verification suites")
 
     parser = argparse.ArgumentParser(
         prog="dh",
@@ -314,6 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p.add_argument("--max-d", type=int, default=None, help="degree cap override")
     p.add_argument("--max-n", type=int, default=None, help="variable bound cap override")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (at least 1, capped at the CPU count)")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -8,6 +8,8 @@ so ranks, kernels and determinants are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -175,63 +177,105 @@ def _coerce(v) -> ParamPoly:
     return NotImplemented
 
 
-def echelon(rows: list[dict[int, Fraction]], ncols: int,
+def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
+    """The primitive integer multiple of a rational row: same support, entries
+    coprime integers."""
+    scale = math.lcm(*(v.denominator for v in row.values()))
+    if scale == 1:  # share the numerators: equal new ints would cost memory
+        ints = {c: v.numerator for c, v in row.items()}
+    else:
+        ints = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+    g = math.gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()} if g > 1 else ints
+
+
+def _eliminate(row: dict[int, int], p: int, f: int, prow: Mapping[int, int]) -> dict[int, int]:
+    """Fraction-free step ``p*row - f*prow`` on integer rows, then content
+    removal.  The caller has already taken the pivot column out of ``row`` and
+    ``prow``."""
+    g = math.gcd(p, f)
+    p, f = p // g, f // g
+    if p != 1:
+        row = {c: v * p for c, v in row.items()}
+    for c, v in prow.items():
+        s = row.get(c)
+        if s is None:
+            row[c] = -f * v
+        else:
+            s -= f * v
+            if s:
+                row[c] = s
+            else:
+                del row[c]
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def echelon(rows: Sequence[Mapping[int, Fraction]], ncols: int,
             reduce_back: bool = True) -> list[tuple[int, dict[int, Fraction]]]:
     """Row reduction with the fixed pivot rule: leftmost column, then smallest
     current row support, then lowest original row index.
 
-    Consumes ``rows`` (dicts col -> nonzero Fraction). Returns the pivot rows
-    as (pivot_col, row) with ascending pivot columns, pivots normalized to 1;
-    with ``reduce_back`` the result is the reduced echelon form.
+    ``rows`` are dicts col -> nonzero Fraction; they are not mutated.  Returns
+    the pivot rows as (pivot_col, row) with ascending pivot columns, pivots
+    normalized to 1; with ``reduce_back`` the result is the reduced echelon
+    form.
+
+    The elimination is fraction-free: each row is scaled to a primitive
+    integer row, reduced by ``p*row - f*pivot_row`` and divided by its content,
+    and converted back to Fractions only on output.  Scaling keeps a row's
+    support, so the pivot rule picks the same rows as rational elimination.
+    Rows are indexed by their leading column, so each column step touches only
+    the rows that hold it, and the reduced form comes from one
+    back-substitution after the forward pass.
     """
-    remaining = [(i, r) for i, r in enumerate(rows) if r]
-    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    # Every column left of the current one is already eliminated, so the rows
+    # holding a column are exactly the rows it leads.  A row is re-filed under
+    # its new leading column after each step and dropped once it is zero.
+    lead: dict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
+    for i, r in enumerate(rows):
+        if r:
+            lead[min(r)].append((i, _integer_row(r)))
+    pivots: list[tuple[int, int, dict[int, int]]] = []
     for col in range(ncols):
-        best = None
-        for i, r in remaining:
-            if col in r:
-                key = (len(r), i)
-                if best is None or key < best[0]:
-                    best = (key, i, r)
-        if best is None:
+        held = lead.pop(col, None)
+        if not held:
             continue
-        _, pi, prow = best
-        remaining = [(i, r) for i, r in remaining if i != pi]
-        inv = 1 / prow[col]
-        prow = {c: v * inv for c, v in prow.items()}
-        for i, r in remaining:
-            f = r.get(col)
-            if f:
-                for c, v in prow.items():
-                    s = r.get(c, ZERO) - f * v
-                    if s:
-                        r[c] = s
-                    else:
-                        r.pop(c, None)
-        remaining = [(i, r) for i, r in remaining if r]
-        if reduce_back:
-            for _, pr in pivots:
-                f = pr.get(col)
-                if f:
-                    for c, v in prow.items():
-                        s = pr.get(c, ZERO) - f * v
-                        if s:
-                            pr[c] = s
-                        else:
-                            pr.pop(c, None)
-        pivots.append((col, prow))
-    return pivots
+        pi, prow = min(held, key=lambda e: (len(e[1]), e[0]))
+        p = prow.pop(col)
+        if p < 0:
+            p, prow = -p, {c: -v for c, v in prow.items()}
+        for i, r in held:
+            if i != pi:
+                r = _eliminate(r, p, r.pop(col), prow)
+                if r:
+                    lead[min(r)].append((i, r))
+        pivots.append((col, p, prow))
+    if reduce_back:
+        # Later pivot rows are already reduced, so one pass in reverse pivot
+        # order clears every pivot column from every earlier row.  The pivot
+        # entry rides along in the row so that content removal covers it.
+        where = {col: j for j, (col, _, _) in enumerate(pivots)}
+        for j in range(len(pivots) - 1, -1, -1):
+            col, p, row = pivots[j]
+            row[col] = p
+            for c in [c for c in row if c != col and c in where]:
+                _, pk, rowk = pivots[where[c]]
+                row = _eliminate(row, pk, row.pop(c), rowk)
+            pivots[j] = (col, row.pop(col), row)
+    return [(col, {col: ONE, **{c: Fraction(v, p) for c, v in row.items()}})
+            for col, p, row in pivots]
 
 
 def rank(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> int:
     """Rank over Q of sparse rows (dicts col -> nonzero Fraction), deterministic."""
-    return len(echelon([dict(r) for r in rows], ncols, reduce_back=False))
+    return len(echelon(rows, ncols, reduce_back=False))
 
 
 def nullspace_basis(rows: Sequence[Mapping[int, Fraction]],
                     ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel, returned in reduced echelon form."""
-    pivots = echelon([dict(r) for r in rows], ncols, reduce_back=True)
+    pivots = echelon(rows, ncols, reduce_back=True)
     pivot_cols = {col for col, _ in pivots}
     raw: list[dict[int, Fraction]] = []
     for f in range(ncols):

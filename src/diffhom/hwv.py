@@ -199,9 +199,23 @@ def _basis_index(d: int, k: int) -> dict[Index, int]:
     return {idx: j for j, idx in enumerate(itertools.product(range(k + 1), repeat=d))}
 
 
-def stacked_operator_rows(d: int, k: int) -> tuple[list[dict[int, Fraction]], int]:
-    """Rows of all J^(l), l = 1..d, as one sparse matrix over the tensor basis."""
-    keys = list(itertools.product(range(k + 1), repeat=d))
+def _weight_keys(d: int, k: int, weight: int) -> list[Index]:
+    """The index vectors in {0..k}^d with entry sum ``weight``, in
+    lexicographic order (the order of the tensor basis)."""
+    if d == 0:
+        return [()] if weight == 0 else []
+    return [(a,) + rest for a in range(max(0, weight - k * (d - 1)), min(k, weight) + 1)
+            for rest in _weight_keys(d - 1, k, weight - a)]
+
+
+def stacked_operator_rows(d: int, k: int, weight: int) -> tuple[list[dict[int, Fraction]], int]:
+    """Rows of all J^(l), l = 1..d, on the basis tensors of index weight
+    ``weight``, as one sparse matrix whose columns follow ``_weight_keys``.
+
+    J^(l) lowers the weight by exactly l, so no row meets two weights: the
+    blocks for the weights 0..d*k together are the whole stacked system.
+    """
+    keys = _weight_keys(d, k, weight)
 
     def apply(idx: Index):
         t = Tensor.basis(idx, k)
@@ -213,14 +227,33 @@ def stacked_operator_rows(d: int, k: int) -> tuple[list[dict[int, Fraction]], in
 
 
 def kernel_dim_full(d: int, k: int) -> int:
-    """Dimension of the simultaneous kernel of all J^(l) on the full tensor power."""
-    rows, ncols = stacked_operator_rows(d, k)
-    return ncols - rank(rows, ncols)
+    """Dimension of the simultaneous kernel of all J^(l) on the full tensor
+    power, summed over the weight blocks."""
+    dim = 0
+    for weight in range(d * k + 1):
+        rows, ncols = stacked_operator_rows(d, k, weight)
+        dim += ncols - rank(rows, ncols)
+    return dim
 
 
 @lru_cache(maxsize=None)
-def full_kernel_vectors(d: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(nullspace_basis(*stacked_operator_rows(d, k)))
+def full_kernel_vectors(d: int, k: int) -> tuple[dict[int, Fraction], ...]:
+    """Reduced echelon basis of the simultaneous kernel of all J^(l), as
+    sparse rows over the tensor basis.  Cached and shared: callers must not
+    mutate the rows.
+
+    Each weight block's reduced basis, moved to the global columns (an
+    increasing map), is reduced on its own columns and zero elsewhere, so the
+    rows of all blocks sorted by pivot column are the global reduced form.
+    """
+    index = _basis_index(d, k)
+    vectors = []
+    for weight in range(d * k + 1):
+        cols = [index[idx] for idx in _weight_keys(d, k, weight)]
+        for vec in nullspace_basis(*stacked_operator_rows(d, k, weight)):
+            vectors.append({cols[j]: c for j, c in enumerate(vec) if c})
+    vectors.sort(key=min)
+    return tuple(vectors)
 
 
 def isotypic_image_rows(lam: Partition, k: int) -> list[dict[int, Fraction]]:
@@ -239,10 +272,8 @@ def kernel_dim_isotypic(lam: Partition, k: int) -> int:
     """Dimension of (simultaneous kernel of the J^(l)) inside the isotypic image,
     computed by exact intersection of the two subspaces."""
     d = lam.size
-    ncols = (k + 1) ** d
-    kernel_rows = [{j: c for j, c in enumerate(vec) if c} for vec in full_kernel_vectors(d, k)]
-    image = isotypic_image_rows(lam, k)
-    return intersection_dim(kernel_rows, image, ncols)
+    return intersection_dim(full_kernel_vectors(d, k), isotypic_image_rows(lam, k),
+                            (k + 1) ** d)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dpoly import DiffPoly, gradings, mono_order
-from .exact import operator_rows, rank
+from .exact import ONE, operator_rows, rank
 from .wronskian import CanonicalDatum, enumerate_canonical_basis
 
 
@@ -65,20 +65,18 @@ def weight_census_bound(n: int, d: int) -> int:
     return math.floor((1 - Fraction(1, n + 1)) * Fraction(d * d, 2))
 
 
-def census(n: int, d: int, k: int) -> list[CensusEntry]:
-    """Counts, per weight, of the order <= k part of the degree-d space.
-
-    Entries with count 0 are omitted.  d = 0 contributes the constants.
-    """
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+def _weight_blocks(n: int, d: int) -> dict[int, list[DiffPoly]]:
+    """The canonical basis of degree d grouped by weight; degree 0 holds the
+    constants."""
     if d == 0:
-        return [CensusEntry(k=k, n=0, count=1)]
+        return {0: [DiffPoly.const(ONE, n)]}
     blocks: dict[int, list[DiffPoly]] = {}
-    for datum, poly in enumerate_canonical_basis(n, d):
+    for _, poly in enumerate_canonical_basis(n, d):
         blocks.setdefault(gradings(poly).weight, []).append(poly)
+    return blocks
+
+
+def _block_census(blocks: dict[int, list[DiffPoly]], d: int, k: int) -> list[CensusEntry]:
     out = []
     for weight in sorted(blocks):
         polys = blocks[weight]
@@ -93,6 +91,18 @@ def census(n: int, d: int, k: int) -> list[CensusEntry]:
         if count:
             out.append(CensusEntry(k=k, n=weight, count=count))
     return out
+
+
+def census(n: int, d: int, k: int) -> list[CensusEntry]:
+    """Counts, per weight, of the order <= k part of the degree-d space.
+
+    Entries with count 0 are omitted.  d = 0 contributes the constants.
+    """
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return _block_census(_weight_blocks(n, d), d, k)
 
 
 @dataclass(frozen=True)
@@ -116,19 +126,22 @@ class Theorem2Report:
 def verify_theorem2(n: int, d: int, extra_k: int = 2) -> Theorem2Report:
     """Three exact checks on the census: stability in k above d-1, total count
     (N+1)^d, and vanishing above the weight bound."""
-    base = census(n, d, max(d - 1, 0))
+    top = max(d - 1, 0)
+    blocks = _weight_blocks(n, d)
+    tables = {k: _block_census(blocks, d, k) for k in range(max(top, top + extra_k) + 1)}
+    base = tables[top]
     items = []
 
     stable = True
     witness = ""
-    for k in range(max(d - 1, 0) + 1, max(d - 1, 0) + 1 + extra_k):
-        other = [CensusEntry(k=max(d - 1, 0), n=e.n, count=e.count) for e in census(n, d, k)]
+    for k in range(top + 1, top + 1 + extra_k):
+        other = [CensusEntry(k=top, n=e.n, count=e.count) for e in tables[k]]
         if other != base:
             stable = False
             witness = f"census changed at k={k}"
             break
     items.append(Theorem2Item("k_stability", stable, witness or
-                              f"census identical for k={max(d - 1, 0)}..{max(d - 1, 0) + extra_k}"))
+                              f"census identical for k={top}..{top + extra_k}"))
 
     total = sum(e.count for e in base)
     expected = (n + 1) ** d
@@ -136,8 +149,7 @@ def verify_theorem2(n: int, d: int, extra_k: int = 2) -> Theorem2Report:
                               f"sum={total}, expected {expected}"))
 
     bound = weight_census_bound(n, d)
-    offenders = [e for k in range(0, max(d - 1, 0) + 1 + extra_k)
-                 for e in census(n, d, k) if e.n > bound]
+    offenders = [e for k in range(top + 1 + extra_k) for e in tables[k] if e.n > bound]
     items.append(Theorem2Item("weight_vanishing", not offenders,
                               f"bound={bound}" + (f", offender {offenders[0]}" if offenders else "")))
 

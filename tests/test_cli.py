@@ -1,6 +1,10 @@
 """Command line interface: output formats, exit codes, cache, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,35 @@ def test_verify_two_jobs(capsys):
     assert code == 0
     strip = lambda s: {k: v for k, v in json.loads(s).items() if k != "wall_time_seconds"}
     assert strip(parallel) == strip(serial)
+
+
+@pytest.mark.parametrize("argv", [["kernel", "--d", "2"], ["census", "--n", "1", "--d", "2"],
+                                  ["basis", "--n", "1", "--d", "2"], ["check", "x0"],
+                                  ["tableaux", "--d", "2"]])
+def test_jobs_is_a_verify_only_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def _verify_kernel_json(jobs: str) -> str:
+    """``dh verify --suite kernel`` JSON from a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "diffhom.cli", "verify", "--suite", "kernel",
+                           "--format", "json", "--jobs", jobs],
+                          capture_output=True, text=True, env=env, check=True).stdout
+
+
+def _without_wall_time(out: str) -> str:
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if '"wall_time_seconds"' not in line)
+
+
+def test_verify_json_byte_identical_across_runs_and_jobs():
+    first = _verify_kernel_json("1")
+    assert json.loads(first)["passed"] is True
+    expected = _without_wall_time(first)
+    assert _without_wall_time(_verify_kernel_json("1")) == expected
+    assert _without_wall_time(_verify_kernel_json("2")) == expected

@@ -11,8 +11,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from diffhom.exact import (ONE, ZERO, ParamPoly, det_expansion, nullspace_basis,
-                           operator_rows, rank, solve)
+from diffhom.exact import (ONE, ZERO, ParamPoly, det_expansion, echelon,
+                           nullspace_basis, operator_rows, rank, solve)
 
 F = Fraction
 P0 = ParamPoly.const(0)
@@ -26,8 +26,10 @@ def sparse(dense):
 
 
 def to_sympy(rows, ncols):
-    return sympy.Matrix([[sympy.Rational(r.get(c, 0).numerator, r.get(c, 0).denominator)
-                          for c in range(ncols)] for r in rows])
+    def entry(i, j):
+        v = F(rows[i].get(j, 0))
+        return sympy.Rational(v.numerator, v.denominator)
+    return sympy.Matrix(len(rows), ncols, entry)
 
 
 def from_sympy(x):
@@ -166,6 +168,38 @@ def small_matrices(draw, max_rows=5, max_cols=5):
     return rows, ncols
 
 
+big_rationals = st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 12))
+
+
+@st.composite
+def structured_matrices(draw, max_block_rows=4, max_cols=7):
+    """Sparse rational matrices that stress the elimination: non-integral and
+    large entries, repeated rows and scaled copies, and a hidden block
+    structure (two independent blocks on interleaved column sets, their rows
+    shuffled together)."""
+    ncols = draw(st.integers(1, max_cols))
+    in_a = draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
+    entries = rationals | big_rationals
+    rows = []
+    for block in (True, False):
+        cols = [c for c in range(ncols) if in_a[c] == block]
+        for _ in range(draw(st.integers(0, max_block_rows))):
+            row = {}
+            for c in cols:
+                if draw(st.booleans()):
+                    v = draw(entries)
+                    if v:
+                        row[c] = v
+            rows.append(row)
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        scale = draw(entries.filter(bool))
+        rows.append({c: v * scale for c, v in draw(st.sampled_from(rows)).items()})
+    return draw(st.permutations(rows)), ncols
+
+
+matrices = small_matrices(max_rows=6, max_cols=6) | structured_matrices()
+
+
 @given(m=small_matrices())
 @settings(max_examples=60)
 def test_rank_plus_kernel_dimension(m):
@@ -191,15 +225,15 @@ def test_row_permutation_preserves_kernel(m, data):
     assert nullspace_basis(rows, ncols) == nullspace_basis(rows2, ncols)
 
 
-@given(m=small_matrices(max_rows=6, max_cols=6))
-@settings(max_examples=60, deadline=None)
+@given(m=matrices)
+@settings(max_examples=120, deadline=None)
 def test_rank_matches_sympy(m):
     rows, ncols = m
     assert rank(rows, ncols) == to_sympy(rows, ncols).rank()
 
 
-@given(m=small_matrices(max_rows=6, max_cols=6))
-@settings(max_examples=60, deadline=None)
+@given(m=matrices)
+@settings(max_examples=120, deadline=None)
 def test_nullspace_matches_sympy_rref(m):
     rows, ncols = m
     kernel = to_sympy(rows, ncols).nullspace()
@@ -208,6 +242,34 @@ def test_nullspace_matches_sympy_rref(m):
         reduced, pivots = sympy.Matrix.hstack(*kernel).T.rref()
         expected = [tuple(from_sympy(x) for x in reduced.row(i)) for i in range(len(pivots))]
     assert nullspace_basis(rows, ncols) == expected
+
+
+@given(m=matrices)
+@settings(max_examples=80, deadline=None)
+def test_echelon_pivots_are_one_in_ascending_columns(m):
+    rows, ncols = m
+    for reduce_back in (False, True):
+        pivots = echelon(rows, ncols, reduce_back=reduce_back)
+        cols = [col for col, _ in pivots]
+        assert cols == sorted(set(cols))
+        for col, row in pivots:
+            assert row[col] == 1 and min(row) == col and all(row.values())
+        if reduce_back:
+            assert all(c not in row for col, row in pivots for c in cols if c != col)
+
+
+@given(m=matrices, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_echelon_and_solve_leave_inputs_intact(m, data):
+    rows, ncols = m
+    rhs = [data.draw(rationals) for _ in rows]
+    before = copy.deepcopy((rows, rhs))
+    echelon(rows, ncols, reduce_back=False)
+    echelon(rows, ncols, reduce_back=True)
+    x = solve(rows, ncols, rhs)
+    assert (rows, rhs) == before
+    if x is not None:
+        assert all(sum(v * x[c] for c, v in row.items()) == b for row, b in zip(rows, rhs))
 
 
 @given(data=st.data())

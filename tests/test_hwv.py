@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from diffhom.exact import ParamPoly
+from diffhom.exact import ParamPoly, nullspace_basis, operator_rows, rank
 from diffhom.dpoly import matrix_action, parse, span_rank
 from diffhom.tableaux import (Partition, Permutation, Tableau,
                               count_semistandard, count_standard,
                               partitions_of)
-from diffhom.hwv import (Tensor, column_det, d_t, e_iso, functional_solution_dim,
-                         hwv_basis, j_ell, kernel_dim_full, kernel_dim_isotypic,
+from diffhom.hwv import (Tensor, column_det, d_t, e_iso, full_kernel_vectors,
+                         functional_solution_dim, hwv_basis, j_ell, kernel_dim_full,
+                         kernel_dim_isotypic, stacked_operator_rows,
                          straighten, symmetrizer_projection, tableau_projection,
                          tensor_of_tableau, tensor_sigma_action)
 
@@ -134,6 +135,41 @@ def test_kernel_dim_low_k_reported():
     # below the stabilizing local dimension the value is recorded, not asserted
     value = kernel_dim_full(3, 1)
     assert 0 <= value <= 8
+
+
+def _ungraded_stack(d, k):
+    """All J^(l) rows on the whole tensor basis at once, in product order."""
+    keys = list(itertools.product(range(k + 1), repeat=d))
+
+    def apply(idx):
+        t = Tensor.basis(idx, k)
+        for ell in range(1, d + 1):
+            for out, c in j_ell(t, ell).terms.items():
+                yield (ell, out), c
+
+    return operator_rows(keys, apply), len(keys)
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(d + 2)])
+def test_graded_kernel_dim_matches_ungraded_stack(d, k):
+    rows, ncols = _ungraded_stack(d, k)
+    assert kernel_dim_full(d, k) == ncols - rank(rows, ncols)
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 4) for k in range(d + 2)])
+def test_full_kernel_vectors_match_ungraded_nullspace(d, k):
+    rows, ncols = _ungraded_stack(d, k)
+    expected = [{j: c for j, c in enumerate(v) if c} for v in nullspace_basis(rows, ncols)]
+    assert list(full_kernel_vectors(d, k)) == expected
+
+
+def test_weight_blocks_split_the_stack():
+    d, k = 3, 2
+    rows, ncols = _ungraded_stack(d, k)
+    blocks = [stacked_operator_rows(d, k, w) for w in range(d * k + 1)]
+    assert sum(n for _, n in blocks) == ncols
+    assert sum(len(r) for r, _ in blocks) == len(rows)
+    assert sorted(len(r) for r in rows) == sorted(len(r) for b, _ in blocks for r in b)
 
 
 def test_kernel_isotypic_examples():
@@ -266,7 +302,7 @@ def test_hwv_count_equals_kostka_sum():
 
 def test_leibniz_expansion_with_factorial_normalization():
     # factorwise (al Id + lowering) equals sum_l al^(d-l)/l! J^(l) plus al^d id
-    from diffhom.exact import ParamPoly
+    from diffhom.exact import ParamPoly, nullspace_basis, operator_rows, rank
     al = ParamPoly.var("al")
     d, k = 2, 1
     for idx in itertools.product(range(k + 1), repeat=d):

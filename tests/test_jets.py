@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffhom import jets
 from diffhom.jets import (CensusEntry, census, classify_basis, verify_theorem2,
                           weight_census_bound)
 
@@ -83,3 +84,25 @@ def test_verify_theorem2_total_value():
     report = verify_theorem2(2, 2)
     total_item = next(i for i in report.items if i.name == "total_dimension")
     assert "sum=9" in total_item.witness
+
+
+def test_verify_theorem2_builds_the_basis_once(monkeypatch):
+    calls = []
+    build = jets.enumerate_canonical_basis
+
+    def counting(n, d):
+        calls.append((n, d))
+        return build(n, d)
+
+    monkeypatch.setattr(jets, "enumerate_canonical_basis", counting)
+    report = verify_theorem2(1, 4)
+    assert calls == [(1, 4)]
+    assert report.passed
+    assert [(i.name, i.witness) for i in report.items] == [
+        ("k_stability", "census identical for k=3..5"),
+        ("total_dimension", "sum=16, expected 16"),
+        ("weight_vanishing", "bound=4")]
+    # separate census queries each build their own basis: no process-wide cache
+    census(1, 4, 1)
+    census(1, 4, 2)
+    assert calls == [(1, 4)] * 3
