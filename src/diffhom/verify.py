@@ -121,6 +121,7 @@ def check_basis_gl_stability(n: int, d: int, seed: int, matrices: int = 5) -> Ch
                 break
         if not ok:
             break
+        del images  # the next trial's images are built before this list would be released
     return _result("basis_gl_stability", {"N": n, "d": d, "matrices": matrices, "seed": seed},
                    "stable", note if not ok else "stable")
 
