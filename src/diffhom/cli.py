@@ -1,9 +1,11 @@
 """The ``dh`` command line interface.
 
-Subcommands: basis, check, census, tableaux, kernel, verify.  Global flags
-``--format {text,json,csv}``, ``--cache DIR`` (default from $DH_CACHE),
-``--seed``; ``verify`` also takes ``--jobs``.  All JSON payloads carry a
-``schema_version`` field.
+Subcommands: basis, check, census, tableaux, kernel, verify.  Every
+subcommand takes ``--format {text,json}``; census, tableaux and kernel also
+offer ``csv``.  ``basis`` alone takes ``--cache DIR`` (default from
+$DH_CACHE), and ``verify`` alone takes ``--seed`` and ``--jobs``.  A flag
+given to a subcommand that does not read it exits 2.  All JSON payloads carry
+a ``schema_version`` field.
 Exit codes: 0 success, 1 failed check/verification, 2 invalid input.
 """
 
@@ -75,9 +77,6 @@ def cached_manifest(n: int, d: int, cache_dir: str | None) -> list[dict]:
 def cmd_basis(args) -> int:
     if args.d < 1 or args.n < 0:
         print("basis requires --d >= 1 and --n >= 0", file=sys.stderr)
-        return 2
-    if args.format == "csv":
-        print("basis does not support csv output", file=sys.stderr)
         return 2
     manifest = cached_manifest(args.n, args.d, args.cache)
     if args.format == "json":
@@ -260,12 +259,10 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--cache", default=os.environ.get("DH_CACHE"),
-                        help="cache directory for basis manifests (default $DH_CACHE)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for the randomized checks")
+    plain = argparse.ArgumentParser(add_help=False)
+    plain.add_argument("--format", choices=("text", "json"), default="text")
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     parser = argparse.ArgumentParser(
         prog="dh",
@@ -273,20 +270,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "homogeneous polynomials")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("basis", parents=[common],
+    p = sub.add_parser("basis", parents=[plain],
                        help="emit the canonical (N+1)^d basis manifest")
     p.add_argument("--n", type=int, required=True, help="number of variables minus one")
     p.add_argument("--d", type=int, required=True, help="degree")
+    p.add_argument("--cache", default=os.environ.get("DH_CACHE"),
+                   help="cache directory for basis manifests (default $DH_CACHE)")
     p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[plain],
                        help="decide differential homogeneity of an expression or file")
     p.add_argument("expression", help="expression in the x<i>[<k>] grammar, or a file path")
     p.add_argument("--n", type=int, default=None,
                    help="variable bound (default: largest index used)")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("census", parents=[common],
+    p = sub.add_parser("census", parents=[tabular],
                        help="per-weight dimensions of twisted jet differentials")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -296,23 +295,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the stability/total/vanishing report instead of counts")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("tableaux", parents=[common],
+    p = sub.add_parser("tableaux", parents=[tabular],
                        help="partition and tableau counts")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="alphabet size (default d)")
     p.set_defaults(func=cmd_tableaux)
 
-    p = sub.add_parser("kernel", parents=[common],
+    p = sub.add_parser("kernel", parents=[tabular],
                        help="simultaneous kernel dimensions on tensor powers")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="local dimension minus one (default d-1)")
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[plain],
                        help="run a verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p.add_argument("--max-d", type=int, default=None, help="degree cap override")
     p.add_argument("--max-n", type=int, default=None, help="variable bound cap override")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for the randomized checks")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (at least 1, capped at the CPU count)")
     p.set_defaults(func=cmd_verify)

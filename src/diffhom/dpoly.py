@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exact import Coeff, ParamPoly, ZERO, ONE, echelon
+from .exact import Coeff, ParamPoly, SparseComb, ZERO, ONE, echelon, linear_combination
 from .exact import solve as _solve
 
 # A differential monomial: ((i, k, e), ...) with e > 0, sorted by (i, -k).
@@ -60,21 +60,19 @@ def mono_sort_key(m: DMono):
     return tuple(((i, -k), -e) for i, k, e in m)
 
 
-class DiffPoly:
+class DiffPoly(SparseComb):
     """Sparse differential polynomial with Fraction or ParamPoly coefficients."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _shape = ("n",)
+    _mismatch = "mixed ambient variable bounds"
+    _key_mul = staticmethod(mono_mul)
 
     def __init__(self, n: int, terms: Mapping[DMono, Coeff] | None = None):
         if n < 0:
             raise ValueError("ambient index bound must be >= 0")
         self.n = n
-        clean: dict[DMono, Coeff] = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    clean[mono] = c
-        self.terms = clean
+        super().__init__(terms)
 
     @classmethod
     def zero(cls, n: int) -> "DiffPoly":
@@ -82,7 +80,7 @@ class DiffPoly:
 
     @classmethod
     def const(cls, c: Coeff, n: int) -> "DiffPoly":
-        return cls(n, {_EMPTY: c} if c else {})
+        return cls(n, {_EMPTY: c})
 
     @classmethod
     def var(cls, i: int, k: int, n: int) -> "DiffPoly":
@@ -91,75 +89,6 @@ class DiffPoly:
         if k < 0:
             raise ValueError("negative derivative order")
         return cls(n, {((i, k, 1),): ONE})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    __hash__ = None
-
-    def _require_same(self, other: "DiffPoly"):
-        if self.n != other.n:
-            raise ValueError("mixed ambient variable bounds")
-
-    def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        self._require_same(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, ZERO) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        out = DiffPoly.__new__(DiffPoly)
-        out.n = self.n
-        out.terms = terms
-        return out
-
-    def __neg__(self) -> "DiffPoly":
-        out = DiffPoly.__new__(DiffPoly)
-        out.n = self.n
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "DiffPoly") -> "DiffPoly":
-        self._require_same(other)
-        terms: dict[DMono, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = terms.get(m, ZERO) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        out = DiffPoly.__new__(DiffPoly)
-        out.n = self.n
-        out.terms = terms
-        return out
-
-    def __pow__(self, exp: int) -> "DiffPoly":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        out = DiffPoly.const(ONE, self.n)
-        for _ in range(exp):
-            out = out * self
-        return out
-
-    def scale(self, c: Coeff) -> "DiffPoly":
-        if not c:
-            return DiffPoly.zero(self.n)
-        out = DiffPoly.__new__(DiffPoly)
-        out.n = self.n
-        out.terms = {m: v * c for m, v in self.terms.items()}
-        return out
 
     def sorted_terms(self) -> list[tuple[DMono, Coeff]]:
         return sorted(self.terms.items(), key=lambda t: mono_sort_key(t[0]))
@@ -205,20 +134,19 @@ def gradings(p: DiffPoly) -> Gradings:
 
 def substitute(p: DiffPoly, image: Callable[[int, int], DiffPoly], n_out: int | None = None) -> DiffPoly:
     """Ring substitution x_i[k] -> image(i, k), extended multiplicatively."""
-    n = p.n if n_out is None else n_out
-    cache: dict[tuple[int, int, int], DiffPoly] = {}
-    out = DiffPoly.zero(n)
-    for mono, c in p.terms.items():
-        acc = DiffPoly.const(ONE, n)
+    one = DiffPoly.const(ONE, p.n if n_out is None else n_out)
+    powers: dict[tuple[int, int, int], DiffPoly] = {}
+
+    def mono_image(mono: DMono) -> DiffPoly:
+        acc = one
         for i, k, e in mono:
-            key = (i, k, e)
-            powed = cache.get(key)
+            powed = powers.get((i, k, e))
             if powed is None:
-                powed = image(i, k) ** e
-                cache[key] = powed
+                powed = powers[(i, k, e)] = image(i, k) ** e
             acc = acc * powed
-        out = out + acc.scale(c)
-    return out
+        return acc
+
+    return linear_combination(one, ((c, mono_image(mono)) for mono, c in p.terms.items()))
 
 
 class UniPoly:
@@ -278,26 +206,13 @@ class UniPoly:
 
 
 def q_action(q: UniPoly, p: DiffPoly) -> DiffPoly:
-    """Leibniz substitution action of Q(T): x_i[k] -> sum_j C(k,j) Q^(k-j)(T) x_i[j].
+    """Leibniz substitution action of Q(T): x_i[k] -> sum_j C(k,j) Q^(k-j)(T) x_i[j],
+    that is :func:`derivative_shift` on the Taylor data Q, Q', Q'', ... of Q.
 
     The result has coefficients in Q[params][T]; it is linear in ``p``.
     """
-    ders: dict[int, ParamPoly] = {}
-
-    def qder(m: int) -> ParamPoly:
-        if m not in ders:
-            ders[m] = q.derivative(m).as_parampoly("T")
-        return ders[m]
-
-    def image(i: int, k: int) -> DiffPoly:
-        out = DiffPoly.zero(p.n)
-        for j in range(k + 1):
-            c = qder(k - j) * Fraction(math.comb(k, j))
-            if c:
-                out = out + DiffPoly.var(i, j, p.n).scale(c)
-        return out
-
-    return substitute(p, image)
+    order = max(map(mono_order, p.terms), default=0)
+    return derivative_shift(p, [q.derivative(m).as_parampoly("T") for m in range(order + 1)])
 
 
 def derivative_shift(p: DiffPoly, coeffs: Sequence[Coeff]) -> DiffPoly:
@@ -308,12 +223,8 @@ def derivative_shift(p: DiffPoly, coeffs: Sequence[Coeff]) -> DiffPoly:
     """
 
     def image(i: int, k: int) -> DiffPoly:
-        out = DiffPoly.zero(p.n)
-        for j in range(k + 1):
-            m = k - j
-            if m < len(coeffs) and coeffs[m]:
-                out = out + DiffPoly.var(i, j, p.n).scale(coeffs[m] * math.comb(k, j))
-        return out
+        return DiffPoly(p.n, {((i, j, 1),): coeffs[k - j] * math.comb(k, j)
+                              for j in range(max(0, k + 1 - len(coeffs)), k + 1)})
 
     return substitute(p, image)
 
@@ -347,11 +258,7 @@ def matrix_action(a: Sequence[Sequence[Coeff]], p: DiffPoly) -> DiffPoly:
         raise ValueError(f"matrix must be {size}x{size} for this polynomial")
 
     def image(j: int, k: int) -> DiffPoly:
-        out = DiffPoly.zero(p.n)
-        for l in range(size):
-            if a[j][l]:
-                out = out + DiffPoly.var(l, k, p.n).scale(a[j][l])
-        return out
+        return DiffPoly(p.n, {((l, k, 1),): a[j][l] for l in range(size)})
 
     return substitute(p, image)
 

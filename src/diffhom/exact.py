@@ -1,7 +1,10 @@
-"""Exact scalars, parametric polynomials, and deterministic sparse linear algebra.
+"""Exact scalars, sparse linear combinations, parametric polynomials, and
+deterministic sparse linear algebra.
 
 The ground field is Q, realized by :class:`fractions.Fraction`; symbolic
 parameters extend it to the polynomial ring Q[params] via :class:`ParamPoly`.
+Every sparse algebra of the package (ParamPoly, DiffPoly, MultiPoly, Tensor,
+GroupAlgebraElem) is a :class:`SparseComb` over its own keys.
 Everything here is exact (no floats) and deterministic (fixed pivot rules),
 so ranks, kernels and determinants are reproducible bit for bit.
 """
@@ -17,6 +20,142 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def add_terms(terms: dict, pairs: Iterable[tuple[object, object]]) -> dict:
+    """Add the (key, coefficient) pairs into ``terms`` in place and return it.
+
+    ``terms`` holds nonzero coefficients only: a zero pair is skipped and a key
+    whose coefficients sum to zero is dropped.
+    """
+    get = terms.get
+    for key, c in pairs:
+        s = get(key)
+        if s is None:
+            if c:
+                terms[key] = c
+        else:
+            s = s + c
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    return terms
+
+
+class SparseComb:
+    """Sparse linear combination: ``terms`` maps keys to nonzero coefficients.
+
+    The one implementation of ``+``, ``-``, negation, ``scale``, ``*``, ``**``,
+    ``==`` and truthiness for every sparse algebra of the package.  A subclass
+    lists its shape attributes in ``_shape`` (operands must agree on them, or
+    ValueError(``_mismatch``) is raised), validates in its own ``__init__``,
+    and, if it is a ring, gives the product of two keys as ``_key_mul`` and the
+    unit key as ``_unit_key()`` (by default the empty monomial).  Immutable by
+    convention: no method mutates ``terms`` after construction.
+    """
+
+    __slots__ = ("terms",)
+    _shape: tuple[str, ...] = ()
+    _mismatch = "shape mismatch"
+    _key_mul: Callable | None = None
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
+
+    def with_terms(self, terms: dict) -> "SparseComb":
+        """An element of this shape around ``terms``, which must hold nonzero
+        coefficients only; the dict is taken over, not copied."""
+        out = object.__new__(type(self))
+        for name in self._shape:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
+    def _operand(self, other):
+        """``other`` as an operand of this shape, or NotImplemented."""
+        if type(other) is not type(self):
+            return NotImplemented
+        for name in self._shape:
+            if getattr(self, name) != getattr(other, name):
+                raise ValueError(self._mismatch)
+        return other
+
+    def _unit_key(self):
+        return ()
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        try:
+            other = self._operand(other)
+        except ValueError:
+            return False
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None  # mutable-dict backed; never used as a key
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.with_terms(add_terms(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.with_terms({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.with_terms(add_terms(dict(self.terms),
+                                         ((key, -c) for key, c in other.terms.items())))
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def scale(self, c):
+        if not c:
+            return self.with_terms({})
+        return self.with_terms({key: v * c for key, v in self.terms.items()})
+
+    def __mul__(self, other):
+        key_mul = self._key_mul
+        other = self._operand(other)
+        if key_mul is None or other is NotImplemented:
+            return NotImplemented
+        return self.with_terms(add_terms({}, ((key_mul(k1, k2), c1 * c2)
+                                              for k1, c1 in self.terms.items()
+                                              for k2, c2 in other.terms.items())))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exp: int):
+        if self._key_mul is None:
+            return NotImplemented
+        if exp < 0:
+            raise ValueError("negative exponent")
+        out = self.with_terms({self._unit_key(): ONE})
+        for _ in range(exp):
+            out = out * self
+        return out
+
+
+def linear_combination(like: SparseComb,
+                       pairs: Iterable[tuple[object, SparseComb]]) -> SparseComb:
+    """The sum of ``c * x`` over the (c, x) pairs, shaped like ``like`` (whose
+    own terms are ignored), filling one dict."""
+    return like.with_terms(add_terms({}, ((key, v * c) for c, x in pairs
+                                          for key, v in x.terms.items())))
+
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -35,27 +174,22 @@ def _pmono_mul(a: PMono, b: PMono) -> PMono:
     return tuple(sorted(exps.items()))
 
 
-class ParamPoly:
+class ParamPoly(SparseComb):
     """Sparse multivariate polynomial over Q in named parameters.
 
-    Immutable by convention: no method mutates ``terms`` after construction.
     Mixed arithmetic with int/Fraction coerces the scalar to a constant.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _key_mul = staticmethod(_pmono_mul)
 
     def __init__(self, terms: Mapping[PMono, Fraction] | None = None):
-        clean: dict[PMono, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    clean[mono] = c if isinstance(c, Fraction) else Fraction(c)
-        self.terms = clean
+        self.terms = {mono: c if isinstance(c, Fraction) else Fraction(c)
+                      for mono, c in terms.items() if c} if terms else {}
 
     @classmethod
     def const(cls, c) -> "ParamPoly":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        return cls({_EMPTY: c} if c else {})
+        return cls({_EMPTY: c})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "ParamPoly":
@@ -65,8 +199,12 @@ class ParamPoly:
             return cls.const(1)
         return cls({((name, exp),): ONE})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _operand(self, other):
+        if type(other) is ParamPoly:
+            return other
+        if isinstance(other, (int, Fraction)):
+            return ParamPoly.const(other)
+        return NotImplemented
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _EMPTY in self.terms)
@@ -77,76 +215,6 @@ class ParamPoly:
         if self.is_constant():
             return self.terms[_EMPTY]
         raise ValueError("not a constant polynomial")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ParamPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
-        return NotImplemented
-
-    __hash__ = None  # mutable-dict backed; never used as a key
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, ZERO) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms: dict[PMono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _pmono_mul(m1, m2)
-                s = terms.get(m, ZERO) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = terms
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError("negative exponent")
-        out = ParamPoly.const(1)
-        for _ in range(exp):
-            out = out * self
-        return out
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -167,14 +235,6 @@ class ParamPoly:
 
 
 Coeff = Union[Fraction, ParamPoly]
-
-
-def _coerce(v) -> ParamPoly:
-    if isinstance(v, ParamPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return ParamPoly.const(v)
-    return NotImplemented
 
 
 def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:

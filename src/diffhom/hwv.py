@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exact import (Coeff, ONE, ZERO, ParamPoly, det_expansion, intersection_dim,
-                    nullspace_basis, operator_rows, rank)
+from .exact import (Coeff, ONE, ParamPoly, SparseComb, add_terms, det_expansion,
+                    intersection_dim, linear_combination, nullspace_basis, operator_rows, rank)
 from .dpoly import DiffPoly, derivative_shift, solve_in_span
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                        canonical_tableau, semistandard_tableaux, young_symmetrizer)
@@ -56,69 +56,24 @@ def hwv_basis(lam: Partition, k: int, n: int) -> list[tuple[Tableau, DiffPoly]]:
     return [(t, d_t(t, n)) for t in semistandard_tableaux(lam, k + 1, lo=0)]
 
 
-class Tensor:
+class Tensor(SparseComb):
     """Sparse element of the d-fold tensor power of the span of x[0..k]."""
 
-    __slots__ = ("d", "k", "terms")
+    __slots__ = ("d", "k")
+    _shape = ("d", "k")
+    _mismatch = "tensor shape mismatch"
 
     def __init__(self, d: int, k: int, terms: Mapping[Index, Coeff] | None = None):
         self.d = d
         self.k = k
-        clean: dict[Index, Coeff] = {}
-        if terms:
-            for idx, c in terms.items():
-                if len(idx) != d or any(not 0 <= a <= k for a in idx):
-                    raise ValueError(f"index {idx} out of bounds for d={d}, k={k}")
-                if c:
-                    clean[idx] = c
-        self.terms = clean
+        for idx in terms or ():
+            if len(idx) != d or any(not 0 <= a <= k for a in idx):
+                raise ValueError(f"index {idx} out of bounds for d={d}, k={k}")
+        super().__init__(terms)
 
     @classmethod
     def basis(cls, idx: Index, k: int) -> "Tensor":
         return cls(len(idx), k, {tuple(idx): ONE})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Tensor) and self.d == other.d
-                and self.k == other.k and self.terms == other.terms)
-
-    __hash__ = None
-
-    def _require_same(self, other: "Tensor"):
-        if self.d != other.d or self.k != other.k:
-            raise ValueError("tensor shape mismatch")
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        self._require_same(other)
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = terms.get(idx, ZERO) + c
-            if s:
-                terms[idx] = s
-            else:
-                terms.pop(idx, None)
-        out = Tensor.__new__(Tensor)
-        out.d, out.k, out.terms = self.d, self.k, terms
-        return out
-
-    def __neg__(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.d, out.k = self.d, self.k
-        out.terms = {idx: -c for idx, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
-
-    def scale(self, c: Coeff) -> "Tensor":
-        if not c:
-            return Tensor(self.d, self.k)
-        out = Tensor.__new__(Tensor)
-        out.d, out.k = self.d, self.k
-        out.terms = {idx: v * c for idx, v in self.terms.items()}
-        return out
 
     def __repr__(self) -> str:
         return f"Tensor(d={self.d}, k={self.k}, {len(self.terms)} terms)"
@@ -131,28 +86,25 @@ def tensor_of_tableau(t: Tableau, k: int) -> Tensor:
     return Tensor.basis(t.filling, k)
 
 
-def tensor_sigma_action(t: Tensor, sigma: Permutation) -> Tensor:
-    """Right action: the i-th factor of t.sigma is the sigma(i)-th factor of t."""
+def _permuted_terms(t: Tensor, sigma: Permutation):
+    """The (index, coefficient) pairs of t.sigma, each index once (sigma
+    permutes the factors, so distinct indices stay distinct)."""
     if sigma.d != t.d:
         raise ValueError("permutation size mismatch")
-    terms: dict[Index, Coeff] = {}
-    for idx, c in t.terms.items():
-        new = tuple(idx[sigma(i) - 1] for i in range(1, t.d + 1))
-        s = terms.get(new, ZERO) + c
-        if s:
-            terms[new] = s
-        else:
-            terms.pop(new, None)
-    return Tensor(t.d, t.k, terms)
+    src = [s - 1 for s in sigma.images]
+    return ((tuple([idx[s] for s in src]), c) for idx, c in t.terms.items())
+
+
+def tensor_sigma_action(t: Tensor, sigma: Permutation) -> Tensor:
+    """Right action: the i-th factor of t.sigma is the sigma(i)-th factor of t."""
+    return t.with_terms(dict(_permuted_terms(t, sigma)))
 
 
 def tensor_algebra_action(t: Tensor, u: GroupAlgebraElem) -> Tensor:
     if u.d != t.d:
         raise ValueError("size mismatch")
-    out = Tensor(t.d, t.k)
-    for sigma, c in u.terms.items():
-        out = out + tensor_sigma_action(t, sigma).scale(c)
-    return out
+    return t.with_terms(add_terms({}, ((idx, v * c) for sigma, c in u.terms.items()
+                                       for idx, v in _permuted_terms(t, sigma))))
 
 
 @lru_cache(maxsize=None)
@@ -173,23 +125,19 @@ def j_ell(t: Tensor, ell: int) -> Tensor:
     if not 1 <= ell <= t.d:
         raise ValueError(f"ell must lie in 1..{t.d}")
     fact = math.factorial(ell)
-    terms: dict[Index, Coeff] = {}
-    for idx, c in t.terms.items():
-        support = [i for i, a in enumerate(idx) if a > 0]
-        for subset in itertools.combinations(support, ell):
-            mult = fact
-            for i in subset:
-                mult *= idx[i]
-            new = list(idx)
-            for i in subset:
-                new[i] -= 1
-            key = tuple(new)
-            s = terms.get(key, ZERO) + c * mult
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    return Tensor(t.d, t.k, terms)
+
+    def lowered():
+        for idx, c in t.terms.items():
+            support = [i for i, a in enumerate(idx) if a > 0]
+            for subset in itertools.combinations(support, ell):
+                mult = fact
+                new = list(idx)
+                for i in subset:
+                    mult *= idx[i]
+                    new[i] -= 1
+                yield tuple(new), c * mult
+
+    return t.with_terms(add_terms({}, lowered()))
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +255,9 @@ def e_iso(p: DiffPoly, lam: Partition, k: int) -> Tensor:
     coeffs = solve_in_span([d_t(s, p.n) for s in ss], p)
     if coeffs is None:
         raise ValueError("input is not a combination of column-determinant products")
-    out = Tensor(lam.size, k)
-    for c, s in zip(coeffs, ss):
-        if c:
-            out = out + symmetrizer_projection(tensor_of_tableau(s, k), lam).scale(c)
-    return out
+    return linear_combination(Tensor(lam.size, k),
+                              ((c, symmetrizer_projection(tensor_of_tableau(s, k), lam))
+                               for c, s in zip(coeffs, ss) if c))
 
 
 def tableau_projection(t: Tensor, lam: Partition, n: int) -> DiffPoly:
@@ -319,10 +265,8 @@ def tableau_projection(t: Tensor, lam: Partition, n: int) -> DiffPoly:
     column-determinant product of the shape-lam tableau filled row-major by a."""
     if lam.size != t.d:
         raise ValueError("partition size must match the tensor degree")
-    out = DiffPoly.zero(n)
-    for idx, c in t.terms.items():
-        out = out + d_t(Tableau(lam, idx), n).scale(c)
-    return out
+    return linear_combination(DiffPoly.zero(n), ((c, d_t(Tableau(lam, idx), n))
+                                                 for idx, c in t.terms.items()))
 
 
 def functional_solution_dim(lam: Partition, k: int, n: int) -> int:

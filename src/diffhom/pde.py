@@ -10,29 +10,34 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import ONE, ZERO, nullspace_basis, operator_rows, rank
+from .exact import (ONE, SparseComb, add_terms, linear_combination, nullspace_basis,
+                    operator_rows, rank)
 
 Expo = tuple[int, ...]
 
 
-class MultiPoly:
+def _expo_add(a: Expo, b: Expo) -> Expo:
+    return tuple(map(operator.add, a, b))
+
+
+class MultiPoly(SparseComb):
     """Sparse polynomial in X_1..X_d over Q; keys are exponent vectors."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
+    _shape = ("nvars",)
+    _mismatch = "variable count mismatch"
+    _key_mul = staticmethod(_expo_add)
 
     def __init__(self, nvars: int, terms: Mapping[Expo, Fraction] | None = None):
         self.nvars = nvars
-        clean: dict[Expo, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != nvars or any(x < 0 for x in e):
-                    raise ValueError(f"bad exponent vector {e}")
-                if c:
-                    clean[e] = c
-        self.terms = clean
+        for e in terms or ():
+            if len(e) != nvars or any(x < 0 for x in e):
+                raise ValueError(f"bad exponent vector {e}")
+        super().__init__(terms)
 
     @classmethod
     def const(cls, c: Fraction, nvars: int) -> "MultiPoly":
@@ -44,46 +49,8 @@ class MultiPoly:
         e[i] = 1
         return cls(nvars, {tuple(e): ONE})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MultiPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    __hash__ = None
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, ZERO) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return MultiPoly(self.nvars, terms)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        terms: dict[Expo, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, ZERO) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return MultiPoly(self.nvars, terms)
+    def _unit_key(self) -> Expo:
+        return (0,) * self.nvars
 
     def derivative(self, i: int, times: int = 1) -> "MultiPoly":
         terms = self.terms
@@ -96,7 +63,7 @@ class MultiPoly:
                 out[i] -= 1
                 new[tuple(out)] = c * e[i]
             terms = new
-        return MultiPoly(self.nvars, terms)
+        return self.with_terms(terms)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -109,10 +76,8 @@ def newton_operator(p: MultiPoly, ell: int) -> MultiPoly:
     """Apply the power-sum operator sum_i d^ell/dX_i^ell."""
     if not 1 <= ell <= p.nvars:
         raise ValueError(f"ell must lie in 1..{p.nvars}")
-    out = MultiPoly(p.nvars)
-    for i in range(p.nvars):
-        out = out + p.derivative(i, ell)
-    return out
+    return p.with_terms(add_terms({}, (pair for i in range(p.nvars)
+                                       for pair in p.derivative(i, ell).terms.items())))
 
 
 def distinct_tuple_operator(p: MultiPoly, ell: int) -> MultiPoly:
@@ -120,13 +85,16 @@ def distinct_tuple_operator(p: MultiPoly, ell: int) -> MultiPoly:
     pairwise distinct variables (ell! times the elementary symmetric operator)."""
     if not 1 <= ell <= p.nvars:
         raise ValueError(f"ell must lie in 1..{p.nvars}")
-    out = MultiPoly(p.nvars)
-    for subset in itertools.combinations(range(p.nvars), ell):
+    fact = math.factorial(ell)
+
+    def mixed(subset: tuple[int, ...]) -> MultiPoly:
         q = p
         for i in subset:
             q = q.derivative(i)
-        out = out + MultiPoly(p.nvars, {e: c * math.factorial(ell) for e, c in q.terms.items()})
-    return out
+        return q
+
+    return linear_combination(p, ((fact, mixed(subset))
+                                  for subset in itertools.combinations(range(p.nvars), ell)))
 
 
 def monomials_of_degree(nvars: int, deg: int) -> list[Expo]:

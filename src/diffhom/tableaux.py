@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .exact import ONE, ZERO
+from .exact import ONE, ZERO, SparseComb
 
 
 @dataclass(frozen=True)
@@ -279,21 +279,19 @@ class Permutation:
         return sgn
 
 
-class GroupAlgebraElem:
-    """Sparse element of Q[Sigma_d]."""
+class GroupAlgebraElem(SparseComb):
+    """Sparse element of Q[Sigma_d]; the product is the convolution."""
 
-    __slots__ = ("d", "terms")
+    __slots__ = ("d",)
+    _shape = ("d",)
+    _mismatch = "size mismatch"
+    _key_mul = staticmethod(Permutation.__mul__)
 
     def __init__(self, d: int, terms: Mapping[Permutation, Fraction] | None = None):
         self.d = d
-        clean: dict[Permutation, Fraction] = {}
-        if terms:
-            for s, c in terms.items():
-                if s.d != d:
-                    raise ValueError("permutation size mismatch")
-                if c:
-                    clean[s] = c
-        self.terms = clean
+        if terms and any(s.d != d for s in terms):
+            raise ValueError("permutation size mismatch")
+        super().__init__(terms)
 
     @classmethod
     def unit(cls, d: int) -> "GroupAlgebraElem":
@@ -303,54 +301,16 @@ class GroupAlgebraElem:
     def of(cls, sigma: Permutation, c: Fraction = ONE) -> "GroupAlgebraElem":
         return cls(sigma.d, {sigma: c})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GroupAlgebraElem) and self.d == other.d
-                and self.terms == other.terms)
-
-    __hash__ = None
-
-    def __add__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
-        if self.d != other.d:
-            raise ValueError("size mismatch")
-        terms = dict(self.terms)
-        for s, c in other.terms.items():
-            v = terms.get(s, ZERO) + c
-            if v:
-                terms[s] = v
-            else:
-                terms.pop(s, None)
-        return GroupAlgebraElem(self.d, terms)
-
-    def __neg__(self) -> "GroupAlgebraElem":
-        return GroupAlgebraElem(self.d, {s: -c for s, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
-        return self + (-other)
-
-    def scale(self, c: Fraction) -> "GroupAlgebraElem":
-        return GroupAlgebraElem(self.d, {s: v * c for s, v in self.terms.items()})
+    def _unit_key(self) -> Permutation:
+        return Permutation.identity(self.d)
 
     def __repr__(self) -> str:
         return f"GroupAlgebraElem(d={self.d}, {len(self.terms)} terms)"
 
 
 def group_algebra_mul(u: GroupAlgebraElem, v: GroupAlgebraElem) -> GroupAlgebraElem:
-    """Convolution product on Q[Sigma_d]."""
-    if u.d != v.d:
-        raise ValueError("size mismatch")
-    terms: dict[Permutation, Fraction] = {}
-    for s1, c1 in u.terms.items():
-        for s2, c2 in v.terms.items():
-            s = s1 * s2
-            c = terms.get(s, ZERO) + c1 * c2
-            if c:
-                terms[s] = c
-            else:
-                terms.pop(s, None)
-    return GroupAlgebraElem(u.d, terms)
+    """Convolution product on Q[Sigma_d], that is ``u * v``."""
+    return u * v
 
 
 def _stabilizer_perms(d: int, blocks: Sequence[Sequence[int]]) -> list[Permutation]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exact import ONE, ZERO, det_expansion
+from .exact import ONE, ZERO, add_terms, det_expansion, linear_combination
 from .dpoly import DiffPoly, UniPoly, gradings, span_rank, to_json_dict
 
 
@@ -48,12 +48,9 @@ def wronskian_matrix(spec: WronskSpec, n: int) -> list[list[DiffPoly]]:
         for rpoly, var in spec.entries:
             if not 0 <= var <= n:
                 raise ValueError(f"variable index {var} exceeds bound {n}")
-            entry = DiffPoly.zero(n)
-            for m in range(r + 1):
-                c = rpoly.derivative(r - m).at_zero()
-                if c:
-                    entry = entry + DiffPoly.var(var, m, n).scale(c * math.comb(r, m))
-            row.append(entry)
+            row.append(DiffPoly(n, {((var, m, 1),):
+                                    rpoly.derivative(r - m).at_zero() * math.comb(r, m)
+                                    for m in range(r + 1)}))
         matrix.append(row)
     return matrix
 
@@ -176,31 +173,23 @@ def reduce_to_triangular(alpha: Sequence[int]) -> list[tuple[Fraction, tuple[int
     while work:
         idx = max(work)
         coeff = work.pop(idx)
-        if not coeff:
-            continue
         if any(a >= d for a in idx):
             continue
         p = _first_violation(idx)
         if p is None:
-            result[idx] = result.get(idx, ZERO) + coeff
+            add_terms(result, [(idx, coeff)])
             continue
         base = list(idx)
         base[p - 1] -= p
         ours = (p,) + (0,) * (d - p)
-        for gamma in _compositions(p, d - p + 1):
-            if gamma == ours:
-                continue
-            new = tuple(b + g for b, g in zip(base[p - 1:], gamma))
-            key = idx[:p - 1] + new
-            work[key] = work.get(key, ZERO) - coeff
-    return sorted(((c, idx) for idx, c in result.items() if c), key=lambda t: t[1])
+        add_terms(work, ((idx[:p - 1] + tuple(b + g for b, g in zip(base[p - 1:], gamma)), -coeff)
+                         for gamma in _compositions(p, d - p + 1) if gamma != ours))
+    return sorted(((c, idx) for idx, c in result.items()), key=lambda t: t[1])
 
 
 def expand_combination(comb: Iterable[tuple[Fraction, Sequence[int]]], d: int) -> DiffPoly:
-    out = DiffPoly.zero(d - 1)
-    for c, idx in comb:
-        out = out + build_formal_wronskian(idx).scale(c)
-    return out
+    return linear_combination(DiffPoly.zero(d - 1),
+                              ((c, build_formal_wronskian(idx)) for c, idx in comb))
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,49 @@ def test_jobs_is_a_verify_only_option(capsys, argv):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--n", "1", "--d", "3", "--cache", "CACHE"],
+    ["kernel", "--d", "2", "--cache", "CACHE"],
+    ["check", "x0", "--cache", "CACHE"],
+    ["tableaux", "--d", "2", "--cache", "CACHE"],
+    ["verify", "--suite", "rsk", "--cache", "CACHE"],
+    ["kernel", "--d", "2", "--seed", "7"],
+    ["basis", "--n", "1", "--d", "2", "--seed", "7"],
+    ["census", "--n", "1", "--d", "2", "--seed", "7"],
+    ["check", "x0", "--seed", "7"],
+    ["tableaux", "--d", "2", "--seed", "7"],
+    ["check", "x0", "--format", "csv"],
+    ["verify", "--suite", "rsk", "--format", "csv"],
+    ["basis", "--n", "1", "--d", "2", "--format", "csv"],
+])
+def test_flags_are_rejected_where_unread(tmp_path, capsys, argv):
+    cache = tmp_path / "cache"
+    argv = [str(cache) if a == "CACHE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not cache.exists()
+
+
+def test_verify_reads_seed(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "basis", "--max-d", "1", "--max-n", "1",
+                       "--seed", "7", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["seed"] == 7
+
+
+def test_tableaux_and_kernel_csv(capsys):
+    code, out, _ = run(capsys, "tableaux", "--d", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["partition,standard,semistandard", '"(3,)",1,10',
+                                '"(2, 1)",2,8', '"(1, 1, 1)",1,1']
+    code, out, _ = run(capsys, "kernel", "--d", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["partition,kernel_dim,standard_count", '"(2,)",1,1',
+                                '"(1, 1)",1,1']
+
+
 def _verify_kernel_json(jobs: str) -> str:
     """``dh verify --suite kernel`` JSON from a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"

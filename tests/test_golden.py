@@ -1,12 +1,16 @@
 """Byte-level output contract: JSON of fixed commands, pinned by sha256.
 
-The digests were recorded before the sparse-row linear-algebra refactor; a
-change to the library that keeps every result must keep them.  The
-``wall_time_seconds`` field of ``verify`` is dropped before hashing.
+The first eight digests were recorded before the sparse-row linear-algebra
+refactor, and the ``verify --suite basis``, ``verify --suite jets`` and
+``check`` digests before the sparse linear-combination core
+(``exact.SparseComb``) replaced the per-class arithmetic; a change to the
+library that keeps every result must keep them.  The ``wall_time_seconds``
+field of ``verify`` is dropped before hashing.
 """
 
 import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -29,12 +33,18 @@ GOLDEN = {
         "b6cc1a5e10056b1e77a4d681a4bd82aa8a03e5af8c8cf269fd9d2170d7e8f695",
     "verify --suite hwv --max-d 3":
         "08efec92d630e7a63b696a155826b5b2c807ed2bbf69e790d526505d8de429af",
+    "verify --suite basis --max-d 3":
+        "abe9a68903ecb532560c3cc5d258bf3283bd1f51e10426be2b26227325480fa1",
+    "verify --suite jets":
+        "d2461b51da6c9032626a62954e5a208a2b4e5d6aaadb699015c3863c172e6676",
+    "check 'x0*x1[1] - x1*x0[1]'":
+        "2d3fba25204d026fe7e7dd89998c595940a5feaa8ad546ad45ea5aaa9d138379",
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_json_output_digest(command, capsys):
-    code = main(command.split() + ["--format", "json"])
+    code = main(shlex.split(command) + ["--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     payload.pop("wall_time_seconds", None)
     blob = json.dumps(payload, sort_keys=True).encode()
