@@ -3,8 +3,9 @@
 A differential polynomial lives in Q[params][X_i^(k) : 0 <= i <= N, k >= 0].
 The module provides the substitution action of one-variable polynomials Q(T)
 through the Leibniz rule, the change-of-variable action of (N+1) x (N+1)
-matrices, gradings (degree, weight, order), a text/JSON serialization, and
-exact rank computations for families of differential polynomials.
+matrices, gradings (degree, weight, order), the differential-homogeneity
+test, a text/JSON serialization, and exact rank computations for families of
+differential polynomials.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exact import Coeff, ParamPoly, SparseComb, ZERO, ONE, echelon, linear_combination
+from .exact import (Coeff, ParamPoly, SparseComb, ZERO, ONE, add_terms, echelon,
+                    linear_combination)
 from .exact import solve as _solve
 
 # A differential monomial: ((i, k, e), ...) with e > 0, sorted by (i, -k).
@@ -232,10 +234,20 @@ def derivative_shift(p: DiffPoly, coeffs: Sequence[Coeff]) -> DiffPoly:
 def is_diff_homogeneous(p: DiffPoly) -> tuple[bool, int | None]:
     """Decide whether Q . p = Q^d p holds for every one-variable polynomial Q.
 
-    Decision procedure: substitute x_i[k] -> sum_j C(k,j) mu_{k-j} x_i[j] with
-    formal parameters mu_0..mu_K, K the order of p, and compare against
-    mu_0^d p.  The parameter tuple ranges over all Taylor data (Q(t0), Q'(t0),
-    ...), so the formal identity is equivalent to the defining property.
+    Q acts through its Taylor data (mu_0, ..., mu_K) = (Q, Q', ..., Q^(K)) at
+    a point, K the order of p, by x_i[k] -> sum_j C(k,j) mu_{k-j} x_i[j].  The
+    data with mu_0 != 0 form a commutative group: the scalars mu_0 times the
+    connected unipotent group U of data with mu_0 = 1.  The identity is
+    polynomial in the mu's, so it holds for all data as soon as it holds on
+    the Zariski-dense set mu_0 != 0, that is on the group.  The scalars give
+    ordinary homogeneity of degree d.  In characteristic 0, p is invariant
+    under U exactly when it is killed by the Lie algebra of U (Humphreys,
+    Linear Algebraic Groups, sec. 15), which is spanned by the derivations
+
+        L_m = sum_{i, k >= m} C(k, m) x_i[k-m] d/dx_i[k],   m = 1..K.
+
+    So the test is: one degree for every monomial, then L_m p = 0 for each m;
+    each L_m costs one pass over the terms, in rational arithmetic.
     """
     if not p:
         raise ValueError("the zero polynomial is excluded")
@@ -244,11 +256,24 @@ def is_diff_homogeneous(p: DiffPoly) -> tuple[bool, int | None]:
     g = gradings(p)
     if g.degree is None:
         return (False, None)
-    d = g.degree
-    mus = [ParamPoly.var(f"mu{m}") for m in range(g.order + 1)]
-    lhs = derivative_shift(p, mus)
-    rhs = p.scale(mus[0] ** d)
-    return (True, d) if lhs == rhs else (False, None)
+    terms = p.rational_terms()
+    for m in range(1, g.order + 1):
+        if add_terms({}, _lowered(terms, m)):
+            return (False, None)
+    return (True, g.degree)
+
+
+def _lowered(terms: Mapping[DMono, Fraction], m: int):
+    """The (monomial, coefficient) pairs of L_m applied to ``terms``: a factor
+    x_i[k]^e with k >= m gives c * e * C(k, m) times the monomial with one
+    x_i[k] replaced by x_i[k-m]."""
+    for mono, c in terms.items():
+        for i, k, e in mono:
+            if k >= m:
+                exps = {(a, b): f for a, b, f in mono}
+                exps[(i, k)] = e - 1
+                exps[(i, k - m)] = exps.get((i, k - m), 0) + 1
+                yield _mono_from_exps(exps), c * (e * math.comb(k, m))
 
 
 def matrix_action(a: Sequence[Sequence[Coeff]], p: DiffPoly) -> DiffPoly:
@@ -359,7 +384,9 @@ def parse(text: str, n: int) -> DiffPoly:
             raise ParseError("expected an integer", pos)
         return int(val)
 
-    def parse_factor() -> DiffPoly:
+    def parse_factor(exps: dict[tuple[int, int], int]) -> Fraction:
+        """Add a variable factor's exponent into ``exps``; return a rational
+        factor's value (1 for a variable)."""
         kind, val, pos = peek()
         if kind == "int":
             take()
@@ -370,8 +397,8 @@ def parse(text: str, n: int) -> DiffPoly:
                 den = expect_int()
                 if den == 0:
                     raise ParseError("zero denominator", pos)
-                return DiffPoly.const(Fraction(num, den), n)
-            return DiffPoly.const(Fraction(num), n)
+                return Fraction(num, den)
+            return Fraction(num)
         if kind == "var":
             take()
             i = int(val[1:])
@@ -390,31 +417,32 @@ def parse(text: str, n: int) -> DiffPoly:
             if k2 == "sym" and v2 == "^":
                 take()
                 e = expect_int()
-            return DiffPoly.var(i, k, n) ** e
+            exps[(i, k)] = exps.get((i, k), 0) + e
+            return ONE
         raise ParseError("expected a coefficient or a variable", pos)
 
-    def parse_term() -> DiffPoly:
-        acc = parse_factor()
+    def parse_term(sign: int) -> tuple[DMono, Fraction]:
+        exps: dict[tuple[int, int], int] = {}
+        coeff = parse_factor(exps) * sign
         while True:
             kind, val, _ = peek()
             if kind == "sym" and val == "*":
                 take()
-                acc = acc * parse_factor()
+                coeff *= parse_factor(exps)
             else:
-                return acc
+                return _mono_from_exps(exps), coeff
 
-    result = DiffPoly.zero(n)
+    terms: dict[DMono, Fraction] = {}
     sign = 1
     kind, val, _ = peek()
     if kind == "sym" and val in "+-":
         take()
         sign = -1 if val == "-" else 1
     while True:
-        term = parse_term()
-        result = result + (term if sign > 0 else -term)
+        add_terms(terms, (parse_term(sign),))
         kind, val, pos = peek()
         if kind is None:
-            return result
+            return DiffPoly(n, terms)
         if kind == "sym" and val in "+-":
             take()
             sign = -1 if val == "-" else 1

@@ -299,13 +299,17 @@ def test_tableaux_and_kernel_csv(capsys):
                                 '"(1, 1)",1,1']
 
 
-def _verify_kernel_json(jobs: str) -> str:
-    """``dh verify --suite kernel`` JSON from a fresh interpreter."""
+def _dh(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``dh ARGV`` in a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "diffhom.cli", "verify", "--suite", "kernel",
-                           "--format", "json", "--jobs", jobs],
-                          capture_output=True, text=True, env=env, check=True).stdout
+    return subprocess.run([sys.executable, "-m", "diffhom.cli", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
+def _verify_kernel_json(jobs: str) -> str:
+    """``dh verify --suite kernel`` JSON from a fresh interpreter."""
+    return _dh("verify", "--suite", "kernel", "--format", "json", "--jobs", jobs, check=True).stdout
 
 
 def _without_wall_time(out: str) -> str:
@@ -319,3 +323,19 @@ def test_verify_json_byte_identical_across_runs_and_jobs():
     expected = _without_wall_time(first)
     assert _without_wall_time(_verify_kernel_json("1")) == expected
     assert _without_wall_time(_verify_kernel_json("2")) == expected
+
+
+def test_check_huge_exponent_answers_quickly():
+    # The exponent is added, not multiplied out; a hang fails on the timeout.
+    proc = _dh("check", "x0^1000000000", "--format", "json", timeout=20)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["differentially_homogeneous"] is True
+    assert payload["degree"] == 1000000000
+
+
+def test_check_huge_order_answers_quickly():
+    # L_1 x0[100000] = 100000 x0[99999] is nonzero: no Taylor parameters are built.
+    proc = _dh("check", "x0[100000]", timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("no: not differentially homogeneous")

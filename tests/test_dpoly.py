@@ -1,14 +1,16 @@
 """Differential polynomials: parsing, gradings, the Q-action, homogeneity."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from diffhom.exact import ParamPoly
-from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, from_json, gradings,
-                           is_diff_homogeneous, matrix_action, parse, q_action,
+from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, derivative_shift, from_json,
+                           gradings, is_diff_homogeneous, matrix_action, parse, q_action,
                            span_rank, solve_in_span, to_json, to_text)
+from diffhom.wronskian import enumerate_canonical_basis
 
 F = Fraction
 WRONSK2 = "x0*x1[1] - x1*x0[1]"
@@ -37,6 +39,20 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse("x0 + @", 0)
     assert err.value.pos == 5
+
+
+@pytest.mark.parametrize("text, n, message", [
+    ("x3^0", 2, "variable index 3 exceeds bound 2 (at position 0)"),
+    ("x0 * 1/0", 0, "zero denominator (at position 5)"),
+    ("x0[2", 0, "expected ']' (at position 4)"),
+    ("x0 x1", 1, "expected '+', '-' or end of input (at position 3)"),
+    ("x0^", 0, "expected an integer (at position 3)"),
+    ("x0 + *", 0, "expected a coefficient or a variable (at position 5)"),
+])
+def test_parse_error_messages(text, n, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, n)
+    assert str(err.value) == message
 
 
 def test_gradings_square():
@@ -192,3 +208,161 @@ def test_parse_print_roundtrip(p):
 @settings(max_examples=40)
 def test_json_roundtrip_property(p):
     assert from_json(to_json(p)) == p
+
+
+@st.composite
+def term_texts(draw, n):
+    """One term as text, with the DiffPoly product of its factors."""
+    pieces, value = [], DiffPoly.const(Fraction(1), n)
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            num, den = draw(st.integers(0, 12)), draw(st.sampled_from([None, 1, 2, 3, 6]))
+            pieces.append(f"{num}" if den is None else f"{num}/{den}")
+            value = value * DiffPoly.const(Fraction(num, den or 1), n)
+        else:
+            i, k, e = draw(st.integers(0, n)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            text = f"x{i}"
+            if k or draw(st.booleans()):
+                text += f"[{k}]"
+            if e != 1 or draw(st.booleans()):
+                text += f"^{e}"
+            pieces.append(text)
+            value = value * DiffPoly.var(i, k, n) ** e
+    sep = draw(st.sampled_from(["*", " * ", "*  "]))
+    return sep.join(pieces), value
+
+
+@st.composite
+def sum_texts(draw):
+    n = draw(st.integers(0, 2))
+    text, value = "", DiffPoly.zero(n)
+    for j in range(draw(st.integers(1, 4))):
+        term, term_value = draw(term_texts(n))
+        negative = draw(st.booleans())
+        if j:
+            text += " - " if negative else " + "
+        elif negative:
+            text += "-"
+        text += term
+        value = value - term_value if negative else value + term_value
+    return text, n, value
+
+
+@given(case=sum_texts())
+@settings(max_examples=150)
+def test_parse_matches_factor_products(case):
+    text, n, value = case
+    assert parse(text, n) == value
+
+
+@pytest.mark.parametrize("text, n, expected", [
+    ("x0*x0[1]*x0", 0, DiffPoly.var(0, 0, 0) ** 2 * DiffPoly.var(0, 1, 0)),
+    ("x1[2]^0", 1, DiffPoly.const(Fraction(1), 1)),
+    ("x0^0*x0^2*x0[1]^0", 0, DiffPoly.var(0, 0, 0) ** 2),
+    ("x0*3/4*x1*2", 1, (DiffPoly.var(0, 0, 1) * DiffPoly.var(1, 0, 1)).scale(Fraction(3, 2))),
+    ("x0*x1[1] - x1[1]*x0", 1, DiffPoly.zero(1)),
+    ("2*x0^2 - x0*x0 - x0^2", 0, DiffPoly.zero(0)),
+    ("0*x0[5]", 0, DiffPoly.zero(0)),
+])
+def test_parse_repeated_factors_zero_exponents_and_cancellation(text, n, expected):
+    p = parse(text, n)
+    assert p == expected
+    assert all(p.terms.values())
+
+
+# --- the derivation test against the formal Taylor-data substitution ------
+
+def formal_verdict(p: DiffPoly) -> tuple[bool, int | None]:
+    """Oracle: substitute x_i[k] -> sum_j C(k,j) mu_{k-j} x_i[j] with formal
+    parameters mu_0..mu_K and compare against mu_0^d p."""
+    g = gradings(p)
+    if g.degree is None:
+        return (False, None)
+    mus = [ParamPoly.var(f"mu{m}") for m in range(g.order + 1)]
+    if derivative_shift(p, mus) == p.scale(mus[0] ** g.degree):
+        return (True, g.degree)
+    return (False, None)
+
+
+def test_formal_verdict_examples():
+    assert formal_verdict(parse(WRONSK2, 1)) == (True, 2)
+    assert formal_verdict(parse("x0[1]", 0)) == (False, None)
+    assert formal_verdict(parse("x0*x1[2] - x1*x0[2]", 1)) == (False, None)
+
+
+BASIS_GRID = [(1, d) for d in range(1, 6)] + [(2, d) for d in range(1, 4)] + [(3, 1), (3, 2)]
+
+
+@lru_cache(maxsize=None)
+def canonical_basis(n: int, d: int) -> tuple[DiffPoly, ...]:
+    return tuple(poly for _, poly in enumerate_canonical_basis(n, d))
+
+
+@pytest.mark.parametrize("n, d", BASIS_GRID)
+def test_basis_elements_agree_with_formal_substitution(n, d):
+    for poly in canonical_basis(n, d):
+        assert is_diff_homogeneous(poly) == formal_verdict(poly) == (True, d)
+
+
+def _monomial(draw, n, orders):
+    """The product of one x_i[k] per k in ``orders``, each i drawn from 0..n."""
+    value = DiffPoly.const(Fraction(1), n)
+    for k in orders:
+        value = value * DiffPoly.var(draw(st.integers(0, n)), k, n)
+    return value
+
+
+@st.composite
+def monomials(draw, n, degree, weight):
+    """A monomial of the given degree and weight in x_0..x_n."""
+    cuts = sorted(draw(st.lists(st.integers(0, weight), min_size=degree - 1, max_size=degree - 1)))
+    return _monomial(draw, n, [b - a for a, b in zip([0] + cuts, cuts + [weight])])
+
+
+@st.composite
+def perturbed_basis_elements(draw):
+    """A canonical basis element plus a monomial of its degree and weight."""
+    n, d = draw(st.sampled_from(BASIS_GRID))
+    poly = draw(st.sampled_from(canonical_basis(n, d)))
+    mono = draw(monomials(n, d, gradings(poly).weight))
+    return poly + mono.scale(draw(coeffs))
+
+
+@given(p=perturbed_basis_elements())
+@settings(max_examples=120, deadline=None)
+def test_perturbed_basis_elements_agree_with_formal_substitution(p):
+    assume(p)
+    assert is_diff_homogeneous(p) == formal_verdict(p)
+
+
+@st.composite
+def order_three_monomials(draw, n, degree):
+    """A monomial of the given degree in x_0..x_n, of order <= 3."""
+    return _monomial(draw, n, [draw(st.integers(0, 3)) for _ in range(degree)])
+
+
+@st.composite
+def basis_combinations(draw):
+    """A rational combination of basis elements of one (N, d) with order <= 3,
+    sometimes plus monomials of degree d and order <= 3."""
+    n, d = draw(st.sampled_from([(n, d) for n, d in BASIS_GRID if d <= 3]))
+    basis = [poly for poly in canonical_basis(n, d) if gradings(poly).order <= 3]
+    p = DiffPoly.zero(n)
+    for poly in draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4)):
+        p = p + poly.scale(draw(coeffs))
+    for mono in draw(st.lists(order_three_monomials(n, d), max_size=2)):
+        p = p + mono.scale(draw(coeffs))
+    return p
+
+
+@given(p=basis_combinations())
+@settings(max_examples=150, deadline=None)
+def test_homogeneous_order_three_polynomials_agree_with_formal_substitution(p):
+    assume(p)
+    assert is_diff_homogeneous(p) == formal_verdict(p)
+
+
+@given(p=diff_polys())
+@settings(max_examples=120, deadline=None)
+def test_order_three_polynomials_agree_with_formal_substitution(p):
+    assert is_diff_homogeneous(p) == formal_verdict(p)

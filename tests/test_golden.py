@@ -1,11 +1,14 @@
 """Byte-level output contract: JSON of fixed commands, pinned by sha256.
 
 The first eight digests were recorded before the sparse-row linear-algebra
-refactor, and the ``verify --suite basis``, ``verify --suite jets`` and
-``check`` digests before the sparse linear-combination core
-(``exact.SparseComb``) replaced the per-class arithmetic; a change to the
-library that keeps every result must keep them.  The ``wall_time_seconds``
-field of ``verify`` is dropped before hashing.
+refactor, the ``verify --suite basis``, ``verify --suite jets`` and
+``check 'x0*x1[1] - x1*x0[1]'`` digests before the sparse linear-combination
+core (``exact.SparseComb``) replaced the per-class arithmetic, and the
+``check 'x0[1]'`` and ``check 'x0*x1[2] - x1*x0[2]'`` digests (two
+non-examples, exit code 1) before the derivation test replaced the formal
+Taylor-data substitution in ``is_diff_homogeneous``; a change to the library
+that keeps every result must keep them.  The ``wall_time_seconds`` field of
+``verify`` is dropped before hashing.
 """
 
 import hashlib
@@ -39,7 +42,14 @@ GOLDEN = {
         "d2461b51da6c9032626a62954e5a208a2b4e5d6aaadb699015c3863c172e6676",
     "check 'x0*x1[1] - x1*x0[1]'":
         "2d3fba25204d026fe7e7dd89998c595940a5feaa8ad546ad45ea5aaa9d138379",
+    "check 'x0[1]'":
+        "da3028344914fcff7b2b0c68b231e4cb41f14c037312d96d3a291e0f0e85e053",
+    "check 'x0*x1[2] - x1*x0[2]'":
+        "25ff51880265da7bec1bc5fe821cb2f149dceb64af5cc6bc600166819a9b2e04",
 }
+
+# Exit codes other than 0: ``check`` exits 1 on a non-example.
+EXIT_CODES = {"check 'x0[1]'": 1, "check 'x0*x1[2] - x1*x0[2]'": 1}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -48,5 +58,5 @@ def test_json_output_digest(command, capsys):
     payload = json.loads(capsys.readouterr().out)
     payload.pop("wall_time_seconds", None)
     blob = json.dumps(payload, sort_keys=True).encode()
-    assert code == 0
+    assert code == EXIT_CODES.get(command, 0)
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[command]
