@@ -100,13 +100,8 @@ def cmd_check(args) -> int:
         is_file = False
     if is_file:
         text = path.read_text().strip()
-    bound = args.n
-    if bound is None:
-        import re
-        indices = [int(m) for m in re.findall(r"x(\d+)", text)]
-        bound = max(indices) if indices else 0
     try:
-        poly = parse(text, bound)
+        poly = parse(text, args.n)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

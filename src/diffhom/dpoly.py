@@ -336,10 +336,19 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([\[\]^*+\-/]))")
+_TOKEN = re.compile(r"\s*(?:x(\d+)|(\d+)|([\[\]^*+\-/]))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's limit on digits to convert
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
+
+
+def _tokenize(text: str) -> list[tuple[str, int | str, int]]:
+    """(kind, value, position) tokens; "var" and "int" tokens carry the int
+    they spell (the variable index for "var"), "sym" tokens the symbol."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -351,22 +360,25 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.group(1):
-            tokens.append(("var", m.group(1), m.start(1)))
+            tokens.append(("var", _int(m.group(1), m.start(1)), m.start(1) - 1))
         elif m.group(2):
-            tokens.append(("int", m.group(2), m.start(2)))
+            tokens.append(("int", _int(m.group(2), m.start(2)), m.start(2)))
         else:
             tokens.append(("sym", m.group(3), m.start(3)))
         pos = m.end()
     return tokens
 
 
-def parse(text: str, n: int) -> DiffPoly:
+def parse(text: str, n: int | None = None) -> DiffPoly:
     """Parse the textual grammar: terms of rational coefficients and factors
     x<i>[<k>]^<e>, combined with '*', '+', '-'.  Whitespace is insignificant.
+    The variable bound ``n`` defaults to the largest index used (0 if none).
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 0)
+    if n is None:
+        n = max((val for kind, val, _ in tokens if kind == "var"), default=0)
     idx = 0
 
     def peek():
@@ -382,7 +394,7 @@ def parse(text: str, n: int) -> DiffPoly:
         kind, val, pos = take()
         if kind != "int":
             raise ParseError("expected an integer", pos)
-        return int(val)
+        return val
 
     def parse_factor(exps: dict[tuple[int, int], int]) -> Fraction:
         """Add a variable factor's exponent into ``exps``; return a rational
@@ -390,20 +402,18 @@ def parse(text: str, n: int) -> DiffPoly:
         kind, val, pos = peek()
         if kind == "int":
             take()
-            num = int(val)
             k2, v2, _ = peek()
             if k2 == "sym" and v2 == "/":
                 take()
                 den = expect_int()
                 if den == 0:
                     raise ParseError("zero denominator", pos)
-                return Fraction(num, den)
-            return Fraction(num)
+                return Fraction(val, den)
+            return Fraction(val)
         if kind == "var":
             take()
-            i = int(val[1:])
-            if i > n:
-                raise ParseError(f"variable index {i} exceeds bound {n}", pos)
+            if val > n:
+                raise ParseError(f"variable index {val} exceeds bound {n}", pos)
             k = 0
             k2, v2, _ = peek()
             if k2 == "sym" and v2 == "[":
@@ -417,7 +427,7 @@ def parse(text: str, n: int) -> DiffPoly:
             if k2 == "sym" and v2 == "^":
                 take()
                 e = expect_int()
-            exps[(i, k)] = exps.get((i, k), 0) + e
+            exps[(val, k)] = exps.get((val, k), 0) + e
             return ONE
         raise ParseError("expected a coefficient or a variable", pos)
 

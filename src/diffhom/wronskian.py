@@ -2,23 +2,30 @@
 
 A Wronskian here is the determinant of the d x d matrix whose r-th row is the
 r-th Leibniz derivative of a line of entries R_j(t) * x_{n_j}, evaluated at
-t = 0.  Choosing monomials t^alpha with triangular exponent constraints yields
-the canonical family of (N+1)^d differentially homogeneous polynomials; the
-same construction over d distinct formal variables supports the rewriting of
+t = 0.  Every entry is a sparse linear form in the x_i[k], so the determinant
+is expanded row by row over sets of used columns, in integer arithmetic
+while the entries are integral (``build_wronskian``).  Choosing monomials
+t^alpha with triangular exponent constraints yields the canonical family of
+(N+1)^d differentially homogeneous polynomials, which ``canonical_basis``
+builds once per process for each of the last few (N, d) asked for; the same
+construction over d distinct formal variables supports the rewriting of
 an arbitrary exponent family onto the triangular one, justified by exact
 wedge-product identities for nilpotent matrices.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .exact import ONE, ZERO, add_terms, det_expansion, linear_combination
-from .dpoly import DiffPoly, UniPoly, gradings, span_rank, to_json_dict
+from .dpoly import DiffPoly, UniPoly, _mono_from_exps, gradings, span_rank, to_json_dict
 
 
 @dataclass(frozen=True)
@@ -37,27 +44,57 @@ class WronskSpec:
         return cls(tuple((UniPoly.t_power(a), v) for a, v in zip(alphas, variables)))
 
 
-def wronskian_matrix(spec: WronskSpec, n: int) -> list[list[DiffPoly]]:
-    """The d x d matrix: entry (r, j) = sum_m C(r, m) R_j^(r-m)(0) x_{n_j}[m]."""
+def build_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
+    """The Wronskian of ``spec`` (rational R_j) as a differential polynomial
+    in x_0..x_n.
+
+    Entry (r, j) of the matrix is the linear form
+    ``sum_m C(r, m) R_j^(r-m)(0) x_{n_j}[m] = sum_s r!/(r-s)! c_s x_{n_j}[r-s]``,
+    c_s the t^s coefficient of R_j; for R_j = t^a it is the single term
+    ``r!/(r-a)! x_{n_j}[r-a]``.  The determinant is expanded row by row over
+    sets of used columns: after row r, ``partial`` maps each bitmask of r+1
+    columns to the signed sum of the products of rows 0..r placed on them.
+    Monomials are sorted tuples of (i, k) factors, one per unit of exponent,
+    and coefficients stay ints while the entries are integral; the result
+    becomes a DiffPoly with Fraction coefficients once, at the end.
+    """
     d = spec.d
     if d < 1:
         raise ValueError("a Wronskian needs at least one entry")
-    matrix = []
-    for r in range(d):
-        row = []
-        for rpoly, var in spec.entries:
-            if not 0 <= var <= n:
-                raise ValueError(f"variable index {var} exceeds bound {n}")
-            row.append(DiffPoly(n, {((var, m, 1),):
-                                    rpoly.derivative(r - m).at_zero() * math.comb(r, m)
-                                    for m in range(r + 1)}))
-        matrix.append(row)
-    return matrix
+    for _, var in spec.entries:
+        if not 0 <= var <= n:
+            raise ValueError(f"variable index {var} exceeds bound {n}")
+    forms = [[[((var, r - s), math.perm(r, s) * _integral(c))
+               for s, c in enumerate(rpoly.coeffs[:r + 1]) if c]
+              for rpoly, var in spec.entries] for r in range(d)]
+    partial: dict[int, dict[tuple, int | Fraction]] = {0: {(): 1}}
+    for row in forms:
+        grown: dict[int, dict[tuple, int | Fraction]] = {}
+        for mask, terms in partial.items():
+            above = 0  # used columns right of c: the inversions that placing c adds
+            for c in range(d - 1, -1, -1):
+                if mask >> c & 1:
+                    above += 1
+                    continue
+                if not row[c]:
+                    continue
+                out = grown.setdefault(mask | 1 << c, {})
+                for key, ec in row[c]:
+                    if above & 1:
+                        ec = -ec
+                    for mono, coeff in terms.items():
+                        j = bisect.bisect(mono, key)
+                        prod = mono[:j] + (key,) + mono[j:]
+                        out[prod] = out.get(prod, 0) + coeff * ec
+        partial = {mask: nonzero for mask, terms in grown.items()
+                   if (nonzero := {m: c for m, c in terms.items() if c})}
+    return DiffPoly(n, {_mono_from_exps(Counter(mono)): Fraction(c)
+                        for mono, c in partial.get((1 << d) - 1, {}).items()})
 
 
-def build_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
-    matrix = wronskian_matrix(spec, n)
-    return det_expansion(matrix, DiffPoly.zero(n), DiffPoly.const(ONE, n))
+def _integral(c: Fraction):
+    """``c`` as an int when it is one, so that integral entries multiply as ints."""
+    return c.numerator if c.denominator == 1 else c
 
 
 @dataclass(frozen=True)
@@ -119,8 +156,18 @@ def enumerate_canonical_data(n: int, d: int) -> list[CanonicalDatum]:
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def canonical_basis(n: int, d: int) -> tuple[tuple[CanonicalDatum, DiffPoly], ...]:
+    """The canonical basis in enumeration order, built once per process for
+    each of the last few (N, d) asked for.  Every caller shares the result,
+    so it is a tuple, and its DiffPolys are never mutated."""
+    return tuple((datum, build_wronskian(datum.spec(), n))
+                 for datum in enumerate_canonical_data(n, d))
+
+
 def enumerate_canonical_basis(n: int, d: int) -> list[tuple[CanonicalDatum, DiffPoly]]:
-    return [(datum, build_wronskian(datum.spec(), n)) for datum in enumerate_canonical_data(n, d)]
+    """A fresh list over :func:`canonical_basis`."""
+    return list(canonical_basis(n, d))
 
 
 def basis_manifest(n: int, d: int) -> list[dict]:

@@ -299,10 +299,12 @@ def test_tableaux_and_kernel_csv(capsys):
                                 '"(1, 1)",1,1']
 
 
-def _dh(*argv, **kwargs) -> subprocess.CompletedProcess:
-    """``dh ARGV`` in a fresh interpreter."""
+def _dh(*argv, hash_seed: str | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """``dh ARGV`` in a fresh interpreter, with PYTHONHASHSEED set when given."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run([sys.executable, "-m", "diffhom.cli", *argv],
                           capture_output=True, text=True, env=env, **kwargs)
 
@@ -339,3 +341,23 @@ def test_check_huge_order_answers_quickly():
     proc = _dh("check", "x0[100000]", timeout=20)
     assert proc.returncode == 1
     assert proc.stdout.startswith("no: not differentially homogeneous")
+
+
+@pytest.mark.parametrize("expression", ["x0^" + "9" * 5000, "x" + "1" * 5000])
+def test_check_overlong_integer_is_a_parse_error(expression):
+    # int() refuses strings past the interpreter's digit limit: exit 2, not a traceback
+    proc = _dh("check", expression, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error: integer of 5000 digits is too long (at position")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [("basis", "--n", "2", "--d", "3"),
+                                  ("census", "--n", "1", "--d", "5", "--all-k"),
+                                  ("kernel", "--d", "4")], ids=" ".join)
+def test_json_byte_identical_across_fresh_runs(argv):
+    # two interpreters with different string-hash seeds: no output may follow dict or set order
+    outs = [_dh(*argv, "--format", "json", hash_seed=seed, check=True).stdout
+            for seed in ("1", "2")]
+    assert json.loads(outs[0])["schema_version"] == SCHEMA_VERSION
+    assert outs[0] == outs[1]

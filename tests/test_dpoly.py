@@ -35,6 +35,11 @@ def test_parse_rejects_large_index():
         parse("x3", 2)
 
 
+def test_parse_default_bound_is_largest_index():
+    assert parse("x0*x2[1] - x2*x0[1]").n == 2
+    assert parse("3/4").n == 0
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse("x0 + @", 0)
@@ -53,6 +58,15 @@ def test_parse_error_messages(text, n, message):
     with pytest.raises(ParseError) as err:
         parse(text, n)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("prefix, digit, pos", [("x0^", "9", 3), ("x0 + x", "1", 6),
+                                                 ("x0 - ", "7", 5)])
+def test_parse_overlong_integer_is_a_parse_error(prefix, digit, pos):
+    # past the interpreter's limit on digits that int() converts
+    with pytest.raises(ParseError) as err:
+        parse(prefix + digit * 5000, 0)
+    assert str(err.value) == f"integer of 5000 digits is too long (at position {pos})"
 
 
 def test_gradings_square():

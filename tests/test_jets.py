@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from diffhom import jets
 from diffhom.jets import (CensusEntry, census, classify_basis, verify_theorem2,
                           weight_census_bound)
+from diffhom.wronskian import canonical_basis, enumerate_canonical_basis
 
 F = Fraction
 
@@ -86,23 +86,21 @@ def test_verify_theorem2_total_value():
     assert "sum=9" in total_item.witness
 
 
-def test_verify_theorem2_builds_the_basis_once(monkeypatch):
-    calls = []
-    build = jets.enumerate_canonical_basis
-
-    def counting(n, d):
-        calls.append((n, d))
-        return build(n, d)
-
-    monkeypatch.setattr(jets, "enumerate_canonical_basis", counting)
+def test_verify_theorem2_builds_the_basis_once():
+    # one process-wide cache: a report and later census queries share one build
+    canonical_basis.cache_clear()
     report = verify_theorem2(1, 4)
-    assert calls == [(1, 4)]
     assert report.passed
     assert [(i.name, i.witness) for i in report.items] == [
         ("k_stability", "census identical for k=3..5"),
         ("total_dimension", "sum=16, expected 16"),
         ("weight_vanishing", "bound=4")]
-    # separate census queries each build their own basis: no process-wide cache
     census(1, 4, 1)
     census(1, 4, 2)
-    assert calls == [(1, 4)] * 3
+    assert canonical_basis.cache_info().misses == 1
+    # callers get a fresh list: mutating it leaves the shared basis intact
+    basis = enumerate_canonical_basis(1, 4)
+    expected = list(basis)
+    basis.clear()
+    assert enumerate_canonical_basis(1, 4) == expected
+    assert canonical_basis.cache_info().misses == 1

@@ -27,6 +27,7 @@ results = [
     [hwv.kernel_dim_isotypic(lam, 2) for lam in (Partition.of(3), Partition.of(2, 1))],
     pde.solution_space_dim(3),
     repr(jets.census(1, 3, 1)),
+    repr(hwv.column_det([0, 1], 1)),
     [(r.check_id, r.expected, r.computed) for r in report.results],
 ]
 print(json.dumps({"results": results,

@@ -1,6 +1,12 @@
-"""Wronskian construction, the canonical basis, triangular rewriting, wedges."""
+"""Wronskian construction, the canonical basis, triangular rewriting, wedges.
+
+The integer row-by-row expansion of ``build_wronskian`` is compared against
+the minor expansion ``det_expansion`` of the Wronskian matrix over DiffPoly,
+whose entries are computed here independently from ``UniPoly`` derivatives.
+"""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,15 +16,31 @@ from hypothesis import given, settings, strategies as st
 from diffhom.dpoly import (DiffPoly, UniPoly, gradings, is_diff_homogeneous,
                            matrix_action, parse, solve_in_span, span_rank,
                            substitute, to_text)
+from diffhom.exact import ONE, det_expansion
 from diffhom.wronskian import (WronskSpec, basis_manifest,
                                build_formal_wronskian, build_wronskian,
                                enumerate_canonical_basis,
                                enumerate_canonical_data, expand_combination,
                                reduce_to_triangular, standard_nilpotent,
-                               theta_family_rank, verify_wedge_identity,
-                               wronskian_matrix)
+                               theta_family_rank, verify_wedge_identity)
 
 F = Fraction
+
+
+def wronskian_matrix(spec: WronskSpec, n: int) -> list[list[DiffPoly]]:
+    """The d x d matrix: entry (r, j) = sum_m C(r, m) R_j^(r-m)(0) x_{n_j}[m]."""
+    return [[DiffPoly(n, {((var, m, 1),): rpoly.derivative(r - m).at_zero() * math.comb(r, m)
+                          for m in range(r + 1)})
+             for rpoly, var in spec.entries] for r in range(spec.d)]
+
+
+def oracle_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
+    return det_expansion(wronskian_matrix(spec, n), DiffPoly.zero(n), DiffPoly.const(ONE, n))
+
+
+def assert_matches_oracle(spec: WronskSpec, n: int, built: DiffPoly) -> None:
+    assert built == oracle_wronskian(spec, n)
+    assert all(type(c) is Fraction for c in built.terms.values())
 
 
 def test_wronskian_degree_one():
@@ -39,6 +61,36 @@ def test_wronskian_matrix_entries_match_hand_expansion():
     assert mat[4][5] == parse("24*x2", 2)
     assert mat[5][5] == parse("120*x2[1]", 2)
     assert not mat[0][1]
+
+
+@pytest.mark.parametrize("n, d", [(1, d) for d in range(1, 7)] + [(2, d) for d in range(1, 5)]
+                         + [(3, d) for d in range(1, 4)])
+def test_build_wronskian_matches_det_expansion_on_canonical_data(n, d):
+    for datum in enumerate_canonical_data(n, d):
+        assert_matches_oracle(datum.spec(), n, build_wronskian(datum.spec(), n))
+
+
+@pytest.mark.parametrize("theta", [F(1), F(-2, 3), F(5, 2)])
+def test_build_wronskian_matches_det_expansion_on_theta_family(theta):
+    for n, d in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]:
+        for tup in itertools.product(range(n + 1), repeat=d):
+            spec = WronskSpec(tuple((UniPoly.shifted_power(theta, j), v)
+                                    for j, v in enumerate(tup)))
+            assert_matches_oracle(spec, n, build_wronskian(spec, n))
+
+
+def test_build_formal_wronskian_matches_det_expansion():
+    for d in range(1, 5):
+        for alpha in itertools.product(range(d + 1), repeat=d):
+            spec = WronskSpec.monomials(alpha, tuple(range(d)))
+            assert_matches_oracle(spec, d - 1, build_formal_wronskian(alpha))
+
+
+def test_build_wronskian_rejects_bad_specs():
+    with pytest.raises(ValueError, match="at least one entry"):
+        build_wronskian(WronskSpec(()), 0)
+    with pytest.raises(ValueError, match="variable index 2 exceeds bound 1"):
+        build_wronskian(WronskSpec.monomials([0, 1], [0, 2]), 1)
 
 
 def test_wronskian_column_scaling_multilinearity():
