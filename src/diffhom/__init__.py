@@ -11,10 +11,10 @@ __version__ = "0.1.0"
 
 SCHEMA_VERSION = 1
 
-from .exact import ParamPoly, Rational, nullspace_basis, rank
+from .exact import Rational, nullspace_basis, rank
 from .dpoly import (DiffPoly, Gradings, UniPoly, from_json, gradings,
-                    is_diff_homogeneous, matrix_action, parse, q_action,
-                    span_rank, to_json, to_text)
+                    is_diff_homogeneous, matrix_action, parse, span_rank,
+                    to_json, to_text)
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                        canonical_tableau, count_semistandard, count_standard,
                        group_algebra_mul, kostka, partitions_of,

@@ -229,6 +229,10 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         print("verify requires --jobs >= 1", file=sys.stderr)
         return 2
+    if ((args.max_d is not None and args.max_d < 1)
+            or (args.max_n is not None and args.max_n < 0)):
+        print("verify requires --max-d >= 1 and --max-n >= 0", file=sys.stderr)
+        return 2
     report = run_suite(args.suite, max_d=args.max_d, max_n=args.max_n,
                        seed=args.seed, jobs=args.jobs)
     if args.format == "json":

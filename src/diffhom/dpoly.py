@@ -1,11 +1,10 @@
 """Differential polynomials in the variables x_i[k] (formally X_i^(k)).
 
-A differential polynomial lives in Q[params][X_i^(k) : 0 <= i <= N, k >= 0].
-The module provides the substitution action of one-variable polynomials Q(T)
-through the Leibniz rule, the change-of-variable action of (N+1) x (N+1)
-matrices, gradings (degree, weight, order), the differential-homogeneity
-test, a text/JSON serialization, and exact rank computations for families of
-differential polynomials.
+A differential polynomial lives in Q[X_i^(k) : 0 <= i <= N, k >= 0].  The
+module provides ring substitutions such as the change-of-variable action of
+(N+1) x (N+1) matrices, the derivations L_m (Leibniz action of one-variable
+polynomials) and E_pq (gl(N+1)), gradings, the differential-homogeneity test,
+a text/JSON serialization, and exact ranks of families of polynomials.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exact import (Coeff, ParamPoly, SparseComb, ZERO, ONE, add_terms, echelon,
-                    linear_combination)
+from .exact import SparseComb, ZERO, ONE, add_terms, echelon, linear_combination
 from .exact import solve as _solve
 
 # A differential monomial: ((i, k, e), ...) with e > 0, sorted by (i, -k).
@@ -56,6 +54,14 @@ def mono_order(m: DMono) -> int:
     return max((k for _, k, _ in m), default=0)
 
 
+def mono_multidegree(m: DMono, n: int) -> list[int]:
+    """The degree in each of x_0, ..., x_n (all derivative orders together)."""
+    out = [0] * (n + 1)
+    for i, _, e in m:
+        out[i] += e
+    return out
+
+
 def mono_sort_key(m: DMono):
     # Ascending sort under this key lists monomials from largest to smallest
     # in the variable order x0[K] > ... > x0[0] > x1[K] > ... > xN[0].
@@ -63,14 +69,14 @@ def mono_sort_key(m: DMono):
 
 
 class DiffPoly(SparseComb):
-    """Sparse differential polynomial with Fraction or ParamPoly coefficients."""
+    """Sparse differential polynomial with Fraction coefficients."""
 
     __slots__ = ("n",)
     _shape = ("n",)
     _mismatch = "mixed ambient variable bounds"
     _key_mul = staticmethod(mono_mul)
 
-    def __init__(self, n: int, terms: Mapping[DMono, Coeff] | None = None):
+    def __init__(self, n: int, terms: Mapping[DMono, Fraction] | None = None):
         if n < 0:
             raise ValueError("ambient index bound must be >= 0")
         self.n = n
@@ -81,7 +87,7 @@ class DiffPoly(SparseComb):
         return cls(n)
 
     @classmethod
-    def const(cls, c: Coeff, n: int) -> "DiffPoly":
+    def const(cls, c: Fraction, n: int) -> "DiffPoly":
         return cls(n, {_EMPTY: c})
 
     @classmethod
@@ -92,27 +98,8 @@ class DiffPoly(SparseComb):
             raise ValueError("negative derivative order")
         return cls(n, {((i, k, 1),): ONE})
 
-    def sorted_terms(self) -> list[tuple[DMono, Coeff]]:
-        return sorted(self.terms.items(), key=lambda t: mono_sort_key(t[0]))
-
-    def is_rational(self) -> bool:
-        """True when no coefficient involves a free parameter."""
-        return all(not isinstance(c, ParamPoly) or c.is_constant()
-                   for c in self.terms.values())
-
-    def rational_terms(self) -> dict[DMono, Fraction]:
-        out = {}
-        for m, c in self.terms.items():
-            if isinstance(c, ParamPoly):
-                out[m] = c.constant_value()
-            else:
-                out[m] = c
-        return out
-
     def __repr__(self) -> str:
-        if self.is_rational():
-            return to_text(self)
-        return f"DiffPoly(n={self.n}, {len(self.terms)} terms, parametric)"
+        return to_text(self)
 
 
 @dataclass(frozen=True)
@@ -152,11 +139,11 @@ def substitute(p: DiffPoly, image: Callable[[int, int], DiffPoly], n_out: int | 
 
 
 class UniPoly:
-    """Polynomial in one formal variable t, with Fraction or ParamPoly coefficients."""
+    """Polynomial in one formal variable t, with Fraction coefficients."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[Coeff]):
+    def __init__(self, coeffs: Sequence[Fraction]):
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
@@ -185,50 +172,11 @@ class UniPoly:
             cs = tuple(c * (m + 1) for m, c in enumerate(cs[1:]))
         return UniPoly(cs)
 
-    def at_zero(self) -> Coeff:
+    def at_zero(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else ZERO
-
-    def as_parampoly(self, name: str = "T") -> ParamPoly:
-        out = ParamPoly.const(0)
-        for m, c in enumerate(self.coeffs):
-            out = out + ParamPoly.var(name, m) * c
-        return out
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if not self.coeffs or not other.coeffs:
-            return UniPoly([])
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
-
-
-def q_action(q: UniPoly, p: DiffPoly) -> DiffPoly:
-    """Leibniz substitution action of Q(T): x_i[k] -> sum_j C(k,j) Q^(k-j)(T) x_i[j],
-    that is :func:`derivative_shift` on the Taylor data Q, Q', Q'', ... of Q.
-
-    The result has coefficients in Q[params][T]; it is linear in ``p``.
-    """
-    order = max(map(mono_order, p.terms), default=0)
-    return derivative_shift(p, [q.derivative(m).as_parampoly("T") for m in range(order + 1)])
-
-
-def derivative_shift(p: DiffPoly, coeffs: Sequence[Coeff]) -> DiffPoly:
-    """Substitution x_i[k] -> sum_{j<=k} C(k,j) coeffs[k-j] x_i[j].
-
-    ``coeffs[m]`` plays the role of the m-th Taylor coefficient data of a
-    substituted one-variable polynomial; missing indices count as zero.
-    """
-
-    def image(i: int, k: int) -> DiffPoly:
-        return DiffPoly(p.n, {((i, j, 1),): coeffs[k - j] * math.comb(k, j)
-                              for j in range(max(0, k + 1 - len(coeffs)), k + 1)})
-
-    return substitute(p, image)
 
 
 def is_diff_homogeneous(p: DiffPoly) -> tuple[bool, int | None]:
@@ -251,32 +199,44 @@ def is_diff_homogeneous(p: DiffPoly) -> tuple[bool, int | None]:
     """
     if not p:
         raise ValueError("the zero polynomial is excluded")
-    if not p.is_rational():
-        raise ValueError("free parameters in coefficients are not allowed here")
     g = gradings(p)
     if g.degree is None:
         return (False, None)
-    terms = p.rational_terms()
     for m in range(1, g.order + 1):
-        if add_terms({}, _lowered(terms, m)):
+        if derive(p, lowering(m)):
             return (False, None)
     return (True, g.degree)
 
 
-def _lowered(terms: Mapping[DMono, Fraction], m: int):
-    """The (monomial, coefficient) pairs of L_m applied to ``terms``: a factor
-    x_i[k]^e with k >= m gives c * e * C(k, m) times the monomial with one
-    x_i[k] replaced by x_i[k-m]."""
-    for mono, c in terms.items():
-        for i, k, e in mono:
-            if k >= m:
-                exps = {(a, b): f for a, b, f in mono}
-                exps[(i, k)] = e - 1
-                exps[(i, k - m)] = exps.get((i, k - m), 0) + 1
-                yield _mono_from_exps(exps), c * (e * math.comb(k, m))
+def lowering(m: int) -> Callable[[int, int], tuple[int, int, int] | None]:
+    """The variable images of L_m for :func:`derive`: x_i[k] -> C(k, m) x_i[k-m]."""
+    return lambda i, k: (i, k - m, math.comb(k, m)) if k >= m else None
 
 
-def matrix_action(a: Sequence[Sequence[Coeff]], p: DiffPoly) -> DiffPoly:
+def gl_elementary(p: int, q: int) -> Callable[[int, int], tuple[int, int, int] | None]:
+    """The variable images of E_pq = sum_k x_p[k] d/dx_q[k] for :func:`derive`."""
+    return lambda i, k: (p, k, 1) if i == q else None
+
+
+def derive(p: DiffPoly, image: Callable[[int, int], tuple[int, int, int] | None]) -> DiffPoly:
+    """D p for the derivation D with D x_i[k] = c x_j[h] where
+    ``image(i, k)`` is (j, h, c), and D x_i[k] = 0 where it is None."""
+
+    def pairs():
+        for mono, a in p.terms.items():
+            for i, k, e in mono:
+                img = image(i, k)
+                if img is not None:
+                    j, h, c = img
+                    exps = {(i2, k2): e2 for i2, k2, e2 in mono}
+                    exps[(i, k)] = e - 1
+                    exps[(j, h)] = exps.get((j, h), 0) + 1
+                    yield _mono_from_exps(exps), a * (e * c)
+
+    return p.with_terms(add_terms({}, pairs()))
+
+
+def matrix_action(a: Sequence[Sequence[Fraction]], p: DiffPoly) -> DiffPoly:
     """Change of variables x_j[k] -> sum_l a[j][l] x_l[k] for an (N+1)x(N+1) matrix."""
     size = p.n + 1
     if len(a) != size or any(len(row) != size for row in a):
@@ -297,7 +257,7 @@ def coefficient_rows(polys: Sequence[DiffPoly]) -> tuple[list[dict[int, Fraction
     index = {m: j for j, m in enumerate(monos)}
     rows = []
     for p in polys:
-        rows.append({index[m]: c for m, c in p.rational_terms().items()})
+        rows.append({index[m]: c for m, c in p.terms.items()})
     return rows, monos
 
 
@@ -305,8 +265,6 @@ def span_rank(polys: Sequence[DiffPoly]) -> int:
     """Rank of the family over Q, via the canonical coefficient matrix."""
     if not polys:
         return 0
-    if any(not p.is_rational() for p in polys):
-        raise ValueError("span_rank requires rational coefficients")
     rows, monos = coefficient_rows(polys)
     return len(echelon(rows, len(monos), reduce_back=False))
 
@@ -473,13 +431,11 @@ def _mono_text(m: DMono) -> str:
 
 
 def to_text(p: DiffPoly) -> str:
-    """Canonical printer; inverse of :func:`parse` on rational polynomials."""
+    """Canonical printer; inverse of :func:`parse`."""
     if not p:
         return "0"
-    if not p.is_rational():
-        raise ValueError("parametric coefficients have no textual form")
     pieces = []
-    for mono, c in sorted(p.rational_terms().items(), key=lambda t: mono_sort_key(t[0])):
+    for mono, c in sorted(p.terms.items(), key=lambda t: mono_sort_key(t[0])):
         mtext = _mono_text(mono)
         mag = abs(c)
         if not mtext:
@@ -497,7 +453,7 @@ def to_text(p: DiffPoly) -> str:
 
 def to_json_dict(p: DiffPoly) -> dict:
     terms = []
-    for mono, c in sorted(p.rational_terms().items(), key=lambda t: mono_sort_key(t[0])):
+    for mono, c in sorted(p.terms.items(), key=lambda t: mono_sort_key(t[0])):
         terms.append({"coeff": str(c),
                       "monomial": [[i, k, e] for i, k, e in sorted(mono, key=lambda t: (t[0], -t[1]))]})
     return {"N": p.n, "terms": terms}
@@ -505,7 +461,7 @@ def to_json_dict(p: DiffPoly) -> dict:
 
 def from_json_dict(data: Mapping) -> DiffPoly:
     n = int(data["N"])
-    terms: dict[DMono, Coeff] = {}
+    terms: dict[DMono, Fraction] = {}
     for t in data["terms"]:
         mono = _mono_from_exps({(int(i), int(k)): int(e) for i, k, e in t["monomial"]})
         c = Fraction(t["coeff"])

@@ -1,10 +1,9 @@
-"""Exact scalars, sparse linear combinations, parametric polynomials, and
-deterministic sparse linear algebra.
+"""Exact scalars, sparse linear combinations, and deterministic sparse
+linear algebra.
 
-The ground field is Q, realized by :class:`fractions.Fraction`; symbolic
-parameters extend it to the polynomial ring Q[params] via :class:`ParamPoly`.
-Every sparse algebra of the package (ParamPoly, DiffPoly, MultiPoly, Tensor,
-GroupAlgebraElem) is a :class:`SparseComb` over its own keys.
+The ground field is Q, realized by :class:`fractions.Fraction`; there are no
+formal parameters.  Every sparse algebra of the package (DiffPoly, MultiPoly,
+Tensor, GroupAlgebraElem) is a :class:`SparseComb` over its own keys.
 Everything here is exact (no floats) and deterministic (fixed pivot rules),
 so ranks, kernels and determinants are reproducible bit for bit.
 """
@@ -14,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -51,8 +50,9 @@ class SparseComb:
     lists its shape attributes in ``_shape`` (operands must agree on them, or
     ValueError(``_mismatch``) is raised), validates in its own ``__init__``,
     and, if it is a ring, gives the product of two keys as ``_key_mul`` and the
-    unit key as ``_unit_key()`` (by default the empty monomial).  Immutable by
-    convention: no method mutates ``terms`` after construction.
+    unit key as ``_unit_key()`` (by default the empty monomial).  Operands share
+    one type, so there are no reflected operators.  Immutable by convention:
+    no method mutates ``terms`` after construction.
     """
 
     __slots__ = ("terms",)
@@ -104,8 +104,6 @@ class SparseComb:
             return NotImplemented
         return self.with_terms(add_terms(dict(self.terms), other.terms.items()))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self.with_terms({key: -c for key, c in self.terms.items()})
 
@@ -115,12 +113,6 @@ class SparseComb:
             return NotImplemented
         return self.with_terms(add_terms(dict(self.terms),
                                          ((key, -c) for key, c in other.terms.items())))
-
-    def __rsub__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def scale(self, c):
         if not c:
@@ -135,8 +127,6 @@ class SparseComb:
         return self.with_terms(add_terms({}, ((key_mul(k1, k2), c1 * c2)
                                               for k1, c1 in self.terms.items()
                                               for k2, c2 in other.terms.items())))
-
-    __rmul__ = __mul__
 
     def __pow__(self, exp: int):
         if self._key_mul is None:
@@ -155,86 +145,6 @@ def linear_combination(like: SparseComb,
     own terms are ignored), filling one dict."""
     return like.with_terms(add_terms({}, ((key, v * c) for c, x in pairs
                                           for key, v in x.terms.items())))
-
-
-# A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
-PMono = tuple[tuple[str, int], ...]
-
-_EMPTY: PMono = ()
-
-
-def _pmono_mul(a: PMono, b: PMono) -> PMono:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[str, int] = dict(a)
-    for name, e in b:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-class ParamPoly(SparseComb):
-    """Sparse multivariate polynomial over Q in named parameters.
-
-    Mixed arithmetic with int/Fraction coerces the scalar to a constant.
-    """
-
-    __slots__ = ()
-    _key_mul = staticmethod(_pmono_mul)
-
-    def __init__(self, terms: Mapping[PMono, Fraction] | None = None):
-        self.terms = {mono: c if isinstance(c, Fraction) else Fraction(c)
-                      for mono, c in terms.items() if c} if terms else {}
-
-    @classmethod
-    def const(cls, c) -> "ParamPoly":
-        return cls({_EMPTY: c})
-
-    @classmethod
-    def var(cls, name: str, exp: int = 1) -> "ParamPoly":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp == 0:
-            return cls.const(1)
-        return cls({((name, exp),): ONE})
-
-    def _operand(self, other):
-        if type(other) is ParamPoly:
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly.const(other)
-        return NotImplemented
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _EMPTY in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return ZERO
-        if self.is_constant():
-            return self.terms[_EMPTY]
-        raise ValueError("not a constant polynomial")
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            factors = [f"{n}^{e}" if e > 1 else n for n, e in mono]
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(str(c) + "*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-Coeff = Union[Fraction, ParamPoly]
 
 
 def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
@@ -376,7 +286,7 @@ def det_expansion(rows: Sequence[Sequence], zero, one):
     """Division-free determinant by memoized minor expansion.
 
     Works over any commutative ring whose elements support +, -, * and
-    truthiness: differential polynomials, ParamPoly, and Fraction.
+    truthiness, such as differential polynomials and Fraction.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):

@@ -16,9 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exact import (Coeff, ONE, ParamPoly, SparseComb, add_terms, det_expansion,
-                    intersection_dim, linear_combination, nullspace_basis, operator_rows, rank)
-from .dpoly import DiffPoly, derivative_shift, solve_in_span
+from .exact import (ONE, SparseComb, add_terms, det_expansion, intersection_dim,
+                    linear_combination, nullspace_basis, operator_rows, rank)
+from .dpoly import DiffPoly, derive, lowering, solve_in_span
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                        canonical_tableau, semistandard_tableaux, young_symmetrizer)
 
@@ -63,7 +63,7 @@ class Tensor(SparseComb):
     _shape = ("d", "k")
     _mismatch = "tensor shape mismatch"
 
-    def __init__(self, d: int, k: int, terms: Mapping[Index, Coeff] | None = None):
+    def __init__(self, d: int, k: int, terms: Mapping[Index, Fraction] | None = None):
         self.d = d
         self.k = k
         for idx in terms or ():
@@ -271,19 +271,19 @@ def tableau_projection(t: Tensor, lam: Partition, n: int) -> DiffPoly:
 
 def functional_solution_dim(lam: Partition, k: int, n: int) -> int:
     """Dimension of solutions, inside the span of the D_T, of the one-parameter
-    substitution identity  (a Id + lowering) . P = a^d P  with a formal."""
+    substitution identity  (a Id + lowering) . P = a^d P  with a formal.
+
+    The a^(d-l) coefficient of the left side is J^(l) P / l!, and the power
+    sums of the factorwise lowerings are the m! L_m: by Newton's identities the
+    solutions are the common kernel of L_1..L_k (L_1 alone is not enough)."""
     ss = list(semistandard_tableaux(lam, k + 1, lo=0))
     if lam.nparts > n + 1 or not ss:
         return 0
-    d = lam.size
-    al = ParamPoly.var("al")
 
     def apply(s: Tableau):
         p = d_t(s, n)
-        delta = derivative_shift(p, [al, ONE]) - p.scale(al ** d)
-        for mono, c in delta.terms.items():
-            cp = c if isinstance(c, ParamPoly) else ParamPoly.const(c)
-            for pmono, frac in cp.terms.items():
-                yield (mono, pmono), frac
+        for m in range(1, k + 1):
+            for mono, c in derive(p, lowering(m)).terms.items():
+                yield (m, mono), c
 
     return len(ss) - rank(operator_rows(ss, apply), len(ss))

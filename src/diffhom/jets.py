@@ -85,7 +85,7 @@ def _block_census(blocks: dict[int, list[DiffPoly]], d: int, k: int) -> list[Cen
         else:
             # kernel of the map picking out all monomial coefficients of order > k:
             # one equation per high monomial, unknowns = block elements
-            rows = operator_rows(polys, lambda p: ((m, c) for m, c in p.rational_terms().items()
+            rows = operator_rows(polys, lambda p: ((m, c) for m, c in p.terms.items()
                                                    if mono_order(m) > k))
             count = len(polys) - rank(rows, len(polys))
         if count:

@@ -18,8 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, ZERO, ParamPoly, rank
-from .dpoly import is_diff_homogeneous, matrix_action, solve_in_span, span_rank
+from .exact import ONE, ZERO, add_terms, rank
+from .dpoly import (derive, gl_elementary, is_diff_homogeneous, matrix_action,
+                    mono_multidegree, solve_in_span, span_rank)
 from .tableaux import (Partition, canonical_tableau, count_semistandard,
                        count_standard, group_algebra_mul, kostka, partitions_of,
                        young_symmetrizer)
@@ -324,31 +325,24 @@ def check_hwv_counts(parts: tuple, k: int, n: int) -> CheckResult:
 
 
 def check_hwv_weight(parts: tuple, k: int, n: int) -> CheckResult:
+    """Each D_T has weight lam under the diagonal torus: every monomial has
+    multidegree lam, padded with zeros (vacuous when lam has > N+1 parts)."""
     lam = Partition(parts)
-    xs = [ParamPoly.var(f"x{i}") for i in range(n + 1)]
-    diag = [[xs[i] if i == j else ParamPoly.const(0) for j in range(n + 1)]
-            for i in range(n + 1)]
-    monomial = ParamPoly.const(1)
-    for row, part in enumerate(lam.parts):
-        monomial = monomial * xs[row] ** part
-    for t, p in hwv_basis(lam, k, n):
-        if matrix_action(diag, p) != p.scale(monomial):
-            return _result("hwv_weight", {"lam": parts, "k": k, "N": n},
-                           "weight vector", f"failure at tableau {t.filling}")
-    return _result("hwv_weight", {"lam": parts, "k": k, "N": n},
-                   "weight vector", "weight vector")
+    weight = list(lam.parts) + [0] * (n + 1 - lam.nparts)
+    bad = next((t for t, p in hwv_basis(lam, k, n)
+                if any(mono_multidegree(m, n) != weight for m in p.terms)), None)
+    return _result("hwv_weight", {"lam": parts, "k": k, "N": n}, "weight vector",
+                   "weight vector" if bad is None else f"failure at tableau {bad.filling}")
 
 
 def check_hwv_unipotent(parts: tuple, k: int, n: int) -> CheckResult:
+    """Each D_T is invariant under x_q -> x_q + t x_p for p < q, that is,
+    killed by the derivation E_pq = sum_k x_p[k] d/dx_q[k]."""
     lam = Partition(parts)
-    tparam = ParamPoly.var("t")
     for t, p in hwv_basis(lam, k, n):
         for q in range(1, n + 1):
             for pp in range(q):
-                a = [[ParamPoly.const(1) if i == j else ParamPoly.const(0)
-                      for j in range(n + 1)] for i in range(n + 1)]
-                a[q][pp] = tparam
-                if matrix_action(a, p) != p:
+                if derive(p, gl_elementary(pp, q)):
                     return _result("hwv_unipotent", {"lam": parts, "k": k, "N": n},
                                    "invariant", f"failure at tableau {t.filling}, (q,p)=({q},{pp})")
     return _result("hwv_unipotent", {"lam": parts, "k": k, "N": n}, "invariant", "invariant")
@@ -396,31 +390,20 @@ def check_symmetrizer_scalar(parts: tuple) -> CheckResult:
 
 
 def check_leibniz_expansion(d: int, k: int) -> CheckResult:
-    """(a Id + lowering)^(tensor d) v = sum_l a^(d-l)/l! J^(l) v + a^d v."""
-    al = ParamPoly.var("al")
+    """(a Id + lowering)^(tensor d) v = sum_l a^(d-l)/l! J^(l) v + a^d v.
+
+    The factorwise substitution x[i] -> a x[i] + i x[i-1] is expanded one
+    power a^(d-l) at a time, as the sum over the sets of l lowered factors."""
     for idx in itertools.product(range(k + 1), repeat=d):
         v = Tensor.basis(idx, k)
-        lhs = Tensor(d, k)
-        # expand the factorwise substitution x[i] -> al x[i] + i x[i-1]
-        choices = []
-        for i in idx:
-            opts = [(al, i)]
-            if i > 0:
-                opts.append((ParamPoly.const(i), i - 1))
-            choices.append(opts)
-        for pick in itertools.product(*choices):
-            coeff = ParamPoly.const(1)
-            out = []
-            for c, j in pick:
-                coeff = coeff * c
-                out.append(j)
-            lhs = lhs + Tensor(d, k, {tuple(out): coeff})
-        rhs = v.scale(al ** d)
-        for ell in range(1, d + 1):
-            rhs = rhs + j_ell(v, ell).scale(al ** (d - ell) * Fraction(1, math.factorial(ell)))
-        if lhs != rhs:
-            return _result("leibniz_expansion", {"d": d, "k": k},
-                           "identity holds", f"failure at {idx}")
+        for ell in range(d + 1):
+            group = add_terms({}, ((tuple(a - (i in low) for i, a in enumerate(idx)),
+                                    Fraction(math.prod(idx[i] for i in low)))
+                                   for low in itertools.combinations(range(d), ell)))
+            expected = j_ell(v, ell).scale(Fraction(1, math.factorial(ell))) if ell else v
+            if group != expected.terms:
+                return _result("leibniz_expansion", {"d": d, "k": k},
+                               "identity holds", f"failure at {idx}")
     return _result("leibniz_expansion", {"d": d, "k": k}, "identity holds", "identity holds")
 
 
@@ -540,6 +523,8 @@ def run_suite(suite: str, max_d: int | None = None, max_n: int | None = None,
               seed: int = DEFAULT_SEED, jobs: int = 1) -> VerificationReport:
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    if (max_d is not None and max_d < 1) or (max_n is not None and max_n < 0):
+        raise ValueError("max_d must be >= 1 and max_n >= 0")
     names = [s for s in SUITE_NAMES if s != "all"] if suite == "all" else [suite]
     tasks = []
     for name in names:

@@ -10,7 +10,7 @@ import math
 import random
 from fractions import Fraction
 
-from diffhom.exact import ONE, ZERO, ParamPoly, det_expansion, rank
+from diffhom.exact import ONE, ZERO, det_expansion, rank
 from diffhom.dpoly import is_diff_homogeneous, matrix_action, solve_in_span, span_rank
 from diffhom.tableaux import (canonical_tableau, count_semistandard,
                               count_standard, group_algebra_mul, partitions_of,
@@ -23,6 +23,7 @@ from diffhom.hwv import e_iso, hwv_basis, kernel_dim_full, kernel_dim_isotypic
 from diffhom.pde import (newton_operator, poly_family_rank, solution_space_dim,
                          vandermonde_derivative_basis)
 from diffhom.jets import census, classify_basis, verify_theorem2
+from formal import ParamPoly
 
 SEED = 20240817
 

@@ -237,6 +237,27 @@ def test_verify_rejects_nonpositive_jobs(capsys, jobs):
     assert "--jobs" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--max-d", "0"), ("--max-d", "-1"),
+                                         ("--max-n", "-1")])
+def test_verify_rejects_caps_out_of_range(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "--suite", "hwv", flag, value)
+    assert code == 2 and out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize("max_n, max_d", [("1", "3"), ("0", "2")])
+def test_verify_hwv_with_shapes_taller_than_n_plus_one(capsys, max_n, max_d):
+    # partitions with more than N+1 parts have an empty D_T basis
+    code, out, _ = run(capsys, "verify", "--suite", "hwv", "--max-n", max_n, "--max-d", max_d,
+                       "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["verdict"] == "pass" for c in checks)
+    weights = [c for c in checks if c["id"] == "hwv_weight"]
+    assert any(len(c["params"]["lam"]) > int(max_n) + 1 for c in weights)
+    assert all(c["computed"] == "weight vector" for c in weights)
+
+
 def test_verify_two_jobs(capsys):
     _, serial, _ = run(capsys, "verify", "--suite", "rsk", "--max-d", "3", "--format", "json")
     code, parallel, _ = run(capsys, "verify", "--suite", "rsk", "--max-d", "3",

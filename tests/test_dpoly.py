@@ -1,4 +1,6 @@
-"""Differential polynomials: parsing, gradings, the Q-action, homogeneity."""
+"""Differential polynomials: parsing, gradings, the Q-action, homogeneity.
+
+The Q-action with formal parameters lives in the test oracle ``formal``."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -6,11 +8,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diffhom.exact import ParamPoly
-from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, derivative_shift, from_json,
-                           gradings, is_diff_homogeneous, matrix_action, parse, q_action,
-                           span_rank, solve_in_span, to_json, to_text)
+from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, derive, from_json, gl_elementary,
+                           gradings, is_diff_homogeneous, lowering, matrix_action,
+                           mono_multidegree, parse, span_rank, solve_in_span, to_json,
+                           to_text)
 from diffhom.wronskian import enumerate_canonical_basis
+from formal import ParamPoly, as_parampoly, formal_verdict, q_action, unipoly_mul
 
 F = Fraction
 WRONSK2 = "x0*x1[1] - x1*x0[1]"
@@ -107,16 +110,16 @@ def test_q_action_affine_on_first_derivative():
 def test_q_action_generic_degree_one_scales_wronskian():
     q = UniPoly([ParamPoly.var("mu0"), ParamPoly.var("mu1")])
     p = parse(WRONSK2, 1)
-    assert q_action(q, p) == p.scale(q.as_parampoly("T") ** 2)
+    assert q_action(q, p) == p.scale(as_parampoly(q) ** 2)
 
 
 def test_q_action_multiplicativity_on_homogeneous():
     q1 = UniPoly([F(1), F(2)])
     q2 = UniPoly([F(-1), F(0), F(1)])
     p = parse(WRONSK2, 1)
-    prod = q1 * q2
-    assert q_action(prod, p) == p.scale(prod.as_parampoly("T") ** 2)
-    assert q_action(q1, p) == p.scale(q1.as_parampoly("T") ** 2)
+    prod = unipoly_mul(q1, q2)
+    assert q_action(prod, p) == p.scale(as_parampoly(prod) ** 2)
+    assert q_action(q1, p) == p.scale(as_parampoly(q1) ** 2)
 
 
 def test_is_diff_homogeneous_examples():
@@ -132,11 +135,26 @@ def test_is_diff_homogeneous_implies_scaling():
     assert q_action(UniPoly([F(5)]), p) == p.scale(F(5) ** d)
 
 
-def test_is_diff_homogeneous_rejects_zero_and_parametric():
+def test_is_diff_homogeneous_rejects_zero():
     with pytest.raises(ValueError):
         is_diff_homogeneous(DiffPoly.zero(1))
-    with pytest.raises(ValueError):
-        is_diff_homogeneous(DiffPoly.const(ParamPoly.var("t"), 0))
+
+
+def test_derive_lowering_and_gl_derivations():
+    # L_1 x0[2]*x1 = 2 x0[1]*x1;  L_2 x0[2]^2 = 2 x0*x0[2];  L_3 kills order 2
+    assert derive(parse("x0[2]*x1", 1), lowering(1)) == parse("2*x0[1]*x1", 1)
+    assert derive(parse("x0[2]^2", 0), lowering(2)) == parse("2*x0*x0[2]", 0)
+    assert not derive(parse("x0[2]^2", 0), lowering(3))
+    # E_01 = sum_k x0[k] d/dx1[k]: x1[1]*x1 -> x0[1]*x1 + x1[1]*x0, kills x0 alone
+    e01 = gl_elementary(0, 1)
+    assert derive(parse("x1[1]*x1", 1), e01) == parse("x0[1]*x1 + x1[1]*x0", 1)
+    assert not derive(parse("x0[3]*x0", 1), e01)
+
+
+def test_mono_multidegree():
+    (mono,) = parse("x0[2]^2*x0*x2[1]", 2).terms
+    assert mono_multidegree(mono, 2) == [3, 0, 1]
+    assert mono_multidegree((), 1) == [0, 0]
 
 
 def test_matrix_action_identity():
@@ -285,18 +303,6 @@ def test_parse_repeated_factors_zero_exponents_and_cancellation(text, n, expecte
 
 
 # --- the derivation test against the formal Taylor-data substitution ------
-
-def formal_verdict(p: DiffPoly) -> tuple[bool, int | None]:
-    """Oracle: substitute x_i[k] -> sum_j C(k,j) mu_{k-j} x_i[j] with formal
-    parameters mu_0..mu_K and compare against mu_0^d p."""
-    g = gradings(p)
-    if g.degree is None:
-        return (False, None)
-    mus = [ParamPoly.var(f"mu{m}") for m in range(g.order + 1)]
-    if derivative_shift(p, mus) == p.scale(mus[0] ** g.degree):
-        return (True, g.degree)
-    return (False, None)
-
 
 def test_formal_verdict_examples():
     assert formal_verdict(parse(WRONSK2, 1)) == (True, 2)

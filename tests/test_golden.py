@@ -6,8 +6,11 @@ refactor, the ``verify --suite basis``, ``verify --suite jets`` and
 core (``exact.SparseComb``) replaced the per-class arithmetic, and the
 ``check 'x0[1]'`` and ``check 'x0*x1[2] - x1*x0[2]'`` digests (two
 non-examples, exit code 1) before the derivation test replaced the formal
-Taylor-data substitution in ``is_diff_homogeneous``; a change to the library
-that keeps every result must keep them.  The ``wall_time_seconds`` field of
+Taylor-data substitution in ``is_diff_homogeneous``, and the ``verify --suite
+hwv`` digest (default caps, ``d <= 4``) before the weight, unipotent,
+functional-equation and Leibniz checks dropped formal parameters for
+derivations over Q; a change to the library that keeps every result must keep
+them.  The ``wall_time_seconds`` field of
 ``verify`` is dropped before hashing.
 """
 
@@ -36,6 +39,8 @@ GOLDEN = {
         "b6cc1a5e10056b1e77a4d681a4bd82aa8a03e5af8c8cf269fd9d2170d7e8f695",
     "verify --suite hwv --max-d 3":
         "08efec92d630e7a63b696a155826b5b2c807ed2bbf69e790d526505d8de429af",
+    "verify --suite hwv":
+        "efdb11b291f6e1ace08e40f32dcad8d464b89f06468269170e64d3bded95ea85",
     "verify --suite basis --max-d 3":
         "abe9a68903ecb532560c3cc5d258bf3283bd1f51e10426be2b26227325480fa1",
     "verify --suite jets":

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffhom.exact import ParamPoly, nullspace_basis, operator_rows, rank
+from diffhom.exact import nullspace_basis, operator_rows, rank
 from diffhom.dpoly import matrix_action, parse, span_rank
 from diffhom.tableaux import (Partition, Permutation, Tableau,
                               count_semistandard, count_standard,
@@ -16,6 +16,7 @@ from diffhom.hwv import (Tensor, column_det, d_t, e_iso, full_kernel_vectors,
                          kernel_dim_isotypic, stacked_operator_rows,
                          straighten, symmetrizer_projection, tableau_projection,
                          tensor_of_tableau, tensor_sigma_action)
+from formal import ParamPoly
 
 F = Fraction
 
@@ -302,7 +303,6 @@ def test_hwv_count_equals_kostka_sum():
 
 def test_leibniz_expansion_with_factorial_normalization():
     # factorwise (al Id + lowering) equals sum_l al^(d-l)/l! J^(l) plus al^d id
-    from diffhom.exact import ParamPoly, nullspace_basis, operator_rows, rank
     al = ParamPoly.var("al")
     d, k = 2, 1
     for idx in itertools.product(range(k + 1), repeat=d):

@@ -1,7 +1,8 @@
 """The shared sparse linear-combination core (``exact.SparseComb``).
 
-ParamPoly, DiffPoly, MultiPoly, Tensor and GroupAlgebraElem take their
-arithmetic from one base class.  sympy is the independent oracle here (tests
+DiffPoly, MultiPoly, Tensor and GroupAlgebraElem take their arithmetic from
+one base class, and so does the test oracle's ParamPoly (``formal``), which
+also serves as a coefficient ring of DiffPoly.  sympy is the independent oracle here (tests
 only): sums, differences, products, scalings and powers must equal sympy's
 ``expand`` of the same expressions; group-algebra products are compared with
 an explicit convolution that composes the permutation images by hand.
@@ -16,10 +17,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from diffhom.dpoly import DiffPoly, mono_mul
-from diffhom.exact import ParamPoly, add_terms, linear_combination
+from diffhom.exact import add_terms, linear_combination
 from diffhom.hwv import Tensor
 from diffhom.pde import MultiPoly
 from diffhom.tableaux import GroupAlgebraElem, Permutation
+from formal import ParamPoly
 
 F = Fraction
 PARAMS = ("a", "b")

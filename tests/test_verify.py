@@ -23,6 +23,13 @@ def test_small_suites_pass(suite):
     assert not bad, bad[:3]
 
 
+@pytest.mark.parametrize("caps", [{"max_d": 0}, {"max_d": -1}, {"max_n": -1},
+                                  {"max_d": 0, "max_n": 2}])
+def test_caps_out_of_range_rejected(caps):
+    with pytest.raises(ValueError):
+        run_suite("hwv", **caps)
+
+
 def test_hwv_suite_passes():
     report = run_suite("hwv", max_d=3, max_n=2)
     assert report.passed
