@@ -463,7 +463,15 @@ def from_json_dict(data: Mapping) -> DiffPoly:
     n = int(data["N"])
     terms: dict[DMono, Fraction] = {}
     for t in data["terms"]:
-        mono = _mono_from_exps({(int(i), int(k)): int(e) for i, k, e in t["monomial"]})
+        exps: dict[tuple[int, int], int] = {}
+        for i, k, e in t["monomial"]:
+            i, k, e = int(i), int(k), int(e)
+            if not 0 <= i <= n or k < 0 or e < 1:
+                raise ValueError(f"bad factor [{i}, {k}, {e}] for N={n} in JSON input")
+            if (i, k) in exps:
+                raise ValueError(f"repeated factor x{i}[{k}] in a JSON monomial")
+            exps[(i, k)] = e
+        mono = _mono_from_exps(exps)
         c = Fraction(t["coeff"])
         if mono in terms:
             raise ValueError("duplicate monomial in JSON input")

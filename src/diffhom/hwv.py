@@ -20,7 +20,8 @@ from .exact import (ONE, SparseComb, add_terms, det_expansion, intersection_dim,
                     linear_combination, nullspace_basis, operator_rows, rank)
 from .dpoly import DiffPoly, derive, lowering, solve_in_span
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
-                       canonical_tableau, semistandard_tableaux, young_symmetrizer)
+                       canonical_tableau, compositions, semistandard_tableaux,
+                       young_symmetrizer)
 
 Index = tuple[int, ...]
 
@@ -46,14 +47,34 @@ def d_t(t: Tableau, n: int) -> DiffPoly:
     return out
 
 
+@lru_cache(maxsize=4)
+def _semistandard_basis(lam: Partition, k: int, n: int) -> tuple[tuple[Tableau, DiffPoly], ...]:
+    """The D_T for semi-standard T of shape lam filled with {0..k}, built
+    once per process for each of the last few (lam, k, n) asked for.  Every
+    caller shares the result, so it is a tuple, and its DiffPolys are never
+    mutated."""
+    if lam.nparts > n + 1:
+        return ()
+    return tuple((t, d_t(t, n)) for t in semistandard_tableaux(lam, k + 1, lo=0))
+
+
 def hwv_basis(lam: Partition, k: int, n: int) -> list[tuple[Tableau, DiffPoly]]:
-    """The D_T for semi-standard T of shape lam filled with {0..k}.
+    """The D_T for semi-standard T of shape lam filled with {0..k}, as a fresh
+    list over the shared basis.
 
     Empty when lam has more than n+1 parts (the corresponding space is zero).
     """
-    if lam.nparts > n + 1:
-        return []
-    return [(t, d_t(t, n)) for t in semistandard_tableaux(lam, k + 1, lo=0)]
+    return list(_semistandard_basis(lam, k, n))
+
+
+def _coordinates(p: DiffPoly, lam: Partition, k: int) -> list[tuple[Fraction, Tableau]] | None:
+    """The nonzero coordinates of p on the semi-standard D_T of shape lam
+    filled with {0..k}, or None if p lies outside their span."""
+    basis = _semistandard_basis(lam, k, p.n)
+    coeffs = solve_in_span([q for _, q in basis], p)
+    if coeffs is None:
+        return None
+    return [(c, t) for c, (t, _) in zip(coeffs, basis) if c]
 
 
 class Tensor(SparseComb):
@@ -147,23 +168,15 @@ def _basis_index(d: int, k: int) -> dict[Index, int]:
     return {idx: j for j, idx in enumerate(itertools.product(range(k + 1), repeat=d))}
 
 
-def _weight_keys(d: int, k: int, weight: int) -> list[Index]:
-    """The index vectors in {0..k}^d with entry sum ``weight``, in
-    lexicographic order (the order of the tensor basis)."""
-    if d == 0:
-        return [()] if weight == 0 else []
-    return [(a,) + rest for a in range(max(0, weight - k * (d - 1)), min(k, weight) + 1)
-            for rest in _weight_keys(d - 1, k, weight - a)]
-
-
 def stacked_operator_rows(d: int, k: int, weight: int) -> tuple[list[dict[int, Fraction]], int]:
     """Rows of all J^(l), l = 1..d, on the basis tensors of index weight
-    ``weight``, as one sparse matrix whose columns follow ``_weight_keys``.
+    ``weight``, as one sparse matrix whose columns are those index vectors in
+    lexicographic order (the order of the tensor basis).
 
     J^(l) lowers the weight by exactly l, so no row meets two weights: the
     blocks for the weights 0..d*k together are the whole stacked system.
     """
-    keys = _weight_keys(d, k, weight)
+    keys = compositions(weight, d, k)
 
     def apply(idx: Index):
         t = Tensor.basis(idx, k)
@@ -197,7 +210,7 @@ def full_kernel_vectors(d: int, k: int) -> tuple[dict[int, Fraction], ...]:
     index = _basis_index(d, k)
     vectors = []
     for weight in range(d * k + 1):
-        cols = [index[idx] for idx in _weight_keys(d, k, weight)]
+        cols = [index[idx] for idx in compositions(weight, d, k)]
         for vec in nullspace_basis(*stacked_operator_rows(d, k, weight)):
             vectors.append({cols[j]: c for j, c in enumerate(vec) if c})
     vectors.sort(key=min)
@@ -235,11 +248,10 @@ def straighten(t: Tableau, k: int, n: int) -> list[tuple[Fraction, Tableau]]:
     target = d_t(t, n)
     if not target:
         return []
-    ss = list(semistandard_tableaux(t.shape, k + 1, lo=0))
-    coeffs = solve_in_span([d_t(s, n) for s in ss], target)
-    if coeffs is None:
+    coords = _coordinates(target, t.shape, k)
+    if coords is None:
         raise ArithmeticError("column-determinant product escaped the semi-standard span")
-    return [(c, s) for c, s in zip(coeffs, ss) if c]
+    return coords
 
 
 def e_iso(p: DiffPoly, lam: Partition, k: int) -> Tensor:
@@ -247,17 +259,12 @@ def e_iso(p: DiffPoly, lam: Partition, k: int) -> Tensor:
     extended linearly via the semi-standard expansion of p."""
     if lam.nparts > p.n + 1:
         raise ValueError(f"shape with {lam.nparts} rows is too tall for variable bound {p.n}")
-    ss = list(semistandard_tableaux(lam, k + 1, lo=0))
-    if not ss:
-        if p:
-            raise ValueError("nonzero input in a zero tableau space")
-        return Tensor(lam.size, k)
-    coeffs = solve_in_span([d_t(s, p.n) for s in ss], p)
-    if coeffs is None:
+    coords = _coordinates(p, lam, k)
+    if coords is None:
         raise ValueError("input is not a combination of column-determinant products")
     return linear_combination(Tensor(lam.size, k),
                               ((c, symmetrizer_projection(tensor_of_tableau(s, k), lam))
-                               for c, s in zip(coeffs, ss) if c))
+                               for c, s in coords))
 
 
 def tableau_projection(t: Tensor, lam: Partition, n: int) -> DiffPoly:
@@ -276,14 +283,11 @@ def functional_solution_dim(lam: Partition, k: int, n: int) -> int:
     The a^(d-l) coefficient of the left side is J^(l) P / l!, and the power
     sums of the factorwise lowerings are the m! L_m: by Newton's identities the
     solutions are the common kernel of L_1..L_k (L_1 alone is not enough)."""
-    ss = list(semistandard_tableaux(lam, k + 1, lo=0))
-    if lam.nparts > n + 1 or not ss:
-        return 0
+    polys = [p for _, p in _semistandard_basis(lam, k, n)]
 
-    def apply(s: Tableau):
-        p = d_t(s, n)
+    def apply(p: DiffPoly):
         for m in range(1, k + 1):
             for mono, c in derive(p, lowering(m)).terms.items():
                 yield (m, mono), c
 
-    return len(ss) - rank(operator_rows(ss, apply), len(ss))
+    return len(polys) - rank(operator_rows(polys, apply), len(polys))

@@ -28,10 +28,6 @@ class BasisClassification:
     order_bound: int      # max_i (d - 1 - alpha_i) from the exponent data
     weight_formula: int   # d(d-1)/2 - |alpha|
 
-    @property
-    def order_matches_bound(self) -> bool:
-        return self.order == self.order_bound
-
 
 @dataclass(frozen=True)
 class CensusEntry:
@@ -123,25 +119,29 @@ class Theorem2Report:
         return all(item.passed for item in self.items)
 
 
-def verify_theorem2(n: int, d: int, extra_k: int = 2) -> Theorem2Report:
-    """Three exact checks on the census: stability in k above d-1, total count
-    (N+1)^d, and vanishing above the weight bound."""
+# How many orders above d-1 the k-stability check of Theorem 2 compares.
+EXTRA_K = 2
+
+
+def verify_theorem2(n: int, d: int) -> Theorem2Report:
+    """Three exact checks on the census: stability in k for the EXTRA_K orders
+    above d-1, total count (N+1)^d, and vanishing above the weight bound."""
     top = max(d - 1, 0)
     blocks = _weight_blocks(n, d)
-    tables = {k: _block_census(blocks, d, k) for k in range(max(top, top + extra_k) + 1)}
+    tables = {k: _block_census(blocks, d, k) for k in range(top + EXTRA_K + 1)}
     base = tables[top]
     items = []
 
     stable = True
     witness = ""
-    for k in range(top + 1, top + 1 + extra_k):
+    for k in range(top + 1, top + 1 + EXTRA_K):
         other = [CensusEntry(k=top, n=e.n, count=e.count) for e in tables[k]]
         if other != base:
             stable = False
             witness = f"census changed at k={k}"
             break
     items.append(Theorem2Item("k_stability", stable, witness or
-                              f"census identical for k={top}..{top + extra_k}"))
+                              f"census identical for k={top}..{top + EXTRA_K}"))
 
     total = sum(e.count for e in base)
     expected = (n + 1) ** d
@@ -149,7 +149,7 @@ def verify_theorem2(n: int, d: int, extra_k: int = 2) -> Theorem2Report:
                               f"sum={total}, expected {expected}"))
 
     bound = weight_census_bound(n, d)
-    offenders = [e for k in range(top + 1 + extra_k) for e in tables[k] if e.n > bound]
+    offenders = [e for k in range(top + 1 + EXTRA_K) for e in tables[k] if e.n > bound]
     items.append(Theorem2Item("weight_vanishing", not offenders,
                               f"bound={bound}" + (f", offender {offenders[0]}" if offenders else "")))
 

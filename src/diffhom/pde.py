@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 from .exact import (ONE, SparseComb, add_terms, linear_combination, nullspace_basis,
                     operator_rows, rank)
+from .tableaux import compositions
 
 Expo = tuple[int, ...]
 
@@ -97,24 +98,11 @@ def distinct_tuple_operator(p: MultiPoly, ell: int) -> MultiPoly:
                                   for subset in itertools.combinations(range(p.nvars), ell)))
 
 
-def monomials_of_degree(nvars: int, deg: int) -> list[Expo]:
-    out = []
-    for bars in itertools.combinations(range(deg + nvars - 1), nvars - 1):
-        prev = -1
-        e = []
-        for b in bars:
-            e.append(b - prev - 1)
-            prev = b
-        e.append(deg + nvars - 2 - prev)
-        out.append(tuple(e))
-    return sorted(out)
-
-
 def _degree_rows(d: int, deg: int, apply_op) -> tuple[list[Expo], list[dict[int, Fraction]]]:
     """The degree-deg monomials and the rows of the stacked operators l = 1..d
     on them.  The operators are homogeneous, so the stacked coefficient matrix
     is a direct sum over the input degree; solving degree by degree is exact."""
-    monos = monomials_of_degree(d, deg)
+    monos = compositions(deg, d)
 
     def apply(e: Expo):
         p = MultiPoly(d, {e: ONE})
@@ -175,7 +163,7 @@ def vandermonde_derivative_basis(d: int) -> list[MultiPoly]:
     deg = v.degree()
     out = []
     for total in range(deg + 1):
-        for beta in monomials_of_degree(d, total):
+        for beta in compositions(total, d):
             p = v
             for i, times in enumerate(beta):
                 if times:

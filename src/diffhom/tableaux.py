@@ -1,5 +1,6 @@
-"""Partitions, Young tableaux, tableau counts, permutations, and the group
-algebra of the symmetric group with its Young symmetrizers.
+"""Partitions, weak compositions, Young tableaux, tableau counts,
+permutations, and the group algebra of the symmetric group with its Young
+symmetrizers.
 
 All counts are produced by direct enumeration; closed formulas (hook lengths)
 appear only as cross-checks in the test suite.
@@ -63,6 +64,21 @@ def partitions_of(d: int, max_parts: int | None = None) -> list[Partition]:
             yield from gen(remaining - part, part, prefix + (part,))
 
     return [Partition(p) for p in gen(d, d, ())]
+
+
+def compositions(total: int, parts: int, cap: int | None = None) -> list[tuple[int, ...]]:
+    """The tuples of ``parts`` naturals summing to ``total``, each at most
+    ``cap`` (unbounded when None), in lexicographic order.  Each entry ranges
+    only over the values the remaining slots can still complete."""
+    top = total if cap is None else cap
+
+    def gen(rest: int, slots: int) -> list[tuple[int, ...]]:
+        if slots == 0:
+            return [()] if rest == 0 else []
+        return [(a,) + tail for a in range(max(0, rest - top * (slots - 1)), min(top, rest) + 1)
+                for tail in gen(rest - a, slots - 1)]
+
+    return gen(total, parts)
 
 
 @dataclass(frozen=True)

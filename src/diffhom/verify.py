@@ -17,11 +17,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .exact import ONE, ZERO, add_terms, rank
 from .dpoly import (derive, gl_elementary, is_diff_homogeneous, matrix_action,
                     mono_multidegree, solve_in_span, span_rank)
-from .tableaux import (Partition, canonical_tableau, count_semistandard,
+from .tableaux import (Partition, canonical_tableau, compositions, count_semistandard,
                        count_standard, group_algebra_mul, kostka, partitions_of,
                        young_symmetrizer)
 from .wronskian import (build_formal_wronskian,
@@ -127,15 +128,14 @@ def check_basis_gl_stability(n: int, d: int, seed: int, matrices: int = 5) -> Ch
                    "stable", note if not ok else "stable")
 
 
-def suite_basis(max_d: int, max_n: int, seed: int) -> list:
+def suite_basis(max_d: int, max_n: int, seed: int) -> list[partial]:
     tasks = []
     for n in range(0, max_n + 1):
         for d in range(1, max_d + 1):
-            tasks.append((f"basis_rank[N={n},d={d}]", check_basis_rank, {"n": n, "d": d}))
-            tasks.append((f"basis_diffhom[N={n},d={d}]", check_basis_diffhom, {"n": n, "d": d}))
+            tasks.append(partial(check_basis_rank, n=n, d=d))
+            tasks.append(partial(check_basis_diffhom, n=n, d=d))
             if n >= 1:
-                tasks.append((f"basis_gl_stability[N={n},d={d}]", check_basis_gl_stability,
-                              {"n": n, "d": d, "seed": seed}))
+                tasks.append(partial(check_basis_gl_stability, n=n, d=d, seed=seed))
     return tasks
 
 
@@ -154,11 +154,7 @@ def check_rsk_mixed(d: int, n: int) -> CheckResult:
 
 def check_kostka_sum(parts: tuple, n: int) -> CheckResult:
     lam = Partition(parts)
-    d = lam.size
-    total = 0
-    for a in itertools.product(range(d + 1), repeat=n):
-        if sum(a) == d:
-            total += kostka(lam, a)
+    total = sum(kostka(lam, a) for a in compositions(lam.size, n))
     return _result("kostka_sum", {"lam": parts, "n": n}, count_semistandard(lam, n), total)
 
 
@@ -168,20 +164,18 @@ def check_standard_is_kostka(parts: tuple) -> CheckResult:
                    count_standard(lam), kostka(lam, (1,) * lam.size))
 
 
-def suite_rsk(max_d: int, max_n: int, seed: int) -> list:
+def suite_rsk(max_d: int, max_n: int, seed: int) -> list[partial]:
     tasks = []
     for d in range(1, max_d + 1):
-        tasks.append((f"rsk_squares[d={d}]", check_rsk_squares, {"d": d}))
+        tasks.append(partial(check_rsk_squares, d=d))
     for d in range(1, min(max_d, 6) + 1):
         for n in range(1, 5):
-            tasks.append((f"rsk_mixed[d={d},n={n}]", check_rsk_mixed, {"d": d, "n": n}))
+            tasks.append(partial(check_rsk_mixed, d=d, n=n))
     for d in range(1, min(max_d, 5) + 1):
         for lam in partitions_of(d):
             for n in range(1, 5):
-                tasks.append((f"kostka_sum[lam={lam.parts},n={n}]", check_kostka_sum,
-                              {"parts": lam.parts, "n": n}))
-            tasks.append((f"standard_is_kostka[lam={lam.parts}]", check_standard_is_kostka,
-                          {"parts": lam.parts}))
+                tasks.append(partial(check_kostka_sum, parts=lam.parts, n=n))
+            tasks.append(partial(check_standard_is_kostka, parts=lam.parts))
     return tasks
 
 
@@ -203,16 +197,14 @@ def observe_kernel_low(d: int, k: int) -> CheckResult:
     return _observe("observe_kernel_full", {"d": d, "k": k}, kernel_dim_full(d, k))
 
 
-def suite_kernel(max_d: int, max_n: int, seed: int) -> list:
+def suite_kernel(max_d: int, max_n: int, seed: int) -> list[partial]:
     tasks = []
     for d in range(1, max_d + 1):
-        tasks.append((f"kernel_full[d={d}]", check_kernel_full, {"d": d}))
+        tasks.append(partial(check_kernel_full, d=d))
         for lam in partitions_of(d):
-            tasks.append((f"kernel_isotypic[lam={lam.parts}]", check_kernel_isotypic,
-                          {"parts": lam.parts}))
+            tasks.append(partial(check_kernel_isotypic, parts=lam.parts))
         for k in range(0, d - 1):
-            tasks.append((f"observe_kernel_full[d={d},k={k}]", observe_kernel_low,
-                          {"d": d, "k": k}))
+            tasks.append(partial(observe_kernel_low, d=d, k=k))
     return tasks
 
 
@@ -247,14 +239,14 @@ def check_pde_system_equivalence(d: int) -> CheckResult:
     return _result("pde_system_equivalence", {"d": d}, True, same_span)
 
 
-def suite_pde(max_d: int, max_n: int, seed: int) -> list:
+def suite_pde(max_d: int, max_n: int, seed: int) -> list[partial]:
     tasks = []
     for d in range(1, max_d + 1):
-        tasks.append((f"pde_dimension[d={d}]", check_pde_dimension, {"d": d}))
-        tasks.append((f"pde_oracle[d={d}]", check_pde_oracle, {"d": d}))
-        tasks.append((f"pde_degree_stability[d={d}]", check_pde_stability, {"d": d}))
+        tasks.append(partial(check_pde_dimension, d=d))
+        tasks.append(partial(check_pde_oracle, d=d))
+        tasks.append(partial(check_pde_stability, d=d))
         if d <= 3:
-            tasks.append((f"pde_system_equivalence[d={d}]", check_pde_system_equivalence, {"d": d}))
+            tasks.append(partial(check_pde_system_equivalence, d=d))
     return tasks
 
 
@@ -300,15 +292,13 @@ def check_wedge_random(d: int, i: int, seed: int, count: int = 20) -> CheckResul
                    "all vanish", "all vanish")
 
 
-def suite_appendixA(max_d: int, max_n: int, seed: int) -> list:
+def suite_appendixA(max_d: int, max_n: int, seed: int) -> list[partial]:
     tasks = []
     for d in range(1, max_d + 1):
-        tasks.append((f"triangular_reduction[d={d}]", check_triangular_reduction, {"d": d}))
+        tasks.append(partial(check_triangular_reduction, d=d))
         for i in range(1, d + 1):
-            tasks.append((f"wedge_basis_tuples[d={d},i={i}]", check_wedge_basis_tuples,
-                          {"d": d, "i": i}))
-            tasks.append((f"wedge_random[d={d},i={i}]", check_wedge_random,
-                          {"d": d, "i": i, "seed": seed}))
+            tasks.append(partial(check_wedge_basis_tuples, d=d, i=i))
+            tasks.append(partial(check_wedge_random, d=d, i=i, seed=seed))
     return tasks
 
 
@@ -414,33 +404,25 @@ def check_functional_iso(parts: tuple, k: int) -> CheckResult:
                    kernel_dim_isotypic(lam, k), functional_solution_dim(lam, k, n))
 
 
-def suite_hwv(max_d: int, max_n: int, seed: int) -> list:
+def suite_hwv(max_d: int, max_n: int, seed: int) -> list[partial]:
     tasks = []
     max_k = 3
     for d in range(1, max_d + 1):
         for lam in partitions_of(d):
             for k in range(0, max_k + 1):
-                tasks.append((f"hwv_counts[lam={lam.parts},k={k}]", check_hwv_counts,
-                              {"parts": lam.parts, "k": k, "n": max_n}))
+                tasks.append(partial(check_hwv_counts, parts=lam.parts, k=k, n=max_n))
             k = min(d - 1, max_k)
-            tasks.append((f"hwv_weight[lam={lam.parts},k={k}]", check_hwv_weight,
-                          {"parts": lam.parts, "k": k, "n": max_n}))
-            tasks.append((f"hwv_unipotent[lam={lam.parts},k={k}]", check_hwv_unipotent,
-                          {"parts": lam.parts, "k": k, "n": max_n}))
-            tasks.append((f"e_iso_injective[lam={lam.parts},k={k}]", check_e_iso_injective,
-                          {"parts": lam.parts, "k": k}))
+            tasks.append(partial(check_hwv_weight, parts=lam.parts, k=k, n=max_n))
+            tasks.append(partial(check_hwv_unipotent, parts=lam.parts, k=k, n=max_n))
+            tasks.append(partial(check_e_iso_injective, parts=lam.parts, k=k))
             if d <= 3:
-                tasks.append((f"commutative_diagram[lam={lam.parts},k={k}]",
-                              check_commutative_diagram, {"parts": lam.parts, "k": k}))
-                tasks.append((f"functional_iso[lam={lam.parts},k={k}]",
-                              check_functional_iso, {"parts": lam.parts, "k": k}))
+                tasks.append(partial(check_commutative_diagram, parts=lam.parts, k=k))
+                tasks.append(partial(check_functional_iso, parts=lam.parts, k=k))
     for d in range(1, min(max_d, 5) + 1):
         for lam in partitions_of(d):
-            tasks.append((f"symmetrizer_scalar[lam={lam.parts}]", check_symmetrizer_scalar,
-                          {"parts": lam.parts}))
+            tasks.append(partial(check_symmetrizer_scalar, parts=lam.parts))
     for d in range(1, min(max_d, 3) + 1):
-        tasks.append((f"leibniz_expansion[d={d}]", check_leibniz_expansion,
-                      {"d": d, "k": min(d - 1, 2) if d > 1 else 1}))
+        tasks.append(partial(check_leibniz_expansion, d=d, k=min(d - 1, 2) if d > 1 else 1))
     return tasks
 
 
@@ -485,18 +467,16 @@ def check_order_weight_audit(n: int, d: int) -> CheckResult:
                    "weight_mismatches=0, order_over_bound=0", computed)
 
 
-def suite_jets(max_d: int, max_n: int, seed: int) -> list:
+def suite_jets(max_d: int, max_n: int, seed: int) -> list[partial]:
     tasks = []
     grid = [(1, d) for d in range(1, min(max_d, 4) + 1)]
     if max_n >= 2:
         grid += [(2, d) for d in range(1, min(max_d, 3) + 1)]
     for n, d in grid:
-        tasks.append((f"theorem2[N={n},d={d}]", check_theorem2, {"n": n, "d": d}))
-        tasks.append((f"census_order_zero[N={n},d={d}]", check_census_order_zero,
-                      {"n": n, "d": d}))
-        tasks.append((f"order_weight_audit[N={n},d={d}]", check_order_weight_audit,
-                      {"n": n, "d": d}))
-    tasks.append(("census_cotangent", check_census_cotangent, {}))
+        tasks.append(partial(check_theorem2, n=n, d=d))
+        tasks.append(partial(check_census_order_zero, n=n, d=d))
+        tasks.append(partial(check_order_weight_audit, n=n, d=d))
+    tasks.append(partial(check_census_cotangent))
     return tasks
 
 
@@ -514,9 +494,8 @@ _SUITES = {
 }
 
 
-def _run_task(task):
-    check_id, fn, kwargs = task
-    return fn(**kwargs)
+def _run_task(task: partial) -> CheckResult:
+    return task()
 
 
 def run_suite(suite: str, max_d: int | None = None, max_n: int | None = None,

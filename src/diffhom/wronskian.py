@@ -22,10 +22,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .exact import ONE, ZERO, add_terms, det_expansion, linear_combination
 from .dpoly import DiffPoly, UniPoly, _mono_from_exps, gradings, span_rank, to_json_dict
+from .tableaux import compositions
 
 
 @dataclass(frozen=True)
@@ -126,27 +127,13 @@ class CanonicalDatum:
         return WronskSpec.monomials(alphas, variables)
 
 
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``slots`` naturals summing to ``total``, lexicographically."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def enumerate_canonical_data(n: int, d: int) -> list[CanonicalDatum]:
     """All canonical data, lexicographic in the multiplicity vector then in the
     flattened exponent sequence."""
     if d < 1:
         raise ValueError("d must be >= 1")
     out = []
-    for m in sorted(_compositions(d, n + 1)):
+    for m in compositions(d, n + 1):
         nonzero = [mult for mult in m if mult]
         cumulative = list(itertools.accumulate(nonzero))
         block_choices = [list(itertools.combinations(range(bound), mult))
@@ -230,7 +217,7 @@ def reduce_to_triangular(alpha: Sequence[int]) -> list[tuple[Fraction, tuple[int
         base[p - 1] -= p
         ours = (p,) + (0,) * (d - p)
         add_terms(work, ((idx[:p - 1] + tuple(b + g for b, g in zip(base[p - 1:], gamma)), -coeff)
-                         for gamma in _compositions(p, d - p + 1) if gamma != ours))
+                         for gamma in compositions(p, d - p + 1) if gamma != ours))
     return sorted(((c, idx) for idx, c in result.items()), key=lambda t: t[1])
 
 
@@ -298,7 +285,7 @@ def verify_wedge_identity(nilpotent: Sequence[Sequence[Fraction]],
     totals: dict[tuple[int, ...], Fraction] = {}
     for rows in itertools.combinations(range(d), count):
         totals[rows] = ZERO
-    for exps in _compositions(i, count):
+    for exps in compositions(i, count):
         cols = [powers[j][exps[j]] for j in range(count)]
         for rows in totals:
             sub = [[cols[j][r] for j in range(count)] for r in rows]

@@ -8,7 +8,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, derive, from_json, gl_elementary,
+from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, derive, from_json,
+                           from_json_dict, gl_elementary,
                            gradings, is_diff_homogeneous, lowering, matrix_action,
                            mono_multidegree, parse, span_rank, solve_in_span, to_json,
                            to_text)
@@ -205,6 +206,34 @@ def test_solve_in_span():
 def test_json_roundtrip():
     p = parse("1/3*x0^2 - x1[2]*x0 + 4*x1", 1)
     assert from_json(to_json(p)) == p
+
+
+def _json_monomial(factors, n=1):
+    return from_json_dict({"N": n, "terms": [{"coeff": "1", "monomial": factors}]})
+
+
+def test_json_rejects_repeated_factor():
+    with pytest.raises(ValueError):
+        _json_monomial([[0, 0, 1], [0, 0, 2]])
+
+
+def test_json_rejects_nonpositive_exponent():
+    with pytest.raises(ValueError):
+        _json_monomial([[0, 0, -2]])
+    with pytest.raises(ValueError):
+        _json_monomial([[0, 0, 0]])
+
+
+def test_json_rejects_negative_order():
+    with pytest.raises(ValueError):
+        _json_monomial([[0, -1, 1]])
+
+
+def test_json_rejects_variable_beyond_bound():
+    with pytest.raises(ValueError):
+        _json_monomial([[5, 0, 1]], n=1)
+    with pytest.raises(ValueError):
+        _json_monomial([[-1, 0, 1]], n=1)
 
 
 # --- property tests ------------------------------------------------------

@@ -64,6 +64,13 @@ def test_hwv_basis_single_row_k0():
     assert basis[0][1] == parse("x0^3", 2)
 
 
+def test_hwv_basis_returns_a_fresh_list():
+    lam = Partition.of(2, 1)
+    first = hwv_basis(lam, 2, 2)
+    first.append(first[0])
+    assert len(hwv_basis(lam, 2, 2)) == count_semistandard(lam, 3) == len(first) - 1
+
+
 def test_tensor_of_tableau_row_major():
     t = tensor_of_tableau(Tableau(Partition.of(2, 1), (0, 2, 1)), 2)
     assert t.terms == {(0, 2, 1): F(1)}
@@ -230,6 +237,18 @@ def test_e_iso_degree_two():
 def test_e_iso_rejects_tall_partition():
     with pytest.raises(ValueError):
         e_iso(parse("x0^2", 0), Partition.of(1, 1), 1)
+
+
+def test_e_iso_rejects_input_outside_the_span():
+    # x1 has weight (0, 1), no combination of the weight-(1, 0) D_T; x0[1]
+    # has the right weight but an entry k = 1 beyond the filling bound k = 0
+    with pytest.raises(ValueError):
+        e_iso(parse("x1", 1), Partition.of(1), 2)
+    with pytest.raises(ValueError):
+        e_iso(parse("x0[1]", 1), Partition.of(1), 0)
+    # a shape with no semi-standard filling spans the zero space
+    with pytest.raises(ValueError):
+        e_iso(parse("x0*x1[1]", 1), Partition.of(1, 1), 0)
 
 
 def test_e_iso_injective_on_basis():

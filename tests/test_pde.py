@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from diffhom.pde import (MultiPoly, distinct_tuple_operator, monomials_of_degree,
+from diffhom.pde import (MultiPoly, distinct_tuple_operator,
                          newton_operator, poly_family_rank, solution_space_dim,
                          solution_space_dim_distinct, solution_space_rows,
                          vandermonde, vandermonde_derivative_basis)
 from diffhom.exact import rank
+from diffhom.tableaux import compositions
 
 F = Fraction
 
@@ -36,8 +37,9 @@ def test_newton_operator_range_check():
 
 
 def test_monomials_of_degree():
-    assert monomials_of_degree(2, 2) == [(0, 2), (1, 1), (2, 0)]
-    assert len(monomials_of_degree(4, 6)) == math.comb(6 + 3, 3)
+    # the degree-deg monomials in nvars variables are the compositions of deg
+    assert compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
+    assert len(compositions(6, 4)) == math.comb(6 + 3, 3)
 
 
 def test_solution_space_dims():

@@ -1,5 +1,6 @@
-"""Partitions, tableau counts, Kostka numbers, Young symmetrizers."""
+"""Partitions, compositions, tableau counts, Kostka numbers, Young symmetrizers."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,13 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
-                              canonical_tableau, count_semistandard,
+                              canonical_tableau, compositions, count_semistandard,
                               count_standard, group_algebra_mul,
                               hook_length_count, kostka, partitions_of,
                               relabel, schur_poly_eval, semistandard_tableaux,
                               young_symmetrizer)
 
 F = Fraction
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
+def test_compositions_match_filtered_product(cap):
+    # oracle: every tuple in {0..total}^parts, in lexicographic order, filtered
+    for parts in range(6):
+        for total in range(9):
+            oracle = [a for a in itertools.product(range(total + 1), repeat=parts)
+                      if sum(a) == total and (cap is None or all(v <= cap for v in a))]
+            assert compositions(total, parts, cap) == oracle, (total, parts, cap)
 
 
 def test_partitions_of_one():
