@@ -459,13 +459,20 @@ def to_json_dict(p: DiffPoly) -> dict:
     return {"N": p.n, "terms": terms}
 
 
+def _json_int(x, what: str) -> int:
+    """x if it is a JSON integer; a float, boolean or string raises ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {x!r}")
+    return x
+
+
 def from_json_dict(data: Mapping) -> DiffPoly:
-    n = int(data["N"])
+    n = _json_int(data["N"], "N")
     terms: dict[DMono, Fraction] = {}
     for t in data["terms"]:
         exps: dict[tuple[int, int], int] = {}
-        for i, k, e in t["monomial"]:
-            i, k, e = int(i), int(k), int(e)
+        for factor in t["monomial"]:
+            i, k, e = (_json_int(x, "a monomial factor entry") for x in factor)
             if not 0 <= i <= n or k < 0 or e < 1:
                 raise ValueError(f"bad factor [{i}, {k}, {e}] for N={n} in JSON input")
             if (i, k) in exps:

@@ -4,8 +4,10 @@ Products of column determinants D_T indexed by Young tableaux filled with
 derivative orders {0..k} realize the highest weight vectors; on the tensor
 side, (Q^{k+1})^(x d) carries the right symmetric-group action, Young
 symmetrizer projections, and the Leibniz spreadings J^(l) of the lowering
-map x[i] -> i * x[i-1].  The simultaneous kernels of the J^(l) compute the
-differentially homogeneous part of each isotypic block.
+map x[i] -> i * x[i-1].  The simultaneous kernel of the J^(l) is an
+S_d-module, because the J^(l) commute with permuting the factors; the
+multiplicity of each irreducible V_lam in it comes from its class traces and
+the characters chi_lam.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exact import (ONE, SparseComb, add_terms, det_expansion, intersection_dim,
-                    linear_combination, nullspace_basis, operator_rows, rank)
+from .exact import (ONE, SparseComb, add_terms, det_expansion, linear_combination,
+                    nullspace_basis, operator_rows, rank)
 from .dpoly import DiffPoly, derive, lowering, solve_in_span
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
-                       canonical_tableau, compositions, semistandard_tableaux,
-                       young_symmetrizer)
+                       canonical_tableau, centralizer_size, character, compositions,
+                       partitions_of, semistandard_tableaux, young_symmetrizer)
 
 Index = tuple[int, ...]
 
@@ -217,24 +219,47 @@ def full_kernel_vectors(d: int, k: int) -> tuple[dict[int, Fraction], ...]:
     return tuple(vectors)
 
 
-def isotypic_image_rows(lam: Partition, k: int) -> list[dict[int, Fraction]]:
-    """Spanning rows (over the tensor basis) of the image of right multiplication
-    by the canonical Young symmetrizer of shape lam."""
-    d = lam.size
-    index = _basis_index(d, k)
-    out = []
-    for idx in index:
-        v = symmetrizer_projection(Tensor.basis(idx, k), lam)
-        if v:
-            out.append({index[j]: c for j, c in v.terms.items()})
-    return out
+def _class_trace(d: int, k: int, mu: Partition) -> Fraction:
+    """Trace on the simultaneous kernel of a permutation of the factors of
+    cycle type mu.
+
+    The kernel basis v_i is in reduced echelon form with pivots p_i = min(v_i):
+    v_i[p_i] = 1 and v_j[p_i] = 0 for j != i.  So the coefficient of v_i in
+    sigma.v_i is (sigma.v_i)[p_i] = v_i[col(sigma^-1 . idx(p_i))], and the
+    trace is one lookup per vector.  sigma and sigma^-1 are conjugate in S_d,
+    so the direction of the action does not matter.
+    """
+    # the cycles of mu on consecutive factor positions, each shifted by one
+    src, start = [], 0
+    for m in mu.parts:
+        src += [start + (i + 1) % m for i in range(m)]
+        start += m
+    base = k + 1
+    trace = Fraction(0)
+    for v in full_kernel_vectors(d, k):
+        p = min(v)
+        digits = [(p // base ** (d - 1 - i)) % base for i in range(d)]
+        col = 0
+        for s in src:
+            col = col * base + digits[s]
+        trace += v.get(col, 0)
+    return trace
+
 
 def kernel_dim_isotypic(lam: Partition, k: int) -> int:
-    """Dimension of (simultaneous kernel of the J^(l)) inside the isotypic image,
-    computed by exact intersection of the two subspaces."""
+    """Dimension of (simultaneous kernel of the J^(l)) inside the image of the
+    canonical Young symmetrizer of shape lam, which is the multiplicity of the
+    irreducible V_lam in the kernel:
+
+        sum over cycle types mu of chi_lam(mu) tr(sigma_mu | ker J) / z_mu.
+
+    Raises ArithmeticError unless the sum is a natural number."""
     d = lam.size
-    return intersection_dim(full_kernel_vectors(d, k), isotypic_image_rows(lam, k),
-                            (k + 1) ** d)
+    total = sum(character(lam, mu) * _class_trace(d, k, mu) / centralizer_size(mu)
+                for mu in partitions_of(d))
+    if total.denominator != 1 or total < 0:
+        raise ArithmeticError(f"character sum {total} for {lam} is not a multiplicity")
+    return int(total)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,15 @@ def test_kernel_output(capsys):
     assert all(r["kernel_dim"] == r["standard_count"] for r in payload["isotypic"])
 
 
+def test_kernel_d5_json(capsys):
+    code, out, _ = run(capsys, "kernel", "--d", "5", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["full_kernel_dim"] == 120
+    assert all(r["kernel_dim"] == r["standard_count"] for r in payload["isotypic"])
+    assert sum(r["standard_count"] * r["kernel_dim"] for r in payload["isotypic"]) == 120
+
+
 def test_verify_small_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "rsk", "--max-d", "4")
     assert code == 0

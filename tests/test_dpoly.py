@@ -236,6 +236,23 @@ def test_json_rejects_variable_beyond_bound():
         _json_monomial([[-1, 0, 1]], n=1)
 
 
+def test_json_rejects_floats_in_a_factor():
+    # int() would truncate this to x0[1]^2
+    with pytest.raises(ValueError):
+        _json_monomial([[0.7, 1.9, 2.5]])
+
+
+def test_json_rejects_booleans_and_strings_in_a_factor():
+    # int() would read this as x1[1]^2
+    with pytest.raises(ValueError):
+        _json_monomial([[True, "1", 2]])
+
+
+def test_json_rejects_a_float_bound():
+    with pytest.raises(ValueError):
+        _json_monomial([[0, 0, 1]], n=1.9)
+
+
 # --- property tests ------------------------------------------------------
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8).filter(bool)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from diffhom.exact import nullspace_basis, operator_rows, rank
+from diffhom import hwv
+from diffhom.exact import intersection_dim, nullspace_basis, operator_rows, rank
 from diffhom.dpoly import matrix_action, parse, span_rank
 from diffhom.tableaux import (Partition, Permutation, Tableau,
                               count_semistandard, count_standard,
@@ -169,6 +170,35 @@ def test_full_kernel_vectors_match_ungraded_nullspace(d, k):
     rows, ncols = _ungraded_stack(d, k)
     expected = [{j: c for j, c in enumerate(v) if c} for v in nullspace_basis(rows, ncols)]
     assert list(full_kernel_vectors(d, k)) == expected
+
+
+def _isotypic_image_rows(lam, k):
+    """Spanning rows (over the tensor basis, in product order) of the image of
+    right multiplication by the canonical Young symmetrizer of shape lam."""
+    index = {idx: j for j, idx in enumerate(itertools.product(range(k + 1), repeat=lam.size))}
+    out = []
+    for idx in index:
+        v = symmetrizer_projection(Tensor.basis(idx, k), lam)
+        if v:
+            out.append({index[j]: c for j, c in v.terms.items()})
+    return out
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(d + 2)]
+                         + [(5, 2), (5, 3)])
+def test_kernel_isotypic_matches_symmetrizer_image_intersection(d, k):
+    # oracle: dim(ker J  intersect  image of c_lam), by three exact ranks
+    kernel = full_kernel_vectors(d, k)
+    for lam in partitions_of(d):
+        expected = intersection_dim(kernel, _isotypic_image_rows(lam, k), (k + 1) ** d)
+        assert kernel_dim_isotypic(lam, k) == expected, lam
+
+
+def test_kernel_isotypic_certifies_an_integral_sum(monkeypatch):
+    # a trace of 1/2 on every class gives chi_(2) the multiplicity 1/2
+    monkeypatch.setattr(hwv, "_class_trace", lambda d, k, mu: F(1, 2))
+    with pytest.raises(ArithmeticError):
+        kernel_dim_isotypic(Partition.of(2), 1)
 
 
 def test_weight_blocks_split_the_stack():

@@ -25,6 +25,9 @@ report = verify.run_suite("rsk", max_d=3)
 results = [
     hwv.kernel_dim_full(3, 2),
     [hwv.kernel_dim_isotypic(lam, 2) for lam in (Partition.of(3), Partition.of(2, 1))],
+    # kernel_dim_isotypic applies no symmetrizer, so reach that layer directly
+    sorted((list(i), str(c)) for i, c in
+           hwv.symmetrizer_projection(hwv.Tensor.basis((0, 1, 0), 1), Partition.of(2, 1)).terms.items()),
     pde.solution_space_dim(3),
     repr(jets.census(1, 3, 1)),
     repr(hwv.column_det([0, 1], 1)),

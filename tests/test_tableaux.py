@@ -1,4 +1,5 @@
-"""Partitions, compositions, tableau counts, Kostka numbers, Young symmetrizers."""
+"""Partitions, compositions, tableau counts, Kostka numbers, characters,
+Young symmetrizers."""
 
 import itertools
 import math
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
-                              canonical_tableau, compositions, count_semistandard,
+                              canonical_tableau, centralizer_size, character,
+                              compositions, count_semistandard,
                               count_standard, group_algebra_mul,
                               hook_length_count, kostka, partitions_of,
                               relabel, schur_poly_eval, semistandard_tableaux,
@@ -56,6 +58,68 @@ def test_count_standard_matches_hook_lengths():
     for d in range(1, 7):
         for lam in partitions_of(d):
             assert count_standard(lam) == hook_length_count(lam)
+
+
+def _cycle_type(images):
+    seen, lengths = set(), []
+    for i in range(len(images)):
+        j, m = i, 0
+        while j not in seen:
+            seen.add(j)
+            j = images[j] - 1
+            m += 1
+        if m:
+            lengths.append(m)
+    return Partition(tuple(sorted(lengths, reverse=True)))
+
+
+def test_centralizer_sizes_match_class_counts():
+    for d in range(1, 6):
+        counts = {}
+        for images in itertools.permutations(range(1, d + 1)):
+            mu = _cycle_type(images)
+            counts[mu] = counts.get(mu, 0) + 1
+        assert counts == {mu: math.factorial(d) // centralizer_size(mu) for mu in partitions_of(d)}
+
+
+def test_character_at_identity_is_standard_count():
+    for d in range(1, 9):
+        identity = Partition((1,) * d)
+        for lam in partitions_of(d):
+            assert character(lam, identity) == hook_length_count(lam), lam
+
+
+def test_character_row_orthogonality():
+    for d in range(1, 7):
+        classes = partitions_of(d)
+        for lam in classes:
+            for nu in classes:
+                inner = sum(F(character(lam, mu) * character(nu, mu), centralizer_size(mu))
+                            for mu in classes)
+                assert inner == (lam == nu), (lam, nu)
+
+
+def test_character_column_orthogonality():
+    for d in range(1, 7):
+        classes = partitions_of(d)
+        for mu in classes:
+            for nu in classes:
+                inner = sum(character(lam, mu) * character(lam, nu) for lam in classes)
+                assert inner == (centralizer_size(mu) if mu == nu else 0), (mu, nu)
+
+
+def test_character_known_values():
+    assert character(Partition.of(2, 1), Partition.of(3)) == -1
+    assert character(Partition.of(2, 1), Partition.of(2, 1)) == 0
+    assert character(Partition.of(2, 2), Partition.of(2, 2)) == 2
+    # the sign character
+    for mu in partitions_of(5):
+        assert character(Partition((1,) * 5), mu) == (-1) ** (5 - mu.nparts)
+
+
+def test_character_rejects_size_mismatch():
+    with pytest.raises(ValueError):
+        character(Partition.of(2, 1), Partition.of(2))
 
 
 def test_rsk_square_identity():

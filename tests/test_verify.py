@@ -42,6 +42,13 @@ def test_parallel_matches_serial():
            [ (r.check_id, r.expected, r.computed) for r in parallel.results ]
 
 
+def test_kernel_suite_passes_at_d5():
+    report = run_suite("kernel", max_d=5)
+    assert len(report.results) == 33
+    bad = [r for r in report.results if not r.passed]
+    assert not bad, bad[:3]
+
+
 def test_observation_entries_always_pass():
     report = run_suite("kernel", max_d=3)
     observed = [r for r in report.results if r.check_id.startswith("observe")]
