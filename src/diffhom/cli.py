@@ -23,7 +23,7 @@ from .dpoly import (ParseError, from_json_dict, gradings, is_diff_homogeneous,
                     parse, to_text)
 from .jets import census, weight_census_bound
 from .tableaux import count_semistandard, count_standard, partitions_of
-from .hwv import full_kernel_vectors, kernel_dim_isotypic
+from .hwv import kernel_dim_full, kernel_dim_isotypic
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 from .wronskian import basis_manifest
 
@@ -204,7 +204,7 @@ def cmd_kernel(args) -> int:
     if k < 0:
         print("kernel requires --k >= 0", file=sys.stderr)
         return 2
-    full = len(full_kernel_vectors(args.d, k))  # the elimination the isotypic counts reuse
+    full = kernel_dim_full(args.d, k)
     per_lambda = []
     for lam in partitions_of(args.d):
         per_lambda.append({"partition": list(lam.parts),

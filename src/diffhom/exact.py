@@ -243,8 +243,9 @@ def rank(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> int:
 
 
 def nullspace_basis(rows: Sequence[Mapping[int, Fraction]],
-                    ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, returned in reduced echelon form."""
+                    ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the right kernel in reduced echelon form, as sparse rows
+    (dicts col -> nonzero Fraction)."""
     pivots = echelon(rows, ncols, reduce_back=True)
     pivot_cols = {col for col, _ in pivots}
     raw: list[dict[int, Fraction]] = []
@@ -257,8 +258,7 @@ def nullspace_basis(rows: Sequence[Mapping[int, Fraction]],
             if coef:
                 v[col] = -coef
         raw.append(v)
-    reduced = echelon(raw, ncols, reduce_back=True)
-    return [tuple(row.get(c, ZERO) for c in range(ncols)) for _, row in reduced]
+    return [row for _, row in echelon(raw, ncols, reduce_back=True)]
 
 
 def solve(rows: Sequence[Mapping[int, Fraction]], ncols: int,

@@ -191,12 +191,8 @@ def stacked_operator_rows(d: int, k: int, weight: int) -> tuple[list[dict[int, F
 
 def kernel_dim_full(d: int, k: int) -> int:
     """Dimension of the simultaneous kernel of all J^(l) on the full tensor
-    power, summed over the weight blocks."""
-    dim = 0
-    for weight in range(d * k + 1):
-        rows, ncols = stacked_operator_rows(d, k, weight)
-        dim += ncols - rank(rows, ncols)
-    return dim
+    power: the size of its cached basis."""
+    return len(full_kernel_vectors(d, k))
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +210,7 @@ def full_kernel_vectors(d: int, k: int) -> tuple[dict[int, Fraction], ...]:
     for weight in range(d * k + 1):
         cols = [index[idx] for idx in compositions(weight, d, k)]
         for vec in nullspace_basis(*stacked_operator_rows(d, k, weight)):
-            vectors.append({cols[j]: c for j, c in enumerate(vec) if c})
+            vectors.append({cols[j]: c for j, c in vec.items()})
     vectors.sort(key=min)
     return tuple(vectors)
 

@@ -4,9 +4,9 @@ global sections of twisted jet-differential bundles on projective space.
 Every canonical basis element is isobaric, so the weight-n piece of the space
 of differentially homogeneous polynomials of degree d splits off cleanly; the
 census counts, per jet order k and weight n, the dimension of the subspace of
-order at most k.  For k >= d-1 this is a plain count of basis elements; below
-that it is the exact nullity of the coefficient matrix of the monomials of
-order exceeding k inside each isobaric block.
+order at most k: the exact nullity of the coefficient matrix of the monomials
+of order exceeding k inside each isobaric block.  One elimination per block,
+with the monomials ordered by decreasing jet order, gives it for every k.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .dpoly import DiffPoly, gradings, mono_order
-from .exact import ONE, operator_rows, rank
+from .dpoly import DiffPoly, gradings, mono_order, mono_sort_key
+from .exact import ONE, echelon
 from .wronskian import CanonicalDatum, enumerate_canonical_basis
 
 
@@ -61,32 +62,33 @@ def weight_census_bound(n: int, d: int) -> int:
     return math.floor((1 - Fraction(1, n + 1)) * Fraction(d * d, 2))
 
 
-def _weight_blocks(n: int, d: int) -> dict[int, list[DiffPoly]]:
-    """The canonical basis of degree d grouped by weight; degree 0 holds the
-    constants."""
-    if d == 0:
-        return {0: [DiffPoly.const(ONE, n)]}
+@lru_cache(maxsize=4)
+def pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(weight, size, pivot orders) of each weight block of the degree-d
+    canonical basis, by ascending weight, built once per process for each of
+    the last few (N, d) asked for; degree 0 holds the constants.
+
+    One echelon per block, with its elements as rows and its monomials as
+    columns sorted by decreasing jet order.  The monomials of order > k are
+    then a column prefix, whose rank is the number of pivots in it, so the
+    order <= k part of the block has dimension size - #(pivot orders > k).
+    """
     blocks: dict[int, list[DiffPoly]] = {}
-    for _, poly in enumerate_canonical_basis(n, d):
-        blocks.setdefault(gradings(poly).weight, []).append(poly)
-    return blocks
-
-
-def _block_census(blocks: dict[int, list[DiffPoly]], d: int, k: int) -> list[CensusEntry]:
-    out = []
+    if d == 0:
+        blocks[0] = [DiffPoly.const(ONE, n)]
+    else:
+        for _, poly in enumerate_canonical_basis(n, d):
+            blocks.setdefault(gradings(poly).weight, []).append(poly)
+    profile = []
     for weight in sorted(blocks):
         polys = blocks[weight]
-        if k >= d - 1:
-            count = len(polys)
-        else:
-            # kernel of the map picking out all monomial coefficients of order > k:
-            # one equation per high monomial, unknowns = block elements
-            rows = operator_rows(polys, lambda p: ((m, c) for m, c in p.terms.items()
-                                                   if mono_order(m) > k))
-            count = len(polys) - rank(rows, len(polys))
-        if count:
-            out.append(CensusEntry(k=k, n=weight, count=count))
-    return out
+        monos = sorted({m for p in polys for m in p.terms},
+                       key=lambda m: (-mono_order(m), mono_sort_key(m)))
+        col = {m: j for j, m in enumerate(monos)}
+        pivots = echelon([{col[m]: c for m, c in p.terms.items()} for p in polys],
+                         len(monos), reduce_back=False)
+        profile.append((weight, len(polys), tuple(mono_order(monos[j]) for j, _ in pivots)))
+    return tuple(profile)
 
 
 def census(n: int, d: int, k: int) -> list[CensusEntry]:
@@ -98,7 +100,12 @@ def census(n: int, d: int, k: int) -> list[CensusEntry]:
         raise ValueError("d must be >= 0")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _block_census(_weight_blocks(n, d), d, k)
+    out = []
+    for weight, size, orders in pivot_profile(n, d):
+        count = size - sum(o > k for o in orders)
+        if count:
+            out.append(CensusEntry(k=k, n=weight, count=count))
+    return out
 
 
 @dataclass(frozen=True)
@@ -127,8 +134,7 @@ def verify_theorem2(n: int, d: int) -> Theorem2Report:
     """Three exact checks on the census: stability in k for the EXTRA_K orders
     above d-1, total count (N+1)^d, and vanishing above the weight bound."""
     top = max(d - 1, 0)
-    blocks = _weight_blocks(n, d)
-    tables = {k: _block_census(blocks, d, k) for k in range(top + EXTRA_K + 1)}
+    tables = {k: census(n, d, k) for k in range(top + EXTRA_K + 1)}
     base = tables[top]
     items = []
 

@@ -113,15 +113,6 @@ def _degree_rows(d: int, deg: int, apply_op) -> tuple[list[Expo], list[dict[int,
     return monos, operator_rows(monos, apply)
 
 
-def _graded_solution_dims(d: int, bound: int, apply_op) -> list[int]:
-    """Per-degree kernel dimensions of the stacked operators l = 1..d."""
-    dims = []
-    for deg in range(bound + 1):
-        monos, rows = _degree_rows(d, deg, apply_op)
-        dims.append(len(monos) - rank(rows, len(monos)))
-    return dims
-
-
 def solution_space_dim(d: int, bound: int | None = None) -> int:
     """Dimension of polynomial solutions of the power-sum system, searched up
     to total degree d(d-1)/2 (the Vandermonde degree) by default."""
@@ -129,16 +120,11 @@ def solution_space_dim(d: int, bound: int | None = None) -> int:
         raise ValueError("d must be >= 1")
     if bound is None:
         bound = d * (d - 1) // 2
-    return sum(_graded_solution_dims(d, bound, newton_operator))
-
-
-def solution_space_dim_distinct(d: int, bound: int | None = None) -> int:
-    """Same count for the ordered-distinct-tuple system; the two systems agree."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if bound is None:
-        bound = d * (d - 1) // 2
-    return sum(_graded_solution_dims(d, bound, distinct_tuple_operator))
+    dim = 0
+    for deg in range(bound + 1):
+        monos, rows = _degree_rows(d, deg, newton_operator)
+        dim += len(monos) - rank(rows, len(monos))
+    return dim
 
 
 def vandermonde(d: int) -> MultiPoly:
@@ -196,5 +182,5 @@ def solution_space_rows(d: int, bound: int | None = None,
         offset = len(monos)
         monos.extend(degree_monos)
         for vec in nullspace_basis(op_rows, len(degree_monos)):
-            rows_out.append({offset + j: c for j, c in enumerate(vec) if c})
+            rows_out.append({offset + j: c for j, c in vec.items()})
     return rows_out, monos

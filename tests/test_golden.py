@@ -9,9 +9,11 @@ non-examples, exit code 1) before the derivation test replaced the formal
 Taylor-data substitution in ``is_diff_homogeneous``, and the ``verify --suite
 hwv`` digest (default caps, ``d <= 4``) before the weight, unipotent,
 functional-equation and Leibniz checks dropped formal parameters for
-derivations over Q; a change to the library that keeps every result must keep
-them.  The ``wall_time_seconds`` field of
-``verify`` is dropped before hashing.
+derivations over Q, and the three ``census --n 1`` digests at ``d = 6`` and
+at ``d = 4``, ``k = 6`` before one pivot profile per weight block replaced
+the per-order eliminations and the count of whole blocks at ``k >= d-1``; a
+change to the library that keeps every result must keep them.  The
+``wall_time_seconds`` field of ``verify`` is dropped before hashing.
 """
 
 import hashlib
@@ -51,6 +53,12 @@ GOLDEN = {
         "da3028344914fcff7b2b0c68b231e4cb41f14c037312d96d3a291e0f0e85e053",
     "check 'x0*x1[2] - x1*x0[2]'":
         "25ff51880265da7bec1bc5fe821cb2f149dceb64af5cc6bc600166819a9b2e04",
+    "census --n 1 --d 6 --all-k":
+        "167a76abfde2c2bd2ea61c61dedc0af49c4caef582cd40e6aa278a8ac3782fc3",
+    "census --n 1 --d 6 --theorem2":
+        "f5af6971f46059a9ae9922e3c324c9a10ad0784f101859346e90dfa3780aaf01",
+    "census --n 1 --d 4 --k 6":
+        "24b22f2302edd850a78f65941dc4fdd20df4e35bd2c417618ce96947d9a3cb58",
 }
 
 # Exit codes other than 0: ``check`` exits 1 on a non-example.

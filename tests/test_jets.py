@@ -5,11 +5,62 @@ from fractions import Fraction
 
 import pytest
 
-from diffhom.jets import (CensusEntry, census, classify_basis, verify_theorem2,
-                          weight_census_bound)
+from diffhom import jets
+from diffhom.dpoly import DiffPoly, gradings, mono_order
+from diffhom.exact import ONE, operator_rows, rank
+from diffhom.jets import (CensusEntry, census, classify_basis, pivot_profile,
+                          verify_theorem2, weight_census_bound)
 from diffhom.wronskian import canonical_basis, enumerate_canonical_basis
 
 F = Fraction
+
+
+def _rank_census(n, d, k):
+    """The census by one elimination per weight block and per k: the nullity
+    of the coefficients of the monomials of order > k, with no shortcut for
+    k >= d-1."""
+    if d == 0:
+        blocks = {0: [DiffPoly.const(ONE, n)]}
+    else:
+        blocks = {}
+        for _, poly in enumerate_canonical_basis(n, d):
+            blocks.setdefault(gradings(poly).weight, []).append(poly)
+    out = []
+    for weight in sorted(blocks):
+        polys = blocks[weight]
+        rows = operator_rows(polys, lambda p: ((m, c) for m, c in p.terms.items()
+                                               if mono_order(m) > k))
+        count = len(polys) - rank(rows, len(polys))
+        if count:
+            out.append(CensusEntry(k=k, n=weight, count=count))
+    return out
+
+
+@pytest.mark.parametrize("n,d", [(1, d) for d in range(7)] + [(2, d) for d in range(5)]
+                         + [(3, d) for d in range(4)])
+def test_census_matches_per_order_rank_oracle(n, d):
+    for k in range(d + 2):
+        assert census(n, d, k) == _rank_census(n, d, k), k
+
+
+@pytest.fixture
+def fresh_profile():
+    pivot_profile.cache_clear()
+    yield
+    pivot_profile.cache_clear()
+
+
+def test_k_stability_sees_an_element_above_the_order_bound(monkeypatch, fresh_profile):
+    # x0^(d-1) x0[d] has order d, so the census at k = d-1 misses it
+    n, d = 1, 3
+    extra = DiffPoly.var(0, 0, n) ** (d - 1) * DiffPoly.var(0, d, n)
+    basis = enumerate_canonical_basis(n, d)
+    monkeypatch.setattr(jets, "enumerate_canonical_basis",
+                        lambda n_, d_: basis + [(None, extra)])
+    report = verify_theorem2(n, d)
+    item = next(i for i in report.items if i.name == "k_stability")
+    assert not item.passed and item.witness == f"census changed at k={d}"
+    assert not report.passed
 
 
 def test_classify_weight_formula_always_holds():
@@ -89,6 +140,7 @@ def test_verify_theorem2_total_value():
 def test_verify_theorem2_builds_the_basis_once():
     # one process-wide cache: a report and later census queries share one build
     canonical_basis.cache_clear()
+    pivot_profile.cache_clear()
     report = verify_theorem2(1, 4)
     assert report.passed
     assert [(i.name, i.witness) for i in report.items] == [

@@ -1,7 +1,10 @@
 """The verification suite runner."""
 
+from collections import Counter
+
 import pytest
 
+from diffhom import hwv
 from diffhom.verify import run_suite, SUITE_NAMES
 
 
@@ -64,3 +67,22 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
     assert run_suite("rsk", max_d=3, jobs=2).passed
+
+
+def test_kernel_suite_builds_each_block_once(monkeypatch):
+    # the full, isotypic and low-order kernel checks share one elimination
+    # of each J^(l) weight block per (d, k)
+    calls = Counter()
+    build = hwv.stacked_operator_rows
+
+    def counted(d, k, weight):
+        calls[d, k, weight] += 1
+        return build(d, k, weight)
+
+    monkeypatch.setattr(hwv, "stacked_operator_rows", counted)
+    hwv.full_kernel_vectors.cache_clear()
+    report = run_suite("kernel", max_d=4)
+    assert all(r.passed for r in report.results)
+    expected = {(d, k, w) for d in range(1, 5) for k in range(d) for w in range(d * k + 1)}
+    assert set(calls) == expected and len(expected) == 45
+    assert max(calls.values()) == 1
