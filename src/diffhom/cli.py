@@ -3,9 +3,10 @@
 Subcommands: basis, check, census, tableaux, kernel, verify.  Every
 subcommand takes ``--format {text,json}``; census, tableaux and kernel also
 offer ``csv``.  ``basis`` alone takes ``--cache DIR`` (default from
-$DH_CACHE), and ``verify`` alone takes ``--seed`` and ``--jobs``.  A flag
-given to a subcommand that does not read it exits 2.  All JSON payloads carry
-a ``schema_version`` field.
+$DH_CACHE), ``kernel`` alone takes ``--max-cost``, and ``verify`` alone takes
+``--seed`` and ``--jobs``.  ``check @path`` reads the expression from a file.
+A flag given to a subcommand that does not read it exits 2.  All JSON
+payloads carry a ``schema_version`` field.
 Exit codes: 0 success, 1 failed check/verification, 2 invalid input.
 """
 
@@ -26,6 +27,13 @@ from .tableaux import count_semistandard, count_standard, partitions_of
 from .hwv import kernel_dim_full, kernel_dim_isotypic
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 from .wronskian import basis_manifest
+
+# The default cap on the cost of `dh kernel`, max(k+1, 2)^d: the J^(l) system
+# has (k+1)^d columns, and the character table over the partitions of d grows
+# faster than 2^d (about 3x per degree: 4.6 s at d = 12, k = 0).  The cap lets
+# d = 6, k = 5 (46,656 columns, minutes) run and refuses every d >= 16 at once;
+# `--max-cost` overrides it.
+KERNEL_MAX_COST = 6 ** 6
 
 
 def _json_dump(payload: dict) -> str:
@@ -91,15 +99,33 @@ def cmd_basis(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    text = args.expression
-    path = Path(text)
+def _expression_text(arg: str) -> str | None:
+    """The expression ``dh check ARG`` reads: the contents of ``path`` for
+    ``@path``, else ARG itself.  A bare ARG that names an existing file is
+    still read as that file, with a deprecation line on stderr.  None, after
+    a message, when the file of ``@path`` cannot be read."""
+    if arg.startswith("@"):
+        try:
+            return Path(arg[1:]).read_text().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"cannot read {arg[1:]!r}: {getattr(exc, 'strerror', None) or exc}",
+                  file=sys.stderr)
+            return None
     try:
-        is_file = path.is_file()
+        is_file = Path(arg).is_file()
     except OSError:  # e.g. an expression longer than the file-name limit
         is_file = False
-    if is_file:
-        text = path.read_text().strip()
+    if not is_file:
+        return arg
+    print(f"warning: reading the file {arg!r} without '@' is deprecated; write @{arg}",
+          file=sys.stderr)
+    return Path(arg).read_text().strip()
+
+
+def cmd_check(args) -> int:
+    text = _expression_text(args.expression)
+    if text is None:
+        return 2
     try:
         poly = parse(text, args.n)
     except ParseError as exc:
@@ -204,6 +230,17 @@ def cmd_kernel(args) -> int:
     if k < 0:
         print("kernel requires --k >= 0", file=sys.stderr)
         return 2
+    cap = KERNEL_MAX_COST if args.max_cost is None else args.max_cost
+    if cap < 1:
+        print("kernel requires --max-cost >= 1", file=sys.stderr)
+        return 2
+    base, cost = max(k + 1, 2), 1  # base^d, multiplied out only up to the cap
+    for _ in range(args.d):
+        cost *= base
+        if cost > cap:
+            print(f"kernel --d {args.d} --k {k} costs max(k+1, 2)^d = {base}^{args.d}, "
+                  f"more than the cap of {cap}; --max-cost N raises the cap", file=sys.stderr)
+            return 2
     full = kernel_dim_full(args.d, k)
     per_lambda = []
     for lam in partitions_of(args.d):
@@ -279,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[plain],
                        help="decide differential homogeneity of an expression or file")
-    p.add_argument("expression", help="expression in the x<i>[<k>] grammar, or a file path")
+    p.add_argument("expression",
+                   help="expression in the x<i>[<k>] grammar, or @path to read it from a file")
     p.add_argument("--n", type=int, default=None,
                    help="variable bound (default: largest index used)")
     p.set_defaults(func=cmd_check)
@@ -304,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simultaneous kernel dimensions on tensor powers")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="local dimension minus one (default d-1)")
+    p.add_argument("--max-cost", type=int, default=None,
+                   help=f"largest max(k+1, 2)^d to accept (default {KERNEL_MAX_COST})")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", parents=[plain],

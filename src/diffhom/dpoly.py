@@ -1,14 +1,20 @@
 """Differential polynomials in the variables x_i[k] (formally X_i^(k)).
 
 A differential polynomial lives in Q[X_i^(k) : 0 <= i <= N, k >= 0].  The
-module provides ring substitutions such as the change-of-variable action of
-(N+1) x (N+1) matrices, the derivations L_m (Leibniz action of one-variable
-polynomials) and E_pq (gl(N+1)), gradings, the differential-homogeneity test,
-a text/JSON serialization, and exact ranks of families of polynomials.
+module provides the change-of-variable action of rational (N+1) x (N+1)
+matrices, the derivations L_m (Leibniz action of one-variable polynomials)
+and E_pq (gl(N+1)), gradings, the differential-homogeneity test, a text/JSON
+serialization, and exact ranks of families of polynomials.
+
+The matrix action x_j[k] -> sum_l a[j][l] x_l[k] keeps every jet order, so
+:func:`matrix_action` expands it order by order, in integers over one common
+denominator, with no ring substitution.  The generic ring substitution
+:func:`substitute` (any coefficient ring) has no caller in the library.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -236,16 +242,92 @@ def derive(p: DiffPoly, image: Callable[[int, int], tuple[int, int, int] | None]
     return p.with_terms(add_terms({}, pairs()))
 
 
+def _group_image(group: tuple[tuple[int, int], ...], rows: list[list[tuple[int, int]]],
+                 images: dict) -> dict[int, int]:
+    """Packed image of prod_j x_j^e over (j, e) in ``group`` under the integer
+    matrix ``rows`` (row j: (packed unit of x_l, entry) pairs), memoized in
+    ``images``; built from the group one degree smaller."""
+    out = images.get(group)
+    if out is None:
+        (j, e), rest = group[0], group[1:]
+        smaller = _group_image(((j, e - 1),) + rest if e > 1 else rest, rows, images)
+        out = images[group] = {}
+        for w, c in smaller.items():
+            for unit, x in rows[j]:
+                out[w + unit] = out.get(w + unit, 0) + c * x
+    return out
+
+
 def matrix_action(a: Sequence[Sequence[Fraction]], p: DiffPoly) -> DiffPoly:
-    """Change of variables x_j[k] -> sum_l a[j][l] x_l[k] for an (N+1)x(N+1) matrix."""
+    """Change of variables x_j[k] -> sum_l a[j][l] x_l[k] for a rational
+    (N+1)x(N+1) matrix; entries and coefficients that are not int or
+    Fraction raise TypeError.
+
+    The map keeps each factor's jet order k.  So a monomial is a product of
+    per-order groups, and the image of the group prod_j x_j[k]^v_j is the
+    image of the ordinary monomial x^v under ``a``, in x_0[k]..x_N[k].  Each
+    group image is computed once per call, keyed by the group, from the group
+    one degree smaller.  Groups at different orders share no variable, so
+    their images multiply by adding packed exponent codes, with no merging.
+    Coefficients stay ints over the common denominator lcm(den p) * D^top,
+    with D = lcm(den a) and top the largest degree in p; each output monomial
+    becomes a Fraction once, at the end.
+    """
     size = p.n + 1
     if len(a) != size or any(len(row) != size for row in a):
         raise ValueError(f"matrix must be {size}x{size} for this polynomial")
+    entries = [x for row in a for x in row]
+    if not all(isinstance(x, (int, Fraction)) for x in itertools.chain(entries, p.terms.values())):
+        raise TypeError("matrix_action works over Q: entries and coefficients must be int or Fraction")
+    if not p:
+        return p.with_terms({})
+    den_a = math.lcm(*(x.denominator for x in entries))
+    den_p = math.lcm(*(c.denominator for c in p.terms.values()))
+    top = max(map(mono_degree, p.terms))
+    orders = max(map(mono_order, p.terms)) + 1
+    # An exponent code packs the exponent of x_l[k] into the field of `bits`
+    # bits at position l*orders + (orders-1-k), the order of DMono factors.
+    bits = max(top.bit_length(), 1)
+    rows = [[(1 << (l * orders * bits), x.numerator * (den_a // x.denominator))
+             for l, x in enumerate(row) if x] for row in a]
+    images: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
+    shifted: dict[tuple, dict[int, int]] = {}
+    total: dict[int, int] = {}
+    for mono, c in p.terms.items():
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i, k, e in mono:
+            groups.setdefault(k, []).append((i, e))
+        acc = {0: c.numerator * (den_p // c.denominator) * den_a ** (top - mono_degree(mono))}
+        for k, group in groups.items():
+            key = (k, tuple(group))
+            part = shifted.get(key)
+            if part is None:
+                step = (orders - 1 - k) * bits
+                part = shifted[key] = {w << step: x for w, x in
+                                       _group_image(key[1], rows, images).items() if x}
+            acc = {w1 + w2: c1 * c2 for w1, c1 in acc.items() for w2, c2 in part.items()}
+        for w, x in acc.items():
+            total[w] = total.get(w, 0) + x
 
-    def image(j: int, k: int) -> DiffPoly:
-        return DiffPoly(p.n, {((l, k, 1),): a[j][l] for l in range(size)})
-
-    return substitute(p, image)
+    den = den_p * den_a ** top
+    mask = (1 << bits) - 1
+    factors: dict[int, tuple[int, int, int]] = {}  # one tuple per (i, k, e), shared
+    terms = {}
+    for w, x in total.items():
+        if x:
+            mono = []
+            while w:  # one step per factor, lowest field first
+                shift = (w & -w).bit_length() - 1
+                shift -= shift % bits
+                field = w & (mask << shift)
+                w -= field
+                factor = factors.get(field)
+                if factor is None:
+                    i, r = divmod(shift // bits, orders)
+                    factor = factors[field] = (i, orders - 1 - r, field >> shift)
+                mono.append(factor)
+            terms[tuple(mono)] = Fraction(x, den)
+    return p.with_terms(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from diffhom.hwv import e_iso, hwv_basis, kernel_dim_full, kernel_dim_isotypic
 from diffhom.pde import (newton_operator, poly_family_rank, solution_space_dim,
                          vandermonde_derivative_basis)
 from diffhom.jets import census, classify_basis, verify_theorem2
-from formal import ParamPoly
+from formal import ParamPoly, formal_matrix_action
 
 SEED = 20240817
 
@@ -173,14 +173,14 @@ def test_criterion_8_highest_weight_machinery():
                 if basis and span_rank([p for _, p in basis]) != len(basis):
                     failures.append(("independence", lam.parts, k))
                 for t, p in basis:
-                    if matrix_action(diag, p) != p.scale(weight_monomial):
+                    if formal_matrix_action(diag, p) != p.scale(weight_monomial):
                         failures.append(("weight", lam.parts, k, t.filling))
                     for q in range(1, n + 1):
                         for pp in range(q):
                             a = [[ParamPoly.const(1 if i == j else 0)
                                   for j in range(n + 1)] for i in range(n + 1)]
                             a[q][pp] = tpar
-                            if matrix_action(a, p) != p:
+                            if formal_matrix_action(a, p) != p:
                                 failures.append(("unipotent", lam.parts, k, t.filling))
             # comparison map into the tensor power: injective, correct image size
             k = min(d - 1, 3)

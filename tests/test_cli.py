@@ -391,3 +391,67 @@ def test_json_byte_identical_across_fresh_runs(argv):
             for seed in ("1", "2")]
     assert json.loads(outs[0])["schema_version"] == SCHEMA_VERSION
     assert outs[0] == outs[1]
+
+
+def test_check_at_path_reads_the_file(tmp_path, capsys):
+    f = tmp_path / "poly.txt"
+    f.write_text("x0*x1[1] - x1*x0[1]\n")
+    code, out, err = run(capsys, "check", "@" + str(f))
+    assert code == 0 and "degree 2" in out and not err
+
+
+def test_check_bare_file_path_is_deprecated(tmp_path, capsys):
+    f = tmp_path / "poly.txt"
+    f.write_text("x0[1]\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 1 and out.startswith("no")
+    assert "deprecated" in err and "@" + str(f) in err
+
+
+def test_check_at_missing_file_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "check", "@" + str(tmp_path / "missing.txt"))
+    assert code == 2 and not out and "missing.txt" in err
+
+
+def test_check_at_path_reads_a_long_expression(tmp_path, capsys):
+    f = tmp_path / "long.txt"
+    f.write_text(_long_wronskian_sum())
+    code, out, _ = run(capsys, "check", "@" + str(f))
+    assert code == 0 and "degree 2" in out
+
+
+@pytest.mark.parametrize("argv", [["--d", "9"], ["--d", "16", "--k", "0"],
+                                  ["--d", "1000000000", "--k", "3"],
+                                  ["--d", "3", "--max-cost", "26"]], ids=" ".join)
+def test_kernel_refuses_oversized_input_at_once(capsys, argv):
+    code, out, err = run(capsys, "kernel", *argv)
+    assert code == 2 and not out
+    assert "more than the cap" in err and "--max-cost" in err
+
+
+def test_kernel_max_cost_overrides_the_cap(capsys, monkeypatch):
+    code, out, _ = run(capsys, "kernel", "--d", "3", "--max-cost", "27", "--format", "json")
+    assert code == 0 and json.loads(out)["full_kernel_dim"] == 6
+    # d = 6, k = 5 is within the default cap; d = 7, k = 6 needs --max-cost
+    import diffhom.cli as cli
+    monkeypatch.setattr(cli, "kernel_dim_full", lambda d, k: 0)
+    monkeypatch.setattr(cli, "kernel_dim_isotypic", lambda lam, k: 0)
+    assert run(capsys, "kernel", "--d", "6")[0] == 0
+    assert run(capsys, "kernel", "--d", "7")[0] == 2
+    assert run(capsys, "kernel", "--d", "7", "--max-cost", str(7 ** 7))[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["kernel", "--d", "2", "--max-cost", "0"],
+                                  ["kernel", "--d", "2", "--max-cost", "-5"]])
+def test_kernel_rejects_nonpositive_max_cost(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "--max-cost >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [["census", "--n", "1", "--d", "2"], ["check", "x0"],
+                                  ["verify", "--suite", "rsk"]])
+def test_max_cost_is_a_kernel_only_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-cost", "5"])
+    assert exc.value.code == 2
+    assert "--max-cost" in capsys.readouterr().err

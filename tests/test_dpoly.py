@@ -1,7 +1,11 @@
-"""Differential polynomials: parsing, gradings, the Q-action, homogeneity.
+"""Differential polynomials: parsing, gradings, the Q-action, homogeneity,
+the GL action.
 
-The Q-action with formal parameters lives in the test oracle ``formal``."""
+The Q-action with formal parameters lives in the test oracle ``formal``, and
+so does the any-ring GL action ``formal_matrix_action`` that the integer,
+order-graded ``matrix_action`` is compared with."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,7 +18,8 @@ from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, derive, from_json,
                            mono_multidegree, parse, span_rank, solve_in_span, to_json,
                            to_text)
 from diffhom.wronskian import enumerate_canonical_basis
-from formal import ParamPoly, as_parampoly, formal_verdict, q_action, unipoly_mul
+from formal import (ParamPoly, as_parampoly, formal_matrix_action, formal_verdict, q_action,
+                    unipoly_mul)
 
 F = Fraction
 WRONSK2 = "x0*x1[1] - x1*x0[1]"
@@ -173,6 +178,16 @@ def test_matrix_action_scaling():
 def test_matrix_action_rejects_size_mismatch():
     with pytest.raises(ValueError):
         matrix_action([[F(1)]], parse(WRONSK2, 1))
+    with pytest.raises(ValueError):
+        matrix_action([[F(1), F(0)], [F(0)]], parse(WRONSK2, 1))
+
+
+def test_matrix_action_is_rational_only():
+    p = parse(WRONSK2, 1)
+    with pytest.raises(TypeError):
+        matrix_action([[ParamPoly.var("t"), F(0)], [F(0), F(1)]], p)
+    with pytest.raises(TypeError):
+        matrix_action([[F(1), F(0)], [F(0), F(1)]], p.scale(ParamPoly.var("t")))
 
 
 def test_matrix_action_preserves_gradings():
@@ -432,3 +447,59 @@ def test_homogeneous_order_three_polynomials_agree_with_formal_substitution(p):
 @settings(max_examples=120, deadline=None)
 def test_order_three_polynomials_agree_with_formal_substitution(p):
     assert is_diff_homogeneous(p) == formal_verdict(p)
+
+
+# --- the GL action against the ring-substitution oracle ------------------------
+
+ACTION_GRID = ([(1, d) for d in range(1, 6)] + [(2, d) for d in range(1, 5)]
+               + [(3, d) for d in range(1, 4)])
+
+
+def _action_matrices(size: int, seed: int) -> list[list[list]]:
+    """Seeded matrices: two integer ones (Fraction entries, then int
+    entries), one with denominators up to 4, a singular one (two equal rows)
+    and the zero matrix."""
+    rng = random.Random(seed)
+
+    def draw():
+        return [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+
+    singular = draw()
+    singular[-1] = list(singular[0])
+    return [[[F(x) for x in row] for row in draw()], draw(),
+            [[F(x, rng.randint(1, 4)) for x in row] for row in draw()], singular,
+            [[0] * size for _ in range(size)]]
+
+
+@pytest.mark.parametrize("n, d", ACTION_GRID)
+def test_matrix_action_matches_formal_on_canonical_basis(n, d):
+    for a in _action_matrices(n + 1, 1009 * n + d):
+        for poly in canonical_basis(n, d):
+            assert matrix_action(a, poly).terms == formal_matrix_action(a, poly).terms
+
+
+@st.composite
+def action_cases(draw):
+    """A rational matrix and a polynomial that may be inhomogeneous,
+    non-isobaric, constant or zero, with exponents up to 9 and orders 0..3."""
+    n = draw(st.integers(0, 2))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = {}
+        for _ in range(draw(st.integers(0, 3))):  # no factor: a constant term
+            i, k = draw(st.integers(0, n)), draw(st.integers(0, 3))
+            exps[(i, k)] = exps.get((i, k), 0) + draw(st.integers(1, 3))
+        mono = tuple(sorted(((i, k, e) for (i, k), e in exps.items()),
+                            key=lambda t: (t[0], -t[1])))
+        terms[mono] = draw(coeffs)
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    a = draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1),
+                      min_size=n + 1, max_size=n + 1))
+    return a, DiffPoly(n, terms)
+
+
+@given(case=action_cases())
+@settings(max_examples=150, deadline=None)
+def test_matrix_action_matches_formal_on_rational_data(case):
+    a, p = case
+    assert matrix_action(a, p).terms == formal_matrix_action(a, p).terms

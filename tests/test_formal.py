@@ -28,6 +28,15 @@ def test_library_has_no_formal_parameters():
     assert not hasattr(diffhom, "q_action")
 
 
+def test_library_has_one_gl_action():
+    # matrix_action expands over Q by itself; the ring substitution stays in
+    # dpoly for its tests and the formal oracle, with no caller in the library
+    calls = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in path.read_text().splitlines()
+             if "substitute(" in line and not line.startswith("def substitute(")]
+    assert not calls
+
+
 @pytest.mark.parametrize("lam", [lam for d in range(1, 6) for lam in partitions_of(d)],
                          ids=lambda lam: str(lam.parts))
 def test_functional_solution_dim_matches_formal_substitution(lam):

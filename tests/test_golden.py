@@ -11,8 +11,11 @@ hwv`` digest (default caps, ``d <= 4``) before the weight, unipotent,
 functional-equation and Leibniz checks dropped formal parameters for
 derivations over Q, and the three ``census --n 1`` digests at ``d = 6`` and
 at ``d = 4``, ``k = 6`` before one pivot profile per weight block replaced
-the per-order eliminations and the count of whole blocks at ``k >= d-1``; a
-change to the library that keeps every result must keep them.  The
+the per-order eliminations and the count of whole blocks at ``k >= d-1``, and
+the ``verify --suite basis`` digest (default caps, ``d <= 4``, so it holds
+the ``(2, 4)`` GL-stability check) before the integer, order-graded
+``matrix_action`` replaced the ring substitution; a change to the library
+that keeps every result must keep them.  The
 ``wall_time_seconds`` field of ``verify`` is dropped before hashing.
 """
 
@@ -43,6 +46,8 @@ GOLDEN = {
         "08efec92d630e7a63b696a155826b5b2c807ed2bbf69e790d526505d8de429af",
     "verify --suite hwv":
         "efdb11b291f6e1ace08e40f32dcad8d464b89f06468269170e64d3bded95ea85",
+    "verify --suite basis":
+        "c8070d34f31d33a90495479fa99de79d60c0dc06c7dbbb4b9266875555c34584",
     "verify --suite basis --max-d 3":
         "abe9a68903ecb532560c3cc5d258bf3283bd1f51e10426be2b26227325480fa1",
     "verify --suite jets":

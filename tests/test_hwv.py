@@ -8,7 +8,7 @@ import pytest
 
 from diffhom import hwv
 from diffhom.exact import intersection_dim, nullspace_basis, operator_rows, rank
-from diffhom.dpoly import matrix_action, parse, span_rank
+from diffhom.dpoly import parse, span_rank
 from diffhom.tableaux import (Partition, Permutation, Tableau,
                               count_semistandard, count_standard,
                               partitions_of)
@@ -17,7 +17,7 @@ from diffhom.hwv import (Tensor, column_det, d_t, e_iso, full_kernel_vectors,
                          kernel_dim_isotypic, stacked_operator_rows,
                          straighten, symmetrizer_projection, tableau_projection,
                          tensor_of_tableau, tensor_sigma_action)
-from formal import ParamPoly
+from formal import ParamPoly, formal_matrix_action
 
 F = Fraction
 
@@ -312,7 +312,7 @@ def test_weight_vector_property_symbolic():
             for i in range(n + 1)]
     weight_monomial = xs[0] ** 2 * xs[1]
     for t, p in hwv_basis(lam, 2, n):
-        assert matrix_action(diag, p) == p.scale(weight_monomial)
+        assert formal_matrix_action(diag, p) == p.scale(weight_monomial)
 
 
 def test_unipotent_invariance_symbolic():
@@ -325,7 +325,7 @@ def test_unipotent_invariance_symbolic():
                 a = [[ParamPoly.const(1 if i == j else 0) for j in range(n + 1)]
                      for i in range(n + 1)]
                 a[q][pp] = tparam
-                assert matrix_action(a, p) == p
+                assert formal_matrix_action(a, p) == p
 
 
 def test_functional_equation_dimension_matches_kernel():

@@ -5,7 +5,9 @@ from collections import Counter
 import pytest
 
 from diffhom import hwv
+from diffhom.dpoly import parse
 from diffhom.verify import run_suite, SUITE_NAMES
+from diffhom.wronskian import enumerate_canonical_basis
 
 
 def test_suite_names_cover_cli_choices():
@@ -86,3 +88,22 @@ def test_kernel_suite_builds_each_block_once(monkeypatch):
     expected = {(d, k, w) for d in range(1, 5) for k in range(d) for w in range(d * k + 1)}
     assert set(calls) == expected and len(expected) == 45
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("family", ["x0^2", "basis with x0^2*x0[1]"])
+def test_gl_stability_check_fails_on_a_non_stable_family(monkeypatch, family):
+    # {x0^2} is not GL-stable, and neither is the (1, 3) basis with one
+    # element swapped for a monomial that is not differentially homogeneous
+    import diffhom.verify as verify
+
+    if family == "x0^2":
+        n, d, polys = 1, 2, [parse("x0^2", 1)]
+    else:
+        n, d = 1, 3
+        polys = [p for _, p in enumerate_canonical_basis(n, d)]
+        polys[len(polys) // 2] = parse("x0^2*x0[1]", 1)
+    monkeypatch.setattr(verify, "enumerate_canonical_basis",
+                        lambda *_: [(None, p) for p in polys])
+    result = verify.check_basis_gl_stability(n, d, seed=verify.DEFAULT_SEED)
+    assert not result.passed
+    assert "span grew" in result.computed
