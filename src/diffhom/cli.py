@@ -2,11 +2,13 @@
 
 Subcommands: basis, check, census, tableaux, kernel, verify.  Every
 subcommand takes ``--format {text,json}``; census, tableaux and kernel also
-offer ``csv``.  ``basis`` alone takes ``--cache DIR`` (default from
-$DH_CACHE), ``kernel`` alone takes ``--max-cost``, and ``verify`` alone takes
-``--seed`` and ``--jobs``.  ``check @path`` reads the expression from a file.
-A flag given to a subcommand that does not read it exits 2.  All JSON
-payloads carry a ``schema_version`` field.
+offer ``csv``, except ``census --theorem2``.  ``census`` takes at most one
+of ``--k``, ``--all-k`` and ``--theorem2``.  ``basis`` alone takes
+``--cache DIR`` (default from $DH_CACHE), ``kernel`` alone takes
+``--max-cost``, and ``verify`` alone takes ``--seed`` and ``--jobs``.
+``check @path`` reads the expression from a file.  A flag given to a
+subcommand that does not read it exits 2.  All JSON payloads carry a
+``schema_version`` field.
 Exit codes: 0 success, 1 failed check/verification, 2 invalid input.
 """
 
@@ -153,6 +155,10 @@ def cmd_census(args) -> int:
         print("census requires --d >= 0 and --n >= 0", file=sys.stderr)
         return 2
     if args.theorem2:
+        if args.format == "csv":
+            print("census --theorem2 has no csv output; use --format text or json",
+                  file=sys.stderr)
+            return 2
         from .jets import verify_theorem2
         report = verify_theorem2(args.n, args.d)
         if args.format == "json":
@@ -326,10 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-weight dimensions of twisted jet differentials")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="jet order (default d-1)")
-    p.add_argument("--all-k", action="store_true", help="sweep k = 0..d-1")
-    p.add_argument("--theorem2", action="store_true",
-                   help="emit the stability/total/vanishing report instead of counts")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--k", type=int, default=None, help="jet order (default d-1)")
+    which.add_argument("--all-k", action="store_true", help="sweep k = 0..d-1")
+    which.add_argument("--theorem2", action="store_true",
+                       help="emit the stability/total/vanishing report instead of counts "
+                            "(text or json)")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("tableaux", parents=[tabular],

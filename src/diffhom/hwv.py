@@ -177,6 +177,10 @@ def stacked_operator_rows(d: int, k: int, weight: int) -> tuple[list[dict[int, F
 
     J^(l) lowers the weight by exactly l, so no row meets two weights: the
     blocks for the weights 0..d*k together are the whole stacked system.
+
+    It serves both the kernel and the PDE: read as exponent vectors, J^(l) is
+    l! e_l(d/dX), and at k = d-1 the blocks are the degree blocks of the
+    Newton power-sum system (``pde.solution_space_dim``).
     """
     keys = compositions(weight, d, k)
 

@@ -1,21 +1,21 @@
 """Polynomial solutions of the Newton power-sum system of PDEs.
 
 The operators sum_i d^l/dX_i^l for l = 1..d cut out a solution space of
-dimension d! inside polynomials in X_1..X_d; the span of all partial
-derivatives of the Vandermonde determinant provides an independent witness
-of the same dimension.
+dimension d! inside polynomials in X_1..X_d, counted on the capped J^(l)
+blocks of ``hwv.stacked_operator_rows`` and cross-checked against the
+uncapped Newton system in ``verify``; the span of all partial derivatives of
+the Vandermonde determinant provides an independent witness of the same
+dimension.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import (ONE, SparseComb, add_terms, linear_combination, nullspace_basis,
-                    operator_rows, rank)
+from . import hwv
+from .exact import ONE, SparseComb, add_terms, rank
 from .tableaux import compositions
 
 Expo = tuple[int, ...]
@@ -81,49 +81,25 @@ def newton_operator(p: MultiPoly, ell: int) -> MultiPoly:
                                        for pair in p.derivative(i, ell).terms.items())))
 
 
-def distinct_tuple_operator(p: MultiPoly, ell: int) -> MultiPoly:
-    """Apply the operator summing mixed derivatives over ordered tuples of ell
-    pairwise distinct variables (ell! times the elementary symmetric operator)."""
-    if not 1 <= ell <= p.nvars:
-        raise ValueError(f"ell must lie in 1..{p.nvars}")
-    fact = math.factorial(ell)
-
-    def mixed(subset: tuple[int, ...]) -> MultiPoly:
-        q = p
-        for i in subset:
-            q = q.derivative(i)
-        return q
-
-    return linear_combination(p, ((fact, mixed(subset))
-                                  for subset in itertools.combinations(range(p.nvars), ell)))
-
-
-def _degree_rows(d: int, deg: int, apply_op) -> tuple[list[Expo], list[dict[int, Fraction]]]:
-    """The degree-deg monomials and the rows of the stacked operators l = 1..d
-    on them.  The operators are homogeneous, so the stacked coefficient matrix
-    is a direct sum over the input degree; solving degree by degree is exact."""
-    monos = compositions(deg, d)
-
-    def apply(e: Expo):
-        p = MultiPoly(d, {e: ONE})
-        for ell in range(1, d + 1):
-            for out_e, c in apply_op(p, ell).terms.items():
-                yield (ell, out_e), c
-
-    return monos, operator_rows(monos, apply)
-
-
 def solution_space_dim(d: int, bound: int | None = None) -> int:
-    """Dimension of polynomial solutions of the power-sum system, searched up
-    to total degree d(d-1)/2 (the Vandermonde degree) by default."""
+    """Dimension of polynomial solutions of the power-sum system, up to total
+    degree d(d-1)/2 (the Vandermonde degree) by default.
+
+    Read a tensor index a as the monomial X^a: the lowering x[i] -> i x[i-1]
+    is d/dX, J^(l) is l! e_l(d/dX_1..d/dX_d), and by Newton's identities the
+    e_l and the power sums generate one ideal of operators.  X_i is a root of
+    prod_j (T - X_j), so d^d/dX_i^d lies in that ideal too and every solution
+    has degree at most d-1 in each variable.  The solutions of degree w are
+    therefore the kernel of the J^(l) weight-w block at k = d-1.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     if bound is None:
         bound = d * (d - 1) // 2
     dim = 0
-    for deg in range(bound + 1):
-        monos, rows = _degree_rows(d, deg, newton_operator)
-        dim += len(monos) - rank(rows, len(monos))
+    for weight in range(min(bound, d * (d - 1)) + 1):
+        rows, ncols = hwv.stacked_operator_rows(d, d - 1, weight)
+        dim += ncols - rank(rows, ncols)
     return dim
 
 
@@ -167,20 +143,3 @@ def poly_family_rank(polys: Sequence[MultiPoly]) -> int:
     col = {e: j for j, e in enumerate(monos)}
     rows = [{col[e]: c for e, c in p.terms.items()} for p in polys]
     return rank(rows, len(monos))
-
-
-def solution_space_rows(d: int, bound: int | None = None,
-                        apply_op=newton_operator) -> tuple[list[dict[int, Fraction]], list[Expo]]:
-    """A basis (as sparse coefficient rows) of the polynomial solution space,
-    with the monomial column index it refers to."""
-    if bound is None:
-        bound = d * (d - 1) // 2
-    monos: list[Expo] = []
-    rows_out: list[dict[int, Fraction]] = []
-    for deg in range(bound + 1):
-        degree_monos, op_rows = _degree_rows(d, deg, apply_op)
-        offset = len(monos)
-        monos.extend(degree_monos)
-        for vec in nullspace_basis(op_rows, len(degree_monos)):
-            rows_out.append({offset + j: c for j, c in vec.items()})
-    return rows_out, monos

@@ -14,12 +14,13 @@ import math
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .exact import ONE, ZERO, add_terms, rank
+from .exact import ONE, ZERO, add_terms, operator_rows, rank
 from .dpoly import (derive, gl_elementary, is_diff_homogeneous, matrix_action,
                     mono_multidegree, solve_in_span, span_rank)
 from .tableaux import (Partition, canonical_tableau, compositions, count_semistandard,
@@ -29,11 +30,10 @@ from .wronskian import (build_formal_wronskian,
                         enumerate_canonical_basis, expand_combination,
                         reduce_to_triangular, standard_nilpotent,
                         verify_wedge_identity)
-from .hwv import (Tensor, e_iso, functional_solution_dim, hwv_basis, j_ell,
-                  kernel_dim_full, kernel_dim_isotypic,
+from .hwv import (Tensor, e_iso, full_kernel_vectors, functional_solution_dim,
+                  hwv_basis, j_ell, kernel_dim_full, kernel_dim_isotypic,
                   symmetrizer_projection, tableau_projection)
-from .pde import (distinct_tuple_operator, newton_operator, poly_family_rank,
-                  solution_space_dim, solution_space_rows,
+from .pde import (MultiPoly, newton_operator, poly_family_rank, solution_space_dim,
                   vandermonde_derivative_basis)
 from .jets import census, classify_basis, verify_theorem2
 
@@ -231,12 +231,28 @@ def check_pde_stability(d: int) -> CheckResult:
 
 
 def check_pde_system_equivalence(d: int) -> CheckResult:
-    rows_a, monos_a = solution_space_rows(d, apply_op=newton_operator)
-    rows_b, monos_b = solution_space_rows(d, apply_op=distinct_tuple_operator)
-    same_span = (monos_a == monos_b
-                 and len(rows_a) == len(rows_b)
-                 and rank(rows_a + rows_b, len(monos_a)) == len(rows_a))
-    return _result("pde_system_equivalence", {"d": d}, True, same_span)
+    """The capped J^(l) kernel that solution_space_dim counts against the
+    uncapped Newton system.  Each kernel vector, read as a polynomial over the
+    exponent vectors {0..d-1}^d, is killed by every power-sum operator, and
+    the Newton system on all monomials of each degree up to d(d-1)/2 has as
+    many solutions as the kernel has vectors of that weight."""
+    monos = list(itertools.product(range(d), repeat=d))
+    vectors = full_kernel_vectors(d, d - 1)
+    killed = all(not newton_operator(MultiPoly(d, {monos[j]: c for j, c in vec.items()}), ell)
+                 for vec in vectors for ell in range(1, d + 1))
+    capped = Counter(sum(monos[min(vec)]) for vec in vectors)
+
+    def apply(e):
+        p = MultiPoly(d, {e: ONE})
+        for ell in range(1, d + 1):
+            for out, c in newton_operator(p, ell).terms.items():
+                yield (ell, out), c
+
+    uncapped = Counter()
+    for deg in range(d * (d - 1) // 2 + 1):
+        keys = compositions(deg, d)
+        uncapped[deg] = len(keys) - rank(operator_rows(keys, apply), len(keys))
+    return _result("pde_system_equivalence", {"d": d}, True, killed and capped == uncapped)
 
 
 def suite_pde(max_d: int, max_n: int, seed: int) -> list[partial]:

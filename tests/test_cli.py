@@ -111,6 +111,22 @@ def test_census_theorem2_report(capsys):
     assert all(i["verdict"] == "pass" for i in payload["items"])
 
 
+@pytest.mark.parametrize("flags", [["--all-k", "--k", "1"], ["--k", "1", "--theorem2"],
+                                   ["--all-k", "--theorem2"]])
+def test_census_order_flags_are_mutually_exclusive(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n", "1", "--d", "3"] + flags)
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_census_theorem2_has_no_csv(capsys):
+    code, out, err = run(capsys, "census", "--n", "1", "--d", "3", "--theorem2",
+                         "--format", "csv")
+    assert code == 2 and out == ""
+    assert "--theorem2 has no csv output" in err
+
+
 def test_tableaux_output(capsys):
     code, out, _ = run(capsys, "tableaux", "--d", "4", "--format", "json")
     assert code == 0

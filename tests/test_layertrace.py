@@ -29,6 +29,8 @@ results = [
     sorted((list(i), str(c)) for i, c in
            hwv.symmetrizer_projection(hwv.Tensor.basis((0, 1, 0), 1), Partition.of(2, 1)).terms.items()),
     pde.solution_space_dim(3),
+    # solution_space_dim counts on the J^(l) blocks, so reach the Newton layer directly
+    [repr(pde.newton_operator(pde.vandermonde(3), ell)) for ell in (1, 2, 3)],
     repr(jets.census(1, 3, 1)),
     repr(hwv.column_det([0, 1], 1)),
     [(r.check_id, r.expected, r.computed) for r in report.results],

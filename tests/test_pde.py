@@ -1,18 +1,45 @@
 """The power-sum PDE system and its Vandermonde-derivative witness."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from diffhom.pde import (MultiPoly, distinct_tuple_operator,
-                         newton_operator, poly_family_rank, solution_space_dim,
-                         solution_space_rows, vandermonde,
-                         vandermonde_derivative_basis)
-from diffhom.exact import rank
+from diffhom import hwv
+from diffhom.exact import ONE, operator_rows, rank
+from diffhom.hwv import full_kernel_vectors
+from diffhom.pde import (MultiPoly, newton_operator, poly_family_rank, solution_space_dim,
+                         vandermonde, vandermonde_derivative_basis)
 from diffhom.tableaux import compositions
+from diffhom.verify import check_pde_system_equivalence
 
 F = Fraction
+
+
+def newton_count(d, bound):
+    """Oracle: the solutions of the power-sum system on all monomials of
+    degree <= bound, with no cap on any variable's degree."""
+    def apply(e):
+        p = MultiPoly(d, {e: ONE})
+        for ell in range(1, d + 1):
+            for out, c in newton_operator(p, ell).terms.items():
+                yield (ell, out), c
+
+    total = 0
+    for deg in range(bound + 1):
+        keys = compositions(deg, d)
+        total += len(keys) - rank(operator_rows(keys, apply), len(keys))
+    return total
+
+
+def kernel_polys(d):
+    """The capped J^(l) kernel basis at k = d-1, each vector read as a
+    polynomial over the exponent vectors {0..d-1}^d."""
+    monos = list(itertools.product(range(d), repeat=d))
+    return [MultiPoly(d, {monos[j]: c for j, c in vec.items()})
+            for vec in full_kernel_vectors(d, d - 1)]
 
 
 def test_newton_operator_constant():
@@ -50,11 +77,9 @@ def test_solution_space_dims():
 
 
 def test_solution_space_degree_two_explicit():
-    rows, monos = solution_space_rows(2)
-    # span{1, X1 - X2}
-    assert len(rows) == 2
-    consts = [r for r in rows if list(r.values()) == [F(1)] and monos[list(r)[0]] == (0, 0)]
-    assert consts
+    # span{1, X1 - X2}, in reduced echelon form over (0,0), (0,1), (1,0), (1,1)
+    assert full_kernel_vectors(2, 1) == ({0: F(1)}, {1: F(1), 2: F(-1)})
+    assert solution_space_dim(2) == 2
 
 
 def test_degree_bound_stability():
@@ -80,24 +105,74 @@ def test_vandermonde_derivatives_solve_system():
 
 def test_vandermonde_span_inside_solution_space():
     d = 3
-    sol_rows, monos = solution_space_rows(d)
-    col = {e: j for j, e in enumerate(monos)}
-    van_rows = [{col[e]: c for e, c in p.terms.items()}
-                for p in vandermonde_derivative_basis(d)]
-    joint = rank(sol_rows + van_rows, len(monos))
-    assert joint == len(sol_rows) == math.factorial(d)
+    sol = kernel_polys(d)
+    van = vandermonde_derivative_basis(d)
+    assert all(max(e) < d for p in van for e in p.terms)
+    assert poly_family_rank(sol + van) == len(sol) == math.factorial(d)
 
 
 def test_two_operator_systems_agree():
-    for d in range(1, 4):
-        rows_a, monos_a = solution_space_rows(d)
-        rows_b, monos_b = solution_space_rows(d, apply_op=distinct_tuple_operator)
-        assert len(rows_b) == solution_space_dim(d)
-        assert monos_a == monos_b and len(rows_a) == len(rows_b)
-        assert rank(rows_a + rows_b, len(monos_a)) == len(rows_a)
+    # Newton against J: the capped J^(l) kernel is killed by the power sums
+    # (the counts are compared in test_solution_space_dim_matches_uncapped_newton)
+    for d in range(1, 5):
+        sol = kernel_polys(d)
+        assert len(sol) == solution_space_dim(d)
+        for p in sol:
+            for ell in range(1, d + 1):
+                assert not newton_operator(p, ell)
 
 
-def test_distinct_tuple_operator_counts_orderings():
-    # on X1 X2 the two-fold mixed derivative sums over 2 ordered pairs
-    p = MultiPoly(2, {(1, 1): F(1)})
-    assert distinct_tuple_operator(p, 2) == MultiPoly.const(F(2), 2)
+@pytest.mark.parametrize("d", range(1, 5))
+def test_solution_space_dim_matches_uncapped_newton(d):
+    for bound in range(d * (d - 1) // 2 + 3):
+        assert solution_space_dim(d, bound) == newton_count(d, bound), bound
+
+
+def test_solution_space_dim_mahonian_partial_sum():
+    # permutations of 5 with at most 8 inversions: 1+4+9+15+20+22+20+15+9
+    assert solution_space_dim(5, 8) == 115
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_each_variable_is_a_root_of_the_elementary_polynomial(d):
+    # sum_l (-1)^l e_l(X) X_i^(d-l) = prod_j (X_i - X_j) = 0, so d^d/dX_i^d lies
+    # in the ideal of the e_l(d/dX) and solutions have degree < d in each X_i
+    xs = [MultiPoly.var(i, d) for i in range(d)]
+    one = MultiPoly.const(ONE, d)
+    elementary = [sum((math.prod(sub, start=one) for sub in itertools.combinations(xs, ell)),
+                      MultiPoly(d)) for ell in range(d + 1)]
+    for x in xs:
+        total = MultiPoly(d)
+        for ell, e in enumerate(elementary):
+            total = total + (e * x ** (d - ell)).scale((-1) ** ell)
+        assert not total
+
+
+def test_solution_space_dim_reads_the_j_blocks(monkeypatch):
+    # one stacked J^(l) block per degree, at k = d-1
+    calls = Counter()
+    build = hwv.stacked_operator_rows
+
+    def counted(d, k, weight):
+        calls[d, k, weight] += 1
+        return build(d, k, weight)
+
+    monkeypatch.setattr(hwv, "stacked_operator_rows", counted)
+    assert solution_space_dim(4) == 24
+    assert set(calls) == {(4, 3, w) for w in range(7)} and max(calls.values()) == 1
+    calls.clear()
+    assert solution_space_dim(3, 100) == 6
+    assert set(calls) == {(3, 2, w) for w in range(7)}
+
+
+def test_system_equivalence_check_at_four():
+    assert check_pde_system_equivalence(4).passed
+
+
+def test_system_equivalence_check_compares_nullities(monkeypatch):
+    # a kernel basis missing a vector is still killed by the power sums,
+    # so only the degree-by-degree count catches it
+    import diffhom.verify as verify
+
+    monkeypatch.setattr(verify, "full_kernel_vectors", lambda d, k: full_kernel_vectors(d, k)[:-1])
+    assert not check_pde_system_equivalence(3).passed
