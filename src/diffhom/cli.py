@@ -105,23 +105,23 @@ def _expression_text(arg: str) -> str | None:
     """The expression ``dh check ARG`` reads: the contents of ``path`` for
     ``@path``, else ARG itself.  A bare ARG that names an existing file is
     still read as that file, with a deprecation line on stderr.  None, after
-    a message, when the file of ``@path`` cannot be read."""
-    if arg.startswith("@"):
+    a message, when the file cannot be read."""
+    if not arg.startswith("@"):
         try:
-            return Path(arg[1:]).read_text().strip()
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"cannot read {arg[1:]!r}: {getattr(exc, 'strerror', None) or exc}",
-                  file=sys.stderr)
-            return None
+            is_file = Path(arg).is_file()
+        except OSError:  # e.g. an expression longer than the file-name limit
+            is_file = False
+        if not is_file:
+            return arg
+        print(f"warning: reading the file {arg!r} without '@' is deprecated; write @{arg}",
+              file=sys.stderr)
+        arg = "@" + arg
     try:
-        is_file = Path(arg).is_file()
-    except OSError:  # e.g. an expression longer than the file-name limit
-        is_file = False
-    if not is_file:
-        return arg
-    print(f"warning: reading the file {arg!r} without '@' is deprecated; write @{arg}",
-          file=sys.stderr)
-    return Path(arg).read_text().strip()
+        return Path(arg[1:]).read_text(encoding="utf-8").strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read {arg[1:]!r}: {getattr(exc, 'strerror', None) or exc}",
+              file=sys.stderr)
+        return None
 
 
 def cmd_check(args) -> int:

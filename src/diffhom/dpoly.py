@@ -3,8 +3,9 @@
 A differential polynomial lives in Q[X_i^(k) : 0 <= i <= N, k >= 0].  The
 module provides the change-of-variable action of rational (N+1) x (N+1)
 matrices, the derivations L_m (Leibniz action of one-variable polynomials)
-and E_pq (gl(N+1)), gradings, the differential-homogeneity test, a text/JSON
-serialization, and exact ranks of families of polynomials.
+and E_pq (gl(N+1)), gradings, the differential-homogeneity test and a
+text/JSON serialization.  Family ranks and coordinates in a span are the
+generic :func:`exact.span_rank` and :func:`exact.solve_in_span`, bound here.
 
 The matrix action x_j[k] -> sum_l a[j][l] x_l[k] keeps every jet order, so
 :func:`matrix_action` expands it order by order, in integers over one common
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exact import SparseComb, ZERO, ONE, add_terms, echelon, linear_combination
-from .exact import solve as _solve
+from .exact import SparseComb, ZERO, ONE, add_terms, linear_combination
+from .exact import solve_in_span, span_rank  # bound here for callers
 
 # A differential monomial: ((i, k, e), ...) with e > 0, sorted by (i, -k).
 DMono = tuple[tuple[int, int, int], ...]
@@ -331,43 +332,6 @@ def matrix_action(a: Sequence[Sequence[Fraction]], p: DiffPoly) -> DiffPoly:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra on families of differential polynomials.
-
-def coefficient_rows(polys: Sequence[DiffPoly]) -> tuple[list[dict[int, Fraction]], list[DMono]]:
-    """Rows of the coefficient matrix, columns indexed by canonically sorted monomials."""
-    monos = sorted({m for p in polys for m in p.terms}, key=mono_sort_key)
-    index = {m: j for j, m in enumerate(monos)}
-    rows = []
-    for p in polys:
-        rows.append({index[m]: c for m, c in p.terms.items()})
-    return rows, monos
-
-
-def span_rank(polys: Sequence[DiffPoly]) -> int:
-    """Rank of the family over Q, via the canonical coefficient matrix."""
-    if not polys:
-        return 0
-    rows, monos = coefficient_rows(polys)
-    return len(echelon(rows, len(monos), reduce_back=False))
-
-
-def solve_in_span(basis: Sequence[DiffPoly], target: DiffPoly) -> list[Fraction] | None:
-    """Exact coordinates of ``target`` in span(basis), or None if outside."""
-    polys = list(basis) + [target]
-    rows, monos = coefficient_rows(polys)
-    nb = len(basis)
-    # one equation per monomial: sum_j coeff_j(basis_j) x_j = coeff(target)
-    eqs: list[dict[int, Fraction]] = [dict() for _ in monos]
-    for j, row in enumerate(rows[:nb]):
-        for mono_idx, c in row.items():
-            eqs[mono_idx][j] = c
-    rhs = [ZERO] * len(monos)
-    for mono_idx, c in rows[nb].items():
-        rhs[mono_idx] = c
-    return _solve(eqs, nb, rhs)
-
-
-# ---------------------------------------------------------------------------
 # Text grammar and JSON serialization.
 
 class ParseError(ValueError):
@@ -548,6 +512,15 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+def _json_coeff(x) -> Fraction:
+    """x as a Fraction if it is a string (what :func:`to_json_dict` writes) or
+    a JSON integer; a float, boolean, list or malformed string raises ValueError."""
+    try:
+        return Fraction(x if type(x) is str else _json_int(x, "a coeff that is not a string"))
+    except ZeroDivisionError:
+        raise ValueError(f"coeff {x!r} has a zero denominator") from None
+
+
 def from_json_dict(data: Mapping) -> DiffPoly:
     n = _json_int(data["N"], "N")
     terms: dict[DMono, Fraction] = {}
@@ -561,7 +534,7 @@ def from_json_dict(data: Mapping) -> DiffPoly:
                 raise ValueError(f"repeated factor x{i}[{k}] in a JSON monomial")
             exps[(i, k)] = e
         mono = _mono_from_exps(exps)
-        c = Fraction(t["coeff"])
+        c = _json_coeff(t["coeff"])
         if mono in terms:
             raise ValueError("duplicate monomial in JSON input")
         terms[mono] = c

@@ -4,6 +4,8 @@ linear algebra.
 The ground field is Q, realized by :class:`fractions.Fraction`; there are no
 formal parameters.  Every sparse algebra of the package (DiffPoly, MultiPoly,
 Tensor, GroupAlgebraElem) is a :class:`SparseComb` over its own keys.
+A family of them is the columns of its coefficient matrix, so one
+:func:`echelon` gives its rank and the coordinates of a target in its span.
 Everything here is exact (no floats) and deterministic (fixed pivot rules),
 so ranks, kernels and determinants are reproducible bit for bit.
 """
@@ -261,27 +263,6 @@ def nullspace_basis(rows: Sequence[Mapping[int, Fraction]],
     return [row for _, row in echelon(raw, ncols, reduce_back=True)]
 
 
-def solve(rows: Sequence[Mapping[int, Fraction]], ncols: int,
-          rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution of rows . x = rhs (free variables set to 0), or None."""
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length mismatch")
-    aug = ncols  # extra column holding -rhs, treated as a fixed variable = 1
-    work = []
-    for row, b in zip(rows, rhs):
-        row = dict(row)
-        if b:
-            row[aug] = -Fraction(b)
-        work.append(row)
-    x = [ZERO] * ncols
-    for col, row in echelon(work, ncols, reduce_back=True):  # never pivots on `aug`
-        x[col] = -row.get(aug, ZERO)
-    # consistency: every equation must hold, an empty row with rhs != 0 included
-    if any(sum(v * x[c] for c, v in row.items()) != b for row, b in zip(rows, rhs)):
-        return None
-    return x
-
-
 def det_expansion(rows: Sequence[Sequence], zero, one):
     """Division-free determinant by memoized minor expansion.
 
@@ -331,3 +312,22 @@ def operator_rows(keys: Sequence, apply: Callable[[object], Iterable[tuple[objec
         for out, c in apply(key):
             rows.setdefault(out, {})[j] = c
     return [rows[out] for out in sorted(rows)]
+
+
+def span_rank(family: Sequence[SparseComb]) -> int:
+    """Rank over Q of a family of sparse combinations: column j of its
+    coefficient matrix holds ``family[j]``."""
+    return rank(operator_rows(family, lambda m: m.terms.items()), len(family))
+
+
+def solve_in_span(basis: Sequence[SparseComb], target: SparseComb) -> list[Fraction] | None:
+    """Coordinates of ``target`` in span(basis), free ones 0, or None when it
+    lies outside, that is when the reduced echelon form of the columns (basis,
+    then target) has a pivot in the target's column."""
+    nb = len(basis)
+    x = [ZERO] * nb
+    for col, row in echelon(operator_rows([*basis, target], lambda m: m.terms.items()), nb + 1):
+        if col == nb:
+            return None
+        x[col] = row.get(nb, ZERO)
+    return x

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import hwv
 from .exact import ONE, SparseComb, add_terms, rank
@@ -136,10 +136,3 @@ def vandermonde_derivative_basis(d: int) -> list[MultiPoly]:
                 out.append(p)
     return out
 
-
-def poly_family_rank(polys: Sequence[MultiPoly]) -> int:
-    """Exact rank of a family of multivariate polynomials."""
-    monos = sorted({e for p in polys for e in p.terms})
-    col = {e: j for j, e in enumerate(monos)}
-    rows = [{col[e]: c for e, c in p.terms.items()} for p in polys]
-    return rank(rows, len(monos))

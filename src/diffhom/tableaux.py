@@ -287,7 +287,7 @@ def schur_poly_eval(lam: Partition, xs: Sequence[Fraction]) -> Fraction:
 # ---------------------------------------------------------------------------
 # Permutations and the group algebra of the symmetric group.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Permutation:
     """Bijection of {1..d}; images[i-1] = sigma(i).  (sigma*tau)(i) = sigma(tau(i))."""
     images: tuple[int, ...]

@@ -33,7 +33,7 @@ from .wronskian import (build_formal_wronskian,
 from .hwv import (Tensor, e_iso, full_kernel_vectors, functional_solution_dim,
                   hwv_basis, j_ell, kernel_dim_full, kernel_dim_isotypic,
                   symmetrizer_projection, tableau_projection)
-from .pde import (MultiPoly, newton_operator, poly_family_rank, solution_space_dim,
+from .pde import (MultiPoly, newton_operator, solution_space_dim,
                   vandermonde_derivative_basis)
 from .jets import census, classify_basis, verify_theorem2
 
@@ -217,7 +217,7 @@ def check_pde_dimension(d: int) -> CheckResult:
 
 def check_pde_oracle(d: int) -> CheckResult:
     basis = vandermonde_derivative_basis(d)
-    r = poly_family_rank(basis)
+    r = span_rank(basis)
     annihilated = all(not newton_operator(p, ell)
                       for p in basis for ell in range(1, d + 1))
     computed = f"rank={r}, annihilated={annihilated}"
@@ -325,7 +325,7 @@ def check_hwv_counts(parts: tuple, k: int, n: int) -> CheckResult:
     lam = Partition(parts)
     basis = hwv_basis(lam, k, n)
     expected = count_semistandard(lam, k + 1) if lam.nparts <= n + 1 else 0
-    r = span_rank([p for _, p in basis]) if basis else 0
+    r = span_rank([p for _, p in basis])
     return _result("hwv_counts", {"lam": parts, "k": k, "N": n},
                    f"count={expected}, rank={expected}", f"count={len(basis)}, rank={r}")
 
@@ -359,15 +359,7 @@ def check_e_iso_injective(parts: tuple, k: int) -> CheckResult:
     n = lam.nparts - 1
     basis = hwv_basis(lam, k, n)
     expected = count_semistandard(lam, k + 1)
-    index = {}
-    rows = []
-    for t, p in basis:
-        v = e_iso(p, lam, k)
-        row = {}
-        for idx, c in v.terms.items():
-            row[index.setdefault(idx, len(index))] = c
-        rows.append(row)
-    r = rank(rows, len(index)) if rows else 0
+    r = span_rank([e_iso(p, lam, k) for _, p in basis])
     return _result("e_iso_injective", {"lam": parts, "k": k}, expected, r)
 
 

@@ -304,4 +304,4 @@ def theta_family_rank(n: int, d: int, theta: Fraction) -> int:
         spec = WronskSpec(tuple((UniPoly.shifted_power(theta, j), v)
                                 for j, v in enumerate(tup)))
         polys.append(build_wronskian(spec, n))
-    return span_rank([p for p in polys if p])
+    return span_rank(polys)

@@ -20,8 +20,7 @@ from diffhom.wronskian import (build_formal_wronskian,
                                reduce_to_triangular, standard_nilpotent,
                                verify_wedge_identity)
 from diffhom.hwv import e_iso, hwv_basis, kernel_dim_full, kernel_dim_isotypic
-from diffhom.pde import (newton_operator, poly_family_rank, solution_space_dim,
-                         vandermonde_derivative_basis)
+from diffhom.pde import newton_operator, solution_space_dim, vandermonde_derivative_basis
 from diffhom.jets import census, classify_basis, verify_theorem2
 from formal import ParamPoly, formal_matrix_action
 
@@ -115,7 +114,7 @@ def test_criterion_6_pde_solution_space():
         if solution_space_dim(d) != math.factorial(d):
             failures.append(("dim", d))
         basis = vandermonde_derivative_basis(d)
-        if poly_family_rank(basis) != math.factorial(d):
+        if span_rank(basis) != math.factorial(d):
             failures.append(("oracle rank", d))
         if any(newton_operator(p, ell)
                for p in basis for ell in range(1, d + 1)):
@@ -170,7 +169,7 @@ def test_criterion_8_highest_weight_machinery():
                 basis = hwv_basis(lam, k, n)
                 if len(basis) != count_semistandard(lam, k + 1):
                     failures.append(("count", lam.parts, k))
-                if basis and span_rank([p for _, p in basis]) != len(basis):
+                if span_rank([p for _, p in basis]) != len(basis):
                     failures.append(("independence", lam.parts, k))
                 for t, p in basis:
                     if formal_matrix_action(diag, p) != p.scale(weight_monomial):

@@ -424,6 +424,17 @@ def test_check_bare_file_path_is_deprecated(tmp_path, capsys):
     assert "deprecated" in err and "@" + str(f) in err
 
 
+def test_check_binary_file_exits_2_with_or_without_at(tmp_path, capsys):
+    f = tmp_path / "poly.bin"
+    f.write_bytes(b"x0\xff\xfe[1]\x00")
+    code, out, err = run(capsys, "check", "@" + str(f))
+    assert code == 2 and not out and err.startswith("cannot read")
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 2 and not out
+    deprecation, message = err.splitlines()
+    assert "deprecated" in deprecation and message.startswith("cannot read")
+
+
 def test_check_at_missing_file_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "check", "@" + str(tmp_path / "missing.txt"))
     assert code == 2 and not out and "missing.txt" in err

@@ -268,6 +268,22 @@ def test_json_rejects_a_float_bound():
         _json_monomial([[0, 0, 1]], n=1.9)
 
 
+def _json_coeff(coeff):
+    return from_json_dict({"N": 0, "terms": [{"coeff": coeff, "monomial": [[0, 1, 1]]}]})
+
+
+def test_json_coeff_is_a_string_or_an_integer():
+    x = parse("x0[1]", 0)
+    assert _json_coeff("-2/3") == x.scale(F(-2, 3))
+    assert _json_coeff("0.1") == x.scale(F(1, 10))  # a decimal string is exact
+    assert _json_coeff(7) == x.scale(F(7))
+    # Fraction(0.1) is 3602879701896397/36028797018963968, Fraction(True) is 1,
+    # Fraction("1/0") raises ZeroDivisionError and Fraction([1]) TypeError
+    for bad in (0.1, 2.0, True, False, None, [1], {"1": 2}, "1/0", "x", ""):
+        with pytest.raises(ValueError):
+            _json_coeff(bad)
+
+
 # --- property tests ------------------------------------------------------
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8).filter(bool)

@@ -11,8 +11,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from diffhom.exact import (ONE, ZERO, det_expansion, echelon, nullspace_basis,
-                           operator_rows, rank, solve)
+from diffhom.exact import (ONE, ZERO, SparseComb, det_expansion, echelon,
+                           linear_combination, nullspace_basis, operator_rows, rank,
+                           solve_in_span, span_rank)
 from formal import ParamPoly
 
 F = Fraction
@@ -31,6 +32,11 @@ def to_sympy(rows, ncols):
         v = F(rows[i].get(j, 0))
         return sympy.Rational(v.numerator, v.denominator)
     return sympy.Matrix(len(rows), ncols, entry)
+
+
+def family(*columns):
+    """Sparse combinations over the keys 0, 1, ...: one per dense column."""
+    return [SparseComb(sparse([col])[0]) for col in columns]
 
 
 def from_sympy(x):
@@ -78,31 +84,31 @@ def test_nullspace_vectors_annihilate():
 
 def test_rank_nullspace_solve_leave_input_intact():
     rows = sparse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    before = copy.deepcopy(rows)
+    basis, (target,) = [SparseComb(r) for r in rows], family([1, 0, 2])
+    before = copy.deepcopy((rows, [b.terms for b in basis], target.terms))
     rank(rows, 3)
     nullspace_basis(rows, 3)
-    solve(rows, 3, [F(1), F(2), F(0)])
-    assert rows == before
+    span_rank(basis)
+    solve_in_span(basis, target)
+    assert (rows, [b.terms for b in basis], target.terms) == before
 
 
 def test_solve_exact_solution():
-    rows = sparse([[1, 1], [1, -1]])
-    assert solve(rows, 2, [F(3), F(1)]) == [F(2), F(1)]
+    # x0 + x1 = 3, x0 - x1 = 1: the columns (1, 1) and (1, -1), the target (3, 1)
+    (target,) = family([3, 1])
+    assert solve_in_span(family([1, 1], [1, -1]), target) == [F(2), F(1)]
 
 
 def test_solve_rejects_inconsistent_system():
-    assert solve(sparse([[1, 1], [2, 2]]), 2, [F(1), F(3)]) is None
+    (target,) = family([1, 3])
+    assert solve_in_span(family([1, 2], [1, 2]), target) is None
 
 
 def test_solve_checks_empty_rows_with_nonzero_rhs():
-    # 0 = 1 has no solution even though no column is involved
-    assert solve([{0: ONE}, {}], 1, [F(2), F(1)]) is None
-    assert solve([{0: ONE}, {}], 1, [F(2), ZERO]) == [F(2)]
-
-
-def test_solve_rhs_length_mismatch():
-    with pytest.raises(ValueError):
-        solve([{0: ONE}], 1, [])
+    # the key 1 is in no basis member: 0 = 1 has no solution
+    basis = family([1, 0])
+    assert solve_in_span(basis, *family([2, 1])) is None
+    assert solve_in_span(basis, *family([2, 0])) == [F(2)]
 
 
 def test_operator_rows_sorted_outputs_and_columns():
@@ -264,14 +270,60 @@ def test_echelon_pivots_are_one_in_ascending_columns(m):
 @settings(max_examples=80, deadline=None)
 def test_echelon_and_solve_leave_inputs_intact(m, data):
     rows, ncols = m
-    rhs = [data.draw(rationals) for _ in rows]
-    before = copy.deepcopy((rows, rhs))
+    basis = [SparseComb(r) for r in rows]
+    target = SparseComb({c: data.draw(rationals) for c in range(ncols)})
+    before = copy.deepcopy((rows, [b.terms for b in basis], target.terms))
     echelon(rows, ncols, reduce_back=False)
     echelon(rows, ncols, reduce_back=True)
-    x = solve(rows, ncols, rhs)
-    assert (rows, rhs) == before
+    x = solve_in_span(basis, target)
+    assert (rows, [b.terms for b in basis], target.terms) == before
     if x is not None:
-        assert all(sum(v * x[c] for c, v in row.items()) == b for row, b in zip(rows, rhs))
+        assert linear_combination(SparseComb(), zip(x, basis)) == target
+
+
+@st.composite
+def families(draw, max_size=5, max_keys=5):
+    """A family of sparse combinations over the keys 0..nkeys-1, where a
+    member may be a combination of earlier ones, and a target: zero, in the
+    span of the family, or random.  The family may be empty."""
+    nkeys = draw(st.integers(1, max_keys))
+
+    def random_member():
+        return SparseComb({c: draw(rationals) for c in range(nkeys) if draw(st.booleans())})
+
+    def in_span(members):
+        return linear_combination(SparseComb(), [(draw(rationals), b) for b in members])
+
+    basis = []
+    for _ in range(draw(st.integers(0, max_size))):
+        basis.append(in_span(basis) if basis and draw(st.booleans()) else random_member())
+    kind = draw(st.sampled_from(("zero", "span", "random")))
+    target = {"zero": SparseComb, "span": lambda: in_span(basis), "random": random_member}[kind]()
+    return basis, target, nkeys
+
+
+def columns_to_sympy(members, nkeys):
+    return to_sympy([{j: m.terms[i] for j, m in enumerate(members) if i in m.terms}
+                     for i in range(nkeys)], len(members))
+
+
+@given(f=families())
+@settings(max_examples=150, deadline=None)
+def test_span_rank_and_solve_in_span_match_sympy(f):
+    basis, target, nkeys = f
+    b, t = columns_to_sympy(basis, nkeys), columns_to_sympy([target], nkeys)
+    assert span_rank(basis) == b.rank()
+    x = solve_in_span(basis, target)
+    assert (x is None) == (b.row_join(t).rank() > b.rank())
+    if x is None:
+        return
+    assert linear_combination(SparseComb(), zip(x, basis)) == target
+    if basis:
+        # sympy's Gauss-Jordan particular solution, its free parameters set to 0
+        sol, params = b.gauss_jordan_solve(t)
+        assert x == [from_sympy(v) for v in sol.subs({p: 0 for p in params})]
+    else:
+        assert x == [] and not target
 
 
 @given(data=st.data())

@@ -22,6 +22,8 @@ if TRACE:
 from diffhom import hwv, jets, pde, verify
 from diffhom.tableaux import Partition
 report = verify.run_suite("rsk", max_d=3)
+# the basis suite ranks the Wronskian family and solves in its span
+basis_report = verify.run_suite("basis", max_d=2)
 results = [
     hwv.kernel_dim_full(3, 2),
     [hwv.kernel_dim_isotypic(lam, 2) for lam in (Partition.of(3), Partition.of(2, 1))],
@@ -33,7 +35,7 @@ results = [
     [repr(pde.newton_operator(pde.vandermonde(3), ell)) for ell in (1, 2, 3)],
     repr(jets.census(1, 3, 1)),
     repr(hwv.column_det([0, 1], 1)),
-    [(r.check_id, r.expected, r.computed) for r in report.results],
+    [(r.check_id, r.expected, r.computed) for r in report.results + basis_report.results],
 ]
 print(json.dumps({"results": results,
                   "layers": tracer.layer_metrics() if TRACE else {}}))
@@ -58,5 +60,6 @@ def test_traced_pass_matches_and_reports_every_layer():
                  "exact.det_expansion.calls", "hwv.stacked_operator_rows.rows_out",
                  "hwv.j_ell.calls", "hwv.symmetrizer_projection.calls",
                  "pde.newton_operator.calls", "jets.census.calls",
-                 "wronskian.build_wronskian.calls", "tableaux.young_symmetrizer.calls"):
+                 "wronskian.build_wronskian.calls", "tableaux.young_symmetrizer.calls",
+                 "dpoly.span_rank.calls", "dpoly.solve_in_span.calls"):
         assert traced["layers"][name] > 0, name

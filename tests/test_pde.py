@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from diffhom import hwv
-from diffhom.exact import ONE, operator_rows, rank
+from diffhom.exact import ONE, operator_rows, rank, span_rank
 from diffhom.hwv import full_kernel_vectors
-from diffhom.pde import (MultiPoly, newton_operator, poly_family_rank, solution_space_dim,
-                         vandermonde, vandermonde_derivative_basis)
+from diffhom.pde import (MultiPoly, newton_operator, solution_space_dim, vandermonde,
+                         vandermonde_derivative_basis)
 from diffhom.tableaux import compositions
 from diffhom.verify import check_pde_system_equivalence
 
@@ -97,7 +97,7 @@ def test_vandermonde_degree_and_antisymmetry():
 def test_vandermonde_derivatives_solve_system():
     for d in range(1, 5):
         basis = vandermonde_derivative_basis(d)
-        assert poly_family_rank(basis) == math.factorial(d)
+        assert span_rank(basis) == math.factorial(d)
         for p in basis:
             for ell in range(1, d + 1):
                 assert not newton_operator(p, ell)
@@ -108,7 +108,7 @@ def test_vandermonde_span_inside_solution_space():
     sol = kernel_polys(d)
     van = vandermonde_derivative_basis(d)
     assert all(max(e) < d for p in van for e in p.terms)
-    assert poly_family_rank(sol + van) == len(sol) == math.factorial(d)
+    assert span_rank(sol + van) == len(sol) == math.factorial(d)
 
 
 def test_two_operator_systems_agree():

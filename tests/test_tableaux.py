@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffhom.exact import solve_in_span, span_rank
 from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                               canonical_tableau, centralizer_size, character,
                               compositions, count_semistandard,
@@ -214,6 +215,16 @@ def test_young_symmetrizer_row_and_column():
     assert row.terms == {e: F(1), swap: F(1)}
     col = young_symmetrizer(Tableau(Partition.of(1, 1), (1, 2)))
     assert col.terms == {e: F(1), swap: F(-1)}
+
+
+def test_group_algebra_families_have_ranks_and_coordinates():
+    # the keys are permutations, so the generic span layer must sort them
+    perms = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
+    basis = [GroupAlgebraElem(3, {p: F(1)}) for p in perms]
+    c = young_symmetrizer(canonical_tableau(Partition.of(2, 1)))
+    assert span_rank(basis) == 6 and span_rank(basis + [c]) == 6
+    assert solve_in_span(basis, c) == [c.terms.get(p, F(0)) for p in perms]
+    assert solve_in_span(basis[1:], c) is None  # c has the identity term
 
 
 def test_young_symmetrizer_rejects_non_standard():
