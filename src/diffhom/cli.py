@@ -26,15 +26,13 @@ from .dpoly import (ParseError, from_json_dict, gradings, is_diff_homogeneous,
                     parse, to_text)
 from .jets import census, weight_census_bound
 from .tableaux import count_semistandard, count_standard, partitions_of
-from .hwv import kernel_dim_full, kernel_dim_isotypic
+from .hwv import kernel_dim_full, kernel_dim_isotypic, largest_young_system
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 from .wronskian import basis_manifest
 
-# The default cap on the cost of `dh kernel`, max(k+1, 2)^d: the J^(l) system
-# has (k+1)^d columns, and the character table over the partitions of d grows
-# faster than 2^d (about 3x per degree: 4.6 s at d = 12, k = 0).  The cap lets
-# d = 6, k = 5 (46,656 columns, minutes) run and refuses every d >= 16 at once;
-# `--max-cost` overrides it.
+# The default cap on the cost of `dh kernel` (see `kernel_cost`).  It lets
+# d = 7, k = 6 (36,015 columns, minutes) run and refuses d = 8, k = 7 (316,800)
+# and every d >= 16 at once; `--max-cost` overrides it.
 KERNEL_MAX_COST = 6 ** 6
 
 
@@ -74,7 +72,7 @@ def cached_manifest(n: int, d: int, cache_dir: str | None) -> list[dict]:
             if (payload.get("schema_version") == SCHEMA_VERSION
                     and payload.get("content_hash") == _manifest_hash(manifest)):
                 return manifest
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):  # ValueError: bad JSON or not UTF-8
             pass
     manifest = basis_manifest(n, d)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -228,6 +226,19 @@ def cmd_tableaux(args) -> int:
     return 0
 
 
+def kernel_cost(d: int, k: int, cap: int) -> int:
+    """Cost estimate of `dh kernel --d d --k k`: the columns of the largest
+    Young-subgroup system it solves (``hwv.largest_young_system``) plus the
+    p(d)^2 Kostka numbers between the partitions of d.  p(n) grows with n, so
+    once p(n)^2 alone passes ``cap`` that is returned at once: a huge d never
+    reaches the partitions of d."""
+    for n in range(1, d + 1):
+        table = len(partitions_of(n)) ** 2
+        if table > cap:
+            return table
+    return table + largest_young_system(d, k)
+
+
 def cmd_kernel(args) -> int:
     if args.d < 1:
         print("kernel requires --d >= 1", file=sys.stderr)
@@ -240,13 +251,11 @@ def cmd_kernel(args) -> int:
     if cap < 1:
         print("kernel requires --max-cost >= 1", file=sys.stderr)
         return 2
-    base, cost = max(k + 1, 2), 1  # base^d, multiplied out only up to the cap
-    for _ in range(args.d):
-        cost *= base
-        if cost > cap:
-            print(f"kernel --d {args.d} --k {k} costs max(k+1, 2)^d = {base}^{args.d}, "
-                  f"more than the cap of {cap}; --max-cost N raises the cap", file=sys.stderr)
-            return 2
+    if kernel_cost(args.d, k, cap) > cap:
+        print(f"kernel --d {args.d} --k {k} costs more than the cap of {cap} (the largest "
+              f"Young-subgroup system plus p(d)^2 Kostka numbers); --max-cost N raises the cap",
+              file=sys.stderr)
+        return 2
     full = kernel_dim_full(args.d, k)
     per_lambda = []
     for lam in partitions_of(args.d):
@@ -351,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="local dimension minus one (default d-1)")
     p.add_argument("--max-cost", type=int, default=None,
-                   help=f"largest max(k+1, 2)^d to accept (default {KERNEL_MAX_COST})")
+                   help="largest cost to accept: columns of the largest Young-subgroup "
+                        f"system plus p(d)^2 (default {KERNEL_MAX_COST})")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", parents=[plain],

@@ -188,7 +188,8 @@ def echelon(rows: Sequence[Mapping[int, Fraction]], ncols: int,
     """Row reduction with the fixed pivot rule: leftmost column, then smallest
     current row support, then lowest original row index.
 
-    ``rows`` are dicts col -> nonzero Fraction; they are not mutated.  Returns
+    ``rows`` are dicts col -> nonzero Fraction (or int); they are not
+    mutated.  Returns
     the pivot rows as (pivot_col, row) with ascending pivot columns, pivots
     normalized to 1; with ``reduce_back`` the result is the reduced echelon
     form.

@@ -6,8 +6,9 @@ side, (Q^{k+1})^(x d) carries the right symmetric-group action, Young
 symmetrizer projections, and the Leibniz spreadings J^(l) of the lowering
 map x[i] -> i * x[i-1].  The simultaneous kernel of the J^(l) is an
 S_d-module, because the J^(l) commute with permuting the factors; the
-multiplicity of each irreducible V_lam in it comes from its class traces and
-the characters chi_lam.
+multiplicity of each irreducible V_lam in it, weight by weight, comes from
+the kernels on the invariants and the alternants of Young subgroups (Young's
+rule), which are far smaller systems than the whole tensor power.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .exact import (ONE, SparseComb, add_terms, det_expansion, linear_combinatio
                     nullspace_basis, operator_rows, rank)
 from .dpoly import DiffPoly, derive, lowering, solve_in_span
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
-                       canonical_tableau, centralizer_size, character, compositions,
+                       canonical_tableau, compositions, count_standard, dominates, kostka,
                        partitions_of, semistandard_tableaux, young_symmetrizer)
 
 Index = tuple[int, ...]
@@ -170,9 +171,44 @@ def _basis_index(d: int, k: int) -> dict[Index, int]:
     return {idx: j for j, idx in enumerate(itertools.product(range(k + 1), repeat=d))}
 
 
-def stacked_operator_rows(d: int, k: int, weight: int) -> tuple[list[dict[int, Fraction]], int]:
-    """Rows of all J^(l), l = 1..d, on the basis tensors of index weight
-    ``weight``, as one sparse matrix whose columns are those index vectors in
+@lru_cache(maxsize=None)
+def _decreasing_tuples(m: int, k: int, strict: bool) -> dict[int, tuple[Index, ...]]:
+    """The weakly (strictly, with ``strict``) decreasing m-tuples over {0..k},
+    grouped by entry sum.  Shared: callers must not mutate it."""
+    pick = itertools.combinations if strict else itertools.combinations_with_replacement
+    out: dict[int, list[Index]] = {}
+    for t in pick(range(k, -1, -1), m):
+        out.setdefault(sum(t), []).append(t)
+    return {s: tuple(ts) for s, ts in out.items()}
+
+
+def _young_keys(mu: Sequence[int], k: int, weight: int, strict: bool) -> list[Index]:
+    """The index vectors of weight ``weight`` that decrease inside each block
+    of consecutive positions of sizes mu: block sums in lexicographic order,
+    then each block's tuples.  For mu = 1^d these are all index vectors, in
+    lexicographic order."""
+    by_sum = [_decreasing_tuples(m, k, strict) for m in mu]
+    cap = max(max(b, default=0) for b in by_sum)
+    return [sum(heads, ()) for sums in compositions(weight, len(mu), cap)
+            for heads in itertools.product(*(b.get(s, ()) for b, s in zip(by_sum, sums)))]
+
+
+def stacked_operator_rows(d: int, k: int, weight: int, mu: Sequence[int] | None = None,
+                          sign: bool = False) -> tuple[list[dict[int, int]], int]:
+    """Rows of all J^(l), l = 1..d, on the weight-``weight`` part of the
+    S_mu-coinvariants (``sign``: the S_mu-sign-coinvariants) of the tensor
+    power, as one sparse integer matrix; S_mu permutes the factors inside
+    each block of consecutive positions of sizes mu (default 1^d, the whole
+    tensor power).
+
+    The columns are the index vectors that are weakly decreasing inside each
+    block (``sign``: strictly decreasing).  Each is expanded once through
+    ``j_ell``, and each output index is folded to its block-sorted form, times
+    the sign of the sorting permutation with ``sign``, where an output with a
+    repeated entry inside a block vanishes.  The J^(l) commute with permuting
+    the factors, so they pass to the coinvariants, and the kernel there has
+    the dimension of the S_mu-invariants (S_mu-alternants) of the kernel on
+    the tensor power.  For mu = 1^d the columns are all index vectors in
     lexicographic order (the order of the tensor basis).
 
     J^(l) lowers the weight by exactly l, so no row meets two weights: the
@@ -182,28 +218,140 @@ def stacked_operator_rows(d: int, k: int, weight: int) -> tuple[list[dict[int, F
     l! e_l(d/dX), and at k = d-1 the blocks are the degree blocks of the
     Newton power-sum system (``pde.solution_space_dim``).
     """
-    keys = compositions(weight, d, k)
+    mu = tuple(mu) if mu is not None else (1,) * d
+    if sum(mu) != d or any(m < 1 for m in mu):
+        raise ValueError(f"block sizes {mu} do not split {d} factors")
+    keys = _young_keys(mu, k, weight, sign)
+    spans = list(zip(itertools.accumulate(mu, initial=0), itertools.accumulate(mu)))
+    folded: dict[Index, tuple[Index, int]] = {}  # outputs repeat across keys
+
+    def fold(out: Index) -> tuple[Index, int]:
+        key: list[int] = []
+        parity = 0
+        for a, b in spans:
+            block = out[a:b]
+            if sign:
+                if len(set(block)) < len(block):
+                    return out, 0
+                parity += sum(x < y for i, x in enumerate(block) for y in block[i + 1:])
+            key += sorted(block, reverse=True)
+        return tuple(key), -1 if parity % 2 else 1
 
     def apply(idx: Index):
-        t = Tensor.basis(idx, k)
+        # integer coefficients: J^(l) has integer entries, and echelon takes ints
+        t = Tensor(d, k, {idx: 1})
+        terms: dict = {}
         for ell in range(1, d + 1):
             for out, c in j_ell(t, ell).terms.items():
-                yield (ell, out), c
+                f = folded.get(out)
+                if f is None:
+                    f = folded[out] = fold(out)
+                key, s = f
+                if s:
+                    terms[ell, key] = terms.get((ell, key), 0) + (c if s > 0 else -c)
+        return ((key, c) for key, c in terms.items() if c)
 
     return operator_rows(keys, apply), len(keys)
 
 
+def young_system_sizes(lam: Partition, k: int) -> tuple[int, int]:
+    """Columns, over all weights, of the S_lam-invariant system and of the
+    S_lam'-alternant system: prod C(k + lam_i, lam_i) multisets and
+    prod C(k + 1, lam'_j) sets."""
+    return (math.prod(math.comb(k + m, m) for m in lam.parts),
+            math.prod(math.comb(k + 1, m) for m in lam.conjugate().parts))
+
+
+def largest_young_system(d: int, k: int) -> int:
+    """Columns of the largest system ``weight_multiplicities`` solves at (d, k),
+    over all weights: max over lam of min(invariant, alternant) columns."""
+    return max(min(young_system_sizes(lam, k)) for lam in partitions_of(d))
+
+
+@lru_cache(maxsize=None)
+def _invariant_side(d: int, k: int) -> frozenset[Partition]:
+    """The up-set U of the dominance order whose multiplicities are solved on
+    invariants: the upward closure of the lam whose invariant system has at
+    most as many columns as its alternant system.  This keeps the largest of
+    the systems solved at its least possible size."""
+    lams = partitions_of(d)
+    seeds = [lam for lam in lams for inv, alt in [young_system_sizes(lam, k)] if inv <= alt]
+    return frozenset(nu for nu in lams if any(dominates(nu, lam) for lam in seeds))
+
+
+@lru_cache(maxsize=None)
+def _kostka(lam: Partition, mu: Partition) -> int:
+    return kostka(lam, mu.parts)
+
+
+@lru_cache(maxsize=None)
+def weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
+    """The multiplicity m_lam of each irreducible V_lam (in ``partitions_of``
+    order) in the weight-``weight`` part of the simultaneous kernel of the
+    J^(l), which is an S_d-module because the J^(l) commute with permuting
+    the factors.  Cached per (d, k, weight).
+
+    By Young's rule the kernel has sum_nu K_{nu,lam} m_nu invariants under
+    the Young subgroup S_lam and sum_nu K_{nu',lam'} m_nu alternants under
+    S_lam' (Fulton, Young Tableaux 7.3), and both sums are unitriangular in
+    the dominance order.  So the lam of the up-set ``_invariant_side`` are
+    solved from the top down on invariants, and the others from 1^d upward on
+    alternants; no kernel basis is built.  Raises ArithmeticError on a
+    negative multiplicity.
+    """
+    lams = partitions_of(d)
+    upper = _invariant_side(d, k)
+
+    def nullity(mu: Partition, sign: bool) -> int:
+        rows, ncols = stacked_operator_rows(d, k, weight, mu.parts, sign)
+        return ncols - rank(rows, ncols)
+
+    # partitions_of lists every nu before each lam it dominates
+    m: dict[Partition, int] = {}
+    for lam in lams:
+        if lam in upper:
+            m[lam] = nullity(lam, False) - sum(_kostka(nu, lam) * c for nu, c in m.items() if c)
+    below: dict[Partition, int] = {}
+    for lam in reversed(lams):
+        if lam not in upper:
+            conj = lam.conjugate()
+            below[lam] = nullity(conj, True) - sum(_kostka(nu.conjugate(), conj) * c
+                                                   for nu, c in below.items() if c)
+    m.update(below)
+    for lam in lams:
+        if m[lam] < 0:
+            raise ArithmeticError(f"negative multiplicity {m[lam]} for {lam} at weight {weight}")
+    return tuple(m[lam] for lam in lams)
+
+
+def weight_kernel_dim(d: int, k: int, weight: int) -> int:
+    """Dimension of the weight-``weight`` part of the simultaneous kernel of
+    all J^(l): sum over lam of f_lam m_lam."""
+    return sum(count_standard(lam) * c
+               for lam, c in zip(partitions_of(d), weight_multiplicities(d, k, weight)) if c)
+
+
 def kernel_dim_full(d: int, k: int) -> int:
     """Dimension of the simultaneous kernel of all J^(l) on the full tensor
-    power: the size of its cached basis."""
-    return len(full_kernel_vectors(d, k))
+    power, summed over the weights 0..d*k."""
+    return sum(weight_kernel_dim(d, k, w) for w in range(d * k + 1))
+
+
+def kernel_dim_isotypic(lam: Partition, k: int) -> int:
+    """The multiplicity of the irreducible V_lam in the simultaneous kernel of
+    the J^(l), which is also the dimension of the kernel inside the image of
+    the canonical Young symmetrizer of shape lam, summed over the weights."""
+    d = lam.size
+    i = partitions_of(d).index(lam)
+    return sum(weight_multiplicities(d, k, w)[i] for w in range(d * k + 1))
 
 
 @lru_cache(maxsize=None)
 def full_kernel_vectors(d: int, k: int) -> tuple[dict[int, Fraction], ...]:
     """Reduced echelon basis of the simultaneous kernel of all J^(l), as
     sparse rows over the tensor basis.  Cached and shared: callers must not
-    mutate the rows.
+    mutate the rows.  The dimensions do not need it; it serves the checks
+    that read kernel vectors.
 
     Each weight block's reduced basis, moved to the global columns (an
     increasing map), is reduced on its own columns and zero elsewhere, so the
@@ -217,49 +365,6 @@ def full_kernel_vectors(d: int, k: int) -> tuple[dict[int, Fraction], ...]:
             vectors.append({cols[j]: c for j, c in vec.items()})
     vectors.sort(key=min)
     return tuple(vectors)
-
-
-def _class_trace(d: int, k: int, mu: Partition) -> Fraction:
-    """Trace on the simultaneous kernel of a permutation of the factors of
-    cycle type mu.
-
-    The kernel basis v_i is in reduced echelon form with pivots p_i = min(v_i):
-    v_i[p_i] = 1 and v_j[p_i] = 0 for j != i.  So the coefficient of v_i in
-    sigma.v_i is (sigma.v_i)[p_i] = v_i[col(sigma^-1 . idx(p_i))], and the
-    trace is one lookup per vector.  sigma and sigma^-1 are conjugate in S_d,
-    so the direction of the action does not matter.
-    """
-    # the cycles of mu on consecutive factor positions, each shifted by one
-    src, start = [], 0
-    for m in mu.parts:
-        src += [start + (i + 1) % m for i in range(m)]
-        start += m
-    base = k + 1
-    trace = Fraction(0)
-    for v in full_kernel_vectors(d, k):
-        p = min(v)
-        digits = [(p // base ** (d - 1 - i)) % base for i in range(d)]
-        col = 0
-        for s in src:
-            col = col * base + digits[s]
-        trace += v.get(col, 0)
-    return trace
-
-
-def kernel_dim_isotypic(lam: Partition, k: int) -> int:
-    """Dimension of (simultaneous kernel of the J^(l)) inside the image of the
-    canonical Young symmetrizer of shape lam, which is the multiplicity of the
-    irreducible V_lam in the kernel:
-
-        sum over cycle types mu of chi_lam(mu) tr(sigma_mu | ker J) / z_mu.
-
-    Raises ArithmeticError unless the sum is a natural number."""
-    d = lam.size
-    total = sum(character(lam, mu) * _class_trace(d, k, mu) / centralizer_size(mu)
-                for mu in partitions_of(d))
-    if total.denominator != 1 or total < 0:
-        raise ArithmeticError(f"character sum {total} for {lam} is not a multiplicity")
-    return int(total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Polynomial solutions of the Newton power-sum system of PDEs.
 
 The operators sum_i d^l/dX_i^l for l = 1..d cut out a solution space of
-dimension d! inside polynomials in X_1..X_d, counted on the capped J^(l)
-blocks of ``hwv.stacked_operator_rows`` and cross-checked against the
-uncapped Newton system in ``verify``; the span of all partial derivatives of
+dimension d! inside polynomials in X_1..X_d, counted degree by degree from
+the isotypic multiplicities of the capped J^(l) kernel
+(``hwv.weight_multiplicities``) and cross-checked against the uncapped
+Newton system in ``verify``; the span of all partial derivatives of
 the Vandermonde determinant provides an independent witness of the same
 dimension.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import hwv
-from .exact import ONE, SparseComb, add_terms, rank
+from .exact import ONE, SparseComb, add_terms
 from .tableaux import compositions
 
 Expo = tuple[int, ...]
@@ -90,17 +91,15 @@ def solution_space_dim(d: int, bound: int | None = None) -> int:
     e_l and the power sums generate one ideal of operators.  X_i is a root of
     prod_j (T - X_j), so d^d/dX_i^d lies in that ideal too and every solution
     has degree at most d-1 in each variable.  The solutions of degree w are
-    therefore the kernel of the J^(l) weight-w block at k = d-1.
+    therefore the weight-w part of the J^(l) kernel at k = d-1, counted as
+    sum f_lam m_lam from ``hwv.weight_multiplicities``; only the degrees up
+    to ``bound`` are solved.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if bound is None:
         bound = d * (d - 1) // 2
-    dim = 0
-    for weight in range(min(bound, d * (d - 1)) + 1):
-        rows, ncols = hwv.stacked_operator_rows(d, d - 1, weight)
-        dim += ncols - rank(rows, ncols)
-    return dim
+    return sum(hwv.weight_kernel_dim(d, d - 1, w) for w in range(min(bound, d * (d - 1)) + 1))
 
 
 def vandermonde(d: int) -> MultiPoly:

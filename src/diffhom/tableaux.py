@@ -69,6 +69,15 @@ def partitions_of(d: int, max_parts: int | None = None) -> list[Partition]:
     return [Partition(p) for p in gen(d, d, ())]
 
 
+def dominates(nu: Partition, lam: Partition) -> bool:
+    """Whether nu dominates lam: each partial sum nu_1 + ... + nu_i is at least
+    lam_1 + ... + lam_i (partitions of one size)."""
+    if nu.size != lam.size:
+        raise ValueError("partition sizes must agree")
+    return all(a >= b for a, b in zip(itertools.accumulate(nu.parts),
+                                      itertools.accumulate(lam.parts)))
+
+
 def compositions(total: int, parts: int, cap: int | None = None) -> list[tuple[int, ...]]:
     """The tuples of ``parts`` naturals summing to ``total``, each at most
     ``cap`` (unbounded when None), in lexicographic order.  Each entry ranges

@@ -15,7 +15,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -522,6 +521,9 @@ def run_suite(suite: str, max_d: int | None = None, max_n: int | None = None,
     jobs = min(jobs, os.cpu_count() or 1)
     start = time.monotonic()
     if jobs > 1:
+        # imported here: concurrent.futures.process and multiprocessing cost
+        # about 25 ms, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_task, tasks))
     else:

@@ -15,6 +15,11 @@ order, which raises TypeError on a ``ParamPoly`` entry.  The any-ring action
 it replaced is kept here as :func:`formal_matrix_action`, a ring substitution
 through ``substitute``; it serves the formal weight and unipotent criteria
 and is the oracle the tests compare ``matrix_action`` against.
+
+``hwv.weight_multiplicities`` counts the isotypic multiplicities of the J^(l)
+kernel on Young-subgroup invariants and alternants.  The character path it
+replaced is kept here as :func:`character_multiplicities`: class traces on
+the reduced kernel basis ``hwv.full_kernel_vectors``, then the character sum.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from typing import Mapping, Sequence
 
 from diffhom.dpoly import DiffPoly, UniPoly, gradings, mono_order, substitute
 from diffhom.exact import ONE, ZERO, SparseComb, operator_rows, rank
-from diffhom.hwv import d_t
-from diffhom.tableaux import Partition, Tableau, semistandard_tableaux
+from diffhom.hwv import d_t, full_kernel_vectors
+from diffhom.tableaux import (Partition, Tableau, centralizer_size, character, partitions_of,
+                              semistandard_tableaux)
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -212,3 +218,54 @@ def formal_is_unipotent_invariant(p: DiffPoly, pp: int, q: int) -> bool:
          for i in range(p.n + 1)]
     a[q][pp] = ParamPoly.var("t")
     return formal_matrix_action(a, p) == p
+
+
+def _class_traces(d: int, k: int, mu: Partition) -> dict[int, Fraction]:
+    """Trace, weight by weight, on the simultaneous kernel of the J^(l) of a
+    permutation of the factors of cycle type mu.
+
+    The kernel basis v_i is in reduced echelon form with pivots p_i = min(v_i):
+    v_i[p_i] = 1 and v_j[p_i] = 0 for j != i.  So the coefficient of v_i in
+    sigma.v_i is (sigma.v_i)[p_i] = v_i[col(sigma^-1 . idx(p_i))], and the
+    trace is one lookup per vector.  sigma and sigma^-1 are conjugate in S_d,
+    so the direction of the action does not matter.  Each v_i lies in the
+    weight of its pivot, and sigma keeps weights.
+    """
+    # the cycles of mu on consecutive factor positions, each shifted by one
+    src, start = [], 0
+    for m in mu.parts:
+        src += [start + (i + 1) % m for i in range(m)]
+        start += m
+    base = k + 1
+    traces: dict[int, Fraction] = {}
+    for v in full_kernel_vectors(d, k):
+        p = min(v)
+        digits = [(p // base ** (d - 1 - i)) % base for i in range(d)]
+        col = 0
+        for s in src:
+            col = col * base + digits[s]
+        weight = sum(digits)
+        traces[weight] = traces.get(weight, ZERO) + v.get(col, 0)
+    return traces
+
+
+def character_multiplicities(d: int, k: int) -> dict[int, tuple[int, ...]]:
+    """The multiplicity of each V_lam (``partitions_of`` order) in each weight
+    of the kernel that is not zero:
+
+        sum over cycle types mu of chi_lam(mu) tr(sigma_mu | kernel) / z_mu.
+
+    Raises ArithmeticError unless every sum is a natural number."""
+    classes = partitions_of(d)
+    traces = {mu: _class_traces(d, k, mu) for mu in classes}
+    out = {}
+    for weight in sorted(set().union(*traces.values())):
+        row = []
+        for lam in classes:
+            total = sum(character(lam, mu) * traces[mu].get(weight, ZERO) / centralizer_size(mu)
+                        for mu in classes)
+            if total.denominator != 1 or total < 0:
+                raise ArithmeticError(f"character sum {total} for {lam} is not a multiplicity")
+            row.append(int(total))
+        out[weight] = tuple(row)
+    return out

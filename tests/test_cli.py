@@ -201,6 +201,18 @@ def test_cache_recovers_from_corruption(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_cache_recovers_from_binary_garbage(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("basis", "--n", "1", "--d", "2", "--format", "json", "--cache", str(cache))
+    _, clean, _ = run(capsys, *args)
+    path = next(cache.glob("*.json"))
+    entry = path.read_text()
+    path.write_bytes(b"\xff\xfe\x00\x01")  # not UTF-8
+    code, out, err = run(capsys, *args)
+    assert code == 0 and out == clean and not err
+    assert path.read_text() == entry
+
+
 def test_cache_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DH_CACHE", str(tmp_path / "envcache"))
     code, _, _ = run(capsys, "basis", "--n", "0", "--d", "1", "--format", "json")
@@ -449,7 +461,7 @@ def test_check_at_path_reads_a_long_expression(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["--d", "9"], ["--d", "16", "--k", "0"],
                                   ["--d", "1000000000", "--k", "3"],
-                                  ["--d", "3", "--max-cost", "26"]], ids=" ".join)
+                                  ["--d", "3", "--max-cost", "18"]], ids=" ".join)
 def test_kernel_refuses_oversized_input_at_once(capsys, argv):
     code, out, err = run(capsys, "kernel", *argv)
     assert code == 2 and not out
@@ -459,13 +471,17 @@ def test_kernel_refuses_oversized_input_at_once(capsys, argv):
 def test_kernel_max_cost_overrides_the_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "kernel", "--d", "3", "--max-cost", "27", "--format", "json")
     assert code == 0 and json.loads(out)["full_kernel_dim"] == 6
-    # d = 6, k = 5 is within the default cap; d = 7, k = 6 needs --max-cost
+    # d = 3, k = 2 costs 10 columns (the S_3-invariants) plus p(3)^2 = 9
+    assert run(capsys, "kernel", "--d", "3", "--max-cost", "19")[0] == 0
+    # d = 7, k = 6 is within the default cap; d = 8, k = 7 needs --max-cost
     import diffhom.cli as cli
     monkeypatch.setattr(cli, "kernel_dim_full", lambda d, k: 0)
     monkeypatch.setattr(cli, "kernel_dim_isotypic", lambda lam, k: 0)
     assert run(capsys, "kernel", "--d", "6")[0] == 0
-    assert run(capsys, "kernel", "--d", "7")[0] == 2
-    assert run(capsys, "kernel", "--d", "7", "--max-cost", str(7 ** 7))[0] == 0
+    assert run(capsys, "kernel", "--d", "7")[0] == 0
+    assert run(capsys, "kernel", "--d", "8")[0] == 2
+    assert run(capsys, "kernel", "--d", "8", "--max-cost", str(316800 + 22 ** 2))[0] == 0
+    assert run(capsys, "kernel", "--d", "8", "--max-cost", str(316800 + 22 ** 2 - 1))[0] == 2
 
 
 @pytest.mark.parametrize("argv", [["kernel", "--d", "2", "--max-cost", "0"],

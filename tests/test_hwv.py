@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from diffhom.hwv import (Tensor, column_det, d_t, e_iso, full_kernel_vectors,
                          kernel_dim_isotypic, stacked_operator_rows,
                          straighten, symmetrizer_projection, tableau_projection,
                          tensor_of_tableau, tensor_sigma_action)
+import formal
 from formal import ParamPoly, formal_matrix_action
 
 F = Fraction
@@ -194,10 +196,120 @@ def test_kernel_isotypic_matches_symmetrizer_image_intersection(d, k):
 
 
 def test_kernel_isotypic_certifies_an_integral_sum(monkeypatch):
-    # a trace of 1/2 on every class gives chi_(2) the multiplicity 1/2
-    monkeypatch.setattr(hwv, "_class_trace", lambda d, k, mu: F(1, 2))
+    # the character-path oracle: a trace of 1/2 on every class gives chi_(2)
+    # the multiplicity 1/2
+    monkeypatch.setattr(formal, "_class_traces", lambda d, k, mu: {0: F(1, 2)})
     with pytest.raises(ArithmeticError):
-        kernel_dim_isotypic(Partition.of(2), 1)
+        formal.character_multiplicities(2, 1)
+
+
+def test_negative_multiplicity_raises(monkeypatch):
+    # one rank too many in every system makes the first multiplicity -1
+    monkeypatch.setattr(hwv, "rank", lambda rows, ncols: ncols + 1)
+    hwv.weight_multiplicities.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            hwv.weight_multiplicities(3, 2, 1)
+    finally:
+        hwv.weight_multiplicities.cache_clear()
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 6) for k in range(d + 2)])
+def test_weight_multiplicities_match_the_character_path(d, k):
+    # oracle: class traces on the reduced kernel basis and the characters
+    expected = formal.character_multiplicities(d, k)
+    zero = (0,) * len(partitions_of(d))
+    for w in range(d * k + 1):
+        assert hwv.weight_multiplicities(d, k, w) == expected.get(w, zero), w
+
+
+def _fake_degree(lam):
+    """Coefficients of q^n(lam) [d]_q! / prod over the cells of [hook]_q."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    num = [1]
+    for i in range(1, lam.size + 1):
+        num = mul(num, [1] * i)
+    conj = lam.conjugate().parts
+    for r, p in enumerate(lam.parts):
+        for c in range(p):
+            h = (p - c) + (conj[c] - r) - 1
+            # exact division by 1 + q + ... + q^(h-1): multiply by 1 - q, divide by 1 - q^h
+            num = mul(num, [1, -1])
+            for i in range(h, len(num)):
+                num[i] += num[i - h]
+            assert not any(num[len(num) - h:])
+            num = num[:len(num) - h]
+    n_lam = sum(i * p for i, p in enumerate(lam.parts))
+    return [0] * n_lam + num
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_weight_multiplicities_are_the_fake_degrees(d):
+    # at k = d-1 the kernel is the harmonic part of the coinvariant algebra,
+    # graded by the fake degrees (Stanley 1979)
+    fake = [_fake_degree(lam) for lam in partitions_of(d)]
+    for w in range(d * (d - 1) + 1):
+        assert hwv.weight_multiplicities(d, d - 1, w) == tuple(
+            f[w] if w < len(f) else 0 for f in fake), w
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(4)])
+def test_young_system_columns_match_the_closed_forms(d, k):
+    for lam in partitions_of(d):
+        inv, alt = hwv.young_system_sizes(lam, k)
+        conj = lam.conjugate().parts
+        assert sum(stacked_operator_rows(d, k, w, lam.parts)[1] for w in range(d * k + 1)) == inv
+        assert sum(stacked_operator_rows(d, k, w, conj, True)[1] for w in range(d * k + 1)) == alt
+
+
+def test_young_system_on_the_trivial_subgroup_is_the_full_system():
+    for w in range(7):
+        assert stacked_operator_rows(3, 2, w, (1, 1, 1)) == stacked_operator_rows(3, 2, w)
+
+
+def test_young_system_rejects_blocks_of_another_size():
+    with pytest.raises(ValueError):
+        stacked_operator_rows(3, 2, 1, (2, 2))
+
+
+def test_alternant_system_signs():
+    # weight 1 of (Q^2)^(x 2): the one key (1, 0) lowers to (0, 0), which
+    # vanishes among the S_2-alternants (a repeated entry), so x1 x0 - x0 x1
+    # is in the kernel; among the S_2-invariants it has no kernel
+    rows, ncols = stacked_operator_rows(2, 1, 1, (2,), True)
+    assert (rows, ncols) == ([], 1)
+    rows, ncols = stacked_operator_rows(2, 1, 1, (2,))
+    assert (rows, ncols) == ([{0: 1}], 1)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_largest_system_solved_is_the_closed_form(d, monkeypatch):
+    # the up-set of invariant-side partitions keeps every system within
+    # max_lam min(invariant, alternant) columns, and one system reaches it
+    k = d - 1
+    columns = Counter()
+    build = hwv.stacked_operator_rows
+
+    def counted(*args):
+        rows, ncols = build(*args)
+        columns[args[3:]] += ncols
+        return rows, ncols
+
+    monkeypatch.setattr(hwv, "stacked_operator_rows", counted)
+    hwv.weight_multiplicities.cache_clear()
+    assert kernel_dim_full(d, k) == math.factorial(d)
+    assert max(columns.values()) == hwv.largest_young_system(d, k)
+
+
+def test_largest_young_systems():
+    assert [hwv.largest_young_system(d, d - 1) for d in (5, 6, 7, 8)] == [500, 4320, 36015, 316800]
+    assert [hwv.largest_young_system(d, 0) for d in (1, 16)] == [1, 1]
 
 
 def test_weight_blocks_split_the_stack():

@@ -27,6 +27,8 @@ basis_report = verify.run_suite("basis", max_d=2)
 results = [
     hwv.kernel_dim_full(3, 2),
     [hwv.kernel_dim_isotypic(lam, 2) for lam in (Partition.of(3), Partition.of(2, 1))],
+    # the kernel dimensions build no kernel basis, so reach nullspace_basis directly
+    len(hwv.full_kernel_vectors(3, 2)),
     # kernel_dim_isotypic applies no symmetrizer, so reach that layer directly
     sorted((list(i), str(c)) for i, c in
            hwv.symmetrizer_projection(hwv.Tensor.basis((0, 1, 0), 1), Partition.of(2, 1)).terms.items()),

@@ -13,7 +13,7 @@ from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                               canonical_tableau, centralizer_size, character,
                               compositions, count_semistandard,
                               count_standard, group_algebra_mul,
-                              hook_length_count, kostka, partitions_of,
+                              dominates, hook_length_count, kostka, partitions_of,
                               relabel, schur_poly_eval, semistandard_tableaux,
                               young_symmetrizer)
 
@@ -155,6 +155,18 @@ def test_kostka_diagonal_is_one():
 
 def test_kostka_standard_content():
     assert kostka(Partition.of(2, 1), (1, 1, 1)) == 2
+
+
+def test_kostka_is_nonzero_exactly_under_dominance():
+    # K_{nu,lam} > 0 iff nu dominates lam, so Young's rule is unitriangular
+    for d in range(1, 7):
+        for nu in partitions_of(d):
+            for lam in partitions_of(d):
+                assert dominates(nu, lam) == (kostka(nu, lam.parts) > 0), (nu, lam)
+    assert not dominates(Partition.of(3, 3), Partition.of(4, 1, 1))
+    assert not dominates(Partition.of(4, 1, 1), Partition.of(3, 3))
+    with pytest.raises(ValueError):
+        dominates(Partition.of(2), Partition.of(1, 1, 1))
 
 
 def test_kostka_rejects_size_mismatch():

@@ -1,6 +1,10 @@
 """The verification suite runner."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from diffhom import hwv
 from diffhom.dpoly import parse
 from diffhom.verify import run_suite, SUITE_NAMES
 from diffhom.wronskian import enumerate_canonical_basis
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_suite_names_cover_cli_choices():
@@ -61,32 +67,45 @@ def test_observation_entries_always_pass():
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
+    import concurrent.futures
     import diffhom.verify as verify
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a single CPU must not start a process pool")
 
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert run_suite("rsk", max_d=3, jobs=2).passed
 
 
+def test_importing_verify_loads_no_process_pool():
+    # a serial run must not pay for concurrent.futures.process and multiprocessing
+    code = ("import sys, diffhom.verify; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_kernel_suite_builds_each_block_once(monkeypatch):
-    # the full, isotypic and low-order kernel checks share one elimination
-    # of each J^(l) weight block per (d, k)
+    # the full, isotypic and low-order kernel checks and the pde dimension and
+    # stability checks share one elimination of each J^(l) system: one per
+    # (d, k, weight, Young subgroup, sign), cached with the multiplicities
     calls = Counter()
     build = hwv.stacked_operator_rows
 
-    def counted(d, k, weight):
-        calls[d, k, weight] += 1
-        return build(d, k, weight)
+    def counted(*args):
+        calls[args] += 1
+        return build(*args)
 
     monkeypatch.setattr(hwv, "stacked_operator_rows", counted)
+    hwv.weight_multiplicities.cache_clear()
     hwv.full_kernel_vectors.cache_clear()
-    report = run_suite("kernel", max_d=4)
-    assert all(r.passed for r in report.results)
+    for suite in ("kernel", "pde"):
+        assert all(r.passed for r in run_suite(suite).results)
     expected = {(d, k, w) for d in range(1, 5) for k in range(d) for w in range(d * k + 1)}
-    assert set(calls) == expected and len(expected) == 45
+    assert {args[:3] for args in calls} == expected and len(expected) == 45
     assert max(calls.values()) == 1
 
 
