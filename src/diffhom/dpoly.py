@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 from .exact import SparseComb, ZERO, ONE, add_terms, linear_combination
 from .exact import solve_in_span, span_rank  # bound here for callers
@@ -201,16 +201,23 @@ def is_diff_homogeneous(p: DiffPoly) -> tuple[bool, int | None]:
 
         L_m = sum_{i, k >= m} C(k, m) x_i[k-m] d/dx_i[k],   m = 1..K.
 
-    So the test is: one degree for every monomial, then L_m p = 0 for each m;
-    each L_m costs one pass over the terms, in rational arithmetic.
+    So the test is: one degree for every monomial, then L_m p = 0 for each m.
+    Whether L_m p vanishes does not change when p is scaled, so p is scaled
+    once to its primitive integer multiple (times the lcm of its
+    denominators, then divided by the gcd of the numerators), and each L_m
+    costs one pass over the terms in integer arithmetic.
     """
     if not p:
         raise ValueError("the zero polynomial is excluded")
     g = gradings(p)
     if g.degree is None:
         return (False, None)
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    nums = {mono: c.numerator * (den // c.denominator) for mono, c in p.terms.items()}
+    content = math.gcd(*nums.values())
+    q = p.with_terms({mono: x // content for mono, x in nums.items()})
     for m in range(1, g.order + 1):
-        if derive(p, lowering(m)):
+        if derive(q, lowering(m)):
             return (False, None)
     return (True, g.degree)
 
@@ -227,18 +234,34 @@ def gl_elementary(p: int, q: int) -> Callable[[int, int], tuple[int, int, int] |
 
 def derive(p: DiffPoly, image: Callable[[int, int], tuple[int, int, int] | None]) -> DiffPoly:
     """D p for the derivation D with D x_i[k] = c x_j[h] where
-    ``image(i, k)`` is (j, h, c), and D x_i[k] = 0 where it is None."""
+    ``image(i, k)`` is (j, h, c), and D x_i[k] = 0 where it is None.
+
+    Each output monomial is the input factor tuple with two edits, so it
+    needs no sort: the factor (i, k) loses one from its exponent (or is
+    dropped), then (j, h) gains one (or goes in at its (j, -h) place).  The
+    coefficients stay in the ring of p's (int coefficients give int ones).
+    """
 
     def pairs():
         for mono, a in p.terms.items():
-            for i, k, e in mono:
+            for at, (i, k, e) in enumerate(mono):
                 img = image(i, k)
-                if img is not None:
-                    j, h, c = img
-                    exps = {(i2, k2): e2 for i2, k2, e2 in mono}
-                    exps[(i, k)] = e - 1
-                    exps[(j, h)] = exps.get((j, h), 0) + 1
-                    yield _mono_from_exps(exps), a * (e * c)
+                if img is None:
+                    continue
+                j, h, c = img
+                if e > 1:
+                    rest = mono[:at] + ((i, k, e - 1),) + mono[at + 1:]
+                else:
+                    rest = mono[:at] + mono[at + 1:]
+                put = 0
+                for j2, h2, _ in rest:
+                    if j2 > j or (j2 == j and h2 <= h):
+                        break
+                    put += 1
+                if put < len(rest) and rest[put][0] == j and rest[put][1] == h:
+                    yield rest[:put] + ((j, h, rest[put][2] + 1),) + rest[put + 1:], a * (e * c)
+                else:
+                    yield rest[:put] + ((j, h, 1),) + rest[put:], a * (e * c)
 
     return p.with_terms(add_terms({}, pairs()))
 
@@ -340,128 +363,119 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:x(\d+)|(\d+)|([\[\]^*+\-/]))")
+# One factor, after optional whitespace: x<i>[<k>]^<e> (groups 1-3, the
+# bracket and the exponent optional) or <int>/<int> (groups 4-5, the
+# denominator optional).  Digits are ASCII.
+_FACTOR = re.compile(r"\s*(?:x([0-9]+)(?:\s*\[\s*([0-9]+)\s*\])?(?:\s*\^\s*([0-9]+))?"
+                     r"|([0-9]+)(?:\s*/\s*([0-9]+))?)")
+# What may follow a factor: '*', '+', '-' (group 1) or the end of the input.
+_OPERATOR = re.compile(r"\s*(?:([*+\-])|\Z)")
+# One lexeme: a variable x<i> (group 1), an integer (group 2) or a symbol.
+_LEXEME = re.compile(r"\s*(?:x([0-9]+)|([0-9]+)|[\[\]^*+\-/])")
+_SPACE = re.compile(r"\s*")
 
 
-def _int(digits: str, pos: int) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # beyond the interpreter's limit on digits to convert
-        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
+def _lexical_check(text: str) -> None:
+    """Raise the first lexical error in ``text``, if it has one: an integer
+    too long to convert or an unexpected character."""
+    at = 0
+    while m := _LEXEME.match(text, at):
+        for group in (1, 2):
+            digits = m.group(group)
+            if digits:
+                try:
+                    int(digits)
+                except ValueError:  # beyond the interpreter's limit on digits to convert
+                    raise ParseError(f"integer of {len(digits)} digits is too long",
+                                     m.start(group)) from None
+        at = m.end()
+    at = _SPACE.match(text, at).end()
+    if at < len(text):
+        raise ParseError(f"unexpected character {text[at]!r}", at)
 
 
-def _tokenize(text: str) -> list[tuple[str, int | str, int]]:
-    """(kind, value, position) tokens; "var" and "int" tokens carry the int
-    they spell (the variable index for "var"), "sym" tokens the symbol."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos == len(text):
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1):
-            tokens.append(("var", _int(m.group(1), m.start(1)), m.start(1) - 1))
-        elif m.group(2):
-            tokens.append(("int", _int(m.group(2), m.start(2)), m.start(2)))
-        else:
-            tokens.append(("sym", m.group(3), m.start(3)))
-        pos = m.end()
-    return tokens
+def _fail(text: str, message: str, pos: int) -> NoReturn:
+    """Raise ParseError(message, pos), unless ``text`` has a lexical error:
+    a lexical error anywhere outranks a syntax error."""
+    _lexical_check(text)
+    raise ParseError(message, pos)
+
+
+def _fail_after(text: str, m: re.Match) -> NoReturn:
+    """Report what ends the term after the factor ``m`` when no '*', '+',
+    '-' or end of input follows it: a '[' or '^' after a variable, or a '/'
+    after an integer, that starts no complete bracket, exponent or
+    denominator; else the missing operator."""
+    at = _SPACE.match(text, m.end()).end()
+    sym = text[at:at + 1]
+    nxt = _SPACE.match(text, at + 1).end()
+    if m.group(1) is not None and sym == "[" and m.group(2) is None and m.group(3) is None:
+        lexeme = _LEXEME.match(text, at + 1)
+        if lexeme and lexeme.group(2):
+            _fail(text, "expected ']'", _SPACE.match(text, lexeme.end()).end())
+        _fail(text, "expected an integer", nxt)
+    if (m.group(1) is not None and sym == "^" and m.group(3) is None
+            or m.group(4) is not None and sym == "/" and m.group(5) is None):
+        _fail(text, "expected an integer", nxt)
+    _fail(text, "expected '+', '-' or end of input", at)
 
 
 def parse(text: str, n: int | None = None) -> DiffPoly:
     """Parse the textual grammar: terms of rational coefficients and factors
     x<i>[<k>]^<e>, combined with '*', '+', '-'.  Whitespace is insignificant.
     The variable bound ``n`` defaults to the largest index used (0 if none).
+
+    One left-to-right scan: one anchored match reads a whole factor, the
+    next the operator after it.  On malformed input the first lexical error
+    in the text (an unexpected character, or an integer too long to convert)
+    is raised if there is one, else the first syntax error; each ParseError
+    carries the position of the offending token (the end of the text when
+    the input ends early).
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    at = _SPACE.match(text).end()
+    if at == len(text):
         raise ParseError("empty expression", 0)
-    if n is None:
-        n = max((val for kind, val, _ in tokens if kind == "var"), default=0)
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, None, len(text))
-
-    def take():
-        nonlocal idx
-        t = peek()
-        idx += 1
-        return t
-
-    def expect_int() -> int:
-        kind, val, pos = take()
-        if kind != "int":
-            raise ParseError("expected an integer", pos)
-        return val
-
-    def parse_factor(exps: dict[tuple[int, int], int]) -> Fraction:
-        """Add a variable factor's exponent into ``exps``; return a rational
-        factor's value (1 for a variable)."""
-        kind, val, pos = peek()
-        if kind == "int":
-            take()
-            k2, v2, _ = peek()
-            if k2 == "sym" and v2 == "/":
-                take()
-                den = expect_int()
-                if den == 0:
-                    raise ParseError("zero denominator", pos)
-                return Fraction(val, den)
-            return Fraction(val)
-        if kind == "var":
-            take()
-            if val > n:
-                raise ParseError(f"variable index {val} exceeds bound {n}", pos)
-            k = 0
-            k2, v2, _ = peek()
-            if k2 == "sym" and v2 == "[":
-                take()
-                k = expect_int()
-                k3, v3, p3 = take()
-                if k3 != "sym" or v3 != "]":
-                    raise ParseError("expected ']'", p3)
-            e = 1
-            k2, v2, _ = peek()
-            if k2 == "sym" and v2 == "^":
-                take()
-                e = expect_int()
-            exps[(val, k)] = exps.get((val, k), 0) + e
-            return ONE
-        raise ParseError("expected a coefficient or a variable", pos)
-
-    def parse_term(sign: int) -> tuple[DMono, Fraction]:
-        exps: dict[tuple[int, int], int] = {}
-        coeff = parse_factor(exps) * sign
-        while True:
-            kind, val, _ = peek()
-            if kind == "sym" and val == "*":
-                take()
-                coeff *= parse_factor(exps)
-            else:
-                return _mono_from_exps(exps), coeff
-
-    terms: dict[DMono, Fraction] = {}
-    sign = 1
-    kind, val, _ = peek()
-    if kind == "sym" and val in "+-":
-        take()
-        sign = -1 if val == "-" else 1
+    num, den = 1, 1  # the coefficient of the term being read
+    if text[at] in "+-":
+        num = -1 if text[at] == "-" else 1
+        at += 1
+    pairs = []
+    top = 0  # the largest variable index read
+    exps: dict[tuple[int, int], int] = {}  # (i, -k) -> exponent, so keys sort as factors do
     while True:
-        add_terms(terms, (parse_term(sign),))
-        kind, val, pos = peek()
-        if kind is None:
-            return DiffPoly(n, terms)
-        if kind == "sym" and val in "+-":
-            take()
-            sign = -1 if val == "-" else 1
+        m = _FACTOR.match(text, at)
+        if m is None:
+            _fail(text, "expected a coefficient or a variable", _SPACE.match(text, at).end())
+        i, k, e, a, b = m.groups()
+        try:
+            if i is not None:
+                i, k, e = int(i), (0 if k is None else int(k)), (1 if e is None else int(e))
+            else:
+                a, b = int(a), (1 if b is None else int(b))
+        except ValueError:  # an integer beyond the interpreter's limit on digits to convert
+            _lexical_check(text)  # raises it: the text before this factor has no lexical error
+        if a is None:
+            if n is not None and i > n:
+                _fail(text, f"variable index {i} exceeds bound {n}", m.start(1) - 1)
+            top = max(top, i)
+            exps[(i, -k)] = exps.get((i, -k), 0) + e
         else:
-            raise ParseError("expected '+', '-' or end of input", pos)
+            if not b:
+                _fail(text, "zero denominator", m.start(4))
+            num *= a
+            den *= b
+        op = _OPERATOR.match(text, m.end())
+        if op is None:
+            _fail_after(text, m)
+        at = op.end()
+        sym = op.group(1)
+        if sym != "*":
+            mono = tuple([(j, -h, x) for (j, h), x in sorted(exps.items()) if x])
+            pairs.append((mono, Fraction(num, den)))
+            if sym is None:
+                return DiffPoly(top if n is None else n, add_terms({}, pairs))
+            exps = {}
+            num, den = (-1 if sym == "-" else 1), 1
 
 
 def _mono_text(m: DMono) -> str:

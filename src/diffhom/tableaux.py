@@ -1,11 +1,9 @@
-"""Partitions, weak compositions, Young tableaux, tableau counts, the
-irreducible characters of the symmetric group, permutations, and the group
-algebra of the symmetric group with its Young symmetrizers.
+"""Partitions, weak compositions, Young tableaux, tableau counts,
+permutations, and the group algebra of the symmetric group with its Young
+symmetrizers.
 
 Tableau counts are produced by direct enumeration; the hook-length formula
-appears only as a cross-check in the test suite.  Characters come from the
-Murnaghan-Nakayama rule, which the tests check against the tableau counts
-and the orthogonality relations.
+appears only as a cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -181,44 +179,6 @@ def hook_length_count(lam: Partition) -> int:
         for c in range(p):
             prod *= (p - c) + (conj[c] - r) - 1
     return math.factorial(lam.size) // prod
-
-
-def character(lam: Partition, mu: Partition) -> int:
-    """chi_lam at the permutations of cycle type mu, by the Murnaghan-Nakayama
-    rule on beta-sets (Sagan, The Symmetric Group, 4.10).
-
-    lam is the set of beads at the positions lam_i + r - i, i = 1..r = lam.nparts.
-    Removing a rim hook of length h moves one bead from b to a free b - h >= 0,
-    with the sign (-1)^(beads strictly between); chi_lam(mu) sums the signed
-    ways to strip the hooks mu_1, mu_2, ... in turn down to the empty shape.
-    """
-    if lam.size != mu.size:
-        raise ValueError("partition sizes must agree")
-    r = lam.nparts
-
-    def strip(beads: frozenset[int], hooks: tuple[int, ...]) -> int:
-        if not hooks:
-            return 1
-        h, rest = hooks[0], hooks[1:]
-        total = 0
-        for b in beads:
-            if b >= h and b - h not in beads:
-                between = sum(1 for c in beads if b - h < c < b)
-                total += (-1) ** between * strip(beads - {b} | {b - h}, rest)
-        return total
-
-    return strip(frozenset(p + r - 1 - i for i, p in enumerate(lam.parts)), mu.parts)
-
-
-def centralizer_size(mu: Partition) -> int:
-    """z_mu = prod_i i^(m_i) m_i!, m_i parts of mu equal to i: the order of the
-    centralizer of a permutation of cycle type mu, so its class has
-    |mu|! / z_mu elements."""
-    out = 1
-    for i in set(mu.parts):
-        m = mu.parts.count(i)
-        out *= i ** m * math.factorial(m)
-    return out
 
 
 def semistandard_tableaux(lam: Partition, n: int, lo: int = 1,

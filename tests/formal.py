@@ -19,20 +19,29 @@ and is the oracle the tests compare ``matrix_action`` against.
 ``hwv.weight_multiplicities`` counts the isotypic multiplicities of the J^(l)
 kernel on Young-subgroup invariants and alternants.  The character path it
 replaced is kept here as :func:`character_multiplicities`: class traces on
-the reduced kernel basis ``hwv.full_kernel_vectors``, then the character sum.
+the reduced kernel basis ``hwv.full_kernel_vectors``, then the character sum
+over the Murnaghan-Nakayama characters :func:`character` and the centralizer
+orders :func:`centralizer_size`.
+
+``dpoly.parse`` reads a whole factor per regex match and ``dpoly.derive``
+edits each monomial tuple in place.  The token-list descent and the
+rebuild-and-sort derivation they replaced are kept here as
+:func:`formal_parse` and :func:`formal_derive`, the oracles the tests
+compare them against.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from diffhom.dpoly import DiffPoly, UniPoly, gradings, mono_order, substitute
-from diffhom.exact import ONE, ZERO, SparseComb, operator_rows, rank
+from diffhom.dpoly import (DiffPoly, DMono, ParseError, UniPoly, gradings, mono_order,
+                           substitute)
+from diffhom.exact import ONE, ZERO, SparseComb, add_terms, operator_rows, rank
 from diffhom.hwv import d_t, full_kernel_vectors
-from diffhom.tableaux import (Partition, Tableau, centralizer_size, character, partitions_of,
-                              semistandard_tableaux)
+from diffhom.tableaux import Partition, Tableau, partitions_of, semistandard_tableaux
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -220,6 +229,44 @@ def formal_is_unipotent_invariant(p: DiffPoly, pp: int, q: int) -> bool:
     return formal_matrix_action(a, p) == p
 
 
+def character(lam: Partition, mu: Partition) -> int:
+    """chi_lam at the permutations of cycle type mu, by the Murnaghan-Nakayama
+    rule on beta-sets (Sagan, The Symmetric Group, 4.10).
+
+    lam is the set of beads at the positions lam_i + r - i, i = 1..r = lam.nparts.
+    Removing a rim hook of length h moves one bead from b to a free b - h >= 0,
+    with the sign (-1)^(beads strictly between); chi_lam(mu) sums the signed
+    ways to strip the hooks mu_1, mu_2, ... in turn down to the empty shape.
+    """
+    if lam.size != mu.size:
+        raise ValueError("partition sizes must agree")
+    r = lam.nparts
+
+    def strip(beads: frozenset[int], hooks: tuple[int, ...]) -> int:
+        if not hooks:
+            return 1
+        h, rest = hooks[0], hooks[1:]
+        total = 0
+        for b in beads:
+            if b >= h and b - h not in beads:
+                between = sum(1 for c in beads if b - h < c < b)
+                total += (-1) ** between * strip(beads - {b} | {b - h}, rest)
+        return total
+
+    return strip(frozenset(p + r - 1 - i for i, p in enumerate(lam.parts)), mu.parts)
+
+
+def centralizer_size(mu: Partition) -> int:
+    """z_mu = prod_i i^(m_i) m_i!, m_i parts of mu equal to i: the order of the
+    centralizer of a permutation of cycle type mu, so its class has
+    |mu|! / z_mu elements."""
+    out = 1
+    for i in set(mu.parts):
+        m = mu.parts.count(i)
+        out *= i ** m * math.factorial(m)
+    return out
+
+
 def _class_traces(d: int, k: int, mu: Partition) -> dict[int, Fraction]:
     """Trace, weight by weight, on the simultaneous kernel of the J^(l) of a
     permutation of the factors of cycle type mu.
@@ -269,3 +316,151 @@ def character_multiplicities(d: int, k: int) -> dict[int, tuple[int, ...]]:
             row.append(int(total))
         out[weight] = tuple(row)
     return out
+
+
+def _sorted_mono(exps: Mapping[tuple[int, int], int]) -> DMono:
+    items = [(i, k, e) for (i, k), e in exps.items() if e]
+    items.sort(key=lambda t: (t[0], -t[1]))
+    return tuple(items)
+
+
+def formal_derive(p: DiffPoly, image: Callable[[int, int], tuple[int, int, int] | None]) -> DiffPoly:
+    """D p for the derivation D with D x_i[k] = c x_j[h] where ``image(i, k)``
+    is (j, h, c): every output monomial rebuilt as an exponent dict and
+    sorted."""
+
+    def pairs():
+        for mono, a in p.terms.items():
+            for i, k, e in mono:
+                img = image(i, k)
+                if img is not None:
+                    j, h, c = img
+                    exps = {(i2, k2): e2 for i2, k2, e2 in mono}
+                    exps[(i, k)] = e - 1
+                    exps[(j, h)] = exps.get((j, h), 0) + 1
+                    yield _sorted_mono(exps), a * (e * c)
+
+    return p.with_terms(add_terms({}, pairs()))
+
+
+_TOKEN = re.compile(r"\s*(?:x([0-9]+)|([0-9]+)|([\[\]^*+\-/]))")
+
+
+def _token_int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's limit on digits to convert
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
+
+
+def _tokenize(text: str) -> list[tuple[str, int | str, int]]:
+    """(kind, value, position) tokens; "var" and "int" tokens carry the int
+    they spell (the variable index for "var"), "sym" tokens the symbol."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            while pos < len(text) and text[pos].isspace():
+                pos += 1
+            if pos == len(text):
+                break
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.group(1):
+            tokens.append(("var", _token_int(m.group(1), m.start(1)), m.start(1) - 1))
+        elif m.group(2):
+            tokens.append(("int", _token_int(m.group(2), m.start(2)), m.start(2)))
+        else:
+            tokens.append(("sym", m.group(3), m.start(3)))
+        pos = m.end()
+    return tokens
+
+
+def formal_parse(text: str, n: int | None = None) -> DiffPoly:
+    """The textual grammar of ``dpoly.parse`` by recursive descent over a
+    token list built first, so every lexical error comes before any syntax
+    error."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression", 0)
+    if n is None:
+        n = max((val for kind, val, _ in tokens if kind == "var"), default=0)
+    idx = 0
+
+    def peek():
+        return tokens[idx] if idx < len(tokens) else (None, None, len(text))
+
+    def take():
+        nonlocal idx
+        t = peek()
+        idx += 1
+        return t
+
+    def expect_int() -> int:
+        kind, val, pos = take()
+        if kind != "int":
+            raise ParseError("expected an integer", pos)
+        return val
+
+    def parse_factor(exps: dict[tuple[int, int], int]) -> Fraction:
+        """Add a variable factor's exponent into ``exps``; return a rational
+        factor's value (1 for a variable)."""
+        kind, val, pos = peek()
+        if kind == "int":
+            take()
+            k2, v2, _ = peek()
+            if k2 == "sym" and v2 == "/":
+                take()
+                den = expect_int()
+                if den == 0:
+                    raise ParseError("zero denominator", pos)
+                return Fraction(val, den)
+            return Fraction(val)
+        if kind == "var":
+            take()
+            if val > n:
+                raise ParseError(f"variable index {val} exceeds bound {n}", pos)
+            k = 0
+            k2, v2, _ = peek()
+            if k2 == "sym" and v2 == "[":
+                take()
+                k = expect_int()
+                k3, v3, p3 = take()
+                if k3 != "sym" or v3 != "]":
+                    raise ParseError("expected ']'", p3)
+            e = 1
+            k2, v2, _ = peek()
+            if k2 == "sym" and v2 == "^":
+                take()
+                e = expect_int()
+            exps[(val, k)] = exps.get((val, k), 0) + e
+            return ONE
+        raise ParseError("expected a coefficient or a variable", pos)
+
+    def parse_term(sign: int) -> tuple[DMono, Fraction]:
+        exps: dict[tuple[int, int], int] = {}
+        coeff = parse_factor(exps) * sign
+        while True:
+            kind, val, _ = peek()
+            if kind == "sym" and val == "*":
+                take()
+                coeff *= parse_factor(exps)
+            else:
+                return _sorted_mono(exps), coeff
+
+    terms: dict[DMono, Fraction] = {}
+    sign = 1
+    kind, val, _ = peek()
+    if kind == "sym" and val in "+-":
+        take()
+        sign = -1 if val == "-" else 1
+    while True:
+        add_terms(terms, (parse_term(sign),))
+        kind, val, pos = peek()
+        if kind is None:
+            return DiffPoly(n, terms)
+        if kind == "sym" and val in "+-":
+            take()
+            sign = -1 if val == "-" else 1
+        else:
+            raise ParseError("expected '+', '-' or end of input", pos)

@@ -68,6 +68,12 @@ def test_check_parse_error(capsys):
     assert "parse error" in err
 
 
+def test_check_rejects_non_ascii_digits(capsys):
+    code, out, err = run(capsys, "check", "x0 + \uff15*x0[1]")
+    assert code == 2 and not out
+    assert "unexpected character '\uff15' (at position 5)" in err
+
+
 def test_check_json_format(capsys):
     code, out, _ = run(capsys, "check", "x0", "--format", "json")
     assert code == 0

@@ -18,8 +18,8 @@ from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, derive, from_json,
                            mono_multidegree, parse, span_rank, solve_in_span, to_json,
                            to_text)
 from diffhom.wronskian import enumerate_canonical_basis
-from formal import (ParamPoly, as_parampoly, formal_matrix_action, formal_verdict, q_action,
-                    unipoly_mul)
+from formal import (ParamPoly, as_parampoly, formal_derive, formal_matrix_action, formal_parse,
+                    formal_verdict, q_action, unipoly_mul)
 
 F = Fraction
 WRONSK2 = "x0*x1[1] - x1*x0[1]"
@@ -76,6 +76,23 @@ def test_parse_overlong_integer_is_a_parse_error(prefix, digit, pos):
     with pytest.raises(ParseError) as err:
         parse(prefix + digit * 5000, 0)
     assert str(err.value) == f"integer of 5000 digits is too long (at position {pos})"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\uff15*x0[1]", "unexpected character '\uff15' (at position 0)"),
+    ("x0[\uff11]", "unexpected character '\uff11' (at position 3)"),
+    ("x0^\u0663", "unexpected character '\u0663' (at position 3)"),
+    # 'x' must be followed by an ASCII digit, so the 'x' is what is unexpected
+    ("x\u0663 + x0", "unexpected character 'x' (at position 0)"),
+    # a lexical error anywhere outranks an earlier syntax error
+    ("x0 x1 + 3/\u0663", "unexpected character '\u0663' (at position 10)"),
+])
+def test_parse_rejects_non_ascii_digits(text, message):
+    # the grammar's <int> is ASCII: int() would read these digits
+    for parser in (parse, formal_parse):
+        with pytest.raises(ParseError) as err:
+            parser(text, 1)
+        assert str(err.value) == message
 
 
 def test_gradings_square():
@@ -144,6 +161,14 @@ def test_is_diff_homogeneous_implies_scaling():
 def test_is_diff_homogeneous_rejects_zero():
     with pytest.raises(ValueError):
         is_diff_homogeneous(DiffPoly.zero(1))
+
+
+def test_is_diff_homogeneous_scales_rational_coefficients():
+    # the verdict is read off the primitive integer multiple of p
+    assert is_diff_homogeneous(parse("1/2*x0*x1[1] - 1/2*x1*x0[1]", 1)) == (True, 2)
+    assert is_diff_homogeneous(parse("-6/35*x0*x1[1] + 6/35*x1*x0[1]", 1)) == (True, 2)
+    assert is_diff_homogeneous(parse("6/5*x0*x1[1] - 4/5*x1*x0[1]", 1)) == (False, None)
+    assert is_diff_homogeneous(parse("2/3*x0[2]*x0 - 1/2*x0[1]^2", 0)) == (False, None)
 
 
 def test_derive_lowering_and_gl_derivations():
@@ -319,6 +344,53 @@ def test_json_roundtrip_property(p):
     assert from_json(to_json(p)) == p
 
 
+def _parse_outcome(parser, text, n):
+    """("ok", n, terms) of the parsed polynomial, or ("error", message, position)."""
+    try:
+        p = parser(text, n)
+    except ParseError as exc:
+        return ("error", str(exc), exc.pos)
+    return ("ok", p.n, p.terms)
+
+
+# Pieces of the grammar, and stray characters: a letter, symbols outside the
+# grammar, non-ASCII digits and whitespace, an integer past the digit limit.
+FRAGMENTS = (["x", "x0", "x1", "x2", "x12", "0", "1", "2", "7", "10", "[", "]", "^", "*", "+",
+              "-", "/", " ", "  ", "x0[1]", "x1^2", "3/4", "y", "@", "(", ".", "\u0663",
+              "\uff15", "\t", "\n", "\u00a0"] + ["9" * 4301])
+
+
+@st.composite
+def parse_inputs(draw):
+    """Joined fragments, or a valid sum with characters inserted, deleted or replaced."""
+    n = draw(st.none() | st.integers(0, 3))
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(FRAGMENTS), max_size=12))), n
+    text, _, _ = draw(sum_texts())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + draw(st.sampled_from(FRAGMENTS[:-1]) | st.just("")) + text[at + cut:]
+    return text, n
+
+
+@given(case=parse_inputs())
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_the_token_list_parser(case):
+    # the same polynomial, or a ParseError with the same message and position
+    text, n = case
+    assert _parse_outcome(parse, text, n) == _parse_outcome(formal_parse, text, n)
+
+
+@pytest.mark.parametrize("text", ["", "  ", "-", "x0 +", "x0 x1 @", "x0[2", "x0[^2", "x0[1][2]",
+                                  "x0^2[1]", "x0^[1]", "x0[1]^", "3/", "3/ x0", "1/2/3", "3[1]",
+                                  "x0/2", "x5[9]^", "x5 @", "x0 * 1/0 + @", "x 0", "- - x0",
+                                  "x0^0 + 0*x1", "+x0 ]", "x0[" + "9" * 4301])
+def test_parse_matches_the_token_list_parser_on_edge_cases(text):
+    for n in (None, 1):
+        assert _parse_outcome(parse, text, n) == _parse_outcome(formal_parse, text, n)
+
+
 @st.composite
 def term_texts(draw, n):
     """One term as text, with the DiffPoly product of its factors."""
@@ -377,6 +449,27 @@ def test_parse_repeated_factors_zero_exponents_and_cancellation(text, n, expecte
     p = parse(text, n)
     assert p == expected
     assert all(p.terms.values())
+
+
+# --- derive against the rebuild-and-sort derivation ------------------------
+
+@st.composite
+def derivations(draw, n):
+    if draw(st.booleans()):
+        return lowering(draw(st.integers(1, 4)))
+    return gl_elementary(draw(st.integers(0, n)), draw(st.integers(0, n)))
+
+
+@given(p=diff_polys(), data=st.data())
+@settings(max_examples=200)
+def test_derive_matches_formal_derive(p, data):
+    image = data.draw(derivations(p.n))
+    assert derive(p, image).terms == formal_derive(p, image).terms
+    # int coefficients stay int
+    q = p.with_terms({mono: c.numerator * 7 for mono, c in p.terms.items()})
+    out = derive(q, image).terms
+    assert out == formal_derive(q, image).terms
+    assert all(type(c) is int for c in out.values())
 
 
 # --- the derivation test against the formal Taylor-data substitution ------
@@ -463,6 +556,16 @@ def test_homogeneous_order_three_polynomials_agree_with_formal_substitution(p):
 @settings(max_examples=120, deadline=None)
 def test_order_three_polynomials_agree_with_formal_substitution(p):
     assert is_diff_homogeneous(p) == formal_verdict(p)
+
+
+@given(p=basis_combinations() | perturbed_basis_elements(),
+       den=st.sampled_from([2, 3, 7, 12, 7919]), num=st.integers(-20, 20).filter(bool))
+@settings(max_examples=120, deadline=None)
+def test_polynomials_with_denominators_agree_with_formal_substitution(p, den, num):
+    # the integer L_m test runs on the content-scaled multiple of p
+    q = p.scale(Fraction(num, den))
+    assume(any(c.denominator != 1 for c in q.terms.values()))
+    assert is_diff_homogeneous(q) == formal_verdict(q) == is_diff_homogeneous(p)
 
 
 # --- the GL action against the ring-substitution oracle ------------------------

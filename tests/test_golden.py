@@ -14,7 +14,9 @@ at ``d = 4``, ``k = 6`` before one pivot profile per weight block replaced
 the per-order eliminations and the count of whole blocks at ``k >= d-1``, and
 the ``verify --suite basis`` digest (default caps, ``d <= 4``, so it holds
 the ``(2, 4)`` GL-stability check) before the integer, order-graded
-``matrix_action`` replaced the ring substitution; a change to the library
+``matrix_action`` replaced the ring substitution, and the ``check @FILE``
+digest of a rational combination of ``(2, 3)`` basis elements before the
+factor-level parser and the integer ``L_m`` test; a change to the library
 that keeps every result must keep them.  The
 ``wall_time_seconds`` field of ``verify`` is dropped before hashing.
 """
@@ -23,9 +25,13 @@ import hashlib
 import json
 import shlex
 
+from fractions import Fraction
+
 import pytest
 
 from diffhom.cli import main
+from diffhom.dpoly import DiffPoly, gradings, to_text
+from diffhom.wronskian import enumerate_canonical_basis
 
 GOLDEN = {
     "kernel --d 4":
@@ -70,11 +76,31 @@ GOLDEN = {
 EXIT_CODES = {"check 'x0[1]'": 1, "check 'x0*x1[2] - x1*x0[2]'": 1}
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_json_output_digest(command, capsys):
-    code = main(shlex.split(command) + ["--format", "json"])
+
+
+def _digest(argv, capsys) -> tuple[int, str]:
+    code = main(argv + ["--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     payload.pop("wall_time_seconds", None)
-    blob = json.dumps(payload, sort_keys=True).encode()
+    return code, hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_json_output_digest(command, capsys):
+    code, digest = _digest(shlex.split(command), capsys)
     assert code == EXIT_CODES.get(command, 0)
-    assert hashlib.sha256(blob).hexdigest() == GOLDEN[command]
+    assert digest == GOLDEN[command]
+
+
+def test_check_file_digest(tmp_path, capsys):
+    # the eight weight-2 elements of (2, 3) with alternating rational
+    # coefficients, plus the weight-3 element: degree 3, not isobaric
+    basis = [poly for _, poly in enumerate_canonical_basis(2, 3)]
+    p = DiffPoly.zero(2)
+    for j, poly in enumerate(q for q in basis if gradings(q).weight == 2):
+        p = p + poly.scale(Fraction((-1) ** j * (2 * j + 1), j + 2))
+    p = p + next(q for q in basis if gradings(q).weight == 3)
+    path = tmp_path / "poly.txt"
+    path.write_text(to_text(p) + "\n", encoding="utf-8")
+    assert _digest(["check", "@" + str(path)], capsys) == (
+        0, "56e377a480cc69ae4627ef5a3a1329052b19fa4f2588d9f9c4a90b64d9235d2c")

@@ -1,5 +1,5 @@
-"""Partitions, compositions, tableau counts, Kostka numbers, characters,
-Young symmetrizers."""
+"""Partitions, compositions, tableau counts, Kostka numbers, characters (the
+Murnaghan-Nakayama oracle in ``formal``), Young symmetrizers."""
 
 import itertools
 import math
@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from diffhom.exact import solve_in_span, span_rank
 from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
-                              canonical_tableau, centralizer_size, character,
-                              compositions, count_semistandard,
+                              canonical_tableau, compositions, count_semistandard,
                               count_standard, group_algebra_mul,
                               dominates, hook_length_count, kostka, partitions_of,
                               relabel, schur_poly_eval, semistandard_tableaux,
                               young_symmetrizer)
+from formal import centralizer_size, character
 
 F = Fraction
 
