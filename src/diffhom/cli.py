@@ -229,14 +229,15 @@ def cmd_tableaux(args) -> int:
 def kernel_cost(d: int, k: int, cap: int) -> int:
     """Cost estimate of `dh kernel --d d --k k`: the columns of the largest
     Young-subgroup system it solves (``hwv.largest_young_system``) plus the
-    p(d)^2 Kostka numbers between the partitions of d.  p(n) grows with n, so
-    once p(n)^2 alone passes ``cap`` that is returned at once: a huge d never
-    reaches the partitions of d."""
+    p(d)^2 Kostka numbers between the partitions of d.  For k >= d-1 the
+    systems are those of k = d-1 (``hwv.weight_multiplicities``).  p(n) grows
+    with n, so once p(n)^2 alone passes ``cap`` that is returned at once: a
+    huge d never reaches the partitions of d."""
     for n in range(1, d + 1):
         table = len(partitions_of(n)) ** 2
         if table > cap:
             return table
-    return table + largest_young_system(d, k)
+    return table + largest_young_system(d, min(k, d - 1))
 
 
 def cmd_kernel(args) -> int:

@@ -391,6 +391,8 @@ def _lexical_check(text: str) -> None:
         at = m.end()
     at = _SPACE.match(text, at).end()
     if at < len(text):
+        if text[at] == "x" and text[at + 1:at + 2].isdigit():
+            at += 1  # a non-ASCII digit after 'x' is what is unexpected
         raise ParseError(f"unexpected character {text[at]!r}", at)
 
 

@@ -8,7 +8,10 @@ map x[i] -> i * x[i-1].  The simultaneous kernel of the J^(l) is an
 S_d-module, because the J^(l) commute with permuting the factors; the
 multiplicity of each irreducible V_lam in it, weight by weight, comes from
 the kernels on the invariants and the alternants of Young subgroups (Young's
-rule), which are far smaller systems than the whole tensor power.
+rule), which are far smaller systems than the whole tensor power.  They
+are solved only at the weights up to the middle one, d*k/2, and k >= d is
+read at k = d-1: J^(1) is an sl2 lowering operator, and every kernel vector
+has its indices below d (``weight_multiplicities``).
 """
 
 from __future__ import annotations
@@ -264,7 +267,8 @@ def young_system_sizes(lam: Partition, k: int) -> tuple[int, int]:
 
 def largest_young_system(d: int, k: int) -> int:
     """Columns of the largest system ``weight_multiplicities`` solves at (d, k),
-    over all weights: max over lam of min(invariant, alternant) columns."""
+    counted over all weights (a bound: only the weights 2w <= dk are
+    solved): max over lam of min(invariant, alternant) columns."""
     return max(min(young_system_sizes(lam, k)) for lam in partitions_of(d))
 
 
@@ -291,6 +295,18 @@ def weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     J^(l), which is an S_d-module because the J^(l) commute with permuting
     the factors.  Cached per (d, k, weight).
 
+    Two theorems fix part of the answer without elimination.  The lowering
+    x[i] -> i x[i-1] is one nilpotent Jordan block on W = Q^{k+1}, so W is
+    the irreducible sl2-module with x[i] of h-weight 2i - k, and J^(1) is its
+    lowering operator on the tensor power, where index weight w has h-weight
+    2w - dk.  The lowering operator is injective on every h-weight space of
+    positive weight (Humphreys, Lie algebras §7; Proctor 1982), so the
+    kernel is zero at 2w > dk.  And d^d/dX_i^d lies in the ideal of the
+    e_l(d/dX) (see ``pde.solution_space_dim``), so for k >= d every kernel
+    vector has all indices <= d-1: the kernel is the k = d-1 kernel, weight
+    for weight.  ``full_kernel_vectors`` eliminates every weight at its own
+    k, and the tests compare the two.
+
     By Young's rule the kernel has sum_nu K_{nu,lam} m_nu invariants under
     the Young subgroup S_lam and sum_nu K_{nu',lam'} m_nu alternants under
     S_lam' (Fulton, Young Tableaux 7.3), and both sums are unitriangular in
@@ -299,7 +315,11 @@ def weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     alternants; no kernel basis is built.  Raises ArithmeticError on a
     negative multiplicity.
     """
+    if k >= d:
+        return weight_multiplicities(d, d - 1, weight)
     lams = partitions_of(d)
+    if 2 * weight > d * k:
+        return (0,) * len(lams)
     upper = _invariant_side(d, k)
 
     def nullity(mu: Partition, sign: bool) -> int:
@@ -331,10 +351,16 @@ def weight_kernel_dim(d: int, k: int, weight: int) -> int:
                for lam, c in zip(partitions_of(d), weight_multiplicities(d, k, weight)) if c)
 
 
+def _weights(d: int, k: int) -> range:
+    """The weights that can hold kernel vectors: 0..d*k, and for k >= d only
+    those up to d(d-1), as every index is at most d-1."""
+    return range(d * min(k, d - 1) + 1)
+
+
 def kernel_dim_full(d: int, k: int) -> int:
     """Dimension of the simultaneous kernel of all J^(l) on the full tensor
-    power, summed over the weights 0..d*k."""
-    return sum(weight_kernel_dim(d, k, w) for w in range(d * k + 1))
+    power, summed over the weights."""
+    return sum(weight_kernel_dim(d, k, w) for w in _weights(d, k))
 
 
 def kernel_dim_isotypic(lam: Partition, k: int) -> int:
@@ -343,7 +369,7 @@ def kernel_dim_isotypic(lam: Partition, k: int) -> int:
     the canonical Young symmetrizer of shape lam, summed over the weights."""
     d = lam.size
     i = partitions_of(d).index(lam)
-    return sum(weight_multiplicities(d, k, w)[i] for w in range(d * k + 1))
+    return sum(weight_multiplicities(d, k, w)[i] for w in _weights(d, k))
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from .wronskian import (build_formal_wronskian,
                         verify_wedge_identity)
 from .hwv import (Tensor, e_iso, full_kernel_vectors, functional_solution_dim,
                   hwv_basis, j_ell, kernel_dim_full, kernel_dim_isotypic,
-                  symmetrizer_projection, tableau_projection)
+                  stacked_operator_rows, symmetrizer_projection, tableau_projection)
 from .pde import (MultiPoly, newton_operator, solution_space_dim,
                   vandermonde_derivative_basis)
 from .jets import census, classify_basis, verify_theorem2
@@ -224,8 +224,15 @@ def check_pde_oracle(d: int) -> CheckResult:
 
 
 def check_pde_stability(d: int) -> CheckResult:
+    """No solutions in the two degrees above the Vandermonde degree.  Those
+    blocks are ranked in full here: ``weight_multiplicities`` reads zeros
+    above the middle weight by the sl2 argument this check tests."""
     base = solution_space_dim(d)
-    wider = solution_space_dim(d, d * (d - 1) // 2 + 2)
+    top = d * (d - 1) // 2
+    wider = base
+    for w in (top + 1, top + 2):
+        rows, ncols = stacked_operator_rows(d, d - 1, w)
+        wider += ncols - rank(rows, ncols)
     return _result("pde_degree_stability", {"d": d}, base, wider)
 
 

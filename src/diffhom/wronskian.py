@@ -240,7 +240,10 @@ def _mat_mul(a, b):
              for c in range(n)] for r in range(n)]
 
 
-def _is_nilpotent(m: Sequence[Sequence[Fraction]]) -> bool:
+@functools.lru_cache(maxsize=16)
+def _is_nilpotent(m: tuple[tuple[Fraction, ...], ...]) -> bool:
+    """Whether m^n = 0.  Cached: the wedge checks ask it of one matrix for
+    every tuple of vectors."""
     n = len(m)
     power = [list(row) for row in m]
     for _ in range(n - 1):
@@ -269,7 +272,7 @@ def verify_wedge_identity(nilpotent: Sequence[Sequence[Fraction]],
     d = len(nilpotent)
     if any(len(row) != d for row in nilpotent):
         raise ValueError("nilpotent matrix must be square")
-    if not _is_nilpotent(nilpotent):
+    if not _is_nilpotent(tuple(map(tuple, nilpotent))):
         raise ValueError("matrix is not nilpotent")
     count = d - i + 1
     if not 1 <= i <= d:

@@ -365,6 +365,8 @@ def _tokenize(text: str) -> list[tuple[str, int | str, int]]:
                 pos += 1
             if pos == len(text):
                 break
+            if text[pos] == "x" and pos + 1 < len(text) and text[pos + 1].isdigit():
+                pos += 1  # 'x' then a non-ASCII digit: the digit is unexpected
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.group(1):
             tokens.append(("var", _token_int(m.group(1), m.start(1)), m.start(1) - 1))

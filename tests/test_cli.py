@@ -490,6 +490,14 @@ def test_kernel_max_cost_overrides_the_cap(capsys, monkeypatch):
     assert run(capsys, "kernel", "--d", "8", "--max-cost", str(316800 + 22 ** 2 - 1))[0] == 2
 
 
+@pytest.mark.parametrize("d, k, full", [("5", "40", 120), ("3", "1000000000", 6)])
+def test_kernel_with_a_large_k_costs_as_k_is_d_minus_1(capsys, d, k, full):
+    # every kernel vector has indices <= d-1, so --k 40 solves the k = 4
+    # systems, and a huge --k reads no weight above d(d-1)
+    code, out, _ = run(capsys, "kernel", "--d", d, "--k", k)
+    assert code == 0 and f"full tensor power: {full}\n" in out
+
+
 @pytest.mark.parametrize("argv", [["kernel", "--d", "2", "--max-cost", "0"],
                                   ["kernel", "--d", "2", "--max-cost", "-5"]])
 def test_kernel_rejects_nonpositive_max_cost(capsys, argv):

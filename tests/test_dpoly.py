@@ -82,8 +82,11 @@ def test_parse_overlong_integer_is_a_parse_error(prefix, digit, pos):
     ("\uff15*x0[1]", "unexpected character '\uff15' (at position 0)"),
     ("x0[\uff11]", "unexpected character '\uff11' (at position 3)"),
     ("x0^\u0663", "unexpected character '\u0663' (at position 3)"),
-    # 'x' must be followed by an ASCII digit, so the 'x' is what is unexpected
-    ("x\u0663 + x0", "unexpected character 'x' (at position 0)"),
+    # 'x' must be followed by an ASCII digit: the digit after it is unexpected
+    ("x\u0663 + x0", "unexpected character '\u0663' (at position 1)"),
+    ("x0 + x\uff15[1]", "unexpected character '\uff15' (at position 6)"),
+    # an 'x' before anything but a digit is itself unexpected
+    ("x + x0", "unexpected character 'x' (at position 0)"),
     # a lexical error anywhere outranks an earlier syntax error
     ("x0 x1 + 3/\u0663", "unexpected character '\u0663' (at position 10)"),
 ])

@@ -223,6 +223,27 @@ def test_weight_multiplicities_match_the_character_path(d, k):
         assert hwv.weight_multiplicities(d, k, w) == expected.get(w, zero), w
 
 
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 6) for k in range(d + 2)])
+def test_no_kernel_above_the_middle_weight(d, k):
+    # the blocks weight_multiplicities skips (2w > dk, where J^(1) is the
+    # sl2 lowering operator at positive h-weight), eliminated in full
+    nonzero = formal.character_multiplicities(d, k)
+    for w in range(d * k // 2 + 1, d * k + 1):
+        rows, ncols = stacked_operator_rows(d, k, w)
+        assert ncols - rank(rows, ncols) == 0, w
+        assert not any(nonzero.get(w, ())), w
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in (d, d + 1)])
+def test_kernel_above_the_cap_is_the_capped_kernel(d, k):
+    # weight_multiplicities reads k >= d at k = d-1; full_kernel_vectors
+    # eliminates every weight at k itself
+    vectors = full_kernel_vectors(d, k)
+    assert kernel_dim_full(d, k) == len(vectors)
+    index = list(itertools.product(range(k + 1), repeat=d))
+    assert all(max(index[j]) <= d - 1 for vec in vectors for j in vec)
+
+
 def _fake_degree(lam):
     """Coefficients of q^n(lam) [d]_q! / prod over the cells of [hook]_q."""
     def mul(a, b):
@@ -291,19 +312,26 @@ def test_alternant_system_signs():
 @pytest.mark.parametrize("d", range(1, 6))
 def test_largest_system_solved_is_the_closed_form(d, monkeypatch):
     # the up-set of invariant-side partitions keeps every system within
-    # max_lam min(invariant, alternant) columns, and one system reaches it
+    # max_lam min(invariant, alternant) columns, and one system reaches it.
+    # Only the weights 2w <= dk are solved, each once; a system's columns
+    # per weight are symmetric about dk/2 (products of Gaussian binomials),
+    # so the solved weights, mirrored, give its columns over all weights
     k = d - 1
     columns = Counter()
+    blocks = Counter()
     build = hwv.stacked_operator_rows
 
     def counted(*args):
         rows, ncols = build(*args)
-        columns[args[3:]] += ncols
+        blocks[args] += 1
+        columns[args[3:]] += ncols if 2 * args[2] == d * k else 2 * ncols
         return rows, ncols
 
     monkeypatch.setattr(hwv, "stacked_operator_rows", counted)
     hwv.weight_multiplicities.cache_clear()
     assert kernel_dim_full(d, k) == math.factorial(d)
+    assert {args[2] for args in blocks} == set(range(d * k // 2 + 1))
+    assert max(blocks.values()) == 1
     assert max(columns.values()) == hwv.largest_young_system(d, k)
 
 

@@ -149,7 +149,8 @@ def test_each_variable_is_a_root_of_the_elementary_polynomial(d):
 
 
 def test_solution_space_dim_reads_the_j_blocks(monkeypatch):
-    # the Young-subgroup J^(l) systems at k = d-1, each once, only up to the bound
+    # the Young-subgroup J^(l) systems at k = d-1, each once, only up to the
+    # bound and the middle weight d(d-1)/2 (above it the kernel is zero)
     calls = Counter()
     build = hwv.stacked_operator_rows
 
@@ -164,7 +165,25 @@ def test_solution_space_dim_reads_the_j_blocks(monkeypatch):
     assert max(calls.values()) == 1
     calls.clear()
     assert solution_space_dim(3, 100) == 6
-    assert {args[:3] for args in calls} == {(3, 2, w) for w in range(7)}
+    assert {args[:3] for args in calls} == {(3, 2, w) for w in range(4)}
+    assert max(calls.values()) == 1
+
+
+def test_stability_check_ranks_the_degrees_above_the_vandermonde(monkeypatch):
+    # one kernel vector in degree d(d-1)/2 + 1 fails the check: read through
+    # weight_multiplicities, that degree would be zero by the sl2 skip
+    import diffhom.verify as verify
+
+    assert verify.check_pde_stability(3).passed
+    build = verify.stacked_operator_rows
+
+    def widened(d, k, w):
+        rows, ncols = build(d, k, w)
+        return rows, ncols + (w == d * (d - 1) // 2 + 1)
+
+    monkeypatch.setattr(verify, "stacked_operator_rows", widened)
+    result = verify.check_pde_stability(3)
+    assert not result.passed and (result.expected, result.computed) == ("6", "7")
 
 
 def test_system_equivalence_check_at_four():

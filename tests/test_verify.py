@@ -91,7 +91,11 @@ def test_importing_verify_loads_no_process_pool():
 def test_kernel_suite_builds_each_block_once(monkeypatch):
     # the full, isotypic and low-order kernel checks and the pde dimension and
     # stability checks share one elimination of each J^(l) system: one per
-    # (d, k, weight, Young subgroup, sign), cached with the multiplicities
+    # (d, k, weight, Young subgroup, sign), cached with the multiplicities,
+    # at the weights 2w <= dk.  The pde system-equivalence check (d <= 3)
+    # adds every weight of the full system at k = d-1 through
+    # full_kernel_vectors, once each.  The stability check ranks its two
+    # degrees above d(d-1)/2 through verify's own binding, not counted here
     calls = Counter()
     build = hwv.stacked_operator_rows
 
@@ -104,8 +108,10 @@ def test_kernel_suite_builds_each_block_once(monkeypatch):
     hwv.full_kernel_vectors.cache_clear()
     for suite in ("kernel", "pde"):
         assert all(r.passed for r in run_suite(suite).results)
-    expected = {(d, k, w) for d in range(1, 5) for k in range(d) for w in range(d * k + 1)}
-    assert {args[:3] for args in calls} == expected and len(expected) == 45
+    solved = {(d, k, w) for d in range(1, 5) for k in range(d) for w in range(d * k // 2 + 1)}
+    full = {(d, d - 1, w) for d in range(1, 4) for w in range(d * (d - 1) + 1)}
+    assert {args[:3] for args in calls} == solved | full
+    assert (len(solved), len(full - solved)) == (27, 4)
     assert max(calls.values()) == 1
 
 

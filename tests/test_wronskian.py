@@ -227,6 +227,19 @@ def test_wedge_identity_rejects_bad_input():
         verify_wedge_identity(standard_nilpotent(2), [(F(1), F(0))], 1)  # wrong count
 
 
+def test_wedge_identity_checks_nilpotence_once_per_matrix():
+    from diffhom import wronskian
+
+    wronskian._is_nilpotent.cache_clear()
+    nil = standard_nilpotent(4)
+    for j in range(4):
+        assert verify_wedge_identity(nil, [tuple(F(r == j) for r in range(4))] * 2, 3)
+    assert verify_wedge_identity([list(row) for row in nil], [(F(1),) * 4] * 2, 3)
+    assert wronskian._is_nilpotent.cache_info().misses == 1
+    with pytest.raises(ValueError):
+        verify_wedge_identity([[F(0), F(1)], [F(1), F(0)]], [(F(1), F(0))] * 2, 1)
+
+
 def test_wedge_identity_random_seeded():
     rng = random.Random(99)
     for d in range(2, 5):
