@@ -27,7 +27,7 @@ from .dpoly import (ParseError, from_json_dict, gradings, is_diff_homogeneous,
 from .jets import census, weight_census_bound
 from .tableaux import count_semistandard, count_standard, partitions_of
 from .hwv import kernel_dim_full, kernel_dim_isotypic, largest_young_system
-from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
+from .verify import DEFAULT_SEED, SUITE_NAMES, over_cap, run_suite
 from .wronskian import basis_manifest
 
 # The default cap on the cost of `dh kernel` (see `kernel_cost`).  It lets
@@ -285,6 +285,9 @@ def cmd_verify(args) -> int:
     if ((args.max_d is not None and args.max_d < 1)
             or (args.max_n is not None and args.max_n < 0)):
         print("verify requires --max-d >= 1 and --max-n >= 0", file=sys.stderr)
+        return 2
+    if reason := over_cap(args.suite, args.max_d, args.max_n):
+        print(f"verify {reason}", file=sys.stderr)
         return 2
     report = run_suite(args.suite, max_d=args.max_d, max_n=args.max_n,
                        seed=args.seed, jobs=args.jobs)

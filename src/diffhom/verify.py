@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .exact import ONE, ZERO, add_terms, operator_rows, rank
-from .dpoly import (derive, gl_elementary, is_diff_homogeneous, matrix_action,
+from .exact import ONE, ZERO, add_terms, linear_combination, operator_rows, rank
+from .dpoly import (DiffPoly, derive, gl_elementary, is_diff_homogeneous, matrix_action,
                     mono_multidegree, solve_in_span, span_rank)
 from .tableaux import (Partition, canonical_tableau, compositions, count_semistandard,
                        count_standard, group_algebra_mul, kostka, partitions_of,
                        young_symmetrizer)
-from .wronskian import (build_formal_wronskian,
-                        enumerate_canonical_basis, expand_combination,
+from .wronskian import (build_formal_wronskian, enumerate_canonical_basis,
                         reduce_to_triangular, standard_nilpotent,
                         verify_wedge_identity)
 from .hwv import (Tensor, e_iso, full_kernel_vectors, functional_solution_dim,
@@ -276,11 +275,22 @@ def suite_pde(max_d: int, max_n: int, seed: int) -> list[partial]:
 # appendixA suite: triangular rewriting and wedge identities
 
 def check_triangular_reduction(d: int) -> CheckResult:
+    """Each formal Wronskian of {0..d-1}^d equals the combination of
+    triangular ones that ``reduce_to_triangular`` gives.  The direct and the
+    reduced side share one dict of the triangular Wronskians (a triangular
+    tuple rewrites to itself), so each of the d^d is built once and only
+    d! are held."""
     failures = 0
     first = None
+    zero = DiffPoly.zero(d - 1)
+    wronskians = {}
     for alpha in itertools.product(range(d), repeat=d):
-        direct = build_formal_wronskian(alpha)
-        reduced = expand_combination(reduce_to_triangular(alpha), d)
+        comb = reduce_to_triangular(alpha)
+        for _, idx in comb:
+            if idx not in wronskians:
+                wronskians[idx] = build_formal_wronskian(idx)
+        direct = wronskians[alpha] if alpha in wronskians else build_formal_wronskian(alpha)
+        reduced = linear_combination(zero, ((c, wronskians[idx]) for c, idx in comb))
         if direct != reduced:
             failures += 1
             first = first or alpha
@@ -497,15 +507,39 @@ def suite_jets(max_d: int, max_n: int, seed: int) -> list[partial]:
 # ---------------------------------------------------------------------------
 # runner
 
+# suite: (builder, default caps, largest caps accepted).  The largest caps
+# are the largest values of the flags a suite reads whose run, at the
+# largest value of the other flag, took at most two minutes on a 2-CPU
+# machine; the README lists the times.  A flag a suite does not read, or
+# reads only up to a fixed value, has no cap.
 _SUITES = {
-    "basis": (suite_basis, {"max_d": 4, "max_n": 2}),
-    "rsk": (suite_rsk, {"max_d": 8, "max_n": 4}),
-    "kernel": (suite_kernel, {"max_d": 4, "max_n": 2}),
-    "pde": (suite_pde, {"max_d": 4, "max_n": 2}),
-    "appendixA": (suite_appendixA, {"max_d": 4, "max_n": 2}),
-    "hwv": (suite_hwv, {"max_d": 4, "max_n": 3}),
-    "jets": (suite_jets, {"max_d": 4, "max_n": 2}),
+    "basis": (suite_basis, {"max_d": 4, "max_n": 2}, {"max_d": 5, "max_n": 3}),
+    "rsk": (suite_rsk, {"max_d": 8, "max_n": 4}, {"max_d": 14}),
+    "kernel": (suite_kernel, {"max_d": 4, "max_n": 2}, {"max_d": 7}),
+    "pde": (suite_pde, {"max_d": 4, "max_n": 2}, {"max_d": 5}),
+    "appendixA": (suite_appendixA, {"max_d": 4, "max_n": 2}, {"max_d": 6}),
+    "hwv": (suite_hwv, {"max_d": 4, "max_n": 3}, {"max_d": 7, "max_n": 20}),
+    "jets": (suite_jets, {"max_d": 4, "max_n": 2}, {}),
 }
+
+
+def _suite_names(suite: str) -> list[str]:
+    if suite not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    return [s for s in SUITE_NAMES if s != "all"] if suite == "all" else [suite]
+
+
+def over_cap(suite: str, max_d: int | None, max_n: int | None) -> str | None:
+    """Why ``max_d`` or ``max_n`` is refused: it exceeds the cap of a suite
+    that ``suite`` runs (the first such, in suite order).  None when both are
+    within every cap."""
+    for name in _suite_names(suite):
+        for flag, value in (("max_d", max_d), ("max_n", max_n)):
+            cap = _SUITES[name][2].get(flag)
+            if value is not None and cap is not None and value > cap:
+                return (f"--{flag.replace('_', '-')} {value} exceeds the cap of {cap} "
+                        f"for the {name} suite")
+    return None
 
 
 def _run_task(task: partial) -> CheckResult:
@@ -514,14 +548,14 @@ def _run_task(task: partial) -> CheckResult:
 
 def run_suite(suite: str, max_d: int | None = None, max_n: int | None = None,
               seed: int = DEFAULT_SEED, jobs: int = 1) -> VerificationReport:
-    if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    names = _suite_names(suite)
     if (max_d is not None and max_d < 1) or (max_n is not None and max_n < 0):
         raise ValueError("max_d must be >= 1 and max_n >= 0")
-    names = [s for s in SUITE_NAMES if s != "all"] if suite == "all" else [suite]
+    if reason := over_cap(suite, max_d, max_n):
+        raise ValueError(reason)
     tasks = []
     for name in names:
-        builder, defaults = _SUITES[name]
+        builder, defaults, _ = _SUITES[name]
         tasks.extend(builder(max_d if max_d is not None else defaults["max_d"],
                              max_n if max_n is not None else defaults["max_n"],
                              seed))

@@ -7,10 +7,14 @@ is expanded row by row over sets of used columns, in integer arithmetic
 while the entries are integral (``build_wronskian``).  Choosing monomials
 t^alpha with triangular exponent constraints yields the canonical family of
 (N+1)^d differentially homogeneous polynomials, which ``canonical_basis``
-builds once per process for each of the last few (N, d) asked for; the same
-construction over d distinct formal variables supports the rewriting of
-an arbitrary exponent family onto the triangular one, justified by exact
-wedge-product identities for nilpotent matrices.
+builds once per process for each of the last few (N, d) asked for.
+
+The paper's Appendix A rewrites an arbitrary exponent family over d distinct
+formal variables onto the triangular one (``reduce_to_triangular``, memoized
+per tuple in integers), and justifies the rewriting by wedge-product
+identities for nilpotent matrices (``verify_wedge_identity``, whose
+Pluecker coordinates come from one integer pass over the vectors, expanded
+over bitmasks of used rows like the Wronskian itself).
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .exact import ONE, ZERO, add_terms, det_expansion, linear_combination
+from .exact import ZERO, add_terms
 from .dpoly import DiffPoly, UniPoly, _mono_from_exps, gradings, span_rank, to_json_dict
 from .tableaux import compositions
 
@@ -190,67 +194,146 @@ def _first_violation(alpha: tuple[int, ...]) -> int | None:
     return None
 
 
+@functools.lru_cache(maxsize=64)
+def _shifts(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The gamma of compositions(p, d-p+1) other than (p, 0, ..., 0)."""
+    ours = (p,) + (0,) * (d - p)
+    return tuple(gamma for gamma in compositions(p, d - p + 1) if gamma != ours)
+
+
+def _replacements(alpha: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
+    """The summands other than ``alpha`` of the vanishing identity at the
+    violating position p, without those with an entry >= d (the zero
+    polynomial)."""
+    d = len(alpha)
+    head, base = alpha[:p - 1], (alpha[p - 1] - p,) + alpha[p:]
+    out = []
+    for gamma in _shifts(p, d):
+        tail = tuple(b + g for b, g in zip(base, gamma))
+        if max(tail) < d:
+            out.append(head + tail)
+    return out
+
+
+@functools.lru_cache(maxsize=2)
+def _rewritings(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """The rewritings ``reduce_to_triangular`` has found for length d, as
+    {triangular tuple: int coefficient}: at most one per tuple of {0..d-1}^d,
+    kept for the last two lengths asked for."""
+    return {}
+
+
 def reduce_to_triangular(alpha: Sequence[int]) -> list[tuple[Fraction, tuple[int, ...]]]:
     """Rewrite the exponent family member ``alpha`` as an exact linear
-    combination of members with the triangular bound alpha_i <= i - 1.
+    combination of members with the triangular bound alpha_i <= i - 1,
+    sorted by tuple.
 
     At the smallest violating position p the vanishing identity
     ``sum over gamma in N^(d-p+1), |gamma| = p of P_(prefix, base+gamma) = 0``
     (base = tail with alpha_p lowered by p) is solved for the unique summand
-    with gamma_p = p, which is ``alpha`` itself.  Every replacement term is
-    lexicographically smaller, so the rewriting terminates; exponents >= d are
-    dropped since they index the zero polynomial.
+    with gamma_p = p, which is ``alpha`` itself.  Every replacement is
+    lexicographically smaller, so ``red(alpha) = -sum red(replacement)`` over
+    the replacements with every entry < d (larger exponents index the zero
+    polynomial; so does ``alpha`` itself, giving []).  ``red`` is memoized
+    per tuple in integers (``_rewritings``) and evaluated with an explicit
+    stack, so a check that rewrites all d^d tuples expands each one once.
     """
     d = len(alpha)
-    work: dict[tuple[int, ...], Fraction] = {tuple(alpha): ONE}
-    result: dict[tuple[int, ...], Fraction] = {}
-    while work:
-        idx = max(work)
-        coeff = work.pop(idx)
-        if any(a >= d for a in idx):
+    alpha = tuple(alpha)
+    if any(a >= d for a in alpha):
+        return []
+    memo = _rewritings(d)
+    stack = [alpha]
+    while stack:
+        idx = stack[-1]
+        if idx in memo:
+            stack.pop()
             continue
         p = _first_violation(idx)
         if p is None:
-            add_terms(result, [(idx, coeff)])
+            memo[stack.pop()] = {idx: 1}
             continue
-        base = list(idx)
-        base[p - 1] -= p
-        ours = (p,) + (0,) * (d - p)
-        add_terms(work, ((idx[:p - 1] + tuple(b + g for b, g in zip(base[p - 1:], gamma)), -coeff)
-                         for gamma in compositions(p, d - p + 1) if gamma != ours))
-    return sorted(((c, idx) for idx, c in result.items()), key=lambda t: t[1])
-
-
-def expand_combination(comb: Iterable[tuple[Fraction, Sequence[int]]], d: int) -> DiffPoly:
-    return linear_combination(DiffPoly.zero(d - 1),
-                              ((c, build_formal_wronskian(idx)) for c, idx in comb))
+        replacements = _replacements(idx, p)
+        missing = [r for r in replacements if r not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        memo[stack.pop()] = add_terms({}, ((key, -c) for r in replacements
+                                           for key, c in memo[r].items()))
+    return [(Fraction(c), idx) for idx, c in sorted(memo[alpha].items())]
 
 
 # ---------------------------------------------------------------------------
 # Wedge-product identities for nilpotent matrices.
 
-def _mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sum((m[r][c] * v[c] for c in range(len(v)) if v[c]), ZERO)
-                 for r in range(len(m)))
+def _mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
 def _mat_mul(a, b):
     n = len(a)
-    return [[sum((a[r][i] * b[i][c] for i in range(n) if a[r][i]), ZERO)
-             for c in range(n)] for r in range(n)]
+    return [[sum(a[r][i] * b[i][c] for i in range(n)) for c in range(n)] for r in range(n)]
+
+
+def _integral_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """``v`` times the lcm of its denominators."""
+    scale = math.lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (scale // c.denominator) for c in v)
+
+
+def _integral_rows(m: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """The square matrix ``m`` times the lcm D of all its denominators, so
+    that (D m)^a = D^a m^a."""
+    n = len(m)
+    flat = _integral_vector([c for row in m for c in row])
+    return tuple(flat[r * n:(r + 1) * n] for r in range(n))
 
 
 @functools.lru_cache(maxsize=16)
-def _is_nilpotent(m: tuple[tuple[Fraction, ...], ...]) -> bool:
-    """Whether m^n = 0.  Cached: the wedge checks ask it of one matrix for
-    every tuple of vectors."""
-    n = len(m)
-    power = [list(row) for row in m]
-    for _ in range(n - 1):
-        if all(v == 0 for row in power for v in row):
-            return True
-        power = _mat_mul(power, m)
-    return all(v == 0 for row in power for v in row)
+def _is_nilpotent(m: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
+    """``_integral_rows(m)`` when m^n = 0, else None.  Cached: the wedge
+    checks ask it of one matrix for every tuple of vectors."""
+    rows = _integral_rows(m)
+    power = rows
+    for _ in range(len(rows) - 1):
+        power = _mat_mul(power, rows)
+    return None if any(any(row) for row in power) else rows
+
+
+def _wedge_coordinates(rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[Fraction]],
+                       i: int) -> dict[int, int]:
+    """The nonzero Pluecker coordinates, keyed by the bitmask of their rows,
+    of ``sum over a in N^c, |a| = i of M^a1 w_1 ^ ... ^ M^ac w_c``: M the
+    square integer matrix ``rows``, c = len(vectors) and w_j the vector v_j
+    times the lcm of its own denominators.
+
+    One pass over the vectors, as in ``build_wronskian``: after j vectors,
+    ``partial`` maps (exponent total t <= i, bitmask of used rows) to the
+    signed sum of the wedges of M^a1 w_1, ..., M^aj w_j with a_1+...+a_j = t.
+    Vector j+1 extends each entry by M^a w_(j+1) for a <= i - t (a = i - t
+    for the last vector), placing it on each unused row r with the sign of
+    the used rows above r.
+    """
+    d = len(rows)
+    partial = {(0, 0): 1}
+    for j, v in enumerate(vectors):
+        chain = [_integral_vector(v)]
+        for _ in range(i):
+            chain.append(_mat_vec(rows, chain[-1]))
+        last = j == len(vectors) - 1
+        grown: dict[tuple[int, int], int] = {}
+        for (t, mask), coeff in partial.items():
+            for a in (i - t,) if last else range(i - t + 1):
+                w = chain[a]
+                above = 0  # used rows above r: the transpositions that placing r costs
+                for r in range(d - 1, -1, -1):
+                    if mask >> r & 1:
+                        above += 1
+                    elif w[r]:
+                        key = (t + a, mask | 1 << r)
+                        grown[key] = grown.get(key, 0) + (-coeff if above & 1 else coeff) * w[r]
+        partial = {key: c for key, c in grown.items() if c}
+    return {mask: c for (t, mask), c in partial.items() if t == i}
 
 
 def standard_nilpotent(d: int) -> list[list[Fraction]]:
@@ -266,34 +349,26 @@ def verify_wedge_identity(nilpotent: Sequence[Sequence[Fraction]],
     """Check that the sum over exponent tuples of total i of the wedge products
     N^a1 v1 ^ ... ^ N^a_(d-i+1) v_(d-i+1) vanishes identically.
 
-    All Pluecker coordinates of the sum are computed exactly; the matrix must
-    be nilpotent and the number of vectors must be d - i + 1.
+    The matrix must be nilpotent and the number of vectors must be d - i + 1.
+    All Pluecker coordinates of the sum are computed exactly, in one graded
+    exterior pass over the vectors (``_wedge_coordinates``), in integers: N
+    is scaled by the lcm D of its denominators once per matrix (cached with
+    the nilpotence test), so every summand scales by D^i, and each v_j by the
+    lcm of its own denominators.  The sum scales by one nonzero integer, so
+    it vanishes exactly when the rational sum does.
     """
     d = len(nilpotent)
     if any(len(row) != d for row in nilpotent):
         raise ValueError("nilpotent matrix must be square")
-    if not _is_nilpotent(tuple(map(tuple, nilpotent))):
+    rows = _is_nilpotent(tuple(map(tuple, nilpotent)))
+    if rows is None:
         raise ValueError("matrix is not nilpotent")
     count = d - i + 1
     if not 1 <= i <= d:
         raise ValueError(f"i must lie in 1..{d}")
     if len(vectors) != count:
         raise ValueError(f"expected {count} vectors, got {len(vectors)}")
-    powers: list[list[tuple[Fraction, ...]]] = []
-    for v in vectors:
-        chain = [tuple(v)]
-        for _ in range(i):
-            chain.append(_mat_vec(nilpotent, chain[-1]))
-        powers.append(chain)
-    totals: dict[tuple[int, ...], Fraction] = {}
-    for rows in itertools.combinations(range(d), count):
-        totals[rows] = ZERO
-    for exps in compositions(i, count):
-        cols = [powers[j][exps[j]] for j in range(count)]
-        for rows in totals:
-            sub = [[cols[j][r] for j in range(count)] for r in rows]
-            totals[rows] += det_expansion(sub, ZERO, ONE)
-    return all(v == 0 for v in totals.values())
+    return not _wedge_coordinates(rows, vectors, i)
 
 
 def theta_family_rank(n: int, d: int, theta: Fraction) -> int:

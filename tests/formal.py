@@ -28,20 +28,32 @@ edits each monomial tuple in place.  The token-list descent and the
 rebuild-and-sort derivation they replaced are kept here as
 :func:`formal_parse` and :func:`formal_derive`, the oracles the tests
 compare them against.
+
+``wronskian.verify_wedge_identity`` sums the wedges of the Appendix A
+identities in one integer pass over the vectors, and
+``wronskian.reduce_to_triangular`` memoizes the rewriting per tuple.  The
+composition-by-composition sum of ``det_expansion`` minors and the work-queue
+rewriting they replaced are kept here as :func:`formal_wedge_coordinates` and
+:func:`formal_reduce_to_triangular`, with :func:`expand_combination`, which
+reads a rewriting back as a combination of formal Wronskians.
 """
 
 from __future__ import annotations
 
 import math
+import itertools
 import re
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from diffhom.dpoly import (DiffPoly, DMono, ParseError, UniPoly, gradings, mono_order,
                            substitute)
-from diffhom.exact import ONE, ZERO, SparseComb, add_terms, operator_rows, rank
+from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
+                           linear_combination, operator_rows, rank)
 from diffhom.hwv import d_t, full_kernel_vectors
-from diffhom.tableaux import Partition, Tableau, partitions_of, semistandard_tableaux
+from diffhom.tableaux import (Partition, Tableau, compositions, partitions_of,
+                              semistandard_tableaux)
+from diffhom.wronskian import build_formal_wronskian
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -466,3 +478,63 @@ def formal_parse(text: str, n: int | None = None) -> DiffPoly:
             sign = -1 if val == "-" else 1
         else:
             raise ParseError("expected '+', '-' or end of input", pos)
+
+
+def _mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return tuple(sum((m[r][c] * v[c] for c in range(len(v)) if v[c]), ZERO)
+                 for r in range(len(m)))
+
+
+def formal_wedge_coordinates(matrix: Sequence[Sequence[Fraction]],
+                             vectors: Sequence[Sequence[Fraction]],
+                             i: int) -> dict[tuple[int, ...], Fraction]:
+    """Every Pluecker coordinate, keyed by its sorted rows, of the sum over
+    a in N^c, |a| = i of N^a1 v_1 ^ ... ^ N^ac v_c (c = len(vectors)), for
+    any square rational matrix N: each summand's c x c minors by
+    ``det_expansion``, one composition at a time."""
+    d = len(matrix)
+    count = len(vectors)
+    powers: list[list[tuple[Fraction, ...]]] = []
+    for v in vectors:
+        chain = [tuple(Fraction(c) for c in v)]
+        for _ in range(i):
+            chain.append(_mat_vec(matrix, chain[-1]))
+        powers.append(chain)
+    totals = {rows: ZERO for rows in itertools.combinations(range(d), count)}
+    for exps in compositions(i, count):
+        cols = [powers[j][exps[j]] for j in range(count)]
+        for rows in totals:
+            sub = [[cols[j][r] for j in range(count)] for r in rows]
+            totals[rows] += det_expansion(sub, ZERO, ONE)
+    return totals
+
+
+def formal_reduce_to_triangular(alpha: Sequence[int]) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """The triangular rewriting of ``alpha`` by a work queue: pop the
+    lexicographically largest tuple, drop it if an entry is >= d, keep it if
+    triangular, else replace it by minus the other summands of the vanishing
+    identity at its first violating position."""
+    d = len(alpha)
+    work: dict[tuple[int, ...], Fraction] = {tuple(alpha): ONE}
+    result: dict[tuple[int, ...], Fraction] = {}
+    while work:
+        idx = max(work)
+        coeff = work.pop(idx)
+        if any(a >= d for a in idx):
+            continue
+        p = next((p for p, a in enumerate(idx, start=1) if a > p - 1), None)
+        if p is None:
+            add_terms(result, [(idx, coeff)])
+            continue
+        base = list(idx)
+        base[p - 1] -= p
+        ours = (p,) + (0,) * (d - p)
+        add_terms(work, ((idx[:p - 1] + tuple(b + g for b, g in zip(base[p - 1:], gamma)), -coeff)
+                         for gamma in compositions(p, d - p + 1) if gamma != ours))
+    return sorted(((c, idx) for idx, c in result.items()), key=lambda t: t[1])
+
+
+def expand_combination(comb: Iterable[tuple[Fraction, Sequence[int]]], d: int) -> DiffPoly:
+    """The combination of formal Wronskians that a rewriting names."""
+    return linear_combination(DiffPoly.zero(d - 1),
+                              ((c, build_formal_wronskian(idx)) for c, idx in comb))

@@ -15,14 +15,13 @@ from diffhom.dpoly import is_diff_homogeneous, matrix_action, solve_in_span, spa
 from diffhom.tableaux import (canonical_tableau, count_semistandard,
                               count_standard, group_algebra_mul, partitions_of,
                               young_symmetrizer)
-from diffhom.wronskian import (build_formal_wronskian,
-                               enumerate_canonical_basis, expand_combination,
+from diffhom.wronskian import (build_formal_wronskian, enumerate_canonical_basis,
                                reduce_to_triangular, standard_nilpotent,
                                verify_wedge_identity)
 from diffhom.hwv import e_iso, hwv_basis, kernel_dim_full, kernel_dim_isotypic
 from diffhom.pde import newton_operator, solution_space_dim, vandermonde_derivative_basis
 from diffhom.jets import census, classify_basis, verify_theorem2
-from formal import ParamPoly, formal_matrix_action
+from formal import ParamPoly, expand_combination, formal_matrix_action
 
 SEED = 20240817
 

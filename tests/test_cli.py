@@ -288,6 +288,25 @@ def test_verify_rejects_caps_out_of_range(capsys, flag, value):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "kernel", "--max-d", "9"], "--max-d 9 exceeds the cap of 7 for the kernel suite"),
+    (["--suite", "appendixA", "--max-d", "9"],
+     "--max-d 9 exceeds the cap of 6 for the appendixA suite"),
+    (["--max-n", "9"], "--max-n 9 exceeds the cap of 3 for the basis suite"),
+    (["--max-d", "6"], "--max-d 6 exceeds the cap of 5 for the basis suite")])
+def test_verify_refuses_caps_above_the_suite_cap(capsys, monkeypatch, argv, message):
+    # refused before any work: no check runs
+    import diffhom.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("verify ran a suite above its cap")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"verify {message}\n"
+
+
 @pytest.mark.parametrize("max_n, max_d", [("1", "3"), ("0", "2")])
 def test_verify_hwv_with_shapes_taller_than_n_plus_one(capsys, max_n, max_d):
     # partitions with more than N+1 parts have an empty D_T basis

@@ -35,7 +35,7 @@ def test_small_suites_pass(suite):
 
 
 @pytest.mark.parametrize("caps", [{"max_d": 0}, {"max_d": -1}, {"max_n": -1},
-                                  {"max_d": 0, "max_n": 2}])
+                                  {"max_d": 0, "max_n": 2}, {"max_d": 8}, {"max_n": 21}])
 def test_caps_out_of_range_rejected(caps):
     with pytest.raises(ValueError):
         run_suite("hwv", **caps)
@@ -132,3 +132,36 @@ def test_gl_stability_check_fails_on_a_non_stable_family(monkeypatch, family):
     result = verify.check_basis_gl_stability(n, d, seed=verify.DEFAULT_SEED)
     assert not result.passed
     assert "span grew" in result.computed
+
+
+def test_triangular_reduction_builds_each_wronskian_once(monkeypatch):
+    # the direct and the reduced side share the triangular Wronskians
+    import diffhom.verify as verify
+
+    calls = Counter()
+    build = verify.build_formal_wronskian
+
+    def counted(alpha):
+        calls[tuple(alpha)] += 1
+        return build(alpha)
+
+    monkeypatch.setattr(verify, "build_formal_wronskian", counted)
+    assert verify.check_triangular_reduction(4).passed
+    assert sum(calls.values()) == len(calls) == 4 ** 4
+
+
+def test_triangular_reduction_reports_a_perturbed_rewriting(monkeypatch):
+    import diffhom.verify as verify
+
+    rewrite = verify.reduce_to_triangular
+
+    def perturbed(alpha):
+        comb = rewrite(alpha)
+        if tuple(alpha) == (3, 1, 2, 0):
+            (c, idx), *rest = comb
+            comb = [(c + 1, idx), *rest]
+        return comb
+
+    monkeypatch.setattr(verify, "reduce_to_triangular", perturbed)
+    result = verify.check_triangular_reduction(4)
+    assert result.computed == "1 failures, first (3, 1, 2, 0)"

@@ -3,6 +3,9 @@
 The integer row-by-row expansion of ``build_wronskian`` is compared against
 the minor expansion ``det_expansion`` of the Wronskian matrix over DiffPoly,
 whose entries are computed here independently from ``UniPoly`` derivatives.
+The memoized rewriting and the graded exterior pass of the wedge identities
+are compared against the work queue and the ``det_expansion`` minors of
+``formal``.
 """
 
 import itertools
@@ -17,12 +20,13 @@ from diffhom.dpoly import (DiffPoly, UniPoly, gradings, is_diff_homogeneous,
                            matrix_action, parse, solve_in_span, span_rank,
                            substitute, to_text)
 from diffhom.exact import ONE, det_expansion
-from diffhom.wronskian import (WronskSpec, basis_manifest,
-                               build_formal_wronskian, build_wronskian,
-                               enumerate_canonical_basis,
-                               enumerate_canonical_data, expand_combination,
-                               reduce_to_triangular, standard_nilpotent,
-                               theta_family_rank, verify_wedge_identity)
+from diffhom.wronskian import (WronskSpec, _integral_rows, _wedge_coordinates,
+                               basis_manifest, build_formal_wronskian,
+                               build_wronskian, enumerate_canonical_basis,
+                               enumerate_canonical_data, reduce_to_triangular,
+                               standard_nilpotent, theta_family_rank,
+                               verify_wedge_identity)
+from formal import expand_combination, formal_reduce_to_triangular, formal_wedge_coordinates
 
 F = Fraction
 
@@ -194,6 +198,23 @@ def test_reduce_identity_exhaustive_small():
             assert expand_combination(reduced, d) == direct
 
 
+@pytest.mark.parametrize("d", range(1, 6))
+def test_reduce_matches_work_queue_oracle(d):
+    # every tuple of {0..d}^d: those with an entry equal to d index the zero
+    # polynomial and rewrite to []
+    for alpha in itertools.product(range(d + 1), repeat=d):
+        reduced = reduce_to_triangular(alpha)
+        assert reduced == formal_reduce_to_triangular(alpha), alpha
+        assert all(type(c) is Fraction for c, _ in reduced)
+        if d in alpha:
+            assert reduced == []
+
+
+@pytest.mark.parametrize("alpha", [(6, 5, 4, 3, 2, 1, 0), (6, 0, 5, 1, 4, 2, 3)])
+def test_reduce_matches_work_queue_oracle_at_seven(alpha):
+    assert reduce_to_triangular(alpha) == formal_reduce_to_triangular(alpha)
+
+
 def test_trailing_substitution_lands_in_canonical_basis():
     # evaluating the distinct formal variables at repeated actual variables
     # maps each triangular element to a canonical basis element, or to zero
@@ -249,6 +270,61 @@ def test_wedge_identity_random_seeded():
                 vectors = [tuple(F(rng.randint(-6, 6)) for _ in range(d))
                            for _ in range(d - i + 1)]
                 assert verify_wedge_identity(nil, vectors, i)
+
+
+def _rational(rng: random.Random) -> Fraction:
+    return F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+
+
+def _random_matrix(d: int, rng: random.Random, diagonal: bool, full: bool) -> list[list[Fraction]]:
+    """Random rational entries below the diagonal, and above it when ``full``;
+    a positive diagonal when ``diagonal``, else zeros on it."""
+    def entry(r: int, c: int) -> Fraction:
+        if c == r:
+            return F(rng.randint(1, 5), rng.randint(1, 3)) if diagonal else F(0)
+        return _rational(rng) if c < r or full else F(0)
+    return [[entry(r, c) for c in range(d)] for r in range(d)]
+
+
+def _wedge_matrices(d: int, rng: random.Random):
+    """(matrix, kind): the standard nilpotent map and two strictly lower
+    triangular matrices ("nilpotent"), two lower triangular ones with a
+    positive diagonal ("invertible sum") and one full matrix with a positive
+    diagonal ("other")."""
+    return [(standard_nilpotent(d), "nilpotent"),
+            *[(_random_matrix(d, rng, False, False), "nilpotent") for _ in range(2)],
+            *[(_random_matrix(d, rng, True, False), "invertible sum") for _ in range(2)],
+            (_random_matrix(d, rng, True, True), "other")]
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_wedge_pass_matches_minor_oracle(d):
+    # the pass sums M^a1 w_1 ^ ... over |a| = i with M the matrix scaled by
+    # the lcm D of its denominators and each w_j the vector v_j scaled by the
+    # lcm L_j of its own: the oracle's coordinates times D^i prod L_j.  The
+    # vectors are in echelon form, so independent.  The sum is the t^i part
+    # of wedge^c (1 - tN)^-1 applied to v_1 ^ ... ^ v_c, and for N lower
+    # triangular with a positive diagonal that map is triangular with the
+    # complete symmetric polynomials h_i of the diagonal, all positive, on its
+    # diagonal: those sums cannot vanish, so a pass that loses terms fails
+    rng = random.Random(7919 * d)
+    for matrix, kind in _wedge_matrices(d, rng):
+        rows = _integral_rows(matrix)
+        big_d = math.lcm(*(c.denominator for row in matrix for c in row))
+        for i in range(1, d + 1):
+            vectors = [tuple(F(0) if r < j else _rational(rng) for r in range(d))
+                       for j in range(d - i + 1)]
+            scale = big_d ** i * math.prod(math.lcm(*(c.denominator for c in v))
+                                           for v in vectors)
+            expected = {sum(1 << r for r in key): c * scale
+                        for key, c in formal_wedge_coordinates(matrix, vectors, i).items() if c}
+            got = _wedge_coordinates(rows, vectors, i)
+            assert got == expected, (matrix, vectors, i)
+            assert all(type(c) is int for c in got.values())
+            if kind == "nilpotent":
+                assert not got
+            elif kind == "invertible sum":
+                assert got
 
 
 def test_theta_family_degree_one():
