@@ -2,12 +2,14 @@
 """Sweep the jet-differential census over a grid of (N, d, k) and emit CSV.
 
 Row format: N,d,k,n,count -- one row per nonzero weight-n dimension of the
-order <= k part of the degree-d space on projective N-space.
+order <= k part of the degree-d space on projective N-space.  Pairs whose
+basis costs more than the default cap of `dh census` are skipped.
 """
 
 import argparse
 import sys
 
+from diffhom.cli import CENSUS_MAX_COST, basis_cost
 from diffhom.jets import census
 
 
@@ -22,7 +24,7 @@ def main() -> int:
     print("N,d,k,n,count")
     for n in range(0, args.max_n + 1):
         for d in range(1, args.max_d + 1):
-            if (n + 1) ** d > 128:
+            if basis_cost(n, d, CENSUS_MAX_COST) > CENSUS_MAX_COST:
                 continue
             for k in range(0, d + args.extra_k):
                 for e in census(n, d, k):

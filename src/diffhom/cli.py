@@ -4,8 +4,9 @@ Subcommands: basis, check, census, tableaux, kernel, verify.  Every
 subcommand takes ``--format {text,json}``; census, tableaux and kernel also
 offer ``csv``, except ``census --theorem2``.  ``census`` takes at most one
 of ``--k``, ``--all-k`` and ``--theorem2``.  ``basis`` alone takes
-``--cache DIR`` (default from $DH_CACHE), ``kernel`` alone takes
-``--max-cost``, and ``verify`` alone takes ``--seed`` and ``--jobs``.
+``--cache DIR`` (default from $DH_CACHE), ``basis``, ``census`` and
+``kernel`` take ``--max-cost``, and ``verify`` alone takes ``--seed`` and
+``--jobs``.
 ``check @path`` reads the expression from a file.  A flag given to a
 subcommand that does not read it exits 2.  All JSON payloads carry a
 ``schema_version`` field.
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import SCHEMA_VERSION
@@ -34,6 +36,14 @@ from .wronskian import basis_manifest
 # d = 7, k = 6 (36,015 columns, minutes) run and refuses d = 8, k = 7 (316,800)
 # and every d >= 16 at once; `--max-cost` overrides it.
 KERNEL_MAX_COST = 6 ** 6
+
+# The default caps on the cost of `dh basis` and `dh census` (see
+# `basis_cost`): the largest sizes whose runs took at most two minutes on a
+# 2-CPU machine.  `dh basis --n 1 --d 10` (1,024 Wronskians) took 95 s with
+# `--format json`; `dh census --n 1 --d 11 --theorem2` (2,048) took 46 s and
+# `--n 1 --d 12` (4,096) would take minutes.  `--max-cost` overrides them.
+BASIS_MAX_COST = 2 ** 10
+CENSUS_MAX_COST = 5 ** 5
 
 
 def _json_dump(payload: dict) -> str:
@@ -82,9 +92,43 @@ def cached_manifest(n: int, d: int, cache_dir: str | None) -> list[dict]:
     return manifest
 
 
+def basis_cost(n: int, d: int, cap: int) -> int:
+    """Cost estimate of the canonical basis of (N, d): its (N+1)^d elements,
+    or d^2 if that is larger (each element is a d x d Wronskian, which
+    matters at N = 0).  (N+1)^d is built one factor at a time and returned
+    as soon as it passes ``cap``, so a huge d costs no big power."""
+    cost = 1
+    for _ in range(d if n else 0):
+        cost *= n + 1
+        if cost > cap:
+            break
+    return max(cost, d * d)
+
+
+def _over_cost(call: str, cost, max_cost: int | None, default: int, measure: str) -> bool:
+    """True, after a message, when ``--max-cost`` is below 1 or ``cost(cap)``
+    exceeds the cap (``max_cost``, else ``default``) of the command line
+    ``call``, whose cost counts ``measure``."""
+    cap = default if max_cost is None else max_cost
+    if cap < 1:
+        print(f"{call.split()[0]} requires --max-cost >= 1", file=sys.stderr)
+        return True
+    if cost(cap) > cap:
+        print(f"{call} costs more than the cap of {cap} ({measure}); --max-cost N raises the cap",
+              file=sys.stderr)
+        return True
+    return False
+
+
+_BASIS_MEASURE = "the (N+1)^d basis elements, or d^2 if larger"
+
+
 def cmd_basis(args) -> int:
     if args.d < 1 or args.n < 0:
         print("basis requires --d >= 1 and --n >= 0", file=sys.stderr)
+        return 2
+    if _over_cost(f"basis --n {args.n} --d {args.d}", partial(basis_cost, args.n, args.d),
+                  args.max_cost, BASIS_MAX_COST, _BASIS_MEASURE):
         return 2
     manifest = cached_manifest(args.n, args.d, args.cache)
     if args.format == "json":
@@ -151,6 +195,9 @@ def cmd_check(args) -> int:
 def cmd_census(args) -> int:
     if args.d < 0 or args.n < 0:
         print("census requires --d >= 0 and --n >= 0", file=sys.stderr)
+        return 2
+    if _over_cost(f"census --n {args.n} --d {args.d}", partial(basis_cost, args.n, args.d),
+                  args.max_cost, CENSUS_MAX_COST, _BASIS_MEASURE):
         return 2
     if args.theorem2:
         if args.format == "csv":
@@ -248,14 +295,9 @@ def cmd_kernel(args) -> int:
     if k < 0:
         print("kernel requires --k >= 0", file=sys.stderr)
         return 2
-    cap = KERNEL_MAX_COST if args.max_cost is None else args.max_cost
-    if cap < 1:
-        print("kernel requires --max-cost >= 1", file=sys.stderr)
-        return 2
-    if kernel_cost(args.d, k, cap) > cap:
-        print(f"kernel --d {args.d} --k {k} costs more than the cap of {cap} (the largest "
-              f"Young-subgroup system plus p(d)^2 Kostka numbers); --max-cost N raises the cap",
-              file=sys.stderr)
+    if _over_cost(f"kernel --d {args.d} --k {k}", partial(kernel_cost, args.d, k),
+                  args.max_cost, KERNEL_MAX_COST,
+                  "the largest Young-subgroup system plus p(d)^2 Kostka numbers"):
         return 2
     full = kernel_dim_full(args.d, k)
     per_lambda = []
@@ -331,6 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="degree")
     p.add_argument("--cache", default=os.environ.get("DH_CACHE"),
                    help="cache directory for basis manifests (default $DH_CACHE)")
+    p.add_argument("--max-cost", type=int, default=None,
+                   help="largest basis size (N+1)^d to accept, or d^2 if larger "
+                        f"(default {BASIS_MAX_COST})")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("check", parents=[plain],
@@ -351,6 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--theorem2", action="store_true",
                        help="emit the stability/total/vanishing report instead of counts "
                             "(text or json)")
+    p.add_argument("--max-cost", type=int, default=None,
+                   help="largest basis size (N+1)^d to accept, or d^2 if larger "
+                        f"(default {CENSUS_MAX_COST})")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("tableaux", parents=[tabular],

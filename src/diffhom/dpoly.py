@@ -9,8 +9,11 @@ generic :func:`exact.span_rank` and :func:`exact.solve_in_span`, bound here.
 
 The matrix action x_j[k] -> sum_l a[j][l] x_l[k] keeps every jet order, so
 :func:`matrix_action` expands it order by order, in integers over one common
-denominator, with no ring substitution.  The generic ring substitution
-:func:`substitute` (any coefficient ring) has no caller in the library.
+denominator, with no ring substitution.  Its monomials are packed exponent
+codes (:class:`MonoCodec`: one int per monomial, multiplied by adding), the
+codec that the Wronskian expansion of ``wronskian`` shares.  The generic
+ring substitution :func:`substitute` (any coefficient ring) has no caller in
+the library.
 """
 
 from __future__ import annotations
@@ -266,6 +269,54 @@ def derive(p: DiffPoly, image: Callable[[int, int], tuple[int, int, int] | None]
     return p.with_terms(add_terms({}, pairs()))
 
 
+class MonoCodec:
+    """Packed exponent codes of monomials of jet order < ``orders`` and
+    exponents < 2^``bits``: one int per monomial, holding the exponent of
+    x_i[k] in the field of ``bits`` bits at index i*orders + (orders-1-k).
+    A product of monomials is the sum of their codes, and the fields from the
+    lowest up come in the (i, -k) order of DMono factors."""
+
+    __slots__ = ("orders", "bits", "_mask", "_factors")
+
+    def __init__(self, orders: int, bits: int):
+        self.orders, self.bits = orders, bits
+        self._mask = (1 << bits) - 1
+        self._factors: dict[int, tuple[int, int, int]] = {}  # one tuple per (i, k, e), shared
+
+    def unit(self, i: int, k: int) -> int:
+        """The code of x_i[k]."""
+        return 1 << ((i * self.orders + self.orders - 1 - k) * self.bits)
+
+    def order(self, w: int) -> int:
+        """The jet order of the monomial of code ``w``: per variable, the
+        lowest nonzero field holds its highest order."""
+        width = self.orders * self.bits
+        span = (1 << width) - 1
+        top = 0
+        while w:
+            part = w & span
+            if part:
+                top = max(top, self.orders - 1 - ((part & -part).bit_length() - 1) // self.bits)
+            w >>= width
+        return top
+
+    def decode(self, w: int) -> DMono:
+        """The monomial of code ``w``: one step per factor, lowest field first."""
+        bits, mask, factors = self.bits, self._mask, self._factors
+        mono = []
+        while w:
+            shift = (w & -w).bit_length() - 1
+            shift -= shift % bits
+            field = w & (mask << shift)
+            w -= field
+            factor = factors.get(field)
+            if factor is None:
+                i, r = divmod(shift // bits, self.orders)
+                factor = factors[field] = (i, self.orders - 1 - r, field >> shift)
+            mono.append(factor)
+        return tuple(mono)
+
+
 def _group_image(group: tuple[tuple[int, int], ...], rows: list[list[tuple[int, int]]],
                  images: dict) -> dict[int, int]:
     """Packed image of prod_j x_j^e over (j, e) in ``group`` under the integer
@@ -292,8 +343,8 @@ def matrix_action(a: Sequence[Sequence[Fraction]], p: DiffPoly) -> DiffPoly:
     image of the ordinary monomial x^v under ``a``, in x_0[k]..x_N[k].  Each
     group image is computed once per call, keyed by the group, from the group
     one degree smaller.  Groups at different orders share no variable, so
-    their images multiply by adding packed exponent codes, with no merging.
-    Coefficients stay ints over the common denominator lcm(den p) * D^top,
+    their images multiply by adding packed exponent codes (:class:`MonoCodec`),
+    with no merging.  Coefficients stay ints over the common denominator lcm(den p) * D^top,
     with D = lcm(den a) and top the largest degree in p; each output monomial
     becomes a Fraction once, at the end.
     """
@@ -309,10 +360,9 @@ def matrix_action(a: Sequence[Sequence[Fraction]], p: DiffPoly) -> DiffPoly:
     den_p = math.lcm(*(c.denominator for c in p.terms.values()))
     top = max(map(mono_degree, p.terms))
     orders = max(map(mono_order, p.terms)) + 1
-    # An exponent code packs the exponent of x_l[k] into the field of `bits`
-    # bits at position l*orders + (orders-1-k), the order of DMono factors.
-    bits = max(top.bit_length(), 1)
-    rows = [[(1 << (l * orders * bits), x.numerator * (den_a // x.denominator))
+    codec = MonoCodec(orders, max(top.bit_length(), 1))
+    # group images are built at the top order and shifted down to their own
+    rows = [[(codec.unit(l, orders - 1), x.numerator * (den_a // x.denominator))
              for l, x in enumerate(row) if x] for row in a]
     images: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
     shifted: dict[tuple, dict[int, int]] = {}
@@ -326,7 +376,7 @@ def matrix_action(a: Sequence[Sequence[Fraction]], p: DiffPoly) -> DiffPoly:
             key = (k, tuple(group))
             part = shifted.get(key)
             if part is None:
-                step = (orders - 1 - k) * bits
+                step = (orders - 1 - k) * codec.bits
                 part = shifted[key] = {w << step: x for w, x in
                                        _group_image(key[1], rows, images).items() if x}
             acc = {w1 + w2: c1 * c2 for w1, c1 in acc.items() for w2, c2 in part.items()}
@@ -334,24 +384,7 @@ def matrix_action(a: Sequence[Sequence[Fraction]], p: DiffPoly) -> DiffPoly:
             total[w] = total.get(w, 0) + x
 
     den = den_p * den_a ** top
-    mask = (1 << bits) - 1
-    factors: dict[int, tuple[int, int, int]] = {}  # one tuple per (i, k, e), shared
-    terms = {}
-    for w, x in total.items():
-        if x:
-            mono = []
-            while w:  # one step per factor, lowest field first
-                shift = (w & -w).bit_length() - 1
-                shift -= shift % bits
-                field = w & (mask << shift)
-                w -= field
-                factor = factors.get(field)
-                if factor is None:
-                    i, r = divmod(shift // bits, orders)
-                    factor = factors[field] = (i, orders - 1 - r, field >> shift)
-                mono.append(factor)
-            terms[tuple(mono)] = Fraction(x, den)
-    return p.with_terms(terms)
+    return p.with_terms({codec.decode(w): Fraction(x, den) for w, x in total.items() if x})
 
 
 # ---------------------------------------------------------------------------

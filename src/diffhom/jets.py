@@ -1,24 +1,29 @@
 """Order/weight classification of the canonical basis and the census of
 global sections of twisted jet-differential bundles on projective space.
 
-Every canonical basis element is isobaric, so the weight-n piece of the space
-of differentially homogeneous polynomials of degree d splits off cleanly; the
-census counts, per jet order k and weight n, the dimension of the subspace of
-order at most k: the exact nullity of the coefficient matrix of the monomials
-of order exceeding k inside each isobaric block.  One elimination per block,
-with the monomials ordered by decreasing jet order, gives it for every k.
+Every canonical basis element is isobaric and multihomogeneous, so the
+weight-n piece of the space of differentially homogeneous polynomials of
+degree d splits off cleanly, and within it each multidegree; the census
+counts, per jet order k and weight n, the dimension of the subspace of order
+at most k: the exact nullity of the coefficient matrix of the monomials of
+order exceeding k inside each weight block.  One elimination per (weight,
+multidegree) block, with the monomials ordered by decreasing jet order,
+gives it for every k.  The elements come as packed exponent codes with int
+coefficients (``wronskian.canonical_codes``), so the census builds no
+DiffPoly and shares no basis with ``dh basis``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dpoly import DiffPoly, gradings, mono_order, mono_sort_key
-from .exact import ONE, echelon
-from .wronskian import CanonicalDatum, enumerate_canonical_basis
+from .dpoly import MonoCodec, mono_multidegree, mono_order, mono_weight
+from .exact import echelon
+from .wronskian import CanonicalDatum, canonical_codes
 
 
 @dataclass(frozen=True)
@@ -42,17 +47,18 @@ def classify_basis(n: int, d: int) -> list[BasisClassification]:
     closed-form exponent-data values.  The weight formula is exact; the order
     formula is only an upper bound (degenerate data can cancel the top order),
     so discrepancies are reported by the caller, never treated as errors."""
+    codec, rows = canonical_codes(n, d)
     out = []
-    for datum, poly in enumerate_canonical_basis(n, d):
-        g = gradings(poly)
+    for datum, codes in rows:
+        monos = [codec.decode(w) for w in codes]
+        weights = {mono_weight(m) for m in monos}
         flat = datum.flat_alpha
-        dd = datum.d
         out.append(BasisClassification(
             datum=datum,
-            order=g.order,
-            weight=g.weight,
-            order_bound=max(dd - 1 - a for a in flat),
-            weight_formula=dd * (dd - 1) // 2 - sum(flat),
+            order=max(map(mono_order, monos)),
+            weight=weights.pop() if len(weights) == 1 else None,
+            order_bound=max(d - 1 - a for a in flat),
+            weight_formula=d * (d - 1) // 2 - sum(flat),
         ))
     return out
 
@@ -68,27 +74,49 @@ def pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...
     canonical basis, by ascending weight, built once per process for each of
     the last few (N, d) asked for; degree 0 holds the constants.
 
-    One echelon per block, with its elements as rows and its monomials as
-    columns sorted by decreasing jet order.  The monomials of order > k are
-    then a column prefix, whose rank is the number of pivots in it, so the
-    order <= k part of the block has dimension size - #(pivot orders > k).
+    The elements are the packed rows of :func:`wronskian.canonical_codes`,
+    grouped by the multidegree and the weight of their monomials, as decoded.
+    One echelon per (weight, multidegree) block, with its elements as int
+    rows and its monomials as columns sorted by decreasing jet order.  The
+    monomials of order > k are then a column prefix, whose rank is the
+    number of pivots in it, so the order <= k part of the block has
+    dimension size - #(pivot orders > k).  Blocks of one weight share no
+    monomial, so the ranks of their column prefixes add up: a weight's pivot
+    orders are those of its blocks, merged in descending order.  The rows of
+    one multidegree come together (the data are enumerated by multiplicity
+    vector), so each multidegree's blocks are eliminated and dropped before
+    the next is expanded.
     """
-    blocks: dict[int, list[DiffPoly]] = {}
     if d == 0:
-        blocks[0] = [DiffPoly.const(ONE, n)]
+        codec, rows = MonoCodec(1, 1), [(None, {0: 1})]
     else:
-        for _, poly in enumerate_canonical_basis(n, d):
-            blocks.setdefault(gradings(poly).weight, []).append(poly)
-    profile = []
-    for weight in sorted(blocks):
-        polys = blocks[weight]
-        monos = sorted({m for p in polys for m in p.terms},
-                       key=lambda m: (-mono_order(m), mono_sort_key(m)))
-        col = {m: j for j, m in enumerate(monos)}
-        pivots = echelon([{col[m]: c for m, c in p.terms.items()} for p in polys],
-                         len(monos), reduce_back=False)
-        profile.append((weight, len(polys), tuple(mono_order(monos[j]) for j, _ in pivots)))
-    return tuple(profile)
+        codec, rows = canonical_codes(n, d)
+
+    def graded():
+        for _, codes in rows:
+            mono = codec.decode(next(iter(codes)))
+            yield tuple(mono_multidegree(mono, n)), mono_weight(mono), codes
+
+    sizes: dict[int, int] = {}
+    pivot_orders: dict[int, list[int]] = {}
+    done = set()
+    for multidegree, group in itertools.groupby(graded(), key=lambda t: t[0]):
+        if multidegree in done:
+            raise ValueError(f"rows of multidegree {multidegree} do not come together")
+        done.add(multidegree)
+        blocks: dict[int, list[dict[int, int]]] = {}
+        for _, weight, codes in group:
+            blocks.setdefault(weight, []).append(codes)
+        for weight, block in blocks.items():
+            order = {w: codec.order(w) for w in set().union(*block)}
+            cols = sorted(order, key=lambda w: (-order[w], w))
+            col = {w: j for j, w in enumerate(cols)}
+            pivots = echelon([{col[w]: c for w, c in codes.items()} for codes in block],
+                             len(cols), reduce_back=False)
+            sizes[weight] = sizes.get(weight, 0) + len(block)
+            pivot_orders.setdefault(weight, []).extend(order[cols[j]] for j, _ in pivots)
+    return tuple((weight, sizes[weight], tuple(sorted(pivot_orders[weight], reverse=True)))
+                 for weight in sorted(sizes))
 
 
 def census(n: int, d: int, k: int) -> list[CensusEntry]:

@@ -2,12 +2,15 @@
 permutations, and the group algebra of the symmetric group with its Young
 symmetrizers.
 
-Tableau counts are produced by direct enumeration; the hook-length formula
-appears only as a cross-check in the test suite.
+Standard tableaux are counted by the branching rule (remove a corner),
+memoized per shape; semi-standard tableaux and Kostka numbers by direct
+enumeration.  The hook-length formula appears only as a cross-check in the
+test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -137,38 +140,23 @@ def canonical_tableau(lam: Partition) -> Tableau:
     return Tableau(lam, tuple(range(1, lam.size + 1)))
 
 
-def standard_tableaux(lam: Partition) -> Iterator[Tableau]:
-    """All standard tableaux of the given shape, by direct backtracking."""
-    d = lam.size
-    parts = lam.parts
-    # cells in row-major order with (row, col) coordinates
-    cells = [(r, c) for r, p in enumerate(parts) for c in range(p)]
-    cell_index = {rc: i for i, rc in enumerate(cells)}
-    filling = [0] * d
-
-    def place(value: int) -> Iterator[tuple[int, ...]]:
-        if value > d:
-            yield tuple(filling)
-            return
-        for r, p in enumerate(parts):
-            for c in range(p):
-                i = cell_index[(r, c)]
-                if filling[i]:
-                    continue
-                left_ok = c == 0 or filling[cell_index[(r, c - 1)]] != 0
-                up_ok = r == 0 or (c < parts[r - 1] and filling[cell_index[(r - 1, c)]] != 0)
-                if left_ok and up_ok:
-                    filling[i] = value
-                    yield from place(value + 1)
-                    filling[i] = 0
-                break  # only the leftmost empty cell of each row is a candidate
-
-    for f in place(1):
-        yield Tableau(lam, f)
-
-
 def count_standard(lam: Partition) -> int:
-    return sum(1 for _ in standard_tableaux(lam))
+    """The number f_lam of standard tableaux of shape lam, by the branching
+    rule: the entry d of a standard tableau sits in a corner of lam, so
+    f_lam is the sum of f_(lam - corner) over the corners (f of the empty
+    shape is 1)."""
+    return _count_standard(lam.parts)
+
+
+@functools.cache
+def _count_standard(parts: tuple[int, ...]) -> int:
+    if not parts:
+        return 1
+    total = 0
+    for r, p in enumerate(parts):
+        if r + 1 == len(parts) or parts[r + 1] < p:  # (r, p-1) is a corner
+            total += _count_standard(parts[:r] + ((p - 1,) if p > 1 else ()) + parts[r + 1:])
+    return total
 
 
 def hook_length_count(lam: Partition) -> int:

@@ -514,7 +514,7 @@ def suite_jets(max_d: int, max_n: int, seed: int) -> list[partial]:
 # reads only up to a fixed value, has no cap.
 _SUITES = {
     "basis": (suite_basis, {"max_d": 4, "max_n": 2}, {"max_d": 5, "max_n": 3}),
-    "rsk": (suite_rsk, {"max_d": 8, "max_n": 4}, {"max_d": 14}),
+    "rsk": (suite_rsk, {"max_d": 8, "max_n": 4}, {"max_d": 50}),
     "kernel": (suite_kernel, {"max_d": 4, "max_n": 2}, {"max_d": 7}),
     "pde": (suite_pde, {"max_d": 4, "max_n": 2}, {"max_d": 5}),
     "appendixA": (suite_appendixA, {"max_d": 4, "max_n": 2}, {"max_d": 6}),

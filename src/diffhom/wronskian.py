@@ -3,11 +3,16 @@
 A Wronskian here is the determinant of the d x d matrix whose r-th row is the
 r-th Leibniz derivative of a line of entries R_j(t) * x_{n_j}, evaluated at
 t = 0.  Every entry is a sparse linear form in the x_i[k], so the determinant
-is expanded row by row over sets of used columns, in integer arithmetic
-while the entries are integral (``build_wronskian``).  Choosing monomials
+is expanded row by row over sets of used columns (``_expand``), with each
+monomial one packed exponent code (``dpoly.MonoCodec``, the codec of
+``dpoly.matrix_action``): a product of monomials is a sum of ints, and the
+coefficients stay ints while the entries are integral.  Choosing monomials
 t^alpha with triangular exponent constraints yields the canonical family of
-(N+1)^d differentially homogeneous polynomials, which ``canonical_basis``
-builds once per process for each of the last few (N, d) asked for.
+(N+1)^d differentially homogeneous polynomials.  ``build_wronskian`` decodes
+the expansion into a DiffPoly, and ``canonical_basis`` builds the DiffPoly
+basis once per process for each of the last few (N, d) asked for (``dh
+basis``, the ``basis`` suite).  The census reads the codes themselves
+(``canonical_codes``), built from the exponent data with no DiffPoly.
 
 The paper's Appendix A rewrites an arbitrary exponent family over d distinct
 formal variables onto the triangular one (``reduce_to_triangular``, memoized
@@ -19,17 +24,15 @@ over bitmasks of used rows like the Wronskian itself).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact import ZERO, add_terms
-from .dpoly import DiffPoly, UniPoly, _mono_from_exps, gradings, span_rank, to_json_dict
+from .dpoly import DiffPoly, MonoCodec, UniPoly, gradings, span_rank, to_json_dict
 from .tableaux import compositions
 
 
@@ -56,12 +59,10 @@ def build_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
     Entry (r, j) of the matrix is the linear form
     ``sum_m C(r, m) R_j^(r-m)(0) x_{n_j}[m] = sum_s r!/(r-s)! c_s x_{n_j}[r-s]``,
     c_s the t^s coefficient of R_j; for R_j = t^a it is the single term
-    ``r!/(r-a)! x_{n_j}[r-a]``.  The determinant is expanded row by row over
-    sets of used columns: after row r, ``partial`` maps each bitmask of r+1
-    columns to the signed sum of the products of rows 0..r placed on them.
-    Monomials are sorted tuples of (i, k) factors, one per unit of exponent,
-    and coefficients stay ints while the entries are integral; the result
-    becomes a DiffPoly with Fraction coefficients once, at the end.
+    ``r!/(r-a)! x_{n_j}[r-a]``.  The determinant is :func:`_expand`ed over
+    packed exponent codes, with int coefficients while the entries are
+    integral, and each monomial is decoded and its coefficient made a
+    Fraction once, at the end.
     """
     d = spec.d
     if d < 1:
@@ -69,12 +70,43 @@ def build_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
     for _, var in spec.entries:
         if not 0 <= var <= n:
             raise ValueError(f"variable index {var} exceeds bound {n}")
-    forms = [[[((var, r - s), math.perm(r, s) * _integral(c))
+    codec = _codec(d)
+    forms = [[[(codec.unit(var, r - s), math.perm(r, s) * _integral(c))
                for s, c in enumerate(rpoly.coeffs[:r + 1]) if c]
               for rpoly, var in spec.entries] for r in range(d)]
-    partial: dict[int, dict[tuple, int | Fraction]] = {0: {(): 1}}
+    return DiffPoly(n, {codec.decode(w): Fraction(c) for w, c in _expand(forms).items()})
+
+
+def _monomial_codes(pairs: Sequence[tuple[int, int]], codec: MonoCodec) -> dict[int, int]:
+    """The Wronskian of (t^a_1 x_v_1, ..., t^a_d x_v_d), for the (a_j, v_j) in
+    ``pairs``, as {packed code: int coefficient} under ``codec``, which must
+    hold orders up to d-1 and exponents up to d.  Entry (r, j) is the single
+    term ``r!/(r-a_j)! x_v_j[r-a_j]`` (none for r < a_j)."""
+    d = len(pairs)
+    return _expand([[[(codec.unit(v, r - a), math.perm(r, a))] if r >= a else []
+                     for a, v in pairs] for r in range(d)])
+
+
+def _codec(d: int) -> MonoCodec:
+    """The codec of degree-d Wronskians: orders 0..d-1, exponents up to d."""
+    return MonoCodec(d, d.bit_length())
+
+
+def _expand(forms: Sequence[Sequence[Sequence[tuple[int, int | Fraction]]]]) -> dict:
+    """The determinant of the d x d matrix whose entry (r, c) is the linear
+    form ``forms[r][c]``, a list of (packed code of a variable, coefficient).
+
+    Row by row over sets of used columns: after row r, ``partial`` maps each
+    bitmask of r+1 columns to the signed sum of the products of rows 0..r
+    placed on them, as {code: coefficient}.  A product of monomials is a sum
+    of codes, so placing an entry adds its code to every monomial.  Terms
+    that cancel (a few percent on the canonical basis) are dropped at the end
+    only.
+    """
+    d = len(forms)
+    partial: dict[int, dict[int, int | Fraction]] = {0: {0: 1}}
     for row in forms:
-        grown: dict[int, dict[tuple, int | Fraction]] = {}
+        grown: dict[int, dict[int, int | Fraction]] = {}
         for mask, terms in partial.items():
             above = 0  # used columns right of c: the inversions that placing c adds
             for c in range(d - 1, -1, -1):
@@ -84,17 +116,15 @@ def build_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
                 if not row[c]:
                     continue
                 out = grown.setdefault(mask | 1 << c, {})
-                for key, ec in row[c]:
+                get = out.get
+                for unit, ec in row[c]:
                     if above & 1:
                         ec = -ec
-                    for mono, coeff in terms.items():
-                        j = bisect.bisect(mono, key)
-                        prod = mono[:j] + (key,) + mono[j:]
-                        out[prod] = out.get(prod, 0) + coeff * ec
-        partial = {mask: nonzero for mask, terms in grown.items()
-                   if (nonzero := {m: c for m, c in terms.items() if c})}
-    return DiffPoly(n, {_mono_from_exps(Counter(mono)): Fraction(c)
-                        for mono, c in partial.get((1 << d) - 1, {}).items()})
+                    for w, coeff in terms.items():
+                        w += unit
+                        out[w] = get(w, 0) + coeff * ec
+        partial = grown
+    return {w: c for w, c in partial.get((1 << d) - 1, {}).items() if c}
 
 
 def _integral(c: Fraction):
@@ -117,17 +147,13 @@ class CanonicalDatum:
     def d(self) -> int:
         return sum(self.m)
 
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(alpha_j, variable_j) for each column: the entry t^alpha_j x_variable_j."""
+        blocks = iter(self.alpha)
+        return tuple((a, i) for i, mult in enumerate(self.m) if mult for a in next(blocks))
+
     def spec(self) -> WronskSpec:
-        variables = []
-        alphas = []
-        block = 0
-        for i, mult in enumerate(self.m):
-            if mult == 0:
-                continue
-            for a in self.alpha[block]:
-                variables.append(i)
-                alphas.append(a)
-            block += 1
+        alphas, variables = zip(*self.pairs())
         return WronskSpec.monomials(alphas, variables)
 
 
@@ -159,6 +185,15 @@ def canonical_basis(n: int, d: int) -> tuple[tuple[CanonicalDatum, DiffPoly], ..
 def enumerate_canonical_basis(n: int, d: int) -> list[tuple[CanonicalDatum, DiffPoly]]:
     """A fresh list over :func:`canonical_basis`."""
     return list(canonical_basis(n, d))
+
+
+def canonical_codes(n: int, d: int) -> tuple[MonoCodec, Iterator[tuple[CanonicalDatum, dict[int, int]]]]:
+    """The canonical basis as packed rows, for the census: each canonical
+    datum with its Wronskian as {code: int coefficient}, in enumeration
+    order, built as the iterator is read, and the codec of the codes."""
+    codec = _codec(d)
+    return codec, ((datum, _monomial_codes(datum.pairs(), codec))
+                   for datum in enumerate_canonical_data(n, d))
 
 
 def basis_manifest(n: int, d: int) -> list[dict]:

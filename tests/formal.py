@@ -36,15 +36,26 @@ composition-by-composition sum of ``det_expansion`` minors and the work-queue
 rewriting they replaced are kept here as :func:`formal_wedge_coordinates` and
 :func:`formal_reduce_to_triangular`, with :func:`expand_combination`, which
 reads a rewriting back as a combination of formal Wronskians.
+
+``tableaux.count_standard`` counts standard tableaux by the branching rule.
+The backtracking enumeration it replaced is kept here as
+:func:`standard_tableaux`, with :func:`count_standard_by_enumeration`.
+
+``wronskian.build_wronskian`` and the census expand the Wronskian over packed
+exponent codes (``dpoly.MonoCodec``).  The expansion over sorted tuples of
+(i, k) factors that they replaced is kept here as
+:func:`formal_build_wronskian`.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from diffhom.dpoly import (DiffPoly, DMono, ParseError, UniPoly, gradings, mono_order,
                            substitute)
@@ -53,7 +64,7 @@ from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
 from diffhom.hwv import d_t, full_kernel_vectors
 from diffhom.tableaux import (Partition, Tableau, compositions, partitions_of,
                               semistandard_tableaux)
-from diffhom.wronskian import build_formal_wronskian
+from diffhom.wronskian import WronskSpec, build_formal_wronskian
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -538,3 +549,66 @@ def expand_combination(comb: Iterable[tuple[Fraction, Sequence[int]]], d: int) -
     """The combination of formal Wronskians that a rewriting names."""
     return linear_combination(DiffPoly.zero(d - 1),
                               ((c, build_formal_wronskian(idx)) for c, idx in comb))
+
+
+def formal_build_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
+    """The Wronskian of ``spec`` by the same row-by-row expansion over sets of
+    used columns, with each monomial a sorted tuple of (i, k) factors, one
+    per unit of exponent, and a factor inserted by bisection."""
+    d = spec.d
+    forms = [[[((var, r - s), math.perm(r, s) * c) for s, c in enumerate(rpoly.coeffs[:r + 1]) if c]
+              for rpoly, var in spec.entries] for r in range(d)]
+    partial: dict[int, dict[tuple, Fraction]] = {0: {(): ONE}}
+    for row in forms:
+        grown: dict[int, dict[tuple, Fraction]] = {}
+        for mask, terms in partial.items():
+            above = 0
+            for c in range(d - 1, -1, -1):
+                if mask >> c & 1:
+                    above += 1
+                    continue
+                out = grown.setdefault(mask | 1 << c, {})
+                for key, ec in row[c]:
+                    if above & 1:
+                        ec = -ec
+                    for mono, coeff in terms.items():
+                        j = bisect.bisect(mono, key)
+                        prod = mono[:j] + (key,) + mono[j:]
+                        out[prod] = out.get(prod, ZERO) + coeff * ec
+        partial = grown
+    return DiffPoly(n, {_sorted_mono(Counter(mono)): c
+                        for mono, c in partial.get((1 << d) - 1, {}).items() if c})
+
+
+def standard_tableaux(lam: Partition) -> Iterator[Tableau]:
+    """All standard tableaux of the given shape, by direct backtracking."""
+    d = lam.size
+    parts = lam.parts
+    # cells in row-major order with (row, col) coordinates
+    cells = [(r, c) for r, p in enumerate(parts) for c in range(p)]
+    cell_index = {rc: i for i, rc in enumerate(cells)}
+    filling = [0] * d
+
+    def place(value: int) -> Iterator[tuple[int, ...]]:
+        if value > d:
+            yield tuple(filling)
+            return
+        for r, p in enumerate(parts):
+            for c in range(p):
+                i = cell_index[(r, c)]
+                if filling[i]:
+                    continue
+                left_ok = c == 0 or filling[cell_index[(r, c - 1)]] != 0
+                up_ok = r == 0 or (c < parts[r - 1] and filling[cell_index[(r - 1, c)]] != 0)
+                if left_ok and up_ok:
+                    filling[i] = value
+                    yield from place(value + 1)
+                    filling[i] = 0
+                break  # only the leftmost empty cell of each row is a candidate
+
+    for f in place(1):
+        yield Tableau(lam, f)
+
+
+def count_standard_by_enumeration(lam: Partition) -> int:
+    return sum(1 for _ in standard_tableaux(lam))

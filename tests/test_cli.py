@@ -524,10 +524,51 @@ def test_kernel_rejects_nonpositive_max_cost(capsys, argv):
     assert code == 2 and "--max-cost >= 1" in err
 
 
-@pytest.mark.parametrize("argv", [["census", "--n", "1", "--d", "2"], ["check", "x0"],
-                                  ["verify", "--suite", "rsk"]])
-def test_max_cost_is_a_kernel_only_option(capsys, argv):
+@pytest.mark.parametrize("argv", [["check", "x0"], ["verify", "--suite", "rsk"],
+                                  ["tableaux", "--d", "2"]], ids=lambda argv: argv[0])
+def test_max_cost_is_refused_where_unread(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--max-cost", "5"])
     assert exc.value.code == 2
     assert "--max-cost" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["basis", "--n", "1", "--d", "11"],
+                                  ["basis", "--n", "2", "--d", "7"],
+                                  ["census", "--n", "1", "--d", "12"],
+                                  ["census", "--n", "3", "--d", "6", "--theorem2"],
+                                  ["census", "--n", "2", "--d", "1000000000"],
+                                  ["census", "--n", "0", "--d", "56"],
+                                  ["basis", "--n", "1", "--d", "3", "--max-cost", "7"]],
+                         ids=" ".join)
+def test_basis_and_census_refuse_oversized_input_at_once(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "more than the cap" in err and "--max-cost" in err
+
+
+def test_basis_and_census_max_cost_overrides_the_cap(capsys, monkeypatch):
+    # (1, 4) costs 2^4 = 16 = d^2; (1, 3) costs d^2 = 9, above 2^3
+    code, out, _ = run(capsys, "census", "--n", "1", "--d", "4", "--max-cost", "16",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["entries"]
+    assert run(capsys, "basis", "--n", "1", "--d", "4", "--max-cost", "16")[0] == 0
+    assert run(capsys, "census", "--n", "1", "--d", "4", "--max-cost", "15")[0] == 2
+    assert run(capsys, "census", "--n", "1", "--d", "3", "--max-cost", "8")[0] == 2
+    assert run(capsys, "census", "--n", "5", "--d", "0")[0] == 0
+    # (1, 10) is within the basis cap and (4, 5) = 5^5 within the census cap
+    import diffhom.cli as cli
+    monkeypatch.setattr(cli, "cached_manifest", lambda n, d, cache: [])
+    monkeypatch.setattr(cli, "census", lambda n, d, k: [])
+    assert run(capsys, "basis", "--n", "1", "--d", "10")[0] == 0
+    assert run(capsys, "basis", "--n", "1", "--d", "11", "--max-cost", "2048")[0] == 0
+    assert run(capsys, "census", "--n", "4", "--d", "5")[0] == 0
+    assert run(capsys, "census", "--n", "1", "--d", "12", "--max-cost", "4096")[0] == 0
+    assert run(capsys, "census", "--n", "0", "--d", "55")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["basis", "--n", "1", "--d", "2", "--max-cost", "0"],
+                                  ["census", "--n", "1", "--d", "2", "--max-cost", "-5"]])
+def test_basis_and_census_reject_nonpositive_max_cost(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "--max-cost >= 1" in err

@@ -84,6 +84,8 @@ def test_parse_overlong_integer_is_a_parse_error(prefix, digit, pos):
     ("x0^\u0663", "unexpected character '\u0663' (at position 3)"),
     # 'x' must be followed by an ASCII digit: the digit after it is unexpected
     ("x\u0663 + x0", "unexpected character '\u0663' (at position 1)"),
+    ("2*x\u0663", "unexpected character '\u0663' (at position 3)"),
+    ("x\u0663[1] - x0", "unexpected character '\u0663' (at position 1)"),
     ("x0 + x\uff15[1]", "unexpected character '\uff15' (at position 6)"),
     # an 'x' before anything but a digit is itself unexpected
     ("x + x0", "unexpected character 'x' (at position 0)"),

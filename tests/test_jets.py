@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from diffhom import jets
-from diffhom.dpoly import DiffPoly, gradings, mono_order
+from diffhom import jets, wronskian
+from diffhom.dpoly import DiffPoly, MonoCodec, gradings, mono_order
 from diffhom.exact import ONE, operator_rows, rank
 from diffhom.jets import (CensusEntry, census, classify_basis, pivot_profile,
                           verify_theorem2, weight_census_bound)
@@ -51,16 +51,28 @@ def fresh_profile():
 
 
 def test_k_stability_sees_an_element_above_the_order_bound(monkeypatch, fresh_profile):
-    # x0^(d-1) x0[d] has order d, so the census at k = d-1 misses it
+    # x0^(d-1) x0[d] has order d, so the census at k = d-1 misses it.  The
+    # census codes hold orders up to d-1 only, where x0[d] would alias onto
+    # another field, so the rows are re-packed with room for order d.
     n, d = 1, 3
-    extra = DiffPoly.var(0, 0, n) ** (d - 1) * DiffPoly.var(0, d, n)
-    basis = enumerate_canonical_basis(n, d)
-    monkeypatch.setattr(jets, "enumerate_canonical_basis",
-                        lambda n_, d_: basis + [(None, extra)])
+    codec, rows = wronskian.canonical_codes(n, d)
+    wide = MonoCodec(d + 1, codec.bits)
+
+    def repack(mono):
+        return sum(e * wide.unit(i, k) for i, k, e in mono)
+
+    packed = [(datum, {repack(codec.decode(w)): c for w, c in codes.items()})
+              for datum, codes in rows]
+    extra = repack(((0, d, 1), (0, 0, d - 1)))
+    assert wide.decode(extra) == ((0, d, 1), (0, 0, d - 1))
+    monkeypatch.setattr(jets, "canonical_codes",
+                        lambda n_, d_: (wide, iter(packed + [(None, {extra: 1})])))
     report = verify_theorem2(n, d)
     item = next(i for i in report.items if i.name == "k_stability")
     assert not item.passed and item.witness == f"census changed at k={d}"
     assert not report.passed
+    # the element went through the elimination: one more pivot, of order d
+    assert pivot_profile(n, d)[-1] == (d, 1, (d,))
 
 
 def test_classify_weight_formula_always_holds():
@@ -138,7 +150,8 @@ def test_verify_theorem2_total_value():
 
 
 def test_verify_theorem2_builds_the_basis_once():
-    # one process-wide cache: a report and later census queries share one build
+    # one process-wide cache: a report and later census queries share one
+    # elimination, and the census builds no DiffPoly basis
     canonical_basis.cache_clear()
     pivot_profile.cache_clear()
     report = verify_theorem2(1, 4)
@@ -149,10 +162,41 @@ def test_verify_theorem2_builds_the_basis_once():
         ("weight_vanishing", "bound=4")]
     census(1, 4, 1)
     census(1, 4, 2)
-    assert canonical_basis.cache_info().misses == 1
+    assert pivot_profile.cache_info().misses == 1
+    assert canonical_basis.cache_info().misses == 0
     # callers get a fresh list: mutating it leaves the shared basis intact
     basis = enumerate_canonical_basis(1, 4)
     expected = list(basis)
     basis.clear()
     assert enumerate_canonical_basis(1, 4) == expected
     assert canonical_basis.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n,d", [(1, 7), (2, 5)])
+def test_pivot_profile_matches_rank_oracle_beyond_the_grid(n, d):
+    # the counts of every k <= d, each from its own DiffPoly elimination
+    profile = pivot_profile(n, d)
+    for k in range(d + 1):
+        assert census(n, d, k) == _rank_census(n, d, k), k
+    assert sum(size for _, size, _ in profile) == (n + 1) ** d
+
+
+def test_classify_basis_matches_diffpoly_gradings():
+    for n, d in [(1, 5), (2, 4), (3, 3)]:
+        cls = classify_basis(n, d)
+        basis = enumerate_canonical_basis(n, d)
+        assert [c.datum for c in cls] == [datum for datum, _ in basis]
+        assert [(c.order, c.weight) for c in cls] == [
+            (gradings(p).order, gradings(p).weight) for _, p in basis]
+
+
+def test_pivot_profile_refuses_rows_of_one_multidegree_apart(monkeypatch, fresh_profile):
+    # each multidegree's blocks are eliminated once its rows are read, so a
+    # multidegree that comes back would be split into blocks that share monomials
+    codec, rows = wronskian.canonical_codes(1, 3)
+    rows = list(rows)
+    assert rows[1][0].m == (1, 2)
+    monkeypatch.setattr(jets, "canonical_codes",
+                        lambda n_, d_: (codec, iter(rows[:1] + rows[2:] + rows[1:2])))
+    with pytest.raises(ValueError, match=r"multidegree \(1, 2\)"):
+        pivot_profile(1, 3)

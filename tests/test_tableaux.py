@@ -15,7 +15,7 @@ from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                               dominates, hook_length_count, kostka, partitions_of,
                               relabel, schur_poly_eval, semistandard_tableaux,
                               young_symmetrizer)
-from formal import centralizer_size, character
+from formal import centralizer_size, character, count_standard_by_enumeration, standard_tableaux
 
 F = Fraction
 
@@ -59,6 +59,20 @@ def test_count_standard_matches_hook_lengths():
     for d in range(1, 7):
         for lam in partitions_of(d):
             assert count_standard(lam) == hook_length_count(lam)
+
+
+def test_count_standard_matches_enumeration():
+    for d in range(1, 9):
+        for lam in partitions_of(d):
+            assert count_standard(lam) == count_standard_by_enumeration(lam), lam
+
+
+def test_count_standard_beyond_enumeration():
+    # sum f_lam^2 = d! far past what enumerating the tableaux reaches
+    for d in (20, 30):
+        assert sum(count_standard(lam) ** 2 for lam in partitions_of(d)) == math.factorial(d)
+    lam = Partition.of(9, 7, 5, 3, 1)
+    assert count_standard(lam) == hook_length_count(lam)
 
 
 def _cycle_type(images):
@@ -261,7 +275,6 @@ def test_symmetrizer_almost_projection():
 def test_relabelled_symmetrizer_is_conjugate():
     # between two standard tableaux of one shape, c_{T'} = sigma c_T sigma^{-1}
     # where sigma carries the entries of T to the entries of T'
-    from diffhom.tableaux import standard_tableaux
     for d in range(2, 5):
         for lam in partitions_of(d):
             tabs = list(standard_tableaux(lam))

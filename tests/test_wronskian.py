@@ -1,8 +1,9 @@
 """Wronskian construction, the canonical basis, triangular rewriting, wedges.
 
-The integer row-by-row expansion of ``build_wronskian`` is compared against
+The packed row-by-row expansion of ``build_wronskian`` is compared against
 the minor expansion ``det_expansion`` of the Wronskian matrix over DiffPoly,
-whose entries are computed here independently from ``UniPoly`` derivatives.
+whose entries are computed here independently from ``UniPoly`` derivatives,
+and against the tuple expansion it replaced (``formal``).
 The memoized rewriting and the graded exterior pass of the wedge identities
 are compared against the work queue and the ``det_expansion`` minors of
 ``formal``.
@@ -16,17 +17,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffhom.dpoly import (DiffPoly, UniPoly, gradings, is_diff_homogeneous,
+from diffhom.dpoly import (DiffPoly, MonoCodec, UniPoly, gradings, is_diff_homogeneous,
                            matrix_action, parse, solve_in_span, span_rank,
                            substitute, to_text)
 from diffhom.exact import ONE, det_expansion
 from diffhom.wronskian import (WronskSpec, _integral_rows, _wedge_coordinates,
                                basis_manifest, build_formal_wronskian,
-                               build_wronskian, enumerate_canonical_basis,
+                               build_wronskian, canonical_codes, enumerate_canonical_basis,
                                enumerate_canonical_data, reduce_to_triangular,
                                standard_nilpotent, theta_family_rank,
                                verify_wedge_identity)
-from formal import expand_combination, formal_reduce_to_triangular, formal_wedge_coordinates
+from formal import (expand_combination, formal_build_wronskian, formal_reduce_to_triangular,
+                    formal_wedge_coordinates)
 
 F = Fraction
 
@@ -88,6 +90,66 @@ def test_build_formal_wronskian_matches_det_expansion():
         for alpha in itertools.product(range(d + 1), repeat=d):
             spec = WronskSpec.monomials(alpha, tuple(range(d)))
             assert_matches_oracle(spec, d - 1, build_formal_wronskian(alpha))
+
+
+def _theta_specs(n, d, theta):
+    for tup in itertools.product(range(n + 1), repeat=d):
+        yield WronskSpec(tuple((UniPoly.shifted_power(theta, j), v) for j, v in enumerate(tup)))
+
+
+def _random_spec(rng, n, d):
+    """Rational entries of degree up to d, some with a zero constant term."""
+    return WronskSpec(tuple(
+        (UniPoly([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, d + 1))]),
+         rng.randint(0, n)) for _ in range(d)))
+
+
+def test_build_wronskian_matches_det_expansion_on_random_rational_specs():
+    # repeated variables, cancellation and Fraction entries, not only t^a
+    rng = random.Random(1809)
+    for n, d in [(0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
+        for _ in range(6):
+            spec = _random_spec(rng, n, d)
+            assert_matches_oracle(spec, n, build_wronskian(spec, n))
+
+
+@pytest.mark.parametrize("n, d, theta", [(1, 5, F(1)), (1, 5, F(-2, 3)), (2, 4, F(5, 2)),
+                                         (3, 3, F(-1))])
+def test_build_wronskian_matches_tuple_expansion_on_theta_family(n, d, theta):
+    for spec in _theta_specs(n, d, theta):
+        assert build_wronskian(spec, n) == formal_build_wronskian(spec, n)
+
+
+def test_build_wronskian_matches_tuple_expansion_on_formal_specs():
+    # d = 5 over five distinct variables, and every exponent of {0..5}^3
+    rng = random.Random(5)
+    alphas = [tuple(rng.randrange(6) for _ in range(5)) for _ in range(40)]
+    alphas += list(itertools.product(range(4), repeat=3))
+    for alpha in alphas:
+        spec = WronskSpec.monomials(alpha, tuple(range(len(alpha))))
+        assert build_formal_wronskian(alpha) == formal_build_wronskian(spec, len(alpha) - 1)
+
+
+@pytest.mark.parametrize("n, d", [(1, 5), (2, 4), (3, 3), (0, 4)])
+def test_canonical_codes_decode_to_the_canonical_basis(n, d):
+    codec, rows = canonical_codes(n, d)
+    basis = enumerate_canonical_basis(n, d)
+    rows = list(rows)
+    assert [datum for datum, _ in rows] == [datum for datum, _ in basis]
+    for (_, codes), (_, poly) in zip(rows, basis):
+        assert all(type(c) is int for c in codes.values())
+        assert DiffPoly(n, {codec.decode(w): F(c) for w, c in codes.items()}) == poly
+        assert {codec.order(w) for w in codes} == {
+            max((k for _, k, _ in mono), default=0) for mono in poly.terms}
+
+
+def test_mono_codec_round_trip():
+    codec = MonoCodec(4, 3)
+    mono = ((0, 3, 2), (0, 0, 1), (2, 2, 7), (5, 1, 1))
+    w = sum(e * codec.unit(i, k) for i, k, e in mono)
+    assert codec.decode(w) == mono and codec.order(w) == 3
+    assert codec.decode(0) == () and codec.order(0) == 0
+    assert codec.order(codec.unit(3, 0) * 5) == 0
 
 
 def test_build_wronskian_rejects_bad_specs():
