@@ -28,13 +28,13 @@ from .dpoly import (ParseError, from_json_dict, gradings, is_diff_homogeneous,
                     parse, to_text)
 from .jets import census, weight_census_bound
 from .tableaux import count_semistandard, count_standard, partitions_of
-from .hwv import kernel_dim_full, kernel_dim_isotypic, largest_young_system
+from .hwv import kernel_dim_full, kernel_dim_isotypic
 from .verify import DEFAULT_SEED, SUITE_NAMES, over_cap, run_suite
 from .wronskian import basis_manifest
 
 # The default cap on the cost of `dh kernel` (see `kernel_cost`).  It lets
-# d = 7, k = 6 (36,015 columns, minutes) run and refuses d = 8, k = 7 (316,800)
-# and every d >= 16 at once; `--max-cost` overrides it.
+# d = 7, k = 6 (7,350 D_T, under a minute) run and refuses d = 8, k = 7
+# (50,688) and every d >= 16 at once; `--max-cost` overrides it.
 KERNEL_MAX_COST = 6 ** 6
 
 # The default caps on the cost of `dh basis` and `dh census` (see
@@ -130,7 +130,11 @@ def cmd_basis(args) -> int:
     if _over_cost(f"basis --n {args.n} --d {args.d}", partial(basis_cost, args.n, args.d),
                   args.max_cost, BASIS_MAX_COST, _BASIS_MEASURE):
         return 2
-    manifest = cached_manifest(args.n, args.d, args.cache)
+    try:
+        manifest = cached_manifest(args.n, args.d, args.cache)
+    except ValueError as exc:  # a coefficient too long to print (dpoly.to_json_dict)
+        print(f"basis --n {args.n} --d {args.d}: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         print(_json_dump({"schema_version": SCHEMA_VERSION, "N": args.n, "d": args.d,
                           "count": len(manifest), "basis": manifest}))
@@ -145,19 +149,10 @@ def cmd_basis(args) -> int:
 
 def _expression_text(arg: str) -> str | None:
     """The expression ``dh check ARG`` reads: the contents of ``path`` for
-    ``@path``, else ARG itself.  A bare ARG that names an existing file is
-    still read as that file, with a deprecation line on stderr.  None, after
-    a message, when the file cannot be read."""
+    ``@path``, else ARG itself, also when ARG names a file.  None, after a
+    message, when the file cannot be read."""
     if not arg.startswith("@"):
-        try:
-            is_file = Path(arg).is_file()
-        except OSError:  # e.g. an expression longer than the file-name limit
-            is_file = False
-        if not is_file:
-            return arg
-        print(f"warning: reading the file {arg!r} without '@' is deprecated; write @{arg}",
-              file=sys.stderr)
-        arg = "@" + arg
+        return arg
     try:
         return Path(arg[1:]).read_text(encoding="utf-8").strip()
     except (OSError, UnicodeDecodeError) as exc:
@@ -274,17 +269,19 @@ def cmd_tableaux(args) -> int:
 
 
 def kernel_cost(d: int, k: int, cap: int) -> int:
-    """Cost estimate of `dh kernel --d d --k k`: the columns of the largest
-    Young-subgroup system it solves (``hwv.largest_young_system``) plus the
-    p(d)^2 Kostka numbers between the partitions of d.  For k >= d-1 the
-    systems are those of k = d-1 (``hwv.weight_multiplicities``).  p(n) grows
-    with n, so once p(n)^2 alone passes ``cap`` that is returned at once: a
-    huge d never reaches the partitions of d."""
+    """Cost estimate of `dh kernel --d d --k k`: the D_T of the largest
+    system it builds (``hwv.functional_system``), counted over all weights,
+    max_lam s_lam(1^(k'+1)) with k' = min(k, d-1) (for k >= d-1 the systems
+    are those of k = d-1, ``hwv.weight_multiplicities``), or p(d)^2 if that
+    is larger: the table of the p(d) isotypic dimensions looks each
+    partition up among the p(d).  p(n) grows with n, so once p(n)^2 passes
+    ``cap`` that is returned at once: a huge d never reaches the partitions
+    of d."""
     for n in range(1, d + 1):
         table = len(partitions_of(n)) ** 2
         if table > cap:
             return table
-    return table + largest_young_system(d, min(k, d - 1))
+    return max(table, max(count_semistandard(lam, min(k, d - 1) + 1) for lam in partitions_of(d)))
 
 
 def cmd_kernel(args) -> int:
@@ -297,7 +294,7 @@ def cmd_kernel(args) -> int:
         return 2
     if _over_cost(f"kernel --d {args.d} --k {k}", partial(kernel_cost, args.d, k),
                   args.max_cost, KERNEL_MAX_COST,
-                  "the largest Young-subgroup system plus p(d)^2 Kostka numbers"):
+                  "the D_T of the largest system, or p(d)^2 if larger"):
         return 2
     full = kernel_dim_full(args.d, k)
     per_lambda = []
@@ -412,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="local dimension minus one (default d-1)")
     p.add_argument("--max-cost", type=int, default=None,
-                   help="largest cost to accept: columns of the largest Young-subgroup "
-                        f"system plus p(d)^2 (default {KERNEL_MAX_COST})")
+                   help="largest cost to accept: the D_T of the largest system, over "
+                        f"all weights, or p(d)^2 if larger (default {KERNEL_MAX_COST})")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", parents=[plain],

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NoReturn, Sequence
@@ -316,6 +317,30 @@ class MonoCodec:
             mono.append(factor)
         return tuple(mono)
 
+    def lowered(self, terms: Mapping[int, int], top: int) -> dict[int, int]:
+        """(L_1 + ... + L_top) p for p = ``terms`` ({code: int coefficient}),
+        with L_m x_i[k] = C(k, m) x_i[k-m] as in :func:`lowering`.  Lowering
+        x_i[k] by m moves one unit of its exponent m fields up, into x_i[k-m].
+        L_m lowers the weight by m, so on an isobaric p the images of the
+        different L_m share no monomial, and p is killed by all of them
+        exactly when this sum is zero."""
+        bits, mask, orders = self.bits, self._mask, self.orders
+        out: dict[int, int] = {}
+        get = out.get
+        for w, c in terms.items():
+            rest = w
+            while rest:
+                shift = (rest & -rest).bit_length() - 1
+                shift -= shift % bits
+                unit = 1 << shift
+                e = (rest >> shift) & mask
+                rest -= e * unit
+                k = orders - 1 - (shift // bits) % orders
+                for m in range(1, min(k, top) + 1):
+                    v = w + (unit << m * bits) - unit
+                    out[v] = get(v, 0) + c * e * math.comb(k, m)
+        return {v: x for v, x in out.items() if x}
+
 
 def _group_image(group: tuple[tuple[int, int], ...], rows: list[list[tuple[int, int]]],
                  images: dict) -> dict[int, int]:
@@ -546,10 +571,20 @@ def to_text(p: DiffPoly) -> str:
     return "".join(pieces)
 
 
+def _coeff_text(c: Fraction) -> str:
+    """str(c); ValueError naming the limit when c has more digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits``)."""
+    try:
+        return str(c)
+    except ValueError:
+        raise ValueError("a coefficient has more digits than the interpreter's limit of "
+                         f"{sys.get_int_max_str_digits()} for int-to-str conversion") from None
+
+
 def to_json_dict(p: DiffPoly) -> dict:
     terms = []
     for mono, c in sorted(p.terms.items(), key=lambda t: mono_sort_key(t[0])):
-        terms.append({"coeff": str(c),
+        terms.append({"coeff": _coeff_text(c),
                       "monomial": [[i, k, e] for i, k, e in sorted(mono, key=lambda t: (t[0], -t[1]))]})
     return {"N": p.n, "terms": terms}
 

@@ -1,17 +1,26 @@
 """Highest weight vectors of spaces of differential polynomials.
 
 Products of column determinants D_T indexed by Young tableaux filled with
-derivative orders {0..k} realize the highest weight vectors; on the tensor
-side, (Q^{k+1})^(x d) carries the right symmetric-group action, Young
-symmetrizer projections, and the Leibniz spreadings J^(l) of the lowering
-map x[i] -> i * x[i-1].  The simultaneous kernel of the J^(l) is an
-S_d-module, because the J^(l) commute with permuting the factors; the
-multiplicity of each irreducible V_lam in it, weight by weight, comes from
-the kernels on the invariants and the alternants of Young subgroups (Young's
-rule), which are far smaller systems than the whole tensor power.  They
-are solved only at the weights up to the middle one, d*k/2, and k >= d is
-read at k = d-1: J^(1) is an sl2 lowering operator, and every kernel vector
-has its indices below d (``weight_multiplicities``).
+derivative orders {0..k} realize the highest weight vectors.  There is one
+builder of the D_T: each column determinant is expanded row by row over
+packed exponent codes (``wronskian._expand``, ``dpoly.MonoCodec``), once per
+column, and a product of columns adds codes; ``column_det`` and ``d_t``
+decode the result.
+
+The semi-standard D_T of shape lam span S_lam W, W = Q^{k+1}, and L_1..L_k
+act there as the gl(W) elements f^m / m!, f the lowering map x[i] -> i *
+x[i-1].  On the tensor power W^(x d) = sum over lam of S_lam W (x) V_lam the
+Leibniz spreadings J^(l) of f are l! e_l(f_1, ..., f_d), and by Newton's
+identities their common kernel is that of the power sums f_1^m + ... + f_d^m,
+which act on S_lam W as f^m.  So the multiplicity m_lam of V_lam in the
+simultaneous kernel of the J^(l), weight by weight, is the nullity of
+L_1..L_k on the weight-w D_T (the paper's functional equation,
+``weight_multiplicities``).  They are solved only at the weights up to the
+middle one, d*k/2, and k >= d is read at k = d-1: J^(1) is an sl2 lowering
+operator, and every kernel vector has its indices below d.  The tensor side
+keeps the right symmetric-group action, the Young symmetrizer projections,
+the J^(l) and their kernel vectors (``full_kernel_vectors``), which the
+checks read.
 """
 
 from __future__ import annotations
@@ -20,16 +29,48 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact import (ONE, SparseComb, add_terms, det_expansion, linear_combination,
-                    nullspace_basis, operator_rows, rank)
-from .dpoly import DiffPoly, derive, lowering, solve_in_span
+from .exact import (ONE, SparseComb, add_terms, linear_combination, nullspace_basis,
+                    operator_rows, rank)
+from .dpoly import DiffPoly, MonoCodec, solve_in_span
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
-                       canonical_tableau, compositions, count_standard, dominates, kostka,
-                       partitions_of, semistandard_tableaux, young_symmetrizer)
+                       canonical_tableau, compositions, count_standard, partitions_of,
+                       semistandard_tableaux, young_symmetrizer)
+from .wronskian import _expand
 
 Index = tuple[int, ...]
+
+
+def _codec(lam: Partition, k: int) -> MonoCodec:
+    """The codec of the D_T of shape lam with entries <= k: every monomial
+    has degree lam_(b+1) <= lam_1 in x_b, and so has each L_m of it."""
+    return MonoCodec(k + 1, max(lam.parts, default=1).bit_length())
+
+
+def _d_t_codes(tableaux: Iterable[Tableau], codec: MonoCodec) -> Iterator[dict[int, int]]:
+    """D_T of each tableau as {packed code: int coefficient}.  A column
+    (h_0, ..., h_r) is det(x_b[h_a]), expanded once and shared by the
+    tableaux that have it; the columns multiply by adding codes."""
+    columns: dict[tuple[int, ...], dict[int, int]] = {}
+    for t in tableaux:
+        acc = {0: 1}
+        for col in t.columns():
+            det = columns.get(col)
+            if det is None:
+                det = columns[col] = _expand([[[(codec.unit(b, h), 1)] for b in range(len(col))]
+                                              for h in col])
+            prod: dict[int, int] = {}
+            get = prod.get
+            for w1, c1 in acc.items():
+                for w2, c2 in det.items():
+                    prod[w1 + w2] = get(w1 + w2, 0) + c1 * c2
+            acc = prod
+        yield {w: c for w, c in acc.items() if c}
+
+
+def _decoded(codes: Mapping[int, int], codec: MonoCodec, n: int) -> DiffPoly:
+    return DiffPoly(n, {codec.decode(w): Fraction(c) for w, c in codes.items()})
 
 
 def column_det(seq: Sequence[int], n: int) -> DiffPoly:
@@ -39,18 +80,17 @@ def column_det(seq: Sequence[int], n: int) -> DiffPoly:
         raise ValueError("empty derivative sequence")
     if size > n + 1:
         raise ValueError(f"{size} rows need at least {size - 1} for the variable bound, got {n}")
-    rows = [[DiffPoly.var(b, seq[a], n) for b in range(size)] for a in range(size)]
-    return det_expansion(rows, DiffPoly.zero(n), DiffPoly.const(ONE, n))
+    return d_t(Tableau(Partition((1,) * size), tuple(seq)), n)
 
 
 def d_t(t: Tableau, n: int) -> DiffPoly:
     """Product of the column determinants of a tableau filled with derivative orders."""
     if t.shape.nparts > n + 1:
         raise ValueError(f"shape with {t.shape.nparts} rows is too tall for variable bound {n}")
-    out = DiffPoly.const(ONE, n)
-    for col in t.columns():
-        out = out * column_det(col, n)
-    return out
+    if any(h < 0 for h in t.filling):
+        raise ValueError("negative derivative order")
+    codec = _codec(t.shape, max(t.filling, default=0))
+    return _decoded(next(_d_t_codes([t], codec)), codec, n)
 
 
 @lru_cache(maxsize=4)
@@ -61,7 +101,10 @@ def _semistandard_basis(lam: Partition, k: int, n: int) -> tuple[tuple[Tableau, 
     mutated."""
     if lam.nparts > n + 1:
         return ()
-    return tuple((t, d_t(t, n)) for t in semistandard_tableaux(lam, k + 1, lo=0))
+    tableaux = list(semistandard_tableaux(lam, k + 1, lo=0))
+    codec = _codec(lam, k)
+    return tuple((t, _decoded(codes, codec, n))
+                 for t, codes in zip(tableaux, _d_t_codes(tableaux, codec)))
 
 
 def hwv_basis(lam: Partition, k: int, n: int) -> list[tuple[Tableau, DiffPoly]]:
@@ -174,118 +217,38 @@ def _basis_index(d: int, k: int) -> dict[Index, int]:
     return {idx: j for j, idx in enumerate(itertools.product(range(k + 1), repeat=d))}
 
 
-@lru_cache(maxsize=None)
-def _decreasing_tuples(m: int, k: int, strict: bool) -> dict[int, tuple[Index, ...]]:
-    """The weakly (strictly, with ``strict``) decreasing m-tuples over {0..k},
-    grouped by entry sum.  Shared: callers must not mutate it."""
-    pick = itertools.combinations if strict else itertools.combinations_with_replacement
-    out: dict[int, list[Index]] = {}
-    for t in pick(range(k, -1, -1), m):
-        out.setdefault(sum(t), []).append(t)
-    return {s: tuple(ts) for s, ts in out.items()}
-
-
-def _young_keys(mu: Sequence[int], k: int, weight: int, strict: bool) -> list[Index]:
-    """The index vectors of weight ``weight`` that decrease inside each block
-    of consecutive positions of sizes mu: block sums in lexicographic order,
-    then each block's tuples.  For mu = 1^d these are all index vectors, in
-    lexicographic order."""
-    by_sum = [_decreasing_tuples(m, k, strict) for m in mu]
-    cap = max(max(b, default=0) for b in by_sum)
-    return [sum(heads, ()) for sums in compositions(weight, len(mu), cap)
-            for heads in itertools.product(*(b.get(s, ()) for b, s in zip(by_sum, sums)))]
-
-
-def stacked_operator_rows(d: int, k: int, weight: int, mu: Sequence[int] | None = None,
-                          sign: bool = False) -> tuple[list[dict[int, int]], int]:
+def stacked_operator_rows(d: int, k: int, weight: int) -> tuple[list[dict[int, int]], int]:
     """Rows of all J^(l), l = 1..d, on the weight-``weight`` part of the
-    S_mu-coinvariants (``sign``: the S_mu-sign-coinvariants) of the tensor
-    power, as one sparse integer matrix; S_mu permutes the factors inside
-    each block of consecutive positions of sizes mu (default 1^d, the whole
-    tensor power).
-
-    The columns are the index vectors that are weakly decreasing inside each
-    block (``sign``: strictly decreasing).  Each is expanded once through
-    ``j_ell``, and each output index is folded to its block-sorted form, times
-    the sign of the sorting permutation with ``sign``, where an output with a
-    repeated entry inside a block vanishes.  The J^(l) commute with permuting
-    the factors, so they pass to the coinvariants, and the kernel there has
-    the dimension of the S_mu-invariants (S_mu-alternants) of the kernel on
-    the tensor power.  For mu = 1^d the columns are all index vectors in
-    lexicographic order (the order of the tensor basis).
+    tensor power, as one sparse integer matrix whose columns are the index
+    vectors of that weight in lexicographic order (the order of the tensor
+    basis).
 
     J^(l) lowers the weight by exactly l, so no row meets two weights: the
     blocks for the weights 0..d*k together are the whole stacked system.
-
-    It serves both the kernel and the PDE: read as exponent vectors, J^(l) is
-    l! e_l(d/dX), and at k = d-1 the blocks are the degree blocks of the
-    Newton power-sum system (``pde.solution_space_dim``).
+    Read as exponent vectors, J^(l) is l! e_l(d/dX), so at k = d-1 the blocks
+    are the degree blocks of the Newton power-sum system.
     """
-    mu = tuple(mu) if mu is not None else (1,) * d
-    if sum(mu) != d or any(m < 1 for m in mu):
-        raise ValueError(f"block sizes {mu} do not split {d} factors")
-    keys = _young_keys(mu, k, weight, sign)
-    spans = list(zip(itertools.accumulate(mu, initial=0), itertools.accumulate(mu)))
-    folded: dict[Index, tuple[Index, int]] = {}  # outputs repeat across keys
-
-    def fold(out: Index) -> tuple[Index, int]:
-        key: list[int] = []
-        parity = 0
-        for a, b in spans:
-            block = out[a:b]
-            if sign:
-                if len(set(block)) < len(block):
-                    return out, 0
-                parity += sum(x < y for i, x in enumerate(block) for y in block[i + 1:])
-            key += sorted(block, reverse=True)
-        return tuple(key), -1 if parity % 2 else 1
+    keys = compositions(weight, d, k)
 
     def apply(idx: Index):
         # integer coefficients: J^(l) has integer entries, and echelon takes ints
         t = Tensor(d, k, {idx: 1})
-        terms: dict = {}
         for ell in range(1, d + 1):
             for out, c in j_ell(t, ell).terms.items():
-                f = folded.get(out)
-                if f is None:
-                    f = folded[out] = fold(out)
-                key, s = f
-                if s:
-                    terms[ell, key] = terms.get((ell, key), 0) + (c if s > 0 else -c)
-        return ((key, c) for key, c in terms.items() if c)
+                yield (ell, out), c
 
     return operator_rows(keys, apply), len(keys)
 
 
-def young_system_sizes(lam: Partition, k: int) -> tuple[int, int]:
-    """Columns, over all weights, of the S_lam-invariant system and of the
-    S_lam'-alternant system: prod C(k + lam_i, lam_i) multisets and
-    prod C(k + 1, lam'_j) sets."""
-    return (math.prod(math.comb(k + m, m) for m in lam.parts),
-            math.prod(math.comb(k + 1, m) for m in lam.conjugate().parts))
-
-
-def largest_young_system(d: int, k: int) -> int:
-    """Columns of the largest system ``weight_multiplicities`` solves at (d, k),
-    counted over all weights (a bound: only the weights 2w <= dk are
-    solved): max over lam of min(invariant, alternant) columns."""
-    return max(min(young_system_sizes(lam, k)) for lam in partitions_of(d))
-
-
-@lru_cache(maxsize=None)
-def _invariant_side(d: int, k: int) -> frozenset[Partition]:
-    """The up-set U of the dominance order whose multiplicities are solved on
-    invariants: the upward closure of the lam whose invariant system has at
-    most as many columns as its alternant system.  This keeps the largest of
-    the systems solved at its least possible size."""
-    lams = partitions_of(d)
-    seeds = [lam for lam in lams for inv, alt in [young_system_sizes(lam, k)] if inv <= alt]
-    return frozenset(nu for nu in lams if any(dominates(nu, lam) for lam in seeds))
-
-
-@lru_cache(maxsize=None)
-def _kostka(lam: Partition, mu: Partition) -> int:
-    return kostka(lam, mu.parts)
+def functional_system(lam: Partition, k: int, weight: int) -> tuple[list[dict[int, int]], int]:
+    """The integer matrix of L_1 + ... + L_k on the semi-standard D_T of
+    shape lam, entries <= k and entry sum ``weight``, and the number of those
+    D_T: column j holds the image of the j-th D_T (``operator_rows``,
+    ``dpoly.MonoCodec.lowered``; the D_T are isobaric, so the L_m images
+    stay apart).  Its nullity, columns minus rank, is m_lam at that weight."""
+    codec = _codec(lam, k)
+    polys = list(_d_t_codes(semistandard_tableaux(lam, k + 1, lo=0, total=weight), codec))
+    return operator_rows(polys, lambda p: codec.lowered(p, k).items()), len(polys)
 
 
 @lru_cache(maxsize=None)
@@ -293,7 +256,9 @@ def weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     """The multiplicity m_lam of each irreducible V_lam (in ``partitions_of``
     order) in the weight-``weight`` part of the simultaneous kernel of the
     J^(l), which is an S_d-module because the J^(l) commute with permuting
-    the factors.  Cached per (d, k, weight).
+    the factors: the nullity of L_1..L_k on the semi-standard D_T of shape
+    lam and entry sum ``weight`` (``functional_system``, one rank per lam).
+    Cached per (d, k, weight).
 
     Two theorems fix part of the answer without elimination.  The lowering
     x[i] -> i x[i-1] is one nilpotent Jordan block on W = Q^{k+1}, so W is
@@ -306,42 +271,17 @@ def weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     vector has all indices <= d-1: the kernel is the k = d-1 kernel, weight
     for weight.  ``full_kernel_vectors`` eliminates every weight at its own
     k, and the tests compare the two.
-
-    By Young's rule the kernel has sum_nu K_{nu,lam} m_nu invariants under
-    the Young subgroup S_lam and sum_nu K_{nu',lam'} m_nu alternants under
-    S_lam' (Fulton, Young Tableaux 7.3), and both sums are unitriangular in
-    the dominance order.  So the lam of the up-set ``_invariant_side`` are
-    solved from the top down on invariants, and the others from 1^d upward on
-    alternants; no kernel basis is built.  Raises ArithmeticError on a
-    negative multiplicity.
     """
     if k >= d:
         return weight_multiplicities(d, d - 1, weight)
     lams = partitions_of(d)
     if 2 * weight > d * k:
         return (0,) * len(lams)
-    upper = _invariant_side(d, k)
-
-    def nullity(mu: Partition, sign: bool) -> int:
-        rows, ncols = stacked_operator_rows(d, k, weight, mu.parts, sign)
-        return ncols - rank(rows, ncols)
-
-    # partitions_of lists every nu before each lam it dominates
-    m: dict[Partition, int] = {}
+    out = []
     for lam in lams:
-        if lam in upper:
-            m[lam] = nullity(lam, False) - sum(_kostka(nu, lam) * c for nu, c in m.items() if c)
-    below: dict[Partition, int] = {}
-    for lam in reversed(lams):
-        if lam not in upper:
-            conj = lam.conjugate()
-            below[lam] = nullity(conj, True) - sum(_kostka(nu.conjugate(), conj) * c
-                                                   for nu, c in below.items() if c)
-    m.update(below)
-    for lam in lams:
-        if m[lam] < 0:
-            raise ArithmeticError(f"negative multiplicity {m[lam]} for {lam} at weight {weight}")
-    return tuple(m[lam] for lam in lams)
+        rows, ncols = functional_system(lam, k, weight)
+        out.append(ncols - rank(rows, ncols))
+    return tuple(out)
 
 
 def weight_kernel_dim(d: int, k: int, weight: int) -> int:
@@ -430,20 +370,3 @@ def tableau_projection(t: Tensor, lam: Partition, n: int) -> DiffPoly:
         raise ValueError("partition size must match the tensor degree")
     return linear_combination(DiffPoly.zero(n), ((c, d_t(Tableau(lam, idx), n))
                                                  for idx, c in t.terms.items()))
-
-
-def functional_solution_dim(lam: Partition, k: int, n: int) -> int:
-    """Dimension of solutions, inside the span of the D_T, of the one-parameter
-    substitution identity  (a Id + lowering) . P = a^d P  with a formal.
-
-    The a^(d-l) coefficient of the left side is J^(l) P / l!, and the power
-    sums of the factorwise lowerings are the m! L_m: by Newton's identities the
-    solutions are the common kernel of L_1..L_k (L_1 alone is not enough)."""
-    polys = [p for _, p in _semistandard_basis(lam, k, n)]
-
-    def apply(p: DiffPoly):
-        for m in range(1, k + 1):
-            for mono, c in derive(p, lowering(m)).terms.items():
-                yield (m, mono), c
-
-    return len(polys) - rank(operator_rows(polys, apply), len(polys))

@@ -3,10 +3,11 @@
 The operators sum_i d^l/dX_i^l for l = 1..d cut out a solution space of
 dimension d! inside polynomials in X_1..X_d, counted degree by degree from
 the isotypic multiplicities of the capped J^(l) kernel
-(``hwv.weight_multiplicities``) and cross-checked against the uncapped
-Newton system in ``verify``; the span of all partial derivatives of
-the Vandermonde determinant provides an independent witness of the same
-dimension.
+(``hwv.weight_multiplicities``, the nullities of L_1..L_k on the D_T of each
+shape) and cross-checked against the uncapped Newton system in ``verify``,
+which also ranks the J^(l) blocks above the middle degree in full; the span
+of all partial derivatives of the Vandermonde determinant provides an
+independent witness of the same dimension.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def solution_space_dim(d: int, bound: int | None = None) -> int:
     prod_j (T - X_j), so d^d/dX_i^d lies in that ideal too and every solution
     has degree at most d-1 in each variable.  The solutions of degree w are
     therefore the weight-w part of the J^(l) kernel at k = d-1, counted as
-    sum f_lam m_lam from ``hwv.weight_multiplicities``; only the degrees up
+    sum f_lam m_lam from ``hwv.weight_multiplicities`` (solved on the D_T,
+    not on the tensor power); only the degrees up
     to ``bound`` and to d(d-1)/2 are solved, as the degrees above the middle
     one hold no solutions (the sl2 argument there).
     """

@@ -3,9 +3,10 @@ permutations, and the group algebra of the symmetric group with its Young
 symmetrizers.
 
 Standard tableaux are counted by the branching rule (remove a corner),
-memoized per shape; semi-standard tableaux and Kostka numbers by direct
-enumeration.  The hook-length formula appears only as a cross-check in the
-test suite.
+memoized per shape, semi-standard tableaux by the hook-content formula, and
+Kostka numbers by direct enumeration.  The hook-length formula appears only
+as a cross-check in the test suite, and the enumeration of all semi-standard
+tableaux as the oracle of their count.
 """
 
 from __future__ import annotations
@@ -68,15 +69,6 @@ def partitions_of(d: int, max_parts: int | None = None) -> list[Partition]:
             yield from gen(remaining - part, part, prefix + (part,))
 
     return [Partition(p) for p in gen(d, d, ())]
-
-
-def dominates(nu: Partition, lam: Partition) -> bool:
-    """Whether nu dominates lam: each partial sum nu_1 + ... + nu_i is at least
-    lam_1 + ... + lam_i (partitions of one size)."""
-    if nu.size != lam.size:
-        raise ValueError("partition sizes must agree")
-    return all(a >= b for a, b in zip(itertools.accumulate(nu.parts),
-                                      itertools.accumulate(lam.parts)))
 
 
 def compositions(total: int, parts: int, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -170,11 +162,14 @@ def hook_length_count(lam: Partition) -> int:
 
 
 def semistandard_tableaux(lam: Partition, n: int, lo: int = 1,
-                          content: Sequence[int] | None = None) -> Iterator[Tableau]:
+                          content: Sequence[int] | None = None,
+                          total: int | None = None) -> Iterator[Tableau]:
     """Semi-standard fillings with values in {lo, ..., lo+n-1}.
 
     With ``content`` given (counts per letter, letter j = lo+j), only fillings
-    of that exact content are produced.
+    of that exact content are produced; with ``total``, only fillings whose
+    entries sum to it (a partial filling is dropped as soon as no values for
+    the cells left can reach the total).
     """
     if n < 1:
         return
@@ -194,33 +189,51 @@ def semistandard_tableaux(lam: Partition, n: int, lo: int = 1,
             low = max(low, filling[offsets[r - 1] + c] + 1)       # columns strictly increase
         return low, lo + n - 1
 
-    def fill(pos: int) -> Iterator[tuple[int, ...]]:
+    def fill(pos: int, below: int) -> Iterator[tuple[int, ...]]:
+        # below: what the cells from pos on must add up to (with ``total``)
         if pos == d:
             yield tuple(filling)
             return
         r = next(i for i in range(len(parts)) if offsets[i] <= pos < offsets[i + 1])
         c = pos - offsets[r]
         low, high = cell_bounds(r, c)
+        rest = d - pos - 1
         for v in range(low, high + 1):
+            if total is not None:
+                if v + rest * lo > below:
+                    break
+                if v + rest * high < below:
+                    continue
             if remaining is not None:
                 j = v - lo
                 if j >= len(remaining) or remaining[j] == 0:
                     continue
                 remaining[j] -= 1
             filling[pos] = v
-            yield from fill(pos + 1)
+            yield from fill(pos + 1, below - v)
             filling[pos] = 0
             if remaining is not None:
                 remaining[v - lo] += 1
 
-    for f in fill(0):
+    for f in fill(0, 0 if total is None else total):
         yield Tableau(lam, f)
 
 
 def count_semistandard(lam: Partition, n: int) -> int:
+    """s_lam(1^n), the number of semi-standard tableaux of shape lam over n
+    letters, by the hook-content formula: the product over the cells u of
+    (n + c(u)) / h(u), with c(u) = column - row and h(u) the hook length
+    (Stanley, Enumerative Combinatorics 2, 7.21.2).  A shape of more than n
+    rows has the cell (n, 0), of factor 0."""
     if n < 1:
         raise ValueError("alphabet size must be >= 1")
-    return sum(1 for _ in semistandard_tableaux(lam, n))
+    conj = lam.conjugate().parts
+    num = den = 1
+    for r, p in enumerate(lam.parts):
+        for c in range(p):
+            num *= n + c - r
+            den *= (p - c) + (conj[c] - r) - 1
+    return num // den
 
 
 def kostka(lam: Partition, a: Sequence[int]) -> int:

@@ -28,9 +28,9 @@ from .tableaux import (Partition, canonical_tableau, compositions, count_semista
 from .wronskian import (build_formal_wronskian, enumerate_canonical_basis,
                         reduce_to_triangular, standard_nilpotent,
                         verify_wedge_identity)
-from .hwv import (Tensor, e_iso, full_kernel_vectors, functional_solution_dim,
-                  hwv_basis, j_ell, kernel_dim_full, kernel_dim_isotypic,
-                  stacked_operator_rows, symmetrizer_projection, tableau_projection)
+from .hwv import (Tensor, e_iso, full_kernel_vectors, hwv_basis, j_ell, kernel_dim_full,
+                  kernel_dim_isotypic, stacked_operator_rows, symmetrizer_projection,
+                  tableau_projection)
 from .pde import (MultiPoly, newton_operator, solution_space_dim,
                   vandermonde_derivative_basis)
 from .jets import census, classify_basis, verify_theorem2
@@ -422,10 +422,17 @@ def check_leibniz_expansion(d: int, k: int) -> CheckResult:
 
 
 def check_functional_iso(parts: tuple, k: int) -> CheckResult:
+    """The functional equation on the span of the D_T of shape lam
+    (``kernel_dim_isotypic``) against the tensor side: the kernel K of the
+    J^(l) is an S_d-module, so K.c_lam, the image of its reduced basis under
+    the Young symmetrizer, has dimension m_lam."""
     lam = Partition(parts)
-    n = lam.nparts - 1
+    d = lam.size
+    index = list(itertools.product(range(k + 1), repeat=d))
+    image = [symmetrizer_projection(Tensor(d, k, {index[j]: c for j, c in vec.items()}), lam)
+             for vec in full_kernel_vectors(d, k)]
     return _result("functional_iso", {"lam": parts, "k": k},
-                   kernel_dim_isotypic(lam, k), functional_solution_dim(lam, k, n))
+                   kernel_dim_isotypic(lam, k), span_rank(image))
 
 
 def suite_hwv(max_d: int, max_n: int, seed: int) -> list[partial]:

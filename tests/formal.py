@@ -17,11 +17,16 @@ through ``substitute``; it serves the formal weight and unipotent criteria
 and is the oracle the tests compare ``matrix_action`` against.
 
 ``hwv.weight_multiplicities`` counts the isotypic multiplicities of the J^(l)
-kernel on Young-subgroup invariants and alternants.  The character path it
-replaced is kept here as :func:`character_multiplicities`: class traces on
-the reduced kernel basis ``hwv.full_kernel_vectors``, then the character sum
-over the Murnaghan-Nakayama characters :func:`character` and the centralizer
-orders :func:`centralizer_size`.
+kernel as the nullities of L_1..L_k on the semi-standard D_T.  Two routes it
+replaced are kept here as its oracles.  The character path
+:func:`character_multiplicities`: class traces on the reduced kernel basis
+``hwv.full_kernel_vectors``, then the character sum over the
+Murnaghan-Nakayama characters :func:`character` and the centralizer orders
+:func:`centralizer_size`.  And the Young-subgroup route
+:func:`young_weight_multiplicities`: the J^(l) on the invariants and
+alternants of Young subgroups (:func:`young_operator_rows`, sized by
+:func:`young_system_sizes`), then Young's rule solved by Kostka subtraction
+along the dominance order (:func:`dominates`).
 
 ``dpoly.parse`` reads a whole factor per regex match and ``dpoly.derive``
 edits each monomial tuple in place.  The token-list descent and the
@@ -37,9 +42,11 @@ rewriting they replaced are kept here as :func:`formal_wedge_coordinates` and
 :func:`formal_reduce_to_triangular`, with :func:`expand_combination`, which
 reads a rewriting back as a combination of formal Wronskians.
 
-``tableaux.count_standard`` counts standard tableaux by the branching rule.
-The backtracking enumeration it replaced is kept here as
-:func:`standard_tableaux`, with :func:`count_standard_by_enumeration`.
+``tableaux.count_standard`` counts standard tableaux by the branching rule,
+and ``tableaux.count_semistandard`` semi-standard ones by the hook-content
+formula.  The enumerations they replaced are kept here as
+:func:`standard_tableaux`, with :func:`count_standard_by_enumeration`, and
+:func:`count_semistandard_by_enumeration`.
 
 ``wronskian.build_wronskian`` and the census expand the Wronskian over packed
 exponent codes (``dpoly.MonoCodec``).  The expansion over sorted tuples of
@@ -55,14 +62,15 @@ import itertools
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from diffhom.dpoly import (DiffPoly, DMono, ParseError, UniPoly, gradings, mono_order,
                            substitute)
 from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
                            linear_combination, operator_rows, rank)
-from diffhom.hwv import d_t, full_kernel_vectors
-from diffhom.tableaux import (Partition, Tableau, compositions, partitions_of,
+from diffhom.hwv import Tensor, d_t, full_kernel_vectors, j_ell
+from diffhom.tableaux import (Partition, Tableau, compositions, kostka, partitions_of,
                               semistandard_tableaux)
 from diffhom.wronskian import WronskSpec, build_formal_wronskian
 
@@ -612,3 +620,150 @@ def standard_tableaux(lam: Partition) -> Iterator[Tableau]:
 
 def count_standard_by_enumeration(lam: Partition) -> int:
     return sum(1 for _ in standard_tableaux(lam))
+
+
+def count_semistandard_by_enumeration(lam: Partition, n: int) -> int:
+    """s_lam(1^n): the semi-standard tableaux of shape lam over n letters,
+    counted one by one."""
+    return sum(1 for _ in semistandard_tableaux(lam, n))
+
+
+# ---------------------------------------------------------------------------
+# The Young-subgroup route to the multiplicities of the J^(l) kernel.
+
+def dominates(nu: Partition, lam: Partition) -> bool:
+    """Whether nu dominates lam: each partial sum nu_1 + ... + nu_i is at least
+    lam_1 + ... + lam_i (partitions of one size)."""
+    if nu.size != lam.size:
+        raise ValueError("partition sizes must agree")
+    return all(a >= b for a, b in zip(itertools.accumulate(nu.parts),
+                                      itertools.accumulate(lam.parts)))
+
+
+@lru_cache(maxsize=None)
+def _decreasing_tuples(m: int, k: int, strict: bool) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The weakly (strictly, with ``strict``) decreasing m-tuples over {0..k},
+    grouped by entry sum.  Shared: callers must not mutate it."""
+    pick = itertools.combinations if strict else itertools.combinations_with_replacement
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for t in pick(range(k, -1, -1), m):
+        out.setdefault(sum(t), []).append(t)
+    return {s: tuple(ts) for s, ts in out.items()}
+
+
+def _young_keys(mu: Sequence[int], k: int, weight: int, strict: bool) -> list[tuple[int, ...]]:
+    """The index vectors of weight ``weight`` that decrease inside each block
+    of consecutive positions of sizes mu: block sums in lexicographic order,
+    then each block's tuples.  For mu = 1^d these are all index vectors, in
+    lexicographic order."""
+    by_sum = [_decreasing_tuples(m, k, strict) for m in mu]
+    cap = max(max(b, default=0) for b in by_sum)
+    return [sum(heads, ()) for sums in compositions(weight, len(mu), cap)
+            for heads in itertools.product(*(b.get(s, ()) for b, s in zip(by_sum, sums)))]
+
+
+def young_operator_rows(d: int, k: int, weight: int, mu: Sequence[int] | None = None,
+                        sign: bool = False) -> tuple[list[dict[int, int]], int]:
+    """Rows of all J^(l), l = 1..d, on the weight-``weight`` part of the
+    S_mu-coinvariants (``sign``: the S_mu-sign-coinvariants) of the tensor
+    power, as one sparse integer matrix; S_mu permutes the factors inside
+    each block of consecutive positions of sizes mu (default 1^d, the whole
+    tensor power, where this is ``hwv.stacked_operator_rows``).
+
+    The columns are the index vectors that are weakly decreasing inside each
+    block (``sign``: strictly decreasing).  Each output index is folded to its
+    block-sorted form, times the sign of the sorting permutation with
+    ``sign``, where an output with a repeated entry inside a block vanishes.
+    The J^(l) commute with permuting the factors, so the kernel here has the
+    dimension of the S_mu-invariants (S_mu-alternants) of the kernel on the
+    tensor power.
+    """
+    mu = tuple(mu) if mu is not None else (1,) * d
+    if sum(mu) != d or any(m < 1 for m in mu):
+        raise ValueError(f"block sizes {mu} do not split {d} factors")
+    keys = _young_keys(mu, k, weight, sign)
+    spans = list(zip(itertools.accumulate(mu, initial=0), itertools.accumulate(mu)))
+
+    def fold(out: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        key: list[int] = []
+        parity = 0
+        for a, b in spans:
+            block = out[a:b]
+            if sign:
+                if len(set(block)) < len(block):
+                    return out, 0
+                parity += sum(x < y for i, x in enumerate(block) for y in block[i + 1:])
+            key += sorted(block, reverse=True)
+        return tuple(key), -1 if parity % 2 else 1
+
+    def apply(idx: tuple[int, ...]):
+        t = Tensor(d, k, {idx: 1})
+        terms: dict = {}
+        for ell in range(1, d + 1):
+            for out, c in j_ell(t, ell).terms.items():
+                key, s = fold(out)
+                if s:
+                    terms[ell, key] = terms.get((ell, key), 0) + s * c
+        return ((key, c) for key, c in terms.items() if c)
+
+    return operator_rows(keys, apply), len(keys)
+
+
+def young_system_sizes(lam: Partition, k: int) -> tuple[int, int]:
+    """Columns, over all weights, of the S_lam-invariant system and of the
+    S_lam'-alternant system: prod C(k + lam_i, lam_i) multisets and
+    prod C(k + 1, lam'_j) sets."""
+    return (math.prod(math.comb(k + m, m) for m in lam.parts),
+            math.prod(math.comb(k + 1, m) for m in lam.conjugate().parts))
+
+
+def largest_young_system(d: int, k: int) -> int:
+    """Columns of the largest system :func:`young_weight_multiplicities`
+    solves at (d, k), over all weights: max over lam of min(invariant,
+    alternant) columns."""
+    return max(min(young_system_sizes(lam, k)) for lam in partitions_of(d))
+
+
+@lru_cache(maxsize=None)
+def _invariant_side(d: int, k: int) -> frozenset[Partition]:
+    """The up-set of the dominance order whose multiplicities are solved on
+    invariants: the upward closure of the lam whose invariant system has at
+    most as many columns as its alternant system."""
+    lams = partitions_of(d)
+    seeds = [lam for lam in lams for inv, alt in [young_system_sizes(lam, k)] if inv <= alt]
+    return frozenset(nu for nu in lams if any(dominates(nu, lam) for lam in seeds))
+
+
+@lru_cache(maxsize=None)
+def young_weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
+    """The multiplicity of each V_lam (``partitions_of`` order) in the
+    weight-``weight`` part of the J^(l) kernel, by Young's rule: the kernel
+    has sum_nu K_{nu,lam} m_nu invariants under the Young subgroup S_lam and
+    sum_nu K_{nu',lam'} m_nu alternants under S_lam' (Fulton, Young Tableaux
+    7.3), both unitriangular in the dominance order.  The lam of
+    ``_invariant_side`` are solved from the top down on invariants, the
+    others from 1^d upward on alternants.  Every weight is solved at its own
+    k.  Raises ArithmeticError on a negative multiplicity."""
+    lams = partitions_of(d)
+    upper = _invariant_side(d, k)
+
+    def nullity(mu: Partition, sign: bool) -> int:
+        rows, ncols = young_operator_rows(d, k, weight, mu.parts, sign)
+        return ncols - rank(rows, ncols)
+
+    # partitions_of lists every nu before each lam it dominates
+    m: dict[Partition, int] = {}
+    for lam in lams:
+        if lam in upper:
+            m[lam] = nullity(lam, False) - sum(kostka(nu, lam.parts) * c for nu, c in m.items() if c)
+    below: dict[Partition, int] = {}
+    for lam in reversed(lams):
+        if lam not in upper:
+            conj = lam.conjugate()
+            below[lam] = nullity(conj, True) - sum(kostka(nu.conjugate(), conj.parts) * c
+                                                   for nu, c in below.items() if c)
+    m.update(below)
+    for lam in lams:
+        if m[lam] < 0:
+            raise ArithmeticError(f"negative multiplicity {m[lam]} for {lam} at weight {weight}")
+    return tuple(m[lam] for lam in lams)

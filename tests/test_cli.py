@@ -58,7 +58,7 @@ def test_check_negative(capsys):
 def test_check_file_input(tmp_path, capsys):
     f = tmp_path / "poly.txt"
     f.write_text("x0\n")
-    code, out, _ = run(capsys, "check", str(f))
+    code, out, _ = run(capsys, "check", "@" + str(f))
     assert code == 0 and "degree 1" in out
 
 
@@ -453,12 +453,16 @@ def test_check_at_path_reads_the_file(tmp_path, capsys):
     assert code == 0 and "degree 2" in out and not err
 
 
-def test_check_bare_file_path_is_deprecated(tmp_path, capsys):
-    f = tmp_path / "poly.txt"
-    f.write_text("x0[1]\n")
-    code, out, err = run(capsys, "check", str(f))
-    assert code == 1 and out.startswith("no")
-    assert "deprecated" in err and "@" + str(f) in err
+def test_check_bare_file_name_is_parsed_as_an_expression(tmp_path, capsys, monkeypatch):
+    # only @path reads a file: a bare argument is an expression, even when
+    # it names a file, so "x0" here is the polynomial x0, not the file "x0"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x0").write_text("x0[1]\n")
+    code, out, err = run(capsys, "check", "x0")
+    assert code == 0 and out.startswith("yes") and not err
+    (tmp_path / "poly.txt").write_text("x0\n")
+    code, out, err = run(capsys, "check", "poly.txt")
+    assert code == 2 and not out and err.startswith("parse error")
 
 
 def test_check_binary_file_exits_2_with_or_without_at(tmp_path, capsys):
@@ -466,10 +470,9 @@ def test_check_binary_file_exits_2_with_or_without_at(tmp_path, capsys):
     f.write_bytes(b"x0\xff\xfe[1]\x00")
     code, out, err = run(capsys, "check", "@" + str(f))
     assert code == 2 and not out and err.startswith("cannot read")
+    # without '@' the path is parsed as an expression, which it is not
     code, out, err = run(capsys, "check", str(f))
-    assert code == 2 and not out
-    deprecation, message = err.splitlines()
-    assert "deprecated" in deprecation and message.startswith("cannot read")
+    assert code == 2 and not out and err.startswith("parse error")
 
 
 def test_check_at_missing_file_exits_2(tmp_path, capsys):
@@ -486,7 +489,7 @@ def test_check_at_path_reads_a_long_expression(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["--d", "9"], ["--d", "16", "--k", "0"],
                                   ["--d", "1000000000", "--k", "3"],
-                                  ["--d", "3", "--max-cost", "18"]], ids=" ".join)
+                                  ["--d", "3", "--max-cost", "9"]], ids=" ".join)
 def test_kernel_refuses_oversized_input_at_once(capsys, argv):
     code, out, err = run(capsys, "kernel", *argv)
     assert code == 2 and not out
@@ -496,17 +499,20 @@ def test_kernel_refuses_oversized_input_at_once(capsys, argv):
 def test_kernel_max_cost_overrides_the_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "kernel", "--d", "3", "--max-cost", "27", "--format", "json")
     assert code == 0 and json.loads(out)["full_kernel_dim"] == 6
-    # d = 3, k = 2 costs 10 columns (the S_3-invariants) plus p(3)^2 = 9
-    assert run(capsys, "kernel", "--d", "3", "--max-cost", "19")[0] == 0
-    # d = 7, k = 6 is within the default cap; d = 8, k = 7 needs --max-cost
+    # d = 3, k = 2 costs the 10 D_T of shape (3) over {0, 1, 2}, more than p(3)^2 = 9
+    assert run(capsys, "kernel", "--d", "3", "--max-cost", "10")[0] == 0
+    # d = 7, k = 6 (7,350 D_T) is within the default cap; d = 8, k = 7
+    # (50,688) needs --max-cost
     import diffhom.cli as cli
     monkeypatch.setattr(cli, "kernel_dim_full", lambda d, k: 0)
     monkeypatch.setattr(cli, "kernel_dim_isotypic", lambda lam, k: 0)
     assert run(capsys, "kernel", "--d", "6")[0] == 0
     assert run(capsys, "kernel", "--d", "7")[0] == 0
     assert run(capsys, "kernel", "--d", "8")[0] == 2
-    assert run(capsys, "kernel", "--d", "8", "--max-cost", str(316800 + 22 ** 2))[0] == 0
-    assert run(capsys, "kernel", "--d", "8", "--max-cost", str(316800 + 22 ** 2 - 1))[0] == 2
+    assert run(capsys, "kernel", "--d", "8", "--max-cost", "50688")[0] == 0
+    assert run(capsys, "kernel", "--d", "8", "--max-cost", "50687")[0] == 2
+    # at k = 0 only the p(d)^2 partition table counts: p(15)^2 = 30,976 runs
+    assert run(capsys, "kernel", "--d", "15", "--k", "0")[0] == 0
 
 
 @pytest.mark.parametrize("d, k, full", [("5", "40", 120), ("3", "1000000000", 6)])
@@ -565,6 +571,19 @@ def test_basis_and_census_max_cost_overrides_the_cap(capsys, monkeypatch):
     assert run(capsys, "census", "--n", "4", "--d", "5")[0] == 0
     assert run(capsys, "census", "--n", "1", "--d", "12", "--max-cost", "4096")[0] == 0
     assert run(capsys, "census", "--n", "0", "--d", "55")[0] == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_basis_coefficient_beyond_the_digit_limit_exits_2(fmt):
+    # at N = 0, d = 100 the one Wronskian has the coefficient prod_{j<100} j!,
+    # beyond the interpreter's 4,300-digit limit on int-to-str conversion
+    proc = _dh("basis", "--n", "0", "--d", "100", "--max-cost", "10000", "--format", fmt,
+               timeout=60)
+    assert proc.returncode == 2 and not proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("basis --n 0 --d 100: a coefficient has more digits than "
+                                  f"the interpreter's limit of {sys.get_int_max_str_digits()} "
+                                  "for int-to-str conversion")
 
 
 @pytest.mark.parametrize("argv", [["basis", "--n", "1", "--d", "2", "--max-cost", "0"],

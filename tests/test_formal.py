@@ -12,7 +12,7 @@ import pytest
 
 import diffhom
 from diffhom.dpoly import derive, gl_elementary, mono_multidegree, parse
-from diffhom.hwv import functional_solution_dim, hwv_basis
+from diffhom.hwv import hwv_basis, kernel_dim_isotypic
 from diffhom.tableaux import Partition, Tableau, partitions_of
 from diffhom.verify import check_hwv_unipotent, check_hwv_weight
 from formal import (formal_functional_solution_dim, formal_is_unipotent_invariant,
@@ -40,9 +40,11 @@ def test_library_has_one_gl_action():
 @pytest.mark.parametrize("lam", [lam for d in range(1, 6) for lam in partitions_of(d)],
                          ids=lambda lam: str(lam.parts))
 def test_functional_solution_dim_matches_formal_substitution(lam):
+    # the solutions of the functional equation on the D_T of shape lam, as
+    # the nullity of L_1..L_k in the solver and by formal substitution
     n = lam.nparts - 1
     for k in range(4):
-        assert functional_solution_dim(lam, k, n) == formal_functional_solution_dim(lam, k, n)
+        assert kernel_dim_isotypic(lam, k) == formal_functional_solution_dim(lam, k, n)
 
 
 def is_weight_vector(p, weight):

@@ -16,7 +16,9 @@ the ``verify --suite basis`` digest (default caps, ``d <= 4``, so it holds
 the ``(2, 4)`` GL-stability check) before the integer, order-graded
 ``matrix_action`` replaced the ring substitution, and the ``check @FILE``
 digest of a rational combination of ``(2, 3)`` basis elements before the
-factor-level parser and the integer ``L_m`` test; a change to the library
+factor-level parser and the integer ``L_m`` test, and the ``kernel --d 5``
+and ``kernel --d 6 --k 2`` digests before the functional equation on the
+``D_T`` replaced the Young-subgroup multiplicities; a change to the library
 that keeps every result must keep them.  The
 ``wall_time_seconds`` field of ``verify`` is dropped before hashing.
 """
@@ -36,6 +38,10 @@ from diffhom.wronskian import enumerate_canonical_basis
 GOLDEN = {
     "kernel --d 4":
         "3e4a9e49e9c9ac36a1cb43e6dbd8678d7657e6717f0465d87f8432acc9aace35",
+    "kernel --d 5":
+        "4d44b36692cd697abe2e566c1349bb11b6f7bb37bfb3b8e0db5cf74caa7811fb",
+    "kernel --d 6 --k 2":
+        "d8e1645cbc9ece060891e3b597f108d60e30a7c3f5b6935be72f96d014e8e1de",
     "census --n 1 --d 5 --all-k":
         "172002e784485197a3e7a71603ef2197ed22add94ddf814d0186716a4e367ceb",
     "census --n 2 --d 3 --theorem2":

@@ -8,18 +8,21 @@ from fractions import Fraction
 import pytest
 
 from diffhom import hwv
+from diffhom.cli import kernel_cost
 from diffhom.exact import intersection_dim, nullspace_basis, operator_rows, rank
 from diffhom.dpoly import parse, span_rank
 from diffhom.tableaux import (Partition, Permutation, Tableau,
                               count_semistandard, count_standard,
                               partitions_of)
 from diffhom.hwv import (Tensor, column_det, d_t, e_iso, full_kernel_vectors,
-                         functional_solution_dim, hwv_basis, j_ell, kernel_dim_full,
+                         hwv_basis, j_ell, kernel_dim_full,
                          kernel_dim_isotypic, stacked_operator_rows,
                          straighten, symmetrizer_projection, tableau_projection,
                          tensor_of_tableau, tensor_sigma_action)
+from diffhom.exact import det_expansion
+from diffhom.dpoly import DiffPoly
 import formal
-from formal import ParamPoly, formal_matrix_action
+from formal import ParamPoly, formal_matrix_action, young_operator_rows
 
 F = Fraction
 
@@ -33,6 +36,29 @@ def test_column_det_examples():
 def test_column_det_rejects_too_many_rows():
     with pytest.raises(ValueError):
         column_det([0, 1, 2], 1)
+    with pytest.raises(ValueError):
+        column_det([0, -1], 1)
+
+
+def _minor_expansion(t, n):
+    """D_T as the product of its column determinants, each by the minor
+    expansion ``det_expansion`` over DiffPoly."""
+    out = DiffPoly.const(F(1), n)
+    for col in t.columns():
+        rows = [[DiffPoly.var(b, h, n) for b in range(len(col))] for h in col]
+        out = out * det_expansion(rows, DiffPoly.zero(n), DiffPoly.const(F(1), n))
+    return out
+
+
+@pytest.mark.parametrize("parts", [(1,), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1), (2, 1, 1, 1)])
+def test_d_t_matches_the_minor_expansion(parts):
+    # every filling over {0..2}, semi-standard or not (repeated column
+    # entries give 0, unsorted columns a sign), in a wider ambient bound
+    lam = Partition(parts)
+    n = lam.nparts
+    for filling in itertools.product(range(3), repeat=lam.size):
+        t = Tableau(lam, filling)
+        assert d_t(t, n) == _minor_expansion(t, n), filling
 
 
 def test_d_t_examples():
@@ -204,14 +230,23 @@ def test_kernel_isotypic_certifies_an_integral_sum(monkeypatch):
 
 
 def test_negative_multiplicity_raises(monkeypatch):
-    # one rank too many in every system makes the first multiplicity -1
-    monkeypatch.setattr(hwv, "rank", lambda rows, ncols: ncols + 1)
-    hwv.weight_multiplicities.cache_clear()
+    # the Young-route oracle checks its Kostka subtraction: one rank too many
+    # in every system makes the first multiplicity -1
+    monkeypatch.setattr(formal, "rank", lambda rows, ncols: ncols + 1)
+    formal.young_weight_multiplicities.cache_clear()
     try:
         with pytest.raises(ArithmeticError):
-            hwv.weight_multiplicities(3, 2, 1)
+            formal.young_weight_multiplicities(3, 2, 1)
     finally:
-        hwv.weight_multiplicities.cache_clear()
+        formal.young_weight_multiplicities.cache_clear()
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 6) for k in range(d + 2)] + [(6, 5)])
+def test_weight_multiplicities_match_the_young_route(d, k):
+    # oracle: Young-subgroup invariants and alternants with the Kostka
+    # subtraction, every weight solved at its own k
+    for w in range(d * k + 1):
+        assert hwv.weight_multiplicities(d, k, w) == formal.young_weight_multiplicities(d, k, w), w
 
 
 @pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 6) for k in range(d + 2)])
@@ -283,61 +318,67 @@ def test_weight_multiplicities_are_the_fake_degrees(d):
 @pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(4)])
 def test_young_system_columns_match_the_closed_forms(d, k):
     for lam in partitions_of(d):
-        inv, alt = hwv.young_system_sizes(lam, k)
+        inv, alt = formal.young_system_sizes(lam, k)
         conj = lam.conjugate().parts
-        assert sum(stacked_operator_rows(d, k, w, lam.parts)[1] for w in range(d * k + 1)) == inv
-        assert sum(stacked_operator_rows(d, k, w, conj, True)[1] for w in range(d * k + 1)) == alt
+        assert sum(young_operator_rows(d, k, w, lam.parts)[1] for w in range(d * k + 1)) == inv
+        assert sum(young_operator_rows(d, k, w, conj, True)[1] for w in range(d * k + 1)) == alt
 
 
 def test_young_system_on_the_trivial_subgroup_is_the_full_system():
     for w in range(7):
-        assert stacked_operator_rows(3, 2, w, (1, 1, 1)) == stacked_operator_rows(3, 2, w)
+        assert young_operator_rows(3, 2, w, (1, 1, 1)) == stacked_operator_rows(3, 2, w)
 
 
 def test_young_system_rejects_blocks_of_another_size():
     with pytest.raises(ValueError):
-        stacked_operator_rows(3, 2, 1, (2, 2))
+        young_operator_rows(3, 2, 1, (2, 2))
 
 
 def test_alternant_system_signs():
     # weight 1 of (Q^2)^(x 2): the one key (1, 0) lowers to (0, 0), which
     # vanishes among the S_2-alternants (a repeated entry), so x1 x0 - x0 x1
     # is in the kernel; among the S_2-invariants it has no kernel
-    rows, ncols = stacked_operator_rows(2, 1, 1, (2,), True)
+    rows, ncols = young_operator_rows(2, 1, 1, (2,), True)
     assert (rows, ncols) == ([], 1)
-    rows, ncols = stacked_operator_rows(2, 1, 1, (2,))
+    rows, ncols = young_operator_rows(2, 1, 1, (2,))
     assert (rows, ncols) == ([{0: 1}], 1)
 
 
 @pytest.mark.parametrize("d", range(1, 6))
 def test_largest_system_solved_is_the_closed_form(d, monkeypatch):
-    # the up-set of invariant-side partitions keeps every system within
-    # max_lam min(invariant, alternant) columns, and one system reaches it.
-    # Only the weights 2w <= dk are solved, each once; a system's columns
-    # per weight are symmetric about dk/2 (products of Gaussian binomials),
-    # so the solved weights, mirrored, give its columns over all weights
+    # one D_T system per (lam, weight) at the weights 2w <= dk, each built
+    # once; its columns are the D_T of that weight, whose count per weight
+    # is symmetric about dk/2 (the principal specialization of s_lam), so
+    # the solved weights, mirrored, give s_lam(1^(k+1)) D_T over all
+    # weights, the largest of which `dh kernel` counts as its cost
     k = d - 1
     columns = Counter()
     blocks = Counter()
-    build = hwv.stacked_operator_rows
+    build = hwv.functional_system
 
-    def counted(*args):
-        rows, ncols = build(*args)
-        blocks[args] += 1
-        columns[args[3:]] += ncols if 2 * args[2] == d * k else 2 * ncols
+    def counted(lam, k, w):
+        rows, ncols = build(lam, k, w)
+        blocks[lam, k, w] += 1
+        columns[lam] += ncols if 2 * w == d * k else 2 * ncols
         return rows, ncols
 
-    monkeypatch.setattr(hwv, "stacked_operator_rows", counted)
+    monkeypatch.setattr(hwv, "functional_system", counted)
     hwv.weight_multiplicities.cache_clear()
     assert kernel_dim_full(d, k) == math.factorial(d)
-    assert {args[2] for args in blocks} == set(range(d * k // 2 + 1))
+    assert {w for _, _, w in blocks} == set(range(d * k // 2 + 1))
+    assert {lam for lam, _, _ in blocks} == set(partitions_of(d))
     assert max(blocks.values()) == 1
-    assert max(columns.values()) == hwv.largest_young_system(d, k)
+    assert all(columns[lam] == count_semistandard(lam, d) for lam in partitions_of(d))
 
 
 def test_largest_young_systems():
-    assert [hwv.largest_young_system(d, d - 1) for d in (5, 6, 7, 8)] == [500, 4320, 36015, 316800]
-    assert [hwv.largest_young_system(d, 0) for d in (1, 16)] == [1, 1]
+    # the systems of the Young-route oracle, 2 to 6 times wider than the D_T
+    # systems of the solver at the same (d, k)
+    assert ([formal.largest_young_system(d, d - 1) for d in (5, 6, 7, 8)]
+            == [500, 4320, 36015, 316800])
+    assert [formal.largest_young_system(d, 0) for d in (1, 16)] == [1, 1]
+    assert ([kernel_cost(d, d - 1, 10 ** 9) for d in (5, 6, 7, 8)]
+            == [224, 1134, 7350, 50688])
 
 
 def test_weight_blocks_split_the_stack():
@@ -468,11 +509,19 @@ def test_unipotent_invariance_symbolic():
                 assert formal_matrix_action(a, p) == p
 
 
-def test_functional_equation_dimension_matches_kernel():
+def test_functional_equation_dimension_matches_kernel(monkeypatch):
+    # the nullity of L_1..L_k on the D_T against the tensor side, the
+    # dimension of K.c_lam; one multiplicity off fails the check
+    import diffhom.verify as verify
+
     for lam, k in [(Partition.of(2), 1), (Partition.of(1, 1), 1),
                    (Partition.of(3), 2), (Partition.of(2, 1), 2),
-                   (Partition.of(1, 1, 1), 2)]:
-        assert functional_solution_dim(lam, k, lam.nparts - 1) == kernel_dim_isotypic(lam, k)
+                   (Partition.of(1, 1, 1), 2), (Partition.of(2, 2), 3),
+                   (Partition.of(3, 1), 2)]:
+        assert verify.check_functional_iso(lam.parts, k).passed, (lam, k)
+    monkeypatch.setattr(verify, "kernel_dim_isotypic", lambda lam, k: kernel_dim_isotypic(lam, k) + 1)
+    result = verify.check_functional_iso((2, 1), 2)
+    assert not result.passed and (result.expected, result.computed) == ("3", "2")
 
 
 def test_hwv_count_equals_kostka_sum():

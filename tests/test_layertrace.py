@@ -19,7 +19,8 @@ if TRACE:
     from layertrace import Tracer
     tracer = Tracer()
     tracer.install()
-from diffhom import hwv, jets, pde, verify
+from fractions import Fraction
+from diffhom import exact, hwv, jets, pde, verify
 from diffhom.tableaux import Partition
 report = verify.run_suite("rsk", max_d=3)
 # the basis suite ranks the Wronskian family and solves in its span
@@ -37,6 +38,9 @@ results = [
     [repr(pde.newton_operator(pde.vandermonde(3), ell)) for ell in (1, 2, 3)],
     repr(jets.census(1, 3, 1)),
     repr(hwv.column_det([0, 1], 1)),
+    # column_det expands over packed codes, so reach the minor expansion directly
+    str(exact.det_expansion([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]],
+                            Fraction(0), Fraction(1))),
     [(r.check_id, r.expected, r.computed) for r in report.results + basis_report.results],
 ]
 print(json.dumps({"results": results,

@@ -12,7 +12,7 @@ from diffhom.exact import ONE, operator_rows, rank, span_rank
 from diffhom.hwv import full_kernel_vectors
 from diffhom.pde import (MultiPoly, newton_operator, solution_space_dim, vandermonde,
                          vandermonde_derivative_basis)
-from diffhom.tableaux import compositions
+from diffhom.tableaux import compositions, partitions_of
 from diffhom.verify import check_pde_system_equivalence
 
 F = Fraction
@@ -149,23 +149,24 @@ def test_each_variable_is_a_root_of_the_elementary_polynomial(d):
 
 
 def test_solution_space_dim_reads_the_j_blocks(monkeypatch):
-    # the Young-subgroup J^(l) systems at k = d-1, each once, only up to the
-    # bound and the middle weight d(d-1)/2 (above it the kernel is zero)
+    # the J^(l) kernel read through its multiplicities: the D_T systems at
+    # k = d-1, each once, only up to the bound and the middle weight
+    # d(d-1)/2 (above it the kernel is zero)
     calls = Counter()
-    build = hwv.stacked_operator_rows
+    build = hwv.functional_system
 
     def counted(*args):
         calls[args] += 1
         return build(*args)
 
-    monkeypatch.setattr(hwv, "stacked_operator_rows", counted)
+    monkeypatch.setattr(hwv, "functional_system", counted)
     hwv.weight_multiplicities.cache_clear()
     assert solution_space_dim(4) == 24
-    assert {args[:3] for args in calls} == {(4, 3, w) for w in range(7)}
+    assert set(calls) == {(lam, 3, w) for lam in partitions_of(4) for w in range(7)}
     assert max(calls.values()) == 1
     calls.clear()
     assert solution_space_dim(3, 100) == 6
-    assert {args[:3] for args in calls} == {(3, 2, w) for w in range(4)}
+    assert set(calls) == {(lam, 2, w) for lam in partitions_of(3) for w in range(4)}
     assert max(calls.values()) == 1
 
 

@@ -12,10 +12,11 @@ from diffhom.exact import solve_in_span, span_rank
 from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                               canonical_tableau, compositions, count_semistandard,
                               count_standard, group_algebra_mul,
-                              dominates, hook_length_count, kostka, partitions_of,
+                              hook_length_count, kostka, partitions_of,
                               relabel, schur_poly_eval, semistandard_tableaux,
                               young_symmetrizer)
-from formal import centralizer_size, character, count_standard_by_enumeration, standard_tableaux
+from formal import (centralizer_size, character, count_semistandard_by_enumeration,
+                    count_standard_by_enumeration, dominates, standard_tableaux)
 
 F = Fraction
 
@@ -154,6 +155,33 @@ def test_count_semistandard_examples():
     assert count_semistandard(Partition.of(1), 7) == 7
     assert count_semistandard(Partition.of(2), 2) == 3
     assert count_semistandard(Partition.of(1, 1), 2) == 1
+
+
+def test_count_semistandard_matches_enumeration():
+    # the hook-content formula against the tableaux counted one by one
+    for d in range(1, 8):
+        for lam in partitions_of(d):
+            for n in range(1, 9):
+                assert count_semistandard(lam, n) == count_semistandard_by_enumeration(lam, n), (lam, n)
+
+
+def test_count_semistandard_beyond_enumeration():
+    # s_(3,2,1)(1^n) = n^2 (n^2 - 1)(n^2 - 4) / 45; at n = 21 there are
+    # 1,884,344 tableaux, too many to enumerate in a test
+    assert count_semistandard(Partition.of(3, 2, 1), 21) == 1884344
+    assert count_semistandard(Partition.of(2, 2), 3) == 6
+    assert count_semistandard(Partition.of(1, 1, 1, 1), 3) == 0
+
+
+def test_semistandard_tableaux_of_one_total():
+    # the fillings with a given entry sum, against all fillings filtered
+    for d in range(1, 6):
+        for lam in partitions_of(d):
+            for n, lo in ((1, 0), (3, 0), (4, 1)):
+                every = list(semistandard_tableaux(lam, n, lo=lo))
+                for total in range(-1, d * (lo + n) + 1):
+                    assert (list(semistandard_tableaux(lam, n, lo=lo, total=total))
+                            == [t for t in every if sum(t.filling) == total]), (lam, n, lo, total)
 
 
 def test_semistandard_zero_based_alphabet():

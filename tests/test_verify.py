@@ -10,6 +10,7 @@ import pytest
 
 from diffhom import hwv
 from diffhom.dpoly import parse
+from diffhom.tableaux import partitions_of
 from diffhom.verify import run_suite, SUITE_NAMES
 from diffhom.wronskian import enumerate_canonical_basis
 
@@ -89,30 +90,35 @@ def test_importing_verify_loads_no_process_pool():
 
 
 def test_kernel_suite_builds_each_block_once(monkeypatch):
-    # the full, isotypic and low-order kernel checks and the pde dimension and
-    # stability checks share one elimination of each J^(l) system: one per
-    # (d, k, weight, Young subgroup, sign), cached with the multiplicities,
-    # at the weights 2w <= dk.  The pde system-equivalence check (d <= 3)
-    # adds every weight of the full system at k = d-1 through
-    # full_kernel_vectors, once each.  The stability check ranks its two
-    # degrees above d(d-1)/2 through verify's own binding, not counted here
-    calls = Counter()
-    build = hwv.stacked_operator_rows
+    # the full, isotypic and low-order kernel checks and the pde dimension
+    # check share one D_T system per (lam, k, weight), cached with the
+    # multiplicities, at the weights 2w <= dk.  The pde system-equivalence
+    # check (d <= 3) eliminates every weight of the J^(l) stack at k = d-1
+    # through full_kernel_vectors, once each.  The stability check ranks its
+    # two degrees above d(d-1)/2 through verify's own binding, not counted here
+    systems = Counter()
+    stacks = Counter()
+    build_system, build_stack = hwv.functional_system, hwv.stacked_operator_rows
 
-    def counted(*args):
-        calls[args] += 1
-        return build(*args)
+    def counted_system(*args):
+        systems[args] += 1
+        return build_system(*args)
 
-    monkeypatch.setattr(hwv, "stacked_operator_rows", counted)
+    def counted_stack(*args):
+        stacks[args] += 1
+        return build_stack(*args)
+
+    monkeypatch.setattr(hwv, "functional_system", counted_system)
+    monkeypatch.setattr(hwv, "stacked_operator_rows", counted_stack)
     hwv.weight_multiplicities.cache_clear()
     hwv.full_kernel_vectors.cache_clear()
     for suite in ("kernel", "pde"):
         assert all(r.passed for r in run_suite(suite).results)
-    solved = {(d, k, w) for d in range(1, 5) for k in range(d) for w in range(d * k // 2 + 1)}
-    full = {(d, d - 1, w) for d in range(1, 4) for w in range(d * (d - 1) + 1)}
-    assert {args[:3] for args in calls} == solved | full
-    assert (len(solved), len(full - solved)) == (27, 4)
-    assert max(calls.values()) == 1
+    solved = {(lam, k, w) for d in range(1, 5) for lam in partitions_of(d)
+              for k in range(d) for w in range(d * k // 2 + 1)}
+    assert set(systems) == solved
+    assert set(stacks) == {(d, d - 1, w) for d in range(1, 4) for w in range(d * (d - 1) + 1)}
+    assert max(systems.values()) == max(stacks.values()) == 1
 
 
 @pytest.mark.parametrize("family", ["x0^2", "basis with x0^2*x0[1]"])

@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffhom.dpoly import (DiffPoly, MonoCodec, UniPoly, gradings, is_diff_homogeneous,
-                           matrix_action, parse, solve_in_span, span_rank,
+from diffhom.dpoly import (DiffPoly, MonoCodec, UniPoly, derive, gradings, is_diff_homogeneous,
+                           lowering, matrix_action, parse, solve_in_span, span_rank,
                            substitute, to_text)
 from diffhom.exact import ONE, det_expansion
 from diffhom.wronskian import (WronskSpec, _integral_rows, _wedge_coordinates,
@@ -150,6 +150,32 @@ def test_mono_codec_round_trip():
     assert codec.decode(w) == mono and codec.order(w) == 3
     assert codec.decode(0) == () and codec.order(0) == 0
     assert codec.order(codec.unit(3, 0) * 5) == 0
+
+
+@pytest.mark.parametrize("n,d", [(1, 4), (2, 3), (0, 5)])
+def test_mono_codec_lowered_matches_derive(n, d):
+    # L_1 + ... + L_top on packed codes against derive with lowering(m),
+    # summed over m, on the canonical basis and on top = 1 alone
+    codec, rows = canonical_codes(n, d)
+    for _, codes in rows:
+        poly = DiffPoly(n, {codec.decode(w): F(c) for w, c in codes.items()})
+        for top in (1, d - 1):
+            expected = DiffPoly.zero(n)
+            for m in range(1, top + 1):
+                expected = expected + derive(poly, lowering(m))
+            got = codec.lowered(codes, top)
+            assert DiffPoly(n, {codec.decode(w): F(c) for w, c in got.items()}) == expected
+
+
+def test_mono_codec_lowered_exponents():
+    # x0[2]^3 x1[1]: L_1 moves one unit of x0[2] to x0[1] (times 3 * 2) or
+    # x1[1] to x1 (times 1); L_2 moves x0[2] to x0 (times 3 * 1)
+    codec = MonoCodec(3, 2)
+    p = {3 * codec.unit(0, 2) + codec.unit(1, 1): 5}
+    got = {codec.decode(w): c for w, c in codec.lowered(p, 2).items()}
+    assert got == {((0, 2, 2), (0, 1, 1), (1, 1, 1)): 30,
+                   ((0, 2, 3), (1, 0, 1)): 5,
+                   ((0, 2, 2), (0, 0, 1), (1, 1, 1)): 15}
 
 
 def test_build_wronskian_rejects_bad_specs():
