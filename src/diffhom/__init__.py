@@ -27,6 +27,5 @@ from .hwv import (Tensor, column_det, d_t, e_iso, hwv_basis, j_ell,
                   kernel_dim_full, kernel_dim_isotypic, straighten,
                   symmetrizer_projection, tensor_of_tableau,
                   tensor_sigma_action)
-from .pde import (MultiPoly, newton_operator, solution_space_dim,
-                  vandermonde_derivative_basis)
+from .pde import MultiPoly, newton_operator, solution_space_dim
 from .jets import census, classify_basis, verify_theorem2

@@ -5,20 +5,20 @@ dimension d! inside polynomials in X_1..X_d, counted degree by degree from
 the isotypic multiplicities of the capped J^(l) kernel
 (``hwv.weight_multiplicities``, the nullities of L_1..L_k on the D_T of each
 shape) and cross-checked against the uncapped Newton system in ``verify``,
-which also ranks the J^(l) blocks above the middle degree in full; the span
-of all partial derivatives of the Vandermonde determinant provides an
-independent witness of the same dimension.
+which also ranks the J^(l) blocks above the middle degree in full; the d!
+staircase derivatives of the Vandermonde determinant
+(:func:`vandermonde_staircase`) provide an independent witness of the same
+dimension.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import hwv
 from .exact import ONE, SparseComb, add_terms
-from .tableaux import compositions
 
 Expo = tuple[int, ...]
 
@@ -114,27 +114,29 @@ def vandermonde(d: int) -> MultiPoly:
     return out
 
 
-def vandermonde_derivative_basis(d: int) -> list[MultiPoly]:
-    """All nonzero partial derivatives of the Vandermonde determinant.
+def vandermonde_staircase(d: int) -> Iterator[list[MultiPoly]]:
+    """The d! derivatives d^beta Delta of the Vandermonde determinant with
+    0 <= beta_i <= i (0-indexed), one list per order s = |beta| = 0, 1, ...,
+    d(d-1)/2; those of order s are homogeneous of degree d(d-1)/2 - s.
 
-    A spanning set of the d!-dimensional solution space of the power-sum
-    system: the Vandermonde is annihilated by every symmetric constant
-    coefficient operator without constant term, and derivatives commute.
+    Every derivative of Delta solves the power-sum system: Delta is killed
+    by every symmetric constant-coefficient operator without constant term,
+    and derivatives commute.  The exponents beta_i <= i index Artin's basis
+    of the coinvariant algebra (Artin 1944), and the derivatives of Delta
+    span the harmonics (Steinberg 1964), so these d! are a basis of the
+    solution space; a rank computation certifies it without that theory.
+    Each d^beta Delta is one derivative of its parent, beta less one at its
+    last nonzero entry, so one order is held at a time.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    v = vandermonde(d)
-    deg = v.degree()
-    out = []
-    for total in range(deg + 1):
-        for beta in compositions(total, d):
-            p = v
-            for i, times in enumerate(beta):
-                if times:
-                    p = p.derivative(i, times)
-                if not p:
-                    break
-            if p:
-                out.append(p)
-    return out
-
+    level = {(0,) * d: vandermonde(d)}
+    for _ in range(d * (d - 1) // 2 + 1):
+        yield list(level.values())
+        children = {}
+        for beta, p in level.items():
+            last = max((i for i, b in enumerate(beta) if b), default=0)
+            for j in range(last, d):
+                if beta[j] < j:
+                    children[beta[:j] + (beta[j] + 1,) + beta[j + 1:]] = p.derivative(j)
+        level = children

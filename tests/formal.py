@@ -52,6 +52,14 @@ formula.  The enumerations they replaced are kept here as
 exponent codes (``dpoly.MonoCodec``).  The expansion over sorted tuples of
 (i, k) factors that they replaced is kept here as
 :func:`formal_build_wronskian`.
+
+``verify.check_basis_gl_stability`` ranks the basis with its images as packed
+integer rows, one rank per trial.  The check it replaced, ``matrix_action``
+images, ``span_rank`` and explicit coordinates by ``solve_in_span``, is kept
+here as :func:`formal_gl_stability`.  ``verify.check_pde_oracle`` ranks the
+d! staircase derivatives of the Vandermonde (``pde.vandermonde_staircase``)
+one order at a time; the family of all its nonzero derivatives that it
+replaced is kept here as :func:`vandermonde_derivative_basis`.
 """
 
 from __future__ import annotations
@@ -59,19 +67,22 @@ from __future__ import annotations
 import bisect
 import math
 import itertools
+import random
 import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from diffhom.dpoly import (DiffPoly, DMono, ParseError, UniPoly, gradings, mono_order,
-                           substitute)
+from diffhom.dpoly import (DiffPoly, DMono, ParseError, UniPoly, gradings, matrix_action,
+                           mono_order, solve_in_span, span_rank, substitute)
 from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
                            linear_combination, operator_rows, rank)
 from diffhom.hwv import Tensor, d_t, full_kernel_vectors, j_ell
+from diffhom.pde import MultiPoly, vandermonde
 from diffhom.tableaux import (Partition, Tableau, compositions, kostka, partitions_of,
                               semistandard_tableaux)
+from diffhom.verify import _random_invertible
 from diffhom.wronskian import WronskSpec, build_formal_wronskian
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
@@ -767,3 +778,45 @@ def young_weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
         if m[lam] < 0:
             raise ArithmeticError(f"negative multiplicity {m[lam]} for {lam} at weight {weight}")
     return tuple(m[lam] for lam in lams)
+
+
+def formal_gl_stability(n: int, d: int, seed: int, basis: Sequence[DiffPoly],
+                        matrices: int = 5) -> str:
+    """The computed string of ``verify.check_basis_gl_stability`` on the
+    family ``basis``, by ``matrix_action`` images, one ``span_rank`` per
+    trial and exact coordinates for three elements by ``solve_in_span``
+    (the same seeded matrices)."""
+    rng = random.Random(seed * 1000003 + n * 1009 + d)
+    base_rank = span_rank(basis)
+    for trial in range(matrices):
+        a = _random_invertible(n + 1, rng)
+        images = [matrix_action(a, p) for p in basis]
+        joint = span_rank([*basis, *images])
+        if joint != base_rank:
+            return f"trial {trial}: span grew to {joint}"
+        for idx in (0, len(basis) // 2, len(basis) - 1):
+            if solve_in_span(basis, images[idx]) is None:
+                return f"trial {trial}: element {idx} did not solve"
+    return "stable"
+
+
+def vandermonde_derivative_basis(d: int) -> list[MultiPoly]:
+    """All nonzero partial derivatives of the Vandermonde determinant, by
+    order: a spanning set of the d!-dimensional solution space of the
+    power-sum system."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    v = vandermonde(d)
+    deg = v.degree()
+    out = []
+    for total in range(deg + 1):
+        for beta in compositions(total, d):
+            p = v
+            for i, times in enumerate(beta):
+                if times:
+                    p = p.derivative(i, times)
+                if not p:
+                    break
+            if p:
+                out.append(p)
+    return out

@@ -19,9 +19,10 @@ from diffhom.wronskian import (build_formal_wronskian, enumerate_canonical_basis
                                reduce_to_triangular, standard_nilpotent,
                                verify_wedge_identity)
 from diffhom.hwv import e_iso, hwv_basis, kernel_dim_full, kernel_dim_isotypic
-from diffhom.pde import newton_operator, solution_space_dim, vandermonde_derivative_basis
+from diffhom.pde import newton_operator, solution_space_dim
 from diffhom.jets import census, classify_basis, verify_theorem2
-from formal import ParamPoly, expand_combination, formal_matrix_action
+from formal import (ParamPoly, expand_combination, formal_matrix_action,
+                    vandermonde_derivative_basis)
 
 SEED = 20240817
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, derive, from_json,
+from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, _act_codes, derive, from_json,
                            from_json_dict, gl_elementary,
                            gradings, is_diff_homogeneous, lowering, matrix_action,
                            mono_multidegree, parse, span_rank, solve_in_span, to_json,
@@ -602,11 +602,9 @@ def test_matrix_action_matches_formal_on_canonical_basis(n, d):
             assert matrix_action(a, poly).terms == formal_matrix_action(a, poly).terms
 
 
-@st.composite
-def action_cases(draw):
-    """A rational matrix and a polynomial that may be inhomogeneous,
-    non-isobaric, constant or zero, with exponents up to 9 and orders 0..3."""
-    n = draw(st.integers(0, 2))
+def _draw_poly(draw, n: int) -> DiffPoly:
+    """A polynomial that may be inhomogeneous, non-isobaric, constant or
+    zero, with exponents up to 9 and orders 0..3."""
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         exps = {}
@@ -616,10 +614,29 @@ def action_cases(draw):
         mono = tuple(sorted(((i, k, e) for (i, k), e in exps.items()),
                             key=lambda t: (t[0], -t[1])))
         terms[mono] = draw(coeffs)
+    return DiffPoly(n, terms)
+
+
+def _draw_matrix(draw, n: int) -> list[list[Fraction]]:
     entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-    a = draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1),
-                      min_size=n + 1, max_size=n + 1))
-    return a, DiffPoly(n, terms)
+    return draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1),
+                         min_size=n + 1, max_size=n + 1))
+
+
+@st.composite
+def action_cases(draw):
+    """A rational matrix and a polynomial (:func:`_draw_poly`)."""
+    n = draw(st.integers(0, 2))
+    p = _draw_poly(draw, n)
+    return _draw_matrix(draw, n), p
+
+
+@st.composite
+def family_cases(draw):
+    """A rational matrix and one to four polynomials (:func:`_draw_poly`)."""
+    n = draw(st.integers(0, 2))
+    family = [_draw_poly(draw, n) for _ in range(draw(st.integers(1, 4)))]
+    return _draw_matrix(draw, n), family
 
 
 @given(case=action_cases())
@@ -627,3 +644,31 @@ def action_cases(draw):
 def test_matrix_action_matches_formal_on_rational_data(case):
     a, p = case
     assert matrix_action(a, p).terms == formal_matrix_action(a, p).terms
+
+
+def _assert_family_core_matches(a, family):
+    # each row is a positive integer multiple of the image: decoded and
+    # divided by its den, it is matrix_action on that polynomial alone
+    codec, out = _act_codes(a, family)
+    assert len(out) == len(family)
+    for p, (den, row) in zip(family, out):
+        assert type(den) is int and den > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert {codec.decode(w): F(x, den) for w, x in row.items()} == matrix_action(a, p).terms
+
+
+@given(case=family_cases())
+@settings(max_examples=100, deadline=None)
+def test_family_core_matches_matrix_action(case):
+    _assert_family_core_matches(*case)
+
+
+def test_family_core_keeps_each_scale_through_the_shared_memo():
+    # the (2, 3) basis, each element scaled by its own fraction, and twice
+    # over with other scales, so every group image is reused across members
+    # of different denominators, under a matrix with denominators 2, 3, 5
+    basis = canonical_basis(2, 3)
+    family = ([p.scale(F(j + 1, j + 2)) for j, p in enumerate(basis)]
+              + [p.scale(F(-3, 2 * j + 7)) for j, p in enumerate(basis)])
+    a = [[F(1, 2), F(-2), F(0)], [F(3), F(1, 3), F(-1)], [F(2, 5), F(0), F(1)]]
+    _assert_family_core_matches(a, family)

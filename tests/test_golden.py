@@ -18,8 +18,10 @@ the ``(2, 4)`` GL-stability check) before the integer, order-graded
 digest of a rational combination of ``(2, 3)`` basis elements before the
 factor-level parser and the integer ``L_m`` test, and the ``kernel --d 5``
 and ``kernel --d 6 --k 2`` digests before the functional equation on the
-``D_T`` replaced the Young-subgroup multiplicities; a change to the library
-that keeps every result must keep them.  The
+``D_T`` replaced the Young-subgroup multiplicities, and the ``verify --suite
+pde --max-d 5`` digest before the Artin-staircase witness replaced the rank of
+every Vandermonde derivative; a change to the library that keeps every result
+must keep them.  The
 ``wall_time_seconds`` field of ``verify`` is dropped before hashing.
 """
 
@@ -52,6 +54,8 @@ GOLDEN = {
         "256add1609499ef98ae0d0ff923f8aa55713e0b15a32e6e9cefd4b91a1d90666",
     "verify --suite pde":
         "90452b4f833ef6cc0ad421761a942cc2d673a33a662d878ad0fb461ea2e4b5f7",
+    "verify --suite pde --max-d 5":
+        "ee7b4e4ca14c83505bc56e87bc7a544f6ad89a82c773a1a588677ffd8fea6293",
     "verify --suite appendixA":
         "b6cc1a5e10056b1e77a4d681a4bd82aa8a03e5af8c8cf269fd9d2170d7e8f695",
     "verify --suite hwv --max-d 3":

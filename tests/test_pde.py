@@ -11,9 +11,10 @@ from diffhom import hwv
 from diffhom.exact import ONE, operator_rows, rank, span_rank
 from diffhom.hwv import full_kernel_vectors
 from diffhom.pde import (MultiPoly, newton_operator, solution_space_dim, vandermonde,
-                         vandermonde_derivative_basis)
+                         vandermonde_staircase)
 from diffhom.tableaux import compositions, partitions_of
 from diffhom.verify import check_pde_system_equivalence
+from formal import vandermonde_derivative_basis
 
 F = Fraction
 
@@ -101,6 +102,22 @@ def test_vandermonde_derivatives_solve_system():
         for p in basis:
             for ell in range(1, d + 1):
                 assert not newton_operator(p, ell)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_staircase_ranks_match_all_derivatives(d):
+    # d! members, those of order s homogeneous of degree d(d-1)/2 - s, with
+    # the rank of all nonzero derivatives of that degree
+    blocks = list(vandermonde_staircase(d))
+    top = d * (d - 1) // 2
+    assert len(blocks) == top + 1
+    assert sum(map(len, blocks)) == math.factorial(d)
+    assert all(sum(e) == top - s for s, block in enumerate(blocks) for p in block for e in p.terms)
+    by_degree = {}
+    for p in vandermonde_derivative_basis(d):
+        by_degree.setdefault(p.degree(), []).append(p)
+    assert [span_rank(block) for block in blocks] == \
+        [span_rank(by_degree[top - s]) for s in range(top + 1)]
 
 
 def test_vandermonde_span_inside_solution_space():

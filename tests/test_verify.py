@@ -11,8 +11,10 @@ import pytest
 from diffhom import hwv
 from diffhom.dpoly import parse
 from diffhom.tableaux import partitions_of
-from diffhom.verify import run_suite, SUITE_NAMES
+from diffhom.verify import (DEFAULT_SEED, SUITE_NAMES, check_basis_gl_stability, over_cap,
+                            run_suite)
 from diffhom.wronskian import enumerate_canonical_basis
+from formal import formal_gl_stability
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -138,6 +140,23 @@ def test_gl_stability_check_fails_on_a_non_stable_family(monkeypatch, family):
     result = verify.check_basis_gl_stability(n, d, seed=verify.DEFAULT_SEED)
     assert not result.passed
     assert "span grew" in result.computed
+    assert result.computed == formal_gl_stability(n, d, verify.DEFAULT_SEED, polys)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+def test_gl_stability_check_matches_the_solving_oracle(seed):
+    # every (N, d) of the default basis grid, against span_rank and
+    # solve_in_span on the matrix_action images of the same matrices
+    for n in range(1, 3):
+        for d in range(1, 5):
+            basis = [p for _, p in enumerate_canonical_basis(n, d)]
+            result = check_basis_gl_stability(n, d, seed=seed)
+            assert result.computed == formal_gl_stability(n, d, seed, basis) == "stable", (n, d)
+
+
+def test_pde_suite_cap_is_6():
+    assert over_cap("pde", 6, None) is None
+    assert over_cap("pde", 7, None) == "--max-d 7 exceeds the cap of 6 for the pde suite"
 
 
 def test_triangular_reduction_builds_each_wronskian_once(monkeypatch):
