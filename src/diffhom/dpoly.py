@@ -358,72 +358,55 @@ def _group_image(group: tuple[tuple[int, int], ...], rows: list[list[tuple[int, 
     return out
 
 
-def _act_codes(a: Sequence[Sequence[Fraction]], polys: Sequence[DiffPoly]
-               ) -> tuple[MonoCodec, list[tuple[int, dict[int, int]]]]:
-    """The change of variables of :func:`matrix_action` on a whole family:
-    one codec and, per polynomial p, a pair (den, row), with row the packed
-    integer terms ({code: nonzero int}) of den * (a . p) and den > 0.  The
-    identity matrix gives the encoding of the family.
+def matrix_action(a: Sequence[Sequence[Fraction]], p: DiffPoly) -> DiffPoly:
+    """Change of variables x_j[k] -> sum_l a[j][l] x_l[k] for a rational
+    (N+1)x(N+1) matrix; entries and coefficients that are not int or
+    Fraction raise TypeError.
 
     The map keeps each factor's jet order k.  So a monomial is a product of
     per-order groups, and the image of the group prod_j x_j[k]^v_j is the
     image of the ordinary monomial x^v under ``a``, in x_0[k]..x_N[k].  Each
-    group image is computed once for the family, keyed by the group, from
-    the group one degree smaller.  Groups at different orders share no
-    variable, so their images multiply by adding packed exponent codes
-    (:class:`MonoCodec`), with no merging.  The codec depends on the family
-    only, so two calls on one family index monomials alike.  Coefficients
-    stay ints: den = lcm(den p) * D^top, with D = lcm(den a) and top the
-    largest degree in p.
+    group image is computed once, keyed by the group, from the group one
+    degree smaller.  Groups at different orders share no variable, so their
+    images multiply by adding packed exponent codes (:class:`MonoCodec`),
+    with no merging.  Coefficients stay ints over the common denominator
+    den = lcm(den p) * D^top, with D = lcm(den a) and top the largest degree
+    in p; each output monomial is decoded and made a Fraction once.
     """
-    for p in polys:
-        size = p.n + 1
-        if len(a) != size or any(len(row) != size for row in a):
-            raise ValueError(f"matrix must be {size}x{size} for this polynomial")
+    size = p.n + 1
+    if len(a) != size or any(len(row) != size for row in a):
+        raise ValueError(f"matrix must be {size}x{size} for this polynomial")
     entries = [x for row in a for x in row]
-    if not all(isinstance(x, (int, Fraction))
-               for x in itertools.chain(entries, *(p.terms.values() for p in polys))):
+    if not all(isinstance(x, (int, Fraction)) for x in itertools.chain(entries, p.terms.values())):
         raise TypeError("matrix_action works over Q: entries and coefficients must be int or Fraction")
-    monos = [mono for p in polys for mono in p.terms]
-    orders = max(map(mono_order, monos), default=0) + 1
-    codec = MonoCodec(orders, max(max(map(mono_degree, monos), default=0).bit_length(), 1))
+    orders = max(map(mono_order, p.terms), default=0) + 1
+    top = max(map(mono_degree, p.terms), default=0)
+    codec = MonoCodec(orders, max(top.bit_length(), 1))
     den_a = math.lcm(*(x.denominator for x in entries))
+    den_p = math.lcm(*(c.denominator for c in p.terms.values()))
     # group images are built at the top order and shifted down to their own
     rows = [[(codec.unit(l, orders - 1), x.numerator * (den_a // x.denominator))
              for l, x in enumerate(row) if x] for row in a]
     images: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
     shifted: dict[tuple, dict[int, int]] = {}
-    out = []
-    for p in polys:
-        den_p = math.lcm(*(c.denominator for c in p.terms.values()))
-        top = max(map(mono_degree, p.terms), default=0)
-        total: dict[int, int] = {}
-        for mono, c in p.terms.items():
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for i, k, e in mono:
-                groups.setdefault(k, []).append((i, e))
-            acc = {0: c.numerator * (den_p // c.denominator) * den_a ** (top - mono_degree(mono))}
-            for k, group in groups.items():
-                key = (k, tuple(group))
-                part = shifted.get(key)
-                if part is None:
-                    step = (orders - 1 - k) * codec.bits
-                    part = shifted[key] = {w << step: x for w, x in
-                                           _group_image(key[1], rows, images).items() if x}
-                acc = {w1 + w2: c1 * c2 for w1, c1 in acc.items() for w2, c2 in part.items()}
-            for w, x in acc.items():
-                total[w] = total.get(w, 0) + x
-        out.append((den_p * den_a ** top, {w: x for w, x in total.items() if x}))
-    return codec, out
-
-
-def matrix_action(a: Sequence[Sequence[Fraction]], p: DiffPoly) -> DiffPoly:
-    """Change of variables x_j[k] -> sum_l a[j][l] x_l[k] for a rational
-    (N+1)x(N+1) matrix; entries and coefficients that are not int or
-    Fraction raise TypeError.  :func:`_act_codes` on the family [p], each
-    output monomial decoded and made a Fraction once."""
-    codec, [(den, row)] = _act_codes(a, [p])
-    return p.with_terms({codec.decode(w): Fraction(x, den) for w, x in row.items()})
+    total: dict[int, int] = {}
+    for mono, c in p.terms.items():
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i, k, e in mono:
+            groups.setdefault(k, []).append((i, e))
+        acc = {0: c.numerator * (den_p // c.denominator) * den_a ** (top - mono_degree(mono))}
+        for k, group in groups.items():
+            key = (k, tuple(group))
+            part = shifted.get(key)
+            if part is None:
+                step = (orders - 1 - k) * codec.bits
+                part = shifted[key] = {w << step: x for w, x in
+                                       _group_image(key[1], rows, images).items() if x}
+            acc = {w1 + w2: c1 * c2 for w1, c1 in acc.items() for w2, c2 in part.items()}
+        for w, x in acc.items():
+            total[w] = total.get(w, 0) + x
+    den = den_p * den_a ** top
+    return p.with_terms({codec.decode(w): Fraction(x, den) for w, x in total.items() if x})
 
 
 # ---------------------------------------------------------------------------

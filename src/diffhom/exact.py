@@ -5,7 +5,7 @@ The ground field is Q, realized by :class:`fractions.Fraction`; there are no
 formal parameters.  Every sparse algebra of the package (DiffPoly, MultiPoly,
 Tensor, GroupAlgebraElem) is a :class:`SparseComb` over its own keys.
 A family of them is the columns of its coefficient matrix, so one
-:func:`echelon` gives its rank and the coordinates of a target in its span.
+:func:`echelon` gives its rank and the coordinates of targets in its span.
 Everything here is exact (no floats) and deterministic (fixed pivot rules),
 so ranks, kernels and determinants are reproducible bit for bit.
 """
@@ -183,28 +183,16 @@ def _eliminate(row: dict[int, int], p: int, f: int, prow: Mapping[int, int]) -> 
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def echelon(rows: Sequence[Mapping[int, Fraction]], ncols: int,
-            reduce_back: bool = True) -> list[tuple[int, dict[int, Fraction]]]:
-    """Row reduction with the fixed pivot rule: leftmost column, then smallest
-    current row support, then lowest original row index.
+def _forward(rows: Sequence[Mapping[int, Fraction]], ncols: int
+             ) -> list[tuple[int, int, dict[int, int]]]:
+    """The forward pass of :func:`echelon`: the pivot rows as (pivot_col, p,
+    rest), ascending in pivot_col, with ``rest`` the primitive integer row
+    without its pivot entry ``p > 0``.
 
-    ``rows`` are dicts col -> nonzero Fraction (or int); they are not
-    mutated.  Returns
-    the pivot rows as (pivot_col, row) with ascending pivot columns, pivots
-    normalized to 1; with ``reduce_back`` the result is the reduced echelon
-    form.
-
-    The elimination is fraction-free: each row is scaled to a primitive
-    integer row, reduced by ``p*row - f*pivot_row`` and divided by its content,
-    and converted back to Fractions only on output.  Scaling keeps a row's
-    support, so the pivot rule picks the same rows as rational elimination.
-    Rows are indexed by their leading column, so each column step touches only
-    the rows that hold it, and the reduced form comes from one
-    back-substitution after the forward pass.
+    Every column left of the current one is already eliminated, so the rows
+    holding a column are exactly the rows it leads.  A row is re-filed under
+    its new leading column after each step and dropped once it is zero.
     """
-    # Every column left of the current one is already eliminated, so the rows
-    # holding a column are exactly the rows it leads.  A row is re-filed under
-    # its new leading column after each step and dropped once it is zero.
     lead: dict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
     for i, r in enumerate(rows):
         if r:
@@ -224,32 +212,60 @@ def echelon(rows: Sequence[Mapping[int, Fraction]], ncols: int,
                 if r:
                     lead[min(r)].append((i, r))
         pivots.append((col, p, prow))
-    if reduce_back:
-        # Later pivot rows are already reduced, so one pass in reverse pivot
-        # order clears every pivot column from every earlier row.  The pivot
-        # entry rides along in the row so that content removal covers it.
-        where = {col: j for j, (col, _, _) in enumerate(pivots)}
-        for j in range(len(pivots) - 1, -1, -1):
-            col, p, row = pivots[j]
-            row[col] = p
-            for c in [c for c in row if c != col and c in where]:
-                _, pk, rowk = pivots[where[c]]
-                row = _eliminate(row, pk, row.pop(c), rowk)
-            pivots[j] = (col, row.pop(col), row)
+    return pivots
+
+
+def echelon(rows: Sequence[Mapping[int, Fraction]], ncols: int
+            ) -> list[tuple[int, dict[int, Fraction]]]:
+    """Reduced echelon form, with the fixed pivot rule: leftmost column, then
+    smallest current row support, then lowest original row index.
+
+    ``rows`` are dicts col -> nonzero Fraction (or int); they are not
+    mutated.  Returns the pivot rows as (pivot_col, row) with ascending pivot
+    columns, pivots normalized to 1.
+
+    The elimination is fraction-free: each row is scaled to a primitive
+    integer row, reduced by ``p*row - f*pivot_row`` and divided by its content,
+    and converted back to Fractions only on output.  Scaling keeps a row's
+    support, so the pivot rule picks the same rows as rational elimination.
+    Rows are indexed by their leading column, so each column step touches only
+    the rows that hold it, and the reduced form comes from one
+    back-substitution after the forward pass.
+    """
+    pivots = _forward(rows, ncols)
+    # Later pivot rows are already reduced, so one pass in reverse pivot
+    # order clears every pivot column from every earlier row.  The pivot
+    # entry rides along in the row so that content removal covers it.
+    where = {col: j for j, (col, _, _) in enumerate(pivots)}
+    for j in range(len(pivots) - 1, -1, -1):
+        col, p, row = pivots[j]
+        row[col] = p
+        for c in [c for c in row if c != col and c in where]:
+            _, pk, rowk = pivots[where[c]]
+            row = _eliminate(row, pk, row.pop(c), rowk)
+        pivots[j] = (col, row.pop(col), row)
     return [(col, {col: ONE, **{c: Fraction(v, p) for c, v in row.items()}})
             for col, p, row in pivots]
 
 
+def pivot_columns(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> list[int]:
+    """The pivot columns of :func:`echelon`, ascending, from its forward pass
+    alone: column j is a pivot exactly when it is not a combination of the
+    columns left of it."""
+    return [col for col, _, _ in _forward(rows, ncols)]
+
+
 def rank(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> int:
-    """Rank over Q of sparse rows (dicts col -> nonzero Fraction), deterministic."""
-    return len(echelon(rows, ncols, reduce_back=False))
+    """Rank over Q of sparse rows (dicts col -> nonzero Fraction), deterministic:
+    the pivot count of the forward pass, with no reduced form built."""
+    return len(_forward(rows, ncols))
 
 
 def nullspace_basis(rows: Sequence[Mapping[int, Fraction]],
                     ncols: int) -> list[dict[int, Fraction]]:
     """Basis of the right kernel in reduced echelon form, as sparse rows
     (dicts col -> nonzero Fraction)."""
-    pivots = echelon(rows, ncols, reduce_back=True)
+    pivots = echelon(rows, ncols)
     pivot_cols = {col for col, _ in pivots}
     raw: list[dict[int, Fraction]] = []
     for f in range(ncols):
@@ -261,7 +277,7 @@ def nullspace_basis(rows: Sequence[Mapping[int, Fraction]],
             if coef:
                 v[col] = -coef
         raw.append(v)
-    return [row for _, row in echelon(raw, ncols, reduce_back=True)]
+    return [row for _, row in echelon(raw, ncols)]
 
 
 def det_expansion(rows: Sequence[Sequence], zero, one):
@@ -321,14 +337,25 @@ def span_rank(family: Sequence[SparseComb]) -> int:
     return rank(operator_rows(family, lambda m: m.terms.items()), len(family))
 
 
-def solve_in_span(basis: Sequence[SparseComb], target: SparseComb) -> list[Fraction] | None:
-    """Coordinates of ``target`` in span(basis), free ones 0, or None when it
-    lies outside, that is when the reduced echelon form of the columns (basis,
-    then target) has a pivot in the target's column."""
+def solve_in_span(basis: Sequence[SparseComb], targets: Sequence[SparseComb]
+                  ) -> list[list[Fraction] | None]:
+    """Per target, its coordinates in span(basis), free ones 0, or None when
+    it lies outside, from one reduced echelon form of the columns (basis,
+    then targets).  Pivot columns are a basis of the span of the columns, and
+    the basis pivots of span(basis).  So a target lies outside exactly when
+    its column is a pivot, or when it is nonzero in a row whose pivot is a
+    target column; else its column, read on the rows of the basis pivots,
+    holds its coordinates, as in the echelon form of (basis, that target)
+    alone, since the reduced form is unique."""
     nb = len(basis)
-    x = [ZERO] * nb
-    for col, row in echelon(operator_rows([*basis, target], lambda m: m.terms.items()), nb + 1):
-        if col == nb:
-            return None
-        x[col] = row.get(nb, ZERO)
-    return x
+    xs: list[list[Fraction] | None] = [[ZERO] * nb for _ in targets]
+    for col, row in echelon(operator_rows([*basis, *targets], lambda m: m.terms.items()),
+                            nb + len(targets)):
+        if col >= nb:
+            for c in row:
+                xs[c - nb] = None
+            continue
+        for c, v in row.items():  # every basis pivot comes before the target pivots
+            if c >= nb:
+                xs[c - nb][col] = v
+    return xs

@@ -116,14 +116,14 @@ def hwv_basis(lam: Partition, k: int, n: int) -> list[tuple[Tableau, DiffPoly]]:
     return list(_semistandard_basis(lam, k, n))
 
 
-def _coordinates(p: DiffPoly, lam: Partition, k: int) -> list[tuple[Fraction, Tableau]] | None:
-    """The nonzero coordinates of p on the semi-standard D_T of shape lam
-    filled with {0..k}, or None if p lies outside their span."""
-    basis = _semistandard_basis(lam, k, p.n)
-    coeffs = solve_in_span([q for _, q in basis], p)
-    if coeffs is None:
-        return None
-    return [(c, t) for c, (t, _) in zip(coeffs, basis) if c]
+def _coordinates(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int
+                 ) -> list[list[tuple[Fraction, Tableau]] | None]:
+    """Per polynomial (each in x_0..x_n), its nonzero coordinates on the
+    semi-standard D_T of shape lam filled with {0..k}, or None if it lies
+    outside their span: one ``solve_in_span`` for the whole family."""
+    basis = _semistandard_basis(lam, k, n)
+    return [None if coeffs is None else [(c, t) for c, (t, _) in zip(coeffs, basis) if c]
+            for coeffs in solve_in_span([q for _, q in basis], polys)]
 
 
 class Tensor(SparseComb):
@@ -344,23 +344,31 @@ def straighten(t: Tableau, k: int, n: int) -> list[tuple[Fraction, Tableau]]:
     target = d_t(t, n)
     if not target:
         return []
-    coords = _coordinates(target, t.shape, k)
+    [coords] = _coordinates([target], t.shape, k, n)
     if coords is None:
         raise ArithmeticError("column-determinant product escaped the semi-standard span")
     return coords
 
 
+def _e_iso_family(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int) -> list[Tensor]:
+    """:func:`e_iso` of each polynomial of a family in x_0..x_n, from one
+    semi-standard expansion of the whole family (``_coordinates``)."""
+    if lam.nparts > n + 1:
+        raise ValueError(f"shape with {lam.nparts} rows is too tall for variable bound {n}")
+    out = []
+    for coords in _coordinates(polys, lam, k, n):
+        if coords is None:
+            raise ValueError("input is not a combination of column-determinant products")
+        out.append(linear_combination(Tensor(lam.size, k),
+                                      ((c, symmetrizer_projection(tensor_of_tableau(s, k), lam))
+                                       for c, s in coords)))
+    return out
+
+
 def e_iso(p: DiffPoly, lam: Partition, k: int) -> Tensor:
     """Comparison map into the tensor power: D_T -> (tableau tensor) . c_lam,
     extended linearly via the semi-standard expansion of p."""
-    if lam.nparts > p.n + 1:
-        raise ValueError(f"shape with {lam.nparts} rows is too tall for variable bound {p.n}")
-    coords = _coordinates(p, lam, k)
-    if coords is None:
-        raise ValueError("input is not a combination of column-determinant products")
-    return linear_combination(Tensor(lam.size, k),
-                              ((c, symmetrizer_projection(tensor_of_tableau(s, k), lam))
-                               for c, s in coords))
+    return _e_iso_family([p], lam, k, p.n)[0]
 
 
 def tableau_projection(t: Tensor, lam: Partition, n: int) -> DiffPoly:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .dpoly import MonoCodec, mono_multidegree, mono_order, mono_weight
-from .exact import echelon
+from .exact import pivot_columns
 from .wronskian import CanonicalDatum, canonical_codes
 
 
@@ -76,8 +76,9 @@ def pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...
 
     The elements are the packed rows of :func:`wronskian.canonical_codes`,
     grouped by the multidegree and the weight of their monomials, as decoded.
-    One echelon per (weight, multidegree) block, with its elements as int
-    rows and its monomials as columns sorted by decreasing jet order.  The
+    One forward elimination (``exact.pivot_columns``) per (weight,
+    multidegree) block, with its elements as int rows and its monomials as
+    columns sorted by decreasing jet order.  The
     monomials of order > k are then a column prefix, whose rank is the
     number of pivots in it, so the order <= k part of the block has
     dimension size - #(pivot orders > k).  Blocks of one weight share no
@@ -111,10 +112,10 @@ def pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...
             order = {w: codec.order(w) for w in set().union(*block)}
             cols = sorted(order, key=lambda w: (-order[w], w))
             col = {w: j for j, w in enumerate(cols)}
-            pivots = echelon([{col[w]: c for w, c in codes.items()} for codes in block],
-                             len(cols), reduce_back=False)
+            pivots = pivot_columns([{col[w]: c for w, c in codes.items()} for codes in block],
+                                   len(cols))
             sizes[weight] = sizes.get(weight, 0) + len(block)
-            pivot_orders.setdefault(weight, []).extend(order[cols[j]] for j, _ in pivots)
+            pivot_orders.setdefault(weight, []).extend(order[cols[j]] for j in pivots)
     return tuple((weight, sizes[weight], tuple(sorted(pivot_orders[weight], reverse=True)))
                  for weight in sorted(sizes))
 

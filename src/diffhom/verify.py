@@ -19,18 +19,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .exact import ONE, ZERO, add_terms, linear_combination, operator_rows, rank
-from .dpoly import (DiffPoly, _act_codes, derive, gl_elementary, is_diff_homogeneous,
-                    mono_multidegree, span_rank)
+from .exact import (ONE, ZERO, add_terms, linear_combination, operator_rows,
+                    pivot_columns, rank)
+from .dpoly import (DiffPoly, derive, gl_elementary, is_diff_homogeneous, mono_multidegree,
+                    span_rank)
 from .tableaux import (Partition, canonical_tableau, compositions, count_semistandard,
                        count_standard, group_algebra_mul, kostka, partitions_of,
                        young_symmetrizer)
 from .wronskian import (build_formal_wronskian, enumerate_canonical_basis,
                         reduce_to_triangular, standard_nilpotent,
                         verify_wedge_identity)
-from .hwv import (Tensor, e_iso, full_kernel_vectors, hwv_basis, j_ell, kernel_dim_full,
-                  kernel_dim_isotypic, stacked_operator_rows, symmetrizer_projection,
-                  tableau_projection)
+from .hwv import (Tensor, _e_iso_family, full_kernel_vectors, hwv_basis, j_ell,
+                  kernel_dim_full, kernel_dim_isotypic, stacked_operator_rows,
+                  symmetrizer_projection, tableau_projection)
 from .pde import (MultiPoly, newton_operator, solution_space_dim, vandermonde,
                   vandermonde_staircase)
 from .jets import census, classify_basis, verify_theorem2
@@ -92,38 +93,80 @@ def check_basis_diffhom(n: int, d: int) -> CheckResult:
                    "all degree d" if not bad else f"{len(bad)} failures, first {bad[0]}")
 
 
-def _random_invertible(size: int, rng: random.Random) -> list[list[Fraction]]:
-    while True:
-        a = [[Fraction(rng.randint(-5, 5)) for _ in range(size)] for _ in range(size)]
-        if rank([{j: v for j, v in enumerate(row) if v} for row in a], size) == size:
-            return a
+def _chevalley_pairs(n: int) -> list[tuple[int, int]]:
+    """The (p, q) of the Chevalley generators E_{i,i+1} and E_{i+1,i} of
+    sl_{N+1}, with E_pq = sum_k x_p[k] d/dx_q[k] (``dpoly.gl_elementary``)."""
+    return [(i, i + 1) for i in range(n)] + [(i + 1, i) for i in range(n)]
 
 
-def _family_rank(family: list[dict[int, int]]) -> int:
-    """Rank of a family of packed integer rows, one column per member."""
-    return rank(operator_rows(family, dict.items), len(family))
+def _lie_block_ranks(blocks: dict[tuple[int, ...], list[DiffPoly]],
+                     pairs: list[tuple[int, int]]) -> dict[tuple[int, ...], tuple[int, int]]:
+    """For each multidegree nu that an image E_pq f reaches, f in the block of
+    its multidegree mu (so nu = mu + e_p - e_q), (rank of the block nu, rank
+    of that block with those images).  One forward elimination per target
+    block, with the block's members as its first columns: the pivots among
+    them give its rank, and a pivot in an image column is an image outside
+    its span."""
+    images: dict[tuple[int, ...], list[DiffPoly]] = {}
+    for mu, block in blocks.items():
+        for p, q in pairs:
+            if not mu[q]:
+                continue
+            nu = list(mu)
+            nu[p] += 1
+            nu[q] -= 1
+            found = [g for f in block if (g := derive(f, gl_elementary(p, q)))]
+            if found:
+                images.setdefault(tuple(nu), []).extend(found)
+    out = {}
+    for nu, found in sorted(images.items()):
+        block = blocks.get(nu, [])
+        family = [*block, *found]
+        pivots = pivot_columns(operator_rows(family, lambda f: f.terms.items()), len(family))
+        out[nu] = (sum(j < len(block) for j in pivots), len(pivots))
+    return out
 
 
-def check_basis_gl_stability(n: int, d: int, seed: int, matrices: int = 5) -> CheckResult:
-    """The span of the basis is stable under seeded invertible integer
-    matrices: per trial, the basis with its images has the rank of the
-    basis.  Both are integer rows in one packed codec (``dpoly._act_codes``,
-    which encodes the basis under the identity), so each trial is one
-    integer rank, with one row per monomial and one column per member."""
-    rng = random.Random(seed * 1000003 + n * 1009 + d)
-    basis = [p for _, p in enumerate_canonical_basis(n, d)]
-    eye = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
-    base = [row for _, row in _act_codes(eye, basis)[1]]
-    base_rank = _family_rank(base)
-    note = "stable"
-    for trial in range(matrices):
-        a = _random_invertible(n + 1, rng)
-        joint = _family_rank(base + [row for _, row in _act_codes(a, basis)[1]])
-        if joint != base_rank:
-            note = f"trial {trial}: span grew to {joint}"
-            break
-    return _result("basis_gl_stability", {"N": n, "d": d, "matrices": matrices, "seed": seed},
-                   "stable", note)
+def _gl_lie_note(polys: list[DiffPoly], n: int) -> str:
+    """The computed string of :func:`check_basis_gl_lie` on a family.  Each
+    member joins its block as an integer multiple (scaling keeps the spans),
+    so that the derivations run in int arithmetic."""
+    blocks: dict[tuple[int, ...], list[DiffPoly]] = {}
+    for j, p in enumerate(polys):
+        degrees = {tuple(mono_multidegree(m, n)) for m in p.terms}
+        if len(degrees) > 1:
+            return f"element {j} is not multihomogeneous"
+        if degrees:
+            den = math.lcm(*(c.denominator for c in p.terms.values()))
+            blocks.setdefault(degrees.pop(), []).append(
+                p.with_terms({m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}))
+    for nu, (r, joint) in _lie_block_ranks(blocks, _chevalley_pairs(n)).items():
+        if joint != r:
+            return f"multidegree {nu}: span grew from {r} to {joint}"
+    return "stable"
+
+
+def check_basis_gl_lie(n: int, d: int) -> CheckResult:
+    """The span of the basis is GL_{N+1}(Q)-stable, certified by the Lie
+    algebra: every element is multihomogeneous, and each image of a
+    Chevalley generator E_{i,i+1}, E_{i+1,i} lies in the span of the basis
+    elements of its multidegree.
+
+    Why that is every matrix.  GL_{N+1}(Q) is generated by the diagonal
+    matrices and the transvections x_q -> x_q + t x_p (elementary row
+    operations).  A diagonal matrix acts on a multihomogeneous element of
+    multidegree mu by the scalar prod a_i^mu_i, so a span of such elements is
+    stable under the torus; that is why each element is tested, not assumed,
+    to be multihomogeneous.  A transvection acts as exp(t E_pq), a finite sum
+    on polynomials, since E_pq lowers the degree in x_q; so a span stable
+    under E_pq is stable under it.  The E_{i,i+1} and E_{i+1,i} generate
+    every E_pq, p != q, by brackets (E_pr = [E_pq, E_qr] for distinct p, q,
+    r, so E_{i,j} is an iterated bracket of E_{i,i+1}, ..., E_{j-1,j}), and a
+    span stable under two derivations is stable under their bracket.  E_pq
+    maps multidegree mu to mu + e_p - e_q, so the test runs per target
+    block: rank(block with images) = rank(block) (``_lie_block_ranks``)."""
+    note = _gl_lie_note([p for _, p in enumerate_canonical_basis(n, d)], n)
+    return _result("basis_gl_lie", {"N": n, "d": d}, "stable", note)
 
 
 def suite_basis(max_d: int, max_n: int, seed: int) -> list[partial]:
@@ -133,7 +176,7 @@ def suite_basis(max_d: int, max_n: int, seed: int) -> list[partial]:
             tasks.append(partial(check_basis_rank, n=n, d=d))
             tasks.append(partial(check_basis_diffhom, n=n, d=d))
             if n >= 1:
-                tasks.append(partial(check_basis_gl_stability, n=n, d=d, seed=seed))
+                tasks.append(partial(check_basis_gl_lie, n=n, d=d))
     return tasks
 
 
@@ -378,19 +421,21 @@ def check_e_iso_injective(parts: tuple, k: int) -> CheckResult:
     n = lam.nparts - 1
     basis = hwv_basis(lam, k, n)
     expected = count_semistandard(lam, k + 1)
-    r = span_rank([e_iso(p, lam, k) for _, p in basis])
+    r = span_rank(_e_iso_family([p for _, p in basis], lam, k, n))
     return _result("e_iso_injective", {"lam": parts, "k": k}, expected, r)
 
 
 def check_commutative_diagram(parts: tuple, k: int) -> CheckResult:
+    """e_iso after the tableau projection equals the symmetrizer projection
+    on every basis tensor; the projections are expanded in one family."""
     lam = Partition(parts)
     d = lam.size
     n = lam.nparts - 1
-    for a in itertools.product(range(k + 1), repeat=d):
-        pa = tableau_projection(Tensor.basis(a, k), lam, n)
-        lhs = e_iso(pa, lam, k) if pa else Tensor(d, k)
-        rhs = symmetrizer_projection(Tensor.basis(a, k), lam)
-        if lhs != rhs:
+    index = list(itertools.product(range(k + 1), repeat=d))
+    lhs = _e_iso_family([tableau_projection(Tensor.basis(a, k), lam, n) for a in index],
+                        lam, k, n)
+    for a, left in zip(index, lhs):
+        if left != symmetrizer_projection(Tensor.basis(a, k), lam):
             return _result("commutative_diagram", {"lam": parts, "k": k},
                            "commutes", f"failure at index {a}")
     return _result("commutative_diagram", {"lam": parts, "k": k}, "commutes", "commutes")
@@ -523,7 +568,7 @@ def suite_jets(max_d: int, max_n: int, seed: int) -> list[partial]:
 # machine; the README lists the times.  A flag a suite does not read, or
 # reads only up to a fixed value, has no cap.
 _SUITES = {
-    "basis": (suite_basis, {"max_d": 4, "max_n": 2}, {"max_d": 5, "max_n": 3}),
+    "basis": (suite_basis, {"max_d": 4, "max_n": 2}, {"max_d": 6, "max_n": 3}),
     "rsk": (suite_rsk, {"max_d": 8, "max_n": 4}, {"max_d": 50}),
     "kernel": (suite_kernel, {"max_d": 4, "max_n": 2}, {"max_d": 7}),
     "pde": (suite_pde, {"max_d": 4, "max_n": 2}, {"max_d": 6}),

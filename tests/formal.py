@@ -53,10 +53,12 @@ exponent codes (``dpoly.MonoCodec``).  The expansion over sorted tuples of
 (i, k) factors that they replaced is kept here as
 :func:`formal_build_wronskian`.
 
-``verify.check_basis_gl_stability`` ranks the basis with its images as packed
-integer rows, one rank per trial.  The check it replaced, ``matrix_action``
-images, ``span_rank`` and explicit coordinates by ``solve_in_span``, is kept
-here as :func:`formal_gl_stability`.  ``verify.check_pde_oracle`` ranks the
+``verify.check_basis_gl_lie`` certifies that the span of the basis is
+GL-stable from the Chevalley generators of the Lie algebra, block by
+multidegree.  The random-matrix check it replaced (five seeded matrices,
+``matrix_action`` images, ``span_rank`` and explicit coordinates by
+``solve_in_span``) is kept here as :func:`formal_gl_stability`, and the same
+block test under all N(N+1) derivations E_pq as :func:`formal_gl_lie_verdicts`.  ``verify.check_pde_oracle`` ranks the
 d! staircase derivatives of the Vandermonde (``pde.vandermonde_staircase``)
 one order at a time; the family of all its nonzero derivatives that it
 replaced is kept here as :func:`vandermonde_derivative_basis`.
@@ -74,15 +76,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from diffhom.dpoly import (DiffPoly, DMono, ParseError, UniPoly, gradings, matrix_action,
-                           mono_order, solve_in_span, span_rank, substitute)
+from diffhom.dpoly import (DiffPoly, DMono, ParseError, UniPoly, derive, gl_elementary,
+                           gradings, matrix_action, mono_multidegree, mono_order,
+                           solve_in_span, span_rank, substitute)
 from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
                            linear_combination, operator_rows, rank)
 from diffhom.hwv import Tensor, d_t, full_kernel_vectors, j_ell
 from diffhom.pde import MultiPoly, vandermonde
 from diffhom.tableaux import (Partition, Tableau, compositions, kostka, partitions_of,
                               semistandard_tableaux)
-from diffhom.verify import _random_invertible
 from diffhom.wronskian import WronskSpec, build_formal_wronskian
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
@@ -780,12 +782,19 @@ def young_weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     return tuple(m[lam] for lam in lams)
 
 
+def _random_invertible(size: int, rng: random.Random) -> list[list[Fraction]]:
+    while True:
+        a = [[Fraction(rng.randint(-5, 5)) for _ in range(size)] for _ in range(size)]
+        if rank([{j: v for j, v in enumerate(row) if v} for row in a], size) == size:
+            return a
+
+
 def formal_gl_stability(n: int, d: int, seed: int, basis: Sequence[DiffPoly],
                         matrices: int = 5) -> str:
-    """The computed string of ``verify.check_basis_gl_stability`` on the
-    family ``basis``, by ``matrix_action`` images, one ``span_rank`` per
-    trial and exact coordinates for three elements by ``solve_in_span``
-    (the same seeded matrices)."""
+    """The random-trial GL check on the family ``basis``: "stable", or the
+    first trial that fails, by ``matrix_action`` images, one ``span_rank``
+    per trial and exact coordinates for three elements by ``solve_in_span``
+    (five seeded invertible integer matrices)."""
     rng = random.Random(seed * 1000003 + n * 1009 + d)
     base_rank = span_rank(basis)
     for trial in range(matrices):
@@ -795,9 +804,29 @@ def formal_gl_stability(n: int, d: int, seed: int, basis: Sequence[DiffPoly],
         if joint != base_rank:
             return f"trial {trial}: span grew to {joint}"
         for idx in (0, len(basis) // 2, len(basis) - 1):
-            if solve_in_span(basis, images[idx]) is None:
+            if solve_in_span(basis, [images[idx]])[0] is None:
                 return f"trial {trial}: element {idx} did not solve"
     return "stable"
+
+
+def formal_gl_lie_verdicts(polys: Sequence[DiffPoly], n: int) -> dict[tuple[int, ...], bool]:
+    """Per multidegree nu that some E_pq f reaches, p != q (all N(N+1) of
+    them, applied by ``derive``), f a multihomogeneous member: whether the
+    members of multidegree nu with those images have the rank of the
+    members alone (``span_rank``)."""
+    blocks: dict[tuple[int, ...], list[DiffPoly]] = {}
+    for f in polys:
+        (mu,) = {tuple(mono_multidegree(m, n)) for m in f.terms}
+        blocks.setdefault(mu, []).append(f)
+    images: dict[tuple[int, ...], list[DiffPoly]] = {}
+    for f in polys:
+        for p, q in itertools.permutations(range(n + 1), 2):
+            g = derive(f, gl_elementary(p, q))
+            if g:
+                (nu,) = {tuple(mono_multidegree(m, n)) for m in g.terms}
+                images.setdefault(nu, []).append(g)
+    return {nu: span_rank(blocks.get(nu, []) + found) == span_rank(blocks.get(nu, []))
+            for nu, found in images.items()}
 
 
 def vandermonde_derivative_basis(d: int) -> list[MultiPoly]:

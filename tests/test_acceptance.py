@@ -74,7 +74,7 @@ def test_criterion_3_gl_stability():
                 if det_expansion(a, ZERO, ONE):
                     break
             for idx, p in enumerate(basis):
-                if solve_in_span(basis, matrix_action(a, p)) is None:
+                if solve_in_span(basis, [matrix_action(a, p)])[0] is None:
                     failures.append((n, d, trial, idx))
     _report(3, "the canonical span is invariant under invertible substitutions",
             not failures, f"5 seeded matrices per point, seed={SEED}"

@@ -293,7 +293,7 @@ def test_verify_rejects_caps_out_of_range(capsys, flag, value):
     (["--suite", "appendixA", "--max-d", "9"],
      "--max-d 9 exceeds the cap of 6 for the appendixA suite"),
     (["--max-n", "9"], "--max-n 9 exceeds the cap of 3 for the basis suite"),
-    (["--max-d", "6"], "--max-d 6 exceeds the cap of 5 for the basis suite"),
+    (["--max-d", "7"], "--max-d 7 exceeds the cap of 6 for the basis suite"),
     (["--suite", "pde", "--max-d", "7"], "--max-d 7 exceeds the cap of 6 for the pde suite")])
 def test_verify_refuses_caps_above_the_suite_cap(capsys, monkeypatch, argv, message):
     # refused before any work: no check runs

@@ -12,8 +12,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from diffhom.exact import (ONE, ZERO, SparseComb, det_expansion, echelon,
-                           linear_combination, nullspace_basis, operator_rows, rank,
-                           solve_in_span, span_rank)
+                           linear_combination, nullspace_basis, operator_rows,
+                           pivot_columns, rank, solve_in_span, span_rank)
 from formal import ParamPoly
 
 F = Fraction
@@ -89,26 +89,26 @@ def test_rank_nullspace_solve_leave_input_intact():
     rank(rows, 3)
     nullspace_basis(rows, 3)
     span_rank(basis)
-    solve_in_span(basis, target)
+    solve_in_span(basis, [target])
     assert (rows, [b.terms for b in basis], target.terms) == before
 
 
 def test_solve_exact_solution():
     # x0 + x1 = 3, x0 - x1 = 1: the columns (1, 1) and (1, -1), the target (3, 1)
     (target,) = family([3, 1])
-    assert solve_in_span(family([1, 1], [1, -1]), target) == [F(2), F(1)]
+    assert solve_in_span(family([1, 1], [1, -1]), [target]) == [[F(2), F(1)]]
 
 
 def test_solve_rejects_inconsistent_system():
     (target,) = family([1, 3])
-    assert solve_in_span(family([1, 2], [1, 2]), target) is None
+    assert solve_in_span(family([1, 2], [1, 2]), [target]) == [None]
 
 
 def test_solve_checks_empty_rows_with_nonzero_rhs():
     # the key 1 is in no basis member: 0 = 1 has no solution
     basis = family([1, 0])
-    assert solve_in_span(basis, *family([2, 1])) is None
-    assert solve_in_span(basis, *family([2, 0])) == [F(2)]
+    assert solve_in_span(basis, family([2, 1])) == [None]
+    assert solve_in_span(basis, family([2, 0])) == [[F(2)]]
 
 
 def test_operator_rows_sorted_outputs_and_columns():
@@ -237,6 +237,7 @@ def test_row_permutation_preserves_kernel(m, data):
 def test_rank_matches_sympy(m):
     rows, ncols = m
     assert rank(rows, ncols) == to_sympy(rows, ncols).rank()
+    assert pivot_columns(rows, ncols) == list(to_sympy(rows, ncols).rref()[1])
 
 
 @given(m=matrices)
@@ -255,15 +256,14 @@ def test_nullspace_matches_sympy_rref(m):
 @given(m=matrices)
 @settings(max_examples=80, deadline=None)
 def test_echelon_pivots_are_one_in_ascending_columns(m):
+    # the forward pass alone (pivot_columns) finds the pivots of the reduced form
     rows, ncols = m
-    for reduce_back in (False, True):
-        pivots = echelon(rows, ncols, reduce_back=reduce_back)
-        cols = [col for col, _ in pivots]
-        assert cols == sorted(set(cols))
-        for col, row in pivots:
-            assert row[col] == 1 and min(row) == col and all(row.values())
-        if reduce_back:
-            assert all(c not in row for col, row in pivots for c in cols if c != col)
+    pivots = echelon(rows, ncols)
+    cols = [col for col, _ in pivots]
+    assert cols == sorted(set(cols)) == pivot_columns(rows, ncols)
+    for col, row in pivots:
+        assert row[col] == 1 and min(row) == col and all(row.values())
+    assert all(c not in row for col, row in pivots for c in cols if c != col)
 
 
 @given(m=matrices, data=st.data())
@@ -273,9 +273,9 @@ def test_echelon_and_solve_leave_inputs_intact(m, data):
     basis = [SparseComb(r) for r in rows]
     target = SparseComb({c: data.draw(rationals) for c in range(ncols)})
     before = copy.deepcopy((rows, [b.terms for b in basis], target.terms))
-    echelon(rows, ncols, reduce_back=False)
-    echelon(rows, ncols, reduce_back=True)
-    x = solve_in_span(basis, target)
+    pivot_columns(rows, ncols)
+    echelon(rows, ncols)
+    [x] = solve_in_span(basis, [target])
     assert (rows, [b.terms for b in basis], target.terms) == before
     if x is not None:
         assert linear_combination(SparseComb(), zip(x, basis)) == target
@@ -313,7 +313,7 @@ def test_span_rank_and_solve_in_span_match_sympy(f):
     basis, target, nkeys = f
     b, t = columns_to_sympy(basis, nkeys), columns_to_sympy([target], nkeys)
     assert span_rank(basis) == b.rank()
-    x = solve_in_span(basis, target)
+    [x] = solve_in_span(basis, [target])
     assert (x is None) == (b.row_join(t).rank() > b.rank())
     if x is None:
         return
@@ -324,6 +324,27 @@ def test_span_rank_and_solve_in_span_match_sympy(f):
         assert x == [from_sympy(v) for v in sol.subs({p: 0 for p in params})]
     else:
         assert x == [] and not target
+
+
+@given(f=families(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_in_span_of_many_targets_is_the_per_target_solve(f, data):
+    # the drawn target and up to three random ones, then each target found
+    # outside plus a basis member (outside too: it is nonzero in the row of
+    # the outside target's pivot when that one comes first), in a drawn order
+    basis, target, nkeys = f
+
+    def member():
+        return SparseComb({c: data.draw(rationals) for c in range(nkeys) if data.draw(st.booleans())})
+
+    targets = [(target, False)] + [(member(), False) for _ in range(data.draw(st.integers(0, 3)))]
+    if basis:
+        targets += [(t + data.draw(st.sampled_from(basis)), True) for t, _ in targets
+                    if solve_in_span(basis, [t])[0] is None]
+    targets = data.draw(st.permutations(targets))
+    together = solve_in_span(basis, [t for t, _ in targets])
+    assert together == [solve_in_span(basis, [t])[0] for t, _ in targets]
+    assert all(x is None for x, (_, shifted) in zip(together, targets) if shifted)
 
 
 @given(data=st.data())

@@ -461,6 +461,30 @@ def test_e_iso_rejects_input_outside_the_span():
         e_iso(parse("x0*x1[1]", 1), Partition.of(1, 1), 0)
 
 
+def test_e_iso_family_is_e_iso_of_each_member():
+    # one semi-standard expansion of a whole family against one per member,
+    # term for term, on every (lam, k) of the default hwv suite: its basis,
+    # and for d <= 3 the tableau projection of every basis tensor (zeros
+    # included), the families of the e_iso checks
+    for d in range(1, 5):
+        for lam in partitions_of(d):
+            k = min(d - 1, 3)
+            n = lam.nparts - 1
+            family = [p for _, p in hwv_basis(lam, k, n)]
+            if d <= 3:
+                family += [tableau_projection(Tensor.basis(a, k), lam, n)
+                           for a in itertools.product(range(k + 1), repeat=d)]
+            together = hwv._e_iso_family(family, lam, k, n)
+            assert [t.terms for t in together] == [e_iso(p, lam, k).terms for p in family]
+
+
+def test_e_iso_family_rejects_a_member_outside_the_span():
+    # x0[1] + x0[2] has an entry beyond the filling bound k = 1
+    inside = parse("x0[1]", 0)
+    with pytest.raises(ValueError, match="not a combination"):
+        hwv._e_iso_family([inside, inside + parse("x0[2]", 0)], Partition.of(1), 1, 0)
+
+
 def test_e_iso_injective_on_basis():
     for lam in partitions_of(3):
         k = 2

@@ -41,9 +41,9 @@ results = [
     # column_det expands over packed codes, so reach the minor expansion directly
     str(exact.det_expansion([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]],
                             Fraction(0), Fraction(1))),
-    # the GL check ranks packed rows and solves nothing, so reach solve_in_span directly
+    # the GL check ranks its blocks and solves nothing, so reach solve_in_span directly
     [str(c) for c in dpoly.solve_in_span([dpoly.parse("x0*x1[1] - x1*x0[1]", 1)],
-                                         dpoly.parse("3*x1*x0[1] - 3*x0*x1[1]", 1))],
+                                         [dpoly.parse("3*x1*x0[1] - 3*x0*x1[1]", 1)])[0]],
     [(r.check_id, r.expected, r.computed) for r in report.results + basis_report.results],
 ]
 print(json.dumps({"results": results,

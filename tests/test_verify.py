@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from diffhom import hwv
-from diffhom.dpoly import parse
+from diffhom.dpoly import mono_multidegree, parse
 from diffhom.tableaux import partitions_of
-from diffhom.verify import (DEFAULT_SEED, SUITE_NAMES, check_basis_gl_stability, over_cap,
-                            run_suite)
+from diffhom.verify import (DEFAULT_SEED, SUITE_NAMES, _chevalley_pairs, _lie_block_ranks,
+                            check_basis_gl_lie, over_cap, run_suite)
 from diffhom.wronskian import enumerate_canonical_basis
-from formal import formal_gl_stability
+from formal import formal_gl_lie_verdicts, formal_gl_stability
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -123,35 +123,95 @@ def test_kernel_suite_builds_each_block_once(monkeypatch):
     assert max(systems.values()) == max(stacks.values()) == 1
 
 
-@pytest.mark.parametrize("family", ["x0^2", "basis with x0^2*x0[1]"])
-def test_gl_stability_check_fails_on_a_non_stable_family(monkeypatch, family):
-    # {x0^2} is not GL-stable, and neither is the (1, 3) basis with one
-    # element swapped for a monomial that is not differentially homogeneous
+def _perturbed_family(family):
+    """(N, d, members) of a family that is not GL-stable: {x0^2}, or the
+    (1, 3) basis with one element swapped for a monomial that is not
+    differentially homogeneous."""
+    if family == "x0^2":
+        return 1, 2, [parse("x0^2", 1)]
+    polys = [p for _, p in enumerate_canonical_basis(1, 3)]
+    polys[len(polys) // 2] = parse("x0^2*x0[1]", 1)
+    return 1, 3, polys
+
+
+def _inject(monkeypatch, polys):
     import diffhom.verify as verify
 
-    if family == "x0^2":
-        n, d, polys = 1, 2, [parse("x0^2", 1)]
-    else:
-        n, d = 1, 3
-        polys = [p for _, p in enumerate_canonical_basis(n, d)]
-        polys[len(polys) // 2] = parse("x0^2*x0[1]", 1)
     monkeypatch.setattr(verify, "enumerate_canonical_basis",
                         lambda *_: [(None, p) for p in polys])
-    result = verify.check_basis_gl_stability(n, d, seed=verify.DEFAULT_SEED)
+
+
+@pytest.mark.parametrize("family", ["x0^2", "basis with x0^2*x0[1]"])
+def test_gl_stability_check_fails_on_a_non_stable_family(monkeypatch, family):
+    # the Lie check names a block whose span grew, and the random-trial
+    # oracle sees the span grow under the seeded matrices
+    n, d, polys = _perturbed_family(family)
+    _inject(monkeypatch, polys)
+    result = check_basis_gl_lie(n, d)
     assert not result.passed
     assert "span grew" in result.computed
-    assert result.computed == formal_gl_stability(n, d, verify.DEFAULT_SEED, polys)
+    assert result.computed.startswith("multidegree (")
+    assert "span grew" in formal_gl_stability(n, d, DEFAULT_SEED, polys)
+    assert not all(formal_gl_lie_verdicts(polys, n).values())
 
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
 def test_gl_stability_check_matches_the_solving_oracle(seed):
-    # every (N, d) of the default basis grid, against span_rank and
-    # solve_in_span on the matrix_action images of the same matrices
+    # every (N, d) of the default basis grid: the Lie check and the random
+    # trials (matrix_action images, span_rank and solve_in_span) both find
+    # the span stable
     for n in range(1, 3):
         for d in range(1, 5):
             basis = [p for _, p in enumerate_canonical_basis(n, d)]
-            result = check_basis_gl_stability(n, d, seed=seed)
+            result = check_basis_gl_lie(n, d)
             assert result.computed == formal_gl_stability(n, d, seed, basis) == "stable", (n, d)
+
+
+def _chevalley_verdicts(polys, n):
+    blocks = {}
+    for p in polys:
+        (mu,) = {tuple(mono_multidegree(m, n)) for m in p.terms}
+        blocks.setdefault(mu, []).append(p)
+    ranks = _lie_block_ranks(blocks, _chevalley_pairs(n))
+    return {nu: r == joint for nu, (r, joint) in ranks.items()}
+
+
+def test_gl_lie_generators_give_the_verdicts_of_every_e_pq():
+    # the 2N Chevalley generators against all N(N+1) derivations E_pq: the
+    # same verdict on each block the generators reach, and every block that
+    # only the other E_pq reach is stable too
+    for n in range(1, 4):
+        for d in range(1, 5):
+            basis = [p for _, p in enumerate_canonical_basis(n, d)]
+            verdicts = _chevalley_verdicts(basis, n)
+            every = formal_gl_lie_verdicts(basis, n)
+            assert verdicts and set(verdicts) <= set(every), (n, d)
+            assert verdicts == {nu: every[nu] for nu in verdicts}, (n, d)
+            assert all(every.values()), (n, d)
+    for family in ("x0^2", "basis with x0^2*x0[1]"):
+        n, _, polys = _perturbed_family(family)
+        assert _chevalley_verdicts(polys, n) == formal_gl_lie_verdicts(polys, n)
+
+
+def test_gl_lie_check_fails_on_an_element_mixing_two_multidegrees(monkeypatch):
+    # element 1 of the (1, 2) basis plus another element of a different
+    # multidegree: the span is unchanged, so the random trials find it
+    # stable, but the torus half of the certificate needs every element
+    # multihomogeneous, and the check names the one that is not
+    polys = [p for _, p in enumerate_canonical_basis(1, 2)]
+    degree = {j: {tuple(mono_multidegree(m, 1)) for m in p.terms} for j, p in enumerate(polys)}
+    other = next(j for j in range(len(polys)) if degree[j] != degree[1])
+    polys[1] = polys[1] + polys[other]
+    _inject(monkeypatch, polys)
+    result = check_basis_gl_lie(1, 2)
+    assert not result.passed
+    assert result.computed == "element 1 is not multihomogeneous"
+    assert formal_gl_stability(1, 2, DEFAULT_SEED, polys) == "stable"
+
+
+def test_basis_suite_cap_is_6():
+    assert over_cap("basis", 6, 3) is None
+    assert over_cap("basis", 7, 3) == "--max-d 7 exceeds the cap of 6 for the basis suite"
 
 
 def test_pde_suite_cap_is_6():

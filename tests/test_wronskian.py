@@ -242,7 +242,7 @@ def test_gl_stability_seeded():
             image = matrix_action(a, basis[rng.randrange(len(basis))])
             if not image:
                 continue
-            assert solve_in_span(basis, image) is not None
+            assert solve_in_span(basis, [image])[0] is not None
 
 
 def test_general_coefficient_wronskian_is_diff_homogeneous():
@@ -316,7 +316,7 @@ def test_trailing_substitution_lands_in_canonical_basis():
             image = substitute(w, lambda i, k: DiffPoly.var(assign[i], k, n), n_out=n)
             if not image:
                 continue
-            coords = solve_in_span(basis, image)
+            [coords] = solve_in_span(basis, [image])
             assert coords is not None
             nonzero = [c for c in coords if c]
             assert len(nonzero) == 1 and abs(nonzero[0]) == 1
