@@ -22,20 +22,25 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 from . import SCHEMA_VERSION
 from .dpoly import (ParseError, from_json_dict, gradings, is_diff_homogeneous,
                     parse, to_text)
 from .jets import census, weight_census_bound
-from .tableaux import count_semistandard, count_standard, partitions_of
-from .hwv import kernel_dim_full, kernel_dim_isotypic
+from .tableaux import (count_semistandard, count_standard, partitions_of,
+                       semistandard_weight_counts)
+from .hwv import kernel_dim_full, kernel_dim_isotypic, solved_weights
 from .verify import DEFAULT_SEED, SUITE_NAMES, over_cap, run_suite
 from .wronskian import basis_manifest
 
-# The default cap on the cost of `dh kernel` (see `kernel_cost`).  It lets
-# d = 7, k = 6 (7,350 D_T, under a minute) run and refuses d = 8, k = 7
-# (50,688) and every d >= 16 at once; `--max-cost` overrides it.
-KERNEL_MAX_COST = 6 ** 6
+# The default cap on the cost of `dh kernel` (see `kernel_cost`): the
+# largest cost whose runs took at most two minutes on a 2-CPU machine,
+# p(9)^2.  d = 8, k = 7 (largest system 382 D_T, p(8)^2 = 484) took 8 s and
+# d = 9, k = 5 (819, p(9)^2 = 900) 82 s; d = 8, k = 6 (1,196) took 121 s,
+# and d = 9, k = 8 (1,621), every d = 9, k >= 6 and every d >= 10 are
+# refused at once.  `--max-cost` overrides it.
+KERNEL_MAX_COST = 30 ** 2
 
 # The default caps on the cost of `dh basis` and `dh census` (see
 # `basis_cost`): the largest sizes whose runs took at most two minutes on a
@@ -48,6 +53,26 @@ CENSUS_MAX_COST = 5 ** 5
 
 def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """The text of ``_json_dump(payload)`` in pieces, one per element of a
+    top-level list, so that the whole text is never held at once.  JSON
+    escapes newlines inside strings, so indenting every line of an element's
+    own text nests it."""
+    if not payload:
+        yield "{}"
+        return
+    for i, key in enumerate(sorted(payload)):
+        value = payload[key]
+        yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
+        if isinstance(value, list) and value:
+            for j, item in enumerate(value):
+                yield f"{',' if j else '['}\n    " + _json_dump(item).replace("\n", "\n    ")
+            yield "\n  ]"
+        else:
+            yield _json_dump(value).replace("\n", "\n  ")
+    yield "\n}"
 
 
 def _manifest_hash(manifest: list[dict]) -> str:
@@ -136,8 +161,10 @@ def cmd_basis(args) -> int:
         print(f"basis --n {args.n} --d {args.d}: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(_json_dump({"schema_version": SCHEMA_VERSION, "N": args.n, "d": args.d,
-                          "count": len(manifest), "basis": manifest}))
+        for chunk in _json_chunks({"schema_version": SCHEMA_VERSION, "N": args.n, "d": args.d,
+                                   "count": len(manifest), "basis": manifest}):
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
     else:
         print(f"canonical basis  N={args.n}  d={args.d}  ({len(manifest)} elements)")
         for entry in manifest:
@@ -270,18 +297,21 @@ def cmd_tableaux(args) -> int:
 
 def kernel_cost(d: int, k: int, cap: int) -> int:
     """Cost estimate of `dh kernel --d d --k k`: the D_T of the largest
-    system it builds (``hwv.functional_system``), counted over all weights,
-    max_lam s_lam(1^(k'+1)) with k' = min(k, d-1) (for k >= d-1 the systems
-    are those of k = d-1, ``hwv.weight_multiplicities``), or p(d)^2 if that
-    is larger: the table of the p(d) isotypic dimensions looks each
-    partition up among the p(d).  p(n) grows with n, so once p(n)^2 passes
-    ``cap`` that is returned at once: a huge d never reaches the partitions
-    of d."""
+    system it solves (``hwv.functional_system``), or p(d)^2 if that is
+    larger: the table of the p(d) isotypic dimensions looks each partition
+    up among the p(d).  The systems are those of k' = min(k, d-1) at the
+    weights ``hwv.solved_weights``, and the system of (lam, w) has one
+    column per semi-standard tableau of shape lam over {0..k'} with entry
+    sum w (``semistandard_weight_counts``).  p(n) grows with n, so once
+    p(n)^2 passes ``cap`` that is returned at once: a huge d never reaches
+    the partitions of d."""
     for n in range(1, d + 1):
         table = len(partitions_of(n)) ** 2
         if table > cap:
             return table
-    return max(table, max(count_semistandard(lam, min(k, d - 1) + 1) for lam in partitions_of(d)))
+    stop = solved_weights(d, k).stop
+    return max(table, *(max(semistandard_weight_counts(lam, min(k, d - 1) + 1)[:stop], default=0)
+                        for lam in partitions_of(d)))
 
 
 def cmd_kernel(args) -> int:
@@ -294,7 +324,7 @@ def cmd_kernel(args) -> int:
         return 2
     if _over_cost(f"kernel --d {args.d} --k {k}", partial(kernel_cost, args.d, k),
                   args.max_cost, KERNEL_MAX_COST,
-                  "the D_T of the largest system, or p(d)^2 if larger"):
+                  "the D_T of the largest system solved, or p(d)^2 if larger"):
         return 2
     full = kernel_dim_full(args.d, k)
     per_lambda = []
@@ -338,6 +368,7 @@ def cmd_verify(args) -> int:
                    "wall_time_seconds": round(report.wall_time, 3),
                    "checks": [{"id": r.check_id, "params": r.params,
                                "expected": r.expected, "computed": r.computed,
+                               "seconds": round(r.seconds, 6),
                                "verdict": "pass" if r.passed else "fail"}
                               for r in report.results]}
         print(_json_dump(payload))
@@ -409,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="local dimension minus one (default d-1)")
     p.add_argument("--max-cost", type=int, default=None,
-                   help="largest cost to accept: the D_T of the largest system, over "
-                        f"all weights, or p(d)^2 if larger (default {KERNEL_MAX_COST})")
+                   help="largest cost to accept: the D_T of the largest system solved, "
+                        f"or p(d)^2 if larger (default {KERNEL_MAX_COST})")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", parents=[plain],

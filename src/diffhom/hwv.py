@@ -16,8 +16,11 @@ which act on S_lam W as f^m.  So the multiplicity m_lam of V_lam in the
 simultaneous kernel of the J^(l), weight by weight, is the nullity of
 L_1..L_k on the weight-w D_T (the paper's functional equation,
 ``weight_multiplicities``).  They are solved only at the weights up to the
-middle one, d*k/2, and k >= d is read at k = d-1: J^(1) is an sl2 lowering
-operator, and every kernel vector has its indices below d.  The tensor side
+middle one, d*k/2, as J^(1) is an sl2 lowering operator; k >= d is read at
+k = d-1, as every kernel vector has its indices below d; and at k = d-1 only
+the weights up to D/2, D = d(d-1)/2, are solved, the others read from D - w
+at the conjugate shape, as the kernel there is the coinvariant algebra of
+S_d, whose top degree D is the sign (Poincaré duality).  The tensor side
 keeps the right symmetric-group action, the Young symmetrizer projections,
 the J^(l) and their kernel vectors (``full_kernel_vectors``), which the
 checks read.
@@ -252,6 +255,15 @@ def functional_system(lam: Partition, k: int, weight: int) -> tuple[list[dict[in
 
 
 @lru_cache(maxsize=None)
+def _conjugates(d: int) -> tuple[int, ...]:
+    """Conjugation as a permutation of ``partitions_of(d)``: entry i is the
+    position of the conjugate of the i-th partition."""
+    lams = partitions_of(d)
+    where = {lam: i for i, lam in enumerate(lams)}
+    return tuple(where[lam.conjugate()] for lam in lams)
+
+
+@lru_cache(maxsize=None)
 def weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     """The multiplicity m_lam of each irreducible V_lam (in ``partitions_of``
     order) in the weight-``weight`` part of the simultaneous kernel of the
@@ -260,7 +272,7 @@ def weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     lam and entry sum ``weight`` (``functional_system``, one rank per lam).
     Cached per (d, k, weight).
 
-    Two theorems fix part of the answer without elimination.  The lowering
+    Three theorems fix part of the answer without elimination.  The lowering
     x[i] -> i x[i-1] is one nilpotent Jordan block on W = Q^{k+1}, so W is
     the irreducible sl2-module with x[i] of h-weight 2i - k, and J^(1) is its
     lowering operator on the tensor power, where index weight w has h-weight
@@ -269,19 +281,52 @@ def weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     kernel is zero at 2w > dk.  And d^d/dX_i^d lies in the ideal of the
     e_l(d/dX) (see ``pde.solution_space_dim``), so for k >= d every kernel
     vector has all indices <= d-1: the kernel is the k = d-1 kernel, weight
-    for weight.  ``full_kernel_vectors`` eliminates every weight at its own
-    k, and the tests compare the two.
+    for weight.
+
+    At k = d-1, read an index vector a as the monomial X^a: the kernel of
+    weight w is then the space of S_d-harmonics of degree w, the polynomials
+    killed by every symmetric operator without constant term.  As a graded
+    S_d-module it is the coinvariant algebra Q[X]/(e_1, ..., e_d)
+    (Chevalley 1955; Steinberg 1964), whose top degree D = d(d-1)/2 is the
+    sign representation, spanned by the Vandermonde, and whose product into
+    degree D pairs degrees w and D - w perfectly and S_d-equivariantly.  So
+    the degree-(D - w) part is the dual of the degree-w part tensored with
+    the sign, and V_lam (x) sign = V_lam': m_lam(w) = m_lam'(D - w) (Stanley
+    1979, the symmetry of the fake degrees).  The weights 2w > D are read
+    from D - w through ``_conjugates`` (``solved_weights`` gives the weights
+    solved).  This holds only at k = d-1: below it the kernel is not the
+    whole space of harmonics.
+
+    ``full_kernel_vectors`` eliminates every weight at its own k, and
+    ``verify.check_kernel_full`` solves the weights read by duality, so the
+    tests and the checks compare the readings with direct solves.
     """
     if k >= d:
         return weight_multiplicities(d, d - 1, weight)
-    lams = partitions_of(d)
-    if 2 * weight > d * k:
-        return (0,) * len(lams)
-    out = []
-    for lam in lams:
-        rows, ncols = functional_system(lam, k, weight)
-        out.append(ncols - rank(rows, ncols))
-    return tuple(out)
+    if weight in solved_weights(d, k):
+        return solve_multiplicities(d, k, weight)
+    top = d * k // 2
+    if k == d - 1 and weight <= top:
+        dual = weight_multiplicities(d, k, top - weight)
+        return tuple(dual[j] for j in _conjugates(d))
+    return (0,) * len(partitions_of(d))
+
+
+def solved_weights(d: int, k: int) -> range:
+    """The weights at which ``weight_multiplicities(d, k, .)`` solves its
+    systems: 2w <= dk' with k' = min(k, d-1) (sl2 and the k >= d cap), and
+    at k' = d-1 only 2w <= d(d-1)/2 (duality).  Every other weight is read
+    from these or is zero."""
+    k = min(k, d - 1)
+    return range(d * k // (4 if k == d - 1 else 2) + 1)
+
+
+def solve_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
+    """The multiplicities of ``weight_multiplicities`` at one weight, each
+    solved as the nullity of ``functional_system``, with no weight read from
+    another: the direct side that the duality reading is checked against."""
+    return tuple(ncols - rank(rows, ncols)
+                 for rows, ncols in (functional_system(lam, k, weight) for lam in partitions_of(d)))
 
 
 def weight_kernel_dim(d: int, k: int, weight: int) -> int:

@@ -94,9 +94,10 @@ def solution_space_dim(d: int, bound: int | None = None) -> int:
     has degree at most d-1 in each variable.  The solutions of degree w are
     therefore the weight-w part of the J^(l) kernel at k = d-1, counted as
     sum f_lam m_lam from ``hwv.weight_multiplicities`` (solved on the D_T,
-    not on the tensor power); only the degrees up
-    to ``bound`` and to d(d-1)/2 are solved, as the degrees above the middle
-    one hold no solutions (the sl2 argument there).
+    not on the tensor power); only the degrees up to ``bound`` and to
+    d(d-1)/2 are read, as the degrees above the middle one hold no solutions
+    (the sl2 argument there), and of those only the degrees up to d(d-1)/4
+    are solved, the others read from d(d-1)/2 - w by Poincaré duality.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

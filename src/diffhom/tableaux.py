@@ -53,9 +53,11 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-def partitions_of(d: int, max_parts: int | None = None) -> list[Partition]:
+@functools.cache
+def partitions_of(d: int, max_parts: int | None = None) -> tuple[Partition, ...]:
     """All partitions of d (optionally with at most max_parts parts),
-    in deterministic reverse-lexicographic order: (d), (d-1,1), ..."""
+    in deterministic reverse-lexicographic order: (d), (d-1,1), ...
+    Built once per (d, max_parts) and shared, so it is a tuple."""
     if d < 1:
         raise ValueError("d must be >= 1")
 
@@ -68,7 +70,7 @@ def partitions_of(d: int, max_parts: int | None = None) -> list[Partition]:
         for part in range(min(largest, remaining), 0, -1):
             yield from gen(remaining - part, part, prefix + (part,))
 
-    return [Partition(p) for p in gen(d, d, ())]
+    return tuple(Partition(p) for p in gen(d, d, ()))
 
 
 def compositions(total: int, parts: int, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -179,6 +181,7 @@ def semistandard_tableaux(lam: Partition, n: int, lo: int = 1,
     offsets = [0]
     for p in parts:
         offsets.append(offsets[-1] + p)
+    cells = [(r, c) for r, p in enumerate(parts) for c in range(p)]  # (row, column) per position
     remaining = list(content) if content is not None else None
 
     def cell_bounds(r: int, c: int) -> tuple[int, int]:
@@ -194,9 +197,7 @@ def semistandard_tableaux(lam: Partition, n: int, lo: int = 1,
         if pos == d:
             yield tuple(filling)
             return
-        r = next(i for i in range(len(parts)) if offsets[i] <= pos < offsets[i + 1])
-        c = pos - offsets[r]
-        low, high = cell_bounds(r, c)
+        low, high = cell_bounds(*cells[pos])
         rest = d - pos - 1
         for v in range(low, high + 1):
             if total is not None:
@@ -234,6 +235,31 @@ def count_semistandard(lam: Partition, n: int) -> int:
             num *= n + c - r
             den *= (p - c) + (conj[c] - r) - 1
     return num // den
+
+
+def semistandard_weight_counts(lam: Partition, n: int) -> list[int]:
+    """Entry w counts the semi-standard tableaux of shape lam with entries in
+    {0..n-1} summing to w: the coefficients of s_lam(1, q, ..., q^(n-1)),
+    q^b(lam) prod_u (1 - q^(n + c(u))) / (1 - q^h(u)) with b(lam) = sum_i
+    i lam_i (i from 0), by the q-hook-content formula (Stanley, Enumerative
+    Combinatorics 2, 7.21.2).  Empty when lam has more than n rows."""
+    if n < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if lam.nparts > n:
+        return []
+    conj = lam.conjugate().parts
+    poly = [1]
+    for r, p in enumerate(lam.parts):                  # the numerators
+        for c in range(p):
+            a = n + c - r
+            poly = [x - (poly[i - a] if i >= a else 0) for i, x in enumerate(poly + [0] * a)]
+    for r, p in enumerate(lam.parts):                  # exact division by each 1 - q^h
+        for c in range(p):
+            h = (p - c) + (conj[c] - r) - 1
+            for i in range(h, len(poly)):
+                poly[i] += poly[i - h]
+            del poly[len(poly) - h:]
+    return [0] * sum(r * p for r, p in enumerate(lam.parts)) + poly
 
 
 def kostka(lam: Partition, a: Sequence[int]) -> int:

@@ -29,6 +29,25 @@ def test_basis_json(capsys):
     assert set(entry) == {"m", "alpha", "order", "weight", "poly"}
 
 
+@pytest.mark.parametrize("n, d", [(1, 6), (2, 4)])
+def test_basis_json_is_streamed_byte_for_byte(capsys, n, d):
+    # written one element at a time, the same bytes as one json.dumps
+    from diffhom.wronskian import basis_manifest
+    code, out, _ = run(capsys, "basis", "--n", str(n), "--d", str(d), "--format", "json")
+    manifest = basis_manifest(n, d)
+    payload = {"schema_version": SCHEMA_VERSION, "N": n, "d": d, "count": len(manifest),
+               "basis": manifest}
+    assert code == 0 and out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {}, {"a": []}, {"a": [1, "x\ny", None]}, {"b": {"c": [1, {"d": []}]}, "a": 2.5},
+    {"z": [{"k": [1, 2], "j": {}}, []], "list": [[]], "s": "\u00e9"}], ids=repr)
+def test_json_chunks_join_to_the_dump(payload):
+    from diffhom.cli import _json_chunks
+    assert "".join(_json_chunks(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
 def test_basis_text_counts(capsys):
     code, out, _ = run(capsys, "basis", "--n", "0", "--d", "3")
     assert code == 0
@@ -326,8 +345,14 @@ def test_verify_two_jobs(capsys):
     code, parallel, _ = run(capsys, "verify", "--suite", "rsk", "--max-d", "3",
                             "--format", "json", "--jobs", "2")
     assert code == 0
-    strip = lambda s: {k: v for k, v in json.loads(s).items() if k != "wall_time_seconds"}
-    assert strip(parallel) == strip(serial)
+    assert _payload_without_times(parallel) == _payload_without_times(serial)
+
+
+def _payload_without_times(out: str) -> dict:
+    """The verify JSON payload without the suite's and the checks' times."""
+    payload = {k: v for k, v in json.loads(out).items() if k != "wall_time_seconds"}
+    payload["checks"] = [{k: v for k, v in c.items() if k != "seconds"} for c in payload["checks"]]
+    return payload
 
 
 @pytest.mark.parametrize("argv", [["kernel", "--d", "2"], ["census", "--n", "1", "--d", "2"],
@@ -398,17 +423,25 @@ def _verify_kernel_json(jobs: str) -> str:
     return _dh("verify", "--suite", "kernel", "--format", "json", "--jobs", jobs, check=True).stdout
 
 
-def _without_wall_time(out: str) -> str:
+def _without_times(out: str) -> str:
+    """The JSON text without the suite's and the checks' times."""
     return "".join(line for line in out.splitlines(keepends=True)
-                   if '"wall_time_seconds"' not in line)
+                   if '"wall_time_seconds"' not in line and '"seconds"' not in line)
 
 
 def test_verify_json_byte_identical_across_runs_and_jobs():
     first = _verify_kernel_json("1")
     assert json.loads(first)["passed"] is True
-    expected = _without_wall_time(first)
-    assert _without_wall_time(_verify_kernel_json("1")) == expected
-    assert _without_wall_time(_verify_kernel_json("2")) == expected
+    expected = _without_times(first)
+    assert _without_times(_verify_kernel_json("1")) == expected
+    assert _without_times(_verify_kernel_json("2")) == expected
+
+
+def test_verify_json_reports_each_check_time(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "rsk", "--max-d", "3", "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert code == 0 and checks
+    assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in checks)
 
 
 def test_check_huge_exponent_answers_quickly():
@@ -489,9 +522,17 @@ def test_check_at_path_reads_a_long_expression(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--d", "9"], ["--d", "16", "--k", "0"],
+                                  ["--d", "10", "--k", "0"], ["--d", "8", "--k", "6"],
                                   ["--d", "1000000000", "--k", "3"],
-                                  ["--d", "3", "--max-cost", "9"]], ids=" ".join)
-def test_kernel_refuses_oversized_input_at_once(capsys, argv):
+                                  ["--d", "3", "--max-cost", "8"]], ids=" ".join)
+def test_kernel_refuses_oversized_input_at_once(capsys, monkeypatch, argv):
+    import diffhom.cli as cli
+
+    def no_work(*args):
+        raise AssertionError("a refused input must not reach the solver")
+
+    monkeypatch.setattr(cli, "kernel_dim_full", no_work)
+    monkeypatch.setattr(cli, "kernel_dim_isotypic", no_work)
     code, out, err = run(capsys, "kernel", *argv)
     assert code == 2 and not out
     assert "more than the cap" in err and "--max-cost" in err
@@ -500,20 +541,56 @@ def test_kernel_refuses_oversized_input_at_once(capsys, argv):
 def test_kernel_max_cost_overrides_the_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "kernel", "--d", "3", "--max-cost", "27", "--format", "json")
     assert code == 0 and json.loads(out)["full_kernel_dim"] == 6
-    # d = 3, k = 2 costs the 10 D_T of shape (3) over {0, 1, 2}, more than p(3)^2 = 9
-    assert run(capsys, "kernel", "--d", "3", "--max-cost", "10")[0] == 0
-    # d = 7, k = 6 (7,350 D_T) is within the default cap; d = 8, k = 7
-    # (50,688) needs --max-cost
+    # d = 3, k = 2 solves systems of one D_T (weights 0 and 1), so the
+    # p(3)^2 = 9 partition table is its cost
+    assert run(capsys, "kernel", "--d", "3", "--max-cost", "9")[0] == 0
+    # d = 8, k = 7 (largest system 382 D_T, p(8)^2 = 484) and d = 9, k = 5
+    # (819 D_T, p(9)^2 = 900) are within the default cap; d = 9, k = 8
+    # (1,621) needs --max-cost
     import diffhom.cli as cli
     monkeypatch.setattr(cli, "kernel_dim_full", lambda d, k: 0)
     monkeypatch.setattr(cli, "kernel_dim_isotypic", lambda lam, k: 0)
-    assert run(capsys, "kernel", "--d", "6")[0] == 0
     assert run(capsys, "kernel", "--d", "7")[0] == 0
-    assert run(capsys, "kernel", "--d", "8")[0] == 2
-    assert run(capsys, "kernel", "--d", "8", "--max-cost", "50688")[0] == 0
-    assert run(capsys, "kernel", "--d", "8", "--max-cost", "50687")[0] == 2
-    # at k = 0 only the p(d)^2 partition table counts: p(15)^2 = 30,976 runs
-    assert run(capsys, "kernel", "--d", "15", "--k", "0")[0] == 0
+    assert run(capsys, "kernel", "--d", "8")[0] == 0
+    assert run(capsys, "kernel", "--d", "9", "--k", "5")[0] == 0
+    assert run(capsys, "kernel", "--d", "9")[0] == 2
+    assert run(capsys, "kernel", "--d", "9", "--max-cost", "1621")[0] == 0
+    assert run(capsys, "kernel", "--d", "9", "--max-cost", "1620")[0] == 2
+    assert run(capsys, "kernel", "--d", "8", "--max-cost", "484")[0] == 0
+    assert run(capsys, "kernel", "--d", "8", "--max-cost", "483")[0] == 2
+    # at k = 0 only the p(d)^2 partition table counts: p(9)^2 = 900 runs
+    assert run(capsys, "kernel", "--d", "9", "--k", "0")[0] == 0
+
+
+def test_kernel_d8_at_the_default_cap(capsys):
+    # the weights 2w <= 14 solved, the rest read by duality: 40,320 = 8!
+    code, out, _ = run(capsys, "kernel", "--d", "8", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["full_kernel_dim"] == 40320
+    assert all(r["kernel_dim"] == r["standard_count"] for r in payload["isotypic"])
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_kernel_cost_is_the_largest_system_solved(d, monkeypatch):
+    # the D_T of every system the solver builds, at every k <= d+1, counted
+    # by enumeration; the cost is the largest, or p(d)^2 if larger
+    import diffhom.cli as cli
+    from diffhom import hwv
+    from diffhom.tableaux import partitions_of, semistandard_tableaux
+
+    built = []
+    build = hwv.functional_system
+
+    def counted(lam, k, w):
+        built.append(sum(1 for _ in semistandard_tableaux(lam, k + 1, lo=0, total=w)))
+        return build(lam, k, w)
+
+    monkeypatch.setattr(hwv, "functional_system", counted)
+    for k in range(d + 2):
+        built.clear()
+        hwv.weight_multiplicities.cache_clear()
+        hwv.kernel_dim_full(d, k)
+        assert cli.kernel_cost(d, k, 10 ** 9) == max(len(partitions_of(d)) ** 2, *built), k
 
 
 @pytest.mark.parametrize("d, k, full", [("5", "40", 120), ("3", "1000000000", 6)])

@@ -26,7 +26,10 @@ when the Lie-algebra certificate ``basis_gl_lie`` replaced the five random
 matrices of ``basis_gl_stability``; with those entries dropped, the output
 before and after hashed alike (``09e61d48...`` at the default caps,
 ``58e1909d...`` at ``--max-d 3``), so every other check kept its bytes.  The
-``wall_time_seconds`` field of ``verify`` is dropped before hashing.
+``kernel --d 7`` digest was recorded before the multiplicities of the upper
+weights at ``k = d-1`` were read by Poincaré duality.  The
+``wall_time_seconds`` field of ``verify`` and the ``seconds`` field of each
+of its checks are dropped before hashing.
 """
 
 import hashlib
@@ -48,6 +51,8 @@ GOLDEN = {
         "4d44b36692cd697abe2e566c1349bb11b6f7bb37bfb3b8e0db5cf74caa7811fb",
     "kernel --d 6 --k 2":
         "d8e1645cbc9ece060891e3b597f108d60e30a7c3f5b6935be72f96d014e8e1de",
+    "kernel --d 7":
+        "53734274eddee2d2aef26c571c2298b92e373dd5444f07328995dff47b8235a1",
     "census --n 1 --d 5 --all-k":
         "172002e784485197a3e7a71603ef2197ed22add94ddf814d0186716a4e367ceb",
     "census --n 2 --d 3 --theorem2":
@@ -96,6 +101,8 @@ def _digest(argv, capsys) -> tuple[int, str]:
     code = main(argv + ["--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     payload.pop("wall_time_seconds", None)
+    for check in payload.get("checks", ()):
+        check.pop("seconds")
     return code, hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 

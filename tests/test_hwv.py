@@ -13,7 +13,7 @@ from diffhom.exact import intersection_dim, nullspace_basis, operator_rows, rank
 from diffhom.dpoly import parse, span_rank
 from diffhom.tableaux import (Partition, Permutation, Tableau,
                               count_semistandard, count_standard,
-                              partitions_of)
+                              partitions_of, semistandard_tableaux)
 from diffhom.hwv import (Tensor, column_det, d_t, e_iso, full_kernel_vectors,
                          hwv_basis, j_ell, kernel_dim_full,
                          kernel_dim_isotypic, stacked_operator_rows,
@@ -279,6 +279,48 @@ def test_kernel_above_the_cap_is_the_capped_kernel(d, k):
     assert all(max(index[j]) <= d - 1 for vec in vectors for j in vec)
 
 
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 7) for k in (d - 1, d, d + 1)])
+def test_duality_reading_matches_a_full_solve(d, k):
+    # every weight solved at its own k with no weight skipped
+    # (functional_system and rank at each lam), against the reading that
+    # solves 2w <= d(d-1)/2 at k = d-1 and reads the rest by duality, the
+    # sl2 zeros and the k >= d cap; and, up to d = 5, against the character
+    # path on the tensor side
+    expected = formal.character_multiplicities(d, k) if d <= 5 else None
+    zero = (0,) * len(partitions_of(d))
+    for w in range(d * k + 1):
+        read = hwv.weight_multiplicities(d, k, w)
+        assert read == hwv.solve_multiplicities(d, k, w), w
+        assert expected is None or read == expected.get(w, zero), w
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_duality_reads_the_conjugate_shape_at_k_equal_d_minus_1(d):
+    # m_lam(w) = m_lam'(d(d-1)/2 - w) on solved multiplicities; conjugation
+    # is a permutation of partitions_of(d), an involution fixing the
+    # self-conjugate shapes
+    top = d * (d - 1) // 2
+    lams = partitions_of(d)
+    conj = hwv._conjugates(d)
+    assert [lams[j] for j in conj] == [lam.conjugate() for lam in lams]
+    assert all(conj[j] == i for i, j in enumerate(conj))
+    for w in range(top + 1):
+        low, high = hwv.solve_multiplicities(d, d - 1, w), hwv.solve_multiplicities(d, d - 1, top - w)
+        assert low == tuple(high[j] for j in conj), w
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_duality_fails_below_k_equal_d_minus_1(d):
+    # at k = d-2 the kernel is not all of the harmonics: read by duality
+    # about dk/2, the solved multiplicities disagree at some weight
+    k = d - 2
+    top = d * k // 2
+    conj = hwv._conjugates(d)
+    assert any(hwv.solve_multiplicities(d, k, w)
+               != tuple(hwv.solve_multiplicities(d, k, top - w)[j] for j in conj)
+               for w in range(top + 1))
+
+
 def _fake_degree(lam):
     """Coefficients of q^n(lam) [d]_q! / prod over the cells of [hook]_q."""
     def mul(a, b):
@@ -344,31 +386,33 @@ def test_alternant_system_signs():
     assert (rows, ncols) == ([{0: 1}], 1)
 
 
-@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("d", range(1, 7))
 def test_largest_system_solved_is_the_closed_form(d, monkeypatch):
-    # one D_T system per (lam, weight) at the weights 2w <= dk, each built
-    # once; its columns are the D_T of that weight, whose count per weight
-    # is symmetric about dk/2 (the principal specialization of s_lam), so
-    # the solved weights, mirrored, give s_lam(1^(k+1)) D_T over all
-    # weights, the largest of which `dh kernel` counts as its cost
+    # one D_T system per (lam, weight) at the weights 2w <= d(d-1)/2, each
+    # built once: the weights above are read by duality up to d(d-1)/2 and
+    # are zero beyond it.  Its columns are the D_T of that weight (counted
+    # by enumeration here), and the largest of them, or p(d)^2, is what
+    # `dh kernel` counts as its cost
     k = d - 1
-    columns = Counter()
+    columns = {}
     blocks = Counter()
     build = hwv.functional_system
 
     def counted(lam, k, w):
         rows, ncols = build(lam, k, w)
         blocks[lam, k, w] += 1
-        columns[lam] += ncols if 2 * w == d * k else 2 * ncols
+        columns[lam, w] = ncols
         return rows, ncols
 
     monkeypatch.setattr(hwv, "functional_system", counted)
     hwv.weight_multiplicities.cache_clear()
     assert kernel_dim_full(d, k) == math.factorial(d)
-    assert {w for _, _, w in blocks} == set(range(d * k // 2 + 1))
+    assert {w for _, _, w in blocks} == set(range(d * k // 4 + 1))
     assert {lam for lam, _, _ in blocks} == set(partitions_of(d))
     assert max(blocks.values()) == 1
-    assert all(columns[lam] == count_semistandard(lam, d) for lam in partitions_of(d))
+    assert all(n == sum(1 for _ in semistandard_tableaux(lam, d, lo=0, total=w))
+               for (lam, w), n in columns.items())
+    assert kernel_cost(d, k, 10 ** 9) == max(len(partitions_of(d)) ** 2, *columns.values())
 
 
 def test_largest_young_systems():
@@ -377,8 +421,10 @@ def test_largest_young_systems():
     assert ([formal.largest_young_system(d, d - 1) for d in (5, 6, 7, 8)]
             == [500, 4320, 36015, 316800])
     assert [formal.largest_young_system(d, 0) for d in (1, 16)] == [1, 1]
-    assert ([kernel_cost(d, d - 1, 10 ** 9) for d in (5, 6, 7, 8)]
-            == [224, 1134, 7350, 50688])
+    # the largest D_T system solved at k = d-1 (10, 25, 84, 382), below
+    # the p(d)^2 of the partition table from d = 5 on
+    assert ([kernel_cost(d, d - 1, 10 ** 9) for d in (5, 6, 7, 8, 9)]
+            == [49, 121, 225, 484, 1621])
 
 
 def test_weight_blocks_split_the_stack():

@@ -167,8 +167,9 @@ def test_each_variable_is_a_root_of_the_elementary_polynomial(d):
 
 def test_solution_space_dim_reads_the_j_blocks(monkeypatch):
     # the J^(l) kernel read through its multiplicities: the D_T systems at
-    # k = d-1, each once, only up to the bound and the middle weight
-    # d(d-1)/2 (above it the kernel is zero)
+    # k = d-1, each once, only up to the bound and half the Vandermonde
+    # degree d(d-1)/2 (above it the multiplicities are read by duality, and
+    # above d(d-1)/2 the kernel is zero)
     calls = Counter()
     build = hwv.functional_system
 
@@ -179,11 +180,15 @@ def test_solution_space_dim_reads_the_j_blocks(monkeypatch):
     monkeypatch.setattr(hwv, "functional_system", counted)
     hwv.weight_multiplicities.cache_clear()
     assert solution_space_dim(4) == 24
-    assert set(calls) == {(lam, 3, w) for lam in partitions_of(4) for w in range(7)}
+    assert set(calls) == {(lam, 3, w) for lam in partitions_of(4) for w in range(4)}
     assert max(calls.values()) == 1
     calls.clear()
     assert solution_space_dim(3, 100) == 6
-    assert set(calls) == {(lam, 2, w) for lam in partitions_of(3) for w in range(4)}
+    assert set(calls) == {(lam, 2, w) for lam in partitions_of(3) for w in range(2)}
+    assert max(calls.values()) == 1
+    calls.clear()
+    assert solution_space_dim(5, 2) == 1 + 4 + 9
+    assert set(calls) == {(lam, 4, w) for lam in partitions_of(5) for w in range(3)}
     assert max(calls.values()) == 1
 
 

@@ -14,7 +14,7 @@ from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                               count_standard, group_algebra_mul,
                               hook_length_count, kostka, partitions_of,
                               relabel, schur_poly_eval, semistandard_tableaux,
-                              young_symmetrizer)
+                              semistandard_weight_counts, young_symmetrizer)
 from formal import (centralizer_size, character, count_semistandard_by_enumeration,
                     count_standard_by_enumeration, dominates, standard_tableaux)
 
@@ -41,6 +41,21 @@ def test_partitions_of_four():
 
 def test_partitions_max_parts_filter():
     assert [p.parts for p in partitions_of(4, max_parts=2)] == [(4,), (3, 1), (2, 2)]
+
+
+def test_partitions_of_matches_the_sorted_compositions():
+    # oracle: the compositions of d into positive parts, sorted decreasingly
+    # and deduplicated, in reverse lexicographic order; the memo hands out
+    # one shared tuple per (d, max_parts)
+    for d in range(1, 9):
+        oracle = sorted({tuple(sorted(c, reverse=True)) for parts in range(1, d + 1)
+                         for c in compositions(d, parts) if all(c)}, reverse=True)
+        assert [p.parts for p in partitions_of(d)] == oracle
+        for m in range(1, d + 1):
+            assert [p.parts for p in partitions_of(d, m)] == [p for p in oracle if len(p) <= m]
+        assert isinstance(partitions_of(d), tuple) and partitions_of(d) is partitions_of(d)
+    with pytest.raises(ValueError):
+        partitions_of(0)
 
 
 def test_partition_validation():
@@ -182,6 +197,41 @@ def test_semistandard_tableaux_of_one_total():
                 for total in range(-1, d * (lo + n) + 1):
                     assert (list(semistandard_tableaux(lam, n, lo=lo, total=total))
                             == [t for t in every if sum(t.filling) == total]), (lam, n, lo, total)
+
+
+def test_semistandard_tableaux_match_the_filtered_product():
+    # oracle: every filling over the alphabet, in lexicographic order, kept
+    # when its rows weakly increase and its columns strictly increase; the
+    # content and total filters are applied to that list
+    for d in range(1, 6):
+        for lam in partitions_of(d):
+            for n in (1, 2, 3, 4):
+                for lo in (0, 1):
+                    every = [t for t in (Tableau(lam, f) for f in
+                                         itertools.product(range(lo, lo + n), repeat=d))
+                             if t.is_semistandard()]
+                    assert list(semistandard_tableaux(lam, n, lo=lo)) == every
+                    for content in compositions(d, n):
+                        assert (list(semistandard_tableaux(lam, n, lo=lo, content=content))
+                                == [t for t in every if all(t.filling.count(lo + j) == c
+                                                            for j, c in enumerate(content))])
+                    for total in range(d * (lo + n) + 1):
+                        assert (list(semistandard_tableaux(lam, n, lo=lo, total=total))
+                                == [t for t in every if sum(t.filling) == total])
+
+
+def test_semistandard_weight_counts_match_enumeration():
+    # the q-hook-content formula against the tableaux over {0..n-1} counted
+    # by entry sum; no tableau (an empty list) when lam has more than n rows
+    for d in range(1, 7):
+        for lam in partitions_of(d):
+            for n in range(1, 8):
+                counts = semistandard_weight_counts(lam, n)
+                every = [sum(t.filling) for t in semistandard_tableaux(lam, n, lo=0)]
+                assert counts == [every.count(w) for w in range(max(every, default=-1) + 1)]
+                assert sum(counts) == count_semistandard(lam, n)
+    with pytest.raises(ValueError):
+        semistandard_weight_counts(Partition.of(1), 0)
 
 
 def test_semistandard_zero_based_alphabet():

@@ -1,5 +1,6 @@
 """The verification suite runner."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from diffhom import hwv
+from diffhom import hwv, verify
 from diffhom.dpoly import mono_multidegree, parse
 from diffhom.tableaux import partitions_of
 from diffhom.verify import (DEFAULT_SEED, SUITE_NAMES, _chevalley_pairs, _lie_block_ranks,
-                            check_basis_gl_lie, over_cap, run_suite)
+                            check_basis_gl_lie, check_kernel_full, over_cap, run_suite)
 from diffhom.wronskian import enumerate_canonical_basis
 from formal import formal_gl_lie_verdicts, formal_gl_stability
 
@@ -63,6 +64,38 @@ def test_kernel_suite_passes_at_d5():
     assert not bad, bad[:3]
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_kernel_full_check_solves_the_weights_read_by_duality(d, monkeypatch):
+    # a reading without the conjugation keeps the sum d! (V_lam and V_lam'
+    # have one dimension), and the check fails naming the first weight where
+    # the reading differs from its solve
+    assert check_kernel_full(d).passed
+    monkeypatch.setattr(hwv, "_conjugates", lambda d: tuple(range(len(partitions_of(d)))))
+    hwv.weight_multiplicities.cache_clear()
+    try:
+        assert hwv.kernel_dim_full(d, d - 1) == math.factorial(d)
+        result = check_kernel_full(d)
+        assert not result.passed
+        assert result.computed.startswith("duality reading differs from the solve at weight ")
+    finally:
+        hwv.weight_multiplicities.cache_clear()
+
+
+def test_kernel_full_check_solves_the_upper_weights_up_to_d_6(monkeypatch):
+    # the weights 2w > d(d-1)/2 up to d(d-1)/2, solved at d <= 6 only
+    solved = []
+
+    def solve(d, k, w):
+        solved.append(w)
+        return verify.weight_multiplicities(d, k, w)
+
+    monkeypatch.setattr(verify, "solve_multiplicities", solve)
+    monkeypatch.setattr(verify, "kernel_dim_full", lambda d, k: math.factorial(d))
+    assert check_kernel_full(6).passed and solved == list(range(8, 16))
+    solved.clear()
+    assert check_kernel_full(7).passed and not solved
+
+
 def test_observation_entries_always_pass():
     report = run_suite("kernel", max_d=3)
     observed = [r for r in report.results if r.check_id.startswith("observe")]
@@ -94,10 +127,14 @@ def test_importing_verify_loads_no_process_pool():
 def test_kernel_suite_builds_each_block_once(monkeypatch):
     # the full, isotypic and low-order kernel checks and the pde dimension
     # check share one D_T system per (lam, k, weight), cached with the
-    # multiplicities, at the weights 2w <= dk.  The pde system-equivalence
-    # check (d <= 3) eliminates every weight of the J^(l) stack at k = d-1
-    # through full_kernel_vectors, once each.  The stability check ranks its
-    # two degrees above d(d-1)/2 through verify's own binding, not counted here
+    # multiplicities, at the weights 2w <= dk, and at k = d-1 only up to
+    # 2w <= d(d-1)/2; check_kernel_full solves the weights above that, up
+    # to d(d-1)/2, to compare them with their reading by duality, so the
+    # kernel suite still builds each block of 2w <= dk once.  The pde
+    # system-equivalence check (d <= 3) eliminates every weight of the J^(l)
+    # stack at k = d-1 through full_kernel_vectors, once each.  The
+    # stability check ranks its two degrees above d(d-1)/2 through verify's
+    # own binding, not counted here
     systems = Counter()
     stacks = Counter()
     build_system, build_stack = hwv.functional_system, hwv.stacked_operator_rows
