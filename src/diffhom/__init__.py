@@ -23,9 +23,9 @@ from .wronskian import (CanonicalDatum, WronskSpec, basis_manifest,
                         build_formal_wronskian, build_wronskian,
                         enumerate_canonical_basis, reduce_to_triangular,
                         theta_family_rank, verify_wedge_identity)
-from .hwv import (Tensor, column_det, d_t, e_iso, hwv_basis, j_ell,
+from .hwv import (MultiPoly, column_det, d_t, e_iso, hwv_basis, j_ell,
                   kernel_dim_full, kernel_dim_isotypic, straighten,
                   symmetrizer_projection, tensor_of_tableau,
                   tensor_sigma_action)
-from .pde import MultiPoly, newton_operator, solution_space_dim
+from .pde import newton_operator, solution_space_dim
 from .jets import census, classify_basis, verify_theorem2

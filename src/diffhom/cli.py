@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import SCHEMA_VERSION
 from .dpoly import (ParseError, from_json_dict, gradings, is_diff_homogeneous,
@@ -39,7 +40,9 @@ from .wronskian import basis_manifest
 # p(9)^2.  d = 8, k = 7 (largest system 382 D_T, p(8)^2 = 484) took 8 s and
 # d = 9, k = 5 (819, p(9)^2 = 900) 82 s; d = 8, k = 6 (1,196) took 121 s,
 # and d = 9, k = 8 (1,621), every d = 9, k >= 6 and every d >= 10 are
-# refused at once.  `--max-cost` overrides it.
+# refused at once.  The p(d)^2 term counts the many systems of a large d:
+# d = 16, k = 3 (336 D_T, but 231 shapes) took about 150 s, and d = 12, k = 4
+# (867) and d = 20, k = 3 (770) ran past 150 s.  `--max-cost` overrides it.
 KERNEL_MAX_COST = 30 ** 2
 
 # The default caps on the cost of `dh basis` and `dh census` (see
@@ -76,16 +79,24 @@ def _json_chunks(payload: dict) -> Iterator[str]:
 
 
 def _manifest_hash(manifest: list[dict]) -> str:
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """sha256 of the compact sorted-key JSON of ``manifest``, fed one element
+    at a time: the digest of one dump of the whole list, never held at once."""
+    digest = hashlib.sha256(b"[")
+    for i, entry in enumerate(manifest):
+        digest.update((b"," if i else b"")
+                      + json.dumps(entry, sort_keys=True, separators=(",", ":")).encode())
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temp file in the same directory, then rename it over
-    ``path``: readers see the old content or the new, never a partial file."""
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` through a temp file in the same directory,
+    then rename it over ``path``: readers see the old content or the new,
+    never a partial file."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("w") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -113,7 +124,7 @@ def cached_manifest(n: int, d: int, cache_dir: str | None) -> list[dict]:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"schema_version": SCHEMA_VERSION, "N": n, "d": d,
                "content_hash": _manifest_hash(manifest), "basis": manifest}
-    _write_atomic(path, _json_dump(payload) + "\n")
+    _write_atomic(path, itertools.chain(_json_chunks(payload), ["\n"]))
     return manifest
 
 
@@ -298,11 +309,14 @@ def cmd_tableaux(args) -> int:
 def kernel_cost(d: int, k: int, cap: int) -> int:
     """Cost estimate of `dh kernel --d d --k k`: the D_T of the largest
     system it solves (``hwv.functional_system``), or p(d)^2 if that is
-    larger: the table of the p(d) isotypic dimensions looks each partition
-    up among the p(d).  The systems are those of k' = min(k, d-1) at the
-    weights ``hwv.solved_weights``, and the system of (lam, w) has one
-    column per semi-standard tableau of shape lam over {0..k'} with entry
-    sum w (``semistandard_weight_counts``).  p(n) grows with n, so once
+    larger.  The systems are those of k' = min(k, d-1), one per shape and
+    weight ``hwv.solved_weights``, and the system of (lam, w) has one column
+    per semi-standard tableau of shape lam over {0..k'} with entry sum w
+    (``semistandard_weight_counts``).  p(d)^2 is the only term that grows
+    with the number of systems, p(d) times the weights solved; without it
+    d = 16, k = 3, whose largest system has 336 D_T, would pass and run for
+    about 150 s.  It is not the cost of looking the p(d) partitions up in the
+    isotypic table, which is small.  p(n) grows with n, so once
     p(n)^2 passes ``cap`` that is returned at once: a huge d never reaches
     the partitions of d."""
     for n in range(1, d + 1):

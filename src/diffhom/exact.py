@@ -3,7 +3,8 @@ linear algebra.
 
 The ground field is Q, realized by :class:`fractions.Fraction`; there are no
 formal parameters.  Every sparse algebra of the package (DiffPoly, MultiPoly,
-Tensor, GroupAlgebraElem) is a :class:`SparseComb` over its own keys.
+GroupAlgebraElem) is a :class:`SparseComb` over its own keys; a tensor is a
+MultiPoly with every exponent <= k.
 A family of them is the columns of its coefficient matrix, so one
 :func:`echelon` gives its rank and the coordinates of targets in its span.
 Everything here is exact (no floats) and deterministic (fixed pivot rules),

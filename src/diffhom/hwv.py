@@ -23,13 +23,15 @@ at the conjugate shape, as the kernel there is the coinvariant algebra of
 S_d, whose top degree D is the sign (Poincaré duality).  The tensor side
 keeps the right symmetric-group action, the Young symmetrizer projections,
 the J^(l) and their kernel vectors (``full_kernel_vectors``), which the
-checks read.
+checks read.  A tensor is a ``MultiPoly`` with every exponent <= k: the
+index vector a is the monomial X^a.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -129,52 +131,84 @@ def _coordinates(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int
             for coeffs in solve_in_span([q for _, q in basis], polys)]
 
 
-class Tensor(SparseComb):
-    """Sparse element of the d-fold tensor power of the span of x[0..k]."""
+def _expo_add(a: Index, b: Index) -> Index:
+    return tuple(map(operator.add, a, b))
 
-    __slots__ = ("d", "k")
-    _shape = ("d", "k")
-    _mismatch = "tensor shape mismatch"
 
-    def __init__(self, d: int, k: int, terms: Mapping[Index, Fraction] | None = None):
-        self.d = d
-        self.k = k
-        for idx in terms or ():
-            if len(idx) != d or any(not 0 <= a <= k for a in idx):
-                raise ValueError(f"index {idx} out of bounds for d={d}, k={k}")
+class MultiPoly(SparseComb):
+    """Sparse polynomial in X_1..X_d over Q; keys are exponent vectors.  It is
+    also the d-fold tensor power of W = Q^{k+1}: the index vector a of a basis
+    tensor is the monomial X^a, so a tensor is a MultiPoly with every exponent
+    <= k."""
+
+    __slots__ = ("nvars",)
+    _shape = ("nvars",)
+    _mismatch = "variable count mismatch"
+    _key_mul = staticmethod(_expo_add)
+
+    def __init__(self, nvars: int, terms: Mapping[Index, Fraction] | None = None):
+        self.nvars = nvars
+        for e in terms or ():
+            if len(e) != nvars or any(x < 0 for x in e):
+                raise ValueError(f"bad exponent vector {e}")
         super().__init__(terms)
 
     @classmethod
-    def basis(cls, idx: Index, k: int) -> "Tensor":
-        return cls(len(idx), k, {tuple(idx): ONE})
+    def const(cls, c: Fraction, nvars: int) -> "MultiPoly":
+        return cls(nvars, {(0,) * nvars: Fraction(c)})
+
+    @classmethod
+    def var(cls, i: int, nvars: int) -> "MultiPoly":
+        e = [0] * nvars
+        e[i] = 1
+        return cls(nvars, {tuple(e): ONE})
+
+    def _unit_key(self) -> Index:
+        return (0,) * self.nvars
+
+    def derivative(self, i: int, times: int = 1) -> "MultiPoly":
+        terms = self.terms
+        for _ in range(times):
+            new: dict[Index, Fraction] = {}
+            for e, c in terms.items():
+                if e[i] == 0:
+                    continue
+                out = list(e)
+                out[i] -= 1
+                new[tuple(out)] = c * e[i]
+            terms = new
+        return self.with_terms(terms)
+
+    def degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
 
     def __repr__(self) -> str:
-        return f"Tensor(d={self.d}, k={self.k}, {len(self.terms)} terms)"
+        return f"MultiPoly(nvars={self.nvars}, {len(self.terms)} terms)"
 
 
-def tensor_of_tableau(t: Tableau, k: int) -> Tensor:
+def tensor_of_tableau(t: Tableau, k: int) -> MultiPoly:
     """Basis tensor whose index vector is the row-major reading of the tableau."""
     if any(not 0 <= v <= k for v in t.filling):
         raise ValueError("tableau entries must lie in {0..k}")
-    return Tensor.basis(t.filling, k)
+    return MultiPoly(len(t.filling), {t.filling: ONE})
 
 
-def _permuted_terms(t: Tensor, sigma: Permutation):
+def _permuted_terms(t: MultiPoly, sigma: Permutation):
     """The (index, coefficient) pairs of t.sigma, each index once (sigma
     permutes the factors, so distinct indices stay distinct)."""
-    if sigma.d != t.d:
+    if sigma.d != t.nvars:
         raise ValueError("permutation size mismatch")
     src = [s - 1 for s in sigma.images]
     return ((tuple([idx[s] for s in src]), c) for idx, c in t.terms.items())
 
 
-def tensor_sigma_action(t: Tensor, sigma: Permutation) -> Tensor:
+def tensor_sigma_action(t: MultiPoly, sigma: Permutation) -> MultiPoly:
     """Right action: the i-th factor of t.sigma is the sigma(i)-th factor of t."""
     return t.with_terms(dict(_permuted_terms(t, sigma)))
 
 
-def tensor_algebra_action(t: Tensor, u: GroupAlgebraElem) -> Tensor:
-    if u.d != t.d:
+def tensor_algebra_action(t: MultiPoly, u: GroupAlgebraElem) -> MultiPoly:
+    if u.d != t.nvars:
         raise ValueError("size mismatch")
     return t.with_terms(add_terms({}, ((idx, v * c) for sigma, c in u.terms.items()
                                        for idx, v in _permuted_terms(t, sigma))))
@@ -185,18 +219,18 @@ def _symmetrizer(lam: Partition) -> GroupAlgebraElem:
     return young_symmetrizer(canonical_tableau(lam))
 
 
-def symmetrizer_projection(t: Tensor, lam: Partition) -> Tensor:
+def symmetrizer_projection(t: MultiPoly, lam: Partition) -> MultiPoly:
     """Right multiplication by the Young symmetrizer of the canonical tableau."""
-    if lam.size != t.d:
+    if lam.size != t.nvars:
         raise ValueError("partition size must match the tensor degree")
     return tensor_algebra_action(t, _symmetrizer(lam))
 
 
-def j_ell(t: Tensor, ell: int) -> Tensor:
+def j_ell(t: MultiPoly, ell: int) -> MultiPoly:
     """Sum over ordered tuples of ell distinct factors of applying the lowering
     map x[i] -> i * x[i-1] in those factors (so each factor subset counts ell!)."""
-    if not 1 <= ell <= t.d:
-        raise ValueError(f"ell must lie in 1..{t.d}")
+    if not 1 <= ell <= t.nvars:
+        raise ValueError(f"ell must lie in 1..{t.nvars}")
     fact = math.factorial(ell)
 
     def lowered():
@@ -235,7 +269,7 @@ def stacked_operator_rows(d: int, k: int, weight: int) -> tuple[list[dict[int, i
 
     def apply(idx: Index):
         # integer coefficients: J^(l) has integer entries, and echelon takes ints
-        t = Tensor(d, k, {idx: 1})
+        t = MultiPoly(d, {idx: 1})
         for ell in range(1, d + 1):
             for out, c in j_ell(t, ell).terms.items():
                 yield (ell, out), c
@@ -395,7 +429,7 @@ def straighten(t: Tableau, k: int, n: int) -> list[tuple[Fraction, Tableau]]:
     return coords
 
 
-def _e_iso_family(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int) -> list[Tensor]:
+def _e_iso_family(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int) -> list[MultiPoly]:
     """:func:`e_iso` of each polynomial of a family in x_0..x_n, from one
     semi-standard expansion of the whole family (``_coordinates``)."""
     if lam.nparts > n + 1:
@@ -404,22 +438,22 @@ def _e_iso_family(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int) -> 
     for coords in _coordinates(polys, lam, k, n):
         if coords is None:
             raise ValueError("input is not a combination of column-determinant products")
-        out.append(linear_combination(Tensor(lam.size, k),
+        out.append(linear_combination(MultiPoly(lam.size),
                                       ((c, symmetrizer_projection(tensor_of_tableau(s, k), lam))
                                        for c, s in coords)))
     return out
 
 
-def e_iso(p: DiffPoly, lam: Partition, k: int) -> Tensor:
+def e_iso(p: DiffPoly, lam: Partition, k: int) -> MultiPoly:
     """Comparison map into the tensor power: D_T -> (tableau tensor) . c_lam,
     extended linearly via the semi-standard expansion of p."""
     return _e_iso_family([p], lam, k, p.n)[0]
 
 
-def tableau_projection(t: Tensor, lam: Partition, n: int) -> DiffPoly:
+def tableau_projection(t: MultiPoly, lam: Partition, n: int) -> DiffPoly:
     """The surjection sending each basis tensor with index vector a to the
     column-determinant product of the shape-lam tableau filled row-major by a."""
-    if lam.size != t.d:
+    if lam.size != t.nvars:
         raise ValueError("partition size must match the tensor degree")
     return linear_combination(DiffPoly.zero(n), ((c, d_t(Tableau(lam, idx), n))
                                                  for idx, c in t.terms.items()))

@@ -8,71 +8,17 @@ shape) and cross-checked against the uncapped Newton system in ``verify``,
 which also ranks the J^(l) blocks above the middle degree in full; the d!
 staircase derivatives of the Vandermonde determinant
 (:func:`vandermonde_staircase`) provide an independent witness of the same
-dimension.
+dimension.  The polynomials are ``hwv.MultiPoly``, the class of the tensors,
+which are the MultiPolys with every exponent <= k.
 """
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from . import hwv
-from .exact import ONE, SparseComb, add_terms
-
-Expo = tuple[int, ...]
-
-
-def _expo_add(a: Expo, b: Expo) -> Expo:
-    return tuple(map(operator.add, a, b))
-
-
-class MultiPoly(SparseComb):
-    """Sparse polynomial in X_1..X_d over Q; keys are exponent vectors."""
-
-    __slots__ = ("nvars",)
-    _shape = ("nvars",)
-    _mismatch = "variable count mismatch"
-    _key_mul = staticmethod(_expo_add)
-
-    def __init__(self, nvars: int, terms: Mapping[Expo, Fraction] | None = None):
-        self.nvars = nvars
-        for e in terms or ():
-            if len(e) != nvars or any(x < 0 for x in e):
-                raise ValueError(f"bad exponent vector {e}")
-        super().__init__(terms)
-
-    @classmethod
-    def const(cls, c: Fraction, nvars: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
-    def var(cls, i: int, nvars: int) -> "MultiPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): ONE})
-
-    def _unit_key(self) -> Expo:
-        return (0,) * self.nvars
-
-    def derivative(self, i: int, times: int = 1) -> "MultiPoly":
-        terms = self.terms
-        for _ in range(times):
-            new: dict[Expo, Fraction] = {}
-            for e, c in terms.items():
-                if e[i] == 0:
-                    continue
-                out = list(e)
-                out[i] -= 1
-                new[tuple(out)] = c * e[i]
-            terms = new
-        return self.with_terms(terms)
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __repr__(self) -> str:
-        return f"MultiPoly(nvars={self.nvars}, {len(self.terms)} terms)"
+from .exact import ONE, add_terms
+from .hwv import MultiPoly
 
 
 def newton_operator(p: MultiPoly, ell: int) -> MultiPoly:

@@ -29,12 +29,11 @@ from .tableaux import (Partition, canonical_tableau, compositions, count_semista
 from .wronskian import (build_formal_wronskian, enumerate_canonical_basis,
                         reduce_to_triangular, standard_nilpotent,
                         verify_wedge_identity)
-from .hwv import (Tensor, _e_iso_family, full_kernel_vectors, hwv_basis, j_ell,
+from .hwv import (MultiPoly, _e_iso_family, full_kernel_vectors, hwv_basis, j_ell,
                   kernel_dim_full, kernel_dim_isotypic, solve_multiplicities,
-                  stacked_operator_rows, symmetrizer_projection, tableau_projection,
-                  weight_multiplicities)
-from .pde import (MultiPoly, newton_operator, solution_space_dim, vandermonde,
-                  vandermonde_staircase)
+                  solved_weights, stacked_operator_rows, symmetrizer_projection,
+                  tableau_projection, weight_multiplicities)
+from .pde import newton_operator, solution_space_dim, vandermonde, vandermonde_staircase
 from .jets import census, classify_basis, verify_theorem2
 
 DEFAULT_SEED = 20240817
@@ -236,7 +235,7 @@ def check_kernel_full(d: int) -> CheckResult:
     k = d - 1
     computed = kernel_dim_full(d, k)
     top = d * k // 2
-    upper = range(top // 2 + 1, top + 1) if d <= 6 else ()
+    upper = range(solved_weights(d, k).stop, top + 1) if d <= 6 else ()
     wrong = next((w for w in upper
                   if solve_multiplicities(d, k, w) != weight_multiplicities(d, k, w)), None)
     if wrong is not None:
@@ -377,13 +376,12 @@ def check_wedge_random(d: int, i: int, seed: int, count: int = 20) -> CheckResul
     rng = random.Random(seed * 1000003 + d * 1009 + i)
     nil = standard_nilpotent(d)
     nvec = d - i + 1
+    params = {"d": d, "i": i, "seed": seed, "count": count}
     for trial in range(count):
         vectors = [tuple(Fraction(rng.randint(-9, 9)) for _ in range(d)) for _ in range(nvec)]
         if not verify_wedge_identity(nil, vectors, i):
-            return _result("wedge_random", {"d": d, "i": i, "seed": seed},
-                           "all vanish", f"failure at trial {trial}")
-    return _result("wedge_random", {"d": d, "i": i, "seed": seed, "count": count},
-                   "all vanish", "all vanish")
+            return _result("wedge_random", params, "all vanish", f"failure at trial {trial}")
+    return _result("wedge_random", params, "all vanish", "all vanish")
 
 
 def suite_appendixA(max_d: int, max_n: int, seed: int) -> list[partial]:
@@ -448,10 +446,10 @@ def check_commutative_diagram(parts: tuple, k: int) -> CheckResult:
     d = lam.size
     n = lam.nparts - 1
     index = list(itertools.product(range(k + 1), repeat=d))
-    lhs = _e_iso_family([tableau_projection(Tensor.basis(a, k), lam, n) for a in index],
+    lhs = _e_iso_family([tableau_projection(MultiPoly(d, {a: ONE}), lam, n) for a in index],
                         lam, k, n)
     for a, left in zip(index, lhs):
-        if left != symmetrizer_projection(Tensor.basis(a, k), lam):
+        if left != symmetrizer_projection(MultiPoly(d, {a: ONE}), lam):
             return _result("commutative_diagram", {"lam": parts, "k": k},
                            "commutes", f"failure at index {a}")
     return _result("commutative_diagram", {"lam": parts, "k": k}, "commutes", "commutes")
@@ -473,7 +471,7 @@ def check_leibniz_expansion(d: int, k: int) -> CheckResult:
     The factorwise substitution x[i] -> a x[i] + i x[i-1] is expanded one
     power a^(d-l) at a time, as the sum over the sets of l lowered factors."""
     for idx in itertools.product(range(k + 1), repeat=d):
-        v = Tensor.basis(idx, k)
+        v = MultiPoly(d, {idx: ONE})
         for ell in range(d + 1):
             group = add_terms({}, ((tuple(a - (i in low) for i, a in enumerate(idx)),
                                     Fraction(math.prod(idx[i] for i in low)))
@@ -493,7 +491,7 @@ def check_functional_iso(parts: tuple, k: int) -> CheckResult:
     lam = Partition(parts)
     d = lam.size
     index = list(itertools.product(range(k + 1), repeat=d))
-    image = [symmetrizer_projection(Tensor(d, k, {index[j]: c for j, c in vec.items()}), lam)
+    image = [symmetrizer_projection(MultiPoly(d, {index[j]: c for j, c in vec.items()}), lam)
              for vec in full_kernel_vectors(d, k)]
     return _result("functional_iso", {"lam": parts, "k": k},
                    kernel_dim_isotypic(lam, k), span_rank(image))

@@ -6,7 +6,7 @@ equation of the D_T, the multidegree for the torus weight, and the E_pq of
 gl(N+1) for unipotent invariance.  This module keeps the direct computations
 they replace, with coefficients in the polynomial ring Q[params] of named
 formal parameters (:class:`ParamPoly`): substitute the group element with
-formal entries and compare both sides.  ``DiffPoly`` and ``Tensor`` take
+formal entries and compare both sides.  ``DiffPoly`` and ``MultiPoly`` take
 their arithmetic from ``exact.SparseComb``, which works over any coefficient
 ring, so ``substitute`` accepts ``ParamPoly`` entries.
 
@@ -81,8 +81,8 @@ from diffhom.dpoly import (DiffPoly, DMono, ParseError, UniPoly, derive, gl_elem
                            solve_in_span, span_rank, substitute)
 from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
                            linear_combination, operator_rows, rank)
-from diffhom.hwv import Tensor, d_t, full_kernel_vectors, j_ell
-from diffhom.pde import MultiPoly, vandermonde
+from diffhom.hwv import MultiPoly, d_t, full_kernel_vectors, j_ell
+from diffhom.pde import vandermonde
 from diffhom.tableaux import (Partition, Tableau, compositions, kostka, partitions_of,
                               semistandard_tableaux)
 from diffhom.wronskian import WronskSpec, build_formal_wronskian
@@ -108,7 +108,7 @@ class ParamPoly(SparseComb):
     """Sparse multivariate polynomial over Q in named parameters.
 
     Mixed arithmetic with int/Fraction coerces the scalar to a constant, so a
-    ParamPoly can be a coefficient of a DiffPoly or a Tensor.
+    ParamPoly can be a coefficient of a DiffPoly or a MultiPoly.
     """
 
     __slots__ = ()
@@ -710,7 +710,7 @@ def young_operator_rows(d: int, k: int, weight: int, mu: Sequence[int] | None = 
         return tuple(key), -1 if parity % 2 else 1
 
     def apply(idx: tuple[int, ...]):
-        t = Tensor(d, k, {idx: 1})
+        t = MultiPoly(d, {idx: 1})
         terms: dict = {}
         for ell in range(1, d + 1):
             for out, c in j_ell(t, ell).terms.items():

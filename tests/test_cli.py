@@ -1,5 +1,6 @@
 """Command line interface: output formats, exit codes, cache, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -214,6 +215,23 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("n, d", [(0, 2), (1, 4)])
+def test_cache_file_is_the_one_shot_dump(tmp_path, capsys, n, d):
+    # written in chunks and hashed element by element: the bytes and the
+    # digest of one dump of the whole payload, so older entries stay valid
+    from diffhom.cli import _manifest_hash
+    from diffhom.wronskian import basis_manifest
+    cache = tmp_path / "cache"
+    run(capsys, "basis", "--n", str(n), "--d", str(d), "--cache", str(cache))
+    manifest = basis_manifest(n, d)
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    payload = {"schema_version": SCHEMA_VERSION, "N": n, "d": d,
+               "content_hash": hashlib.sha256(blob).hexdigest(), "basis": manifest}
+    [path] = cache.glob("*.json")
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert _manifest_hash([]) == hashlib.sha256(b"[]").hexdigest()
+
+
 def test_cache_recovers_from_corruption(tmp_path, capsys):
     cache = tmp_path / "cache"
     args = ("basis", "--n", "0", "--d", "2", "--format", "json", "--cache", str(cache))
@@ -267,21 +285,20 @@ def test_check_long_inhomogeneous_expression(capsys):
 
 def test_cache_write_is_atomic(tmp_path, capsys, monkeypatch):
     import diffhom.cli as cli
-    from pathlib import Path
 
     cache = tmp_path / "cache"
     args = ("basis", "--n", "0", "--d", "2", "--format", "json", "--cache", str(cache))
     _, out1, _ = run(capsys, *args)
     path = next(cache.glob("*.json"))
 
-    def write_half_then_fail(self, data, *a, **kw):
-        with open(self, "w") as fh:
-            fh.write(data[: len(data) // 2])
+    def half_then_fail():
+        # the chunked write fails half-way, as on a full disk
+        text = path.read_text().replace("basis", "BASIS")
+        yield text[: len(text) // 2]
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
     with pytest.raises(OSError):
-        cli._write_atomic(path, path.read_text().replace("basis", "BASIS"))
+        cli._write_atomic(path, half_then_fail())
     assert list(cache.iterdir()) == [path]
 
     def no_recompute(n, d):
@@ -524,6 +541,10 @@ def test_check_at_path_reads_a_long_expression(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["--d", "9"], ["--d", "16", "--k", "0"],
                                   ["--d", "10", "--k", "0"], ["--d", "8", "--k", "6"],
                                   ["--d", "1000000000", "--k", "3"],
+                                  # largest systems under the cap (336, 867 and
+                                  # 770 D_T), but p(d)^2 counts their many systems
+                                  ["--d", "16", "--k", "3"], ["--d", "12", "--k", "4"],
+                                  ["--d", "20", "--k", "3"],
                                   ["--d", "3", "--max-cost", "8"]], ids=" ".join)
 def test_kernel_refuses_oversized_input_at_once(capsys, monkeypatch, argv):
     import diffhom.cli as cli

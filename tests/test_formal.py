@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import diffhom
+from diffhom.exact import SparseComb
 from diffhom.dpoly import derive, gl_elementary, mono_multidegree, parse
 from diffhom.hwv import hwv_basis, kernel_dim_isotypic
 from diffhom.tableaux import Partition, Tableau, partitions_of
@@ -35,6 +36,15 @@ def test_library_has_one_gl_action():
              for line in path.read_text().splitlines()
              if "substitute(" in line and not line.startswith("def substitute(")]
     assert not calls
+
+
+def test_library_has_three_sparse_algebras():
+    # the tensor power is the polynomial ring: a tensor is a MultiPoly with
+    # every exponent <= k, so there is no tensor class beside it
+    library = {cls.__name__ for cls in SparseComb.__subclasses__()
+               if cls.__module__.startswith("diffhom.")}
+    assert library == {"DiffPoly", "MultiPoly", "GroupAlgebraElem"}
+    assert not hasattr(diffhom, "Tensor")
 
 
 @pytest.mark.parametrize("lam", [lam for d in range(1, 6) for lam in partitions_of(d)],

@@ -32,7 +32,7 @@ results = [
     len(hwv.full_kernel_vectors(3, 2)),
     # kernel_dim_isotypic applies no symmetrizer, so reach that layer directly
     sorted((list(i), str(c)) for i, c in
-           hwv.symmetrizer_projection(hwv.Tensor.basis((0, 1, 0), 1), Partition.of(2, 1)).terms.items()),
+           hwv.symmetrizer_projection(hwv.MultiPoly(3, {(0, 1, 0): 1}), Partition.of(2, 1)).terms.items()),
     pde.solution_space_dim(3),
     # solution_space_dim counts on the J^(l) blocks, so reach the Newton layer directly
     [repr(pde.newton_operator(pde.vandermonde(3), ell)) for ell in (1, 2, 3)],

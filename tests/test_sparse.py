@@ -1,8 +1,9 @@
 """The shared sparse linear-combination core (``exact.SparseComb``).
 
-DiffPoly, MultiPoly, Tensor and GroupAlgebraElem take their arithmetic from
-one base class, and so does the test oracle's ParamPoly (``formal``), which
-also serves as a coefficient ring of DiffPoly.  sympy is the independent oracle here (tests
+DiffPoly, MultiPoly (also the tensor power: a tensor is a MultiPoly with every
+exponent <= k) and GroupAlgebraElem take their arithmetic from one base class,
+and so does the test oracle's ParamPoly (``formal``), which also serves as a
+coefficient ring of DiffPoly.  sympy is the independent oracle here (tests
 only): sums, differences, products, scalings and powers must equal sympy's
 ``expand`` of the same expressions; group-algebra products are compared with
 an explicit convolution that composes the permutation images by hand.
@@ -18,8 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from diffhom.dpoly import DiffPoly, mono_mul
 from diffhom.exact import add_terms, linear_combination
-from diffhom.hwv import Tensor
-from diffhom.pde import MultiPoly
+from diffhom.hwv import MultiPoly
 from diffhom.tableaux import GroupAlgebraElem, Permutation
 from formal import ParamPoly
 
@@ -169,27 +169,16 @@ def test_group_algebra_product_is_the_convolution(d, data):
 @pytest.mark.parametrize("left,right", [
     (DiffPoly.var(0, 1, 1), DiffPoly.var(0, 1, 2)),
     (MultiPoly.var(0, 2), MultiPoly.var(0, 3)),
-    (Tensor.basis((0, 1), 1), Tensor.basis((0, 1), 2)),
-    (Tensor.basis((0, 1), 1), Tensor.basis((0, 1, 1), 1)),
     (GroupAlgebraElem.unit(3), GroupAlgebraElem.unit(4)),
-], ids=["DiffPoly", "MultiPoly", "Tensor-k", "Tensor-d", "GroupAlgebraElem"])
+], ids=["DiffPoly", "MultiPoly", "GroupAlgebraElem"])
 def test_mismatched_shapes_raise(left, right):
     with pytest.raises(ValueError):
         left + right
     with pytest.raises(ValueError):
         left - right
-    if not isinstance(left, Tensor):
-        with pytest.raises(ValueError):
-            left * right
+    with pytest.raises(ValueError):
+        left * right
     assert left != right
-
-
-def test_tensor_has_no_product():
-    t = Tensor.basis((0, 1), 1)
-    with pytest.raises(TypeError):
-        t * t
-    with pytest.raises(TypeError):
-        t ** 2
 
 
 def test_add_terms_drops_cancelled_keys():

@@ -287,3 +287,12 @@ def test_triangular_reduction_reports_a_perturbed_rewriting(monkeypatch):
     monkeypatch.setattr(verify, "reduce_to_triangular", perturbed)
     result = verify.check_triangular_reduction(4)
     assert result.computed == "1 failures, first (3, 1, 2, 0)"
+
+
+def test_wedge_random_reports_the_same_params_when_it_fails(monkeypatch):
+    passed = verify.check_wedge_random(3, 2, seed=1)
+    monkeypatch.setattr(verify, "verify_wedge_identity", lambda nil, vectors, i: False)
+    failed = verify.check_wedge_random(3, 2, seed=1)
+    assert passed.passed and not failed.passed
+    assert failed.computed == "failure at trial 0"
+    assert failed.params == passed.params == {"d": 3, "i": 2, "seed": 1, "count": 20}
