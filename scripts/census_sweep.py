@@ -3,13 +3,14 @@
 
 Row format: N,d,k,n,count -- one row per nonzero weight-n dimension of the
 order <= k part of the degree-d space on projective N-space.  Pairs whose
-basis costs more than the default cap of `dh census` are skipped.
+census costs more than the default cap of `dh census` (`cli.census_cost`)
+are skipped.
 """
 
 import argparse
 import sys
 
-from diffhom.cli import CENSUS_MAX_COST, basis_cost
+from diffhom.cli import CENSUS_MAX_COST, census_cost
 from diffhom.jets import census
 
 
@@ -24,7 +25,7 @@ def main() -> int:
     print("N,d,k,n,count")
     for n in range(0, args.max_n + 1):
         for d in range(1, args.max_d + 1):
-            if basis_cost(n, d, CENSUS_MAX_COST) > CENSUS_MAX_COST:
+            if census_cost(n, d, CENSUS_MAX_COST) > CENSUS_MAX_COST:
                 continue
             for k in range(0, d + args.extra_k):
                 for e in census(n, d, k):

@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -29,7 +30,7 @@ from . import SCHEMA_VERSION
 from .dpoly import (ParseError, from_json_dict, gradings, is_diff_homogeneous,
                     parse, to_text)
 from .jets import census, weight_census_bound
-from .tableaux import (count_semistandard, count_standard, partitions_of,
+from .tableaux import (count_semistandard, count_standard, partition_parts, partitions_of,
                        semistandard_weight_counts)
 from .hwv import kernel_dim_full, kernel_dim_isotypic, solved_weights
 from .verify import DEFAULT_SEED, SUITE_NAMES, over_cap, run_suite
@@ -45,11 +46,16 @@ from .wronskian import basis_manifest
 # (867) and d = 20, k = 3 (770) ran past 150 s.  `--max-cost` overrides it.
 KERNEL_MAX_COST = 30 ** 2
 
-# The default caps on the cost of `dh basis` and `dh census` (see
-# `basis_cost`): the largest sizes whose runs took at most two minutes on a
-# 2-CPU machine.  `dh basis --n 1 --d 10` (1,024 Wronskians) took 95 s with
-# `--format json`; `dh census --n 1 --d 11 --theorem2` (2,048) took 46 s and
-# `--n 1 --d 12` (4,096) would take minutes.  `--max-cost` overrides them.
+# The default caps on the cost of `dh basis` (see `basis_cost`) and `dh
+# census` (see `census_cost`): the largest sizes whose runs took at most two
+# minutes on a 2-CPU machine.  `dh basis --n 1 --d 10` (1,024 Wronskians)
+# took 95 s with `--format json`.  The census's worst case under its cap is
+# at N = 1, where the self-paired multidegree (d/2, d/2) dominates at even
+# d: `dh census --n 1 --d 12 --theorem2` (2,510 Wronskians) took 79 s and
+# 392 MB, while `--n 1 --d 13` (4,096) holds a block of 1,716 degree-13
+# Wronskians.  The largest d admitted at the other N run in seconds:
+# `--n 2 --d 8` (1,647) 1.4 s, `--n 3 --d 7` (1,821) 0.7 s, `--n 20 --d 6`
+# (1,602) 0.3 s.  `--max-cost` overrides them.
 BASIS_MAX_COST = 2 ** 10
 CENSUS_MAX_COST = 5 ** 5
 
@@ -141,6 +147,27 @@ def basis_cost(n: int, d: int, cap: int) -> int:
     return max(cost, d * d)
 
 
+def census_cost(n: int, d: int, cap: int) -> int:
+    """Cost estimate of the census of (N, d): the Wronskians it expands, one
+    multiplicity vector per partition lam of d with at most N+1 parts, that
+    is the sum of the multinomials d!/prod lam_i!, or d^2 if that is larger.
+    Summed one partition at a time, from (d) on, and returned as soon as it
+    passes ``cap``, so a huge d or N costs no big enumeration."""
+    cost = d * d
+    if cost > cap:
+        return cost
+    total = 0
+    for parts in partition_parts(d, n + 1):
+        rest, count = d, 1
+        for part in parts:
+            count *= math.comb(rest, part)
+            rest -= part
+        total += count
+        if total > cap:
+            break
+    return max(total, cost)
+
+
 def _over_cost(call: str, cost, max_cost: int | None, default: int, measure: str) -> bool:
     """True, after a message, when ``--max-cost`` is below 1 or ``cost(cap)``
     exceeds the cap (``max_cost``, else ``default``) of the command line
@@ -157,6 +184,8 @@ def _over_cost(call: str, cost, max_cost: int | None, default: int, measure: str
 
 
 _BASIS_MEASURE = "the (N+1)^d basis elements, or d^2 if larger"
+_CENSUS_MEASURE = ("the Wronskians of the multiplicity vectors that are partitions of d, "
+                   "or d^2 if larger")
 
 
 def cmd_basis(args) -> int:
@@ -229,8 +258,8 @@ def cmd_census(args) -> int:
     if args.d < 0 or args.n < 0:
         print("census requires --d >= 0 and --n >= 0", file=sys.stderr)
         return 2
-    if _over_cost(f"census --n {args.n} --d {args.d}", partial(basis_cost, args.n, args.d),
-                  args.max_cost, CENSUS_MAX_COST, _BASIS_MEASURE):
+    if _over_cost(f"census --n {args.n} --d {args.d}", partial(census_cost, args.n, args.d),
+                  args.max_cost, CENSUS_MAX_COST, _CENSUS_MEASURE):
         return 2
     if args.theorem2:
         if args.format == "csv":

@@ -10,20 +10,24 @@ order exceeding k inside each weight block.  One elimination per (weight,
 multidegree) block, with the monomials ordered by decreasing jet order,
 gives it for every k.  The elements come as packed exponent codes with int
 coefficients (``wronskian.canonical_codes``), so the census builds no
-DiffPoly and shares no basis with ``dh basis``.
+DiffPoly and shares no basis with ``dh basis``.  Only the multidegrees that
+are partitions of d are eliminated (``multidegree_profile``): permuting the
+variables carries each onto its rearrangements with the same counts, so its
+profile is credited to every one of them (``pivot_profile``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dpoly import MonoCodec, mono_multidegree, mono_order, mono_weight
+from .dpoly import mono_order, mono_weight
 from .exact import pivot_columns
-from .wronskian import CanonicalDatum, canonical_codes
+from .tableaux import partition_parts
+from .wronskian import CanonicalDatum, canonical_codes, canonical_data
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ def classify_basis(n: int, d: int) -> list[BasisClassification]:
             order=max(map(mono_order, monos)),
             weight=weights.pop() if len(weights) == 1 else None,
             order_bound=max(d - 1 - a for a in flat),
-            weight_formula=d * (d - 1) // 2 - sum(flat),
+            weight_formula=datum.weight,
         ))
     return out
 
@@ -68,55 +72,85 @@ def weight_census_bound(n: int, d: int) -> int:
     return math.floor((1 - Fraction(1, n + 1)) * Fraction(d * d, 2))
 
 
-@lru_cache(maxsize=4)
-def pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(weight, size, pivot orders) of each weight block of the degree-d
-    canonical basis, by ascending weight, built once per process for each of
-    the last few (N, d) asked for; degree 0 holds the constants.
+@lru_cache(maxsize=256)
+def multidegree_profile(parts: tuple[int, ...]) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """{weight: (size, pivot orders)} of the canonical basis of the
+    multiplicity vector ``parts`` (variables x_0..x_{l-1}), built once per
+    process for each of the last 256 tuples asked for and shared, so never
+    mutated; () holds the constants.
 
-    The elements are the packed rows of :func:`wronskian.canonical_codes`,
-    grouped by the multidegree and the weight of their monomials, as decoded.
-    One forward elimination (``exact.pivot_columns``) per (weight,
-    multidegree) block, with its elements as int rows and its monomials as
-    columns sorted by decreasing jet order.  The
-    monomials of order > k are then a column prefix, whose rank is the
-    number of pivots in it, so the order <= k part of the block has
-    dimension size - #(pivot orders > k).  Blocks of one weight share no
-    monomial, so the ranks of their column prefixes add up: a weight's pivot
-    orders are those of its blocks, merged in descending order.  The rows of
-    one multidegree come together (the data are enumerated by multiplicity
-    vector), so each multidegree's blocks are eliminated and dropped before
-    the next is expanded.
+    The data are grouped by weight (``CanonicalDatum.weight``), and each
+    weight block is expanded into packed rows
+    (:func:`wronskian.canonical_codes`), eliminated and dropped before the
+    next.  One forward elimination (``exact.pivot_columns``) per block, with
+    its monomials as columns sorted by decreasing jet order: the monomials of
+    order > k are then a column prefix, whose rank is the number of pivots in
+    it, so the order <= k part of the block has dimension
+    size - #(pivot orders > k).  The pivot orders come in descending order.
     """
-    if d == 0:
-        codec, rows = MonoCodec(1, 1), [(None, {0: 1})]
-    else:
-        codec, rows = canonical_codes(n, d)
+    if not parts:
+        return {0: (1, (0,))}
+    d = sum(parts)
+    by_weight: dict[int, list[CanonicalDatum]] = {}
+    for datum in canonical_data(parts):
+        by_weight.setdefault(datum.weight, []).append(datum)
+    out = {}
+    for weight, data in sorted(by_weight.items()):
+        codec, rows = canonical_codes(len(parts) - 1, d, data)
+        block = [codes for _, codes in rows]
+        order = {w: codec.order(w) for w in set().union(*block)}
+        cols = sorted(order, key=lambda w: (-order[w], w))
+        col = {w: j for j, w in enumerate(cols)}
+        pivots = pivot_columns([{col[w]: c for w, c in codes.items()} for codes in block],
+                               len(cols))
+        out[weight] = (len(block), tuple(order[cols[j]] for j in pivots))
+    return out
 
-    def graded():
-        for _, codes in rows:
-            mono = codec.decode(next(iter(codes)))
-            yield tuple(mono_multidegree(mono, n)), mono_weight(mono), codes
 
+def orbit_size(n: int, parts: tuple[int, ...]) -> int:
+    """The number of compositions of sum(parts) into N+1 parts whose nonzero
+    entries are a rearrangement of the partition ``parts``:
+    (N+1)! / ((N+1-l)! prod_j c_j!), c_j the number of parts equal to j."""
+    return math.perm(n + 1, len(parts)) // math.prod(
+        math.factorial(c) for c in Counter(parts).values())
+
+
+@lru_cache(maxsize=4)
+def pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """(weight, size, pivot orders) of each weight block of the degree-d
+    canonical basis, by ascending weight, the pivot orders as (order, count)
+    pairs by descending order, built once per process for each of the last
+    few (N, d) asked for; degree 0 holds the constants.
+
+    One :func:`multidegree_profile` per partition lam of d with at most N+1
+    parts, counted :func:`orbit_size` times: once for every composition m of
+    d into N+1 parts whose nonzero entries rearrange lam.  For such an m
+    there is a permutation sigma of x_0..x_N with sigma(lam) = m (zero
+    entries only skip variables).  Renaming the variables commutes with
+    every L_m and keeps weight and jet order.  By the paper's Appendix A (``reduce_to_triangular`` at y_j -> x_{v_j}),
+    every monomial Wronskian of multidegree m is a combination of the
+    canonical Wronskians of multidegree m, and sigma maps the monomial
+    Wronskians of multidegree lam onto those of m; so the canonical span of
+    multidegree m is sigma of that of lam.  Both have the same dimension,
+    weight by weight (the elements are independent), and the same dimension
+    of their order <= k part for every k, which is all that the pivot orders
+    record.  Blocks of one weight and different multidegrees share no
+    monomial, so the ranks of their column prefixes add up: a weight's pivot
+    orders are those of its blocks, each counted once per composition.  The
+    pivot orders are kept as counts: at (20, 6) a weight holds millions.
+    ``verify.check_theorem2`` solves every ordering of the parts on its grid,
+    and the tests compare every composition's own elimination.
+    """
     sizes: dict[int, int] = {}
-    pivot_orders: dict[int, list[int]] = {}
-    done = set()
-    for multidegree, group in itertools.groupby(graded(), key=lambda t: t[0]):
-        if multidegree in done:
-            raise ValueError(f"rows of multidegree {multidegree} do not come together")
-        done.add(multidegree)
-        blocks: dict[int, list[dict[int, int]]] = {}
-        for _, weight, codes in group:
-            blocks.setdefault(weight, []).append(codes)
-        for weight, block in blocks.items():
-            order = {w: codec.order(w) for w in set().union(*block)}
-            cols = sorted(order, key=lambda w: (-order[w], w))
-            col = {w: j for j, w in enumerate(cols)}
-            pivots = pivot_columns([{col[w]: c for w, c in codes.items()} for codes in block],
-                                   len(cols))
-            sizes[weight] = sizes.get(weight, 0) + len(block)
-            pivot_orders.setdefault(weight, []).extend(order[cols[j]] for j in pivots)
-    return tuple((weight, sizes[weight], tuple(sorted(pivot_orders[weight], reverse=True)))
+    pivot_orders: dict[int, Counter] = {}
+    for parts in partition_parts(d, n + 1):
+        times = orbit_size(n, parts)
+        for weight, (size, orders) in multidegree_profile(parts).items():
+            sizes[weight] = sizes.get(weight, 0) + times * size
+            counts = pivot_orders.setdefault(weight, Counter())
+            for o in orders:
+                counts[o] += times
+    return tuple((weight, sizes[weight], tuple(sorted(pivot_orders[weight].items(), reverse=True)))
                  for weight in sorted(sizes))
 
 
@@ -131,7 +165,7 @@ def census(n: int, d: int, k: int) -> list[CensusEntry]:
         raise ValueError("k must be >= 0")
     out = []
     for weight, size, orders in pivot_profile(n, d):
-        count = size - sum(o > k for o in orders)
+        count = size - sum(c for o, c in orders if o > k)
         if count:
             out.append(CensusEntry(k=k, n=weight, count=count))
     return out

@@ -60,6 +60,12 @@ def partitions_of(d: int, max_parts: int | None = None) -> tuple[Partition, ...]
     Built once per (d, max_parts) and shared, so it is a tuple."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    return tuple(Partition(p) for p in partition_parts(d, max_parts))
+
+
+def partition_parts(d: int, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The parts of the partitions of d >= 0 with at most ``max_parts``
+    parts, lazily, in the order of :func:`partitions_of`; d = 0 gives ()."""
 
     def gen(remaining: int, largest: int, prefix: tuple[int, ...]):
         if remaining == 0:
@@ -70,7 +76,7 @@ def partitions_of(d: int, max_parts: int | None = None) -> tuple[Partition, ...]
         for part in range(min(largest, remaining), 0, -1):
             yield from gen(remaining - part, part, prefix + (part,))
 
-    return tuple(Partition(p) for p in gen(d, d, ()))
+    return gen(d, d, ())
 
 
 def compositions(total: int, parts: int, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -399,7 +405,3 @@ def young_symmetrizer(t: Tableau) -> GroupAlgebraElem:
     b = GroupAlgebraElem(d, {q: Fraction(q.sign()) for q in column_group(t)})
     return group_algebra_mul(b, a)
 
-
-def relabel(sigma: Permutation, t: Tableau) -> Tableau:
-    """Apply sigma to every entry of a tableau filled with {1..d}."""
-    return Tableau(t.shape, tuple(sigma(v) for v in t.filling))

@@ -24,8 +24,8 @@ from .exact import (ONE, ZERO, add_terms, linear_combination, operator_rows,
 from .dpoly import (DiffPoly, derive, gl_elementary, is_diff_homogeneous, mono_multidegree,
                     span_rank)
 from .tableaux import (Partition, canonical_tableau, compositions, count_semistandard,
-                       count_standard, group_algebra_mul, kostka, partitions_of,
-                       young_symmetrizer)
+                       count_standard, group_algebra_mul, kostka, partition_parts,
+                       partitions_of, young_symmetrizer)
 from .wronskian import (build_formal_wronskian, enumerate_canonical_basis,
                         reduce_to_triangular, standard_nilpotent,
                         verify_wedge_identity)
@@ -34,7 +34,7 @@ from .hwv import (MultiPoly, _e_iso_family, full_kernel_vectors, hwv_basis, j_el
                   solved_weights, stacked_operator_rows, symmetrizer_projection,
                   tableau_projection, weight_multiplicities)
 from .pde import newton_operator, solution_space_dim, vandermonde, vandermonde_staircase
-from .jets import census, classify_basis, verify_theorem2
+from .jets import census, classify_basis, multidegree_profile, verify_theorem2
 
 DEFAULT_SEED = 20240817
 
@@ -523,9 +523,18 @@ def suite_hwv(max_d: int, max_n: int, seed: int) -> list[partial]:
 # jets suite
 
 def check_theorem2(n: int, d: int) -> CheckResult:
+    """The Theorem 2 report on the census, which eliminates one multidegree
+    per partition of d and credits it to every rearrangement
+    (``jets.pivot_profile``).  Every distinct ordering of each partition's
+    parts is eliminated here too; one whose profile differs from its
+    partition's is named in the computed value."""
     rep = verify_theorem2(n, d)
     detail = "; ".join(f"{item.name}:{'pass' if item.passed else item.witness}"
                        for item in rep.items)
+    for parts in partition_parts(d, n + 1):
+        for ordering in sorted(set(itertools.permutations(parts))):
+            if multidegree_profile(ordering) != multidegree_profile(parts):
+                detail += f"; orbit:{ordering} differs from {parts}"
     return _result("theorem2", {"N": n, "d": d},
                    "k_stability:pass; total_dimension:pass; weight_vanishing:pass", detail)
 

@@ -12,7 +12,9 @@ t^alpha with triangular exponent constraints yields the canonical family of
 the expansion into a DiffPoly, and ``canonical_basis`` builds the DiffPoly
 basis once per process for each of the last few (N, d) asked for (``dh
 basis``, the ``basis`` suite).  The census reads the codes themselves
-(``canonical_codes``), built from the exponent data with no DiffPoly.
+(``canonical_codes``), built from the exponent data with no DiffPoly, and
+only for the multiplicity vectors that are partitions of d
+(``canonical_data`` enumerates the data of one multiplicity vector).
 
 The paper's Appendix A rewrites an arbitrary exponent family over d distinct
 formal variables onto the triangular one (``reduce_to_triangular``, memoized
@@ -29,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact import ZERO, add_terms
 from .dpoly import DiffPoly, MonoCodec, UniPoly, gradings, span_rank, to_json_dict
@@ -147,6 +149,12 @@ class CanonicalDatum:
     def d(self) -> int:
         return sum(self.m)
 
+    @property
+    def weight(self) -> int:
+        """The weight of the Wronskian, d(d-1)/2 - |alpha|: each term of the
+        determinant is a product over the rows r of x_v[r - alpha_j]."""
+        return self.d * (self.d - 1) // 2 - sum(self.flat_alpha)
+
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """(alpha_j, variable_j) for each column: the entry t^alpha_j x_variable_j."""
         blocks = iter(self.alpha)
@@ -157,20 +165,27 @@ class CanonicalDatum:
         return WronskSpec.monomials(alphas, variables)
 
 
+def canonical_data(m: Sequence[int]) -> Iterator[CanonicalDatum]:
+    """The canonical data of the multiplicity vector ``m``, lexicographic in
+    the flattened exponent sequence: per nonzero block, a strictly increasing
+    sequence bounded by the cumulative size of the nonzero blocks up to it.
+    There are d!/prod m_i! of them."""
+    m = tuple(m)
+    nonzero = [mult for mult in m if mult]
+    cumulative = list(itertools.accumulate(nonzero))
+    block_choices = [list(itertools.combinations(range(bound), mult))
+                     for mult, bound in zip(nonzero, cumulative)]
+    for alpha in itertools.product(*block_choices):
+        yield CanonicalDatum(m=m, alpha=tuple(alpha))
+
+
 def enumerate_canonical_data(n: int, d: int) -> list[CanonicalDatum]:
     """All canonical data, lexicographic in the multiplicity vector then in the
-    flattened exponent sequence."""
+    flattened exponent sequence: :func:`canonical_data` over the
+    compositions of d into N+1 parts."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    out = []
-    for m in compositions(d, n + 1):
-        nonzero = [mult for mult in m if mult]
-        cumulative = list(itertools.accumulate(nonzero))
-        block_choices = [list(itertools.combinations(range(bound), mult))
-                         for mult, bound in zip(nonzero, cumulative)]
-        for alpha in itertools.product(*block_choices):
-            out.append(CanonicalDatum(m=m, alpha=tuple(alpha)))
-    return out
+    return [datum for m in compositions(d, n + 1) for datum in canonical_data(m)]
 
 
 @functools.lru_cache(maxsize=4)
@@ -187,13 +202,16 @@ def enumerate_canonical_basis(n: int, d: int) -> list[tuple[CanonicalDatum, Diff
     return list(canonical_basis(n, d))
 
 
-def canonical_codes(n: int, d: int) -> tuple[MonoCodec, Iterator[tuple[CanonicalDatum, dict[int, int]]]]:
+def canonical_codes(n: int, d: int, data: Iterable[CanonicalDatum] | None = None
+                    ) -> tuple[MonoCodec, Iterator[tuple[CanonicalDatum, dict[int, int]]]]:
     """The canonical basis as packed rows, for the census: each canonical
     datum with its Wronskian as {code: int coefficient}, in enumeration
-    order, built as the iterator is read, and the codec of the codes."""
+    order, built as the iterator is read, and the codec of the codes.  With
+    ``data``, canonical data of degree d, the rows of those alone."""
     codec = _codec(d)
-    return codec, ((datum, _monomial_codes(datum.pairs(), codec))
-                   for datum in enumerate_canonical_data(n, d))
+    if data is None:
+        data = enumerate_canonical_data(n, d)
+    return codec, ((datum, _monomial_codes(datum.pairs(), codec)) for datum in data)
 
 
 def basis_manifest(n: int, d: int) -> list[dict]:

@@ -62,6 +62,15 @@ block test under all N(N+1) derivations E_pq as :func:`formal_gl_lie_verdicts`. 
 d! staircase derivatives of the Vandermonde (``pde.vandermonde_staircase``)
 one order at a time; the family of all its nonzero derivatives that it
 replaced is kept here as :func:`vandermonde_derivative_basis`.
+
+``jets.pivot_profile`` eliminates one multidegree per partition of d and
+credits its profile to every composition that rearranges it.  The
+elimination of every composition's own rows (``wronskian.canonical_codes``
+in enumeration order, one forward elimination per (weight, multidegree)
+block) that it replaced is kept here as :func:`formal_pivot_profile`.
+
+``tableaux.relabel``, which only the tests called, is kept here as
+:func:`relabel`.
 """
 
 from __future__ import annotations
@@ -76,16 +85,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from diffhom.dpoly import (DiffPoly, DMono, ParseError, UniPoly, derive, gl_elementary,
-                           gradings, matrix_action, mono_multidegree, mono_order,
-                           solve_in_span, span_rank, substitute)
+from diffhom.dpoly import (DiffPoly, DMono, MonoCodec, ParseError, UniPoly, derive,
+                           gl_elementary, gradings, matrix_action, mono_multidegree,
+                           mono_order, mono_weight, solve_in_span, span_rank, substitute)
 from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
-                           linear_combination, operator_rows, rank)
+                           linear_combination, operator_rows, pivot_columns, rank)
 from diffhom.hwv import MultiPoly, d_t, full_kernel_vectors, j_ell
 from diffhom.pde import vandermonde
-from diffhom.tableaux import (Partition, Tableau, compositions, kostka, partitions_of,
-                              semistandard_tableaux)
-from diffhom.wronskian import WronskSpec, build_formal_wronskian
+from diffhom.tableaux import (Partition, Permutation, Tableau, compositions, kostka,
+                              partitions_of, semistandard_tableaux)
+from diffhom.wronskian import WronskSpec, build_formal_wronskian, canonical_codes
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -849,3 +858,49 @@ def vandermonde_derivative_basis(d: int) -> list[MultiPoly]:
             if p:
                 out.append(p)
     return out
+
+
+def formal_pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(weight, size, pivot orders) of each weight block of the degree-d
+    canonical basis, by ascending weight, the pivot orders as one tuple by
+    descending order: every composition's rows eliminated, one forward
+    elimination per (weight, multidegree) block with the monomials as
+    columns sorted by decreasing jet order.  The rows of one multidegree
+    come together (the data are enumerated by multiplicity vector), so each
+    multidegree's blocks are eliminated and dropped before the next is
+    expanded."""
+    if d == 0:
+        codec, rows = MonoCodec(1, 1), [(None, {0: 1})]
+    else:
+        codec, rows = canonical_codes(n, d)
+
+    def graded():
+        for _, codes in rows:
+            mono = codec.decode(next(iter(codes)))
+            yield tuple(mono_multidegree(mono, n)), mono_weight(mono), codes
+
+    sizes: dict[int, int] = {}
+    pivot_orders: dict[int, list[int]] = {}
+    done = set()
+    for multidegree, group in itertools.groupby(graded(), key=lambda t: t[0]):
+        if multidegree in done:
+            raise ValueError(f"rows of multidegree {multidegree} do not come together")
+        done.add(multidegree)
+        blocks: dict[int, list[dict[int, int]]] = {}
+        for _, weight, codes in group:
+            blocks.setdefault(weight, []).append(codes)
+        for weight, block in blocks.items():
+            order = {w: codec.order(w) for w in set().union(*block)}
+            cols = sorted(order, key=lambda w: (-order[w], w))
+            col = {w: j for j, w in enumerate(cols)}
+            pivots = pivot_columns([{col[w]: c for w, c in codes.items()} for codes in block],
+                                   len(cols))
+            sizes[weight] = sizes.get(weight, 0) + len(block)
+            pivot_orders.setdefault(weight, []).extend(order[cols[j]] for j in pivots)
+    return tuple((weight, sizes[weight], tuple(sorted(pivot_orders[weight], reverse=True)))
+                 for weight in sorted(sizes))
+
+
+def relabel(sigma: Permutation, t: Tableau) -> Tableau:
+    """Apply sigma to every entry of a tableau filled with {1..d}."""
+    return Tableau(t.shape, tuple(sigma(v) for v in t.filling))

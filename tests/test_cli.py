@@ -2,15 +2,17 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from diffhom import SCHEMA_VERSION
-from diffhom.cli import main
+from diffhom.cli import census_cost, main
 
 
 def run(capsys, *argv):
@@ -640,9 +642,10 @@ def test_max_cost_is_refused_where_unread(capsys, argv):
 
 @pytest.mark.parametrize("argv", [["basis", "--n", "1", "--d", "11"],
                                   ["basis", "--n", "2", "--d", "7"],
-                                  ["census", "--n", "1", "--d", "12"],
-                                  ["census", "--n", "3", "--d", "6", "--theorem2"],
+                                  ["census", "--n", "1", "--d", "13"],
+                                  ["census", "--n", "2", "--d", "9", "--theorem2"],
                                   ["census", "--n", "2", "--d", "1000000000"],
+                                  ["census", "--n", "1000000000", "--d", "1000000000"],
                                   ["census", "--n", "0", "--d", "56"],
                                   ["basis", "--n", "1", "--d", "3", "--max-cost", "7"]],
                          ids=" ".join)
@@ -661,7 +664,8 @@ def test_basis_and_census_max_cost_overrides_the_cap(capsys, monkeypatch):
     assert run(capsys, "census", "--n", "1", "--d", "4", "--max-cost", "15")[0] == 2
     assert run(capsys, "census", "--n", "1", "--d", "3", "--max-cost", "8")[0] == 2
     assert run(capsys, "census", "--n", "5", "--d", "0")[0] == 0
-    # (1, 10) is within the basis cap and (4, 5) = 5^5 within the census cap
+    # (1, 10) is within the basis cap, and (4, 5) (246 Wronskians, one
+    # multiplicity vector per partition of 5) within the census cap
     import diffhom.cli as cli
     monkeypatch.setattr(cli, "cached_manifest", lambda n, d, cache: [])
     monkeypatch.setattr(cli, "census", lambda n, d, k: [])
@@ -670,6 +674,26 @@ def test_basis_and_census_max_cost_overrides_the_cap(capsys, monkeypatch):
     assert run(capsys, "census", "--n", "4", "--d", "5")[0] == 0
     assert run(capsys, "census", "--n", "1", "--d", "12", "--max-cost", "4096")[0] == 0
     assert run(capsys, "census", "--n", "0", "--d", "55")[0] == 0
+
+
+def test_census_cost_counts_one_multiplicity_vector_per_partition():
+    # sum over lam |- d with at most N+1 parts of d!/prod lam_i!, or d^2
+    assert [census_cost(1, d, 10 ** 6) for d in range(9)] == [1, 1, 4, 9, 16, 25, 42, 64, 163]
+    assert census_cost(20, 6, 10 ** 6) == 1 + 6 + 15 + 30 + 20 + 60 + 120 + 90 + 180 + 360 + 720
+    assert census_cost(0, 55, 10 ** 6) == 55 ** 2
+    # past the cap the sum stops, so a huge d or N is refused at once
+    assert census_cost(1, 10 ** 9, 10 ** 20) > 10 ** 20
+    assert census_cost(10 ** 9, 10 ** 9, 10 ** 4) > 10 ** 4
+
+
+def test_census_n20_d6_runs_within_the_default_cap(capsys):
+    code, out, err = run(capsys, "census", "--n", "20", "--d", "6", "--all-k", "--format", "json")
+    assert code == 0 and not err
+    totals = Counter()
+    for e in json.loads(out)["entries"]:
+        totals[e["k"]] += e["count"]
+    assert totals[0] == math.comb(26, 6)
+    assert totals[5] == 21 ** 6 == 85_766_121
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

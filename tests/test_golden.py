@@ -27,7 +27,10 @@ matrices of ``basis_gl_stability``; with those entries dropped, the output
 before and after hashed alike (``09e61d48...`` at the default caps,
 ``58e1909d...`` at ``--max-d 3``), so every other check kept its bytes.  The
 ``kernel --d 7`` digest was recorded before the multiplicities of the upper
-weights at ``k = d-1`` were read by Poincaré duality.  The
+weights at ``k = d-1`` were read by Poincaré duality, and the ``census
+--n 3 --d 4 --all-k`` and ``census --n 2 --d 5 --theorem2`` digests before
+the census eliminated one multidegree per partition of d and credited it to
+every rearrangement.  The
 ``wall_time_seconds`` field of ``verify`` and the ``seconds`` field of each
 of its checks are dropped before hashing.
 """
@@ -89,6 +92,10 @@ GOLDEN = {
         "f5af6971f46059a9ae9922e3c324c9a10ad0784f101859346e90dfa3780aaf01",
     "census --n 1 --d 4 --k 6":
         "24b22f2302edd850a78f65941dc4fdd20df4e35bd2c417618ce96947d9a3cb58",
+    "census --n 3 --d 4 --all-k":
+        "6f15e34ded07f52a6b80baec105896aa65ab5f789fd59f00c6c05d11207d8ac1",
+    "census --n 2 --d 5 --theorem2":
+        "65c13294bb74e3f496dc54c51f3e097d43a8c247dd5c3e7500fbff38d0294699",
 }
 
 # Exit codes other than 0: ``check`` exits 1 on a non-example.

@@ -1,16 +1,23 @@
 """Order/weight classification and the jet-differential census."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import formal
 from diffhom import jets, wronskian
 from diffhom.dpoly import DiffPoly, MonoCodec, gradings, mono_order
 from diffhom.exact import ONE, operator_rows, rank
-from diffhom.jets import (CensusEntry, census, classify_basis, pivot_profile,
-                          verify_theorem2, weight_census_bound)
+from diffhom.hwv import weight_multiplicities
+from diffhom.jets import (CensusEntry, census, classify_basis, multidegree_profile,
+                          orbit_size, pivot_profile, verify_theorem2, weight_census_bound)
+from diffhom.tableaux import compositions, count_semistandard, partitions_of
 from diffhom.wronskian import canonical_basis, enumerate_canonical_basis
+from formal import formal_pivot_profile
 
 F = Fraction
 
@@ -46,33 +53,36 @@ def test_census_matches_per_order_rank_oracle(n, d):
 @pytest.fixture
 def fresh_profile():
     pivot_profile.cache_clear()
+    multidegree_profile.cache_clear()
     yield
     pivot_profile.cache_clear()
+    multidegree_profile.cache_clear()
 
 
 def test_k_stability_sees_an_element_above_the_order_bound(monkeypatch, fresh_profile):
     # x0^(d-1) x0[d] has order d, so the census at k = d-1 misses it.  The
     # census codes hold orders up to d-1 only, where x0[d] would alias onto
-    # another field, so the rows are re-packed with room for order d.
+    # another field, so the element's weight block gets a codec with room for
+    # order d.  It joins multidegree (d, 0) at weight d as one more datum.
     n, d = 1, 3
-    codec, rows = wronskian.canonical_codes(n, d)
-    wide = MonoCodec(d + 1, codec.bits)
-
-    def repack(mono):
-        return sum(e * wide.unit(i, k) for i, k, e in mono)
-
-    packed = [(datum, {repack(codec.decode(w)): c for w, c in codes.items()})
-              for datum, codes in rows]
-    extra = repack(((0, d, 1), (0, 0, d - 1)))
+    wide = MonoCodec(d + 1, wronskian.canonical_codes(n, d)[0].bits)
+    extra = wide.unit(0, d) + (d - 1) * wide.unit(0, 0)
     assert wide.decode(extra) == ((0, d, 1), (0, 0, d - 1))
+    stand_in = SimpleNamespace(weight=d)
+    real_data, real_codes = jets.canonical_data, jets.canonical_codes
+    monkeypatch.setattr(jets, "canonical_data",
+                        lambda m: list(real_data(m)) + ([stand_in] if m == (d,) else []))
     monkeypatch.setattr(jets, "canonical_codes",
-                        lambda n_, d_: (wide, iter(packed + [(None, {extra: 1})])))
+                        lambda n_, d_, data: ((wide, iter([(stand_in, {extra: 1})]))
+                                              if data == [stand_in] else real_codes(n_, d_, data)))
     report = verify_theorem2(n, d)
     item = next(i for i in report.items if i.name == "k_stability")
     assert not item.passed and item.witness == f"census changed at k={d}"
     assert not report.passed
-    # the element went through the elimination: one more pivot, of order d
-    assert pivot_profile(n, d)[-1] == (d, 1, (d,))
+    # the element went through the elimination: one more pivot, of order d,
+    # credited to (d, 0) and to its rearrangement (0, d)
+    assert multidegree_profile((d,))[d] == (1, (d,))
+    assert pivot_profile(n, d)[-1] == (d, 2, ((d, 2),))
 
 
 def test_classify_weight_formula_always_holds():
@@ -190,13 +200,63 @@ def test_classify_basis_matches_diffpoly_gradings():
             (gradings(p).order, gradings(p).weight) for _, p in basis]
 
 
-def test_pivot_profile_refuses_rows_of_one_multidegree_apart(monkeypatch, fresh_profile):
-    # each multidegree's blocks are eliminated once its rows are read, so a
-    # multidegree that comes back would be split into blocks that share monomials
+def test_pivot_profile_refuses_rows_of_one_multidegree_apart(monkeypatch):
+    # the oracle eliminates each multidegree's blocks once its rows are read,
+    # so a multidegree that comes back would be split into blocks that share
+    # monomials
     codec, rows = wronskian.canonical_codes(1, 3)
     rows = list(rows)
     assert rows[1][0].m == (1, 2)
-    monkeypatch.setattr(jets, "canonical_codes",
+    monkeypatch.setattr(formal, "canonical_codes",
                         lambda n_, d_: (codec, iter(rows[:1] + rows[2:] + rows[1:2])))
     with pytest.raises(ValueError, match=r"multidegree \(1, 2\)"):
-        pivot_profile(1, 3)
+        formal_pivot_profile(1, 3)
+
+
+def _repeated(profile):
+    """A pivot profile with its (order, count) pairs spelled out."""
+    return tuple((weight, size, tuple(o for o, c in orders for _ in range(c)))
+                 for weight, size, orders in profile)
+
+
+@pytest.mark.parametrize("n,d", [(0, 0), (3, 0)] + [(0, d) for d in range(1, 6)]
+                         + [(1, d) for d in range(1, 9)] + [(2, d) for d in range(1, 6)]
+                         + [(3, d) for d in range(1, 5)] + [(4, d) for d in range(1, 4)])
+def test_pivot_profile_matches_every_composition_eliminated(n, d):
+    assert _repeated(pivot_profile(n, d)) == formal_pivot_profile(n, d)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_every_ordering_of_a_partition_has_its_profile(d):
+    for lam in partitions_of(d):
+        profile = multidegree_profile(lam.parts)
+        assert sum(size for size, _ in profile.values()) == math.factorial(d) // math.prod(
+            math.factorial(p) for p in lam.parts)
+        for ordering in set(itertools.permutations(lam.parts)):
+            assert multidegree_profile(ordering) == profile, ordering
+
+
+def test_orbit_sizes_count_the_compositions():
+    for n, d in [(0, 3), (1, 4), (2, 5), (4, 3), (6, 4)]:
+        by_parts = Counter(tuple(sorted(filter(None, m), reverse=True))
+                           for m in compositions(d, n + 1))
+        assert {parts: orbit_size(n, parts) for parts in by_parts} == by_parts
+
+
+@pytest.mark.parametrize("n,d", [(6, 4), (20, 3), (3, 5)])
+def test_census_equals_the_schur_weyl_side(n, d):
+    # Sym^d(V (x) W) = sum over lam of S_lam V (x) S_lam W, and L_m acts on W
+    # alone: the weight-w count is sum_lam s_lam(1^(N+1)) m_lam(w; k)
+    shapes = partitions_of(d)
+    for k in range(d + 2):
+        top = k * d // 2
+        side = {w: sum(count_semistandard(lam, n + 1) * m
+                       for lam, m in zip(shapes, weight_multiplicities(d, k, w)))
+                for w in range(top + 1)}
+        assert {e.n: e.count for e in census(n, d, k)} == {w: c for w, c in side.items() if c}, k
+
+
+def test_census_n20_d6_totals(fresh_profile):
+    # 1,602 Wronskians, one multiplicity vector per partition of 6
+    assert sum(e.count for e in census(20, 6, 5)) == 21 ** 6 == 85_766_121
+    assert multidegree_profile.cache_info().currsize == len(partitions_of(6))

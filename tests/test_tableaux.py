@@ -13,10 +13,10 @@ from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                               canonical_tableau, compositions, count_semistandard,
                               count_standard, group_algebra_mul,
                               hook_length_count, kostka, partitions_of,
-                              relabel, schur_poly_eval, semistandard_tableaux,
+                              schur_poly_eval, semistandard_tableaux,
                               semistandard_weight_counts, young_symmetrizer)
 from formal import (centralizer_size, character, count_semistandard_by_enumeration,
-                    count_standard_by_enumeration, dominates, standard_tableaux)
+                    count_standard_by_enumeration, dominates, relabel, standard_tableaux)
 
 F = Fraction
 

@@ -296,3 +296,20 @@ def test_wedge_random_reports_the_same_params_when_it_fails(monkeypatch):
     assert passed.passed and not failed.passed
     assert failed.computed == "failure at trial 0"
     assert failed.params == passed.params == {"d": 3, "i": 2, "seed": 1, "count": 20}
+
+
+def test_theorem2_names_an_ordering_whose_profile_differs(monkeypatch):
+    passed = verify.check_theorem2(2, 3)
+    profile = verify.multidegree_profile
+
+    def perturbed(parts):
+        out = profile(parts)
+        if parts == (1, 2):
+            out = {**out, 99: (1, (0,))}
+        return out
+
+    monkeypatch.setattr(verify, "multidegree_profile", perturbed)
+    failed = verify.check_theorem2(2, 3)
+    assert passed.passed and not failed.passed
+    assert failed.computed == passed.computed + "; orbit:(1, 2) differs from (2, 1)"
+    assert failed.params == passed.params == {"N": 2, "d": 3}
