@@ -242,7 +242,12 @@ def cmd_check(args) -> int:
         return 2
     verdict, degree = is_diff_homogeneous(poly)
     if args.format == "json":
-        print(_json_dump({"schema_version": SCHEMA_VERSION, "input": to_text(poly),
+        try:
+            echo = to_text(poly)
+        except ValueError as exc:  # a coefficient too long to print
+            print(f"check: {exc}", file=sys.stderr)
+            return 2
+        print(_json_dump({"schema_version": SCHEMA_VERSION, "input": echo,
                           "differentially_homogeneous": verdict, "degree": degree}))
     else:
         if verdict:

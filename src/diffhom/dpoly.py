@@ -2,10 +2,11 @@
 
 A differential polynomial lives in Q[X_i^(k) : 0 <= i <= N, k >= 0].  The
 module provides the change-of-variable action of rational (N+1) x (N+1)
-matrices, the derivations L_m (Leibniz action of one-variable polynomials)
-and E_pq (gl(N+1)), gradings, the differential-homogeneity test and a
-text/JSON serialization.  Family ranks and coordinates in a span are the
-generic :func:`exact.span_rank` and :func:`exact.solve_in_span`, bound here.
+matrices, derivations such as E_pq (gl(N+1)), gradings, the
+differential-homogeneity test (the derivations L_m of the Leibniz action of
+one-variable polynomials, on packed codes) and a text/JSON serialization.
+Family ranks and coordinates in a span are the generic
+:func:`exact.span_rank` and :func:`exact.solve_in_span`, bound here.
 
 The matrix action x_j[k] -> sum_l a[j][l] x_l[k] keeps every jet order, so
 :func:`matrix_action` expands it order by order, in integers over one common
@@ -205,30 +206,55 @@ def is_diff_homogeneous(p: DiffPoly) -> tuple[bool, int | None]:
 
         L_m = sum_{i, k >= m} C(k, m) x_i[k-m] d/dx_i[k],   m = 1..K.
 
-    So the test is: one degree for every monomial, then L_m p = 0 for each m.
-    Whether L_m p vanishes does not change when p is scaled, so p is scaled
-    once to its primitive integer multiple (times the lcm of its
-    denominators, then divided by the gcd of the numerators), and each L_m
-    costs one pass over the terms in integer arithmetic.
+    So the test is: one degree d for every monomial, then L_m p = 0 for each m.
+
+    One pass over the monomials reads d and K.  Whether L_m p vanishes does
+    not change when p is scaled, so a second pass writes p times the lcm of
+    its denominators on packed codes (:class:`MonoCodec` with K+1 orders and
+    fields wide enough for d) with int coefficients, keeping the factors of
+    order >= 1.  L_m moves one unit of the exponent e of x_i[k] m fields up,
+    into x_i[k-m], with the factor e C(k, m).  The images are built one m at
+    a time, and the first nonzero one ends the test.  They need no split by
+    weight: L_m maps the weight-w part of p into weight w - m, so the images
+    of different weight parts share no monomial and cannot cancel.
     """
     if not p:
         raise ValueError("the zero polynomial is excluded")
-    g = gradings(p)
-    if g.degree is None:
-        return (False, None)
+    degree, order = None, 0
+    for mono in p.terms:
+        size = 0
+        for _, k, e in mono:
+            size += e
+            if k > order:
+                order = k
+        if size != degree:
+            if degree is not None:
+                return (False, None)
+            degree = size
+    codec = MonoCodec(order + 1, max(degree.bit_length(), 1))
     den = math.lcm(*(c.denominator for c in p.terms.values()))
-    nums = {mono: c.numerator * (den // c.denominator) for mono, c in p.terms.items()}
-    content = math.gcd(*nums.values())
-    q = p.with_terms({mono: x // content for mono, x in nums.items()})
-    for m in range(1, g.order + 1):
-        if derive(q, lowering(m)):
+    terms = []  # (code, [(k, c e, unit) per factor x_i[k]^e of order >= 1]), c an int
+    for mono, c in p.terms.items():
+        c = c.numerator * (den // c.denominator)
+        w, lowerable = 0, []
+        for i, k, e in mono:
+            unit = codec.unit(i, k)
+            w += e * unit
+            if k:
+                lowerable.append((k, c * e, unit))
+        terms.append((w, lowerable))
+    for m in range(1, order + 1):
+        up = m * codec.bits
+        image: dict[int, int] = {}
+        get = image.get
+        for w, lowerable in terms:
+            for k, ce, unit in lowerable:
+                if k >= m:
+                    v = w + (unit << up) - unit
+                    image[v] = get(v, 0) + ce * math.comb(k, m)
+        if any(image.values()):
             return (False, None)
-    return (True, g.degree)
-
-
-def lowering(m: int) -> Callable[[int, int], tuple[int, int, int] | None]:
-    """The variable images of L_m for :func:`derive`: x_i[k] -> C(k, m) x_i[k-m]."""
-    return lambda i, k: (i, k - m, math.comb(k, m)) if k >= m else None
+    return (True, degree)
 
 
 def gl_elementary(p: int, q: int) -> Callable[[int, int], tuple[int, int, int] | None]:
@@ -319,11 +345,11 @@ class MonoCodec:
 
     def lowered(self, terms: Mapping[int, int], top: int) -> dict[int, int]:
         """(L_1 + ... + L_top) p for p = ``terms`` ({code: int coefficient}),
-        with L_m x_i[k] = C(k, m) x_i[k-m] as in :func:`lowering`.  Lowering
-        x_i[k] by m moves one unit of its exponent m fields up, into x_i[k-m].
-        L_m lowers the weight by m, so on an isobaric p the images of the
-        different L_m share no monomial, and p is killed by all of them
-        exactly when this sum is zero."""
+        with L_m x_i[k] = C(k, m) x_i[k-m] as in :func:`is_diff_homogeneous`.
+        Lowering x_i[k] by m moves one unit of its exponent m fields up, into
+        x_i[k-m].  L_m lowers the weight by m, so on an isobaric p the images
+        of the different L_m share no monomial, and p is killed by all of
+        them exactly when this sum is zero."""
         bits, mask, orders = self.bits, self._mask, self.orders
         out: dict[int, int] = {}
         get = out.get
@@ -425,6 +451,10 @@ _FACTOR = re.compile(r"\s*(?:x([0-9]+)(?:\s*\[\s*([0-9]+)\s*\])?(?:\s*\^\s*([0-9
                      r"|([0-9]+)(?:\s*/\s*([0-9]+))?)")
 # What may follow a factor: '*', '+', '-' (group 1) or the end of the input.
 _OPERATOR = re.compile(r"\s*(?:([*+\-])|\Z)")
+# A factor and the operator after it (group 6).  What the factor's optional
+# parts could give back starts with a digit, '[', '^' or '/', never an
+# operator, so this matches exactly where _FACTOR and then _OPERATOR do.
+_STEP = re.compile(_FACTOR.pattern + _OPERATOR.pattern)
 # One lexeme: a variable x<i> (group 1), an integer (group 2) or a symbol.
 _LEXEME = re.compile(r"\s*(?:x([0-9]+)|([0-9]+)|[\[\]^*+\-/])")
 _SPACE = re.compile(r"\s*")
@@ -482,8 +512,8 @@ def parse(text: str, n: int | None = None) -> DiffPoly:
     x<i>[<k>]^<e>, combined with '*', '+', '-'.  Whitespace is insignificant.
     The variable bound ``n`` defaults to the largest index used (0 if none).
 
-    One left-to-right scan: one anchored match reads a whole factor, the
-    next the operator after it.  On malformed input the first lexical error
+    One left-to-right scan: one anchored match reads a whole factor and the
+    operator after it.  On malformed input the first lexical error
     in the text (an unexpected character, or an integer too long to convert)
     is raised if there is one, else the first syntax error; each ParseError
     carries the position of the offending token (the end of the text when
@@ -500,10 +530,14 @@ def parse(text: str, n: int | None = None) -> DiffPoly:
     top = 0  # the largest variable index read
     exps: dict[tuple[int, int], int] = {}  # (i, -k) -> exponent, so keys sort as factors do
     while True:
-        m = _FACTOR.match(text, at)
-        if m is None:
-            _fail(text, "expected a coefficient or a variable", _SPACE.match(text, at).end())
-        i, k, e, a, b = m.groups()
+        m = _STEP.match(text, at)
+        if m is not None:
+            i, k, e, a, b, sym = m.groups()
+        else:  # no operator follows: the factor's own errors come before that one
+            m = _FACTOR.match(text, at)
+            if m is None:
+                _fail(text, "expected a coefficient or a variable", _SPACE.match(text, at).end())
+            i, k, e, a, b = m.groups()
         try:
             if i is not None:
                 i, k, e = int(i), (0 if k is None else int(k)), (1 if e is None else int(e))
@@ -514,18 +548,17 @@ def parse(text: str, n: int | None = None) -> DiffPoly:
         if a is None:
             if n is not None and i > n:
                 _fail(text, f"variable index {i} exceeds bound {n}", m.start(1) - 1)
-            top = max(top, i)
+            if i > top:
+                top = i
             exps[(i, -k)] = exps.get((i, -k), 0) + e
         else:
             if not b:
                 _fail(text, "zero denominator", m.start(4))
             num *= a
             den *= b
-        op = _OPERATOR.match(text, m.end())
-        if op is None:
+        if m.re is _FACTOR:
             _fail_after(text, m)
-        at = op.end()
-        sym = op.group(1)
+        at = m.end()
         if sym != "*":
             mono = tuple([(j, -h, x) for (j, h), x in sorted(exps.items()) if x])
             pairs.append((mono, Fraction(num, den)))
@@ -548,7 +581,8 @@ def _mono_text(m: DMono) -> str:
 
 
 def to_text(p: DiffPoly) -> str:
-    """Canonical printer; inverse of :func:`parse`."""
+    """Canonical printer; inverse of :func:`parse`.  ValueError when a
+    coefficient is too long to print (:func:`_coeff_text`)."""
     if not p:
         return "0"
     pieces = []
@@ -556,11 +590,11 @@ def to_text(p: DiffPoly) -> str:
         mtext = _mono_text(mono)
         mag = abs(c)
         if not mtext:
-            body = str(mag)
+            body = _coeff_text(mag)
         elif mag == 1:
             body = mtext
         else:
-            body = f"{mag}*{mtext}"
+            body = f"{_coeff_text(mag)}*{mtext}"
         if not pieces:
             pieces.append(body if c > 0 else "-" + body)
         else:

@@ -28,11 +28,17 @@ alternants of Young subgroups (:func:`young_operator_rows`, sized by
 :func:`young_system_sizes`), then Young's rule solved by Kostka subtraction
 along the dominance order (:func:`dominates`).
 
-``dpoly.parse`` reads a whole factor per regex match and ``dpoly.derive``
-edits each monomial tuple in place.  The token-list descent and the
-rebuild-and-sort derivation they replaced are kept here as
-:func:`formal_parse` and :func:`formal_derive`, the oracles the tests
-compare them against.
+``dpoly.parse`` reads a whole factor and the operator after it per regex
+match, and ``dpoly.derive`` edits each monomial tuple in place.  The
+token-list descent and the rebuild-and-sort derivation they replaced are
+kept here as :func:`formal_parse` and :func:`formal_derive`, the oracles the
+tests compare them against.
+
+``dpoly.is_diff_homogeneous`` builds the L_m images on packed exponent codes
+(``dpoly.MonoCodec``), one m at a time.  The test it replaced, ``derive``
+under the variable images :func:`lowering` on (i, k, e) tuples, is kept here
+as :func:`formal_derivation_verdict`; :func:`formal_verdict`, the Taylor-data
+substitution with formal parameters, is the oracle of both.
 
 ``wronskian.verify_wedge_identity`` sums the wedges of the Appendix A
 identities in one integer pass over the vectors, and
@@ -239,6 +245,31 @@ def formal_verdict(p: DiffPoly) -> tuple[bool, int | None]:
     if derivative_shift(p, mus) == p.scale(mus[0] ** g.degree):
         return (True, g.degree)
     return (False, None)
+
+
+def lowering(m: int) -> Callable[[int, int], tuple[int, int, int] | None]:
+    """The variable images of L_m for ``dpoly.derive``: x_i[k] -> C(k, m) x_i[k-m]."""
+    return lambda i, k: (i, k - m, math.comb(k, m)) if k >= m else None
+
+
+def formal_derivation_verdict(p: DiffPoly) -> tuple[bool, int | None]:
+    """Differential homogeneity as one degree and L_m p = 0 for m = 1..K, each
+    L_m by ``dpoly.derive`` over (i, k, e) tuples on the primitive integer
+    multiple of p (times the lcm of the denominators, over the gcd of the
+    numerators)."""
+    if not p:
+        raise ValueError("the zero polynomial is excluded")
+    g = gradings(p)
+    if g.degree is None:
+        return (False, None)
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    nums = {mono: c.numerator * (den // c.denominator) for mono, c in p.terms.items()}
+    content = math.gcd(*nums.values())
+    q = p.with_terms({mono: x // content for mono, x in nums.items()})
+    for m in range(1, g.order + 1):
+        if derive(q, lowering(m)):
+            return (False, None)
+    return (True, g.degree)
 
 
 def formal_functional_solution_dim(lam: Partition, k: int, n: int) -> int:

@@ -479,6 +479,25 @@ def test_check_huge_order_answers_quickly():
     assert proc.stdout.startswith("no: not differentially homogeneous")
 
 
+@pytest.mark.parametrize("expression", ["x0[100000]*x1[100000]^3", "x0^1000000000*x0[1]"])
+def test_check_huge_order_or_degree_with_a_lowerable_factor_answers_quickly(expression):
+    # L_1 is nonzero on both: the first image ends the test
+    proc = _dh("check", expression, timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("no: not differentially homogeneous")
+
+
+def test_check_json_with_a_coefficient_too_long_to_print_exits_2():
+    # the verdict is computed, but the echoed input holds an 8000-digit coefficient
+    nines = "9" * 4000
+    proc = _dh("check", f"{nines}*{nines}*x0", "--format", "json", timeout=20)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith("check: a coefficient has more digits than the interpreter's limit")
+    assert len(proc.stderr.splitlines()) == 1
+    text = _dh("check", f"{nines}*{nines}*x0", timeout=20)
+    assert text.returncode == 0 and text.stdout.startswith("yes")
+
+
 @pytest.mark.parametrize("expression", ["x0^" + "9" * 5000, "x" + "1" * 5000])
 def test_check_overlong_integer_is_a_parse_error(expression):
     # int() refuses strings past the interpreter's digit limit: exit 2, not a traceback

@@ -14,12 +14,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, derive, from_json,
                            from_json_dict, gl_elementary,
-                           gradings, is_diff_homogeneous, lowering, matrix_action,
+                           gradings, is_diff_homogeneous, matrix_action,
                            mono_multidegree, parse, span_rank, solve_in_span, to_json,
                            to_text)
 from diffhom.wronskian import enumerate_canonical_basis
-from formal import (ParamPoly, as_parampoly, formal_derive, formal_matrix_action, formal_parse,
-                    formal_verdict, q_action, unipoly_mul)
+from formal import (ParamPoly, as_parampoly, formal_derivation_verdict, formal_derive,
+                    formal_matrix_action, formal_parse, formal_verdict, lowering, q_action,
+                    unipoly_mul)
 
 F = Fraction
 WRONSK2 = "x0*x1[1] - x1*x0[1]"
@@ -154,6 +155,9 @@ def test_is_diff_homogeneous_examples():
     assert is_diff_homogeneous(parse("x0", 0)) == (True, 1)
     assert is_diff_homogeneous(parse("x0[1]", 0)) == (False, None)
     assert is_diff_homogeneous(parse(WRONSK2, 1)) == (True, 2)
+    # killed by L_1 + L_2 but not by L_1: the images of the weight-2 and the
+    # weight-1 part cancel in the sum, so each L_m is tested on its own
+    assert is_diff_homogeneous(parse("x0*x0[2] - x0[1]^2 - x0*x0[1]", 0)) == (False, None)
 
 
 def test_is_diff_homogeneous_implies_scaling():
@@ -567,10 +571,37 @@ def test_order_three_polynomials_agree_with_formal_substitution(p):
        den=st.sampled_from([2, 3, 7, 12, 7919]), num=st.integers(-20, 20).filter(bool))
 @settings(max_examples=120, deadline=None)
 def test_polynomials_with_denominators_agree_with_formal_substitution(p, den, num):
-    # the integer L_m test runs on the content-scaled multiple of p
+    # the integer L_m test runs on p times the lcm of its denominators
     q = p.scale(Fraction(num, den))
     assume(any(c.denominator != 1 for c in q.terms.values()))
     assert is_diff_homogeneous(q) == formal_verdict(q) == is_diff_homogeneous(p)
+
+
+@st.composite
+def non_isobaric_sums(draw):
+    """A rational combination of basis elements of one (N, d) at two or more
+    weights, sometimes plus a monomial of degree d at another weight."""
+    n, d = draw(st.sampled_from([(n, d) for n, d in BASIS_GRID if d >= 2]))
+    by_weight: dict[int, list[DiffPoly]] = {}
+    for poly in canonical_basis(n, d):
+        by_weight.setdefault(gradings(poly).weight, []).append(poly)
+    weights = draw(st.lists(st.sampled_from(sorted(by_weight)), min_size=2, max_size=3,
+                            unique=True))
+    p = DiffPoly.zero(n)
+    for w in weights:
+        p = p + draw(st.sampled_from(by_weight[w])).scale(draw(coeffs))
+    if draw(st.booleans()):
+        p = p + draw(monomials(n, d, draw(st.integers(0, d * (d - 1))))).scale(draw(coeffs))
+    return p
+
+
+@given(p=diff_polys() | perturbed_basis_elements() | basis_combinations() | non_isobaric_sums())
+@settings(max_examples=300, deadline=None)
+def test_packed_code_test_matches_the_derivation_and_substitution_oracles(p):
+    # L_m on packed codes, one m at a time and unsplit by weight, against
+    # derive over (i, k, e) tuples and the Taylor-data substitution
+    assume(p)
+    assert is_diff_homogeneous(p) == formal_derivation_verdict(p) == formal_verdict(p)
 
 
 # --- the GL action against the ring-substitution oracle ------------------------

@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffhom.dpoly import (DiffPoly, MonoCodec, UniPoly, derive, gradings, is_diff_homogeneous,
-                           lowering, matrix_action, parse, solve_in_span, span_rank,
-                           substitute, to_text)
+                           matrix_action, parse, solve_in_span, span_rank, substitute, to_text)
 from diffhom.exact import ONE, det_expansion
 from diffhom.wronskian import (WronskSpec, _integral_rows, _wedge_coordinates,
                                basis_manifest, build_formal_wronskian,
@@ -28,7 +27,7 @@ from diffhom.wronskian import (WronskSpec, _integral_rows, _wedge_coordinates,
                                standard_nilpotent, theta_family_rank,
                                verify_wedge_identity)
 from formal import (expand_combination, formal_build_wronskian, formal_reduce_to_triangular,
-                    formal_wedge_coordinates)
+                    formal_wedge_coordinates, lowering)
 
 F = Fraction
 
