@@ -208,50 +208,60 @@ def is_diff_homogeneous(p: DiffPoly) -> tuple[bool, int | None]:
 
     So the test is: one degree d for every monomial, then L_m p = 0 for each m.
 
-    One pass over the monomials reads d and K.  Whether L_m p vanishes does
-    not change when p is scaled, so a second pass writes p times the lcm of
-    its denominators on packed codes (:class:`MonoCodec` with K+1 orders and
-    fields wide enough for d) with int coefficients, keeping the factors of
-    order >= 1.  L_m moves one unit of the exponent e of x_i[k] m fields up,
-    into x_i[k-m], with the factor e C(k, m).  The images are built one m at
-    a time, and the first nonzero one ends the test.  They need no split by
-    weight: L_m maps the weight-w part of p into weight w - m, so the images
-    of different weight parts share no monomial and cannot cancel.
+    Whether L_m p vanishes does not change when p is scaled, so one pass
+    writes p times the lcm of its denominators as packed codes with int
+    coefficients, and checks the degree on the way.  Each variable x_i[k] of
+    p gets a field of d.bit_length() bits, numbered as it is first met, so a
+    code is as wide as p has variables, whatever the values of i and k (a
+    :class:`MonoCodec`, with a field for every (i, k) up to the largest,
+    would spend about i * K fields on x_i[K]).
+
+    If p has x_i[k], k >= 1, but not x_i[k-1], then L_1 p != 0: a monomial
+    of L_1 p that holds x_i[k-1] comes from one term of p and one factor
+    x_i[k]^e of it, so its coefficient k e c is not cancelled.  So the
+    orders of each x_i in p run from 0 up, K is less than the number of
+    variables, and L_m moves one unit of the exponent e of x_i[k] into the
+    field of x_i[k-m], with the factor e C(k, m).  The images are built one
+    m at a time, and the first nonzero one ends the test.  They need no
+    split by weight: L_m maps the weight-w part of p into weight w - m, so
+    the images of different weight parts share no monomial and cannot cancel.
     """
     if not p:
         raise ValueError("the zero polynomial is excluded")
-    degree, order = None, 0
-    for mono in p.terms:
-        size = 0
-        for _, k, e in mono:
-            size += e
-            if k > order:
-                order = k
-        if size != degree:
-            if degree is not None:
-                return (False, None)
-            degree = size
-    codec = MonoCodec(order + 1, max(degree.bit_length(), 1))
     den = math.lcm(*(c.denominator for c in p.terms.values()))
-    terms = []  # (code, [(k, c e, unit) per factor x_i[k]^e of order >= 1]), c an int
+    degree = sum(e for _, _, e in next(iter(p.terms)))
+    bits = max(degree.bit_length(), 1)
+    fields: dict[tuple[int, int], int] = {}  # (i, k) -> the field of x_i[k]
+    terms = []  # (code, [(field, c e) per factor x_i[k]^e of order >= 1]), c an int
     for mono, c in p.terms.items():
         c = c.numerator * (den // c.denominator)
-        w, lowerable = 0, []
+        w, size, lowerable = 0, 0, []
         for i, k, e in mono:
-            unit = codec.unit(i, k)
-            w += e * unit
+            f = fields.get((i, k))
+            if f is None:
+                f = fields[(i, k)] = len(fields)
+            w += e << f * bits
+            size += e
             if k:
-                lowerable.append((k, c * e, unit))
+                lowerable.append((f, c * e))
+        if size != degree:
+            return (False, None)
         terms.append((w, lowerable))
-    for m in range(1, order + 1):
-        up = m * codec.bits
+    if any(k and (i, k - 1) not in fields for i, k in fields):
+        return (False, None)
+    for m in range(1, max((k for _, k in fields), default=0) + 1):
+        steps: list[tuple[int, int] | None] = [None] * len(fields)  # (code change, C(k, m))
+        for (i, k), f in fields.items():
+            if k >= m:
+                steps[f] = ((1 << fields[(i, k - m)] * bits) - (1 << f * bits), math.comb(k, m))
         image: dict[int, int] = {}
         get = image.get
         for w, lowerable in terms:
-            for k, ce, unit in lowerable:
-                if k >= m:
-                    v = w + (unit << up) - unit
-                    image[v] = get(v, 0) + ce * math.comb(k, m)
+            for f, ce in lowerable:
+                step = steps[f]
+                if step is not None:
+                    v = w + step[0]
+                    image[v] = get(v, 0) + ce * step[1]
         if any(image.values()):
             return (False, None)
     return (True, degree)

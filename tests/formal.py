@@ -35,7 +35,7 @@ kept here as :func:`formal_parse` and :func:`formal_derive`, the oracles the
 tests compare them against.
 
 ``dpoly.is_diff_homogeneous`` builds the L_m images on packed exponent codes
-(``dpoly.MonoCodec``), one m at a time.  The test it replaced, ``derive``
+with one field per variable of the input, one m at a time.  The test it replaced, ``derive``
 under the variable images :func:`lowering` on (i, k, e) tuples, is kept here
 as :func:`formal_derivation_verdict`; :func:`formal_verdict`, the Taylor-data
 substitution with formal parameters, is the oracle of both.

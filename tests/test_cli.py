@@ -479,12 +479,23 @@ def test_check_huge_order_answers_quickly():
     assert proc.stdout.startswith("no: not differentially homogeneous")
 
 
-@pytest.mark.parametrize("expression", ["x0[100000]*x1[100000]^3", "x0^1000000000*x0[1]"])
+@pytest.mark.parametrize("expression", ["x0[100000]*x1[100000]^3", "x0^1000000000*x0[1]",
+                                        "x1000000[1000000]", "x0[1000000000]*x1"])
 def test_check_huge_order_or_degree_with_a_lowerable_factor_answers_quickly(expression):
-    # L_1 is nonzero on both: the first image ends the test
+    # L_1 is nonzero on all of them, and the codes hold one field per variable
+    # whatever its index and order: no code of i * K fields is built
     proc = _dh("check", expression, timeout=20)
     assert proc.returncode == 1
     assert proc.stdout.startswith("no: not differentially homogeneous")
+
+
+def test_check_huge_variable_index_answers_quickly():
+    # the Wronskian of x0 and x1000000000: two fields per variable, not 10^9
+    proc = _dh("check", "x1000000000*x0[1] - x0*x1000000000[1]", "--format", "json", timeout=20)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["differentially_homogeneous"] is True
+    assert payload["degree"] == 2
 
 
 def test_check_json_with_a_coefficient_too_long_to_print_exits_2():

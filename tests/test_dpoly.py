@@ -158,6 +158,15 @@ def test_is_diff_homogeneous_examples():
     # killed by L_1 + L_2 but not by L_1: the images of the weight-2 and the
     # weight-1 part cancel in the sum, so each L_m is tested on its own
     assert is_diff_homogeneous(parse("x0*x0[2] - x0[1]^2 - x0*x0[1]", 0)) == (False, None)
+    # x0[1] is missing, so the image 2 x0*x0[1] of L_1 cannot be cancelled
+    assert is_diff_homogeneous(parse("x0*x0[2] - x0^2", 0)) == (False, None)
+    # a constant has no variable and no L_m to test
+    assert is_diff_homogeneous(parse("-1/2", 0)) == (True, 0)
+    # one code field per variable of p: x1000000[1000000] takes one, not 10^12
+    assert is_diff_homogeneous(parse("x1000000[1000000]")) == (False, None)
+    assert is_diff_homogeneous(parse("x0[1000000000]*x1")) == (False, None)
+    assert is_diff_homogeneous(parse("x1000000000*x0[1] - x0*x1000000000[1]")) == (True, 2)
+    assert is_diff_homogeneous(parse("x1000000000*x0[1] - x0*x1000000000[2]")) == (False, None)
 
 
 def test_is_diff_homogeneous_implies_scaling():
@@ -173,7 +182,7 @@ def test_is_diff_homogeneous_rejects_zero():
 
 
 def test_is_diff_homogeneous_scales_rational_coefficients():
-    # the verdict is read off the primitive integer multiple of p
+    # the verdict is read off p times the lcm of its denominators
     assert is_diff_homogeneous(parse("1/2*x0*x1[1] - 1/2*x1*x0[1]", 1)) == (True, 2)
     assert is_diff_homogeneous(parse("-6/35*x0*x1[1] + 6/35*x1*x0[1]", 1)) == (True, 2)
     assert is_diff_homogeneous(parse("6/5*x0*x1[1] - 4/5*x1*x0[1]", 1)) == (False, None)
