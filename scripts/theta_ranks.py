@@ -8,10 +8,26 @@ theta.  This script only records what exact computation finds.
 """
 
 import argparse
+import itertools
 import sys
 from fractions import Fraction
 
-from diffhom.wronskian import theta_family_rank
+from diffhom.dpoly import UniPoly, span_rank
+from diffhom.wronskian import WronskSpec, build_wronskian
+
+
+def theta_family_rank(n: int, d: int, theta: Fraction) -> int:
+    """Observed rank of the family Wronsk(x_{n_1}, (theta+t) x_{n_2}, ...,
+    (theta+t)^{d-1} x_{n_d}) over all index tuples; reported, never asserted."""
+    theta = Fraction(theta)
+    if theta == 0:
+        raise ValueError("theta must be nonzero")
+    polys = []
+    for tup in itertools.product(range(n + 1), repeat=d):
+        spec = WronskSpec(tuple((UniPoly.shifted_power(theta, j), v)
+                                for j, v in enumerate(tup)))
+        polys.append(build_wronskian(spec, n))
+    return span_rank(polys)
 
 
 def main() -> int:

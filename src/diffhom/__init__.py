@@ -18,14 +18,13 @@ from .dpoly import (DiffPoly, Gradings, UniPoly, from_json, gradings,
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                        canonical_tableau, count_semistandard, count_standard,
                        group_algebra_mul, kostka, partitions_of,
-                       schur_poly_eval, young_symmetrizer)
+                       young_symmetrizer)
 from .wronskian import (CanonicalDatum, WronskSpec, basis_manifest,
                         build_formal_wronskian, build_wronskian,
                         enumerate_canonical_basis, reduce_to_triangular,
-                        theta_family_rank, verify_wedge_identity)
+                        verify_wedge_identity)
 from .hwv import (MultiPoly, column_det, d_t, e_iso, hwv_basis, j_ell,
                   kernel_dim_full, kernel_dim_isotypic, straighten,
-                  symmetrizer_projection, tensor_of_tableau,
-                  tensor_sigma_action)
+                  symmetrizer_projection, tensor_of_tableau)
 from .pde import newton_operator, solution_space_dim
 from .jets import census, classify_basis, verify_theorem2

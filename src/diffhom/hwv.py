@@ -202,11 +202,6 @@ def _permuted_terms(t: MultiPoly, sigma: Permutation):
     return ((tuple([idx[s] for s in src]), c) for idx, c in t.terms.items())
 
 
-def tensor_sigma_action(t: MultiPoly, sigma: Permutation) -> MultiPoly:
-    """Right action: the i-th factor of t.sigma is the sigma(i)-th factor of t."""
-    return t.with_terms(dict(_permuted_terms(t, sigma)))
-
-
 def tensor_algebra_action(t: MultiPoly, u: GroupAlgebraElem) -> MultiPoly:
     if u.d != t.nvars:
         raise ValueError("size mismatch")

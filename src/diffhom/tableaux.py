@@ -4,9 +4,11 @@ symmetrizers.
 
 Standard tableaux are counted by the branching rule (remove a corner),
 memoized per shape, semi-standard tableaux by the hook-content formula, and
-Kostka numbers by direct enumeration.  The hook-length formula appears only
-as a cross-check in the test suite, and the enumeration of all semi-standard
-tableaux as the oracle of their count.
+Kostka numbers by removing horizontal strips (the cells of the largest
+letter), memoized per shape and content prefix.  The hook-length formula
+appears only as a cross-check in the test suite, and the enumeration of all
+semi-standard tableaux as the oracle of their count and of the Kostka
+numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .exact import ONE, ZERO, SparseComb
+from .exact import ONE, SparseComb
 
 
 @dataclass(frozen=True)
@@ -269,21 +271,35 @@ def semistandard_weight_counts(lam: Partition, n: int) -> list[int]:
 
 
 def kostka(lam: Partition, a: Sequence[int]) -> int:
-    """Number of semi-standard tableaux of shape lam with a[j] copies of letter j+1."""
+    """Number of semi-standard tableaux of shape lam with a[j] copies of
+    letter j+1, by removing the letters from the last: in such a tableau the
+    cells of the largest letter form a horizontal strip lam/mu of a[-1]
+    cells, and the rest is a tableau of shape mu and content a[:-1] (Fulton,
+    Young Tableaux, Part II).  Memoized per (shape, content prefix)."""
     if sum(a) != lam.size:
         raise ValueError("content size must match the partition size")
-    return sum(1 for _ in semistandard_tableaux(lam, len(a), content=a))
+    return _kostka(lam.parts, tuple(a))
 
 
-def schur_poly_eval(lam: Partition, xs: Sequence[Fraction]) -> Fraction:
-    """Schur polynomial value: sum over semi-standard tableaux of the content monomial."""
-    total = ZERO
-    for t in semistandard_tableaux(lam, len(xs)):
-        prod = ONE
-        for v in t.filling:
-            prod *= xs[v - 1]
-        total += prod
-    return total
+@functools.cache
+def _kostka(parts: tuple[int, ...], content: tuple[int, ...]) -> int:
+    if len(parts) > len(content):  # a column holds distinct letters
+        return 0
+    if not content:
+        return 1
+    return sum(_kostka(mu, content[:-1]) for mu in _strips(parts, content[-1]))
+
+
+@functools.cache
+def _strips(parts: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
+    """The shapes mu for which parts/mu is a horizontal strip of s cells:
+    row r keeps between parts[r+1] and parts[r] cells."""
+    if not parts:
+        return ((),) if s == 0 else ()
+    head, rest = parts[0], parts[1:]
+    return tuple(((head - t,) if t < head else ()) + mu
+                 for t in range(min(s, head - (rest[0] if rest else 0)) + 1)
+                 for mu in _strips(rest, s - t))
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,14 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
-from .exact import (ONE, ZERO, add_terms, linear_combination, operator_rows,
-                    pivot_columns, rank)
+from .exact import ONE, ZERO, add_terms, operator_rows, pivot_columns, rank
 from .dpoly import (DiffPoly, derive, gl_elementary, is_diff_homogeneous, mono_multidegree,
                     span_rank)
 from .tableaux import (Partition, canonical_tableau, compositions, count_semistandard,
                        count_standard, group_algebra_mul, kostka, partition_parts,
                        partitions_of, young_symmetrizer)
-from .wronskian import (build_formal_wronskian, enumerate_canonical_basis,
-                        reduce_to_triangular, standard_nilpotent,
+from .wronskian import (enumerate_canonical_basis, first_wedge_failure,
+                        reduce_to_triangular, rewriting_mismatches, standard_nilpotent,
                         verify_wedge_identity)
 from .hwv import (MultiPoly, _e_iso_family, full_kernel_vectors, hwv_basis, j_ell,
                   kernel_dim_full, kernel_dim_isotypic, solve_multiplicities,
@@ -337,39 +336,22 @@ def suite_pde(max_d: int, max_n: int, seed: int) -> list[partial]:
 
 def check_triangular_reduction(d: int) -> CheckResult:
     """Each formal Wronskian of {0..d-1}^d equals the combination of
-    triangular ones that ``reduce_to_triangular`` gives.  The direct and the
-    reduced side share one dict of the triangular Wronskians (a triangular
-    tuple rewrites to itself), so each of the d^d is built once and only
-    d! are held."""
-    failures = 0
-    first = None
-    zero = DiffPoly.zero(d - 1)
-    wronskians = {}
-    for alpha in itertools.product(range(d), repeat=d):
-        comb = reduce_to_triangular(alpha)
-        for _, idx in comb:
-            if idx not in wronskians:
-                wronskians[idx] = build_formal_wronskian(idx)
-        direct = wronskians[alpha] if alpha in wronskians else build_formal_wronskian(alpha)
-        reduced = linear_combination(zero, ((c, wronskians[idx]) for c, idx in comb))
-        if direct != reduced:
-            failures += 1
-            first = first or alpha
+    triangular ones that ``reduce_to_triangular`` gives.  The Wronskians are
+    expanded as packed codes, once each, in one lexicographic walk that
+    holds only the d! triangular ones (``wronskian.rewriting_mismatches``)."""
+    bad = list(rewriting_mismatches(d, reduce_to_triangular))
     return _result("triangular_reduction", {"d": d, "cases": d ** d},
-                   "all identities hold", "all identities hold" if not failures
-                   else f"{failures} failures, first {first}")
+                   "all identities hold", "all identities hold" if not bad
+                   else f"{len(bad)} failures, first {bad[0]}")
 
 
 def check_wedge_basis_tuples(d: int, i: int) -> CheckResult:
-    nil = standard_nilpotent(d)
-    count = d - i + 1
+    """The wedge identity on every tuple of d - i + 1 standard basis
+    vectors, walked as a prefix tree (``wronskian.first_wedge_failure``)."""
     basis = [tuple(ONE if r == j else ZERO for r in range(d)) for j in range(d)]
-    for tup in itertools.product(range(d), repeat=count):
-        vectors = [basis[j] for j in tup]
-        if not verify_wedge_identity(nil, vectors, i):
-            return _result("wedge_basis_tuples", {"d": d, "i": i}, "all vanish",
-                           f"failure at tuple {tup}")
-    return _result("wedge_basis_tuples", {"d": d, "i": i}, "all vanish", "all vanish")
+    tup = first_wedge_failure(standard_nilpotent(d), basis, i)
+    return _result("wedge_basis_tuples", {"d": d, "i": i}, "all vanish",
+                   "all vanish" if tup is None else f"failure at tuple {tup}")
 
 
 def check_wedge_random(d: int, i: int, seed: int, count: int = 20) -> CheckResult:

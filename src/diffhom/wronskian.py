@@ -31,10 +31,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import ZERO, add_terms
-from .dpoly import DiffPoly, MonoCodec, UniPoly, gradings, span_rank, to_json_dict
+from .dpoly import DiffPoly, MonoCodec, UniPoly, gradings, to_json_dict
 from .tableaux import compositions
 
 
@@ -98,35 +98,45 @@ def _expand(forms: Sequence[Sequence[Sequence[tuple[int, int | Fraction]]]]) -> 
     """The determinant of the d x d matrix whose entry (r, c) is the linear
     form ``forms[r][c]``, a list of (packed code of a variable, coefficient).
 
-    Row by row over sets of used columns: after row r, ``partial`` maps each
-    bitmask of r+1 columns to the signed sum of the products of rows 0..r
-    placed on them, as {code: coefficient}.  A product of monomials is a sum
-    of codes, so placing an entry adds its code to every monomial.  Terms
-    that cancel (a few percent on the canonical basis) are dropped at the end
+    Row by row over sets of used columns (:func:`_expand_step`).  Terms that
+    cancel (a few percent on the canonical basis) are dropped at the end
     only.
     """
     d = len(forms)
     partial: dict[int, dict[int, int | Fraction]] = {0: {0: 1}}
     for row in forms:
-        grown: dict[int, dict[int, int | Fraction]] = {}
-        for mask, terms in partial.items():
-            above = 0  # used columns right of c: the inversions that placing c adds
-            for c in range(d - 1, -1, -1):
-                if mask >> c & 1:
-                    above += 1
-                    continue
-                if not row[c]:
-                    continue
-                out = grown.setdefault(mask | 1 << c, {})
-                get = out.get
-                for unit, ec in row[c]:
-                    if above & 1:
-                        ec = -ec
-                    for w, coeff in terms.items():
-                        w += unit
-                        out[w] = get(w, 0) + coeff * ec
-        partial = grown
+        partial = _expand_step(partial, row)
     return {w: c for w, c in partial.get((1 << d) - 1, {}).items() if c}
+
+
+def _expand_step(partial: dict[int, dict], row: Sequence[Sequence[tuple[int, int | Fraction]]]
+                 ) -> dict[int, dict]:
+    """One row of :func:`_expand`: ``partial`` maps each bitmask of r used
+    columns to the signed sum of the products of rows 0..r-1 placed on them,
+    as {code: coefficient}, and the result does the same for r+1 rows, with
+    ``row`` placed on each unused column.  A product of monomials is a sum of
+    codes, so placing an entry adds its code to every monomial.  Applied to
+    the columns of a matrix it expands the determinant of the transpose,
+    the same determinant."""
+    d = len(row)
+    grown: dict[int, dict[int, int | Fraction]] = {}
+    for mask, terms in partial.items():
+        above = 0  # used columns right of c: the inversions that placing c adds
+        for c in range(d - 1, -1, -1):
+            if mask >> c & 1:
+                above += 1
+                continue
+            if not row[c]:
+                continue
+            out = grown.setdefault(mask | 1 << c, {})
+            get = out.get
+            for unit, ec in row[c]:
+                if above & 1:
+                    ec = -ec
+                for w, coeff in terms.items():
+                    w += unit
+                    out[w] = get(w, 0) + coeff * ec
+    return grown
 
 
 def _integral(c: Fraction):
@@ -237,6 +247,59 @@ def build_formal_wronskian(alpha: Sequence[int]) -> DiffPoly:
     variables, realized as x_0..x_{d-1}.  Zero whenever some alpha_i >= d."""
     d = len(alpha)
     return build_wronskian(WronskSpec.monomials(tuple(alpha), tuple(range(d))), d - 1)
+
+
+def formal_codes(d: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """Every formal Wronskian of {0..d-1}^d as (alpha, {packed code: int
+    coefficient}) under ``_codec(d)``, in lexicographic order of alpha.
+
+    Column j of the matrix holds t^alpha_j y_j, whose entry in row r is
+    ``r!/(r-alpha_j)! y_j[r-alpha_j]``, so it depends on alpha_j alone.  The
+    tuples are walked as a prefix tree and the determinant is expanded
+    column by column (:func:`_expand_step` on the transpose): the partial
+    expansion of each prefix is built once, for all the tuples that extend
+    it, and only the d partials along the current path are held.
+    """
+    codec = _codec(d)
+    columns = [[[[(codec.unit(j, r - a), math.perm(r, a))] if r >= a else [] for r in range(d)]
+                for a in range(d)] for j in range(d)]
+
+    def walk(prefix: tuple[int, ...], partial: dict) -> Iterator:
+        if len(prefix) == d:
+            yield prefix, {w: c for w, c in partial.get((1 << d) - 1, {}).items() if c}
+            return
+        for a, column in enumerate(columns[len(prefix)]):
+            yield from walk(prefix + (a,), _expand_step(partial, column))
+
+    return walk((), {0: {0: 1}})
+
+
+def rewriting_mismatches(d: int, rewrite: Callable[[tuple[int, ...]], list]
+                         ) -> Iterator[tuple[int, ...]]:
+    """The alpha of {0..d-1}^d, in lexicographic order, whose formal
+    Wronskian (:func:`formal_codes`) differs from the combination of
+    triangular ones that ``rewrite(alpha)`` gives, a list of (coefficient,
+    tuple) like :func:`reduce_to_triangular`'s; compared in integers.
+
+    A triangular tuple rewrites to itself, and every term of a rewriting is
+    lexicographically at most alpha, so the triangular codes are held as the
+    walk reaches them (d! of them) and every other one is dropped once
+    compared.  A rewriting onto a tuple that is not held is a mismatch.
+    """
+    held: dict[tuple[int, ...], dict[int, int]] = {}
+    for alpha, codes in formal_codes(d):
+        comb = rewrite(alpha)
+        if any(idx == alpha for _, idx in comb):
+            held[alpha] = codes
+        if any(idx not in held for _, idx in comb):
+            yield alpha
+            continue
+        reduced: dict[int, int] = {}
+        for c, idx in comb:
+            c = _integral(c)
+            add_terms(reduced, ((w, c * v) for w, v in held[idx].items()))
+        if reduced != codes:
+            yield alpha
 
 
 def _first_violation(alpha: tuple[int, ...]) -> int | None:
@@ -353,39 +416,51 @@ def _is_nilpotent(m: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[int, ...],
     return None if any(any(row) for row in power) else rows
 
 
+def _wedge_chain(rows: Sequence[Sequence[int]], v: Sequence[Fraction], i: int
+                 ) -> list[tuple[int, ...]]:
+    """w, M w, ..., M^i w: M the square integer matrix ``rows`` and w the
+    vector v times the lcm of its own denominators."""
+    chain = [_integral_vector(v)]
+    for _ in range(i):
+        chain.append(_mat_vec(rows, chain[-1]))
+    return chain
+
+
+def _wedge_step(partial: dict[tuple[int, int], int], chain: Sequence[Sequence[int]], i: int,
+                last: bool) -> dict[tuple[int, int], int]:
+    """One vector of :func:`_wedge_coordinates`.  ``partial`` maps (exponent
+    total t <= i, bitmask of used rows) to the signed sum of the wedges of
+    M^a1 w_1, ..., M^aj w_j with a_1+...+a_j = t; the result does the same
+    with M^a w appended, w the vector whose :func:`_wedge_chain` is
+    ``chain``, for a <= i - t (a = i - t when ``last``), placed on each
+    unused row r with the sign of the used rows above r.  Zeros are dropped,
+    so an empty result stays empty under every further step."""
+    d = len(chain[0])
+    grown: dict[tuple[int, int], int] = {}
+    for (t, mask), coeff in partial.items():
+        for a in (i - t,) if last else range(i - t + 1):
+            w = chain[a]
+            above = 0  # used rows above r: the transpositions that placing r costs
+            for r in range(d - 1, -1, -1):
+                if mask >> r & 1:
+                    above += 1
+                elif w[r]:
+                    key = (t + a, mask | 1 << r)
+                    grown[key] = grown.get(key, 0) + (-coeff if above & 1 else coeff) * w[r]
+    return {key: c for key, c in grown.items() if c}
+
+
 def _wedge_coordinates(rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[Fraction]],
                        i: int) -> dict[int, int]:
     """The nonzero Pluecker coordinates, keyed by the bitmask of their rows,
     of ``sum over a in N^c, |a| = i of M^a1 w_1 ^ ... ^ M^ac w_c``: M the
     square integer matrix ``rows``, c = len(vectors) and w_j the vector v_j
-    times the lcm of its own denominators.
-
-    One pass over the vectors, as in ``build_wronskian``: after j vectors,
-    ``partial`` maps (exponent total t <= i, bitmask of used rows) to the
-    signed sum of the wedges of M^a1 w_1, ..., M^aj w_j with a_1+...+a_j = t.
-    Vector j+1 extends each entry by M^a w_(j+1) for a <= i - t (a = i - t
-    for the last vector), placing it on each unused row r with the sign of
-    the used rows above r.
+    times the lcm of its own denominators.  One pass over the vectors, as in
+    ``build_wronskian``: :func:`_wedge_step` folded over their chains.
     """
-    d = len(rows)
     partial = {(0, 0): 1}
     for j, v in enumerate(vectors):
-        chain = [_integral_vector(v)]
-        for _ in range(i):
-            chain.append(_mat_vec(rows, chain[-1]))
-        last = j == len(vectors) - 1
-        grown: dict[tuple[int, int], int] = {}
-        for (t, mask), coeff in partial.items():
-            for a in (i - t,) if last else range(i - t + 1):
-                w = chain[a]
-                above = 0  # used rows above r: the transpositions that placing r costs
-                for r in range(d - 1, -1, -1):
-                    if mask >> r & 1:
-                        above += 1
-                    elif w[r]:
-                        key = (t + a, mask | 1 << r)
-                        grown[key] = grown.get(key, 0) + (-coeff if above & 1 else coeff) * w[r]
-        partial = {key: c for key, c in grown.items() if c}
+        partial = _wedge_step(partial, _wedge_chain(rows, v, i), i, j == len(vectors) - 1)
     return {mask: c for (t, mask), c in partial.items() if t == i}
 
 
@@ -395,6 +470,20 @@ def standard_nilpotent(d: int) -> list[list[Fraction]]:
     for i in range(1, d):
         m[i][i - 1] = Fraction(i)
     return m
+
+
+def _wedge_rows(nilpotent: Sequence[Sequence[Fraction]], i: int) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of ``nilpotent`` (:func:`_is_nilpotent`), after
+    checking that it is a square nilpotent matrix and that 1 <= i <= d."""
+    d = len(nilpotent)
+    if any(len(row) != d for row in nilpotent):
+        raise ValueError("nilpotent matrix must be square")
+    rows = _is_nilpotent(tuple(map(tuple, nilpotent)))
+    if rows is None:
+        raise ValueError("matrix is not nilpotent")
+    if not 1 <= i <= d:
+        raise ValueError(f"i must lie in 1..{d}")
+    return rows
 
 
 def verify_wedge_identity(nilpotent: Sequence[Sequence[Fraction]],
@@ -410,29 +499,36 @@ def verify_wedge_identity(nilpotent: Sequence[Sequence[Fraction]],
     lcm of its own denominators.  The sum scales by one nonzero integer, so
     it vanishes exactly when the rational sum does.
     """
-    d = len(nilpotent)
-    if any(len(row) != d for row in nilpotent):
-        raise ValueError("nilpotent matrix must be square")
-    rows = _is_nilpotent(tuple(map(tuple, nilpotent)))
-    if rows is None:
-        raise ValueError("matrix is not nilpotent")
-    count = d - i + 1
-    if not 1 <= i <= d:
-        raise ValueError(f"i must lie in 1..{d}")
+    rows = _wedge_rows(nilpotent, i)
+    count = len(nilpotent) - i + 1
     if len(vectors) != count:
         raise ValueError(f"expected {count} vectors, got {len(vectors)}")
     return not _wedge_coordinates(rows, vectors, i)
 
 
-def theta_family_rank(n: int, d: int, theta: Fraction) -> int:
-    """Observed rank of the family Wronsk(x_{n_1}, (theta+t) x_{n_2}, ...,
-    (theta+t)^{d-1} x_{n_d}) over all index tuples; reported, never asserted."""
-    theta = Fraction(theta)
-    if theta == 0:
-        raise ValueError("theta must be nonzero")
-    polys = []
-    for tup in itertools.product(range(n + 1), repeat=d):
-        spec = WronskSpec(tuple((UniPoly.shifted_power(theta, j), v)
-                                for j, v in enumerate(tup)))
-        polys.append(build_wronskian(spec, n))
-    return span_rank(polys)
+def first_wedge_failure(nilpotent: Sequence[Sequence[Fraction]],
+                        vectors: Sequence[Sequence[Fraction]], i: int) -> tuple[int, ...] | None:
+    """The first tuple of d - i + 1 indices into ``vectors``, in
+    lexicographic order, whose vectors fail :func:`verify_wedge_identity`,
+    or None when every tuple passes.
+
+    The tuples are walked as a prefix tree: the chain w, ..., N^i w of each
+    vector is built once, and the partial pass of each prefix
+    (:func:`_wedge_step`) once, for all the tuples that extend it.  A prefix
+    whose partial pass is empty is skipped, as every extension of it
+    vanishes.
+    """
+    rows = _wedge_rows(nilpotent, i)
+    last = len(nilpotent) - i
+    chains = [_wedge_chain(rows, v, i) for v in vectors]
+
+    def walk(prefix: tuple[int, ...], partial: dict) -> tuple[int, ...] | None:
+        for j, chain in enumerate(chains):
+            grown = _wedge_step(partial, chain, i, len(prefix) == last)
+            if grown:
+                found = prefix + (j,) if len(prefix) == last else walk(prefix + (j,), grown)
+                if found is not None:
+                    return found
+        return None
+
+    return walk((), {(0, 0): 1})

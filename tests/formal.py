@@ -46,13 +46,18 @@ identities in one integer pass over the vectors, and
 composition-by-composition sum of ``det_expansion`` minors and the work-queue
 rewriting they replaced are kept here as :func:`formal_wedge_coordinates` and
 :func:`formal_reduce_to_triangular`, with :func:`expand_combination`, which
-reads a rewriting back as a combination of formal Wronskians.
+reads a rewriting back as a combination of formal Wronskians.  The prefix
+walks of the ``appendixA`` checks (``wronskian.first_wedge_failure`` and
+``wronskian.formal_codes``) are compared in the tests against the
+per-tuple ``verify_wedge_identity`` and ``build_formal_wronskian`` they
+replaced.
 
 ``tableaux.count_standard`` counts standard tableaux by the branching rule,
-and ``tableaux.count_semistandard`` semi-standard ones by the hook-content
-formula.  The enumerations they replaced are kept here as
-:func:`standard_tableaux`, with :func:`count_standard_by_enumeration`, and
-:func:`count_semistandard_by_enumeration`.
+``tableaux.count_semistandard`` semi-standard ones by the hook-content
+formula, and ``tableaux.kostka`` those of one content by removing horizontal
+strips.  The enumerations they replaced are kept here as
+:func:`standard_tableaux`, with :func:`count_standard_by_enumeration`,
+:func:`count_semistandard_by_enumeration` and :func:`kostka_by_enumeration`.
 
 ``wronskian.build_wronskian`` and the census expand the Wronskian over packed
 exponent codes (``dpoly.MonoCodec``).  The expansion over sorted tuples of
@@ -75,8 +80,9 @@ elimination of every composition's own rows (``wronskian.canonical_codes``
 in enumeration order, one forward elimination per (weight, multidegree)
 block) that it replaced is kept here as :func:`formal_pivot_profile`.
 
-``tableaux.relabel``, which only the tests called, is kept here as
-:func:`relabel`.
+``tableaux.relabel``, ``tableaux.schur_poly_eval`` and
+``hwv.tensor_sigma_action``, which only the tests called, are kept here as
+:func:`relabel`, :func:`schur_poly_eval` and :func:`tensor_sigma_action`.
 """
 
 from __future__ import annotations
@@ -96,7 +102,7 @@ from diffhom.dpoly import (DiffPoly, DMono, MonoCodec, ParseError, UniPoly, deri
                            mono_order, mono_weight, solve_in_span, span_rank, substitute)
 from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
                            linear_combination, operator_rows, pivot_columns, rank)
-from diffhom.hwv import MultiPoly, d_t, full_kernel_vectors, j_ell
+from diffhom.hwv import MultiPoly, _permuted_terms, d_t, full_kernel_vectors, j_ell
 from diffhom.pde import vandermonde
 from diffhom.tableaux import (Partition, Permutation, Tableau, compositions, kostka,
                               partitions_of, semistandard_tableaux)
@@ -681,6 +687,23 @@ def count_semistandard_by_enumeration(lam: Partition, n: int) -> int:
     return sum(1 for _ in semistandard_tableaux(lam, n))
 
 
+def kostka_by_enumeration(lam: Partition, a: Sequence[int]) -> int:
+    """The semi-standard tableaux of shape lam with a[j] copies of letter
+    j+1, counted one by one."""
+    return sum(1 for _ in semistandard_tableaux(lam, len(a), content=a))
+
+
+def schur_poly_eval(lam: Partition, xs: Sequence[Fraction]) -> Fraction:
+    """Schur polynomial value: sum over semi-standard tableaux of the content monomial."""
+    total = ZERO
+    for t in semistandard_tableaux(lam, len(xs)):
+        prod = ONE
+        for v in t.filling:
+            prod *= xs[v - 1]
+        total += prod
+    return total
+
+
 # ---------------------------------------------------------------------------
 # The Young-subgroup route to the multiplicities of the J^(l) kernel.
 
@@ -930,6 +953,11 @@ def formal_pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...
             pivot_orders.setdefault(weight, []).extend(order[cols[j]] for j in pivots)
     return tuple((weight, sizes[weight], tuple(sorted(pivot_orders[weight], reverse=True)))
                  for weight in sorted(sizes))
+
+
+def tensor_sigma_action(t: MultiPoly, sigma: Permutation) -> MultiPoly:
+    """Right action: the i-th factor of t.sigma is the sigma(i)-th factor of t."""
+    return t.with_terms(dict(_permuted_terms(t, sigma)))
 
 
 def relabel(sigma: Permutation, t: Tableau) -> Tableau:

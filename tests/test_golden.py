@@ -30,7 +30,9 @@ before and after hashed alike (``09e61d48...`` at the default caps,
 weights at ``k = d-1`` were read by Poincaré duality, and the ``census
 --n 3 --d 4 --all-k`` and ``census --n 2 --d 5 --theorem2`` digests before
 the census eliminated one multidegree per partition of d and credited it to
-every rearrangement.  The
+every rearrangement, and the ``verify --suite rsk`` and ``verify --suite
+appendixA --max-d 5`` digests before ``kostka`` removed horizontal strips and
+the ``appendixA`` checks walked their tuples as prefix trees.  The
 ``wall_time_seconds`` field of ``verify`` and the ``seconds`` field of each
 of its checks are dropped before hashing.
 """
@@ -96,6 +98,10 @@ GOLDEN = {
         "6f15e34ded07f52a6b80baec105896aa65ab5f789fd59f00c6c05d11207d8ac1",
     "census --n 2 --d 5 --theorem2":
         "65c13294bb74e3f496dc54c51f3e097d43a8c247dd5c3e7500fbff38d0294699",
+    "verify --suite rsk":
+        "5feb9154d11472af2309232bdcb7cf8a1c1bc432e3b65feb23cc7597d9231d56",
+    "verify --suite appendixA --max-d 5":
+        "c1a192bf3c8b54701c012c4944bb959136fa4de775e3911f8378bc7d428c1f74",
 }
 
 # Exit codes other than 0: ``check`` exits 1 on a non-example.

@@ -18,11 +18,11 @@ from diffhom.hwv import (MultiPoly, column_det, d_t, e_iso, full_kernel_vectors,
                          hwv_basis, j_ell, kernel_dim_full,
                          kernel_dim_isotypic, stacked_operator_rows,
                          straighten, symmetrizer_projection, tableau_projection,
-                         tensor_of_tableau, tensor_sigma_action)
+                         tensor_of_tableau)
 from diffhom.exact import det_expansion
 from diffhom.dpoly import DiffPoly
 import formal
-from formal import ParamPoly, formal_matrix_action, young_operator_rows
+from formal import ParamPoly, formal_matrix_action, tensor_sigma_action, young_operator_rows
 
 F = Fraction
 

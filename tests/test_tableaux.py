@@ -13,10 +13,11 @@ from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                               canonical_tableau, compositions, count_semistandard,
                               count_standard, group_algebra_mul,
                               hook_length_count, kostka, partitions_of,
-                              schur_poly_eval, semistandard_tableaux,
+                              semistandard_tableaux,
                               semistandard_weight_counts, young_symmetrizer)
 from formal import (centralizer_size, character, count_semistandard_by_enumeration,
-                    count_standard_by_enumeration, dominates, relabel, standard_tableaux)
+                    count_standard_by_enumeration, dominates, kostka_by_enumeration,
+                    relabel, schur_poly_eval, standard_tableaux)
 
 F = Fraction
 
@@ -275,6 +276,15 @@ def test_kostka_sum_is_semistandard_count():
                             for a in itertools.product(range(d + 1), repeat=n)
                             if sum(a) == d)
                 assert total == count_semistandard(lam, n)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_kostka_matches_enumeration(d):
+    # every content of d over at most four letters, zero entries included
+    for lam in partitions_of(d):
+        for n in range(1, 5):
+            for a in compositions(d, n):
+                assert kostka(lam, a) == kostka_by_enumeration(lam, a), (lam, a)
 
 
 def test_count_standard_is_unit_content_kostka():

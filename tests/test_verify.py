@@ -257,19 +257,42 @@ def test_pde_suite_cap_is_6():
 
 
 def test_triangular_reduction_builds_each_wronskian_once(monkeypatch):
-    # the direct and the reduced side share the triangular Wronskians
-    import diffhom.verify as verify
+    # one column step per prefix of the lexicographic walk, so each of the
+    # 4^4 Wronskians is expanded once; every code dict the walk yields is
+    # tracked, and at most the 4! triangular ones outlive the comparison
+    # (besides the one being compared and the one that replaces it)
+    import weakref
+    from diffhom import wronskian
 
-    calls = Counter()
-    build = verify.build_formal_wronskian
+    class Codes(dict):  # a dict that a weak reference can follow
+        pass
 
-    def counted(alpha):
-        calls[tuple(alpha)] += 1
-        return build(alpha)
+    steps = Counter()
+    step = wronskian._expand_step
 
-    monkeypatch.setattr(verify, "build_formal_wronskian", counted)
+    def counted(partial, column):
+        steps["calls"] += 1
+        return step(partial, column)
+
+    walk = wronskian.formal_codes
+    seen = Counter()
+    live = Counter()
+
+    def tracked(d):
+        for alpha, codes in walk(d):
+            seen[alpha] += 1
+            codes = Codes(codes)
+            live["now"] += 1
+            weakref.finalize(codes, live.subtract, ["now"])
+            live["most"] = max(live["most"], live["now"])
+            yield alpha, codes
+
+    monkeypatch.setattr(wronskian, "_expand_step", counted)
+    monkeypatch.setattr(wronskian, "formal_codes", tracked)
     assert verify.check_triangular_reduction(4).passed
-    assert sum(calls.values()) == len(calls) == 4 ** 4
+    assert sum(seen.values()) == len(seen) == 4 ** 4
+    assert steps["calls"] == 4 + 4 ** 2 + 4 ** 3 + 4 ** 4
+    assert math.factorial(4) < live["most"] <= math.factorial(4) + 2
 
 
 def test_triangular_reduction_reports_a_perturbed_rewriting(monkeypatch):

@@ -9,10 +9,12 @@ are compared against the work queue and the ``det_expansion`` minors of
 ``formal``.
 """
 
+import importlib.util
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,16 +22,29 @@ from hypothesis import given, settings, strategies as st
 from diffhom.dpoly import (DiffPoly, MonoCodec, UniPoly, derive, gradings, is_diff_homogeneous,
                            matrix_action, parse, solve_in_span, span_rank, substitute, to_text)
 from diffhom.exact import ONE, det_expansion
-from diffhom.wronskian import (WronskSpec, _integral_rows, _wedge_coordinates,
+from diffhom import wronskian
+from diffhom.wronskian import (WronskSpec, _codec, _integral_rows, _wedge_coordinates,
                                basis_manifest, build_formal_wronskian,
                                build_wronskian, canonical_codes, enumerate_canonical_basis,
-                               enumerate_canonical_data, reduce_to_triangular,
-                               standard_nilpotent, theta_family_rank,
+                               enumerate_canonical_data, first_wedge_failure, formal_codes,
+                               reduce_to_triangular, standard_nilpotent,
                                verify_wedge_identity)
 from formal import (expand_combination, formal_build_wronskian, formal_reduce_to_triangular,
                     formal_wedge_coordinates, lowering)
 
 F = Fraction
+
+
+def _script(name: str):
+    """The module of ``scripts/<name>.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+theta_family_rank = _script("theta_ranks").theta_family_rank
 
 
 def wronskian_matrix(spec: WronskSpec, n: int) -> list[list[DiffPoly]]:
@@ -302,6 +317,18 @@ def test_reduce_matches_work_queue_oracle_at_seven(alpha):
     assert reduce_to_triangular(alpha) == formal_reduce_to_triangular(alpha)
 
 
+@pytest.mark.parametrize("d", range(1, 5))
+def test_formal_codes_decode_to_the_formal_wronskians(d):
+    # the column-by-column prefix walk against the per-tuple row expansion
+    codec = _codec(d)
+    walked = list(formal_codes(d))
+    assert [alpha for alpha, _ in walked] == list(itertools.product(range(d), repeat=d))
+    for alpha, codes in walked:
+        assert all(type(c) is int and c for c in codes.values())
+        decoded = DiffPoly(d - 1, {codec.decode(w): F(c) for w, c in codes.items()})
+        assert decoded == build_formal_wronskian(alpha), alpha
+
+
 def test_trailing_substitution_lands_in_canonical_basis():
     # evaluating the distinct formal variables at repeated actual variables
     # maps each triangular element to a canonical basis element, or to zero
@@ -346,6 +373,62 @@ def test_wedge_identity_checks_nilpotence_once_per_matrix():
     assert wronskian._is_nilpotent.cache_info().misses == 1
     with pytest.raises(ValueError):
         verify_wedge_identity([[F(0), F(1)], [F(1), F(0)]], [(F(1), F(0))] * 2, 1)
+
+
+def _per_tuple_failure(matrix, vectors, i):
+    """The first tuple whose identity fails, one verify_wedge_identity call
+    per tuple of indices in lexicographic order."""
+    count = len(matrix) - i + 1
+    return next((tup for tup in itertools.product(range(len(vectors)), repeat=count)
+                 if not verify_wedge_identity(matrix, [vectors[j] for j in tup], i)), None)
+
+
+def _vector_families(d: int, rng: random.Random):
+    basis = [tuple(F(r == j) for r in range(d)) for j in range(d)]
+    return [basis, basis[::-1],
+            [tuple(_rational(rng) if rng.random() < 0.5 else F(0) for _ in range(d))
+             for _ in range(d + 1)]]
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_first_wedge_failure_matches_the_per_tuple_loop(d):
+    rng = random.Random(31 * d)
+    for vectors in _vector_families(d, rng):
+        for i in range(1, d + 1):
+            assert _per_tuple_failure(standard_nilpotent(d), vectors, i) is None
+            assert first_wedge_failure(standard_nilpotent(d), vectors, i) is None
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_first_wedge_failure_finds_an_injected_failure(d, monkeypatch):
+    # a diagonal entry makes the matrix not nilpotent, and the nilpotence
+    # test is bypassed, so some tuples fail; the walk names the same first
+    # one as the per-tuple loop (for the standard basis at d = 4 and i = 1
+    # that is (0, 1, 2, 3), past every tuple with a repeated vector)
+    monkeypatch.setattr(wronskian, "_is_nilpotent", _integral_rows)
+    rng = random.Random(37 * d)
+    found = []
+    for corner in range(d):
+        matrix = standard_nilpotent(d)
+        matrix[corner][corner] = F(1 + corner)
+        for vectors in _vector_families(d, rng):
+            for i in range(1, d + 1):
+                expected = _per_tuple_failure(matrix, vectors, i)
+                assert first_wedge_failure(matrix, vectors, i) == expected, (matrix, vectors, i)
+                found.append(expected)
+    assert any(tup is not None and any(tup) for tup in found)
+    if d == 4:
+        basis = _vector_families(d, rng)[0]
+        matrix = standard_nilpotent(d)
+        matrix[3][3] = F(1)
+        assert first_wedge_failure(matrix, basis, 1) == (0, 1, 2, 3)
+
+
+def test_first_wedge_failure_rejects_bad_input():
+    with pytest.raises(ValueError):
+        first_wedge_failure([[F(1)]], [(F(1),)], 1)  # not nilpotent
+    with pytest.raises(ValueError):
+        first_wedge_failure(standard_nilpotent(2), [(F(1), F(0))], 3)  # i out of range
 
 
 def test_wedge_identity_random_seeded():
