@@ -13,8 +13,7 @@ SCHEMA_VERSION = 1
 
 from .exact import Rational, nullspace_basis, rank
 from .dpoly import (DiffPoly, Gradings, UniPoly, from_json, gradings,
-                    is_diff_homogeneous, matrix_action, parse, span_rank,
-                    to_json, to_text)
+                    is_diff_homogeneous, parse, span_rank, to_json, to_text)
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                        canonical_tableau, count_semistandard, count_standard,
                        group_algebra_mul, kostka, partitions_of,
@@ -24,7 +23,7 @@ from .wronskian import (CanonicalDatum, WronskSpec, basis_manifest,
                         enumerate_canonical_basis, reduce_to_triangular,
                         verify_wedge_identity)
 from .hwv import (MultiPoly, column_det, d_t, e_iso, hwv_basis, j_ell,
-                  kernel_dim_full, kernel_dim_isotypic, straighten,
-                  symmetrizer_projection, tensor_of_tableau)
+                  kernel_dim_full, kernel_dim_isotypic, symmetrizer_projection,
+                  tensor_of_tableau)
 from .pde import newton_operator, solution_space_dim
 from .jets import census, classify_basis, verify_theorem2

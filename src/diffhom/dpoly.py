@@ -1,25 +1,21 @@
 """Differential polynomials in the variables x_i[k] (formally X_i^(k)).
 
 A differential polynomial lives in Q[X_i^(k) : 0 <= i <= N, k >= 0].  The
-module provides the change-of-variable action of rational (N+1) x (N+1)
-matrices, derivations such as E_pq (gl(N+1)), gradings, the
+module provides derivations such as E_pq (gl(N+1)), gradings, the
 differential-homogeneity test (the derivations L_m of the Leibniz action of
 one-variable polynomials, on packed codes) and a text/JSON serialization.
 Family ranks and coordinates in a span are the generic
 :func:`exact.span_rank` and :func:`exact.solve_in_span`, bound here.
 
-The matrix action x_j[k] -> sum_l a[j][l] x_l[k] keeps every jet order, so
-:func:`matrix_action` expands it order by order, in integers over one common
-denominator, with no ring substitution.  Its monomials are packed exponent
-codes (:class:`MonoCodec`: one int per monomial, multiplied by adding), the
-codec that the Wronskian expansion of ``wronskian`` shares.  The generic
-ring substitution :func:`substitute` (any coefficient ring) has no caller in
-the library.
+The library applies no matrix to a polynomial: GL stability is certified
+from the derivations E_pq (``verify.check_basis_gl_lie``).  Monomials of
+bounded order are packed into ints by :class:`MonoCodec` for the Wronskian
+and D_T expansions.  The generic ring substitution :func:`substitute` (any
+coefficient ring) has no caller in the library.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -311,7 +307,9 @@ class MonoCodec:
     exponents < 2^``bits``: one int per monomial, holding the exponent of
     x_i[k] in the field of ``bits`` bits at index i*orders + (orders-1-k).
     A product of monomials is the sum of their codes, and the fields from the
-    lowest up come in the (i, -k) order of DMono factors."""
+    lowest up come in the (i, -k) order of DMono factors.  The Wronskian
+    expansion (``wronskian._expand``), the D_T (``hwv._d_t_codes``) and the
+    multiplicity solver (:meth:`lowered`) share it."""
 
     __slots__ = ("orders", "bits", "_mask", "_factors")
 
@@ -376,73 +374,6 @@ class MonoCodec:
                     v = w + (unit << m * bits) - unit
                     out[v] = get(v, 0) + c * e * math.comb(k, m)
         return {v: x for v, x in out.items() if x}
-
-
-def _group_image(group: tuple[tuple[int, int], ...], rows: list[list[tuple[int, int]]],
-                 images: dict) -> dict[int, int]:
-    """Packed image of prod_j x_j^e over (j, e) in ``group`` under the integer
-    matrix ``rows`` (row j: (packed unit of x_l, entry) pairs), memoized in
-    ``images``; built from the group one degree smaller."""
-    out = images.get(group)
-    if out is None:
-        (j, e), rest = group[0], group[1:]
-        smaller = _group_image(((j, e - 1),) + rest if e > 1 else rest, rows, images)
-        out = images[group] = {}
-        for w, c in smaller.items():
-            for unit, x in rows[j]:
-                out[w + unit] = out.get(w + unit, 0) + c * x
-    return out
-
-
-def matrix_action(a: Sequence[Sequence[Fraction]], p: DiffPoly) -> DiffPoly:
-    """Change of variables x_j[k] -> sum_l a[j][l] x_l[k] for a rational
-    (N+1)x(N+1) matrix; entries and coefficients that are not int or
-    Fraction raise TypeError.
-
-    The map keeps each factor's jet order k.  So a monomial is a product of
-    per-order groups, and the image of the group prod_j x_j[k]^v_j is the
-    image of the ordinary monomial x^v under ``a``, in x_0[k]..x_N[k].  Each
-    group image is computed once, keyed by the group, from the group one
-    degree smaller.  Groups at different orders share no variable, so their
-    images multiply by adding packed exponent codes (:class:`MonoCodec`),
-    with no merging.  Coefficients stay ints over the common denominator
-    den = lcm(den p) * D^top, with D = lcm(den a) and top the largest degree
-    in p; each output monomial is decoded and made a Fraction once.
-    """
-    size = p.n + 1
-    if len(a) != size or any(len(row) != size for row in a):
-        raise ValueError(f"matrix must be {size}x{size} for this polynomial")
-    entries = [x for row in a for x in row]
-    if not all(isinstance(x, (int, Fraction)) for x in itertools.chain(entries, p.terms.values())):
-        raise TypeError("matrix_action works over Q: entries and coefficients must be int or Fraction")
-    orders = max(map(mono_order, p.terms), default=0) + 1
-    top = max(map(mono_degree, p.terms), default=0)
-    codec = MonoCodec(orders, max(top.bit_length(), 1))
-    den_a = math.lcm(*(x.denominator for x in entries))
-    den_p = math.lcm(*(c.denominator for c in p.terms.values()))
-    # group images are built at the top order and shifted down to their own
-    rows = [[(codec.unit(l, orders - 1), x.numerator * (den_a // x.denominator))
-             for l, x in enumerate(row) if x] for row in a]
-    images: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
-    shifted: dict[tuple, dict[int, int]] = {}
-    total: dict[int, int] = {}
-    for mono, c in p.terms.items():
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for i, k, e in mono:
-            groups.setdefault(k, []).append((i, e))
-        acc = {0: c.numerator * (den_p // c.denominator) * den_a ** (top - mono_degree(mono))}
-        for k, group in groups.items():
-            key = (k, tuple(group))
-            part = shifted.get(key)
-            if part is None:
-                step = (orders - 1 - k) * codec.bits
-                part = shifted[key] = {w << step: x for w, x in
-                                       _group_image(key[1], rows, images).items() if x}
-            acc = {w1 + w2: c1 * c2 for w1, c1 in acc.items() for w2, c2 in part.items()}
-        for w, x in acc.items():
-            total[w] = total.get(w, 0) + x
-    den = den_p * den_a ** top
-    return p.with_terms({codec.decode(w): Fraction(x, den) for w, x in total.items() if x})
 
 
 # ---------------------------------------------------------------------------

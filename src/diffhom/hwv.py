@@ -42,7 +42,7 @@ from .dpoly import DiffPoly, MonoCodec, solve_in_span
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                        canonical_tableau, compositions, count_standard, partitions_of,
                        semistandard_tableaux, young_symmetrizer)
-from .wronskian import _expand
+from .wronskian import _decoded, _expand
 
 Index = tuple[int, ...]
 
@@ -74,10 +74,6 @@ def _d_t_codes(tableaux: Iterable[Tableau], codec: MonoCodec) -> Iterator[dict[i
         yield {w: c for w, c in acc.items() if c}
 
 
-def _decoded(codes: Mapping[int, int], codec: MonoCodec, n: int) -> DiffPoly:
-    return DiffPoly(n, {codec.decode(w): Fraction(c) for w, c in codes.items()})
-
-
 def column_det(seq: Sequence[int], n: int) -> DiffPoly:
     """Determinant of the (r+1)x(r+1) matrix with entry (a, b) = x_b[seq[a]]."""
     size = len(seq)
@@ -106,7 +102,7 @@ def _semistandard_basis(lam: Partition, k: int, n: int) -> tuple[tuple[Tableau, 
     mutated."""
     if lam.nparts > n + 1:
         return ()
-    tableaux = list(semistandard_tableaux(lam, k + 1, lo=0))
+    tableaux = list(semistandard_tableaux(lam, k + 1))
     codec = _codec(lam, k)
     return tuple((t, _decoded(codes, codec, n))
                  for t, codes in zip(tableaux, _d_t_codes(tableaux, codec)))
@@ -279,7 +275,7 @@ def functional_system(lam: Partition, k: int, weight: int) -> tuple[list[dict[in
     ``dpoly.MonoCodec.lowered``; the D_T are isobaric, so the L_m images
     stay apart).  Its nullity, columns minus rank, is m_lam at that weight."""
     codec = _codec(lam, k)
-    polys = list(_d_t_codes(semistandard_tableaux(lam, k + 1, lo=0, total=weight), codec))
+    polys = list(_d_t_codes(semistandard_tableaux(lam, k + 1, total=weight), codec))
     return operator_rows(polys, lambda p: codec.lowered(p, k).items()), len(polys)
 
 
@@ -408,21 +404,7 @@ def full_kernel_vectors(d: int, k: int) -> tuple[dict[int, Fraction], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Straightening and the tableau-to-tensor comparison map.
-
-def straighten(t: Tableau, k: int, n: int) -> list[tuple[Fraction, Tableau]]:
-    """Expand D_T in the semi-standard basis of its shape, by exact linear solve.
-
-    The empty combination encodes D_T = 0 (repeated entries in a column).
-    """
-    target = d_t(t, n)
-    if not target:
-        return []
-    [coords] = _coordinates([target], t.shape, k, n)
-    if coords is None:
-        raise ArithmeticError("column-determinant product escaped the semi-standard span")
-    return coords
-
+# The comparison maps between the D_T and the tensor power.
 
 def _e_iso_family(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int) -> list[MultiPoly]:
     """:func:`e_iso` of each polynomial of a family in x_0..x_n, from one

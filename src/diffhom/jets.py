@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dpoly import mono_order, mono_weight
+from .dpoly import gradings
 from .exact import pivot_columns
 from .tableaux import partition_parts
-from .wronskian import CanonicalDatum, canonical_codes, canonical_data
+from .wronskian import CanonicalDatum, canonical_basis, canonical_codes, canonical_data
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,14 @@ def classify_basis(n: int, d: int) -> list[BasisClassification]:
     closed-form exponent-data values.  The weight formula is exact; the order
     formula is only an upper bound (degenerate data can cancel the top order),
     so discrepancies are reported by the caller, never treated as errors."""
-    codec, rows = canonical_codes(n, d)
     out = []
-    for datum, codes in rows:
-        monos = [codec.decode(w) for w in codes]
-        weights = {mono_weight(m) for m in monos}
-        flat = datum.flat_alpha
+    for datum, poly in canonical_basis(n, d):
+        g = gradings(poly)
         out.append(BasisClassification(
             datum=datum,
-            order=max(map(mono_order, monos)),
-            weight=weights.pop() if len(weights) == 1 else None,
-            order_bound=max(d - 1 - a for a in flat),
+            order=g.order,
+            weight=g.weight,
+            order_bound=max(d - 1 - a for a in datum.flat_alpha),
             weight_formula=datum.weight,
         ))
     return out

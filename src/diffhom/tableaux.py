@@ -171,15 +171,11 @@ def hook_length_count(lam: Partition) -> int:
     return math.factorial(lam.size) // prod
 
 
-def semistandard_tableaux(lam: Partition, n: int, lo: int = 1,
-                          content: Sequence[int] | None = None,
-                          total: int | None = None) -> Iterator[Tableau]:
-    """Semi-standard fillings with values in {lo, ..., lo+n-1}.
+def semistandard_tableaux(lam: Partition, n: int, total: int | None = None) -> Iterator[Tableau]:
+    """Semi-standard fillings with values in {0, ..., n-1}.
 
-    With ``content`` given (counts per letter, letter j = lo+j), only fillings
-    of that exact content are produced; with ``total``, only fillings whose
-    entries sum to it (a partial filling is dropped as soon as no values for
-    the cells left can reach the total).
+    With ``total``, only fillings whose entries sum to it (a partial filling
+    is dropped as soon as no values for the cells left can reach the total).
     """
     if n < 1:
         return
@@ -190,15 +186,14 @@ def semistandard_tableaux(lam: Partition, n: int, lo: int = 1,
     for p in parts:
         offsets.append(offsets[-1] + p)
     cells = [(r, c) for r, p in enumerate(parts) for c in range(p)]  # (row, column) per position
-    remaining = list(content) if content is not None else None
 
     def cell_bounds(r: int, c: int) -> tuple[int, int]:
-        low = lo
+        low = 0
         if c > 0:
             low = max(low, filling[offsets[r] + c - 1])          # rows weakly increase
         if r > 0:
             low = max(low, filling[offsets[r - 1] + c] + 1)       # columns strictly increase
-        return low, lo + n - 1
+        return low, n - 1
 
     def fill(pos: int, below: int) -> Iterator[tuple[int, ...]]:
         # below: what the cells from pos on must add up to (with ``total``)
@@ -209,20 +204,13 @@ def semistandard_tableaux(lam: Partition, n: int, lo: int = 1,
         rest = d - pos - 1
         for v in range(low, high + 1):
             if total is not None:
-                if v + rest * lo > below:
+                if v > below:
                     break
                 if v + rest * high < below:
                     continue
-            if remaining is not None:
-                j = v - lo
-                if j >= len(remaining) or remaining[j] == 0:
-                    continue
-                remaining[j] -= 1
             filling[pos] = v
             yield from fill(pos + 1, below - v)
             filling[pos] = 0
-            if remaining is not None:
-                remaining[v - lo] += 1
 
     for f in fill(0, 0 if total is None else total):
         yield Tableau(lam, f)

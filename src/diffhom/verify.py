@@ -37,8 +37,6 @@ from .jets import census, classify_basis, multidegree_profile, verify_theorem2
 
 DEFAULT_SEED = 20240817
 
-SUITE_NAMES = ("all", "basis", "rsk", "kernel", "pde", "appendixA", "hwv", "jets")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -581,12 +579,13 @@ _SUITES = {
     "hwv": (suite_hwv, {"max_d": 4, "max_n": 3}, {"max_d": 7, "max_n": 20}),
     "jets": (suite_jets, {"max_d": 4, "max_n": 2}, {}),
 }
+SUITE_NAMES = ("all", *_SUITES)
 
 
 def _suite_names(suite: str) -> list[str]:
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    return [s for s in SUITE_NAMES if s != "all"] if suite == "all" else [suite]
+    return list(_SUITES) if suite == "all" else [suite]
 
 
 def over_cap(suite: str, max_d: int | None, max_n: int | None) -> str | None:

@@ -4,17 +4,17 @@ A Wronskian here is the determinant of the d x d matrix whose r-th row is the
 r-th Leibniz derivative of a line of entries R_j(t) * x_{n_j}, evaluated at
 t = 0.  Every entry is a sparse linear form in the x_i[k], so the determinant
 is expanded row by row over sets of used columns (``_expand``), with each
-monomial one packed exponent code (``dpoly.MonoCodec``, the codec of
-``dpoly.matrix_action``): a product of monomials is a sum of ints, and the
-coefficients stay ints while the entries are integral.  Choosing monomials
+monomial one packed exponent code (``dpoly.MonoCodec``): a product of
+monomials is a sum of ints, and the coefficients stay ints while the
+entries are integral.  ``build_wronskian`` expands the Wronskian of any
+rational entries R_j and decodes it into a DiffPoly.  Choosing monomials
 t^alpha with triangular exponent constraints yields the canonical family of
-(N+1)^d differentially homogeneous polynomials.  ``build_wronskian`` decodes
-the expansion into a DiffPoly, and ``canonical_basis`` builds the DiffPoly
-basis once per process for each of the last few (N, d) asked for (``dh
-basis``, the ``basis`` suite).  The census reads the codes themselves
-(``canonical_codes``), built from the exponent data with no DiffPoly, and
-only for the multiplicity vectors that are partitions of d
-(``canonical_data`` enumerates the data of one multiplicity vector).
+(N+1)^d differentially homogeneous polynomials, expanded from the exponent
+data alone (``canonical_codes``).  The census reads these codes, and only
+for the multiplicity vectors that are partitions of d (``canonical_data``
+enumerates the data of one multiplicity vector); ``canonical_basis``
+decodes them into DiffPolys once per process for each of the last few
+(N, d) asked for (``dh basis``, the ``basis`` and ``jets`` suites).
 
 The paper's Appendix A rewrites an arbitrary exponent family over d distinct
 formal variables onto the triangular one (``reduce_to_triangular``, memoized
@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import ZERO, add_terms
 from .dpoly import DiffPoly, MonoCodec, UniPoly, gradings, to_json_dict
@@ -76,7 +76,7 @@ def build_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
     forms = [[[(codec.unit(var, r - s), math.perm(r, s) * _integral(c))
                for s, c in enumerate(rpoly.coeffs[:r + 1]) if c]
               for rpoly, var in spec.entries] for r in range(d)]
-    return DiffPoly(n, {codec.decode(w): Fraction(c) for w, c in _expand(forms).items()})
+    return _decoded(_expand(forms), codec, n)
 
 
 def _monomial_codes(pairs: Sequence[tuple[int, int]], codec: MonoCodec) -> dict[int, int]:
@@ -92,6 +92,11 @@ def _monomial_codes(pairs: Sequence[tuple[int, int]], codec: MonoCodec) -> dict[
 def _codec(d: int) -> MonoCodec:
     """The codec of degree-d Wronskians: orders 0..d-1, exponents up to d."""
     return MonoCodec(d, d.bit_length())
+
+
+def _decoded(codes: Mapping[int, int | Fraction], codec: MonoCodec, n: int) -> DiffPoly:
+    """The DiffPoly in x_0..x_n of {packed code: coefficient} under ``codec``."""
+    return DiffPoly(n, {codec.decode(w): Fraction(c) for w, c in codes.items()})
 
 
 def _expand(forms: Sequence[Sequence[Sequence[tuple[int, int | Fraction]]]]) -> dict:
@@ -170,10 +175,6 @@ class CanonicalDatum:
         blocks = iter(self.alpha)
         return tuple((a, i) for i, mult in enumerate(self.m) if mult for a in next(blocks))
 
-    def spec(self) -> WronskSpec:
-        alphas, variables = zip(*self.pairs())
-        return WronskSpec.monomials(alphas, variables)
-
 
 def canonical_data(m: Sequence[int]) -> Iterator[CanonicalDatum]:
     """The canonical data of the multiplicity vector ``m``, lexicographic in
@@ -200,11 +201,12 @@ def enumerate_canonical_data(n: int, d: int) -> list[CanonicalDatum]:
 
 @functools.lru_cache(maxsize=4)
 def canonical_basis(n: int, d: int) -> tuple[tuple[CanonicalDatum, DiffPoly], ...]:
-    """The canonical basis in enumeration order, built once per process for
-    each of the last few (N, d) asked for.  Every caller shares the result,
-    so it is a tuple, and its DiffPolys are never mutated."""
-    return tuple((datum, build_wronskian(datum.spec(), n))
-                 for datum in enumerate_canonical_data(n, d))
+    """The canonical basis in enumeration order: the rows of
+    :func:`canonical_codes`, decoded, built once per process for each of the
+    last few (N, d) asked for.  Every caller shares the result, so it is a
+    tuple, and its DiffPolys are never mutated."""
+    codec, rows = canonical_codes(n, d)
+    return tuple((datum, _decoded(codes, codec, n)) for datum, codes in rows)
 
 
 def enumerate_canonical_basis(n: int, d: int) -> list[tuple[CanonicalDatum, DiffPoly]]:

@@ -10,11 +10,10 @@ formal entries and compare both sides.  ``DiffPoly`` and ``MultiPoly`` take
 their arithmetic from ``exact.SparseComb``, which works over any coefficient
 ring, so ``substitute`` accepts ``ParamPoly`` entries.
 
-``dpoly.matrix_action`` works over Q only: an integer expansion graded by jet
-order, which raises TypeError on a ``ParamPoly`` entry.  The any-ring action
-it replaced is kept here as :func:`formal_matrix_action`, a ring substitution
-through ``substitute``; it serves the formal weight and unipotent criteria
-and is the oracle the tests compare ``matrix_action`` against.
+The library applies no matrix to a polynomial.  The GL action is kept here
+as :func:`formal_matrix_action`, a ring substitution through ``substitute``
+over any coefficient ring; it serves the formal weight and unipotent
+criteria and the random-matrix GL checks.
 
 ``hwv.weight_multiplicities`` counts the isotypic multiplicities of the J^(l)
 kernel as the nullities of L_1..L_k on the semi-standard D_T.  Two routes it
@@ -67,8 +66,8 @@ exponent codes (``dpoly.MonoCodec``).  The expansion over sorted tuples of
 ``verify.check_basis_gl_lie`` certifies that the span of the basis is
 GL-stable from the Chevalley generators of the Lie algebra, block by
 multidegree.  The random-matrix check it replaced (five seeded matrices,
-``matrix_action`` images, ``span_rank`` and explicit coordinates by
-``solve_in_span``) is kept here as :func:`formal_gl_stability`, and the same
+:func:`formal_matrix_action` images, ``span_rank`` and explicit coordinates
+by ``solve_in_span``) is kept here as :func:`formal_gl_stability`, and the same
 block test under all N(N+1) derivations E_pq as :func:`formal_gl_lie_verdicts`.  ``verify.check_pde_oracle`` ranks the
 d! staircase derivatives of the Vandermonde (``pde.vandermonde_staircase``)
 one order at a time; the family of all its nonzero derivatives that it
@@ -98,7 +97,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from diffhom.dpoly import (DiffPoly, DMono, MonoCodec, ParseError, UniPoly, derive,
-                           gl_elementary, gradings, matrix_action, mono_multidegree,
+                           gl_elementary, gradings, mono_multidegree,
                            mono_order, mono_weight, solve_in_span, span_rank, substitute)
 from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
                            linear_combination, operator_rows, pivot_columns, rank)
@@ -282,7 +281,7 @@ def formal_functional_solution_dim(lam: Partition, k: int, n: int) -> int:
     """Dimension of the solutions, inside the span of the D_T, of
     derivative_shift(P, [al, 1]) = al^d P with al formal: one equation per
     (monomial, power of al) coefficient."""
-    ss = list(semistandard_tableaux(lam, k + 1, lo=0))
+    ss = list(semistandard_tableaux(lam, k + 1))
     if lam.nparts > n + 1 or not ss:
         return 0
     d = lam.size
@@ -688,9 +687,10 @@ def count_semistandard_by_enumeration(lam: Partition, n: int) -> int:
 
 
 def kostka_by_enumeration(lam: Partition, a: Sequence[int]) -> int:
-    """The semi-standard tableaux of shape lam with a[j] copies of letter
-    j+1, counted one by one."""
-    return sum(1 for _ in semistandard_tableaux(lam, len(a), content=a))
+    """The semi-standard tableaux of shape lam with a[j] copies of letter j,
+    counted one by one."""
+    return sum(1 for t in semistandard_tableaux(lam, len(a))
+               if all(t.filling.count(j) == c for j, c in enumerate(a)))
 
 
 def schur_poly_eval(lam: Partition, xs: Sequence[Fraction]) -> Fraction:
@@ -699,7 +699,7 @@ def schur_poly_eval(lam: Partition, xs: Sequence[Fraction]) -> Fraction:
     for t in semistandard_tableaux(lam, len(xs)):
         prod = ONE
         for v in t.filling:
-            prod *= xs[v - 1]
+            prod *= xs[v]
         total += prod
     return total
 
@@ -855,14 +855,14 @@ def _random_invertible(size: int, rng: random.Random) -> list[list[Fraction]]:
 def formal_gl_stability(n: int, d: int, seed: int, basis: Sequence[DiffPoly],
                         matrices: int = 5) -> str:
     """The random-trial GL check on the family ``basis``: "stable", or the
-    first trial that fails, by ``matrix_action`` images, one ``span_rank``
-    per trial and exact coordinates for three elements by ``solve_in_span``
-    (five seeded invertible integer matrices)."""
+    first trial that fails, by :func:`formal_matrix_action` images, one
+    ``span_rank`` per trial and exact coordinates for three elements by
+    ``solve_in_span`` (five seeded invertible integer matrices)."""
     rng = random.Random(seed * 1000003 + n * 1009 + d)
     base_rank = span_rank(basis)
     for trial in range(matrices):
         a = _random_invertible(n + 1, rng)
-        images = [matrix_action(a, p) for p in basis]
+        images = [formal_matrix_action(a, p) for p in basis]
         joint = span_rank([*basis, *images])
         if joint != base_rank:
             return f"trial {trial}: span grew to {joint}"

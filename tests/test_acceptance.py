@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from diffhom.exact import ONE, ZERO, det_expansion, rank
-from diffhom.dpoly import is_diff_homogeneous, matrix_action, solve_in_span, span_rank
+from diffhom.dpoly import is_diff_homogeneous, solve_in_span, span_rank
 from diffhom.tableaux import (canonical_tableau, count_semistandard,
                               count_standard, group_algebra_mul, partitions_of,
                               young_symmetrizer)
@@ -74,7 +74,7 @@ def test_criterion_3_gl_stability():
                 if det_expansion(a, ZERO, ONE):
                     break
             for idx, p in enumerate(basis):
-                if solve_in_span(basis, [matrix_action(a, p)])[0] is None:
+                if solve_in_span(basis, [formal_matrix_action(a, p)])[0] is None:
                     failures.append((n, d, trial, idx))
     _report(3, "the canonical span is invariant under invertible substitutions",
             not failures, f"5 seeded matrices per point, seed={SEED}"

@@ -635,7 +635,7 @@ def test_kernel_cost_is_the_largest_system_solved(d, monkeypatch):
     build = hwv.functional_system
 
     def counted(lam, k, w):
-        built.append(sum(1 for _ in semistandard_tableaux(lam, k + 1, lo=0, total=w)))
+        built.append(sum(1 for _ in semistandard_tableaux(lam, k + 1, total=w)))
         return build(lam, k, w)
 
     monkeypatch.setattr(hwv, "functional_system", counted)

@@ -2,9 +2,12 @@
 the GL action.
 
 The Q-action with formal parameters lives in the test oracle ``formal``, and
-so does the any-ring GL action ``formal_matrix_action`` that the integer,
-order-graded ``matrix_action`` is compared with."""
+so does the GL action ``formal_matrix_action``, which the library does not
+have: its properties are checked here, and on the canonical basis it is
+compared with the determinant of the Wronskian matrix whose columns the
+matrix has transformed."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -14,9 +17,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diffhom.dpoly import (DiffPoly, ParseError, UniPoly, derive, from_json,
                            from_json_dict, gl_elementary,
-                           gradings, is_diff_homogeneous, matrix_action,
+                           gradings, is_diff_homogeneous,
                            mono_multidegree, parse, span_rank, solve_in_span, to_json,
                            to_text)
+from diffhom.exact import det_expansion
 from diffhom.wronskian import enumerate_canonical_basis
 from formal import (ParamPoly, as_parampoly, formal_derivation_verdict, formal_derive,
                     formal_matrix_action, formal_parse, formal_verdict, lowering, q_action,
@@ -209,41 +213,33 @@ def test_mono_multidegree():
 def test_matrix_action_identity():
     p = parse(WRONSK2, 1)
     eye = [[F(1), F(0)], [F(0), F(1)]]
-    assert matrix_action(eye, p) == p
+    assert formal_matrix_action(eye, p) == p
 
 
 def test_matrix_action_scaling():
     p = parse(WRONSK2, 1)
     two = [[F(2), F(0)], [F(0), F(2)]]
-    assert matrix_action(two, p) == p.scale(F(4))
+    assert formal_matrix_action(two, p) == p.scale(F(4))
 
 
 def test_matrix_action_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        matrix_action([[F(1)]], parse(WRONSK2, 1))
+        formal_matrix_action([[F(1)]], parse(WRONSK2, 1))
     with pytest.raises(ValueError):
-        matrix_action([[F(1), F(0)], [F(0)]], parse(WRONSK2, 1))
-
-
-def test_matrix_action_is_rational_only():
-    p = parse(WRONSK2, 1)
-    with pytest.raises(TypeError):
-        matrix_action([[ParamPoly.var("t"), F(0)], [F(0), F(1)]], p)
-    with pytest.raises(TypeError):
-        matrix_action([[F(1), F(0)], [F(0), F(1)]], p.scale(ParamPoly.var("t")))
+        formal_matrix_action([[F(1), F(0)], [F(0)]], parse(WRONSK2, 1))
 
 
 def test_matrix_action_preserves_gradings():
     p = parse(WRONSK2, 1)
     a = [[F(1), F(2)], [F(3), F(5)]]
-    g1, g2 = gradings(p), gradings(matrix_action(a, p))
+    g1, g2 = gradings(p), gradings(formal_matrix_action(a, p))
     assert g1 == g2
 
 
 def test_matrix_action_preserves_diff_homogeneity():
     p = parse(WRONSK2, 1)
     a = [[F(2), F(1)], [F(7), F(4)]]  # det = 1
-    assert is_diff_homogeneous(matrix_action(a, p)) == (True, 2)
+    assert is_diff_homogeneous(formal_matrix_action(a, p)) == (True, 2)
 
 
 def test_span_rank_examples():
@@ -613,7 +609,7 @@ def test_packed_code_test_matches_the_derivation_and_substitution_oracles(p):
     assert is_diff_homogeneous(p) == formal_derivation_verdict(p) == formal_verdict(p)
 
 
-# --- the GL action against the ring-substitution oracle ------------------------
+# --- the GL action on the columns of the Wronskian matrix -------------------
 
 ACTION_GRID = ([(1, d) for d in range(1, 6)] + [(2, d) for d in range(1, 5)]
                + [(3, d) for d in range(1, 4)])
@@ -637,77 +633,13 @@ def _action_matrices(size: int, seed: int) -> list[list[list]]:
 
 @pytest.mark.parametrize("n, d", ACTION_GRID)
 def test_matrix_action_matches_formal_on_canonical_basis(n, d):
+    # the matrix acts on the columns of the Wronskian matrix: the column of
+    # t^e x_v, entry r!/(r-e)! x_v[r-e] in row r, becomes that of
+    # t^e sum_l a[v][l] x_l, and the determinant is the formal image
+    zero, one = DiffPoly.zero(n), DiffPoly.const(F(1), n)
     for a in _action_matrices(n + 1, 1009 * n + d):
-        for poly in canonical_basis(n, d):
-            assert matrix_action(a, poly).terms == formal_matrix_action(a, poly).terms
-
-
-def _draw_poly(draw, n: int) -> DiffPoly:
-    """A polynomial that may be inhomogeneous, non-isobaric, constant or
-    zero, with exponents up to 9 and orders 0..3."""
-    terms = {}
-    for _ in range(draw(st.integers(0, 4))):
-        exps = {}
-        for _ in range(draw(st.integers(0, 3))):  # no factor: a constant term
-            i, k = draw(st.integers(0, n)), draw(st.integers(0, 3))
-            exps[(i, k)] = exps.get((i, k), 0) + draw(st.integers(1, 3))
-        mono = tuple(sorted(((i, k, e) for (i, k), e in exps.items()),
-                            key=lambda t: (t[0], -t[1])))
-        terms[mono] = draw(coeffs)
-    return DiffPoly(n, terms)
-
-
-def _draw_matrix(draw, n: int) -> list[list[Fraction]]:
-    entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-    return draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1),
-                         min_size=n + 1, max_size=n + 1))
-
-
-@st.composite
-def action_cases(draw):
-    """A rational matrix and a polynomial (:func:`_draw_poly`)."""
-    n = draw(st.integers(0, 2))
-    p = _draw_poly(draw, n)
-    return _draw_matrix(draw, n), p
-
-
-@st.composite
-def family_cases(draw):
-    """A rational matrix and one to four polynomials (:func:`_draw_poly`)."""
-    n = draw(st.integers(0, 2))
-    family = [_draw_poly(draw, n) for _ in range(draw(st.integers(1, 4)))]
-    return _draw_matrix(draw, n), family
-
-
-@given(case=action_cases())
-@settings(max_examples=150, deadline=None)
-def test_matrix_action_matches_formal_on_rational_data(case):
-    a, p = case
-    assert matrix_action(a, p).terms == formal_matrix_action(a, p).terms
-
-
-@given(case=family_cases())
-@settings(max_examples=100, deadline=None)
-def test_matrix_action_on_a_family_matches_formal(case):
-    # one matrix on one to four polynomials: each image is the formal one
-    a, family = case
-    for p in family:
-        assert matrix_action(a, p).terms == formal_matrix_action(a, p).terms
-
-
-def test_matrix_action_keeps_each_scale_through_the_shared_memo():
-    # the (2, 3) basis, each element scaled by its own fraction, and twice
-    # over with other scales, summed into one polynomial, so every group
-    # image is reused across monomials of different denominators, under a
-    # matrix with denominators 2, 3, 5; the action is linear
-    basis = canonical_basis(2, 3)
-    family = ([p.scale(F(j + 1, j + 2)) for j, p in enumerate(basis)]
-              + [p.scale(F(-3, 2 * j + 7)) for j, p in enumerate(basis)])
-    a = [[F(1, 2), F(-2), F(0)], [F(3), F(1, 3), F(-1)], [F(2, 5), F(0), F(1)]]
-    total = DiffPoly.zero(2)
-    image = DiffPoly.zero(2)
-    for p in family:
-        assert matrix_action(a, p).terms == formal_matrix_action(a, p).terms
-        total = total + p
-        image = image + matrix_action(a, p)
-    assert total and matrix_action(a, total) == image == formal_matrix_action(a, total)
+        for datum, poly in enumerate_canonical_basis(n, d):
+            rows = [[DiffPoly(n, {((l, r - e, 1),): math.perm(r, e) * a[v][l]
+                                  for l in range(n + 1) if a[v][l]}) if r >= e else zero
+                     for e, v in datum.pairs()] for r in range(d)]
+            assert det_expansion(rows, zero, one).terms == formal_matrix_action(a, poly).terms

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import diffhom
+from diffhom import dpoly, hwv
 from diffhom.exact import SparseComb
 from diffhom.dpoly import derive, gl_elementary, mono_multidegree, parse
 from diffhom.hwv import hwv_basis, kernel_dim_isotypic
@@ -29,9 +30,14 @@ def test_library_has_no_formal_parameters():
     assert not hasattr(diffhom, "q_action")
 
 
-def test_library_has_one_gl_action():
-    # matrix_action expands over Q by itself; the ring substitution stays in
-    # dpoly for its tests and the formal oracle, with no caller in the library
+def test_library_has_no_gl_action():
+    # GL stability is certified from the derivations E_pq, so the library
+    # applies no matrix and straightens no D_T on its own; the GL action is
+    # the oracle formal_matrix_action, and the ring substitution stays in
+    # dpoly for it, with no caller in the library
+    assert not hasattr(dpoly, "matrix_action") and not hasattr(dpoly, "_group_image")
+    assert not hasattr(diffhom, "matrix_action") and not hasattr(diffhom, "_group_image")
+    assert not hasattr(hwv, "straighten")
     calls = [(path.name, line) for path in sorted(SRC.glob("*.py"))
              for line in path.read_text().splitlines()
              if "substitute(" in line and not line.startswith("def substitute(")]

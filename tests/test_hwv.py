@@ -14,10 +14,10 @@ from diffhom.dpoly import parse, span_rank
 from diffhom.tableaux import (Partition, Permutation, Tableau,
                               count_semistandard, count_standard,
                               partitions_of, semistandard_tableaux)
-from diffhom.hwv import (MultiPoly, column_det, d_t, e_iso, full_kernel_vectors,
+from diffhom.hwv import (MultiPoly, _coordinates, column_det, d_t, e_iso, full_kernel_vectors,
                          hwv_basis, j_ell, kernel_dim_full,
                          kernel_dim_isotypic, stacked_operator_rows,
-                         straighten, symmetrizer_projection, tableau_projection,
+                         symmetrizer_projection, tableau_projection,
                          tensor_of_tableau)
 from diffhom.exact import det_expansion
 from diffhom.dpoly import DiffPoly
@@ -410,7 +410,7 @@ def test_largest_system_solved_is_the_closed_form(d, monkeypatch):
     assert {w for _, _, w in blocks} == set(range(d * k // 4 + 1))
     assert {lam for lam, _, _ in blocks} == set(partitions_of(d))
     assert max(blocks.values()) == 1
-    assert all(n == sum(1 for _ in semistandard_tableaux(lam, d, lo=0, total=w))
+    assert all(n == sum(1 for _ in semistandard_tableaux(lam, d, total=w))
                for (lam, w), n in columns.items())
     assert kernel_cost(d, k, 10 ** 9) == max(len(partitions_of(d)) ** 2, *columns.values())
 
@@ -450,29 +450,32 @@ def test_kernel_isotypic_sums_to_full():
         assert total == kernel_dim_full(d, d - 1)
 
 
+# straightening: D_T on the semi-standard D_T of its shape, by the
+# coordinates that e_iso reads; the empty combination is D_T = 0
+
 def test_straighten_fixes_semistandard():
     t = Tableau(Partition.of(1, 1), (0, 1))
-    assert straighten(t, 1, 1) == [(F(1), t)]
+    assert _coordinates([d_t(t, 1)], t.shape, 1, 1) == [[(F(1), t)]]
 
 
 def test_straighten_column_swap():
-    comb = straighten(Tableau(Partition.of(1, 1), (1, 0)), 1, 1)
-    assert comb == [(F(-1), Tableau(Partition.of(1, 1), (0, 1)))]
+    t = Tableau(Partition.of(1, 1), (1, 0))
+    assert (_coordinates([d_t(t, 1)], t.shape, 1, 1)
+            == [[(F(-1), Tableau(Partition.of(1, 1), (0, 1)))]])
 
 
 def test_straighten_zero_for_repeated_column_entries():
-    assert straighten(Tableau(Partition.of(1, 1), (1, 1)), 1, 1) == []
+    t = Tableau(Partition.of(1, 1), (1, 1))
+    assert _coordinates([d_t(t, 1)], t.shape, 1, 1) == [[]]
 
 
 def test_straighten_expands_back():
     lam = Partition.of(2, 1)
     k, n = 2, 1
-    for filling in itertools.product(range(k + 1), repeat=3):
-        t = Tableau(lam, filling)
-        target = d_t(t, n)
-        comb = straighten(t, k, n)
-        total = sum((d_t(s, n).scale(c) for c, s in comb),
-                    start=d_t(t, n).scale(F(0)))
+    fillings = list(itertools.product(range(k + 1), repeat=3))
+    targets = [d_t(Tableau(lam, f), n) for f in fillings]
+    for target, comb in zip(targets, _coordinates(targets, lam, k, n)):
+        total = sum((d_t(s, n).scale(c) for c, s in comb), start=target.scale(F(0)))
         assert total == target
 
 

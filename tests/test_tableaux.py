@@ -193,32 +193,27 @@ def test_semistandard_tableaux_of_one_total():
     # the fillings with a given entry sum, against all fillings filtered
     for d in range(1, 6):
         for lam in partitions_of(d):
-            for n, lo in ((1, 0), (3, 0), (4, 1)):
-                every = list(semistandard_tableaux(lam, n, lo=lo))
-                for total in range(-1, d * (lo + n) + 1):
-                    assert (list(semistandard_tableaux(lam, n, lo=lo, total=total))
-                            == [t for t in every if sum(t.filling) == total]), (lam, n, lo, total)
+            for n in (1, 3, 4):
+                every = list(semistandard_tableaux(lam, n))
+                for total in range(-1, d * n + 1):
+                    assert (list(semistandard_tableaux(lam, n, total=total))
+                            == [t for t in every if sum(t.filling) == total]), (lam, n, total)
 
 
 def test_semistandard_tableaux_match_the_filtered_product():
     # oracle: every filling over the alphabet, in lexicographic order, kept
     # when its rows weakly increase and its columns strictly increase; the
-    # content and total filters are applied to that list
+    # total filter is applied to that list
     for d in range(1, 6):
         for lam in partitions_of(d):
             for n in (1, 2, 3, 4):
-                for lo in (0, 1):
-                    every = [t for t in (Tableau(lam, f) for f in
-                                         itertools.product(range(lo, lo + n), repeat=d))
-                             if t.is_semistandard()]
-                    assert list(semistandard_tableaux(lam, n, lo=lo)) == every
-                    for content in compositions(d, n):
-                        assert (list(semistandard_tableaux(lam, n, lo=lo, content=content))
-                                == [t for t in every if all(t.filling.count(lo + j) == c
-                                                            for j, c in enumerate(content))])
-                    for total in range(d * (lo + n) + 1):
-                        assert (list(semistandard_tableaux(lam, n, lo=lo, total=total))
-                                == [t for t in every if sum(t.filling) == total])
+                every = [t for t in (Tableau(lam, f) for f in
+                                     itertools.product(range(n), repeat=d))
+                         if t.is_semistandard()]
+                assert list(semistandard_tableaux(lam, n)) == every
+                for total in range(d * n + 1):
+                    assert (list(semistandard_tableaux(lam, n, total=total))
+                            == [t for t in every if sum(t.filling) == total])
 
 
 def test_semistandard_weight_counts_match_enumeration():
@@ -228,7 +223,7 @@ def test_semistandard_weight_counts_match_enumeration():
         for lam in partitions_of(d):
             for n in range(1, 8):
                 counts = semistandard_weight_counts(lam, n)
-                every = [sum(t.filling) for t in semistandard_tableaux(lam, n, lo=0)]
+                every = [sum(t.filling) for t in semistandard_tableaux(lam, n)]
                 assert counts == [every.count(w) for w in range(max(every, default=-1) + 1)]
                 assert sum(counts) == count_semistandard(lam, n)
     with pytest.raises(ValueError):
@@ -236,7 +231,7 @@ def test_semistandard_weight_counts_match_enumeration():
 
 
 def test_semistandard_zero_based_alphabet():
-    fillings = [t.filling for t in semistandard_tableaux(Partition.of(2), 2, lo=0)]
+    fillings = [t.filling for t in semistandard_tableaux(Partition.of(2), 2)]
     assert fillings == [(0, 0), (0, 1), (1, 1)]
 
 

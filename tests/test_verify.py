@@ -195,8 +195,8 @@ def test_gl_stability_check_fails_on_a_non_stable_family(monkeypatch, family):
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
 def test_gl_stability_check_matches_the_solving_oracle(seed):
     # every (N, d) of the default basis grid: the Lie check and the random
-    # trials (matrix_action images, span_rank and solve_in_span) both find
-    # the span stable
+    # trials (formal_matrix_action images, span_rank and solve_in_span) both
+    # find the span stable
     for n in range(1, 3):
         for d in range(1, 5):
             basis = [p for _, p in enumerate_canonical_basis(n, d)]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffhom.dpoly import (DiffPoly, MonoCodec, UniPoly, derive, gradings, is_diff_homogeneous,
-                           matrix_action, parse, solve_in_span, span_rank, substitute, to_text)
+                           parse, solve_in_span, span_rank, substitute, to_text)
 from diffhom.exact import ONE, det_expansion
 from diffhom import wronskian
 from diffhom.wronskian import (WronskSpec, _codec, _integral_rows, _wedge_coordinates,
@@ -29,8 +29,8 @@ from diffhom.wronskian import (WronskSpec, _codec, _integral_rows, _wedge_coordi
                                enumerate_canonical_data, first_wedge_failure, formal_codes,
                                reduce_to_triangular, standard_nilpotent,
                                verify_wedge_identity)
-from formal import (expand_combination, formal_build_wronskian, formal_reduce_to_triangular,
-                    formal_wedge_coordinates, lowering)
+from formal import (expand_combination, formal_build_wronskian, formal_matrix_action,
+                    formal_reduce_to_triangular, formal_wedge_coordinates, lowering)
 
 F = Fraction
 
@@ -86,8 +86,12 @@ def test_wronskian_matrix_entries_match_hand_expansion():
 @pytest.mark.parametrize("n, d", [(1, d) for d in range(1, 7)] + [(2, d) for d in range(1, 5)]
                          + [(3, d) for d in range(1, 4)])
 def test_build_wronskian_matches_det_expansion_on_canonical_data(n, d):
-    for datum in enumerate_canonical_data(n, d):
-        assert_matches_oracle(datum.spec(), n, build_wronskian(datum.spec(), n))
+    # the canonical basis is decoded from canonical_codes, not built by
+    # build_wronskian: both must give the minor expansion
+    for datum, poly in enumerate_canonical_basis(n, d):
+        spec = WronskSpec.monomials(*zip(*datum.pairs()))
+        assert_matches_oracle(spec, n, poly)
+        assert build_wronskian(spec, n) == poly
 
 
 @pytest.mark.parametrize("theta", [F(1), F(-2, 3), F(5, 2)])
@@ -253,7 +257,7 @@ def test_gl_stability_seeded():
         basis = [p for _, p in enumerate_canonical_basis(n, d)]
         for _ in range(3):
             a = [[F(rng.randint(-4, 4)) for _ in range(n + 1)] for _ in range(n + 1)]
-            image = matrix_action(a, basis[rng.randrange(len(basis))])
+            image = formal_matrix_action(a, basis[rng.randrange(len(basis))])
             if not image:
                 continue
             assert solve_in_span(basis, [image])[0] is not None
