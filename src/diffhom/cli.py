@@ -48,8 +48,9 @@ KERNEL_MAX_COST = 30 ** 2
 
 # The default caps on the cost of `dh basis` (see `basis_cost`) and `dh
 # census` (see `census_cost`): the largest sizes whose runs took at most two
-# minutes on a 2-CPU machine.  `dh basis --n 1 --d 10` (1,024 Wronskians)
-# took 95 s with `--format json`.  The census's worst case under its cap is
+# minutes on a 2-CPU machine when they were set.  `dh basis --n 1 --d 10`
+# (1,024 Wronskians) takes 33 s, and 34 s and 1.2 GB with `--format json`.
+# The census's worst case under its cap is
 # at N = 1, where the self-paired multidegree (d/2, d/2) dominates at even
 # d: `dh census --n 1 --d 12 --theorem2` (2,510 Wronskians) took 79 s and
 # 392 MB, while `--n 1 --d 13` (4,096) holds a block of 1,716 degree-13
@@ -473,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the stability/total/vanishing report instead of counts "
                             "(text or json)")
     p.add_argument("--max-cost", type=int, default=None,
-                   help="largest basis size (N+1)^d to accept, or d^2 if larger "
-                        f"(default {CENSUS_MAX_COST})")
+                   help=f"largest cost to accept: {_CENSUS_MEASURE} (default {CENSUS_MAX_COST})")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("tableaux", parents=[tabular],

@@ -5,7 +5,8 @@ derivative orders {0..k} realize the highest weight vectors.  There is one
 builder of the D_T: each column determinant is expanded row by row over
 packed exponent codes (``wronskian._expand``, ``dpoly.MonoCodec``), once per
 column, and a product of columns adds codes; ``column_det`` and ``d_t``
-decode the result.
+decode the result, and ``hwv_basis`` decodes the semi-standard D_T of one
+(lam, k, n) once per process, into one tuple that every caller shares.
 
 The semi-standard D_T of shape lam span S_lam W, W = Q^{k+1}, and L_1..L_k
 act there as the gl(W) elements f^m / m!, f the lowering map x[i] -> i *
@@ -22,9 +23,9 @@ the weights up to D/2, D = d(d-1)/2, are solved, the others read from D - w
 at the conjugate shape, as the kernel there is the coinvariant algebra of
 S_d, whose top degree D is the sign (Poincaré duality).  The tensor side
 keeps the right symmetric-group action, the Young symmetrizer projections,
-the J^(l) and their kernel vectors (``full_kernel_vectors``), which the
-checks read.  A tensor is a ``MultiPoly`` with every exponent <= k: the
-index vector a is the monomial X^a.
+the J^(l) and their kernel vectors (``full_kernel_vectors``, as tensors),
+which the checks read.  A tensor is a ``MultiPoly`` with every exponent <= k:
+the index vector a is the monomial X^a.
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ def d_t(t: Tableau, n: int) -> DiffPoly:
 
 
 @lru_cache(maxsize=4)
-def _semistandard_basis(lam: Partition, k: int, n: int) -> tuple[tuple[Tableau, DiffPoly], ...]:
+def hwv_basis(lam: Partition, k: int, n: int) -> tuple[tuple[Tableau, DiffPoly], ...]:
     """The D_T for semi-standard T of shape lam filled with {0..k}, built
     once per process for each of the last few (lam, k, n) asked for.  Every
     caller shares the result, so it is a tuple, and its DiffPolys are never
-    mutated."""
+    mutated.  Empty when lam has more than n+1 parts (the space is zero)."""
     if lam.nparts > n + 1:
         return ()
     tableaux = list(semistandard_tableaux(lam, k + 1))
@@ -108,21 +109,12 @@ def _semistandard_basis(lam: Partition, k: int, n: int) -> tuple[tuple[Tableau, 
                  for t, codes in zip(tableaux, _d_t_codes(tableaux, codec)))
 
 
-def hwv_basis(lam: Partition, k: int, n: int) -> list[tuple[Tableau, DiffPoly]]:
-    """The D_T for semi-standard T of shape lam filled with {0..k}, as a fresh
-    list over the shared basis.
-
-    Empty when lam has more than n+1 parts (the corresponding space is zero).
-    """
-    return list(_semistandard_basis(lam, k, n))
-
-
 def _coordinates(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int
                  ) -> list[list[tuple[Fraction, Tableau]] | None]:
     """Per polynomial (each in x_0..x_n), its nonzero coordinates on the
     semi-standard D_T of shape lam filled with {0..k}, or None if it lies
     outside their span: one ``solve_in_span`` for the whole family."""
-    basis = _semistandard_basis(lam, k, n)
+    basis = hwv_basis(lam, k, n)
     return [None if coeffs is None else [(c, t) for c, (t, _) in zip(coeffs, basis) if c]
             for coeffs in solve_in_span([q for _, q in basis], polys)]
 
@@ -241,10 +233,6 @@ def j_ell(t: MultiPoly, ell: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # Simultaneous kernels of the J^(l).
 
-def _basis_index(d: int, k: int) -> dict[Index, int]:
-    return {idx: j for j, idx in enumerate(itertools.product(range(k + 1), repeat=d))}
-
-
 def stacked_operator_rows(d: int, k: int, weight: int) -> tuple[list[dict[int, int]], int]:
     """Rows of all J^(l), l = 1..d, on the weight-``weight`` part of the
     tensor power, as one sparse integer matrix whose columns are the index
@@ -280,12 +268,17 @@ def functional_system(lam: Partition, k: int, weight: int) -> tuple[list[dict[in
 
 
 @lru_cache(maxsize=None)
+def _positions(d: int) -> dict[Partition, int]:
+    """The position of each partition of d in ``partitions_of(d)``."""
+    return {lam: i for i, lam in enumerate(partitions_of(d))}
+
+
+@lru_cache(maxsize=None)
 def _conjugates(d: int) -> tuple[int, ...]:
     """Conjugation as a permutation of ``partitions_of(d)``: entry i is the
     position of the conjugate of the i-th partition."""
-    lams = partitions_of(d)
-    where = {lam: i for i, lam in enumerate(lams)}
-    return tuple(where[lam.conjugate()] for lam in lams)
+    where = _positions(d)
+    return tuple(where[lam.conjugate()] for lam in partitions_of(d))
 
 
 @lru_cache(maxsize=None)
@@ -378,28 +371,29 @@ def kernel_dim_isotypic(lam: Partition, k: int) -> int:
     the J^(l), which is also the dimension of the kernel inside the image of
     the canonical Young symmetrizer of shape lam, summed over the weights."""
     d = lam.size
-    i = partitions_of(d).index(lam)
+    i = _positions(d)[lam]
     return sum(weight_multiplicities(d, k, w)[i] for w in _weights(d, k))
 
 
 @lru_cache(maxsize=None)
-def full_kernel_vectors(d: int, k: int) -> tuple[dict[int, Fraction], ...]:
+def full_kernel_vectors(d: int, k: int) -> tuple[MultiPoly, ...]:
     """Reduced echelon basis of the simultaneous kernel of all J^(l), as
-    sparse rows over the tensor basis.  Cached and shared: callers must not
-    mutate the rows.  The dimensions do not need it; it serves the checks
-    that read kernel vectors.
+    tensors over the index vectors in lexicographic order (the order of the
+    tensor basis).  Cached and shared: callers must not mutate the tensors.
+    The dimensions do not need it; it serves the checks that read kernel
+    vectors.
 
-    Each weight block's reduced basis, moved to the global columns (an
-    increasing map), is reduced on its own columns and zero elsewhere, so the
-    rows of all blocks sorted by pivot column are the global reduced form.
+    Column j of a weight block is the index vector ``compositions(weight, d,
+    k)[j]``, an increasing map, so each block's reduced basis is reduced on
+    its own index vectors and zero elsewhere, and the tensors of all blocks
+    sorted by least index vector are the global reduced form.
     """
-    index = _basis_index(d, k)
     vectors = []
     for weight in range(d * k + 1):
-        cols = [index[idx] for idx in compositions(weight, d, k)]
-        for vec in nullspace_basis(*stacked_operator_rows(d, k, weight)):
-            vectors.append({cols[j]: c for j, c in vec.items()})
-    vectors.sort(key=min)
+        keys = compositions(weight, d, k)
+        vectors += [MultiPoly(d, {keys[j]: c for j, c in vec.items()})
+                    for vec in nullspace_basis(*stacked_operator_rows(d, k, weight))]
+    vectors.sort(key=lambda v: min(v.terms))
     return tuple(vectors)
 
 

@@ -10,10 +10,12 @@ order exceeding k inside each weight block.  One elimination per (weight,
 multidegree) block, with the monomials ordered by decreasing jet order,
 gives it for every k.  The elements come as packed exponent codes with int
 coefficients (``wronskian.canonical_codes``), so the census builds no
-DiffPoly and shares no basis with ``dh basis``.  Only the multidegrees that
-are partitions of d are eliminated (``multidegree_profile``): permuting the
-variables carries each onto its rearrangements with the same counts, so its
-profile is credited to every one of them (``pivot_profile``).
+DiffPoly and shares no basis with ``dh basis``; ``classify_basis`` reads
+the decoded one, ``wronskian.enumerate_canonical_basis``.  Only the
+multidegrees that are partitions of d are eliminated
+(``multidegree_profile``): permuting the variables carries each onto its
+rearrangements with the same counts, so its profile is credited to every
+one of them (``pivot_profile``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 from .dpoly import gradings
 from .exact import pivot_columns
 from .tableaux import partition_parts
-from .wronskian import CanonicalDatum, canonical_basis, canonical_codes, canonical_data
+from .wronskian import CanonicalDatum, canonical_codes, canonical_data, enumerate_canonical_basis
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ def classify_basis(n: int, d: int) -> list[BasisClassification]:
     formula is only an upper bound (degenerate data can cancel the top order),
     so discrepancies are reported by the caller, never treated as errors."""
     out = []
-    for datum, poly in canonical_basis(n, d):
+    for datum, poly in enumerate_canonical_basis(n, d):
         g = gradings(poly)
         out.append(BasisClassification(
             datum=datum,

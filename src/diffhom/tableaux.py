@@ -56,13 +56,13 @@ class Partition:
 
 
 @functools.cache
-def partitions_of(d: int, max_parts: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of d (optionally with at most max_parts parts),
-    in deterministic reverse-lexicographic order: (d), (d-1,1), ...
-    Built once per (d, max_parts) and shared, so it is a tuple."""
+def partitions_of(d: int) -> tuple[Partition, ...]:
+    """All partitions of d, in deterministic reverse-lexicographic order:
+    (d), (d-1,1), ...  Built once per d and shared, so it is a tuple; to
+    bound the number of parts, use :func:`partition_parts`."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return tuple(Partition(p) for p in partition_parts(d, max_parts))
+    return tuple(Partition(p) for p in partition_parts(d))
 
 
 def partition_parts(d: int, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:

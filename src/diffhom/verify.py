@@ -299,11 +299,9 @@ def check_pde_system_equivalence(d: int) -> CheckResult:
     exponent vectors {0..d-1}^d, is killed by every power-sum operator, and
     the Newton system on all monomials of each degree up to d(d-1)/2 has as
     many solutions as the kernel has vectors of that weight."""
-    monos = list(itertools.product(range(d), repeat=d))
     vectors = full_kernel_vectors(d, d - 1)
-    killed = all(not newton_operator(MultiPoly(d, {monos[j]: c for j, c in vec.items()}), ell)
-                 for vec in vectors for ell in range(1, d + 1))
-    capped = Counter(sum(monos[min(vec)]) for vec in vectors)
+    killed = all(not newton_operator(vec, ell) for vec in vectors for ell in range(1, d + 1))
+    capped = Counter(sum(min(vec.terms)) for vec in vectors)
 
     def apply(e):
         p = MultiPoly(d, {e: ONE})
@@ -469,10 +467,7 @@ def check_functional_iso(parts: tuple, k: int) -> CheckResult:
     J^(l) is an S_d-module, so K.c_lam, the image of its reduced basis under
     the Young symmetrizer, has dimension m_lam."""
     lam = Partition(parts)
-    d = lam.size
-    index = list(itertools.product(range(k + 1), repeat=d))
-    image = [symmetrizer_projection(MultiPoly(d, {index[j]: c for j, c in vec.items()}), lam)
-             for vec in full_kernel_vectors(d, k)]
+    image = [symmetrizer_projection(vec, lam) for vec in full_kernel_vectors(lam.size, k)]
     return _result("functional_iso", {"lam": parts, "k": k},
                    kernel_dim_isotypic(lam, k), span_rank(image))
 

@@ -12,9 +12,10 @@ t^alpha with triangular exponent constraints yields the canonical family of
 (N+1)^d differentially homogeneous polynomials, expanded from the exponent
 data alone (``canonical_codes``).  The census reads these codes, and only
 for the multiplicity vectors that are partitions of d (``canonical_data``
-enumerates the data of one multiplicity vector); ``canonical_basis``
+enumerates the data of one multiplicity vector); ``enumerate_canonical_basis``
 decodes them into DiffPolys once per process for each of the last few
-(N, d) asked for (``dh basis``, the ``basis`` and ``jets`` suites).
+(N, d) asked for, and every caller shares that one tuple (``dh basis``, the
+``basis`` and ``jets`` suites).
 
 The paper's Appendix A rewrites an arbitrary exponent family over d distinct
 formal variables onto the triangular one (``reduce_to_triangular``, memoized
@@ -200,18 +201,13 @@ def enumerate_canonical_data(n: int, d: int) -> list[CanonicalDatum]:
 
 
 @functools.lru_cache(maxsize=4)
-def canonical_basis(n: int, d: int) -> tuple[tuple[CanonicalDatum, DiffPoly], ...]:
+def enumerate_canonical_basis(n: int, d: int) -> tuple[tuple[CanonicalDatum, DiffPoly], ...]:
     """The canonical basis in enumeration order: the rows of
     :func:`canonical_codes`, decoded, built once per process for each of the
     last few (N, d) asked for.  Every caller shares the result, so it is a
     tuple, and its DiffPolys are never mutated."""
     codec, rows = canonical_codes(n, d)
     return tuple((datum, _decoded(codes, codec, n)) for datum, codes in rows)
-
-
-def enumerate_canonical_basis(n: int, d: int) -> list[tuple[CanonicalDatum, DiffPoly]]:
-    """A fresh list over :func:`canonical_basis`."""
-    return list(canonical_basis(n, d))
 
 
 def canonical_codes(n: int, d: int, data: Iterable[CanonicalDatum] | None = None

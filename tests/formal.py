@@ -18,8 +18,9 @@ criteria and the random-matrix GL checks.
 ``hwv.weight_multiplicities`` counts the isotypic multiplicities of the J^(l)
 kernel as the nullities of L_1..L_k on the semi-standard D_T.  Two routes it
 replaced are kept here as its oracles.  The character path
-:func:`character_multiplicities`: class traces on the reduced kernel basis
-``hwv.full_kernel_vectors``, then the character sum over the
+:func:`character_multiplicities`: class traces on the reduced kernel basis,
+the tensors of ``hwv.full_kernel_vectors``, each read at its least index
+vector, then the character sum over the
 Murnaghan-Nakayama characters :func:`character` and the centralizer orders
 :func:`centralizer_size`.  And the Young-subgroup route
 :func:`young_weight_multiplicities`: the J^(l) on the invariants and
@@ -360,28 +361,23 @@ def _class_traces(d: int, k: int, mu: Partition) -> dict[int, Fraction]:
     """Trace, weight by weight, on the simultaneous kernel of the J^(l) of a
     permutation of the factors of cycle type mu.
 
-    The kernel basis v_i is in reduced echelon form with pivots p_i = min(v_i):
-    v_i[p_i] = 1 and v_j[p_i] = 0 for j != i.  So the coefficient of v_i in
-    sigma.v_i is (sigma.v_i)[p_i] = v_i[col(sigma^-1 . idx(p_i))], and the
-    trace is one lookup per vector.  sigma and sigma^-1 are conjugate in S_d,
-    so the direction of the action does not matter.  Each v_i lies in the
-    weight of its pivot, and sigma keeps weights.
+    The kernel basis v_i is in reduced echelon form with pivots p_i, the
+    least index vectors of the v_i: v_i[p_i] = 1 and v_j[p_i] = 0 for j != i.
+    So the coefficient of v_i in sigma.v_i is (sigma.v_i)[p_i] =
+    v_i[sigma^-1 . p_i], and the trace is one lookup per vector.  sigma and
+    sigma^-1 are conjugate in S_d, so the direction of the action does not
+    matter.  Each v_i lies in the weight of its pivot, and sigma keeps weights.
     """
     # the cycles of mu on consecutive factor positions, each shifted by one
     src, start = [], 0
     for m in mu.parts:
         src += [start + (i + 1) % m for i in range(m)]
         start += m
-    base = k + 1
     traces: dict[int, Fraction] = {}
     for v in full_kernel_vectors(d, k):
-        p = min(v)
-        digits = [(p // base ** (d - 1 - i)) % base for i in range(d)]
-        col = 0
-        for s in src:
-            col = col * base + digits[s]
-        weight = sum(digits)
-        traces[weight] = traces.get(weight, ZERO) + v.get(col, 0)
+        p = min(v.terms)
+        weight = sum(p)
+        traces[weight] = traces.get(weight, ZERO) + v.terms.get(tuple(p[s] for s in src), 0)
     return traces
 
 

@@ -716,6 +716,16 @@ def test_census_cost_counts_one_multiplicity_vector_per_partition():
     assert census_cost(10 ** 9, 10 ** 9, 10 ** 4) > 10 ** 4
 
 
+def test_census_help_names_the_measure_it_caps(capsys):
+    # --max-cost caps what census_cost counts, not the (N+1)^d basis size
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert exc.value.code == 0
+    assert "the Wronskians of the multiplicity vectors that are partitions of d" in help_text
+    assert "(N+1)^d" not in help_text
+
+
 def test_census_n20_d6_runs_within_the_default_cap(capsys):
     code, out, err = run(capsys, "census", "--n", "20", "--d", "6", "--all-k", "--format", "json")
     assert code == 0 and not err

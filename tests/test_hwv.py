@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffhom import hwv
+from diffhom import hwv, wronskian
 from diffhom.cli import kernel_cost
 from diffhom.exact import intersection_dim, nullspace_basis, operator_rows, rank
 from diffhom.dpoly import parse, span_rank
@@ -84,7 +84,7 @@ def test_hwv_basis_counts_match_semistandard():
 
 
 def test_hwv_basis_empty_when_too_tall():
-    assert hwv_basis(Partition.of(1, 1), 1, 0) == []
+    assert hwv_basis(Partition.of(1, 1), 1, 0) == ()
 
 
 def test_hwv_basis_single_row_k0():
@@ -93,11 +93,24 @@ def test_hwv_basis_single_row_k0():
     assert basis[0][1] == parse("x0^3", 2)
 
 
-def test_hwv_basis_returns_a_fresh_list():
+def test_hwv_basis_returns_the_shared_tuple():
     lam = Partition.of(2, 1)
     first = hwv_basis(lam, 2, 2)
-    first.append(first[0])
-    assert len(hwv_basis(lam, 2, 2)) == count_semistandard(lam, 3) == len(first) - 1
+    assert isinstance(first, tuple) and hwv_basis(lam, 2, 2) is first
+    assert len(first) == count_semistandard(lam, 3)
+
+
+def test_each_cached_result_is_one_object():
+    # the D_T basis, the Wronskian basis and the J^(l) kernel are each handed
+    # out as the cached object itself, with no copying wrapper beside the
+    # cache and no second numbering of the tensor basis
+    for module, name in [(hwv, "_semistandard_basis"), (hwv, "_basis_index"),
+                         (wronskian, "canonical_basis")]:
+        assert not hasattr(module, name), name
+    basis = wronskian.enumerate_canonical_basis(1, 3)
+    assert isinstance(basis, tuple) and wronskian.enumerate_canonical_basis(1, 3) is basis
+    vectors = full_kernel_vectors(3, 2)
+    assert vectors and all(type(v) is MultiPoly and v.nvars == 3 for v in vectors)
 
 
 def test_tensor_of_tableau_row_major():
@@ -196,26 +209,28 @@ def test_graded_kernel_dim_matches_ungraded_stack(d, k):
 @pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 4) for k in range(d + 2)])
 def test_full_kernel_vectors_match_ungraded_nullspace(d, k):
     rows, ncols = _ungraded_stack(d, k)
-    assert list(full_kernel_vectors(d, k)) == nullspace_basis(rows, ncols)
+    assert _columns(full_kernel_vectors(d, k), d, k) == nullspace_basis(rows, ncols)
+
+
+def _columns(tensors, d, k):
+    """Each tensor as a sparse row over the tensor basis in product order."""
+    index = {idx: j for j, idx in enumerate(itertools.product(range(k + 1), repeat=d))}
+    return [{index[idx]: c for idx, c in t.terms.items()} for t in tensors]
 
 
 def _isotypic_image_rows(lam, k):
     """Spanning rows (over the tensor basis, in product order) of the image of
     right multiplication by the canonical Young symmetrizer of shape lam."""
-    index = {idx: j for j, idx in enumerate(itertools.product(range(k + 1), repeat=lam.size))}
-    out = []
-    for idx in index:
-        v = symmetrizer_projection(MultiPoly(lam.size, {idx: F(1)}), lam)
-        if v:
-            out.append({index[j]: c for j, c in v.terms.items()})
-    return out
+    images = (symmetrizer_projection(MultiPoly(lam.size, {idx: F(1)}), lam)
+              for idx in itertools.product(range(k + 1), repeat=lam.size))
+    return _columns([v for v in images if v], lam.size, k)
 
 
 @pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(d + 2)]
                          + [(5, 2), (5, 3)])
 def test_kernel_isotypic_matches_symmetrizer_image_intersection(d, k):
     # oracle: dim(ker J  intersect  image of c_lam), by three exact ranks
-    kernel = full_kernel_vectors(d, k)
+    kernel = _columns(full_kernel_vectors(d, k), d, k)
     for lam in partitions_of(d):
         expected = intersection_dim(kernel, _isotypic_image_rows(lam, k), (k + 1) ** d)
         assert kernel_dim_isotypic(lam, k) == expected, lam
@@ -275,8 +290,7 @@ def test_kernel_above_the_cap_is_the_capped_kernel(d, k):
     # eliminates every weight at k itself
     vectors = full_kernel_vectors(d, k)
     assert kernel_dim_full(d, k) == len(vectors)
-    index = list(itertools.product(range(k + 1), repeat=d))
-    assert all(max(index[j]) <= d - 1 for vec in vectors for j in vec)
+    assert all(max(idx) <= d - 1 for vec in vectors for idx in vec.terms)
 
 
 @pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 7) for k in (d - 1, d, d + 1)])

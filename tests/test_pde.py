@@ -35,14 +35,6 @@ def newton_count(d, bound):
     return total
 
 
-def kernel_polys(d):
-    """The capped J^(l) kernel basis at k = d-1, each vector read as a
-    polynomial over the exponent vectors {0..d-1}^d."""
-    monos = list(itertools.product(range(d), repeat=d))
-    return [MultiPoly(d, {monos[j]: c for j, c in vec.items()})
-            for vec in full_kernel_vectors(d, d - 1)]
-
-
 def test_newton_operator_constant():
     one = MultiPoly.const(F(1), 3)
     for ell in range(1, 4):
@@ -79,7 +71,8 @@ def test_solution_space_dims():
 
 def test_solution_space_degree_two_explicit():
     # span{1, X1 - X2}, in reduced echelon form over (0,0), (0,1), (1,0), (1,1)
-    assert full_kernel_vectors(2, 1) == ({0: F(1)}, {1: F(1), 2: F(-1)})
+    assert full_kernel_vectors(2, 1) == (MultiPoly(2, {(0, 0): F(1)}),
+                                         MultiPoly(2, {(0, 1): F(1), (1, 0): F(-1)}))
     assert solution_space_dim(2) == 2
 
 
@@ -122,7 +115,7 @@ def test_staircase_ranks_match_all_derivatives(d):
 
 def test_vandermonde_span_inside_solution_space():
     d = 3
-    sol = kernel_polys(d)
+    sol = list(full_kernel_vectors(d, d - 1))
     van = vandermonde_derivative_basis(d)
     assert all(max(e) < d for p in van for e in p.terms)
     assert span_rank(sol + van) == len(sol) == math.factorial(d)
@@ -132,7 +125,7 @@ def test_two_operator_systems_agree():
     # Newton against J: the capped J^(l) kernel is killed by the power sums
     # (the counts are compared in test_solution_space_dim_matches_uncapped_newton)
     for d in range(1, 5):
-        sol = kernel_polys(d)
+        sol = full_kernel_vectors(d, d - 1)
         assert len(sol) == solution_space_dim(d)
         for p in sol:
             for ell in range(1, d + 1):

@@ -12,7 +12,7 @@ from diffhom.exact import solve_in_span, span_rank
 from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                               canonical_tableau, compositions, count_semistandard,
                               count_standard, group_algebra_mul,
-                              hook_length_count, kostka, partitions_of,
+                              hook_length_count, kostka, partition_parts, partitions_of,
                               semistandard_tableaux,
                               semistandard_weight_counts, young_symmetrizer)
 from formal import (centralizer_size, character, count_semistandard_by_enumeration,
@@ -41,19 +41,19 @@ def test_partitions_of_four():
 
 
 def test_partitions_max_parts_filter():
-    assert [p.parts for p in partitions_of(4, max_parts=2)] == [(4,), (3, 1), (2, 2)]
+    assert list(partition_parts(4, 2)) == [(4,), (3, 1), (2, 2)]
 
 
 def test_partitions_of_matches_the_sorted_compositions():
     # oracle: the compositions of d into positive parts, sorted decreasingly
-    # and deduplicated, in reverse lexicographic order; the memo hands out
-    # one shared tuple per (d, max_parts)
+    # and deduplicated, in reverse lexicographic order, with or without a
+    # bound on the parts; the memo hands out one shared tuple per d
     for d in range(1, 9):
         oracle = sorted({tuple(sorted(c, reverse=True)) for parts in range(1, d + 1)
                          for c in compositions(d, parts) if all(c)}, reverse=True)
         assert [p.parts for p in partitions_of(d)] == oracle
         for m in range(1, d + 1):
-            assert [p.parts for p in partitions_of(d, m)] == [p for p in oracle if len(p) <= m]
+            assert list(partition_parts(d, m)) == [p for p in oracle if len(p) <= m]
         assert isinstance(partitions_of(d), tuple) and partitions_of(d) is partitions_of(d)
     with pytest.raises(ValueError):
         partitions_of(0)
