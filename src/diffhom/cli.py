@@ -38,12 +38,16 @@ from .wronskian import basis_manifest
 
 # The default cap on the cost of `dh kernel` (see `kernel_cost`): the
 # largest cost whose runs took at most two minutes on a 2-CPU machine,
-# p(9)^2.  d = 8, k = 7 (largest system 382 D_T, p(8)^2 = 484) took 8 s and
-# d = 9, k = 5 (819, p(9)^2 = 900) 82 s; d = 8, k = 6 (1,196) took 121 s,
-# and d = 9, k = 8 (1,621), every d = 9, k >= 6 and every d >= 10 are
-# refused at once.  The p(d)^2 term counts the many systems of a large d:
-# d = 16, k = 3 (336 D_T, but 231 shapes) took about 150 s, and d = 12, k = 4
-# (867) and d = 20, k = 3 (770) ran past 150 s.  `--max-cost` overrides it.
+# p(9)^2.  d = 8, k = 7 (largest system 382 D_T, q^2 = p(8)^2 = 484) took
+# 8 s and d = 9, k = 5 (819, q^2 = 676) 82 s; d = 8, k = 6 (1,196)
+# took 121 s, and d = 9, k = 8 (1,621), every d = 9, k >= 6 and every
+# d >= 10, k >= d-1 are refused at once.  The q^2 term counts the many
+# systems of a large d: d = 16, k = 3 (336 D_T, q^2 = 4,096) took about
+# 150 s, and d = 12, k = 4 (867, q^2 = 2,209) and d = 20, k = 3 (770,
+# q^2 = 11,664) ran past 150 s.  Few shapes are cheap: d = 15, k = 0,
+# d = 20, k = 1 and d = 14, k = 2 (q^2 = 576) each run in about a second,
+# d = 10, k = 4 (q^2 = 900) in 45 s, and the p(d) floor refuses every
+# d >= 22 (p(22) = 1,002).  `--max-cost` overrides it.
 KERNEL_MAX_COST = 30 ** 2
 
 # The default caps on the cost of `dh basis` (see `basis_cost`) and `dh
@@ -343,24 +347,28 @@ def cmd_tableaux(args) -> int:
 
 def kernel_cost(d: int, k: int, cap: int) -> int:
     """Cost estimate of `dh kernel --d d --k k`: the D_T of the largest
-    system it solves (``hwv.functional_system``), or p(d)^2 if that is
-    larger.  The systems are those of k' = min(k, d-1), one per shape and
+    system it solves (``hwv.functional_system``), or q^2 if that is larger,
+    q the number of partitions of d with at most k' + 1 parts, k' = min(k,
+    d-1), or at least p(d).  The systems are those of k', one per shape and
     weight ``hwv.solved_weights``, and the system of (lam, w) has one column
     per semi-standard tableau of shape lam over {0..k'} with entry sum w
-    (``semistandard_weight_counts``).  p(d)^2 is the only term that grows
-    with the number of systems, p(d) times the weights solved; without it
-    d = 16, k = 3, whose largest system has 336 D_T, would pass and run for
-    about 150 s.  It is not the cost of looking the p(d) partitions up in the
-    isotypic table, which is small.  p(n) grows with n, so once
-    p(n)^2 passes ``cap`` that is returned at once: a huge d never reaches
-    the partitions of d."""
+    (``semistandard_weight_counts``), so only those q shapes have D_T.  q^2
+    is the only term that grows with the number of such systems, q times the
+    weights solved; without it d = 16, k = 3, whose largest system has 336
+    D_T, would pass and run for about 150 s.  p(d), the shapes the
+    multiplicity table runs over, is a linear floor: p(n) grows with n, so
+    once p(n) passes ``cap`` that is returned at once, and a huge d never
+    reaches the partitions of d.  At k >= d-1 every shape has D_T, q = p(d)."""
     for n in range(1, d + 1):
-        table = len(partitions_of(n)) ** 2
+        table = len(partitions_of(n))
         if table > cap:
             return table
+    k = min(k, d - 1)
+    shapes = sum(1 for _ in partition_parts(d, k + 1))
     stop = solved_weights(d, k).stop
-    return max(table, *(max(semistandard_weight_counts(lam, min(k, d - 1) + 1)[:stop], default=0)
-                        for lam in partitions_of(d)))
+    return max(table, shapes ** 2,
+               *(max(semistandard_weight_counts(lam, k + 1)[:stop], default=0)
+                 for lam in partitions_of(d)))
 
 
 def cmd_kernel(args) -> int:
@@ -373,7 +381,8 @@ def cmd_kernel(args) -> int:
         return 2
     if _over_cost(f"kernel --d {args.d} --k {k}", partial(kernel_cost, args.d, k),
                   args.max_cost, KERNEL_MAX_COST,
-                  "the D_T of the largest system solved, or p(d)^2 if larger"):
+                  "the D_T of the largest system solved, or q^2 if larger, q the partitions "
+                  "of d with at most min(k, d-1) + 1 parts, or at least p(d)"):
         return 2
     full = kernel_dim_full(args.d, k)
     per_lambda = []
@@ -489,7 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="local dimension minus one (default d-1)")
     p.add_argument("--max-cost", type=int, default=None,
                    help="largest cost to accept: the D_T of the largest system solved, "
-                        f"or p(d)^2 if larger (default {KERNEL_MAX_COST})")
+                        "or q^2 if larger, q the partitions of d with at most "
+                        "min(k, d-1) + 1 parts, or at least p(d) "
+                        f"(default {KERNEL_MAX_COST})")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", parents=[plain],

@@ -1,12 +1,17 @@
 """Exact scalars, sparse linear combinations, and deterministic sparse
 linear algebra.
 
-The ground field is Q, realized by :class:`fractions.Fraction`; there are no
-formal parameters.  Every sparse algebra of the package (DiffPoly, MultiPoly,
-GroupAlgebraElem) is a :class:`SparseComb` over its own keys; a tensor is a
-MultiPoly with every exponent <= k.
-A family of them is the columns of its coefficient matrix, so one
-:func:`echelon` gives its rank and the coordinates of targets in its span.
+The ground field is Q; there are no formal parameters.  A coefficient is an
+``int`` where it is integral (Wronskian expansions, Young symmetrizers,
+tableau tensors and their images) and a :class:`fractions.Fraction` where a
+division enters (echelon forms, kernel vectors, non-integral coordinates);
+:func:`integral` turns an integral ``Fraction`` into its ``int``.
+
+Every sparse algebra of the package (DiffPoly, MultiPoly, GroupAlgebraElem)
+is a :class:`SparseComb` over its own keys; a tensor is a MultiPoly with
+every exponent <= k.  A family of them is the columns of its coefficient
+matrix, so one :func:`echelon` gives its rank and the coordinates of targets
+in its span.
 Everything here is exact (no floats) and deterministic (fixed pivot rules),
 so ranks, kernels and determinants are reproducible bit for bit.
 """
@@ -22,6 +27,11 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def integral(c: Fraction):
+    """``c`` as an int when it is one, so that integral entries multiply as ints."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def add_terms(terms: dict, pairs: Iterable[tuple[object, object]]) -> dict:

@@ -35,14 +35,13 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .exact import (ONE, SparseComb, add_terms, linear_combination, nullspace_basis,
-                    operator_rows, rank)
+from .exact import (ONE, SparseComb, add_terms, integral, linear_combination,
+                    nullspace_basis, operator_rows, rank)
 from .dpoly import DiffPoly, MonoCodec, solve_in_span
-from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
-                       canonical_tableau, compositions, count_standard, partitions_of,
-                       semistandard_tableaux, young_symmetrizer)
+from .tableaux import (Partition, Tableau, canonical_tableau, compositions, count_standard,
+                       partitions_of, semistandard_tableaux, young_symmetrizer)
 from .wronskian import _decoded, _expand
 
 Index = tuple[int, ...]
@@ -127,7 +126,9 @@ class MultiPoly(SparseComb):
     """Sparse polynomial in X_1..X_d over Q; keys are exponent vectors.  It is
     also the d-fold tensor power of W = Q^{k+1}: the index vector a of a basis
     tensor is the monomial X^a, so a tensor is a MultiPoly with every exponent
-    <= k."""
+    <= k.  Coefficients are ``int`` where they are integers (tableau tensors,
+    their symmetrizer projections, the J^(l) rows) and ``Fraction`` where a
+    division enters (kernel vectors, non-integral coordinates)."""
 
     __slots__ = ("nvars",)
     _shape = ("nvars",)
@@ -175,38 +176,41 @@ class MultiPoly(SparseComb):
 
 
 def tensor_of_tableau(t: Tableau, k: int) -> MultiPoly:
-    """Basis tensor whose index vector is the row-major reading of the tableau."""
+    """Basis tensor whose index vector is the row-major reading of the
+    tableau, with the ``int`` coefficient 1."""
     if any(not 0 <= v <= k for v in t.filling):
         raise ValueError("tableau entries must lie in {0..k}")
-    return MultiPoly(len(t.filling), {t.filling: ONE})
-
-
-def _permuted_terms(t: MultiPoly, sigma: Permutation):
-    """The (index, coefficient) pairs of t.sigma, each index once (sigma
-    permutes the factors, so distinct indices stay distinct)."""
-    if sigma.d != t.nvars:
-        raise ValueError("permutation size mismatch")
-    src = [s - 1 for s in sigma.images]
-    return ((tuple([idx[s] for s in src]), c) for idx, c in t.terms.items())
-
-
-def tensor_algebra_action(t: MultiPoly, u: GroupAlgebraElem) -> MultiPoly:
-    if u.d != t.nvars:
-        raise ValueError("size mismatch")
-    return t.with_terms(add_terms({}, ((idx, v * c) for sigma, c in u.terms.items()
-                                       for idx, v in _permuted_terms(t, sigma))))
+    return MultiPoly(len(t.filling), {t.filling: 1})
 
 
 @lru_cache(maxsize=None)
-def _symmetrizer(lam: Partition) -> GroupAlgebraElem:
-    return young_symmetrizer(canonical_tableau(lam))
+def _symmetrizer_action(lam: Partition) -> tuple[tuple[Callable[[Index], Index], int], ...]:
+    """The Young symmetrizer c_lam of the canonical tableau as (index map,
+    int coefficient) pairs, one per permutation sigma of its support: the
+    map sends an index vector a to that of a.sigma, whose i-th entry is
+    a[sigma(i)]."""
+    action = []
+    for sigma, c in young_symmetrizer(canonical_tableau(lam)).terms.items():
+        src = [s - 1 for s in sigma.images]
+        # an itemgetter of one position returns the entry, not a 1-tuple
+        action.append((operator.itemgetter(*src) if len(src) > 1
+                       else operator.itemgetter(slice(None)), c))
+    return tuple(action)
 
 
 def symmetrizer_projection(t: MultiPoly, lam: Partition) -> MultiPoly:
-    """Right multiplication by the Young symmetrizer of the canonical tableau."""
+    """Right multiplication by the Young symmetrizer of the canonical
+    tableau.  The coefficients are ``int`` where those of t are."""
     if lam.size != t.nvars:
         raise ValueError("partition size must match the tensor degree")
-    return tensor_algebra_action(t, _symmetrizer(lam))
+    out: dict[Index, Fraction | int] = {}
+    get = out.get
+    items = t.terms.items()
+    for index_map, c in _symmetrizer_action(lam):
+        for idx, v in items:
+            key = index_map(idx)
+            out[key] = get(key, 0) + v * c
+    return t.with_terms({key: v for key, v in out.items() if v})
 
 
 def j_ell(t: MultiPoly, ell: int) -> MultiPoly:
@@ -402,16 +406,21 @@ def full_kernel_vectors(d: int, k: int) -> tuple[MultiPoly, ...]:
 
 def _e_iso_family(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int) -> list[MultiPoly]:
     """:func:`e_iso` of each polynomial of a family in x_0..x_n, from one
-    semi-standard expansion of the whole family (``_coordinates``)."""
+    semi-standard expansion of the whole family (``_coordinates``).  Each
+    tableau tensor is projected once per family, and integral coordinates
+    enter as ``int``, so integral images have ``int`` coefficients."""
     if lam.nparts > n + 1:
         raise ValueError(f"shape with {lam.nparts} rows is too tall for variable bound {n}")
+    images: dict[Tableau, MultiPoly] = {}
     out = []
     for coords in _coordinates(polys, lam, k, n):
         if coords is None:
             raise ValueError("input is not a combination of column-determinant products")
+        for _, s in coords:
+            if s not in images:
+                images[s] = symmetrizer_projection(tensor_of_tableau(s, k), lam)
         out.append(linear_combination(MultiPoly(lam.size),
-                                      ((c, symmetrizer_projection(tensor_of_tableau(s, k), lam))
-                                       for c, s in coords)))
+                                      ((integral(c), images[s]) for c, s in coords)))
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .exact import ONE, SparseComb
+from .exact import SparseComb
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.d != other.d:
             raise ValueError("size mismatch")
-        return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.d)))
+        # a composite of bijections is one: skip the check of __post_init__
+        out = object.__new__(Permutation)
+        object.__setattr__(out, "images", tuple([self.images[i - 1] for i in other.images]))
+        return out
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.d
@@ -342,7 +345,9 @@ class Permutation:
 
 
 class GroupAlgebraElem(SparseComb):
-    """Sparse element of Q[Sigma_d]; the product is the convolution."""
+    """Sparse element of Q[Sigma_d]; the product is the convolution.
+    Coefficients are ``int`` where they are integers (the Young
+    symmetrizers) and ``Fraction`` where a division enters."""
 
     __slots__ = ("d",)
     _shape = ("d",)
@@ -357,10 +362,10 @@ class GroupAlgebraElem(SparseComb):
 
     @classmethod
     def unit(cls, d: int) -> "GroupAlgebraElem":
-        return cls(d, {Permutation.identity(d): ONE})
+        return cls(d, {Permutation.identity(d): 1})
 
     @classmethod
-    def of(cls, sigma: Permutation, c: Fraction = ONE) -> "GroupAlgebraElem":
+    def of(cls, sigma: Permutation, c: Fraction | int = 1) -> "GroupAlgebraElem":
         return cls(sigma.d, {sigma: c})
 
     def _unit_key(self) -> Permutation:
@@ -401,11 +406,14 @@ def column_group(t: Tableau) -> list[Permutation]:
 
 
 def young_symmetrizer(t: Tableau) -> GroupAlgebraElem:
-    """c_T = (signed column sum) * (row sum) in Q[Sigma_d]; T must be standard."""
+    """c_T = (signed column sum) * (row sum) in Q[Sigma_d]; T must be
+    standard.  Its coefficients are ``int``: the column and row groups meet
+    only in the identity, so each product q*p occurs once, with the sign of
+    q."""
     if not t.is_standard():
         raise ValueError("Young symmetrizers are defined for standard tableaux")
     d = t.shape.size
-    a = GroupAlgebraElem(d, {p: ONE for p in row_group(t)})
-    b = GroupAlgebraElem(d, {q: Fraction(q.sign()) for q in column_group(t)})
+    a = GroupAlgebraElem(d, {p: 1 for p in row_group(t)})
+    b = GroupAlgebraElem(d, {q: q.sign() for q in column_group(t)})
     return group_algebra_mul(b, a)
 

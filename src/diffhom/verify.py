@@ -571,7 +571,7 @@ _SUITES = {
     "kernel": (suite_kernel, {"max_d": 4, "max_n": 2}, {"max_d": 7}),
     "pde": (suite_pde, {"max_d": 4, "max_n": 2}, {"max_d": 6}),
     "appendixA": (suite_appendixA, {"max_d": 4, "max_n": 2}, {"max_d": 6}),
-    "hwv": (suite_hwv, {"max_d": 4, "max_n": 3}, {"max_d": 7, "max_n": 20}),
+    "hwv": (suite_hwv, {"max_d": 4, "max_n": 3}, {"max_d": 8, "max_n": 20}),
     "jets": (suite_jets, {"max_d": 4, "max_n": 2}, {}),
 }
 SUITE_NAMES = ("all", *_SUITES)

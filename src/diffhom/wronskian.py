@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .exact import ZERO, add_terms
+from .exact import ZERO, add_terms, integral
 from .dpoly import DiffPoly, MonoCodec, UniPoly, gradings, to_json_dict
 from .tableaux import compositions
 
@@ -74,7 +74,7 @@ def build_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
         if not 0 <= var <= n:
             raise ValueError(f"variable index {var} exceeds bound {n}")
     codec = _codec(d)
-    forms = [[[(codec.unit(var, r - s), math.perm(r, s) * _integral(c))
+    forms = [[[(codec.unit(var, r - s), math.perm(r, s) * integral(c))
                for s, c in enumerate(rpoly.coeffs[:r + 1]) if c]
               for rpoly, var in spec.entries] for r in range(d)]
     return _decoded(_expand(forms), codec, n)
@@ -143,11 +143,6 @@ def _expand_step(partial: dict[int, dict], row: Sequence[Sequence[tuple[int, int
                     w += unit
                     out[w] = get(w, 0) + coeff * ec
     return grown
-
-
-def _integral(c: Fraction):
-    """``c`` as an int when it is one, so that integral entries multiply as ints."""
-    return c.numerator if c.denominator == 1 else c
 
 
 @dataclass(frozen=True)
@@ -294,7 +289,7 @@ def rewriting_mismatches(d: int, rewrite: Callable[[tuple[int, ...]], list]
             continue
         reduced: dict[int, int] = {}
         for c, idx in comb:
-            c = _integral(c)
+            c = integral(c)
             add_terms(reduced, ((w, c * v) for w, v in held[idx].items()))
         if reduced != codes:
             yield alpha

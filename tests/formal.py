@@ -83,6 +83,12 @@ block) that it replaced is kept here as :func:`formal_pivot_profile`.
 ``tableaux.relabel``, ``tableaux.schur_poly_eval`` and
 ``hwv.tensor_sigma_action``, which only the tests called, are kept here as
 :func:`relabel`, :func:`schur_poly_eval` and :func:`tensor_sigma_action`.
+
+``tableaux.young_symmetrizer`` builds c_T on ``int`` coefficients, and
+``hwv.symmetrizer_projection`` applies it from one cached index map per
+permutation.  The product of the signed column sum and the row sum in
+``Fraction``, over the stabilizers found by filtering all of S_d, is kept
+here as :func:`formal_young_symmetrizer`.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ from diffhom.dpoly import (DiffPoly, DMono, MonoCodec, ParseError, UniPoly, deri
                            mono_order, mono_weight, solve_in_span, span_rank, substitute)
 from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
                            linear_combination, operator_rows, pivot_columns, rank)
-from diffhom.hwv import MultiPoly, _permuted_terms, d_t, full_kernel_vectors, j_ell
+from diffhom.hwv import MultiPoly, d_t, full_kernel_vectors, j_ell
 from diffhom.pde import vandermonde
 from diffhom.tableaux import (Partition, Permutation, Tableau, compositions, kostka,
                               partitions_of, semistandard_tableaux)
@@ -952,10 +958,40 @@ def formal_pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...
 
 
 def tensor_sigma_action(t: MultiPoly, sigma: Permutation) -> MultiPoly:
-    """Right action: the i-th factor of t.sigma is the sigma(i)-th factor of t."""
-    return t.with_terms(dict(_permuted_terms(t, sigma)))
+    """Right action: the i-th factor of t.sigma is the sigma(i)-th factor of t
+    (sigma permutes the factors, so distinct indices stay distinct)."""
+    if sigma.d != t.nvars:
+        raise ValueError("permutation size mismatch")
+    return t.with_terms({tuple(idx[sigma(i + 1) - 1] for i in range(t.nvars)): c
+                         for idx, c in t.terms.items()})
 
 
 def relabel(sigma: Permutation, t: Tableau) -> Tableau:
     """Apply sigma to every entry of a tableau filled with {1..d}."""
     return Tableau(t.shape, tuple(sigma(v) for v in t.filling))
+
+
+def _sign_by_inversions(images: Sequence[int]) -> int:
+    return (-1) ** sum(1 for i, j in itertools.combinations(range(len(images)), 2)
+                       if images[i] > images[j])
+
+
+def formal_young_symmetrizer(t: Tableau) -> dict[Permutation, Fraction]:
+    """c_T = (signed column sum) * (row sum) as {permutation: Fraction}: the
+    row and column stabilizers filtered from all of S_d, each product
+    composed by its images, and the signs counted by inversions."""
+    d = t.shape.size
+    where = {v: i for i, v in enumerate(t.filling)}
+    rows = [r for r, p in enumerate(t.shape.parts) for _ in range(p)]
+    cols = [c for p in t.shape.parts for c in range(p)]
+
+    def stabilizer(block: Sequence[int]) -> list[tuple[int, ...]]:
+        return [images for images in itertools.permutations(range(1, d + 1))
+                if all(block[where[v]] == block[where[images[v - 1]]] for v in range(1, d + 1))]
+
+    out: dict[Permutation, Fraction] = {}
+    for q in stabilizer(cols):
+        for p in stabilizer(rows):
+            key = Permutation(tuple(q[p[i] - 1] for i in range(d)))
+            out[key] = out.get(key, Fraction(0)) + Fraction(_sign_by_inversions(q))
+    return {key: c for key, c in out.items() if c}

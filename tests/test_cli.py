@@ -570,11 +570,12 @@ def test_check_at_path_reads_a_long_expression(tmp_path, capsys):
     assert code == 0 and "degree 2" in out
 
 
-@pytest.mark.parametrize("argv", [["--d", "9"], ["--d", "16", "--k", "0"],
-                                  ["--d", "10", "--k", "0"], ["--d", "8", "--k", "6"],
+@pytest.mark.parametrize("argv", [["--d", "9"], ["--d", "22", "--k", "0"],
+                                  ["--d", "8", "--k", "6"],
                                   ["--d", "1000000000", "--k", "3"],
                                   # largest systems under the cap (336, 867 and
-                                  # 770 D_T), but p(d)^2 counts their many systems
+                                  # 770 D_T), but q^2 (4,096, 2,209 and 11,664)
+                                  # counts their many systems
                                   ["--d", "16", "--k", "3"], ["--d", "12", "--k", "4"],
                                   ["--d", "20", "--k", "3"],
                                   ["--d", "3", "--max-cost", "8"]], ids=" ".join)
@@ -591,14 +592,32 @@ def test_kernel_refuses_oversized_input_at_once(capsys, monkeypatch, argv):
     assert "more than the cap" in err and "--max-cost" in err
 
 
+@pytest.mark.parametrize("argv", [["--d", "10", "--k", "0"], ["--d", "15", "--k", "0"],
+                                  ["--d", "16", "--k", "0"], ["--d", "16", "--k", "1"],
+                                  ["--d", "20", "--k", "1"], ["--d", "14", "--k", "2"]],
+                         ids=" ".join)
+def test_kernel_runs_inputs_of_few_shapes_at_the_default_cap(capsys, argv):
+    # only the q shapes of at most k+1 rows have D_T, so q^2 (at most 576
+    # here) and the linear floor p(d) (at most 627) stay under the cap
+    code, out, _ = run(capsys, "kernel", *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["full_kernel_dim"] == sum(r["kernel_dim"] * r["standard_count"]
+                                             for r in payload["isotypic"])
+    assert all(r["kernel_dim"] == 0 for r in payload["isotypic"]
+               if len(r["partition"]) > payload["k"] + 1)
+    if payload["k"] == 0:
+        assert payload["full_kernel_dim"] == 1
+
+
 def test_kernel_max_cost_overrides_the_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "kernel", "--d", "3", "--max-cost", "27", "--format", "json")
     assert code == 0 and json.loads(out)["full_kernel_dim"] == 6
-    # d = 3, k = 2 solves systems of one D_T (weights 0 and 1), so the
-    # p(3)^2 = 9 partition table is its cost
+    # d = 3, k = 2 solves systems of one D_T (weights 0 and 1), so
+    # q^2 = p(3)^2 = 9 is its cost
     assert run(capsys, "kernel", "--d", "3", "--max-cost", "9")[0] == 0
-    # d = 8, k = 7 (largest system 382 D_T, p(8)^2 = 484) and d = 9, k = 5
-    # (819 D_T, p(9)^2 = 900) are within the default cap; d = 9, k = 8
+    # d = 8, k = 7 (largest system 382 D_T, q^2 = 484) and d = 9, k = 5
+    # (819 D_T, q^2 = 676) are within the default cap; d = 9, k = 8
     # (1,621) needs --max-cost
     import diffhom.cli as cli
     monkeypatch.setattr(cli, "kernel_dim_full", lambda d, k: 0)
@@ -611,8 +630,9 @@ def test_kernel_max_cost_overrides_the_cap(capsys, monkeypatch):
     assert run(capsys, "kernel", "--d", "9", "--max-cost", "1620")[0] == 2
     assert run(capsys, "kernel", "--d", "8", "--max-cost", "484")[0] == 0
     assert run(capsys, "kernel", "--d", "8", "--max-cost", "483")[0] == 2
-    # at k = 0 only the p(d)^2 partition table counts: p(9)^2 = 900 runs
-    assert run(capsys, "kernel", "--d", "9", "--k", "0")[0] == 0
+    # at k = 0 one shape has D_T (q = 1), so the floor p(9) = 30 is the cost
+    assert run(capsys, "kernel", "--d", "9", "--k", "0", "--max-cost", "30")[0] == 0
+    assert run(capsys, "kernel", "--d", "9", "--k", "0", "--max-cost", "29")[0] == 2
 
 
 def test_kernel_d8_at_the_default_cap(capsys):
@@ -626,7 +646,8 @@ def test_kernel_d8_at_the_default_cap(capsys):
 @pytest.mark.parametrize("d", range(1, 7))
 def test_kernel_cost_is_the_largest_system_solved(d, monkeypatch):
     # the D_T of every system the solver builds, at every k <= d+1, counted
-    # by enumeration; the cost is the largest, or p(d)^2 if larger
+    # by enumeration; the cost is the largest, or q^2 if larger (q the
+    # shapes with D_T, those of at most min(k, d-1) + 1 rows), or p(d)
     import diffhom.cli as cli
     from diffhom import hwv
     from diffhom.tableaux import partitions_of, semistandard_tableaux
@@ -643,7 +664,10 @@ def test_kernel_cost_is_the_largest_system_solved(d, monkeypatch):
         built.clear()
         hwv.weight_multiplicities.cache_clear()
         hwv.kernel_dim_full(d, k)
-        assert cli.kernel_cost(d, k, 10 ** 9) == max(len(partitions_of(d)) ** 2, *built), k
+        shapes = [lam for lam in partitions_of(d)
+                  if any(semistandard_tableaux(lam, min(k, d - 1) + 1))]
+        assert cli.kernel_cost(d, k, 10 ** 9) == max(len(partitions_of(d)), len(shapes) ** 2,
+                                                     *built), k
 
 
 @pytest.mark.parametrize("d, k, full", [("5", "40", 120), ("3", "1000000000", 6)])

@@ -32,7 +32,10 @@ weights at ``k = d-1`` were read by Poincaré duality, and the ``census
 the census eliminated one multidegree per partition of d and credited it to
 every rearrangement, and the ``verify --suite rsk`` and ``verify --suite
 appendixA --max-d 5`` digests before ``kostka`` removed horizontal strips and
-the ``appendixA`` checks walked their tuples as prefix trees.  The
+the ``appendixA`` checks walked their tuples as prefix trees, and the
+``verify --suite hwv --max-d 5`` digest (which pins ``e_iso_injective`` and
+``symmetrizer_scalar`` at ``d = 5``) before the Young symmetrizers, tableau
+tensors and ``e_iso`` images moved to integer coefficients.  The
 ``wall_time_seconds`` field of ``verify`` and the ``seconds`` field of each
 of its checks are dropped before hashing.
 """
@@ -76,6 +79,8 @@ GOLDEN = {
         "08efec92d630e7a63b696a155826b5b2c807ed2bbf69e790d526505d8de429af",
     "verify --suite hwv":
         "efdb11b291f6e1ace08e40f32dcad8d464b89f06468269170e64d3bded95ea85",
+    "verify --suite hwv --max-d 5":
+        "585369ae1a31d0f107281a82621a78fa85461201956c9136af2ab5241e7b2ba8",
     "verify --suite basis":
         "732d7971baf7d2cc146fc92e55261d48304e4f97eef6db0d630c58a4a16f36c1",
     "verify --suite basis --max-d 3":

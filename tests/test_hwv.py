@@ -6,12 +6,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffhom import hwv, wronskian
 from diffhom.cli import kernel_cost
 from diffhom.exact import intersection_dim, nullspace_basis, operator_rows, rank
 from diffhom.dpoly import parse, span_rank
-from diffhom.tableaux import (Partition, Permutation, Tableau,
+from diffhom.tableaux import (Partition, Permutation, Tableau, canonical_tableau,
                               count_semistandard, count_standard,
                               partitions_of, semistandard_tableaux)
 from diffhom.hwv import (MultiPoly, _coordinates, column_det, d_t, e_iso, full_kernel_vectors,
@@ -151,6 +152,44 @@ def test_symmetrizer_almost_projection_on_tensors():
             once = symmetrizer_projection(t, lam)
             twice = symmetrizer_projection(once, lam)
             assert twice == once.scale(m)
+
+
+COEFFICIENTS = {"int": st.integers(-4, 4),
+                "Fraction": st.fractions(-4, 4, max_denominator=6),
+                "mixed": st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)}
+
+
+@st.composite
+def tensors_with_shapes(draw):
+    d = draw(st.integers(1, 4))
+    lam = draw(st.sampled_from(partitions_of(d)))
+    coefficients = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * d), coefficients, max_size=6))
+    return MultiPoly(d, terms), lam
+
+
+@given(tensors_with_shapes())
+@settings(max_examples=150, deadline=None)
+def test_symmetrizer_projection_is_the_sum_of_sigma_actions(case):
+    # t.c_lam = sum over sigma of c_sigma (t.sigma), c_lam from the Fraction
+    # oracle; int coefficients stay int, and none becomes a float
+    t, lam = case
+    expected = {}
+    for sigma, c in formal.formal_young_symmetrizer(canonical_tableau(lam)).items():
+        for idx, v in tensor_sigma_action(t, sigma).terms.items():
+            expected[idx] = expected.get(idx, 0) + c * v
+    image = symmetrizer_projection(t, lam)
+    assert image.terms == {idx: v for idx, v in expected.items() if v}
+    assert not any(isinstance(v, float) for v in image.terms.values())
+    if all(type(v) is int for v in t.terms.values()):
+        assert all(type(v) is int for v in image.terms.values())
+
+
+def test_e_iso_images_of_the_basis_have_int_coefficients():
+    for lam in partitions_of(4):
+        n = lam.nparts - 1
+        images = hwv._e_iso_family([p for _, p in hwv_basis(lam, 3, n)], lam, 3, n)
+        assert images and all(type(v) is int for image in images for v in image.terms.values())
 
 
 def test_j_ell_examples():
@@ -405,8 +444,8 @@ def test_largest_system_solved_is_the_closed_form(d, monkeypatch):
     # one D_T system per (lam, weight) at the weights 2w <= d(d-1)/2, each
     # built once: the weights above are read by duality up to d(d-1)/2 and
     # are zero beyond it.  Its columns are the D_T of that weight (counted
-    # by enumeration here), and the largest of them, or p(d)^2, is what
-    # `dh kernel` counts as its cost
+    # by enumeration here), and the largest of them, or q^2 = p(d)^2 (every
+    # shape has D_T at k = d-1), is what `dh kernel` counts as its cost
     k = d - 1
     columns = {}
     blocks = Counter()
@@ -436,7 +475,7 @@ def test_largest_young_systems():
             == [500, 4320, 36015, 316800])
     assert [formal.largest_young_system(d, 0) for d in (1, 16)] == [1, 1]
     # the largest D_T system solved at k = d-1 (10, 25, 84, 382), below
-    # the p(d)^2 of the partition table from d = 5 on
+    # q^2 = p(d)^2 from d = 5 on
     assert ([kernel_cost(d, d - 1, 10 ** 9) for d in (5, 6, 7, 8, 9)]
             == [49, 121, 225, 484, 1621])
 

@@ -16,8 +16,8 @@ from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                               semistandard_tableaux,
                               semistandard_weight_counts, young_symmetrizer)
 from formal import (centralizer_size, character, count_semistandard_by_enumeration,
-                    count_standard_by_enumeration, dominates, kostka_by_enumeration,
-                    relabel, schur_poly_eval, standard_tableaux)
+                    count_standard_by_enumeration, dominates, formal_young_symmetrizer,
+                    kostka_by_enumeration, relabel, schur_poly_eval, standard_tableaux)
 
 F = Fraction
 
@@ -334,6 +334,29 @@ def test_group_algebra_families_have_ranks_and_coordinates():
     assert span_rank(basis) == 6 and span_rank(basis + [c]) == 6
     assert solve_in_span(basis, [c]) == [[c.terms.get(p, F(0)) for p in perms]]
     assert solve_in_span(basis[1:], [c]) == [None]  # c has the identity term
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_young_symmetrizer_matches_the_fraction_product(d):
+    # against (signed column sum) * (row sum) in Fraction, and every
+    # coefficient an int (a sign: the stabilizers meet only in the identity)
+    for lam in partitions_of(d):
+        c = young_symmetrizer(canonical_tableau(lam))
+        assert c.terms == formal_young_symmetrizer(canonical_tableau(lam))
+        assert all(type(v) is int and v in (1, -1) for v in c.terms.values())
+
+
+def test_permutation_product_is_the_composite_of_images():
+    group = [Permutation(p) for p in itertools.permutations((1, 2, 3, 4))]
+    for a in group:
+        for b in group:
+            product = a * b
+            assert product == Permutation(tuple(a(b(i)) for i in range(1, 5)))
+            assert hash(product) == hash(Permutation(product.images))
+    with pytest.raises(ValueError):
+        Permutation((1, 1))
+    with pytest.raises(ValueError):
+        Permutation.identity(3) * Permutation.identity(2)
 
 
 def test_young_symmetrizer_rejects_non_standard():

@@ -39,7 +39,7 @@ def test_small_suites_pass(suite):
 
 
 @pytest.mark.parametrize("caps", [{"max_d": 0}, {"max_d": -1}, {"max_n": -1},
-                                  {"max_d": 0, "max_n": 2}, {"max_d": 8}, {"max_n": 21}])
+                                  {"max_d": 0, "max_n": 2}, {"max_d": 9}, {"max_n": 21}])
 def test_caps_out_of_range_rejected(caps):
     with pytest.raises(ValueError):
         run_suite("hwv", **caps)
@@ -249,6 +249,12 @@ def test_gl_lie_check_fails_on_an_element_mixing_two_multidegrees(monkeypatch):
 def test_basis_suite_cap_is_6():
     assert over_cap("basis", 6, 3) is None
     assert over_cap("basis", 7, 3) == "--max-d 7 exceeds the cap of 6 for the basis suite"
+
+
+def test_hwv_suite_cap_is_8():
+    assert over_cap("hwv", 8, 20) is None
+    assert over_cap("hwv", 9, 20) == "--max-d 9 exceeds the cap of 8 for the hwv suite"
+    assert over_cap("hwv", 8, 21) == "--max-n 21 exceeds the cap of 20 for the hwv suite"
 
 
 def test_pde_suite_cap_is_6():
