@@ -36,19 +36,20 @@ from .hwv import kernel_dim_full, kernel_dim_isotypic, solved_weights
 from .verify import DEFAULT_SEED, SUITE_NAMES, over_cap, run_suite
 from .wronskian import basis_manifest
 
-# The default cap on the cost of `dh kernel` (see `kernel_cost`): the
-# largest cost whose runs took at most two minutes on a 2-CPU machine,
-# p(9)^2.  d = 8, k = 7 (largest system 382 D_T, q^2 = p(8)^2 = 484) took
-# 8 s and d = 9, k = 5 (819, q^2 = 676) 82 s; d = 8, k = 6 (1,196)
-# took 121 s, and d = 9, k = 8 (1,621), every d = 9, k >= 6 and every
-# d >= 10, k >= d-1 are refused at once.  The q^2 term counts the many
-# systems of a large d: d = 16, k = 3 (336 D_T, q^2 = 4,096) took about
-# 150 s, and d = 12, k = 4 (867, q^2 = 2,209) and d = 20, k = 3 (770,
-# q^2 = 11,664) ran past 150 s.  Few shapes are cheap: d = 15, k = 0,
-# d = 20, k = 1 and d = 14, k = 2 (q^2 = 576) each run in about a second,
-# d = 10, k = 4 (q^2 = 900) in 45 s, and the p(d) floor refuses every
-# d >= 22 (p(22) = 1,002).  `--max-cost` overrides it.
-KERNEL_MAX_COST = 30 ** 2
+# The default cap on the cost of `dh kernel` (see `kernel_cost`): 2^16,
+# under which every input timed took at most two minutes on a 2-CPU
+# machine.  Counting D_T terms, not D_T, parts d = 9, k = 8 (largest
+# system 1,621 D_T, 64,224 terms), which took 99 s and 142 MB, from d = 10,
+# k = 5 (1,589 D_T, 191,808 terms), which took 212 s and 353 MB.  d = 8,
+# k = 6 (51,264) and d = 9, k = 5 (51,840) took 52 s each, and the inputs
+# of few shapes run in seconds: d = 19, k = 2 (62,208) 5 s, d = 33, k = 1
+# (65,536) 23 s and d = 43, k = 0 (the floor p(43) = 63,261) 10 s and
+# 344 MB.  Above the cap, d = 12, k = 4 (190,656) took 200 s, and the
+# cheapest inputs, d = 11, k = 4 (68,544) and d = 14, k = 3 (69,120), 52 s
+# and 23 s; every d = 9, 6 <= k <= 7 (207,360 and 757,440), every d >= 10
+# at k >= d-1 and every d >= 44 (p(44) = 75,175) are refused at once.
+# `--max-cost` overrides it.
+KERNEL_MAX_COST = 2 ** 16
 
 # The default caps on the cost of `dh basis` (see `basis_cost`) and `dh
 # census` (see `census_cost`): the largest sizes whose runs took at most two
@@ -345,30 +346,49 @@ def cmd_tableaux(args) -> int:
     return 0
 
 
+def _partition_counts() -> Iterator[int]:
+    """p(0), p(1), p(2), ..., each from the ones before it by Euler's
+    pentagonal number theorem, with no partition built."""
+    p = [1]
+    while True:
+        yield p[-1]
+        n, total, j = len(p), 0, 1
+        while (g := j * (3 * j - 1) // 2) <= n:
+            sign = 1 if j % 2 else -1
+            total += sign * (p[n - g] + (p[n - g - j] if g + j <= n else 0))
+            j += 1
+        p.append(total)
+
+
 def kernel_cost(d: int, k: int, cap: int) -> int:
-    """Cost estimate of `dh kernel --d d --k k`: the D_T of the largest
-    system it solves (``hwv.functional_system``), or q^2 if that is larger,
-    q the number of partitions of d with at most k' + 1 parts, k' = min(k,
-    d-1), or at least p(d).  The systems are those of k', one per shape and
-    weight ``hwv.solved_weights``, and the system of (lam, w) has one column
-    per semi-standard tableau of shape lam over {0..k'} with entry sum w
-    (``semistandard_weight_counts``), so only those q shapes have D_T.  q^2
-    is the only term that grows with the number of such systems, q times the
-    weights solved; without it d = 16, k = 3, whose largest system has 336
-    D_T, would pass and run for about 150 s.  p(d), the shapes the
-    multiplicity table runs over, is a linear floor: p(n) grows with n, so
-    once p(n) passes ``cap`` that is returned at once, and a huge d never
-    reaches the partitions of d.  At k >= d-1 every shape has D_T, q = p(d)."""
-    for n in range(1, d + 1):
-        table = len(partitions_of(n))
+    """Cost estimate of `dh kernel --d d --k k`: the D_T terms of the largest
+    system it solves, or q^2 if that is larger, q the number of partitions
+    of d with at most k' + 1 parts, k' = min(k, d-1), or at least p(d).  The
+    systems are those of k', one per shape and weight ``hwv.solved_weights``,
+    and the system of (lam, w) has one row per semi-standard tableau of
+    shape lam over {0..k'} with entry sum w (``semistandard_weight_counts``),
+    so only those q shapes have D_T.  Each row is the image of a D_T, a
+    product of one determinant per column of lam with at most prod_j lam'_j!
+    terms, lam' the conjugate, and its D_T terms are the rows times that:
+    the rows alone do not order the run times (see ``KERNEL_MAX_COST``).
+    q^2 is the term that grows with the number of systems, q times the
+    weights solved.  p(d), the shapes the multiplicity table runs over, is a
+    linear floor: p(n) grows with n, so once p(n) passes ``cap`` that is
+    returned at once, and a huge d never reaches the partitions of d;
+    likewise the shapes are read only until the cost passes ``cap``.  At
+    k >= d-1 every shape has D_T, q = p(d)."""
+    for table in itertools.islice(_partition_counts(), 1, d + 1):
         if table > cap:
             return table
     k = min(k, d - 1)
-    shapes = sum(1 for _ in partition_parts(d, k + 1))
+    cost = max(table, sum(1 for _ in partition_parts(d, k + 1)) ** 2)
     stop = solved_weights(d, k).stop
-    return max(table, shapes ** 2,
-               *(max(semistandard_weight_counts(lam, k + 1)[:stop], default=0)
-                 for lam in partitions_of(d)))
+    for lam in partitions_of(d):
+        if cost > cap:
+            break
+        cost = max(cost, math.prod(math.factorial(c) for c in lam.conjugate().parts)
+                   * max(semistandard_weight_counts(lam, k + 1)[:stop], default=0))
+    return cost
 
 
 def cmd_kernel(args) -> int:
@@ -381,8 +401,8 @@ def cmd_kernel(args) -> int:
         return 2
     if _over_cost(f"kernel --d {args.d} --k {k}", partial(kernel_cost, args.d, k),
                   args.max_cost, KERNEL_MAX_COST,
-                  "the D_T of the largest system solved, or q^2 if larger, q the partitions "
-                  "of d with at most min(k, d-1) + 1 parts, or at least p(d)"):
+                  "the D_T terms of the largest system solved, or q^2 if larger, q the "
+                  "partitions of d with at most min(k, d-1) + 1 parts, or at least p(d)"):
         return 2
     full = kernel_dim_full(args.d, k)
     per_lambda = []
@@ -497,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="local dimension minus one (default d-1)")
     p.add_argument("--max-cost", type=int, default=None,
-                   help="largest cost to accept: the D_T of the largest system solved, "
+                   help="largest cost to accept: the D_T terms of the largest system solved, "
                         "or q^2 if larger, q the partitions of d with at most "
                         "min(k, d-1) + 1 parts, or at least p(d) "
                         f"(default {KERNEL_MAX_COST})")

@@ -311,12 +311,14 @@ class MonoCodec:
     expansion (``wronskian._expand``), the D_T (``hwv._d_t_codes``) and the
     multiplicity solver (:meth:`lowered`) share it."""
 
-    __slots__ = ("orders", "bits", "_mask", "_factors")
+    __slots__ = ("orders", "bits", "_mask", "_factors", "_lowerings")
 
     def __init__(self, orders: int, bits: int):
         self.orders, self.bits = orders, bits
         self._mask = (1 << bits) - 1
         self._factors: dict[int, tuple[int, int, int]] = {}  # one tuple per (i, k, e), shared
+        # per top, per field: the (code shift, C(k, m)) of each L_m, m <= top
+        self._lowerings: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
 
     def unit(self, i: int, k: int) -> int:
         """The code of x_i[k]."""
@@ -357,22 +359,29 @@ class MonoCodec:
         Lowering x_i[k] by m moves one unit of its exponent m fields up, into
         x_i[k-m].  L_m lowers the weight by m, so on an isobaric p the images
         of the different L_m share no monomial, and p is killed by all of
-        them exactly when this sum is zero."""
+        them exactly when this sum is zero.  The code shifts and binomials of
+        each field are built once per codec and ``top``."""
         bits, mask, orders = self.bits, self._mask, self.orders
+        steps = self._lowerings.setdefault(top, {})
         out: dict[int, int] = {}
         get = out.get
         for w, c in terms.items():
             rest = w
             while rest:
-                shift = (rest & -rest).bit_length() - 1
-                shift -= shift % bits
-                unit = 1 << shift
+                field = ((rest & -rest).bit_length() - 1) // bits
+                shift = field * bits
                 e = (rest >> shift) & mask
-                rest -= e * unit
-                k = orders - 1 - (shift // bits) % orders
-                for m in range(1, min(k, top) + 1):
-                    v = w + (unit << m * bits) - unit
-                    out[v] = get(v, 0) + c * e * math.comb(k, m)
+                rest -= e << shift
+                lowering = steps.get(field)
+                if lowering is None:
+                    k = orders - 1 - field % orders
+                    lowering = steps[field] = tuple(
+                        (((1 << m * bits) - 1) << shift, math.comb(k, m))
+                        for m in range(1, min(k, top) + 1))
+                ce = c * e
+                for delta, b in lowering:
+                    v = w + delta
+                    out[v] = get(v, 0) + ce * b
         return {v: x for v, x in out.items() if x}
 
 

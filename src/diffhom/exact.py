@@ -162,20 +162,26 @@ def linear_combination(like: SparseComb,
 
 def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
     """The primitive integer multiple of a rational row: same support, entries
-    coprime integers."""
+    coprime integers.  A row of ints only needs its content divided out."""
+    if all(type(v) is int for v in row.values()):
+        return _primitive(dict(row))
     scale = math.lcm(*(v.denominator for v in row.values()))
     if scale == 1:  # share the numerators: equal new ints would cost memory
-        ints = {c: v.numerator for c, v in row.items()}
-    else:
-        ints = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-    g = math.gcd(*ints.values())
-    return {c: v // g for c, v in ints.items()} if g > 1 else ints
+        return _primitive({c: v.numerator for c, v in row.items()})
+    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row divided by its content, the gcd of its entries: a new
+    dict, or ``row`` itself when the content is 1."""
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _eliminate(row: dict[int, int], p: int, f: int, prow: Mapping[int, int]) -> dict[int, int]:
-    """Fraction-free step ``p*row - f*prow`` on integer rows, then content
-    removal.  The caller has already taken the pivot column out of ``row`` and
-    ``prow``."""
+    """Fraction-free step ``p*row - f*prow`` on integer rows.  The caller has
+    already taken the pivot column out of ``row`` and ``prow``, and removes
+    the content (:func:`_primitive`) where it needs it."""
     g = math.gcd(p, f)
     p, f = p // g, f // g
     if p != 1:
@@ -190,8 +196,7 @@ def _eliminate(row: dict[int, int], p: int, f: int, prow: Mapping[int, int]) -> 
                 row[c] = s
             else:
                 del row[c]
-    g = math.gcd(*row.values())
-    return {c: v // g for c, v in row.items()} if g > 1 else row
+    return row
 
 
 def _forward(rows: Sequence[Mapping[int, Fraction]], ncols: int
@@ -202,7 +207,10 @@ def _forward(rows: Sequence[Mapping[int, Fraction]], ncols: int
 
     Every column left of the current one is already eliminated, so the rows
     holding a column are exactly the rows it leads.  A row is re-filed under
-    its new leading column after each step and dropped once it is zero.
+    its new leading column after each step and dropped once it is zero.  Its
+    content is removed only when it becomes a pivot row, whose entries enter
+    every row it eliminates: removing it after every step costs one more
+    pass over the row each time, and the rows of a wide system are long.
     """
     lead: dict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
     for i, r in enumerate(rows):
@@ -214,6 +222,7 @@ def _forward(rows: Sequence[Mapping[int, Fraction]], ncols: int
         if not held:
             continue
         pi, prow = min(held, key=lambda e: (len(e[1]), e[0]))
+        prow = _primitive(prow)
         p = prow.pop(col)
         if p < 0:
             p, prow = -p, {c: -v for c, v in prow.items()}
@@ -236,8 +245,9 @@ def echelon(rows: Sequence[Mapping[int, Fraction]], ncols: int
     columns, pivots normalized to 1.
 
     The elimination is fraction-free: each row is scaled to a primitive
-    integer row, reduced by ``p*row - f*pivot_row`` and divided by its content,
-    and converted back to Fractions only on output.  Scaling keeps a row's
+    integer row, reduced by ``p*row - f*pivot_row``, divided by its content
+    when it becomes a pivot row, and converted back to Fractions only on
+    output.  Scaling keeps a row's
     support, so the pivot rule picks the same rows as rational elimination.
     Rows are indexed by their leading column, so each column step touches only
     the rows that hold it, and the reduced form comes from one
@@ -253,7 +263,7 @@ def echelon(rows: Sequence[Mapping[int, Fraction]], ncols: int
         row[col] = p
         for c in [c for c in row if c != col and c in where]:
             _, pk, rowk = pivots[where[c]]
-            row = _eliminate(row, pk, row.pop(c), rowk)
+            row = _primitive(_eliminate(row, pk, row.pop(c), rowk))
         pivots[j] = (col, row.pop(col), row)
     return [(col, {col: ONE, **{c: Fraction(v, p) for c, v in row.items()}})
             for col, p, row in pivots]

@@ -4,9 +4,10 @@ Products of column determinants D_T indexed by Young tableaux filled with
 derivative orders {0..k} realize the highest weight vectors.  There is one
 builder of the D_T: each column determinant is expanded row by row over
 packed exponent codes (``wronskian._expand``, ``dpoly.MonoCodec``), once per
-column, and a product of columns adds codes; ``column_det`` and ``d_t``
-decode the result, and ``hwv_basis`` decodes the semi-standard D_T of one
-(lam, k, n) once per process, into one tuple that every caller shares.
+column and codec in a process (``_column_codes``), and a product of columns
+adds codes; ``column_det`` and ``d_t`` decode the result, and ``hwv_basis``
+decodes the semi-standard D_T of one (lam, k, n) once per process, into one
+tuple that every caller shares.
 
 The semi-standard D_T of shape lam span S_lam W, W = Q^{k+1}, and L_1..L_k
 act there as the gl(W) elements f^m / m!, f the lowering map x[i] -> i *
@@ -16,12 +17,15 @@ identities their common kernel is that of the power sums f_1^m + ... + f_d^m,
 which act on S_lam W as f^m.  So the multiplicity m_lam of V_lam in the
 simultaneous kernel of the J^(l), weight by weight, is the nullity of
 L_1..L_k on the weight-w D_T (the paper's functional equation,
-``weight_multiplicities``).  They are solved only at the weights up to the
-middle one, d*k/2, as J^(1) is an sl2 lowering operator; k >= d is read at
-k = d-1, as every kernel vector has its indices below d; and at k = d-1 only
-the weights up to D/2, D = d(d-1)/2, are solved, the others read from D - w
-at the conjugate shape, as the kernel there is the coinvariant algebra of
-S_d, whose top degree D is the sign (Poincaré duality).  The tensor side
+``weight_multiplicities``): the number of those D_T minus the rank of their
+images, one integer row per D_T with the image codes as columns in
+ascending order (``functional_system``).  They are solved only at the
+weights up to the middle one, d*k/2, as J^(1) is an sl2 lowering operator;
+k >= d is read at k = d-1, as every kernel vector has its indices below d;
+and at k = d-1 only the weights up to D/2, D = d(d-1)/2, are solved, the
+others read from D - w at the conjugate shape, as the kernel there is the
+coinvariant algebra of S_d, whose top degree D is the sign (Poincaré
+duality).  The tensor side
 keeps the right symmetric-group action, the Young symmetrizer projections,
 the J^(l) and their kernel vectors (``full_kernel_vectors``, as tensors),
 which the checks read.  A tensor is a ``MultiPoly`` with every exponent <= k:
@@ -53,18 +57,27 @@ def _codec(lam: Partition, k: int) -> MonoCodec:
     return MonoCodec(k + 1, max(lam.parts, default=1).bit_length())
 
 
+@lru_cache(maxsize=1024)
+def _column_codes(col: tuple[int, ...], orders: int, bits: int) -> dict[int, int]:
+    """The column determinant det(x_b[h_a]) of col = (h_0, ..., h_r) as
+    {packed code: int coefficient} in the codec of (orders, bits), expanded
+    once per process and shared, for every weight of every shape that has
+    the column; callers must not mutate it.  A column of r entries has r!
+    terms, so the cache holds only the last 1,024 columns asked for: the
+    systems of `dh kernel --d 9 --k 7` have 515 distinct columns, 136,182
+    terms in all, the most of any d <= 9."""
+    codec = MonoCodec(orders, bits)
+    return _expand([[[(codec.unit(b, h), 1)] for b in range(len(col))] for h in col])
+
+
 def _d_t_codes(tableaux: Iterable[Tableau], codec: MonoCodec) -> Iterator[dict[int, int]]:
     """D_T of each tableau as {packed code: int coefficient}.  A column
-    (h_0, ..., h_r) is det(x_b[h_a]), expanded once and shared by the
-    tableaux that have it; the columns multiply by adding codes."""
-    columns: dict[tuple[int, ...], dict[int, int]] = {}
+    (h_0, ..., h_r) is det(x_b[h_a]) (``_column_codes``); the columns
+    multiply by adding codes."""
     for t in tableaux:
         acc = {0: 1}
         for col in t.columns():
-            det = columns.get(col)
-            if det is None:
-                det = columns[col] = _expand([[[(codec.unit(b, h), 1)] for b in range(len(col))]
-                                              for h in col])
+            det = _column_codes(col, codec.orders, codec.bits)
             prod: dict[int, int] = {}
             get = prod.get
             for w1, c1 in acc.items():
@@ -262,13 +275,23 @@ def stacked_operator_rows(d: int, k: int, weight: int) -> tuple[list[dict[int, i
 
 def functional_system(lam: Partition, k: int, weight: int) -> tuple[list[dict[int, int]], int]:
     """The integer matrix of L_1 + ... + L_k on the semi-standard D_T of
-    shape lam, entries <= k and entry sum ``weight``, and the number of those
-    D_T: column j holds the image of the j-th D_T (``operator_rows``,
-    ``dpoly.MonoCodec.lowered``; the D_T are isobaric, so the L_m images
-    stay apart).  Its nullity, columns minus rank, is m_lam at that weight."""
+    shape lam, entries <= k and entry sum ``weight``, and its column count:
+    row j holds the image of the j-th D_T (``dpoly.MonoCodec.lowered``; the
+    D_T are isobaric, so the L_m images stay apart), and column i the i-th
+    image code in ascending order.  Its nullity on the left, rows minus
+    rank, is m_lam at that weight.
+
+    The order of the columns is pinned: the elimination runs leftmost
+    column first, and at (8, 6, 24) it took 2.4 s with ascending codes,
+    7.2 s with codes in first-seen order and 17.9 s with descending codes
+    (2-CPU machine).
+    One row per D_T, not one per image monomial, as the images have many
+    more monomials than there are D_T (26,189 against 1,196 there)."""
     codec = _codec(lam, k)
-    polys = list(_d_t_codes(semistandard_tableaux(lam, k + 1, total=weight), codec))
-    return operator_rows(polys, lambda p: codec.lowered(p, k).items()), len(polys)
+    images = [codec.lowered(p, k)
+              for p in _d_t_codes(semistandard_tableaux(lam, k + 1, total=weight), codec)]
+    column = {code: i for i, code in enumerate(sorted(set().union(*images)))}
+    return [{column[code]: c for code, c in image.items()} for image in images], len(column)
 
 
 @lru_cache(maxsize=None)
@@ -345,9 +368,10 @@ def solved_weights(d: int, k: int) -> range:
 
 def solve_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     """The multiplicities of ``weight_multiplicities`` at one weight, each
-    solved as the nullity of ``functional_system``, with no weight read from
-    another: the direct side that the duality reading is checked against."""
-    return tuple(ncols - rank(rows, ncols)
+    solved as the number of D_T minus the rank of their images
+    (``functional_system``), with no weight read from another: the direct
+    side that the duality reading is checked against."""
+    return tuple(len(rows) - rank(rows, ncols)
                  for rows, ncols in (functional_system(lam, k, weight) for lam in partitions_of(d)))
 
 

@@ -568,7 +568,7 @@ def suite_jets(max_d: int, max_n: int, seed: int) -> list[partial]:
 _SUITES = {
     "basis": (suite_basis, {"max_d": 4, "max_n": 2}, {"max_d": 6, "max_n": 3}),
     "rsk": (suite_rsk, {"max_d": 8, "max_n": 4}, {"max_d": 50}),
-    "kernel": (suite_kernel, {"max_d": 4, "max_n": 2}, {"max_d": 7}),
+    "kernel": (suite_kernel, {"max_d": 4, "max_n": 2}, {"max_d": 8}),
     "pde": (suite_pde, {"max_d": 4, "max_n": 2}, {"max_d": 6}),
     "appendixA": (suite_appendixA, {"max_d": 4, "max_n": 2}, {"max_d": 6}),
     "hwv": (suite_hwv, {"max_d": 4, "max_n": 3}, {"max_d": 8, "max_n": 20}),

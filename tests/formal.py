@@ -26,7 +26,11 @@ Murnaghan-Nakayama characters :func:`character` and the centralizer orders
 :func:`young_weight_multiplicities`: the J^(l) on the invariants and
 alternants of Young subgroups (:func:`young_operator_rows`, sized by
 :func:`young_system_sizes`), then Young's rule solved by Kostka subtraction
-along the dominance order (:func:`dominates`).
+along the dominance order (:func:`dominates`).  Each nullity is solved on
+the transposed system, one row per D_T image with the image codes as
+columns; the orientation it replaced, one row per image monomial and one
+column per D_T, is kept as :func:`formal_functional_system`, with
+:func:`formal_solve_multiplicities`.
 
 ``dpoly.parse`` reads a whole factor and the operator after it per regex
 match, and ``dpoly.derive`` edits each monomial tuple in place.  The
@@ -108,7 +112,7 @@ from diffhom.dpoly import (DiffPoly, DMono, MonoCodec, ParseError, UniPoly, deri
                            mono_order, mono_weight, solve_in_span, span_rank, substitute)
 from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
                            linear_combination, operator_rows, pivot_columns, rank)
-from diffhom.hwv import MultiPoly, d_t, full_kernel_vectors, j_ell
+from diffhom.hwv import MultiPoly, _codec, _d_t_codes, d_t, full_kernel_vectors, j_ell
 from diffhom.pde import vandermonde
 from diffhom.tableaux import (Partition, Permutation, Tableau, compositions, kostka,
                               partitions_of, semistandard_tableaux)
@@ -845,6 +849,25 @@ def young_weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
         if m[lam] < 0:
             raise ArithmeticError(f"negative multiplicity {m[lam]} for {lam} at weight {weight}")
     return tuple(m[lam] for lam in lams)
+
+
+def formal_functional_system(lam: Partition, k: int, weight: int
+                             ) -> tuple[list[dict[int, int]], int]:
+    """``hwv.functional_system`` in the orientation it replaced: one row
+    per monomial of the L_m images, in code order, and column j the image
+    of the j-th semi-standard D_T of shape lam, entries <= k and entry sum
+    ``weight`` (``operator_rows``).  Its nullity, columns minus rank, is
+    m_lam at that weight."""
+    codec = _codec(lam, k)
+    polys = list(_d_t_codes(semistandard_tableaux(lam, k + 1, total=weight), codec))
+    return operator_rows(polys, lambda p: codec.lowered(p, k).items()), len(polys)
+
+
+def formal_solve_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
+    """``hwv.solve_multiplicities`` on :func:`formal_functional_system`."""
+    return tuple(ncols - rank(rows, ncols)
+                 for rows, ncols in (formal_functional_system(lam, k, weight)
+                                     for lam in partitions_of(d)))
 
 
 def _random_invertible(size: int, rng: random.Random) -> list[list[Fraction]]:

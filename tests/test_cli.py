@@ -1,6 +1,7 @@
 """Command line interface: output formats, exit codes, cache, determinism."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -327,7 +328,7 @@ def test_verify_rejects_caps_out_of_range(capsys, flag, value):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--suite", "kernel", "--max-d", "9"], "--max-d 9 exceeds the cap of 7 for the kernel suite"),
+    (["--suite", "kernel", "--max-d", "9"], "--max-d 9 exceeds the cap of 8 for the kernel suite"),
     (["--suite", "appendixA", "--max-d", "9"],
      "--max-d 9 exceeds the cap of 6 for the appendixA suite"),
     (["--max-n", "9"], "--max-n 9 exceeds the cap of 3 for the basis suite"),
@@ -570,12 +571,11 @@ def test_check_at_path_reads_a_long_expression(tmp_path, capsys):
     assert code == 0 and "degree 2" in out
 
 
-@pytest.mark.parametrize("argv", [["--d", "9"], ["--d", "22", "--k", "0"],
-                                  ["--d", "8", "--k", "6"],
+@pytest.mark.parametrize("argv", [["--d", "10"], ["--d", "44", "--k", "0"],
+                                  ["--d", "10", "--k", "5"],
                                   ["--d", "1000000000", "--k", "3"],
-                                  # largest systems under the cap (336, 867 and
-                                  # 770 D_T), but q^2 (4,096, 2,209 and 11,664)
-                                  # counts their many systems
+                                  # few D_T per system (336, 867 and 770 in
+                                  # the largest), but many terms per D_T
                                   ["--d", "16", "--k", "3"], ["--d", "12", "--k", "4"],
                                   ["--d", "20", "--k", "3"],
                                   ["--d", "3", "--max-cost", "8"]], ids=" ".join)
@@ -616,20 +616,23 @@ def test_kernel_max_cost_overrides_the_cap(capsys, monkeypatch):
     # d = 3, k = 2 solves systems of one D_T (weights 0 and 1), so
     # q^2 = p(3)^2 = 9 is its cost
     assert run(capsys, "kernel", "--d", "3", "--max-cost", "9")[0] == 0
-    # d = 8, k = 7 (largest system 382 D_T, q^2 = 484) and d = 9, k = 5
-    # (819 D_T, q^2 = 676) are within the default cap; d = 9, k = 8
-    # (1,621) needs --max-cost
+    # d = 8, k = 7 (largest system 6,768 D_T terms), d = 9, k = 5 (51,840)
+    # and d = 9, k = 8 (64,224) are within the default cap; d = 10, k = 5
+    # (191,808) needs --max-cost
     import diffhom.cli as cli
     monkeypatch.setattr(cli, "kernel_dim_full", lambda d, k: 0)
     monkeypatch.setattr(cli, "kernel_dim_isotypic", lambda lam, k: 0)
     assert run(capsys, "kernel", "--d", "7")[0] == 0
     assert run(capsys, "kernel", "--d", "8")[0] == 0
     assert run(capsys, "kernel", "--d", "9", "--k", "5")[0] == 0
-    assert run(capsys, "kernel", "--d", "9")[0] == 2
-    assert run(capsys, "kernel", "--d", "9", "--max-cost", "1621")[0] == 0
-    assert run(capsys, "kernel", "--d", "9", "--max-cost", "1620")[0] == 2
-    assert run(capsys, "kernel", "--d", "8", "--max-cost", "484")[0] == 0
-    assert run(capsys, "kernel", "--d", "8", "--max-cost", "483")[0] == 2
+    assert run(capsys, "kernel", "--d", "9")[0] == 0
+    assert run(capsys, "kernel", "--d", "10", "--k", "5")[0] == 2
+    assert run(capsys, "kernel", "--d", "10", "--k", "5", "--max-cost", "191808")[0] == 0
+    assert run(capsys, "kernel", "--d", "10", "--k", "5", "--max-cost", "191807")[0] == 2
+    assert run(capsys, "kernel", "--d", "9", "--max-cost", "64224")[0] == 0
+    assert run(capsys, "kernel", "--d", "9", "--max-cost", "64223")[0] == 2
+    assert run(capsys, "kernel", "--d", "8", "--max-cost", "6768")[0] == 0
+    assert run(capsys, "kernel", "--d", "8", "--max-cost", "6767")[0] == 2
     # at k = 0 one shape has D_T (q = 1), so the floor p(9) = 30 is the cost
     assert run(capsys, "kernel", "--d", "9", "--k", "0", "--max-cost", "30")[0] == 0
     assert run(capsys, "kernel", "--d", "9", "--k", "0", "--max-cost", "29")[0] == 2
@@ -645,19 +648,25 @@ def test_kernel_d8_at_the_default_cap(capsys):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_kernel_cost_is_the_largest_system_solved(d, monkeypatch):
-    # the D_T of every system the solver builds, at every k <= d+1, counted
-    # by enumeration; the cost is the largest, or q^2 if larger (q the
-    # shapes with D_T, those of at most min(k, d-1) + 1 rows), or p(d)
+    # the D_T of every system the solver builds, one row each, at every
+    # k <= d+1, counted by enumeration, times the terms of each D_T before
+    # like terms merge, the product of (column length)! over the columns of
+    # lam; the cost is the largest, or q^2 if larger (q the shapes with D_T,
+    # those of at most min(k, d-1) + 1 rows), or p(d)
     import diffhom.cli as cli
     from diffhom import hwv
-    from diffhom.tableaux import partitions_of, semistandard_tableaux
+    from diffhom.tableaux import canonical_tableau, partitions_of, semistandard_tableaux
 
     built = []
     build = hwv.functional_system
 
     def counted(lam, k, w):
-        built.append(sum(1 for _ in semistandard_tableaux(lam, k + 1, total=w)))
-        return build(lam, k, w)
+        rows, ncols = build(lam, k, w)
+        d_ts = sum(1 for _ in semistandard_tableaux(lam, k + 1, total=w))
+        assert len(rows) == d_ts
+        columns = canonical_tableau(lam).columns()
+        built.append(d_ts * math.prod(math.factorial(len(c)) for c in columns))
+        return rows, ncols
 
     monkeypatch.setattr(hwv, "functional_system", counted)
     for k in range(d + 2):
@@ -668,6 +677,16 @@ def test_kernel_cost_is_the_largest_system_solved(d, monkeypatch):
                   if any(semistandard_tableaux(lam, min(k, d - 1) + 1))]
         assert cli.kernel_cost(d, k, 10 ** 9) == max(len(partitions_of(d)), len(shapes) ** 2,
                                                      *built), k
+
+
+def test_kernel_cost_counts_partitions_without_building_them():
+    # the p(d) floor of kernel_cost, from Euler's pentagonal recurrence
+    import diffhom.cli as cli
+    from diffhom.tableaux import partitions_of
+
+    counts = list(itertools.islice(cli._partition_counts(), 31))
+    assert counts[0] == 1 and counts[1:] == [len(partitions_of(n)) for n in range(1, 31)]
+    assert cli.kernel_cost(44, 0, 2 ** 16) == 75175 and cli.kernel_cost(43, 0, 2 ** 16) == 63261
 
 
 @pytest.mark.parametrize("d, k, full", [("5", "40", 120), ("3", "1000000000", 6)])

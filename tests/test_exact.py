@@ -5,13 +5,14 @@ bases and determinants are compared with its dense exact results.
 """
 
 import copy
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from diffhom.exact import (ONE, ZERO, SparseComb, det_expansion, echelon,
+from diffhom.exact import (ONE, ZERO, SparseComb, _forward, det_expansion, echelon,
                            linear_combination, nullspace_basis, operator_rows,
                            pivot_columns, rank, solve_in_span, span_rank)
 from formal import ParamPoly
@@ -230,6 +231,36 @@ def test_row_permutation_preserves_kernel(m, data):
     rows2 = data.draw(st.permutations(rows))
     assert rank(rows, ncols) == rank(rows2, ncols)
     assert nullspace_basis(rows, ncols) == nullspace_basis(rows2, ncols)
+
+
+@st.composite
+def int_matrices(draw, max_rows=6, max_cols=6):
+    """Sparse int matrices, each row scaled by a common factor so that the
+    content removal of the int rows has work to do."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        content = draw(st.sampled_from([1, 2, 6, -4, 10 ** 20]))
+        row = {c: v * content for c in range(ncols)
+               for v in [draw(st.integers(-9, 9))] if v and draw(st.booleans())}
+        rows.append(row)
+    return rows, ncols
+
+
+@given(m=int_matrices())
+@settings(max_examples=120, deadline=None)
+def test_int_rows_eliminate_as_their_fractions(m):
+    # the int path of _integer_row divides out the content only; the same
+    # matrix in Fraction entries takes the denominator path
+    rows, ncols = m
+    before = copy.deepcopy(rows)
+    fractions = [{c: F(v) for c, v in row.items()} for row in rows]
+    assert _forward(rows, ncols) == _forward(fractions, ncols)
+    assert echelon(rows, ncols) == echelon(fractions, ncols)
+    assert rows == before
+    # every pivot row is primitive: ints coprime with their pivot entry
+    assert all(type(v) is int for _, _, row in _forward(rows, ncols) for v in row.values())
+    assert all(math.gcd(p, *row.values()) == 1 for _, p, row in _forward(rows, ncols))
 
 
 @given(m=matrices)

@@ -35,7 +35,11 @@ appendixA --max-d 5`` digests before ``kostka`` removed horizontal strips and
 the ``appendixA`` checks walked their tuples as prefix trees, and the
 ``verify --suite hwv --max-d 5`` digest (which pins ``e_iso_injective`` and
 ``symmetrizer_scalar`` at ``d = 5``) before the Young symmetrizers, tableau
-tensors and ``e_iso`` images moved to integer coefficients.  The
+tensors and ``e_iso`` images moved to integer coefficients, and the
+``kernel --d 7 --k 5`` digest (below ``k = d-1``, so every weight up to the
+middle one is solved, with no duality reading) before the multiplicity
+solver ranked one row per ``D_T`` image instead of one row per image
+monomial.  The
 ``wall_time_seconds`` field of ``verify`` and the ``seconds`` field of each
 of its checks are dropped before hashing.
 """
@@ -61,6 +65,8 @@ GOLDEN = {
         "d8e1645cbc9ece060891e3b597f108d60e30a7c3f5b6935be72f96d014e8e1de",
     "kernel --d 7":
         "53734274eddee2d2aef26c571c2298b92e373dd5444f07328995dff47b8235a1",
+    "kernel --d 7 --k 5":
+        "dd6ae329d38975fe46cd1756c79646f50ba4fc73e33b1f761bf6d18b9855ad87",
     "census --n 1 --d 5 --all-k":
         "172002e784485197a3e7a71603ef2197ed22add94ddf814d0186716a4e367ceb",
     "census --n 2 --d 3 --theorem2":

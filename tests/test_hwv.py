@@ -347,6 +347,32 @@ def test_duality_reading_matches_a_full_solve(d, k):
         assert expected is None or read == expected.get(w, zero), w
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_transposed_solver_matches_the_monomial_rows(d):
+    # oracle: one row per image monomial and one column per D_T, the
+    # orientation the solver replaced, at every k <= d and solved weight
+    for k in range(d + 1):
+        for w in hwv.solved_weights(d, k):
+            expected = formal.formal_solve_multiplicities(d, k, w)
+            assert hwv.solve_multiplicities(d, k, w) == expected, (k, w)
+
+
+@pytest.mark.parametrize("lam, k", [(Partition((2, 1)), 2), (Partition((3, 2, 1)), 3),
+                                    (Partition((4, 2)), 5), (Partition((2, 2, 1, 1)), 4)])
+def test_functional_system_columns_are_ascending_codes(lam, k):
+    # row j is the L_1 + ... + L_k image of the j-th semi-standard D_T, and
+    # column i is the i-th image code in ascending order, one column per code
+    codec = hwv._codec(lam, k)
+    for w in range(lam.size * k + 1):
+        tableaux = list(semistandard_tableaux(lam, k + 1, total=w))
+        images = [codec.lowered(p, k) for p in hwv._d_t_codes(tableaux, codec)]
+        codes = sorted(set().union(*images))
+        column = {code: i for i, code in enumerate(codes)}
+        rows, ncols = hwv.functional_system(lam, k, w)
+        assert ncols == len(codes) and len(rows) == len(tableaux), w
+        assert rows == [{column[code]: c for code, c in image.items()} for image in images], w
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_duality_reads_the_conjugate_shape_at_k_equal_d_minus_1(d):
     # m_lam(w) = m_lam'(d(d-1)/2 - w) on solved multiplicities; conjugation
@@ -443,18 +469,19 @@ def test_alternant_system_signs():
 def test_largest_system_solved_is_the_closed_form(d, monkeypatch):
     # one D_T system per (lam, weight) at the weights 2w <= d(d-1)/2, each
     # built once: the weights above are read by duality up to d(d-1)/2 and
-    # are zero beyond it.  Its columns are the D_T of that weight (counted
-    # by enumeration here), and the largest of them, or q^2 = p(d)^2 (every
-    # shape has D_T at k = d-1), is what `dh kernel` counts as its cost
+    # are zero beyond it.  Its rows are the D_T of that weight (counted
+    # by enumeration here), each of at most prod (column length)! terms, and
+    # the largest of those D_T terms, or q^2 = p(d)^2 (every shape has D_T
+    # at k = d-1), is what `dh kernel` counts as its cost
     k = d - 1
-    columns = {}
+    d_ts = {}
     blocks = Counter()
     build = hwv.functional_system
 
     def counted(lam, k, w):
         rows, ncols = build(lam, k, w)
         blocks[lam, k, w] += 1
-        columns[lam, w] = ncols
+        d_ts[lam, w] = len(rows)
         return rows, ncols
 
     monkeypatch.setattr(hwv, "functional_system", counted)
@@ -464,8 +491,11 @@ def test_largest_system_solved_is_the_closed_form(d, monkeypatch):
     assert {lam for lam, _, _ in blocks} == set(partitions_of(d))
     assert max(blocks.values()) == 1
     assert all(n == sum(1 for _ in semistandard_tableaux(lam, d, total=w))
-               for (lam, w), n in columns.items())
-    assert kernel_cost(d, k, 10 ** 9) == max(len(partitions_of(d)) ** 2, *columns.values())
+               for (lam, w), n in d_ts.items())
+    terms = {lam: math.prod(math.factorial(len(c)) for c in canonical_tableau(lam).columns())
+             for lam in partitions_of(d)}
+    assert kernel_cost(d, k, 10 ** 9) == max(len(partitions_of(d)) ** 2,
+                                             *(n * terms[lam] for (lam, _), n in d_ts.items()))
 
 
 def test_largest_young_systems():
@@ -474,10 +504,10 @@ def test_largest_young_systems():
     assert ([formal.largest_young_system(d, d - 1) for d in (5, 6, 7, 8)]
             == [500, 4320, 36015, 316800])
     assert [formal.largest_young_system(d, 0) for d in (1, 16)] == [1, 1]
-    # the largest D_T system solved at k = d-1 (10, 25, 84, 382), below
-    # q^2 = p(d)^2 from d = 5 on
+    # the D_T terms of the largest system solved at k = d-1 (D_T times
+    # their terms), above q^2 = p(d)^2 from d = 6 on
     assert ([kernel_cost(d, d - 1, 10 ** 9) for d in (5, 6, 7, 8, 9)]
-            == [49, 121, 225, 484, 1621])
+            == [49, 144, 816, 6768, 64224])
 
 
 def test_weight_blocks_split_the_stack():
