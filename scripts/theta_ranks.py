@@ -4,16 +4,34 @@
 For nonzero theta, the family Wronsk(x_{n_1}, (theta+t) x_{n_2}, ...,
 (theta+t)^{d-1} x_{n_d}) over all index tuples spans a substitution-invariant
 subspace whose dimension is expected, but not known, to be (N+1)^d for generic
-theta.  This script only records what exact computation finds.
+theta.  This script only records what exact computation finds.  Each member
+is a sum of Wronskians of monomial entries t^m x_v (``build_wronskian``), by
+multilinearity in the columns.
 """
 
 import argparse
 import itertools
+import math
 import sys
 from fractions import Fraction
+from typing import Sequence
 
-from diffhom.dpoly import UniPoly, span_rank
-from diffhom.wronskian import WronskSpec, build_wronskian
+from diffhom.dpoly import DiffPoly, span_rank
+from diffhom.exact import linear_combination
+from diffhom.wronskian import build_wronskian
+
+
+def shifted_wronskian(variables: Sequence[int], theta: Fraction, n: int) -> DiffPoly:
+    """Wronsk(x_{v_1}, (theta+t) x_{v_2}, ..., (theta+t)^{d-1} x_{v_d}) in
+    x_0..x_n, for the v_j in ``variables``.  Column j holds
+    (theta+t)^j = sum_m C(j, m) theta^(j-m) t^m, so the Wronskian is the sum,
+    over every (m_0, ..., m_{d-1}) with m_j <= j, of
+    prod_j C(j, m_j) theta^(j-m_j) times the Wronskian of (t^m_j x_{v_j})."""
+    theta = Fraction(theta)
+    return linear_combination(DiffPoly.zero(n), (
+        (math.prod(math.comb(j, m) * theta ** (j - m) for j, m in enumerate(ms)),
+         build_wronskian(tuple(zip(ms, variables)), n))
+        for ms in itertools.product(*(range(j + 1) for j in range(len(variables))))))
 
 
 def theta_family_rank(n: int, d: int, theta: Fraction) -> int:
@@ -22,12 +40,8 @@ def theta_family_rank(n: int, d: int, theta: Fraction) -> int:
     theta = Fraction(theta)
     if theta == 0:
         raise ValueError("theta must be nonzero")
-    polys = []
-    for tup in itertools.product(range(n + 1), repeat=d):
-        spec = WronskSpec(tuple((UniPoly.shifted_power(theta, j), v)
-                                for j, v in enumerate(tup)))
-        polys.append(build_wronskian(spec, n))
-    return span_rank(polys)
+    return span_rank([shifted_wronskian(tup, theta, n)
+                      for tup in itertools.product(range(n + 1), repeat=d)])
 
 
 def main() -> int:

@@ -11,15 +11,14 @@ __version__ = "0.1.0"
 
 SCHEMA_VERSION = 1
 
-from .exact import Rational, nullspace_basis, rank
-from .dpoly import (DiffPoly, Gradings, UniPoly, from_json, gradings,
-                    is_diff_homogeneous, parse, span_rank, to_json, to_text)
+from .exact import nullspace_basis, rank
+from .dpoly import (DiffPoly, Gradings, gradings, is_diff_homogeneous, parse,
+                    span_rank, to_text)
 from .tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                        canonical_tableau, count_semistandard, count_standard,
                        group_algebra_mul, kostka, partitions_of,
                        young_symmetrizer)
-from .wronskian import (CanonicalDatum, WronskSpec, basis_manifest,
-                        build_formal_wronskian, build_wronskian,
+from .wronskian import (CanonicalDatum, basis_manifest, build_wronskian,
                         enumerate_canonical_basis, reduce_to_triangular,
                         verify_wedge_identity)
 from .hwv import (MultiPoly, column_det, d_t, e_iso, hwv_basis, j_ell,

@@ -192,6 +192,8 @@ def _over_cost(call: str, cost, max_cost: int | None, default: int, measure: str
 _BASIS_MEASURE = "the (N+1)^d basis elements, or d^2 if larger"
 _CENSUS_MEASURE = ("the Wronskians of the multiplicity vectors that are partitions of d, "
                    "or d^2 if larger")
+_KERNEL_MEASURE = ("the D_T terms of the largest system solved, or q^2 if larger, q the "
+                   "partitions of d with at most min(k, d-1) + 1 parts, or at least p(d)")
 
 
 def cmd_basis(args) -> int:
@@ -207,9 +209,9 @@ def cmd_basis(args) -> int:
         print(f"basis --n {args.n} --d {args.d}: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        for chunk in _json_chunks({"schema_version": SCHEMA_VERSION, "N": args.n, "d": args.d,
-                                   "count": len(manifest), "basis": manifest}):
-            sys.stdout.write(chunk)
+        sys.stdout.writelines(_json_chunks({"schema_version": SCHEMA_VERSION, "N": args.n,
+                                            "d": args.d, "count": len(manifest),
+                                            "basis": manifest}))
         sys.stdout.write("\n")
     else:
         print(f"canonical basis  N={args.n}  d={args.d}  ({len(manifest)} elements)")
@@ -400,9 +402,7 @@ def cmd_kernel(args) -> int:
         print("kernel requires --k >= 0", file=sys.stderr)
         return 2
     if _over_cost(f"kernel --d {args.d} --k {k}", partial(kernel_cost, args.d, k),
-                  args.max_cost, KERNEL_MAX_COST,
-                  "the D_T terms of the largest system solved, or q^2 if larger, q the "
-                  "partitions of d with at most min(k, d-1) + 1 parts, or at least p(d)"):
+                  args.max_cost, KERNEL_MAX_COST, _KERNEL_MEASURE):
         return 2
     full = kernel_dim_full(args.d, k)
     per_lambda = []
@@ -411,8 +411,9 @@ def cmd_kernel(args) -> int:
                            "kernel_dim": kernel_dim_isotypic(lam, k),
                            "standard_count": count_standard(lam)})
     if args.format == "json":
-        print(_json_dump({"schema_version": SCHEMA_VERSION, "d": args.d, "k": k,
-                          "full_kernel_dim": full, "isotypic": per_lambda}))
+        sys.stdout.writelines(_json_chunks({"schema_version": SCHEMA_VERSION, "d": args.d, "k": k,
+                                            "full_kernel_dim": full, "isotypic": per_lambda}))
+        sys.stdout.write("\n")
     elif args.format == "csv":
         print("partition,kernel_dim,standard_count")
         for r in per_lambda:
@@ -480,8 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=os.environ.get("DH_CACHE"),
                    help="cache directory for basis manifests (default $DH_CACHE)")
     p.add_argument("--max-cost", type=int, default=None,
-                   help="largest basis size (N+1)^d to accept, or d^2 if larger "
-                        f"(default {BASIS_MAX_COST})")
+                   help=f"largest cost to accept: {_BASIS_MEASURE} (default {BASIS_MAX_COST})")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("check", parents=[plain],
@@ -517,10 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="local dimension minus one (default d-1)")
     p.add_argument("--max-cost", type=int, default=None,
-                   help="largest cost to accept: the D_T terms of the largest system solved, "
-                        "or q^2 if larger, q the partitions of d with at most "
-                        "min(k, d-1) + 1 parts, or at least p(d) "
-                        f"(default {KERNEL_MAX_COST})")
+                   help=f"largest cost to accept: {_KERNEL_MEASURE} (default {KERNEL_MAX_COST})")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", parents=[plain],

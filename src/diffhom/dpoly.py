@@ -3,7 +3,8 @@
 A differential polynomial lives in Q[X_i^(k) : 0 <= i <= N, k >= 0].  The
 module provides derivations such as E_pq (gl(N+1)), gradings, the
 differential-homogeneity test (the derivations L_m of the Leibniz action of
-one-variable polynomials, on packed codes) and a text/JSON serialization.
+one-variable polynomials, on packed codes), a text serialization and
+the JSON-ready dict form (``to_json_dict``, ``from_json_dict``).
 Family ranks and coordinates in a span are the generic
 :func:`exact.span_rank` and :func:`exact.solve_in_span`, bound here.
 
@@ -16,15 +17,14 @@ coefficient ring) has no caller in the library.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, NoReturn
 
-from .exact import SparseComb, ZERO, ONE, add_terms, linear_combination
+from .exact import SparseComb, ONE, add_terms, linear_combination
 from .exact import solve_in_span, span_rank  # bound here for callers
 
 # A differential monomial: ((i, k, e), ...) with e > 0, sorted by (i, -k).
@@ -144,47 +144,6 @@ def substitute(p: DiffPoly, image: Callable[[int, int], DiffPoly], n_out: int | 
         return acc
 
     return linear_combination(one, ((c, mono_image(mono)) for mono, c in p.terms.items()))
-
-
-class UniPoly:
-    """Polynomial in one formal variable t, with Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction]):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def t_power(cls, a: int) -> "UniPoly":
-        return cls([ZERO] * a + [ONE])
-
-    @classmethod
-    def shifted_power(cls, theta: Fraction, j: int) -> "UniPoly":
-        """(theta + t)^j expanded exactly."""
-        return cls([Fraction(math.comb(j, m)) * theta ** (j - m) for m in range(j + 1)])
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def derivative(self, times: int = 1) -> "UniPoly":
-        cs = self.coeffs
-        for _ in range(times):
-            cs = tuple(c * (m + 1) for m, c in enumerate(cs[1:]))
-        return UniPoly(cs)
-
-    def at_zero(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else ZERO
-
-    def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)})"
 
 
 def is_diff_homogeneous(p: DiffPoly) -> tuple[bool, int | None]:
@@ -605,10 +564,3 @@ def from_json_dict(data: Mapping) -> DiffPoly:
         terms[mono] = c
     return DiffPoly(n, terms)
 
-
-def to_json(p: DiffPoly) -> str:
-    return json.dumps(to_json_dict(p), separators=(",", ":"))
-
-
-def from_json(text: str) -> DiffPoly:
-    return from_json_dict(json.loads(text))

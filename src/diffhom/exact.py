@@ -23,8 +23,6 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

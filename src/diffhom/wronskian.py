@@ -1,21 +1,21 @@
 """Wronskian differential polynomials and the canonical (N+1)^d basis.
 
 A Wronskian here is the determinant of the d x d matrix whose r-th row is the
-r-th Leibniz derivative of a line of entries R_j(t) * x_{n_j}, evaluated at
-t = 0.  Every entry is a sparse linear form in the x_i[k], so the determinant
-is expanded row by row over sets of used columns (``_expand``), with each
-monomial one packed exponent code (``dpoly.MonoCodec``): a product of
-monomials is a sum of ints, and the coefficients stay ints while the
-entries are integral.  ``build_wronskian`` expands the Wronskian of any
-rational entries R_j and decodes it into a DiffPoly.  Choosing monomials
-t^alpha with triangular exponent constraints yields the canonical family of
-(N+1)^d differentially homogeneous polynomials, expanded from the exponent
-data alone (``canonical_codes``).  The census reads these codes, and only
-for the multiplicity vectors that are partitions of d (``canonical_data``
+r-th Leibniz derivative of a line of monomial entries t^a_j x_{v_j},
+evaluated at t = 0: entry (r, j) is the single term r!/(r-a_j)! x_{v_j}[r-a_j].
+The determinant is expanded row by row over sets of used columns
+(``_expand``), with each monomial one packed exponent code
+(``dpoly.MonoCodec``, one per degree): a product of monomials is a sum of
+ints, and the coefficients are ints.  ``build_wronskian`` decodes that
+expansion into a DiffPoly.  Choosing the exponents a_j with triangular
+constraints yields the canonical family of (N+1)^d differentially
+homogeneous polynomials, expanded from the exponent data alone
+(``canonical_codes``).  The census reads these codes, and only for the
+multiplicity vectors that are partitions of d (``canonical_data``
 enumerates the data of one multiplicity vector); ``enumerate_canonical_basis``
-decodes them into DiffPolys once per process for each of the last few
-(N, d) asked for, and every caller shares that one tuple (``dh basis``, the
-``basis`` and ``jets`` suites).
+builds each element with ``build_wronskian`` once per process for each of
+the last few (N, d) asked for, and every caller shares that one tuple
+(``dh basis``, the ``basis`` and ``jets`` suites).
 
 The paper's Appendix A rewrites an arbitrary exponent family over d distinct
 formal variables onto the triangular one (``reduce_to_triangular``, memoized
@@ -35,49 +35,21 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import ZERO, add_terms, integral
-from .dpoly import DiffPoly, MonoCodec, UniPoly, gradings, to_json_dict
+from .dpoly import DiffPoly, MonoCodec, gradings, to_json_dict
 from .tableaux import compositions
 
 
-@dataclass(frozen=True)
-class WronskSpec:
-    """Entries (R_j, n_j): the one-variable polynomial R_j multiplying x_{n_j}."""
-    entries: tuple[tuple[UniPoly, int], ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def monomials(cls, alphas: Sequence[int], variables: Sequence[int]) -> "WronskSpec":
-        if len(alphas) != len(variables):
-            raise ValueError("length mismatch")
-        return cls(tuple((UniPoly.t_power(a), v) for a, v in zip(alphas, variables)))
-
-
-def build_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
-    """The Wronskian of ``spec`` (rational R_j) as a differential polynomial
-    in x_0..x_n.
-
-    Entry (r, j) of the matrix is the linear form
-    ``sum_m C(r, m) R_j^(r-m)(0) x_{n_j}[m] = sum_s r!/(r-s)! c_s x_{n_j}[r-s]``,
-    c_s the t^s coefficient of R_j; for R_j = t^a it is the single term
-    ``r!/(r-a)! x_{n_j}[r-a]``.  The determinant is :func:`_expand`ed over
-    packed exponent codes, with int coefficients while the entries are
-    integral, and each monomial is decoded and its coefficient made a
-    Fraction once, at the end.
-    """
-    d = spec.d
-    if d < 1:
+def build_wronskian(pairs: Sequence[tuple[int, int]], n: int) -> DiffPoly:
+    """The Wronskian of (t^a_1 x_v_1, ..., t^a_d x_v_d), for the (a_j, v_j)
+    in ``pairs``, as a differential polynomial in x_0..x_n: the packed codes
+    of :func:`_monomial_codes`, decoded under the one codec of degree d."""
+    if not pairs:
         raise ValueError("a Wronskian needs at least one entry")
-    for _, var in spec.entries:
+    for _, var in pairs:
         if not 0 <= var <= n:
             raise ValueError(f"variable index {var} exceeds bound {n}")
-    codec = _codec(d)
-    forms = [[[(codec.unit(var, r - s), math.perm(r, s) * integral(c))
-               for s, c in enumerate(rpoly.coeffs[:r + 1]) if c]
-              for rpoly, var in spec.entries] for r in range(d)]
-    return _decoded(_expand(forms), codec, n)
+    codec = _codec(len(pairs))
+    return _decoded(_monomial_codes(pairs, codec), codec, n)
 
 
 def _monomial_codes(pairs: Sequence[tuple[int, int]], codec: MonoCodec) -> dict[int, int]:
@@ -90,17 +62,20 @@ def _monomial_codes(pairs: Sequence[tuple[int, int]], codec: MonoCodec) -> dict[
                      for a, v in pairs] for r in range(d)])
 
 
+@functools.cache
 def _codec(d: int) -> MonoCodec:
-    """The codec of degree-d Wronskians: orders 0..d-1, exponents up to d."""
+    """The codec of degree-d Wronskians: orders 0..d-1, exponents up to d.
+    One per d, so every Wronskian of degree d decodes into the same (i, k, e)
+    factor tuples."""
     return MonoCodec(d, d.bit_length())
 
 
-def _decoded(codes: Mapping[int, int | Fraction], codec: MonoCodec, n: int) -> DiffPoly:
+def _decoded(codes: Mapping[int, int], codec: MonoCodec, n: int) -> DiffPoly:
     """The DiffPoly in x_0..x_n of {packed code: coefficient} under ``codec``."""
     return DiffPoly(n, {codec.decode(w): Fraction(c) for w, c in codes.items()})
 
 
-def _expand(forms: Sequence[Sequence[Sequence[tuple[int, int | Fraction]]]]) -> dict:
+def _expand(forms: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> dict[int, int]:
     """The determinant of the d x d matrix whose entry (r, c) is the linear
     form ``forms[r][c]``, a list of (packed code of a variable, coefficient).
 
@@ -109,13 +84,13 @@ def _expand(forms: Sequence[Sequence[Sequence[tuple[int, int | Fraction]]]]) -> 
     only.
     """
     d = len(forms)
-    partial: dict[int, dict[int, int | Fraction]] = {0: {0: 1}}
+    partial: dict[int, dict[int, int]] = {0: {0: 1}}
     for row in forms:
         partial = _expand_step(partial, row)
     return {w: c for w, c in partial.get((1 << d) - 1, {}).items() if c}
 
 
-def _expand_step(partial: dict[int, dict], row: Sequence[Sequence[tuple[int, int | Fraction]]]
+def _expand_step(partial: dict[int, dict], row: Sequence[Sequence[tuple[int, int]]]
                  ) -> dict[int, dict]:
     """One row of :func:`_expand`: ``partial`` maps each bitmask of r used
     columns to the signed sum of the products of rows 0..r-1 placed on them,
@@ -125,7 +100,7 @@ def _expand_step(partial: dict[int, dict], row: Sequence[Sequence[tuple[int, int
     the columns of a matrix it expands the determinant of the transpose,
     the same determinant."""
     d = len(row)
-    grown: dict[int, dict[int, int | Fraction]] = {}
+    grown: dict[int, dict[int, int]] = {}
     for mask, terms in partial.items():
         above = 0  # used columns right of c: the inversions that placing c adds
         for c in range(d - 1, -1, -1):
@@ -197,12 +172,12 @@ def enumerate_canonical_data(n: int, d: int) -> list[CanonicalDatum]:
 
 @functools.lru_cache(maxsize=4)
 def enumerate_canonical_basis(n: int, d: int) -> tuple[tuple[CanonicalDatum, DiffPoly], ...]:
-    """The canonical basis in enumeration order: the rows of
-    :func:`canonical_codes`, decoded, built once per process for each of the
-    last few (N, d) asked for.  Every caller shares the result, so it is a
-    tuple, and its DiffPolys are never mutated."""
-    codec, rows = canonical_codes(n, d)
-    return tuple((datum, _decoded(codes, codec, n)) for datum, codes in rows)
+    """The canonical basis in enumeration order, one :func:`build_wronskian`
+    per canonical datum, built once per process for each of the last few
+    (N, d) asked for.  Every caller shares the result, so it is a tuple, and
+    its DiffPolys are never mutated."""
+    return tuple((datum, build_wronskian(datum.pairs(), n))
+                 for datum in enumerate_canonical_data(n, d))
 
 
 def canonical_codes(n: int, d: int, data: Iterable[CanonicalDatum] | None = None
@@ -234,13 +209,6 @@ def basis_manifest(n: int, d: int) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # The formal family over d distinct variables and its triangular rewriting.
-
-def build_formal_wronskian(alpha: Sequence[int]) -> DiffPoly:
-    """Wronskian of (t^alpha_1 y_1, ..., t^alpha_d y_d) over d distinct formal
-    variables, realized as x_0..x_{d-1}.  Zero whenever some alpha_i >= d."""
-    d = len(alpha)
-    return build_wronskian(WronskSpec.monomials(tuple(alpha), tuple(range(d))), d - 1)
-
 
 def formal_codes(d: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
     """Every formal Wronskian of {0..d-1}^d as (alpha, {packed code: int

@@ -53,8 +53,8 @@ rewriting they replaced are kept here as :func:`formal_wedge_coordinates` and
 reads a rewriting back as a combination of formal Wronskians.  The prefix
 walks of the ``appendixA`` checks (``wronskian.first_wedge_failure`` and
 ``wronskian.formal_codes``) are compared in the tests against the
-per-tuple ``verify_wedge_identity`` and ``build_formal_wronskian`` they
-replaced.
+per-tuple ``verify_wedge_identity`` and :func:`formal_wronskian` (one
+``build_wronskian`` over d distinct variables) they replaced.
 
 ``tableaux.count_standard`` counts standard tableaux by the branching rule,
 ``tableaux.count_semistandard`` semi-standard ones by the hook-content
@@ -63,10 +63,15 @@ strips.  The enumerations they replaced are kept here as
 :func:`standard_tableaux`, with :func:`count_standard_by_enumeration`,
 :func:`count_semistandard_by_enumeration` and :func:`kostka_by_enumeration`.
 
-``wronskian.build_wronskian`` and the census expand the Wronskian over packed
-exponent codes (``dpoly.MonoCodec``).  The expansion over sorted tuples of
-(i, k) factors that they replaced is kept here as
-:func:`formal_build_wronskian`.
+``wronskian.build_wronskian`` and the census expand the Wronskian of monomial
+entries t^a x_v over packed exponent codes (``dpoly.MonoCodec``).  The
+library has no other Wronskian.  A Wronskian of any rational entries R_j
+(:class:`UniPoly` in t, one per column of a :class:`WronskSpec`) is kept
+here, twice: the expansion over sorted tuples of (i, k) factors that the
+packed codes replaced, :func:`formal_build_wronskian`, and the minor
+expansion ``det_expansion`` of the matrix :func:`wronskian_matrix`,
+:func:`oracle_wronskian`.  :class:`UniPoly` is also the type of
+:func:`q_action`.
 
 ``verify.check_basis_gl_lie`` certifies that the span of the basis is
 GL-stable from the Chevalley generators of the Lie algebra, block by
@@ -103,11 +108,12 @@ import itertools
 import random
 import re
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from diffhom.dpoly import (DiffPoly, DMono, MonoCodec, ParseError, UniPoly, derive,
+from diffhom.dpoly import (DiffPoly, DMono, MonoCodec, ParseError, derive,
                            gl_elementary, gradings, mono_multidegree,
                            mono_order, mono_weight, solve_in_span, span_rank, substitute)
 from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
@@ -116,7 +122,7 @@ from diffhom.hwv import MultiPoly, _codec, _d_t_codes, d_t, full_kernel_vectors,
 from diffhom.pde import vandermonde
 from diffhom.tableaux import (Partition, Permutation, Tableau, compositions, kostka,
                               partitions_of, semistandard_tableaux)
-from diffhom.wronskian import WronskSpec, build_formal_wronskian, canonical_codes
+from diffhom.wronskian import build_wronskian, canonical_codes
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -194,6 +200,75 @@ class ParamPoly(SparseComb):
             else:
                 parts.append(str(c) + "*" + "*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+class UniPoly:
+    """Polynomial in one formal variable t, with coefficients in any ring."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def t_power(cls, a: int) -> "UniPoly":
+        return cls([ZERO] * a + [ONE])
+
+    @classmethod
+    def shifted_power(cls, theta: Fraction, j: int) -> "UniPoly":
+        """(theta + t)^j expanded exactly."""
+        return cls([Fraction(math.comb(j, m)) * theta ** (j - m) for m in range(j + 1)])
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+
+    __hash__ = None
+
+    def derivative(self, times: int = 1) -> "UniPoly":
+        cs = self.coeffs
+        for _ in range(times):
+            cs = tuple(c * (m + 1) for m, c in enumerate(cs[1:]))
+        return UniPoly(cs)
+
+    def at_zero(self):
+        return self.coeffs[0] if self.coeffs else ZERO
+
+    def __repr__(self) -> str:
+        return f"UniPoly({list(self.coeffs)})"
+
+
+@dataclass(frozen=True)
+class WronskSpec:
+    """Entries (R_j, n_j): the one-variable polynomial R_j multiplying x_{n_j}."""
+    entries: tuple[tuple[UniPoly, int], ...]
+
+    @property
+    def d(self) -> int:
+        return len(self.entries)
+
+    @classmethod
+    def monomials(cls, alphas: Sequence[int], variables: Sequence[int]) -> "WronskSpec":
+        if len(alphas) != len(variables):
+            raise ValueError("length mismatch")
+        return cls(tuple((UniPoly.t_power(a), v) for a, v in zip(alphas, variables)))
+
+
+def wronskian_matrix(spec: WronskSpec, n: int) -> list[list[DiffPoly]]:
+    """The d x d matrix: entry (r, j) = sum_m C(r, m) R_j^(r-m)(0) x_{n_j}[m]."""
+    return [[DiffPoly(n, {((var, m, 1),): rpoly.derivative(r - m).at_zero() * math.comb(r, m)
+                          for m in range(r + 1)})
+             for rpoly, var in spec.entries] for r in range(spec.d)]
+
+
+def oracle_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
+    """The Wronskian of ``spec`` by the minor expansion of :func:`wronskian_matrix`."""
+    return det_expansion(wronskian_matrix(spec, n), DiffPoly.zero(n), DiffPoly.const(ONE, n))
 
 
 def as_parampoly(q: UniPoly, name: str = "T") -> ParamPoly:
@@ -617,10 +692,17 @@ def formal_reduce_to_triangular(alpha: Sequence[int]) -> list[tuple[Fraction, tu
     return sorted(((c, idx) for idx, c in result.items()), key=lambda t: t[1])
 
 
+def formal_wronskian(alpha: Sequence[int]) -> DiffPoly:
+    """The Wronskian of (t^alpha_1 y_1, ..., t^alpha_d y_d) over d distinct
+    formal variables, realized as x_0..x_{d-1}; zero whenever some
+    alpha_i >= d."""
+    return build_wronskian(tuple(zip(alpha, range(len(alpha)))), len(alpha) - 1)
+
+
 def expand_combination(comb: Iterable[tuple[Fraction, Sequence[int]]], d: int) -> DiffPoly:
     """The combination of formal Wronskians that a rewriting names."""
     return linear_combination(DiffPoly.zero(d - 1),
-                              ((c, build_formal_wronskian(idx)) for c, idx in comb))
+                              ((c, formal_wronskian(idx)) for c, idx in comb))
 
 
 def formal_build_wronskian(spec: WronskSpec, n: int) -> DiffPoly:

@@ -15,13 +15,13 @@ from diffhom.dpoly import is_diff_homogeneous, solve_in_span, span_rank
 from diffhom.tableaux import (canonical_tableau, count_semistandard,
                               count_standard, group_algebra_mul, partitions_of,
                               young_symmetrizer)
-from diffhom.wronskian import (build_formal_wronskian, enumerate_canonical_basis,
+from diffhom.wronskian import (enumerate_canonical_basis,
                                reduce_to_triangular, standard_nilpotent,
                                verify_wedge_identity)
 from diffhom.hwv import e_iso, hwv_basis, kernel_dim_full, kernel_dim_isotypic
 from diffhom.pde import newton_operator, solution_space_dim
 from diffhom.jets import census, classify_basis, verify_theorem2
-from formal import (ParamPoly, expand_combination, formal_matrix_action,
+from formal import (ParamPoly, expand_combination, formal_matrix_action, formal_wronskian,
                     vandermonde_derivative_basis)
 
 SEED = 20240817
@@ -132,7 +132,7 @@ def test_criterion_7_triangular_rewriting_and_wedges():
             comb = reduce_to_triangular(alpha)
             if any(a > i - 1 for _, idx in comb for i, a in enumerate(idx, start=1)):
                 failures.append(("bound", alpha))
-            if expand_combination(comb, d) != build_formal_wronskian(alpha):
+            if expand_combination(comb, d) != formal_wronskian(alpha):
                 failures.append(("identity", alpha))
     rng = random.Random(SEED)
     for d in range(1, 5):

@@ -6,6 +6,8 @@ with formal entries instead; the two must agree everywhere they are compared.
 """
 
 import itertools
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,9 @@ from diffhom.dpoly import derive, gl_elementary, mono_multidegree, parse
 from diffhom.hwv import hwv_basis, kernel_dim_isotypic
 from diffhom.tableaux import Partition, Tableau, partitions_of
 from diffhom.verify import check_hwv_unipotent, check_hwv_weight
-from formal import (formal_functional_solution_dim, formal_is_unipotent_invariant,
-                    formal_is_weight_vector)
+from formal import (UniPoly, WronskSpec, formal_build_wronskian,
+                    formal_functional_solution_dim, formal_is_unipotent_invariant,
+                    formal_is_weight_vector, oracle_wronskian)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diffhom"
 
@@ -137,3 +140,23 @@ def test_weight_and_unipotent_checks_report_failures(monkeypatch):
     monkeypatch.setattr(verify, "hwv_basis", lambda lam, k, n: [(tableau, parse("x1", n))])
     assert check_hwv_weight((1,), 0, 1).computed == "failure at tableau (0,)"
     assert check_hwv_unipotent((1,), 0, 1).computed == "failure at tableau (0,), (q,p)=(1,0)"
+
+
+def _random_spec(rng, n, d):
+    """Rational entries of degree up to d, some with a zero constant term."""
+    return WronskSpec(tuple(
+        (UniPoly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, d + 1))]),
+         rng.randint(0, n)) for _ in range(d)))
+
+
+def test_formal_build_wronskian_matches_det_expansion_on_random_rational_specs():
+    # repeated variables, cancellation and Fraction entries, not only t^a:
+    # the tuple expansion against the minor expansion of the same matrix
+    rng = random.Random(1809)
+    for n, d in [(0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
+        for _ in range(6):
+            spec = _random_spec(rng, n, d)
+            built = formal_build_wronskian(spec, n)
+            assert built == oracle_wronskian(spec, n)
+            assert all(type(c) is Fraction for c in built.terms.values())

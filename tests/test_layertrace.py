@@ -20,10 +20,10 @@ if TRACE:
     tracer = Tracer()
     tracer.install()
 from fractions import Fraction
-from diffhom import dpoly, exact, hwv, jets, pde, verify, wronskian
+from diffhom import dpoly, exact, hwv, jets, pde, verify
 from diffhom.tableaux import Partition
 report = verify.run_suite("rsk", max_d=3)
-# the basis suite ranks the Wronskian family
+# the basis suite ranks the Wronskian family, one build_wronskian per element
 basis_report = verify.run_suite("basis", max_d=2)
 results = [
     hwv.kernel_dim_full(3, 2),
@@ -38,8 +38,6 @@ results = [
     [repr(pde.newton_operator(pde.vandermonde(3), ell)) for ell in (1, 2, 3)],
     repr(jets.census(1, 3, 1)),
     repr(hwv.column_det([0, 1], 1)),
-    # the basis suite decodes the census codes, so reach build_wronskian directly
-    repr(wronskian.build_wronskian(wronskian.WronskSpec.monomials((0, 1), (0, 1)), 1)),
     # column_det expands over packed codes, so reach the minor expansion directly
     str(exact.det_expansion([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]],
                             Fraction(0), Fraction(1))),

@@ -1,9 +1,11 @@
 """Wronskian construction, the canonical basis, triangular rewriting, wedges.
 
-The packed row-by-row expansion of ``build_wronskian`` is compared against
-the minor expansion ``det_expansion`` of the Wronskian matrix over DiffPoly,
-whose entries are computed here independently from ``UniPoly`` derivatives,
-and against the tuple expansion it replaced (``formal``).
+The packed row-by-row expansion of ``build_wronskian`` (monomial entries)
+is compared against the minor expansion ``det_expansion`` of the Wronskian
+matrix over DiffPoly, whose entries ``formal`` computes independently from
+``UniPoly`` derivatives, and against the tuple expansion it replaced.  The
+shifted-power family of ``scripts/theta_ranks.py``, a sum of monomial
+Wronskians by multilinearity, is compared against both on rational entries.
 The memoized rewriting and the graded exterior pass of the wedge identities
 are compared against the work queue and the ``det_expansion`` minors of
 ``formal``.
@@ -19,18 +21,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffhom.dpoly import (DiffPoly, MonoCodec, UniPoly, derive, gradings, is_diff_homogeneous,
+from diffhom.dpoly import (DiffPoly, MonoCodec, derive, gradings, is_diff_homogeneous,
                            parse, solve_in_span, span_rank, substitute, to_text)
-from diffhom.exact import ONE, det_expansion
 from diffhom import wronskian
-from diffhom.wronskian import (WronskSpec, _codec, _integral_rows, _wedge_coordinates,
-                               basis_manifest, build_formal_wronskian,
+from diffhom.wronskian import (_codec, _integral_rows, _wedge_coordinates, basis_manifest,
                                build_wronskian, canonical_codes, enumerate_canonical_basis,
                                enumerate_canonical_data, first_wedge_failure, formal_codes,
                                reduce_to_triangular, standard_nilpotent,
                                verify_wedge_identity)
-from formal import (expand_combination, formal_build_wronskian, formal_matrix_action,
-                    formal_reduce_to_triangular, formal_wedge_coordinates, lowering)
+from formal import (UniPoly, WronskSpec, expand_combination, formal_build_wronskian,
+                    formal_matrix_action, formal_reduce_to_triangular,
+                    formal_wedge_coordinates, formal_wronskian, lowering, oracle_wronskian,
+                    wronskian_matrix)
 
 F = Fraction
 
@@ -44,18 +46,8 @@ def _script(name: str):
     return module
 
 
-theta_family_rank = _script("theta_ranks").theta_family_rank
-
-
-def wronskian_matrix(spec: WronskSpec, n: int) -> list[list[DiffPoly]]:
-    """The d x d matrix: entry (r, j) = sum_m C(r, m) R_j^(r-m)(0) x_{n_j}[m]."""
-    return [[DiffPoly(n, {((var, m, 1),): rpoly.derivative(r - m).at_zero() * math.comb(r, m)
-                          for m in range(r + 1)})
-             for rpoly, var in spec.entries] for r in range(spec.d)]
-
-
-def oracle_wronskian(spec: WronskSpec, n: int) -> DiffPoly:
-    return det_expansion(wronskian_matrix(spec, n), DiffPoly.zero(n), DiffPoly.const(ONE, n))
+theta_ranks = _script("theta_ranks")
+theta_family_rank = theta_ranks.theta_family_rank
 
 
 def assert_matches_oracle(spec: WronskSpec, n: int, built: DiffPoly) -> None:
@@ -64,13 +56,11 @@ def assert_matches_oracle(spec: WronskSpec, n: int, built: DiffPoly) -> None:
 
 
 def test_wronskian_degree_one():
-    spec = WronskSpec.monomials([0], [0])
-    assert build_wronskian(spec, 0) == parse("x0", 0)
+    assert build_wronskian([(0, 0)], 0) == parse("x0", 0)
 
 
 def test_wronskian_repeated_variable_gives_square():
-    spec = WronskSpec.monomials([0, 1], [0, 0])
-    assert build_wronskian(spec, 0) == parse("x0^2", 0)
+    assert build_wronskian([(0, 0), (1, 0)], 0) == parse("x0^2", 0)
 
 
 def test_wronskian_matrix_entries_match_hand_expansion():
@@ -86,56 +76,39 @@ def test_wronskian_matrix_entries_match_hand_expansion():
 @pytest.mark.parametrize("n, d", [(1, d) for d in range(1, 7)] + [(2, d) for d in range(1, 5)]
                          + [(3, d) for d in range(1, 4)])
 def test_build_wronskian_matches_det_expansion_on_canonical_data(n, d):
-    # the canonical basis is decoded from canonical_codes, not built by
-    # build_wronskian: both must give the minor expansion
+    # every element of the canonical basis is a build_wronskian
     for datum, poly in enumerate_canonical_basis(n, d):
-        spec = WronskSpec.monomials(*zip(*datum.pairs()))
-        assert_matches_oracle(spec, n, poly)
-        assert build_wronskian(spec, n) == poly
+        assert_matches_oracle(WronskSpec.monomials(*zip(*datum.pairs())), n, poly)
+
+
+def _theta_family(n, d, theta):
+    """(spec, the script's Wronskian) for every index tuple of the
+    shifted-power family of (N, d, theta)."""
+    for tup in itertools.product(range(n + 1), repeat=d):
+        spec = WronskSpec(tuple((UniPoly.shifted_power(theta, j), v) for j, v in enumerate(tup)))
+        yield spec, theta_ranks.shifted_wronskian(tup, theta, n)
 
 
 @pytest.mark.parametrize("theta", [F(1), F(-2, 3), F(5, 2)])
 def test_build_wronskian_matches_det_expansion_on_theta_family(theta):
+    # rational entries (theta+t)^j, summed from monomial Wronskians
     for n, d in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]:
-        for tup in itertools.product(range(n + 1), repeat=d):
-            spec = WronskSpec(tuple((UniPoly.shifted_power(theta, j), v)
-                                    for j, v in enumerate(tup)))
-            assert_matches_oracle(spec, n, build_wronskian(spec, n))
+        for spec, built in _theta_family(n, d, theta):
+            assert_matches_oracle(spec, n, built)
 
 
 def test_build_formal_wronskian_matches_det_expansion():
     for d in range(1, 5):
         for alpha in itertools.product(range(d + 1), repeat=d):
             spec = WronskSpec.monomials(alpha, tuple(range(d)))
-            assert_matches_oracle(spec, d - 1, build_formal_wronskian(alpha))
-
-
-def _theta_specs(n, d, theta):
-    for tup in itertools.product(range(n + 1), repeat=d):
-        yield WronskSpec(tuple((UniPoly.shifted_power(theta, j), v) for j, v in enumerate(tup)))
-
-
-def _random_spec(rng, n, d):
-    """Rational entries of degree up to d, some with a zero constant term."""
-    return WronskSpec(tuple(
-        (UniPoly([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, d + 1))]),
-         rng.randint(0, n)) for _ in range(d)))
-
-
-def test_build_wronskian_matches_det_expansion_on_random_rational_specs():
-    # repeated variables, cancellation and Fraction entries, not only t^a
-    rng = random.Random(1809)
-    for n, d in [(0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
-        for _ in range(6):
-            spec = _random_spec(rng, n, d)
-            assert_matches_oracle(spec, n, build_wronskian(spec, n))
+            assert_matches_oracle(spec, d - 1, formal_wronskian(alpha))
 
 
 @pytest.mark.parametrize("n, d, theta", [(1, 5, F(1)), (1, 5, F(-2, 3)), (2, 4, F(5, 2)),
                                          (3, 3, F(-1))])
 def test_build_wronskian_matches_tuple_expansion_on_theta_family(n, d, theta):
-    for spec in _theta_specs(n, d, theta):
-        assert build_wronskian(spec, n) == formal_build_wronskian(spec, n)
+    for spec, built in _theta_family(n, d, theta):
+        assert built == formal_build_wronskian(spec, n)
 
 
 def test_build_wronskian_matches_tuple_expansion_on_formal_specs():
@@ -145,7 +118,7 @@ def test_build_wronskian_matches_tuple_expansion_on_formal_specs():
     alphas += list(itertools.product(range(4), repeat=3))
     for alpha in alphas:
         spec = WronskSpec.monomials(alpha, tuple(range(len(alpha))))
-        assert build_formal_wronskian(alpha) == formal_build_wronskian(spec, len(alpha) - 1)
+        assert formal_wronskian(alpha) == formal_build_wronskian(spec, len(alpha) - 1)
 
 
 @pytest.mark.parametrize("n, d", [(1, 5), (2, 4), (3, 3), (0, 4)])
@@ -198,20 +171,21 @@ def test_mono_codec_lowered_exponents():
 
 def test_build_wronskian_rejects_bad_specs():
     with pytest.raises(ValueError, match="at least one entry"):
-        build_wronskian(WronskSpec(()), 0)
+        build_wronskian((), 0)
     with pytest.raises(ValueError, match="variable index 2 exceeds bound 1"):
-        build_wronskian(WronskSpec.monomials([0, 1], [0, 2]), 1)
+        build_wronskian([(0, 0), (1, 2)], 1)
 
 
 def test_wronskian_column_scaling_multilinearity():
+    # the tuple expansion of a column scaled by 3 against the library's
+    # unscaled monomial Wronskian
     base = WronskSpec.monomials([0, 1], [0, 1])
     scaled = WronskSpec(((UniPoly([F(3)]), 0), base.entries[1]))
-    assert build_wronskian(scaled, 1) == build_wronskian(base, 1).scale(F(3))
+    assert formal_build_wronskian(scaled, 1) == build_wronskian([(0, 0), (1, 1)], 1).scale(F(3))
 
 
 def test_wronskian_equal_columns_vanish():
-    spec = WronskSpec.monomials([1, 1], [0, 0])
-    assert not build_wronskian(spec, 0)
+    assert not build_wronskian([(1, 0), (1, 0)], 0)
 
 
 def test_canonical_basis_single_variable():
@@ -227,6 +201,16 @@ def test_canonical_basis_two_variables_degree_two():
     polys = {to_text(p) for _, p in basis}
     assert polys == {"x1^2", "x0*x1", "x0^2", "-x0[1]*x1 + x0*x1[1]"}
     assert span_rank([p for _, p in basis]) == 4
+
+
+@pytest.mark.parametrize("n, d", [(1, 5), (2, 4), (0, 3)])
+def test_canonical_basis_shares_one_tuple_per_factor(n, d):
+    # every element decodes under the one codec of degree d, so each distinct
+    # (i, k, e) factor of the whole basis is one object; the memory of
+    # `dh basis` rests on it
+    factors = [f for _, poly in enumerate_canonical_basis(n, d) for mono in poly.terms
+               for f in mono]
+    assert len({id(f) for f in factors}) == len(set(factors))
 
 
 def test_canonical_data_invariants():
@@ -273,17 +257,18 @@ def test_general_coefficient_wronskian_is_diff_homogeneous():
                     (UniPoly([F(1), F(1)]), 1))),
     ]
     for spec in specs:
-        w = build_wronskian(spec, 1)
+        w = formal_build_wronskian(spec, 1)
+        assert w == oracle_wronskian(spec, 1)
         if w:
             assert is_diff_homogeneous(w) == (True, spec.d)
 
 
 def test_formal_wronskian_basics():
-    assert build_formal_wronskian((0,)) == parse("x0", 0)
-    w = build_formal_wronskian((0, 0))
+    assert formal_wronskian((0,)) == parse("x0", 0)
+    w = formal_wronskian((0, 0))
     assert w == parse("x0*x1[1] - x1*x0[1]", 1)
-    assert not build_formal_wronskian((1, 1))
-    assert not build_formal_wronskian((0, 2))  # exponent >= d gives zero
+    assert not formal_wronskian((1, 1))
+    assert not formal_wronskian((0, 2))  # exponent >= d gives zero
 
 
 def test_reduce_triangular_is_identity_on_triangular():
@@ -297,7 +282,7 @@ def test_reduce_single_violation_degree_two():
 def test_reduce_identity_exhaustive_small():
     for d in range(1, 4):
         for alpha in itertools.product(range(d), repeat=d):
-            direct = build_formal_wronskian(alpha)
+            direct = formal_wronskian(alpha)
             reduced = reduce_to_triangular(alpha)
             for _, idx in reduced:
                 assert all(a <= i - 1 for i, a in enumerate(idx, start=1))
@@ -330,7 +315,7 @@ def test_formal_codes_decode_to_the_formal_wronskians(d):
     for alpha, codes in walked:
         assert all(type(c) is int and c for c in codes.values())
         decoded = DiffPoly(d - 1, {codec.decode(w): F(c) for w, c in codes.items()})
-        assert decoded == build_formal_wronskian(alpha), alpha
+        assert decoded == formal_wronskian(alpha), alpha
 
 
 def test_trailing_substitution_lands_in_canonical_basis():
@@ -342,7 +327,7 @@ def test_trailing_substitution_lands_in_canonical_basis():
                   if all(a <= i - 1 for i, a in enumerate(alpha, start=1))]
     for alpha in triangular:
         for assign in itertools.combinations_with_replacement(range(n + 1), d):
-            w = build_formal_wronskian(alpha)
+            w = formal_wronskian(alpha)
             image = substitute(w, lambda i, k: DiffPoly.var(assign[i], k, n), n_out=n)
             if not image:
                 continue
@@ -531,5 +516,5 @@ def test_manifest_shape():
 @settings(max_examples=30, deadline=None)
 def test_reduce_identity_random_degree_four(data):
     alpha = tuple(data.draw(st.integers(0, 3)) for _ in range(4))
-    direct = build_formal_wronskian(alpha)
+    direct = formal_wronskian(alpha)
     assert expand_combination(reduce_to_triangular(alpha), 4) == direct
