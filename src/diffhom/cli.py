@@ -7,10 +7,11 @@ of ``--k``, ``--all-k`` and ``--theorem2``.  ``basis`` alone takes
 ``--cache DIR`` (default from $DH_CACHE), ``basis``, ``census`` and
 ``kernel`` take ``--max-cost``, and ``verify`` alone takes ``--seed`` and
 ``--jobs``.
-``check @path`` reads the expression from a file.  A flag given to a
-subcommand that does not read it exits 2.  All JSON payloads carry a
-``schema_version`` field.
-Exit codes: 0 success, 1 failed check/verification, 2 invalid input.
+``check @path`` reads the expression from a file.  All JSON payloads carry
+a ``schema_version`` field.
+Exit codes: 0 success, 1 failed check/verification, 2 invalid input: from
+the parser, a flag malformed, below its floor (``_at_least``) or not read by
+the subcommand; with its own message, a cost above a cap.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator
 from . import SCHEMA_VERSION
 from .dpoly import (ParseError, from_json_dict, gradings, is_diff_homogeneous,
                     parse, to_text)
-from .jets import census, weight_census_bound
+from .jets import census, verify_theorem2, weight_census_bound
 from .tableaux import (count_semistandard, count_standard, partition_parts, partitions_of,
                        semistandard_weight_counts)
 from .hwv import kernel_dim_full, kernel_dim_isotypic, solved_weights
@@ -64,6 +65,11 @@ KERNEL_MAX_COST = 2 ** 16
 # (1,602) 0.3 s.  `--max-cost` overrides them.
 BASIS_MAX_COST = 2 ** 10
 CENSUS_MAX_COST = 5 ** 5
+
+# The cap on the cost of `dh tableaux`, the p(d) shapes it counts: 2^20
+# admits d <= 60.  `--d 60` (p = 966,467) took 95-109 s and 2.5 GB, text or
+# json, on a 2-CPU machine, `--d 58` 61 s and 1.7 GB, `--d 50` 16 s, 467 MB.
+TABLEAUX_MAX_COST = 2 ** 20
 
 
 def _json_dump(payload: dict) -> str:
@@ -174,19 +180,16 @@ def census_cost(n: int, d: int, cap: int) -> int:
     return max(total, cost)
 
 
-def _over_cost(call: str, cost, max_cost: int | None, default: int, measure: str) -> bool:
-    """True, after a message, when ``--max-cost`` is below 1 or ``cost(cap)``
-    exceeds the cap (``max_cost``, else ``default``) of the command line
-    ``call``, whose cost counts ``measure``."""
-    cap = default if max_cost is None else max_cost
-    if cap < 1:
-        print(f"{call.split()[0]} requires --max-cost >= 1", file=sys.stderr)
-        return True
-    if cost(cap) > cap:
-        print(f"{call} costs more than the cap of {cap} ({measure}); --max-cost N raises the cap",
-              file=sys.stderr)
-        return True
-    return False
+def _over_cost(args, call: str, cost, default: int, measure: str) -> bool:
+    """True, after a message, when ``cost(cap)`` exceeds the cap of the
+    command line ``call``, whose cost counts ``measure``: ``--max-cost``
+    where the command takes it and it is given, else ``default``."""
+    cap = getattr(args, "max_cost", None) or default
+    if cost(cap) <= cap:
+        return False
+    hint = "; --max-cost N raises the cap" if hasattr(args, "max_cost") else ""
+    print(f"{call} costs more than the cap of {cap} ({measure}){hint}", file=sys.stderr)
+    return True
 
 
 _BASIS_MEASURE = "the (N+1)^d basis elements, or d^2 if larger"
@@ -197,11 +200,8 @@ _KERNEL_MEASURE = ("the D_T terms of the largest system solved, or q^2 if larger
 
 
 def cmd_basis(args) -> int:
-    if args.d < 1 or args.n < 0:
-        print("basis requires --d >= 1 and --n >= 0", file=sys.stderr)
-        return 2
-    if _over_cost(f"basis --n {args.n} --d {args.d}", partial(basis_cost, args.n, args.d),
-                  args.max_cost, BASIS_MAX_COST, _BASIS_MEASURE):
+    if _over_cost(args, f"basis --n {args.n} --d {args.d}", partial(basis_cost, args.n, args.d),
+                  BASIS_MAX_COST, _BASIS_MEASURE):
         return 2
     try:
         manifest = cached_manifest(args.n, args.d, args.cache)
@@ -268,18 +268,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.d < 0 or args.n < 0:
-        print("census requires --d >= 0 and --n >= 0", file=sys.stderr)
-        return 2
-    if _over_cost(f"census --n {args.n} --d {args.d}", partial(census_cost, args.n, args.d),
-                  args.max_cost, CENSUS_MAX_COST, _CENSUS_MEASURE):
+    if _over_cost(args, f"census --n {args.n} --d {args.d}", partial(census_cost, args.n, args.d),
+                  CENSUS_MAX_COST, _CENSUS_MEASURE):
         return 2
     if args.theorem2:
         if args.format == "csv":
             print("census --theorem2 has no csv output; use --format text or json",
                   file=sys.stderr)
             return 2
-        from .jets import verify_theorem2
         report = verify_theorem2(args.n, args.d)
         if args.format == "json":
             print(_json_dump({"schema_version": SCHEMA_VERSION, "N": args.n, "d": args.d,
@@ -294,9 +290,6 @@ def cmd_census(args) -> int:
     if args.all_k:
         ks = list(range(0, max(args.d, 1)))
     elif args.k is not None:
-        if args.k < 0:
-            print("census requires --k >= 0", file=sys.stderr)
-            return 2
         ks = [args.k]
     else:
         ks = [max(args.d - 1, 0)]
@@ -321,21 +314,19 @@ def cmd_census(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
-    if args.d < 1:
-        print("tableaux requires --d >= 1", file=sys.stderr)
+    if _over_cost(args, f"tableaux --d {args.d}", partial(partition_count, args.d),
+                  TABLEAUX_MAX_COST, "the partitions of d"):
         return 2
-    alphabet = args.n if args.n is not None else args.d
-    if alphabet < 1:
-        print("tableaux requires --n >= 1", file=sys.stderr)
-        return 2
+    alphabet = args.n or args.d
     rows = []
     for lam in partitions_of(args.d):
         rows.append({"partition": list(lam.parts),
                      "standard": count_standard(lam),
                      "semistandard": count_semistandard(lam, alphabet)})
     if args.format == "json":
-        print(_json_dump({"schema_version": SCHEMA_VERSION, "d": args.d,
-                          "alphabet": alphabet, "partitions": rows}))
+        sys.stdout.writelines(_json_chunks({"schema_version": SCHEMA_VERSION, "d": args.d,
+                                            "alphabet": alphabet, "partitions": rows}))
+        sys.stdout.write("\n")
     elif args.format == "csv":
         print("partition,standard,semistandard")
         for r in rows:
@@ -362,6 +353,15 @@ def _partition_counts() -> Iterator[int]:
         p.append(total)
 
 
+def partition_count(d: int, cap: int) -> int:
+    """p(d), or the first p(n), n < d, above ``cap``: a huge d costs no
+    more than the cap."""
+    for count in itertools.islice(_partition_counts(), d + 1):
+        if count > cap:
+            break
+    return count
+
+
 def kernel_cost(d: int, k: int, cap: int) -> int:
     """Cost estimate of `dh kernel --d d --k k`: the D_T terms of the largest
     system it solves, or q^2 if that is larger, q the number of partitions
@@ -379,9 +379,9 @@ def kernel_cost(d: int, k: int, cap: int) -> int:
     returned at once, and a huge d never reaches the partitions of d;
     likewise the shapes are read only until the cost passes ``cap``.  At
     k >= d-1 every shape has D_T, q = p(d)."""
-    for table in itertools.islice(_partition_counts(), 1, d + 1):
-        if table > cap:
-            return table
+    table = partition_count(d, cap)
+    if table > cap:
+        return table
     k = min(k, d - 1)
     cost = max(table, sum(1 for _ in partition_parts(d, k + 1)) ** 2)
     stop = solved_weights(d, k).stop
@@ -394,15 +394,9 @@ def kernel_cost(d: int, k: int, cap: int) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if args.d < 1:
-        print("kernel requires --d >= 1", file=sys.stderr)
-        return 2
     k = args.k if args.k is not None else args.d - 1
-    if k < 0:
-        print("kernel requires --k >= 0", file=sys.stderr)
-        return 2
-    if _over_cost(f"kernel --d {args.d} --k {k}", partial(kernel_cost, args.d, k),
-                  args.max_cost, KERNEL_MAX_COST, _KERNEL_MEASURE):
+    if _over_cost(args, f"kernel --d {args.d} --k {k}", partial(kernel_cost, args.d, k),
+                  KERNEL_MAX_COST, _KERNEL_MEASURE):
         return 2
     full = kernel_dim_full(args.d, k)
     per_lambda = []
@@ -427,13 +421,6 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.jobs < 1:
-        print("verify requires --jobs >= 1", file=sys.stderr)
-        return 2
-    if ((args.max_d is not None and args.max_d < 1)
-            or (args.max_n is not None and args.max_n < 0)):
-        print("verify requires --max-d >= 1 and --max-n >= 0", file=sys.stderr)
-        return 2
     if reason := over_cap(args.suite, args.max_d, args.max_n):
         print(f"verify {reason}", file=sys.stderr)
         return 2
@@ -462,7 +449,21 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _at_least(low: int):
+    """The argparse type of an int flag whose values start at ``low``: a
+    smaller value exits 2 with the usage line.  Named ``int``, so a
+    malformed value still reads "invalid int value"."""
+    def parse_int(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse_int.__name__ = "int"
+    return parse_int
+
+
 def build_parser() -> argparse.ArgumentParser:
+    natural, positive = _at_least(0), _at_least(1)
     plain = argparse.ArgumentParser(add_help=False)
     plain.add_argument("--format", choices=("text", "json"), default="text")
     tabular = argparse.ArgumentParser(add_help=False)
@@ -476,11 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", parents=[plain],
                        help="emit the canonical (N+1)^d basis manifest")
-    p.add_argument("--n", type=int, required=True, help="number of variables minus one")
-    p.add_argument("--d", type=int, required=True, help="degree")
+    p.add_argument("--n", type=natural, required=True, help="number of variables minus one")
+    p.add_argument("--d", type=positive, required=True, help="degree")
     p.add_argument("--cache", default=os.environ.get("DH_CACHE"),
                    help="cache directory for basis manifests (default $DH_CACHE)")
-    p.add_argument("--max-cost", type=int, default=None,
+    p.add_argument("--max-cost", type=positive, default=None,
                    help=f"largest cost to accept: {_BASIS_MEASURE} (default {BASIS_MAX_COST})")
     p.set_defaults(func=cmd_basis)
 
@@ -488,46 +489,46 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide differential homogeneity of an expression or file")
     p.add_argument("expression",
                    help="expression in the x<i>[<k>] grammar, or @path to read it from a file")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=natural, default=None,
                    help="variable bound (default: largest index used)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("census", parents=[tabular],
                        help="per-weight dimensions of twisted jet differentials")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=natural, required=True)
+    p.add_argument("--d", type=natural, required=True)
     which = p.add_mutually_exclusive_group()
-    which.add_argument("--k", type=int, default=None, help="jet order (default d-1)")
+    which.add_argument("--k", type=natural, default=None, help="jet order (default d-1)")
     which.add_argument("--all-k", action="store_true", help="sweep k = 0..d-1")
     which.add_argument("--theorem2", action="store_true",
                        help="emit the stability/total/vanishing report instead of counts "
                             "(text or json)")
-    p.add_argument("--max-cost", type=int, default=None,
+    p.add_argument("--max-cost", type=positive, default=None,
                    help=f"largest cost to accept: {_CENSUS_MEASURE} (default {CENSUS_MAX_COST})")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("tableaux", parents=[tabular],
                        help="partition and tableau counts")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="alphabet size (default d)")
+    p.add_argument("--d", type=positive, required=True)
+    p.add_argument("--n", type=positive, default=None, help="alphabet size (default d)")
     p.set_defaults(func=cmd_tableaux)
 
     p = sub.add_parser("kernel", parents=[tabular],
                        help="simultaneous kernel dimensions on tensor powers")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="local dimension minus one (default d-1)")
-    p.add_argument("--max-cost", type=int, default=None,
+    p.add_argument("--d", type=positive, required=True)
+    p.add_argument("--k", type=natural, default=None, help="local dimension minus one (default d-1)")
+    p.add_argument("--max-cost", type=positive, default=None,
                    help=f"largest cost to accept: {_KERNEL_MEASURE} (default {KERNEL_MAX_COST})")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", parents=[plain],
                        help="run a verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    p.add_argument("--max-d", type=int, default=None, help="degree cap override")
-    p.add_argument("--max-n", type=int, default=None, help="variable bound cap override")
+    p.add_argument("--max-d", type=positive, default=None, help="degree cap override")
+    p.add_argument("--max-n", type=natural, default=None, help="variable bound cap override")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the randomized checks")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=positive, default=1,
                    help="worker processes (at least 1, capped at the CPU count)")
     p.set_defaults(func=cmd_verify)
 

@@ -95,7 +95,7 @@ def multidegree_profile(parts: tuple[int, ...]) -> dict[int, tuple[int, tuple[in
         by_weight.setdefault(datum.weight, []).append(datum)
     out = {}
     for weight, data in sorted(by_weight.items()):
-        codec, rows = canonical_codes(len(parts) - 1, d, data)
+        codec, rows = canonical_codes(d, data)
         block = [codes for _, codes in rows]
         order = {w: codec.order(w) for w in set().union(*block)}
         cols = sorted(order, key=lambda w: (-order[w], w))

@@ -6,9 +6,9 @@ Standard tableaux are counted by the branching rule (remove a corner),
 memoized per shape, semi-standard tableaux by the hook-content formula, and
 Kostka numbers by removing horizontal strips (the cells of the largest
 letter), memoized per shape and content prefix.  The hook-length formula
-appears only as a cross-check in the test suite, and the enumeration of all
-semi-standard tableaux as the oracle of their count and of the Kostka
-numbers.
+(``hook_length_count``) gives the benchmark's expected f_lam; the enumeration
+of semi-standard tableaux builds the D_T basis (``hwv``) and is the tests'
+oracle of their count and of the Kostka numbers.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from .pde import newton_operator, solution_space_dim, vandermonde, vandermonde_s
 from .jets import census, classify_basis, multidegree_profile, verify_theorem2
 
 DEFAULT_SEED = 20240817
+WEDGE_RANDOM_TRIALS = 20  # random tuples per (d, i) in wedge_random
 
 
 @dataclass(frozen=True)
@@ -350,12 +351,12 @@ def check_wedge_basis_tuples(d: int, i: int) -> CheckResult:
                    "all vanish" if tup is None else f"failure at tuple {tup}")
 
 
-def check_wedge_random(d: int, i: int, seed: int, count: int = 20) -> CheckResult:
+def check_wedge_random(d: int, i: int, seed: int) -> CheckResult:
     rng = random.Random(seed * 1000003 + d * 1009 + i)
     nil = standard_nilpotent(d)
     nvec = d - i + 1
-    params = {"d": d, "i": i, "seed": seed, "count": count}
-    for trial in range(count):
+    params = {"d": d, "i": i, "seed": seed, "count": WEDGE_RANDOM_TRIALS}
+    for trial in range(WEDGE_RANDOM_TRIALS):
         vectors = [tuple(Fraction(rng.randint(-9, 9)) for _ in range(d)) for _ in range(nvec)]
         if not verify_wedge_identity(nil, vectors, i):
             return _result("wedge_random", params, "all vanish", f"failure at trial {trial}")

@@ -180,15 +180,12 @@ def enumerate_canonical_basis(n: int, d: int) -> tuple[tuple[CanonicalDatum, Dif
                  for datum in enumerate_canonical_data(n, d))
 
 
-def canonical_codes(n: int, d: int, data: Iterable[CanonicalDatum] | None = None
+def canonical_codes(d: int, data: Iterable[CanonicalDatum]
                     ) -> tuple[MonoCodec, Iterator[tuple[CanonicalDatum, dict[int, int]]]]:
-    """The canonical basis as packed rows, for the census: each canonical
-    datum with its Wronskian as {code: int coefficient}, in enumeration
-    order, built as the iterator is read, and the codec of the codes.  With
-    ``data``, canonical data of degree d, the rows of those alone."""
+    """Canonical data of degree d as packed rows, for the census: each datum
+    with its Wronskian as {code: int coefficient}, in the order of ``data``,
+    built as the iterator is read, and the codec of the codes."""
     codec = _codec(d)
-    if data is None:
-        data = enumerate_canonical_data(n, d)
     return codec, ((datum, _monomial_codes(datum.pairs(), codec)) for datum in data)
 
 

@@ -122,7 +122,7 @@ from diffhom.hwv import MultiPoly, _codec, _d_t_codes, d_t, full_kernel_vectors,
 from diffhom.pde import vandermonde
 from diffhom.tableaux import (Partition, Permutation, Tableau, compositions, kostka,
                               partitions_of, semistandard_tableaux)
-from diffhom.wronskian import build_wronskian, canonical_codes
+from diffhom.wronskian import build_wronskian, canonical_codes, enumerate_canonical_data
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -1033,7 +1033,7 @@ def formal_pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...
     if d == 0:
         codec, rows = MonoCodec(1, 1), [(None, {0: 1})]
     else:
-        codec, rows = canonical_codes(n, d)
+        codec, rows = canonical_codes(d, enumerate_canonical_data(n, d))
 
     def graded():
         for _, codes in rows:

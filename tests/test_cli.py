@@ -1,5 +1,7 @@
 """Command line interface: output formats, exit codes, cache, determinism."""
 
+import argparse
+import ast
 import hashlib
 import itertools
 import json
@@ -13,13 +15,23 @@ from pathlib import Path
 import pytest
 
 from diffhom import SCHEMA_VERSION
-from diffhom.cli import census_cost, main
+from diffhom.cli import build_parser, census_cost, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def refused_by_parser(capsys, *argv) -> str:
+    """The stderr of a command line that the parser refuses: exit 2 and
+    nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    return out.err
 
 
 def test_basis_json(capsys):
@@ -62,8 +74,7 @@ def test_basis_text_counts(capsys):
 
 
 def test_basis_rejects_bad_arguments(capsys):
-    code, _, err = run(capsys, "basis", "--n", "1", "--d", "0")
-    assert code == 2 and "basis requires" in err
+    assert "--d" in refused_by_parser(capsys, "basis", "--n", "1", "--d", "0")
 
 
 def test_check_positive(capsys):
@@ -162,6 +173,7 @@ def test_tableaux_output(capsys):
     payload = json.loads(out)
     assert len(payload["partitions"]) == 5
     assert sum(r["standard"] ** 2 for r in payload["partitions"]) == 24
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"  # streamed, same bytes
 
 
 def test_kernel_output(capsys):
@@ -314,17 +326,14 @@ def test_cache_write_is_atomic(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_rejects_nonpositive_jobs(capsys, jobs):
-    code, out, err = run(capsys, "verify", "--suite", "rsk", "--max-d", "2", "--jobs", jobs)
-    assert code == 2 and out == ""
-    assert "--jobs" in err
+    assert "--jobs" in refused_by_parser(capsys, "verify", "--suite", "rsk", "--max-d", "2",
+                                         "--jobs", jobs)
 
 
 @pytest.mark.parametrize("flag, value", [("--max-d", "0"), ("--max-d", "-1"),
                                          ("--max-n", "-1")])
 def test_verify_rejects_caps_out_of_range(capsys, flag, value):
-    code, out, err = run(capsys, "verify", "--suite", "hwv", flag, value)
-    assert code == 2 and out == ""
-    assert flag in err
+    assert flag in refused_by_parser(capsys, "verify", "--suite", "hwv", flag, value)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -700,8 +709,7 @@ def test_kernel_with_a_large_k_costs_as_k_is_d_minus_1(capsys, d, k, full):
 @pytest.mark.parametrize("argv", [["kernel", "--d", "2", "--max-cost", "0"],
                                   ["kernel", "--d", "2", "--max-cost", "-5"]])
 def test_kernel_rejects_nonpositive_max_cost(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2 and "--max-cost >= 1" in err
+    assert "--max-cost" in refused_by_parser(capsys, *argv)
 
 
 @pytest.mark.parametrize("argv", [["check", "x0"], ["verify", "--suite", "rsk"],
@@ -795,5 +803,81 @@ def test_basis_coefficient_beyond_the_digit_limit_exits_2(fmt):
 @pytest.mark.parametrize("argv", [["basis", "--n", "1", "--d", "2", "--max-cost", "0"],
                                   ["census", "--n", "1", "--d", "2", "--max-cost", "-5"]])
 def test_basis_and_census_reject_nonpositive_max_cost(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2 and "--max-cost >= 1" in err
+    assert "--max-cost" in refused_by_parser(capsys, *argv)
+
+
+# The floor of every int option of every subcommand; --seed takes any int.
+FLOORS = {"basis": {"--n": 0, "--d": 1, "--max-cost": 1},
+          "check": {"--n": 0},
+          "census": {"--n": 0, "--d": 0, "--k": 0, "--max-cost": 1},
+          "tableaux": {"--d": 1, "--n": 1},
+          "kernel": {"--d": 1, "--k": 0, "--max-cost": 1},
+          "verify": {"--max-d": 1, "--max-n": 0, "--jobs": 1}}
+# A valid command line of each subcommand, which the flag under test follows.
+VALID = {"basis": ["--n", "1", "--d", "2"], "check": ["x0"], "census": ["--n", "1", "--d", "2"],
+         "tableaux": ["--d", "2"], "kernel": ["--d", "2"], "verify": ["--suite", "rsk"]}
+
+
+def test_every_int_option_is_range_checked_by_the_parser(capsys):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = [(name, action.option_strings[0])
+               for name, subparser in commands.choices.items() for action in subparser._actions
+               if getattr(action.type, "__name__", None) == "int"
+               and action.option_strings != ["--seed"]]
+    assert sorted(options) == sorted((name, flag) for name, floors in FLOORS.items()
+                                     for flag in floors)
+    for name, flag in options:
+        floor = FLOORS[name][flag]
+        err = refused_by_parser(capsys, name, *VALID[name], flag, str(floor - 1))
+        assert f"argument {flag}: must be at least {floor}, got {floor - 1}" in err
+        assert err.startswith("usage: ")
+        err = refused_by_parser(capsys, name, *VALID[name], flag, "x")
+        assert f"argument {flag}: invalid int value: 'x'" in err
+        parser.parse_args([name, *VALID[name], flag, str(floor)])
+
+
+def test_check_with_a_negative_variable_bound_exits_2_without_a_traceback():
+    proc = _dh("check", "5", "--n", "-1", timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --n: must be at least 0" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_no_command_range_checks_an_int_flag():
+    # Range checks live in the parser (cli._at_least): no cmd_* body compares
+    # an args.<flag> with an int literal.
+    import diffhom.cli as cli
+
+    def is_flag(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args")
+
+    def is_int(node):
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    found = []
+    for fn in ast.parse(Path(cli.__file__).read_text()).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_"):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                    if any(map(is_flag, operands)) and any(map(is_int, operands)):
+                        found.append((fn.name, ast.unparse(node)))
+    assert found == []
+
+
+def test_tableaux_refuses_oversized_input_at_once():
+    # p(100) = 190,569,292 shapes; the cost stops at the first p(n) past the cap
+    proc = _dh("tableaux", "--d", "100", timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("tableaux --d 100 costs more than the cap of ")
+    assert "--max-cost" not in proc.stderr
+
+
+def test_partition_count_stops_past_the_cap():
+    import diffhom.cli as cli
+    assert cli.partition_count(100, 10 ** 9) == 190569292
+    assert [cli.partition_count(d, 10 ** 9) for d in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert cli.partition_count(100, 1000) == 1002  # p(22), the first p(n) above 1000

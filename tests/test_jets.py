@@ -65,7 +65,7 @@ def test_k_stability_sees_an_element_above_the_order_bound(monkeypatch, fresh_pr
     # another field, so the element's weight block gets a codec with room for
     # order d.  It joins multidegree (d, 0) at weight d as one more datum.
     n, d = 1, 3
-    wide = MonoCodec(d + 1, wronskian.canonical_codes(n, d)[0].bits)
+    wide = MonoCodec(d + 1, wronskian.canonical_codes(d, [])[0].bits)
     extra = wide.unit(0, d) + (d - 1) * wide.unit(0, 0)
     assert wide.decode(extra) == ((0, d, 1), (0, 0, d - 1))
     stand_in = SimpleNamespace(weight=d)
@@ -73,8 +73,8 @@ def test_k_stability_sees_an_element_above_the_order_bound(monkeypatch, fresh_pr
     monkeypatch.setattr(jets, "canonical_data",
                         lambda m: list(real_data(m)) + ([stand_in] if m == (d,) else []))
     monkeypatch.setattr(jets, "canonical_codes",
-                        lambda n_, d_, data: ((wide, iter([(stand_in, {extra: 1})]))
-                                              if data == [stand_in] else real_codes(n_, d_, data)))
+                        lambda d_, data: ((wide, iter([(stand_in, {extra: 1})]))
+                                          if data == [stand_in] else real_codes(d_, data)))
     report = verify_theorem2(n, d)
     item = next(i for i in report.items if i.name == "k_stability")
     assert not item.passed and item.witness == f"census changed at k={d}"
@@ -202,11 +202,11 @@ def test_pivot_profile_refuses_rows_of_one_multidegree_apart(monkeypatch):
     # the oracle eliminates each multidegree's blocks once its rows are read,
     # so a multidegree that comes back would be split into blocks that share
     # monomials
-    codec, rows = wronskian.canonical_codes(1, 3)
+    codec, rows = wronskian.canonical_codes(3, wronskian.enumerate_canonical_data(1, 3))
     rows = list(rows)
     assert rows[1][0].m == (1, 2)
     monkeypatch.setattr(formal, "canonical_codes",
-                        lambda n_, d_: (codec, iter(rows[:1] + rows[2:] + rows[1:2])))
+                        lambda d_, data: (codec, iter(rows[:1] + rows[2:] + rows[1:2])))
     with pytest.raises(ValueError, match=r"multidegree \(1, 2\)"):
         formal_pivot_profile(1, 3)
 

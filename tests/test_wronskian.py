@@ -123,7 +123,7 @@ def test_build_wronskian_matches_tuple_expansion_on_formal_specs():
 
 @pytest.mark.parametrize("n, d", [(1, 5), (2, 4), (3, 3), (0, 4)])
 def test_canonical_codes_decode_to_the_canonical_basis(n, d):
-    codec, rows = canonical_codes(n, d)
+    codec, rows = canonical_codes(d, enumerate_canonical_data(n, d))
     basis = enumerate_canonical_basis(n, d)
     rows = list(rows)
     assert [datum for datum, _ in rows] == [datum for datum, _ in basis]
@@ -147,7 +147,7 @@ def test_mono_codec_round_trip():
 def test_mono_codec_lowered_matches_derive(n, d):
     # L_1 + ... + L_top on packed codes against derive with lowering(m),
     # summed over m, on the canonical basis and on top = 1 alone
-    codec, rows = canonical_codes(n, d)
+    codec, rows = canonical_codes(d, enumerate_canonical_data(n, d))
     for _, codes in rows:
         poly = DiffPoly(n, {codec.decode(w): F(c) for w, c in codes.items()})
         for top in (1, d - 1):
