@@ -26,12 +26,17 @@ def shifted_wronskian(variables: Sequence[int], theta: Fraction, n: int) -> Diff
     x_0..x_n, for the v_j in ``variables``.  Column j holds
     (theta+t)^j = sum_m C(j, m) theta^(j-m) t^m, so the Wronskian is the sum,
     over every (m_0, ..., m_{d-1}) with m_j <= j, of
-    prod_j C(j, m_j) theta^(j-m_j) times the Wronskian of (t^m_j x_{v_j})."""
+    prod_j C(j, m_j) theta^(j-m_j) times the Wronskian of (t^m_j x_{v_j}).
+    A term in which two columns share one (m_j, v_j) has two equal columns,
+    so it is zero and is skipped."""
     theta = Fraction(theta)
-    return linear_combination(DiffPoly.zero(n), (
-        (math.prod(math.comb(j, m) * theta ** (j - m) for j, m in enumerate(ms)),
-         build_wronskian(tuple(zip(ms, variables)), n))
-        for ms in itertools.product(*(range(j + 1) for j in range(len(variables))))))
+    terms = []
+    for ms in itertools.product(*(range(j + 1) for j in range(len(variables)))):
+        pairs = tuple(zip(ms, variables))
+        if len(set(pairs)) == len(pairs):
+            terms.append((math.prod(math.comb(j, m) * theta ** (j - m) for j, m in enumerate(ms)),
+                          build_wronskian(pairs, n)))
+    return linear_combination(DiffPoly.zero(n), terms)
 
 
 def theta_family_rank(n: int, d: int, theta: Fraction) -> int:

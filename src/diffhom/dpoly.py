@@ -18,6 +18,7 @@ coefficient ring) has no caller in the library.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -353,17 +354,13 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-# One factor, after optional whitespace: x<i>[<k>]^<e> (groups 1-3, the
+# One factor, with the whitespace around it: x<i>[<k>]^<e> (groups 1-3, the
 # bracket and the exponent optional) or <int>/<int> (groups 4-5, the
 # denominator optional).  Digits are ASCII.
 _FACTOR = re.compile(r"\s*(?:x([0-9]+)(?:\s*\[\s*([0-9]+)\s*\])?(?:\s*\^\s*([0-9]+))?"
-                     r"|([0-9]+)(?:\s*/\s*([0-9]+))?)")
-# What may follow a factor: '*', '+', '-' (group 1) or the end of the input.
-_OPERATOR = re.compile(r"\s*(?:([*+\-])|\Z)")
-# A factor and the operator after it (group 6).  What the factor's optional
-# parts could give back starts with a digit, '[', '^' or '/', never an
-# operator, so this matches exactly where _FACTOR and then _OPERATOR do.
-_STEP = re.compile(_FACTOR.pattern + _OPERATOR.pattern)
+                     r"|([0-9]+)(?:\s*/\s*([0-9]+))?)\s*")
+_TERM_OPERATOR = re.compile(r"([+\-])")
+_VALUE = operator.itemgetter(1)
 # One lexeme: a variable x<i> (group 1), an integer (group 2) or a symbol.
 _LEXEME = re.compile(r"\s*(?:x([0-9]+)|([0-9]+)|[\[\]^*+\-/])")
 _SPACE = re.compile(r"\s*")
@@ -390,30 +387,65 @@ def _lexical_check(text: str) -> None:
         raise ParseError(f"unexpected character {text[at]!r}", at)
 
 
-def _fail(text: str, message: str, pos: int) -> NoReturn:
-    """Raise ParseError(message, pos), unless ``text`` has a lexical error:
-    a lexical error anywhere outranks a syntax error."""
+def _locate_error(text: str, n: int | None) -> NoReturn:
+    """Raise the ParseError of a text that :func:`parse` does not accept.
+    A lexical error anywhere outranks a syntax error, so it is raised first.
+    Then one scan reads factor after factor and builds nothing: it raises
+    at the first factor that is malformed, has an index above ``n`` or a
+    zero denominator, or is followed by no '*', '+', '-' or end of input."""
     _lexical_check(text)
-    raise ParseError(message, pos)
-
-
-def _fail_after(text: str, m: re.Match) -> NoReturn:
-    """Report what ends the term after the factor ``m`` when no '*', '+',
-    '-' or end of input follows it: a '[' or '^' after a variable, or a '/'
-    after an integer, that starts no complete bracket, exponent or
-    denominator; else the missing operator."""
-    at = _SPACE.match(text, m.end()).end()
-    sym = text[at:at + 1]
+    at = _SPACE.match(text).end()
+    if at == len(text):
+        raise ParseError("empty expression", 0)
+    if text[at] in "+-":
+        at += 1
+    while True:
+        m = _FACTOR.match(text, at)
+        if m is None:
+            raise ParseError("expected a coefficient or a variable", _SPACE.match(text, at).end())
+        i, k, e, a, b = m.groups()
+        if i is not None and n is not None and int(i) > n:
+            raise ParseError(f"variable index {int(i)} exceeds bound {n}", m.start(1) - 1)
+        if b is not None and not int(b):
+            raise ParseError("zero denominator", m.start(4))
+        at = m.end()
+        sym = text[at:at + 1]
+        if sym not in ("*", "+", "-"):
+            break
+        at += 1
+    if not sym:
+        raise AssertionError(f"parse rejected the well-formed text {text!r}")
+    # A '[' or '^' after a variable, or a '/' after an integer, that starts no
+    # complete bracket, exponent or denominator; else the missing operator.
     nxt = _SPACE.match(text, at + 1).end()
-    if m.group(1) is not None and sym == "[" and m.group(2) is None and m.group(3) is None:
+    if i is not None and sym == "[" and k is None and e is None:
         lexeme = _LEXEME.match(text, at + 1)
         if lexeme and lexeme.group(2):
-            _fail(text, "expected ']'", _SPACE.match(text, lexeme.end()).end())
-        _fail(text, "expected an integer", nxt)
-    if (m.group(1) is not None and sym == "^" and m.group(3) is None
-            or m.group(4) is not None and sym == "/" and m.group(5) is None):
-        _fail(text, "expected an integer", nxt)
-    _fail(text, "expected '+', '-' or end of input", at)
+            raise ParseError("expected ']'", _SPACE.match(text, lexeme.end()).end())
+        raise ParseError("expected an integer", nxt)
+    if i is not None and sym == "^" and e is None or a is not None and sym == "/" and b is None:
+        raise ParseError("expected an integer", nxt)
+    raise ParseError("expected '+', '-' or end of input", at)
+
+
+def _read_factor(text: str, n: int | None):
+    """``((i, -k), (i, k, e))`` for the factor x<i>[<k>]^<e>, with the key
+    ``()`` in place of (i, -k) when e is 0 (it sorts first, so the term is
+    merged and the factor dropped); ``(None, (num, den))`` for a
+    coefficient; None for a text that is no factor or has an index above
+    ``n``, a zero denominator or an integer too long to convert."""
+    m = _FACTOR.fullmatch(text)
+    if m is None:
+        return None
+    i, k, e, a, b = m.groups()
+    try:
+        if i is None:
+            b = int(b) if b else 1
+            return (None, (int(a), b)) if b else None
+        i, k, e = int(i), (int(k) if k else 0), (int(e) if e else 1)
+    except ValueError:  # beyond the interpreter's limit on digits to convert
+        return None
+    return ((i, -k) if e else (), (i, k, e)) if n is None or i <= n else None
 
 
 def parse(text: str, n: int | None = None) -> DiffPoly:
@@ -421,60 +453,60 @@ def parse(text: str, n: int | None = None) -> DiffPoly:
     x<i>[<k>]^<e>, combined with '*', '+', '-'.  Whitespace is insignificant.
     The variable bound ``n`` defaults to the largest index used (0 if none).
 
-    One left-to-right scan: one anchored match reads a whole factor and the
-    operator after it.  On malformed input the first lexical error
-    in the text (an unexpected character, or an integer too long to convert)
-    is raised if there is one, else the first syntax error; each ParseError
-    carries the position of the offending token (the end of the text when
-    the input ends early).
+    No factor holds an operator, so the text is split at its '+' and '-',
+    then each term at its '*'.  Each distinct factor text is read once per
+    call (:func:`_read_factor`).  A term whose factors come in the (i, -k)
+    order that :func:`to_text` writes is its monomial as it stands; factors
+    out of order are sorted, and only a repeated (i, k) or an exponent 0
+    sends a term through a dict that adds the exponents.
+    A text this reader does not accept goes to :func:`_locate_error`, which
+    raises its first lexical error (an unexpected character, or an integer
+    too long to convert) if it has one, else its first syntax error, with
+    the position of the offending token (the end of the text when the input
+    ends early).
     """
-    at = _SPACE.match(text).end()
-    if at == len(text):
-        raise ParseError("empty expression", 0)
-    num, den = 1, 1  # the coefficient of the term being read
-    if text[at] in "+-":
-        num = -1 if text[at] == "-" else 1
-        at += 1
+    pieces = _TERM_OPERATOR.split(text)  # term, operator, term, ..., term
+    if pieces[0].strip():
+        pieces.insert(0, "+")  # so that the pieces are operator, term, ..., operator, term
+    elif len(pieces) > 1:
+        del pieces[0]  # the whitespace before a leading sign
+    else:
+        _locate_error(text, n)
+    read: dict[str, tuple] = {}  # factor text -> _read_factor(text, n)
+    get = read.get
     pairs = []
-    top = 0  # the largest variable index read
-    exps: dict[tuple[int, int], int] = {}  # (i, -k) -> exponent, so keys sort as factors do
-    while True:
-        m = _STEP.match(text, at)
-        if m is not None:
-            i, k, e, a, b, sym = m.groups()
-        else:  # no operator follows: the factor's own errors come before that one
-            m = _FACTOR.match(text, at)
-            if m is None:
-                _fail(text, "expected a coefficient or a variable", _SPACE.match(text, at).end())
-            i, k, e, a, b = m.groups()
-        try:
-            if i is not None:
-                i, k, e = int(i), (0 if k is None else int(k)), (1 if e is None else int(e))
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        num, den = (-1 if sign == "-" else 1), 1
+        entries = []  # the _read_factor entries of the term's variables
+        last, merge = (-1, 0), False  # (-1, 0) comes before the (i, -k) of every factor
+        for f in term.split("*"):
+            entry = get(f)
+            if entry is None:
+                entry = read[f] = _read_factor(f, n)
+                if entry is None:
+                    _locate_error(text, n)
+            key, value = entry
+            if key is None:
+                num *= value[0]
+                den *= value[1]
             else:
-                a, b = int(a), (1 if b is None else int(b))
-        except ValueError:  # an integer beyond the interpreter's limit on digits to convert
-            _lexical_check(text)  # raises it: the text before this factor has no lexical error
-        if a is None:
-            if n is not None and i > n:
-                _fail(text, f"variable index {i} exceeds bound {n}", m.start(1) - 1)
-            if i > top:
-                top = i
-            exps[(i, -k)] = exps.get((i, -k), 0) + e
+                merge = merge or key <= last
+                last = key
+                entries.append(entry)
+        if merge:  # out of order, repeated, or with an exponent 0 (whose key () sorts first)
+            entries.sort()
+            merge = not entries[0][0] or len(dict(entries)) < len(entries)
+        if merge:  # a repeated (i, k) or an exponent 0: add the exponents by (i, -k)
+            exps: dict[tuple[int, int], int] = {}
+            for _, (i, k, e) in entries:
+                exps[i, -k] = exps.get((i, -k), 0) + e
+            mono = tuple([(i, -h, e) for (i, h), e in sorted(exps.items()) if e])
         else:
-            if not b:
-                _fail(text, "zero denominator", m.start(4))
-            num *= a
-            den *= b
-        if m.re is _FACTOR:
-            _fail_after(text, m)
-        at = m.end()
-        if sym != "*":
-            mono = tuple([(j, -h, x) for (j, h), x in sorted(exps.items()) if x])
-            pairs.append((mono, Fraction(num, den)))
-            if sym is None:
-                return DiffPoly(top if n is None else n, add_terms({}, pairs))
-            exps = {}
-            num, den = (-1 if sym == "-" else 1), 1
+            mono = tuple(map(_VALUE, entries))
+        pairs.append((mono, Fraction(num) if den == 1 else Fraction(num, den)))
+    if n is None:
+        n = max((value[0] for key, value in read.values() if key is not None), default=0)
+    return DiffPoly(n, add_terms({}, pairs))
 
 
 def _mono_text(m: DMono) -> str:

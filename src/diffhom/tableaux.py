@@ -2,13 +2,13 @@
 permutations, and the group algebra of the symmetric group with its Young
 symmetrizers.
 
-Standard tableaux are counted by the branching rule (remove a corner),
-memoized per shape, semi-standard tableaux by the hook-content formula, and
-Kostka numbers by removing horizontal strips (the cells of the largest
-letter), memoized per shape and content prefix.  The hook-length formula
-(``hook_length_count``) gives the benchmark's expected f_lam; the enumeration
-of semi-standard tableaux builds the D_T basis (``hwv``) and is the tests'
-oracle of their count and of the Kostka numbers.
+Standard tableaux are counted by the hook-length formula
+(``hook_length_count``, which also gives the benchmark's expected f_lam),
+memoized per shape asked in a bounded cache, semi-standard tableaux by the
+hook-content formula, and Kostka numbers by removing horizontal strips (the
+cells of the largest letter), memoized per shape and content prefix.  The
+enumeration of semi-standard tableaux builds the D_T basis (``hwv``) and is
+the tests' oracle of their count and of the Kostka numbers.
 """
 
 from __future__ import annotations
@@ -142,27 +142,15 @@ def canonical_tableau(lam: Partition) -> Tableau:
     return Tableau(lam, tuple(range(1, lam.size + 1)))
 
 
+@functools.lru_cache(maxsize=1024)
 def count_standard(lam: Partition) -> int:
-    """The number f_lam of standard tableaux of shape lam, by the branching
-    rule: the entry d of a standard tableau sits in a corner of lam, so
-    f_lam is the sum of f_(lam - corner) over the corners (f of the empty
-    shape is 1)."""
-    return _count_standard(lam.parts)
-
-
-@functools.cache
-def _count_standard(parts: tuple[int, ...]) -> int:
-    if not parts:
-        return 1
-    total = 0
-    for r, p in enumerate(parts):
-        if r + 1 == len(parts) or parts[r + 1] < p:  # (r, p-1) is a corner
-            total += _count_standard(parts[:r] + ((p - 1,) if p > 1 else ()) + parts[r + 1:])
-    return total
+    """The number f_lam of standard tableaux of shape lam, by the hook-length
+    formula (:func:`hook_length_count`), memoized per shape asked."""
+    return hook_length_count(lam)
 
 
 def hook_length_count(lam: Partition) -> int:
-    """Closed-formula cross-check for count_standard."""
+    """f_lam = d! / (the product of the hook lengths of the cells of lam)."""
     conj = lam.conjugate().parts
     prod = 1
     for r, p in enumerate(lam.parts):

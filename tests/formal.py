@@ -32,8 +32,9 @@ columns; the orientation it replaced, one row per image monomial and one
 column per D_T, is kept as :func:`formal_functional_system`, with
 :func:`formal_solve_multiplicities`.
 
-``dpoly.parse`` reads a whole factor and the operator after it per regex
-match, and ``dpoly.derive`` edits each monomial tuple in place.  The
+``dpoly.parse`` splits the text at its operators and reads each distinct
+factor text once (a malformed text goes to a scan that only locates the
+error), and ``dpoly.derive`` edits each monomial tuple in place.  The
 token-list descent and the rebuild-and-sort derivation they replaced are
 kept here as :func:`formal_parse` and :func:`formal_derive`, the oracles the
 tests compare them against.
@@ -56,12 +57,14 @@ walks of the ``appendixA`` checks (``wronskian.first_wedge_failure`` and
 per-tuple ``verify_wedge_identity`` and :func:`formal_wronskian` (one
 ``build_wronskian`` over d distinct variables) they replaced.
 
-``tableaux.count_standard`` counts standard tableaux by the branching rule,
-``tableaux.count_semistandard`` semi-standard ones by the hook-content
-formula, and ``tableaux.kostka`` those of one content by removing horizontal
-strips.  The enumerations they replaced are kept here as
+``tableaux.count_standard`` counts standard tableaux by the hook-length
+formula, ``tableaux.count_semistandard`` semi-standard ones by the
+hook-content formula, and ``tableaux.kostka`` those of one content by
+removing horizontal strips.  The enumerations they replaced are kept here as
 :func:`standard_tableaux`, with :func:`count_standard_by_enumeration`,
-:func:`count_semistandard_by_enumeration` and :func:`kostka_by_enumeration`.
+:func:`count_semistandard_by_enumeration` and :func:`kostka_by_enumeration`,
+and the branching rule that counted standard tableaux before, memoized over
+every sub-shape, as :func:`count_standard_by_branching`.
 
 ``wronskian.build_wronskian`` and the census expand the Wronskian of monomial
 entries t^a x_v over packed exponent codes (``dpoly.MonoCodec``).  The
@@ -766,6 +769,24 @@ def standard_tableaux(lam: Partition) -> Iterator[Tableau]:
 
 def count_standard_by_enumeration(lam: Partition) -> int:
     return sum(1 for _ in standard_tableaux(lam))
+
+
+def count_standard_by_branching(lam: Partition) -> int:
+    """f_lam by the branching rule: the entry d of a standard tableau sits in
+    a corner of lam, so f_lam is the sum of f_(lam - corner) over the
+    corners (f of the empty shape is 1)."""
+    return _branching_count(lam.parts)
+
+
+@lru_cache(maxsize=None)
+def _branching_count(parts: tuple[int, ...]) -> int:
+    if not parts:
+        return 1
+    total = 0
+    for r, p in enumerate(parts):
+        if r + 1 == len(parts) or parts[r + 1] < p:  # (r, p-1) is a corner
+            total += _branching_count(parts[:r] + ((p - 1,) if p > 1 else ()) + parts[r + 1:])
+    return total
 
 
 def count_semistandard_by_enumeration(lam: Partition, n: int) -> int:

@@ -402,10 +402,26 @@ def test_parse_matches_the_token_list_parser(case):
 @pytest.mark.parametrize("text", ["", "  ", "-", "x0 +", "x0 x1 @", "x0[2", "x0[^2", "x0[1][2]",
                                   "x0^2[1]", "x0^[1]", "x0[1]^", "3/", "3/ x0", "1/2/3", "3[1]",
                                   "x0/2", "x5[9]^", "x5 @", "x0 * 1/0 + @", "x 0", "- - x0",
-                                  "x0^0 + 0*x1", "+x0 ]", "x0[" + "9" * 4301])
+                                  "x0^0 + 0*x1", "+x0 ]", "x0[" + "9" * 4301,
+                                  "x1*x0[2]*x0*x0", "x1[1]*x0*x1^2",
+                                  "x0[1]*x1 + 2*x0[1] - x0[1]*x1^2 + x0[1]",
+                                  "x5^0", "x0 + x0*1/0", "x0 + x9", "x0 [ 2 ] ^ 3",
+                                  "x0 + - x1", "+-x0", "x0 -- x1", "x0 -", "x0 *", "x0 * + x1",
+                                  "x0 + 2*x1^" + "9" * 4301, "x0 + x\u0663"])
 def test_parse_matches_the_token_list_parser_on_edge_cases(text):
     for n in (None, 1):
         assert _parse_outcome(parse, text, n) == _parse_outcome(formal_parse, text, n)
+
+
+@pytest.mark.parametrize("n, d", [(1, 6), (2, 4), (3, 3)])
+def test_parse_matches_the_token_list_parser_on_the_largest_basis_elements(n, d):
+    # what the check benchmark feeds parse: to_text of canonical basis elements
+    first, second = sorted((p for _, p in enumerate_canonical_basis(n, d)),
+                           key=lambda p: -len(p.terms))[:2]
+    for p in (first, first.scale(F(-3, 7)) + second.scale(F(5, 2))):
+        text = to_text(p)
+        assert _parse_outcome(parse, text, n) == _parse_outcome(formal_parse, text, n)
+        assert parse(text, n) == p
 
 
 @st.composite

@@ -16,8 +16,9 @@ from diffhom.tableaux import (GroupAlgebraElem, Partition, Permutation, Tableau,
                               semistandard_tableaux,
                               semistandard_weight_counts, young_symmetrizer)
 from formal import (centralizer_size, character, count_semistandard_by_enumeration,
-                    count_standard_by_enumeration, dominates, formal_young_symmetrizer,
-                    kostka_by_enumeration, relabel, schur_poly_eval, standard_tableaux)
+                    count_standard_by_branching, count_standard_by_enumeration, dominates,
+                    formal_young_symmetrizer, kostka_by_enumeration, relabel, schur_poly_eval,
+                    standard_tableaux)
 
 F = Fraction
 
@@ -76,6 +77,12 @@ def test_count_standard_matches_hook_lengths():
     for d in range(1, 7):
         for lam in partitions_of(d):
             assert count_standard(lam) == hook_length_count(lam)
+
+
+def test_count_standard_matches_the_branching_rule():
+    for d in range(1, 13):
+        for lam in partitions_of(d):
+            assert count_standard(lam) == count_standard_by_branching(lam), lam
 
 
 def test_count_standard_matches_enumeration():

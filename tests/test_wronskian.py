@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from diffhom.dpoly import (DiffPoly, MonoCodec, derive, gradings, is_diff_homogeneous,
                            parse, solve_in_span, span_rank, substitute, to_text)
 from diffhom import wronskian
+from diffhom.exact import linear_combination
 from diffhom.wronskian import (_codec, _integral_rows, _wedge_coordinates, basis_manifest,
                                build_wronskian, canonical_codes, enumerate_canonical_basis,
                                enumerate_canonical_data, first_wedge_failure, formal_codes,
@@ -95,6 +96,24 @@ def test_build_wronskian_matches_det_expansion_on_theta_family(theta):
     for n, d in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]:
         for spec, built in _theta_family(n, d, theta):
             assert_matches_oracle(spec, n, built)
+
+
+def _every_term_shifted_wronskian(variables, theta, n):
+    """The script's shifted_wronskian before it skipped the zero terms: the
+    sum of all d! monomial Wronskians."""
+    theta = F(theta)
+    return linear_combination(DiffPoly.zero(n), (
+        (math.prod(math.comb(j, m) * theta ** (j - m) for j, m in enumerate(ms)),
+         build_wronskian(tuple(zip(ms, variables)), n))
+        for ms in itertools.product(*(range(j + 1) for j in range(len(variables))))))
+
+
+@pytest.mark.parametrize("theta", [F(1), F(-2, 3)])
+def test_shifted_wronskian_matches_the_sum_of_every_term(theta):
+    for n, d in [(0, 4), (1, 1), (1, 2), (1, 3), (1, 4), (2, 3)]:
+        for tup in itertools.product(range(n + 1), repeat=d):
+            assert (theta_ranks.shifted_wronskian(tup, theta, n)
+                    == _every_term_shifted_wronskian(tup, theta, n)), (tup, theta)
 
 
 def test_build_formal_wronskian_matches_det_expansion():
