@@ -3,12 +3,14 @@
 Subcommands: basis, check, census, tableaux, kernel, verify.  Every
 subcommand takes ``--format {text,json}``; census, tableaux and kernel also
 offer ``csv``, except ``census --theorem2``.  ``census`` takes at most one
-of ``--k``, ``--all-k`` and ``--theorem2``.  ``basis`` alone takes
-``--cache DIR`` (default from $DH_CACHE), ``basis``, ``census`` and
+of ``--k``, ``--all-k`` and ``--theorem2``.  ``basis``, ``census`` and
 ``kernel`` take ``--max-cost``, and ``verify`` alone takes ``--seed`` and
 ``--jobs``.
 ``check @path`` reads the expression from a file.  All JSON payloads carry
-a ``schema_version`` field.
+a ``schema_version`` field.  No subcommand writes a file.  The tableaux and
+kernel tables are written as their rows are made; ``basis`` prints every
+element before it writes any, so a coefficient too long to print exits 2
+with nothing written.
 Exit codes: 0 success, 1 failed check/verification, 2 invalid input: from
 the parser, a flag malformed, below its floor (``_at_least``) or not read by
 the subcommand; with its own message, a cost above a cap.
@@ -17,25 +19,22 @@ the subcommand; with its own message, a cost above a cap.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
-import os
 import sys
+from collections.abc import Iterator
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from . import SCHEMA_VERSION
-from .dpoly import (ParseError, from_json_dict, gradings, is_diff_homogeneous,
-                    parse, to_text)
+from .dpoly import ParseError, gradings, is_diff_homogeneous, parse, to_text
 from .jets import census, verify_theorem2, weight_census_bound
-from .tableaux import (count_semistandard, count_standard, partition_parts, partitions_of,
-                       semistandard_weight_counts)
+from .tableaux import (Partition, count_semistandard, count_standard, partition_parts,
+                       partitions_of, semistandard_weight_counts)
 from .hwv import kernel_dim_full, kernel_dim_isotypic, solved_weights
 from .verify import DEFAULT_SEED, SUITE_NAMES, over_cap, run_suite
-from .wronskian import basis_manifest
+from .wronskian import basis_manifest, enumerate_canonical_basis
 
 # The default cap on the cost of `dh kernel` (see `kernel_cost`): 2^16,
 # under which every input timed took at most two minutes on a 2-CPU
@@ -44,8 +43,8 @@ from .wronskian import basis_manifest
 # k = 5 (1,589 D_T, 191,808 terms), which took 212 s and 353 MB.  d = 8,
 # k = 6 (51,264) and d = 9, k = 5 (51,840) took 52 s each, and the inputs
 # of few shapes run in seconds: d = 19, k = 2 (62,208) 5 s, d = 33, k = 1
-# (65,536) 23 s and d = 43, k = 0 (the floor p(43) = 63,261) 10 s and
-# 344 MB.  Above the cap, d = 12, k = 4 (190,656) took 200 s, and the
+# (65,536) 23 s and d = 43, k = 0 (the floor p(43) = 63,261) 5 s and
+# 43 MB.  Above the cap, d = 12, k = 4 (190,656) took 200 s, and the
 # cheapest inputs, d = 11, k = 4 (68,544) and d = 14, k = 3 (69,120), 52 s
 # and 23 s; every d = 9, 6 <= k <= 7 (207,360 and 757,440), every d >= 10
 # at k >= d-1 and every d >= 44 (p(44) = 75,175) are refused at once.
@@ -55,7 +54,9 @@ KERNEL_MAX_COST = 2 ** 16
 # The default caps on the cost of `dh basis` (see `basis_cost`) and `dh
 # census` (see `census_cost`): the largest sizes whose runs took at most two
 # minutes on a 2-CPU machine when they were set.  `dh basis --n 1 --d 10`
-# (1,024 Wronskians) takes 33 s, and 34 s and 1.2 GB with `--format json`.
+# (1,024 Wronskians) took 21 s and 276 MB as text, and 54 s and 1.2 GB with
+# `--format json`; `--n 1 --d 11` (2,048) took 151 s and 1.7 GB as text, and
+# its JSON run, which holds the whole manifest, was not made.
 # The census's worst case under its cap is
 # at N = 1, where the self-paired multidegree (d/2, d/2) dominates at even
 # d: `dh census --n 1 --d 12 --theorem2` (2,510 Wronskians) took 79 s and
@@ -67,8 +68,9 @@ BASIS_MAX_COST = 2 ** 10
 CENSUS_MAX_COST = 5 ** 5
 
 # The cap on the cost of `dh tableaux`, the p(d) shapes it counts: 2^20
-# admits d <= 60.  `--d 60` (p = 966,467) took 95-109 s and 2.5 GB, text or
-# json, on a 2-CPU machine, `--d 58` 61 s and 1.7 GB, `--d 50` 16 s, 467 MB.
+# admits d <= 60.  `--d 60` (p = 966,467) took 66 s and 23 MB as text and
+# 79 s and 20 MB as json on a 2-CPU machine, each row written as it is made;
+# `--d 58` took 61 s and `--d 50` 16 s.
 TABLEAUX_MAX_COST = 2 ** 20
 
 
@@ -78,72 +80,24 @@ def _json_dump(payload: dict) -> str:
 
 def _json_chunks(payload: dict) -> Iterator[str]:
     """The text of ``_json_dump(payload)`` in pieces, one per element of a
-    top-level list, so that the whole text is never held at once.  JSON
-    escapes newlines inside strings, so indenting every line of an element's
-    own text nests it."""
+    top-level list, so that the whole text is never held at once.  A
+    top-level list value may be any iterator, read once as it is written.
+    JSON escapes newlines inside strings, so indenting every line of an
+    element's own text nests it."""
     if not payload:
         yield "{}"
         return
     for i, key in enumerate(sorted(payload)):
         value = payload[key]
         yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
-        if isinstance(value, list) and value:
+        if isinstance(value, (list, Iterator)):
+            j = -1
             for j, item in enumerate(value):
                 yield f"{',' if j else '['}\n    " + _json_dump(item).replace("\n", "\n    ")
-            yield "\n  ]"
+            yield "\n  ]" if j >= 0 else "[]"
         else:
             yield _json_dump(value).replace("\n", "\n  ")
     yield "\n}"
-
-
-def _manifest_hash(manifest: list[dict]) -> str:
-    """sha256 of the compact sorted-key JSON of ``manifest``, fed one element
-    at a time: the digest of one dump of the whole list, never held at once."""
-    digest = hashlib.sha256(b"[")
-    for i, entry in enumerate(manifest):
-        digest.update((b"," if i else b"")
-                      + json.dumps(entry, sort_keys=True, separators=(",", ":")).encode())
-    digest.update(b"]")
-    return digest.hexdigest()
-
-
-def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks`` through a temp file in the same directory,
-    then rename it over ``path``: readers see the old content or the new,
-    never a partial file."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def cached_manifest(n: int, d: int, cache_dir: str | None) -> list[dict]:
-    """Canonical-basis manifest, read through the on-disk cache when enabled.
-
-    Cache entries are keyed by (N, d, schema version) and validated by a
-    content hash; a corrupt entry is silently recomputed and rewritten.
-    """
-    if not cache_dir:
-        return basis_manifest(n, d)
-    path = Path(cache_dir) / f"basis_N{n}_d{d}_v{SCHEMA_VERSION}.json"
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-            manifest = payload["basis"]
-            if (payload.get("schema_version") == SCHEMA_VERSION
-                    and payload.get("content_hash") == _manifest_hash(manifest)):
-                return manifest
-        except (ValueError, KeyError, TypeError):  # ValueError: bad JSON or not UTF-8
-            pass
-    manifest = basis_manifest(n, d)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"schema_version": SCHEMA_VERSION, "N": n, "d": d,
-               "content_hash": _manifest_hash(manifest), "basis": manifest}
-    _write_atomic(path, itertools.chain(_json_chunks(payload), ["\n"]))
-    return manifest
 
 
 def basis_cost(n: int, d: int, cap: int) -> int:
@@ -200,13 +154,20 @@ _KERNEL_MEASURE = ("the D_T terms of the largest system solved, or q^2 if larger
 
 
 def cmd_basis(args) -> int:
-    if _over_cost(args, f"basis --n {args.n} --d {args.d}", partial(basis_cost, args.n, args.d),
-                  BASIS_MAX_COST, _BASIS_MEASURE):
+    call = f"basis --n {args.n} --d {args.d}"
+    if _over_cost(args, call, partial(basis_cost, args.n, args.d), BASIS_MAX_COST,
+                  _BASIS_MEASURE):
         return 2
-    try:
-        manifest = cached_manifest(args.n, args.d, args.cache)
-    except ValueError as exc:  # a coefficient too long to print (dpoly.to_json_dict)
-        print(f"basis --n {args.n} --d {args.d}: {exc}", file=sys.stderr)
+    try:  # every coefficient is printed before anything is written
+        if args.format == "json":
+            manifest = basis_manifest(args.n, args.d)
+        else:
+            lines = [f"  m={list(datum.m)} alpha={list(datum.flat_alpha)} order={g.order} "
+                     f"weight={g.weight}  {to_text(poly)}\n"
+                     for datum, poly in enumerate_canonical_basis(args.n, args.d)
+                     for g in [gradings(poly)]]
+    except ValueError as exc:  # a coefficient too long to print (dpoly._coeff_text)
+        print(f"{call}: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
         sys.stdout.writelines(_json_chunks({"schema_version": SCHEMA_VERSION, "N": args.n,
@@ -214,11 +175,8 @@ def cmd_basis(args) -> int:
                                             "basis": manifest}))
         sys.stdout.write("\n")
     else:
-        print(f"canonical basis  N={args.n}  d={args.d}  ({len(manifest)} elements)")
-        for entry in manifest:
-            poly = from_json_dict(entry["poly"])
-            print(f"  m={entry['m']} alpha={entry['alpha']} order={entry['order']} "
-                  f"weight={entry['weight']}  {to_text(poly)}")
+        print(f"canonical basis  N={args.n}  d={args.d}  ({len(lines)} elements)")
+        sys.stdout.writelines(lines)
     return 0
 
 
@@ -318,24 +276,25 @@ def cmd_tableaux(args) -> int:
                   TABLEAUX_MAX_COST, "the partitions of d"):
         return 2
     alphabet = args.n or args.d
-    rows = []
-    for lam in partitions_of(args.d):
-        rows.append({"partition": list(lam.parts),
-                     "standard": count_standard(lam),
-                     "semistandard": count_semistandard(lam, alphabet)})
+    rows = ((lam.parts, count_standard(lam), count_semistandard(lam, alphabet))
+            for lam in map(Partition, partition_parts(args.d)))
     if args.format == "json":
-        sys.stdout.writelines(_json_chunks({"schema_version": SCHEMA_VERSION, "d": args.d,
-                                            "alphabet": alphabet, "partitions": rows}))
+        sys.stdout.writelines(_json_chunks({
+            "schema_version": SCHEMA_VERSION, "d": args.d, "alphabet": alphabet,
+            "partitions": ({"partition": list(parts), "standard": f, "semistandard": s}
+                           for parts, f, s in rows)}))
         sys.stdout.write("\n")
     elif args.format == "csv":
         print("partition,standard,semistandard")
-        for r in rows:
-            print(f"\"{tuple(r['partition'])}\",{r['standard']},{r['semistandard']}")
+        for parts, f, s in rows:
+            print(f"\"{parts}\",{f},{s}")
     else:
         print(f"partitions of {args.d}  (semi-standard counts over {alphabet} letters)")
-        for r in rows:
-            print(f"  {tuple(r['partition'])!s:<16} f={r['standard']:<6} d={r['semistandard']}")
-        print(f"  sum f^2 = {sum(r['standard'] ** 2 for r in rows)}")
+        total = 0
+        for parts, f, s in rows:
+            print(f"  {parts!s:<16} f={f:<6} d={s}")
+            total += f * f
+        print(f"  sum f^2 = {total}")
     return 0
 
 
@@ -399,24 +358,23 @@ def cmd_kernel(args) -> int:
                   KERNEL_MAX_COST, _KERNEL_MEASURE):
         return 2
     full = kernel_dim_full(args.d, k)
-    per_lambda = []
-    for lam in partitions_of(args.d):
-        per_lambda.append({"partition": list(lam.parts),
-                           "kernel_dim": kernel_dim_isotypic(lam, k),
-                           "standard_count": count_standard(lam)})
+    rows = ((lam.parts, kernel_dim_isotypic(lam, k), count_standard(lam))
+            for lam in partitions_of(args.d))
     if args.format == "json":
-        sys.stdout.writelines(_json_chunks({"schema_version": SCHEMA_VERSION, "d": args.d, "k": k,
-                                            "full_kernel_dim": full, "isotypic": per_lambda}))
+        sys.stdout.writelines(_json_chunks({
+            "schema_version": SCHEMA_VERSION, "d": args.d, "k": k, "full_kernel_dim": full,
+            "isotypic": ({"partition": list(parts), "kernel_dim": dim, "standard_count": f}
+                         for parts, dim, f in rows)}))
         sys.stdout.write("\n")
     elif args.format == "csv":
         print("partition,kernel_dim,standard_count")
-        for r in per_lambda:
-            print(f"\"{tuple(r['partition'])}\",{r['kernel_dim']},{r['standard_count']}")
+        for parts, dim, f in rows:
+            print(f"\"{parts}\",{dim},{f}")
     else:
         print(f"simultaneous kernels  d={args.d}  k={k}")
         print(f"  full tensor power: {full}")
-        for r in per_lambda:
-            print(f"  {tuple(r['partition'])!s:<16} kernel={r['kernel_dim']:<4} f={r['standard_count']}")
+        for parts, dim, f in rows:
+            print(f"  {parts!s:<16} kernel={dim:<4} f={f}")
     return 0
 
 
@@ -479,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the canonical (N+1)^d basis manifest")
     p.add_argument("--n", type=natural, required=True, help="number of variables minus one")
     p.add_argument("--d", type=positive, required=True, help="degree")
-    p.add_argument("--cache", default=os.environ.get("DH_CACHE"),
-                   help="cache directory for basis manifests (default $DH_CACHE)")
     p.add_argument("--max-cost", type=positive, default=None,
                    help=f"largest cost to accept: {_BASIS_MEASURE} (default {BASIS_MAX_COST})")
     p.set_defaults(func=cmd_basis)

@@ -4,7 +4,7 @@ A differential polynomial lives in Q[X_i^(k) : 0 <= i <= N, k >= 0].  The
 module provides derivations such as E_pq (gl(N+1)), gradings, the
 differential-homogeneity test (the derivations L_m of the Leibniz action of
 one-variable polynomials, on packed codes), a text serialization and
-the JSON-ready dict form (``to_json_dict``, ``from_json_dict``).
+the JSON-ready dict form (``to_json_dict``).
 Family ranks and coordinates in a span are the generic
 :func:`exact.span_rank` and :func:`exact.solve_in_span`, bound here.
 
@@ -559,40 +559,3 @@ def to_json_dict(p: DiffPoly) -> dict:
         terms.append({"coeff": _coeff_text(c),
                       "monomial": [[i, k, e] for i, k, e in sorted(mono, key=lambda t: (t[0], -t[1]))]})
     return {"N": p.n, "terms": terms}
-
-
-def _json_int(x, what: str) -> int:
-    """x if it is a JSON integer; a float, boolean or string raises ValueError."""
-    if type(x) is not int:
-        raise ValueError(f"{what} must be a JSON integer, got {x!r}")
-    return x
-
-
-def _json_coeff(x) -> Fraction:
-    """x as a Fraction if it is a string (what :func:`to_json_dict` writes) or
-    a JSON integer; a float, boolean, list or malformed string raises ValueError."""
-    try:
-        return Fraction(x if type(x) is str else _json_int(x, "a coeff that is not a string"))
-    except ZeroDivisionError:
-        raise ValueError(f"coeff {x!r} has a zero denominator") from None
-
-
-def from_json_dict(data: Mapping) -> DiffPoly:
-    n = _json_int(data["N"], "N")
-    terms: dict[DMono, Fraction] = {}
-    for t in data["terms"]:
-        exps: dict[tuple[int, int], int] = {}
-        for factor in t["monomial"]:
-            i, k, e = (_json_int(x, "a monomial factor entry") for x in factor)
-            if not 0 <= i <= n or k < 0 or e < 1:
-                raise ValueError(f"bad factor [{i}, {k}, {e}] for N={n} in JSON input")
-            if (i, k) in exps:
-                raise ValueError(f"repeated factor x{i}[{k}] in a JSON monomial")
-            exps[(i, k)] = e
-        mono = _mono_from_exps(exps)
-        c = _json_coeff(t["coeff"])
-        if mono in terms:
-            raise ValueError("duplicate monomial in JSON input")
-        terms[mono] = c
-    return DiffPoly(n, terms)
-

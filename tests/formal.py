@@ -39,6 +39,10 @@ token-list descent and the rebuild-and-sort derivation they replaced are
 kept here as :func:`formal_parse` and :func:`formal_derive`, the oracles the
 tests compare them against.
 
+``dh basis`` prints each basis element with ``dpoly.to_text``.  It once
+printed it from the JSON manifest, read back by :func:`from_json_dict`,
+which is kept here as the oracle of that text and of ``dpoly.to_json_dict``.
+
 ``dpoly.is_diff_homogeneous`` builds the L_m images on packed exponent codes
 with one field per variable of the input, one m at a time.  The test it replaced, ``derive``
 under the variable images :func:`lowering` on (i, k, e) tuples, is kept here
@@ -639,6 +643,45 @@ def formal_parse(text: str, n: int | None = None) -> DiffPoly:
             sign = -1 if val == "-" else 1
         else:
             raise ParseError("expected '+', '-' or end of input", pos)
+
+
+def _json_int(x, what: str) -> int:
+    """x if it is a JSON integer; a float, boolean or string raises ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {x!r}")
+    return x
+
+
+def _json_coeff(x) -> Fraction:
+    """x as a Fraction if it is a string (what ``dpoly.to_json_dict`` writes)
+    or a JSON integer; a float, boolean, list or malformed string raises
+    ValueError."""
+    try:
+        return Fraction(x if type(x) is str else _json_int(x, "a coeff that is not a string"))
+    except ZeroDivisionError:
+        raise ValueError(f"coeff {x!r} has a zero denominator") from None
+
+
+def from_json_dict(data: Mapping) -> DiffPoly:
+    """The DiffPoly of a ``dpoly.to_json_dict`` dict; ValueError on a
+    malformed one."""
+    n = _json_int(data["N"], "N")
+    terms: dict[DMono, Fraction] = {}
+    for t in data["terms"]:
+        exps: dict[tuple[int, int], int] = {}
+        for factor in t["monomial"]:
+            i, k, e = (_json_int(x, "a monomial factor entry") for x in factor)
+            if not 0 <= i <= n or k < 0 or e < 1:
+                raise ValueError(f"bad factor [{i}, {k}, {e}] for N={n} in JSON input")
+            if (i, k) in exps:
+                raise ValueError(f"repeated factor x{i}[{k}] in a JSON monomial")
+            exps[(i, k)] = e
+        mono = _sorted_mono(exps)
+        c = _json_coeff(t["coeff"])
+        if mono in terms:
+            raise ValueError("duplicate monomial in JSON input")
+        terms[mono] = c
+    return DiffPoly(n, terms)
 
 
 def _mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> tuple[Fraction, ...]:

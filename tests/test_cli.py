@@ -1,8 +1,7 @@
-"""Command line interface: output formats, exit codes, cache, determinism."""
+"""Command line interface: output formats, exit codes, determinism."""
 
 import argparse
 import ast
-import hashlib
 import itertools
 import json
 import math
@@ -61,7 +60,27 @@ def test_basis_json_is_streamed_byte_for_byte(capsys, n, d):
     {"z": [{"k": [1, 2], "j": {}}, []], "list": [[]], "s": "\u00e9"}], ids=repr)
 def test_json_chunks_join_to_the_dump(payload):
     from diffhom.cli import _json_chunks
-    assert "".join(_json_chunks(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+    dump = json.dumps(payload, indent=2, sort_keys=True)
+    assert "".join(_json_chunks(payload)) == dump
+    # each top-level list given as a generator, read once as it is written
+    streamed = {key: (item for item in value) if isinstance(value, list) else value
+                for key, value in payload.items()}
+    assert "".join(_json_chunks(streamed)) == dump
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(4) for d in range(1, 5)])
+def test_basis_text_is_the_text_of_the_json_manifest(capsys, n, d):
+    # each line is the one printed from its manifest entry read back by
+    # from_json_dict
+    from diffhom.dpoly import to_text
+    from diffhom.wronskian import basis_manifest
+    from formal import from_json_dict
+    code, out, _ = run(capsys, "basis", "--n", str(n), "--d", str(d))
+    manifest = basis_manifest(n, d)
+    assert code == 0 and out.splitlines() == [
+        f"canonical basis  N={n}  d={d}  ({len(manifest)} elements)",
+        *(f"  m={e['m']} alpha={e['alpha']} order={e['order']} weight={e['weight']}  "
+          f"{to_text(from_json_dict(e['poly']))}" for e in manifest)]
 
 
 def test_basis_text_counts(capsys):
@@ -220,64 +239,6 @@ def test_output_deterministic(capsys):
     assert out1 == out2
 
 
-def test_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    args = ("basis", "--n", "1", "--d", "2", "--format", "json", "--cache", str(cache))
-    _, out1, _ = run(capsys, *args)
-    files = list(cache.glob("basis_N1_d2_v*.json"))
-    assert len(files) == 1
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
-
-
-@pytest.mark.parametrize("n, d", [(0, 2), (1, 4)])
-def test_cache_file_is_the_one_shot_dump(tmp_path, capsys, n, d):
-    # written in chunks and hashed element by element: the bytes and the
-    # digest of one dump of the whole payload, so older entries stay valid
-    from diffhom.cli import _manifest_hash
-    from diffhom.wronskian import basis_manifest
-    cache = tmp_path / "cache"
-    run(capsys, "basis", "--n", str(n), "--d", str(d), "--cache", str(cache))
-    manifest = basis_manifest(n, d)
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    payload = {"schema_version": SCHEMA_VERSION, "N": n, "d": d,
-               "content_hash": hashlib.sha256(blob).hexdigest(), "basis": manifest}
-    [path] = cache.glob("*.json")
-    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert _manifest_hash([]) == hashlib.sha256(b"[]").hexdigest()
-
-
-def test_cache_recovers_from_corruption(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    args = ("basis", "--n", "0", "--d", "2", "--format", "json", "--cache", str(cache))
-    _, out1, _ = run(capsys, *args)
-    path = next(cache.glob("*.json"))
-    payload = json.loads(path.read_text())
-    payload["basis"] = []
-    path.write_text(json.dumps(payload))
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
-
-
-def test_cache_recovers_from_binary_garbage(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    args = ("basis", "--n", "1", "--d", "2", "--format", "json", "--cache", str(cache))
-    _, clean, _ = run(capsys, *args)
-    path = next(cache.glob("*.json"))
-    entry = path.read_text()
-    path.write_bytes(b"\xff\xfe\x00\x01")  # not UTF-8
-    code, out, err = run(capsys, *args)
-    assert code == 0 and out == clean and not err
-    assert path.read_text() == entry
-
-
-def test_cache_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DH_CACHE", str(tmp_path / "envcache"))
-    code, _, _ = run(capsys, "basis", "--n", "0", "--d", "1", "--format", "json")
-    assert code == 0
-    assert list((tmp_path / "envcache").glob("*.json"))
-
-
 def _long_wronskian_sum():
     # ten 2x2 Wronskians x_i x_j' - x_j x_i': a 20-term sum, homogeneous of degree 2
     pairs = [(i, j) for i in range(10, 15) for j in range(i + 1, 15)]
@@ -296,32 +257,6 @@ def test_check_long_inhomogeneous_expression(capsys):
     assert len(expr.encode()) > 255
     code, out, _ = run(capsys, "check", expr)
     assert code == 1 and out.startswith("no")
-
-
-def test_cache_write_is_atomic(tmp_path, capsys, monkeypatch):
-    import diffhom.cli as cli
-
-    cache = tmp_path / "cache"
-    args = ("basis", "--n", "0", "--d", "2", "--format", "json", "--cache", str(cache))
-    _, out1, _ = run(capsys, *args)
-    path = next(cache.glob("*.json"))
-
-    def half_then_fail():
-        # the chunked write fails half-way, as on a full disk
-        text = path.read_text().replace("basis", "BASIS")
-        yield text[: len(text) // 2]
-        raise OSError(28, "No space left on device")
-
-    with pytest.raises(OSError):
-        cli._write_atomic(path, half_then_fail())
-    assert list(cache.iterdir()) == [path]
-
-    def no_recompute(n, d):
-        raise AssertionError("the cached entry should have been read back")
-
-    monkeypatch.setattr(cli, "basis_manifest", no_recompute)
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -408,6 +343,7 @@ def test_jobs_is_a_verify_only_option(capsys, argv):
     ["check", "x0", "--format", "csv"],
     ["verify", "--suite", "rsk", "--format", "csv"],
     ["basis", "--n", "1", "--d", "2", "--format", "csv"],
+    ["basis", "--n", "1", "--d", "2", "--cache", "CACHE"],
 ])
 def test_flags_are_rejected_where_unread(tmp_path, capsys, argv):
     cache = tmp_path / "cache"
@@ -748,7 +684,7 @@ def test_basis_and_census_max_cost_overrides_the_cap(capsys, monkeypatch):
     # (1, 10) is within the basis cap, and (4, 5) (246 Wronskians, one
     # multiplicity vector per partition of 5) within the census cap
     import diffhom.cli as cli
-    monkeypatch.setattr(cli, "cached_manifest", lambda n, d, cache: [])
+    monkeypatch.setattr(cli, "enumerate_canonical_basis", lambda n, d: ())
     monkeypatch.setattr(cli, "census", lambda n, d, k: [])
     assert run(capsys, "basis", "--n", "1", "--d", "10")[0] == 0
     assert run(capsys, "basis", "--n", "1", "--d", "11", "--max-cost", "2048")[0] == 0

@@ -16,14 +16,14 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diffhom.dpoly import (DiffPoly, ParseError, derive, from_json_dict, gl_elementary,
-                           gradings, is_diff_homogeneous, mono_multidegree, parse, span_rank,
+from diffhom.dpoly import (DiffPoly, ParseError, derive, gl_elementary, gradings,
+                           is_diff_homogeneous, mono_multidegree, parse, span_rank,
                            solve_in_span, to_json_dict, to_text)
 from diffhom.exact import det_expansion
 from diffhom.wronskian import enumerate_canonical_basis
 from formal import (ParamPoly, UniPoly, as_parampoly, formal_derivation_verdict, formal_derive,
-                    formal_matrix_action, formal_parse, formal_verdict, lowering, q_action,
-                    unipoly_mul)
+                    formal_matrix_action, formal_parse, formal_verdict, from_json_dict, lowering,
+                    q_action, unipoly_mul)
 
 F = Fraction
 WRONSK2 = "x0*x1[1] - x1*x0[1]"

@@ -1,4 +1,5 @@
-"""Byte-level output contract: JSON of fixed commands, pinned by sha256.
+"""Byte-level output contract: JSON of fixed commands, and the text of two
+``basis`` commands, pinned by sha256.
 
 The first eight digests were recorded before the sparse-row linear-algebra
 refactor, the ``verify --suite basis``, ``verify --suite jets`` and
@@ -118,6 +119,15 @@ GOLDEN = {
 # Exit codes other than 0: ``check`` exits 1 on a non-example.
 EXIT_CODES = {"check 'x0[1]'": 1, "check 'x0*x1[2] - x1*x0[2]'": 1}
 
+# sha256 of the raw bytes of the text output, recorded while ``dh basis``
+# still printed each element from its JSON manifest entry.
+TEXT_GOLDEN = {
+    "basis --n 2 --d 3":
+        "ed26b00ef6eb64a77c6007f8da7656fba2f7b239e716aefe9efe32af2375e0a0",
+    "basis --n 1 --d 5":
+        "6518346ac95727464128bf0479a22086e1126ee3122620c0d4cd96d90138dc28",
+}
+
 
 
 
@@ -135,6 +145,12 @@ def test_json_output_digest(command, capsys):
     code, digest = _digest(shlex.split(command), capsys)
     assert code == EXIT_CODES.get(command, 0)
     assert digest == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_GOLDEN))
+def test_text_output_digest(command, capsys):
+    assert main(shlex.split(command)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == TEXT_GOLDEN[command]
 
 
 def test_check_file_digest(tmp_path, capsys):
