@@ -325,10 +325,13 @@ def kernel_cost(d: int, k: int, cap: int) -> int:
     """Cost estimate of `dh kernel --d d --k k`: the D_T terms of the largest
     system it solves, or q^2 if that is larger, q the number of partitions
     of d with at most k' + 1 parts, k' = min(k, d-1), or at least p(d).  The
-    systems are those of k', one per shape and weight ``hwv.solved_weights``,
-    and the system of (lam, w) has one row per semi-standard tableau of
-    shape lam over {0..k'} with entry sum w (``semistandard_weight_counts``),
-    so only those q shapes have D_T.  Each row is the image of a D_T, a
+    systems are those of k', one per shape with D_T and weight
+    ``hwv.solved_weights``: the solver shares the system of (lam, w) among
+    every k at or above the largest entry of its tableaux, so a fresh
+    process builds each once, with the rows it has at k'.  The
+    system of (lam, w) has one row per semi-standard tableau of shape lam
+    over {0..k'} with entry sum w (``semistandard_weight_counts``), so only
+    those q shapes have D_T.  Each row is the image of a D_T, a
     product of one determinant per column of lam with at most prod_j lam'_j!
     terms, lam' the conjugate, and its D_T terms are the rows times that:
     the rows alone do not order the run times (see ``KERNEL_MAX_COST``).

@@ -19,7 +19,11 @@ simultaneous kernel of the J^(l), weight by weight, is the nullity of
 L_1..L_k on the weight-w D_T (the paper's functional equation,
 ``weight_multiplicities``): the number of those D_T minus the rank of their
 images, one integer row per D_T with the image codes as columns in
-ascending order (``functional_system``).  They are solved only at the
+ascending order (``functional_system``).  Each nullity is solved once per
+process for every k: a tableau of shape lam and weight w holds no entry above
+e(lam, w) = l(lam) - 1 + w - b(lam), so the system of (lam, k, w) is one
+matrix for all k >= e, and ``solve_multiplicities`` caches its nullity under
+(lam, min(k, e), w).  They are solved only at the
 weights up to the middle one, d*k/2, as J^(1) is an sl2 lowering operator;
 k >= d is read at k = d-1, as every kernel vector has its indices below d;
 and at k = d-1 only the weights up to D/2, D = d(d-1)/2, are solved, the
@@ -54,7 +58,14 @@ Index = tuple[int, ...]
 def _codec(lam: Partition, k: int) -> MonoCodec:
     """The codec of the D_T of shape lam with entries <= k: every monomial
     has degree lam_(b+1) <= lam_1 in x_b, and so has each L_m of it."""
-    return MonoCodec(k + 1, max(lam.parts, default=1).bit_length())
+    return _shared_codec(k + 1, max(lam.parts, default=1).bit_length())
+
+
+@lru_cache(maxsize=64)
+def _shared_codec(orders: int, bits: int) -> MonoCodec:
+    """One codec per (orders, bits) in a process, so the shifts and
+    binomials of ``MonoCodec.lowered`` are built once for every system."""
+    return MonoCodec(orders, bits)
 
 
 @lru_cache(maxsize=1024)
@@ -66,7 +77,7 @@ def _column_codes(col: tuple[int, ...], orders: int, bits: int) -> dict[int, int
     terms, so the cache holds only the last 1,024 columns asked for: the
     systems of `dh kernel --d 9 --k 7` have 515 distinct columns, 136,182
     terms in all, the most of any d <= 9."""
-    codec = MonoCodec(orders, bits)
+    codec = _shared_codec(orders, bits)
     return _expand([[[(codec.unit(b, h), 1)] for b in range(len(col))] for h in col])
 
 
@@ -286,7 +297,11 @@ def functional_system(lam: Partition, k: int, weight: int) -> tuple[list[dict[in
     7.2 s with codes in first-seen order and 17.9 s with descending codes
     (2-CPU machine).
     One row per D_T, not one per image monomial, as the images have many
-    more monomials than there are D_T (26,189 against 1,196 there)."""
+    more monomials than there are D_T (26,189 against 1,196 there).
+
+    For every k >= e, the largest entry a tableau of shape lam and entry sum
+    ``weight`` can hold, this is one matrix (``solve_multiplicities``, which
+    builds it only on a miss of its nullity cache and keeps no rows)."""
     codec = _codec(lam, k)
     images = [codec.lowered(p, k)
               for p in _d_t_codes(semistandard_tableaux(lam, k + 1, total=weight), codec)]
@@ -314,8 +329,11 @@ def weight_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     order) in the weight-``weight`` part of the simultaneous kernel of the
     J^(l), which is an S_d-module because the J^(l) commute with permuting
     the factors: the nullity of L_1..L_k on the semi-standard D_T of shape
-    lam and entry sum ``weight`` (``functional_system``, one rank per lam).
-    Cached per (d, k, weight).
+    lam and entry sum ``weight`` (``functional_system``, one rank per lam,
+    from the nullity cache of ``solve_multiplicities``, which shares one
+    system among every k at or above the largest entry of its tableaux).
+    Cached per (d, k, weight), so an isotypic query reads a tuple over
+    the p(d) shapes without rebuilding it.
 
     Three theorems fix part of the answer without elimination.  The lowering
     x[i] -> i x[i-1] is one nilpotent Jordan block on W = Q^{k+1}, so W is
@@ -366,13 +384,56 @@ def solved_weights(d: int, k: int) -> range:
     return range(d * k // (4 if k == d - 1 else 2) + 1)
 
 
+# The nullity of every system solved in the process, keyed by (lam, the
+# largest entry its tableaux can hold, weight); see ``solve_multiplicities``.
+_nullities: dict[tuple[Partition, int, int], int] = {}
+
+
 def solve_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     """The multiplicities of ``weight_multiplicities`` at one weight, each
     solved as the number of D_T minus the rank of their images
     (``functional_system``), with no weight read from another: the direct
-    side that the duality reading is checked against."""
-    return tuple(len(rows) - rank(rows, ncols)
-                 for rows, ncols in (functional_system(lam, k, weight) for lam in partitions_of(d)))
+    side that the duality reading is checked against.
+
+    A cell of row i of a semi-standard tableau holds i plus a surplus >= 0,
+    so a tableau of shape lam and entry sum w exists only for w >= b(lam) =
+    sum_i i lam_i (``Partition.row_index_sum``), and its surpluses add up to
+    w - b(lam): every entry is at most e(lam, w) = l(lam) - 1 + w - b(lam),
+    reached in the last cell of the last row.  So for every k >= e the
+    system of (lam, k, w) is one matrix:
+
+    - its tableaux are those of entries <= e, in the same order;
+    - the images' codes sort in the same ascending order under any codec
+      whose orders reach e, as the field of x_i[h] comes in the order of
+      (i, -h) whatever the orders, and the field width depends on lam alone;
+    - L_m x_b[h] = C(h, m) x_b[h-m] is zero for h < m, so L_m kills every D_T
+      whose entries are all below m, and the L_m with m > e add nothing.
+
+    Each nullity is therefore solved once per process and key (lam, min(k,
+    e), w), and shared (``_nullities``, ints only); a miss builds the system
+    at the caller's k, so a run expands its columns under one codec
+    (``_column_codes``), and every rank is taken on the matrix the solver
+    would build at that k.  A shape with w < b(lam) or more than k+1 rows
+    has no D_T: its multiplicity is 0 and nothing is built."""
+    out = []
+    for lam in partitions_of(d):
+        key = _nullity_key(lam, k, weight)
+        nullity = 0 if key is None else _nullities.get(key)
+        if nullity is None:
+            rows, ncols = functional_system(lam, k, weight)
+            nullity = _nullities[key] = len(rows) - rank(rows, ncols)
+        out.append(nullity)
+    return tuple(out)
+
+
+def _nullity_key(lam: Partition, k: int, weight: int) -> tuple[Partition, int, int] | None:
+    """The key of the system of (lam, k, weight) in ``_nullities``: (lam,
+    min(k, e), weight), e = l(lam) - 1 + weight - b(lam) the largest entry
+    of its tableaux; None where lam has no D_T."""
+    least = lam.row_index_sum
+    if weight < least or lam.nparts > k + 1:
+        return None
+    return lam, min(k, lam.nparts - 1 + weight - least), weight
 
 
 def weight_kernel_dim(d: int, k: int, weight: int) -> int:

@@ -45,6 +45,13 @@ class Partition:
     def nparts(self) -> int:
         return len(self.parts)
 
+    @property
+    def row_index_sum(self) -> int:
+        """b(lam) = sum_i i lam_i, rows numbered from 0: the least entry sum
+        of a semi-standard tableau of shape lam, as every cell of row i holds
+        at least i."""
+        return sum(i * p for i, p in enumerate(self.parts))
+
     def conjugate(self) -> "Partition":
         if not self.parts:
             return Partition(())
@@ -163,7 +170,9 @@ def semistandard_tableaux(lam: Partition, n: int, total: int | None = None) -> I
     """Semi-standard fillings with values in {0, ..., n-1}.
 
     With ``total``, only fillings whose entries sum to it (a partial filling
-    is dropped as soon as no values for the cells left can reach the total).
+    is dropped as soon as no values for the cells left can reach the total:
+    a cell of row i holds at least i, so the cells after ``pos`` need at
+    least ``floor[pos + 1]``, the sum of their row indices).
     """
     if n < 1:
         return
@@ -174,6 +183,9 @@ def semistandard_tableaux(lam: Partition, n: int, total: int | None = None) -> I
     for p in parts:
         offsets.append(offsets[-1] + p)
     cells = [(r, c) for r, p in enumerate(parts) for c in range(p)]  # (row, column) per position
+    floor = [0] * (d + 1)
+    for pos in reversed(range(d)):
+        floor[pos] = floor[pos + 1] + cells[pos][0]
 
     def cell_bounds(r: int, c: int) -> tuple[int, int]:
         low = 0
@@ -192,7 +204,7 @@ def semistandard_tableaux(lam: Partition, n: int, total: int | None = None) -> I
         rest = d - pos - 1
         for v in range(low, high + 1):
             if total is not None:
-                if v > below:
+                if v + floor[pos + 1] > below:
                     break
                 if v + rest * high < below:
                     continue
@@ -243,7 +255,7 @@ def semistandard_weight_counts(lam: Partition, n: int) -> list[int]:
             for i in range(h, len(poly)):
                 poly[i] += poly[i - h]
             del poly[len(poly) - h:]
-    return [0] * sum(r * p for r, p in enumerate(lam.parts)) + poly
+    return [0] * lam.row_index_sum + poly
 
 
 def kostka(lam: Partition, a: Sequence[int]) -> int:

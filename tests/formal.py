@@ -30,7 +30,9 @@ along the dominance order (:func:`dominates`).  Each nullity is solved on
 the transposed system, one row per D_T image with the image codes as
 columns; the orientation it replaced, one row per image monomial and one
 column per D_T, is kept as :func:`formal_functional_system`, with
-:func:`formal_solve_multiplicities`.
+:func:`formal_solve_multiplicities`, which solves every system at its own k
+with no cache; :func:`clear_solver_caches` empties the solver's caches
+before a test counts the systems it builds.
 
 ``dpoly.parse`` splits the text at its operators and reads each distinct
 factor text once (a malformed text goes to a scan that only locates the
@@ -120,6 +122,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from diffhom import hwv
 from diffhom.dpoly import (DiffPoly, DMono, MonoCodec, ParseError, derive,
                            gl_elementary, gradings, mono_multidegree,
                            mono_order, mono_weight, solve_in_span, span_rank, substitute)
@@ -1014,6 +1017,13 @@ def formal_solve_multiplicities(d: int, k: int, weight: int) -> tuple[int, ...]:
     return tuple(ncols - rank(rows, ncols)
                  for rows, ncols in (formal_functional_system(lam, k, weight)
                                      for lam in partitions_of(d)))
+
+
+def clear_solver_caches() -> None:
+    """Empty the multiplicity cache and the nullity cache under it, so the
+    next solve builds its systems again."""
+    hwv.weight_multiplicities.cache_clear()
+    hwv._nullities.clear()
 
 
 def _random_invertible(size: int, rng: random.Random) -> list[list[Fraction]]:

@@ -15,6 +15,7 @@ import pytest
 
 from diffhom import SCHEMA_VERSION
 from diffhom.cli import build_parser, census_cost, main
+import formal
 
 
 def run(capsys, *argv):
@@ -597,18 +598,21 @@ def test_kernel_cost_is_the_largest_system_solved(d, monkeypatch):
     # k <= d+1, counted by enumeration, times the terms of each D_T before
     # like terms merge, the product of (column length)! over the columns of
     # lam; the cost is the largest, or q^2 if larger (q the shapes with D_T,
-    # those of at most min(k, d-1) + 1 rows), or p(d)
+    # those of at most min(k, d-1) + 1 rows), or p(d).  Each system built
+    # has D_T, and none is built twice under one key of the nullity cache
     import diffhom.cli as cli
     from diffhom import hwv
     from diffhom.tableaux import canonical_tableau, partitions_of, semistandard_tableaux
 
     built = []
+    keys = Counter()
     build = hwv.functional_system
 
     def counted(lam, k, w):
         rows, ncols = build(lam, k, w)
         d_ts = sum(1 for _ in semistandard_tableaux(lam, k + 1, total=w))
-        assert len(rows) == d_ts
+        assert len(rows) == d_ts > 0
+        keys[hwv._nullity_key(lam, k, w)] += 1
         columns = canonical_tableau(lam).columns()
         built.append(d_ts * math.prod(math.factorial(len(c)) for c in columns))
         return rows, ncols
@@ -616,8 +620,10 @@ def test_kernel_cost_is_the_largest_system_solved(d, monkeypatch):
     monkeypatch.setattr(hwv, "functional_system", counted)
     for k in range(d + 2):
         built.clear()
-        hwv.weight_multiplicities.cache_clear()
+        keys.clear()
+        formal.clear_solver_caches()
         hwv.kernel_dim_full(d, k)
+        assert max(keys.values()) == 1, k
         shapes = [lam for lam in partitions_of(d)
                   if any(semistandard_tableaux(lam, min(k, d - 1) + 1))]
         assert cli.kernel_cost(d, k, 10 ** 9) == max(len(partitions_of(d)), len(shapes) ** 2,

@@ -338,11 +338,13 @@ def test_duality_reading_matches_a_full_solve(d, k):
     # (functional_system and rank at each lam), against the reading that
     # solves 2w <= d(d-1)/2 at k = d-1 and reads the rest by duality, the
     # sl2 zeros and the k >= d cap; and, up to d = 5, against the character
-    # path on the tensor side
+    # path on the tensor side.  The nullity cache is emptied between the
+    # readings and the solves, so every solve builds its system at this k
     expected = formal.character_multiplicities(d, k) if d <= 5 else None
     zero = (0,) * len(partitions_of(d))
-    for w in range(d * k + 1):
-        read = hwv.weight_multiplicities(d, k, w)
+    reads = [hwv.weight_multiplicities(d, k, w) for w in range(d * k + 1)]
+    hwv._nullities.clear()
+    for w, read in enumerate(reads):
         assert read == hwv.solve_multiplicities(d, k, w), w
         assert expected is None or read == expected.get(w, zero), w
 
@@ -355,6 +357,38 @@ def test_transposed_solver_matches_the_monomial_rows(d):
         for w in hwv.solved_weights(d, k):
             expected = formal.formal_solve_multiplicities(d, k, w)
             assert hwv.solve_multiplicities(d, k, w) == expected, (k, w)
+
+
+def test_nullity_key_holds_the_largest_entry_of_a_weight():
+    # a cell of row i holds at least i: no tableau has entry sum below
+    # b(lam) = sum_i i lam_i, and at w >= b(lam) the largest entry over the
+    # alphabet {0..w} is e = l(lam) - 1 + w - b(lam), the k of the key,
+    # held by the last cell
+    for d in range(1, 8):
+        for lam in partitions_of(d):
+            least = lam.row_index_sum
+            for w in range(least):
+                assert hwv._nullity_key(lam, d + w, w) is None
+                assert not any(semistandard_tableaux(lam, d + w + 1, total=w)), (lam, w)
+            for w in range(least, least + 5):
+                _, top, _ = hwv._nullity_key(lam, w, w)
+                fillings = [t.filling for t in semistandard_tableaux(lam, w + 1, total=w)]
+                assert max(max(f) for f in fillings) == top, (lam, w)
+                assert any(f[-1] == top for f in fillings), (lam, w)
+
+
+@pytest.mark.parametrize("ascending", [True, False])
+def test_cached_nullities_match_the_uncached_oracle(ascending):
+    # one nullity per (lam, min(k, e), w), e the largest entry a tableau of
+    # that shape and weight holds, built at the k of the first caller, in
+    # ascending or descending k; the oracle solves every system at its own
+    # k with no cache
+    formal.clear_solver_caches()
+    for d in range(1, 6):
+        for k in (range(d + 2) if ascending else reversed(range(d + 2))):
+            for w in range(d * min(k, d - 1) + 1):
+                assert (hwv.solve_multiplicities(d, k, w)
+                        == formal.formal_solve_multiplicities(d, k, w)), (d, k, w)
 
 
 @pytest.mark.parametrize("lam, k", [(Partition((2, 1)), 2), (Partition((3, 2, 1)), 3),
@@ -467,12 +501,13 @@ def test_alternant_system_signs():
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_largest_system_solved_is_the_closed_form(d, monkeypatch):
-    # one D_T system per (lam, weight) at the weights 2w <= d(d-1)/2, each
-    # built once: the weights above are read by duality up to d(d-1)/2 and
-    # are zero beyond it.  Its rows are the D_T of that weight (counted
-    # by enumeration here), each of at most prod (column length)! terms, and
-    # the largest of those D_T terms, or q^2 = p(d)^2 (every shape has D_T
-    # at k = d-1), is what `dh kernel` counts as its cost
+    # one D_T system per (lam, weight) at the weights 2w <= d(d-1)/2 where
+    # lam has D_T (w >= b(lam)), each built once: the weights above are read
+    # by duality up to d(d-1)/2 and are zero beyond it.  Its rows are the
+    # D_T of that weight (counted by enumeration here), each of at most
+    # prod (column length)! terms, and the largest of those D_T terms, or
+    # q^2 = p(d)^2 (every shape has D_T at k = d-1), is what `dh kernel`
+    # counts as its cost
     k = d - 1
     d_ts = {}
     blocks = Counter()
@@ -485,12 +520,12 @@ def test_largest_system_solved_is_the_closed_form(d, monkeypatch):
         return rows, ncols
 
     monkeypatch.setattr(hwv, "functional_system", counted)
-    hwv.weight_multiplicities.cache_clear()
+    formal.clear_solver_caches()
     assert kernel_dim_full(d, k) == math.factorial(d)
-    assert {w for _, _, w in blocks} == set(range(d * k // 4 + 1))
-    assert {lam for lam, _, _ in blocks} == set(partitions_of(d))
+    assert set(blocks) == {(lam, k, w) for lam in partitions_of(d)
+                           for w in range(d * k // 4 + 1) if hwv._nullity_key(lam, k, w)}
     assert max(blocks.values()) == 1
-    assert all(n == sum(1 for _ in semistandard_tableaux(lam, d, total=w))
+    assert all(n == sum(1 for _ in semistandard_tableaux(lam, d, total=w)) > 0
                for (lam, w), n in d_ts.items())
     terms = {lam: math.prod(math.factorial(len(c)) for c in canonical_tableau(lam).columns())
              for lam in partitions_of(d)}

@@ -14,6 +14,7 @@ from diffhom.pde import (MultiPoly, newton_operator, solution_space_dim, vanderm
                          vandermonde_staircase)
 from diffhom.tableaux import compositions, partitions_of
 from diffhom.verify import check_pde_system_equivalence
+import formal
 from formal import vandermonde_derivative_basis
 
 F = Fraction
@@ -160,9 +161,10 @@ def test_each_variable_is_a_root_of_the_elementary_polynomial(d):
 
 def test_solution_space_dim_reads_the_j_blocks(monkeypatch):
     # the J^(l) kernel read through its multiplicities: the D_T systems at
-    # k = d-1, each once, only up to the bound and half the Vandermonde
-    # degree d(d-1)/2 (above it the multiplicities are read by duality, and
-    # above d(d-1)/2 the kernel is zero)
+    # k = d-1 of the shapes with D_T at that weight, each once, only up to
+    # the bound and half the Vandermonde degree d(d-1)/2 (above it the
+    # multiplicities are read by duality, and above d(d-1)/2 the kernel is
+    # zero)
     calls = Counter()
     build = hwv.functional_system
 
@@ -170,18 +172,22 @@ def test_solution_space_dim_reads_the_j_blocks(monkeypatch):
         calls[args] += 1
         return build(*args)
 
+    def systems(d, top):
+        return {(lam, d - 1, w) for lam in partitions_of(d) for w in range(top)
+                if hwv._nullity_key(lam, d - 1, w)}
+
     monkeypatch.setattr(hwv, "functional_system", counted)
-    hwv.weight_multiplicities.cache_clear()
+    formal.clear_solver_caches()
     assert solution_space_dim(4) == 24
-    assert set(calls) == {(lam, 3, w) for lam in partitions_of(4) for w in range(4)}
+    assert set(calls) == systems(4, 4)
     assert max(calls.values()) == 1
     calls.clear()
     assert solution_space_dim(3, 100) == 6
-    assert set(calls) == {(lam, 2, w) for lam in partitions_of(3) for w in range(2)}
+    assert set(calls) == systems(3, 2)
     assert max(calls.values()) == 1
     calls.clear()
     assert solution_space_dim(5, 2) == 1 + 4 + 9
-    assert set(calls) == {(lam, 4, w) for lam in partitions_of(5) for w in range(3)}
+    assert set(calls) == systems(5, 3)
     assert max(calls.values()) == 1
 
 

@@ -197,10 +197,11 @@ def test_count_semistandard_beyond_enumeration():
 
 
 def test_semistandard_tableaux_of_one_total():
-    # the fillings with a given entry sum, against all fillings filtered
-    for d in range(1, 6):
+    # the fillings with a given entry sum, pruned by the row indices of the
+    # cells left, against all fillings (enumerated without the total) filtered
+    for d in range(1, 8):
         for lam in partitions_of(d):
-            for n in (1, 3, 4):
+            for n in range(1, 7):
                 every = list(semistandard_tableaux(lam, n))
                 for total in range(-1, d * n + 1):
                     assert (list(semistandard_tableaux(lam, n, total=total))

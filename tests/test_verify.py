@@ -15,6 +15,7 @@ from diffhom.tableaux import partitions_of
 from diffhom.verify import (DEFAULT_SEED, SUITE_NAMES, _chevalley_pairs, _lie_block_ranks,
                             check_basis_gl_lie, check_kernel_full, over_cap, run_suite)
 from diffhom.wronskian import enumerate_canonical_basis
+import formal
 from formal import formal_gl_lie_verdicts, formal_gl_stability
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -126,21 +127,22 @@ def test_importing_verify_loads_no_process_pool():
 
 def test_kernel_suite_builds_each_block_once(monkeypatch):
     # the full, isotypic and low-order kernel checks and the pde dimension
-    # check share one D_T system per (lam, k, weight), cached with the
-    # multiplicities, at the weights 2w <= dk, and at k = d-1 only up to
+    # check share one D_T system per key (lam, min(k, e), weight) of the
+    # nullity cache, e the largest entry a tableau of that shape and weight
+    # holds, at the weights 2w <= dk, and at k = d-1 only up to
     # 2w <= d(d-1)/2; check_kernel_full solves the weights above that, up
     # to d(d-1)/2, to compare them with their reading by duality, so the
-    # kernel suite still builds each block of 2w <= dk once.  The pde
-    # system-equivalence check (d <= 3) eliminates every weight of the J^(l)
-    # stack at k = d-1 through full_kernel_vectors, once each.  The
-    # stability check ranks its two degrees above d(d-1)/2 through verify's
-    # own binding, not counted here
+    # kernel suite still builds each key of 2w <= dk once, and no shape
+    # without D_T.  The pde system-equivalence check (d <= 3) eliminates
+    # every weight of the J^(l) stack at k = d-1 through
+    # full_kernel_vectors, once each.  The stability check ranks its two
+    # degrees above d(d-1)/2 through verify's own binding, not counted here
     systems = Counter()
     stacks = Counter()
     build_system, build_stack = hwv.functional_system, hwv.stacked_operator_rows
 
     def counted_system(*args):
-        systems[args] += 1
+        systems[hwv._nullity_key(*args)] += 1
         return build_system(*args)
 
     def counted_stack(*args):
@@ -149,13 +151,13 @@ def test_kernel_suite_builds_each_block_once(monkeypatch):
 
     monkeypatch.setattr(hwv, "functional_system", counted_system)
     monkeypatch.setattr(hwv, "stacked_operator_rows", counted_stack)
-    hwv.weight_multiplicities.cache_clear()
+    formal.clear_solver_caches()
     hwv.full_kernel_vectors.cache_clear()
     for suite in ("kernel", "pde"):
         assert all(r.passed for r in run_suite(suite).results)
-    solved = {(lam, k, w) for d in range(1, 5) for lam in partitions_of(d)
+    solved = {hwv._nullity_key(lam, k, w) for d in range(1, 5) for lam in partitions_of(d)
               for k in range(d) for w in range(d * k // 2 + 1)}
-    assert set(systems) == solved
+    assert set(systems) == solved - {None}
     assert set(stacks) == {(d, d - 1, w) for d in range(1, 4) for w in range(d * (d - 1) + 1)}
     assert max(systems.values()) == max(stacks.values()) == 1
 
