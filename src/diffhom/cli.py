@@ -59,11 +59,11 @@ KERNEL_MAX_COST = 2 ** 16
 # its JSON run, which holds the whole manifest, was not made.
 # The census's worst case under its cap is
 # at N = 1, where the self-paired multidegree (d/2, d/2) dominates at even
-# d: `dh census --n 1 --d 12 --theorem2` (2,510 Wronskians) took 79 s and
-# 392 MB, while `--n 1 --d 13` (4,096) holds a block of 1,716 degree-13
-# Wronskians.  The largest d admitted at the other N run in seconds:
-# `--n 2 --d 8` (1,647) 1.4 s, `--n 3 --d 7` (1,821) 0.7 s, `--n 20 --d 6`
-# (1,602) 0.3 s.  `--max-cost` overrides them.
+# d: `dh census --n 1 --d 12 --theorem2` (2,510 Wronskians) took 71-80 s
+# and 196 MB, while `--n 1 --d 13` (4,096) holds a block of 1,716 degree-13
+# Wronskians and ran past 150 s.  The largest d admitted at the other N run
+# in seconds: `--n 2 --d 8` (1,647) 1.5 s, `--n 3 --d 7` (1,821) 0.7 s,
+# `--n 20 --d 6` (1,602) 0.3 s.  `--max-cost` overrides them.
 BASIS_MAX_COST = 2 ** 10
 CENSUS_MAX_COST = 5 ** 5
 

@@ -268,8 +268,8 @@ class MonoCodec:
     x_i[k] in the field of ``bits`` bits at index i*orders + (orders-1-k).
     A product of monomials is the sum of their codes, and the fields from the
     lowest up come in the (i, -k) order of DMono factors.  The Wronskian
-    expansion (``wronskian._expand``), the D_T (``hwv._d_t_codes``) and the
-    multiplicity solver (:meth:`lowered`) share it."""
+    builder (``wronskian.build_wronskian``), the D_T (``hwv._d_t_codes``) and
+    the multiplicity solver (:meth:`lowered`) share it."""
 
     __slots__ = ("orders", "bits", "_mask", "_factors", "_lowerings")
 
@@ -283,19 +283,6 @@ class MonoCodec:
     def unit(self, i: int, k: int) -> int:
         """The code of x_i[k]."""
         return 1 << ((i * self.orders + self.orders - 1 - k) * self.bits)
-
-    def order(self, w: int) -> int:
-        """The jet order of the monomial of code ``w``: per variable, the
-        lowest nonzero field holds its highest order."""
-        width = self.orders * self.bits
-        span = (1 << width) - 1
-        top = 0
-        while w:
-            part = w & span
-            if part:
-                top = max(top, self.orders - 1 - ((part & -part).bit_length() - 1) // self.bits)
-            w >>= width
-        return top
 
     def decode(self, w: int) -> DMono:
         """The monomial of code ``w``: one step per factor, lowest field first."""

@@ -216,6 +216,8 @@ def _forward(rows: Sequence[Mapping[int, Fraction]], ncols: int
             lead[min(r)].append((i, _integer_row(r)))
     pivots: list[tuple[int, int, dict[int, int]]] = []
     for col in range(ncols):
+        if not lead:
+            break
         held = lead.pop(col, None)
         if not held:
             continue

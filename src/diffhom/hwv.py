@@ -78,7 +78,7 @@ def _column_codes(col: tuple[int, ...], orders: int, bits: int) -> dict[int, int
     systems of `dh kernel --d 9 --k 7` have 515 distinct columns, 136,182
     terms in all, the most of any d <= 9."""
     codec = _shared_codec(orders, bits)
-    return _expand([[[(codec.unit(b, h), 1)] for b in range(len(col))] for h in col])
+    return _expand([[(codec.unit(b, h), 1) for b in range(len(col))] for h in col])
 
 
 def _d_t_codes(tableaux: Iterable[Tableau], codec: MonoCodec) -> Iterator[dict[int, int]]:

@@ -4,18 +4,19 @@ A Wronskian here is the determinant of the d x d matrix whose r-th row is the
 r-th Leibniz derivative of a line of monomial entries t^a_j x_{v_j},
 evaluated at t = 0: entry (r, j) is the single term r!/(r-a_j)! x_{v_j}[r-a_j].
 The determinant is expanded row by row over sets of used columns
-(``_expand``), with each monomial one packed exponent code
-(``dpoly.MonoCodec``, one per degree): a product of monomials is a sum of
-ints, and the coefficients are ints.  ``build_wronskian`` decodes that
-expansion into a DiffPoly.  Choosing the exponents a_j with triangular
-constraints yields the canonical family of (N+1)^d differentially
-homogeneous polynomials, expanded from the exponent data alone
-(``canonical_codes``).  The census reads these codes, and only for the
-multiplicity vectors that are partitions of d (``canonical_data``
-enumerates the data of one multiplicity vector); ``enumerate_canonical_basis``
-builds each element with ``build_wronskian`` once per process for each of
-the last few (N, d) asked for, and every caller shares that one tuple
-(``dh basis``, the ``basis`` and ``jets`` suites).
+(``_expand``), each entry one packed exponent code with an int
+coefficient: a product of monomials is a sum of ints.  ``build_wronskian``
+decodes that expansion (``dpoly.MonoCodec``, one per degree) into a
+DiffPoly.  Choosing the exponents a_j with triangular constraints yields
+the canonical family of (N+1)^d differentially homogeneous polynomials,
+expanded from the exponent data alone, up to one factor per monomial, with
+codes whose top field is the jet order (``canonical_codes``).  The census
+reads these, and only for the multiplicity vectors that are partitions of d
+(``canonical_data`` enumerates the data of one multiplicity vector);
+``enumerate_canonical_basis`` builds each element with ``build_wronskian``
+once per process for each of the last few (N, d) asked for, and every
+caller shares that one tuple (``dh basis``, the ``basis`` and ``jets``
+suites).
 
 The paper's Appendix A rewrites an arbitrary exponent family over d distinct
 formal variables onto the triangular one (``reduce_to_triangular``, memoized
@@ -56,9 +57,9 @@ def _monomial_codes(pairs: Sequence[tuple[int, int]], codec: MonoCodec) -> dict[
     """The Wronskian of (t^a_1 x_v_1, ..., t^a_d x_v_d), for the (a_j, v_j) in
     ``pairs``, as {packed code: int coefficient} under ``codec``, which must
     hold orders up to d-1 and exponents up to d.  Entry (r, j) is the single
-    term ``r!/(r-a_j)! x_v_j[r-a_j]`` (none for r < a_j)."""
+    term ``r!/(r-a_j)! x_v_j[r-a_j]`` (None for r < a_j)."""
     d = len(pairs)
-    return _expand([[[(codec.unit(v, r - a), math.perm(r, a))] if r >= a else []
+    return _expand([[(codec.unit(v, r - a), math.perm(r, a)) if r >= a else None
                      for a, v in pairs] for r in range(d)])
 
 
@@ -75,9 +76,9 @@ def _decoded(codes: Mapping[int, int], codec: MonoCodec, n: int) -> DiffPoly:
     return DiffPoly(n, {codec.decode(w): Fraction(c) for w, c in codes.items()})
 
 
-def _expand(forms: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> dict[int, int]:
-    """The determinant of the d x d matrix whose entry (r, c) is the linear
-    form ``forms[r][c]``, a list of (packed code of a variable, coefficient).
+def _expand(forms: Sequence[Sequence[tuple[int, int] | None]]) -> dict[int, int]:
+    """The determinant of the d x d matrix whose entry (r, c) is the monomial
+    ``forms[r][c]``, a (packed code, coefficient), or None for a zero entry.
 
     Row by row over sets of used columns (:func:`_expand_step`).  Terms that
     cancel (a few percent on the canonical basis) are dropped at the end
@@ -90,33 +91,31 @@ def _expand(forms: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> dict[int, i
     return {w: c for w, c in partial.get((1 << d) - 1, {}).items() if c}
 
 
-def _expand_step(partial: dict[int, dict], row: Sequence[Sequence[tuple[int, int]]]
+def _expand_step(partial: dict[int, dict], row: Sequence[tuple[int, int] | None]
                  ) -> dict[int, dict]:
     """One row of :func:`_expand`: ``partial`` maps each bitmask of r used
     columns to the signed sum of the products of rows 0..r-1 placed on them,
     as {code: coefficient}, and the result does the same for r+1 rows, with
-    ``row`` placed on each unused column.  A product of monomials is a sum of
-    codes, so placing an entry adds its code to every monomial.  Applied to
-    the columns of a matrix it expands the determinant of the transpose,
-    the same determinant."""
-    d = len(row)
+    ``row``'s nonzero entries placed on each unused column.  A product of
+    monomials is a sum of codes, so placing an entry adds its code to every
+    monomial; the used columns right of c give the sign.  Applied to the
+    columns of a matrix it expands the determinant of the transpose."""
+    entries = [(c, 1 << c, *entry) for c, entry in enumerate(row) if entry is not None]
     grown: dict[int, dict[int, int]] = {}
     for mask, terms in partial.items():
-        above = 0  # used columns right of c: the inversions that placing c adds
-        for c in range(d - 1, -1, -1):
-            if mask >> c & 1:
-                above += 1
+        for c, bit, unit, ec in entries:
+            if mask & bit:
                 continue
-            if not row[c]:
+            if (mask >> c).bit_count() & 1:
+                ec = -ec
+            out = grown.get(mask | bit)
+            if out is None:
+                grown[mask | bit] = {w + unit: coeff * ec for w, coeff in terms.items()}
                 continue
-            out = grown.setdefault(mask | 1 << c, {})
             get = out.get
-            for unit, ec in row[c]:
-                if above & 1:
-                    ec = -ec
-                for w, coeff in terms.items():
-                    w += unit
-                    out[w] = get(w, 0) + coeff * ec
+            for w, coeff in terms.items():
+                w += unit
+                out[w] = get(w, 0) + coeff * ec
     return grown
 
 
@@ -180,13 +179,22 @@ def enumerate_canonical_basis(n: int, d: int) -> tuple[tuple[CanonicalDatum, Dif
                  for datum in enumerate_canonical_data(n, d))
 
 
-def canonical_codes(d: int, data: Iterable[CanonicalDatum]
-                    ) -> tuple[MonoCodec, Iterator[tuple[CanonicalDatum, dict[int, int]]]]:
-    """Canonical data of degree d as packed rows, for the census: each datum
-    with its Wronskian as {code: int coefficient}, in the order of ``data``,
-    built as the iterator is read, and the codec of the codes."""
-    codec = _codec(d)
-    return codec, ((datum, _monomial_codes(datum.pairs(), codec)) for datum in data)
+def canonical_codes(d: int, l: int, data: Iterable[CanonicalDatum]
+                    ) -> tuple[int, list[dict[int, int]]]:
+    """Canonical data of degree d in x_0..x_{l-1} as packed rows, for the
+    census: the bits ``width`` of one jet order, and per datum, in the order
+    of ``data``, its Wronskian as {code: int} with the coefficient of each
+    monomial M divided by c(M) = prod_{r<d} r! / prod_{x_v[k]^e in M} k!^e.
+    Every term is +-prod_r r!/(r-a)! M = +-c(M) M, so these are the signed
+    counts of the permutations, from entries of coefficient 1; c(M) scales
+    a whole column, which keeps the rank of every column prefix.  Order-major:
+    x_v[k] has the field of d.bit_length() bits at index k*l + v, so a code's
+    jet order is its top field, ``(code.bit_length() - 1) // width``."""
+    bits = d.bit_length()
+    columns = [[tuple((1 << ((r - a) * l + v) * bits, 1) if r >= a else None
+                      for r in range(d)) for a in range(d)] for v in range(l)]
+    return bits * l, [_expand(list(zip(*(columns[v][a] for a, v in datum.pairs()))))
+                      for datum in data]
 
 
 def basis_manifest(n: int, d: int) -> list[dict]:
@@ -219,7 +227,7 @@ def formal_codes(d: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
     it, and only the d partials along the current path are held.
     """
     codec = _codec(d)
-    columns = [[[[(codec.unit(j, r - a), math.perm(r, a))] if r >= a else [] for r in range(d)]
+    columns = [[[(codec.unit(j, r - a), math.perm(r, a)) if r >= a else None for r in range(d)]
                 for a in range(d)] for j in range(d)]
 
     def walk(prefix: tuple[int, ...], partial: dict) -> Iterator:

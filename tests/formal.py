@@ -93,10 +93,13 @@ one order at a time; the family of all its nonzero derivatives that it
 replaced is kept here as :func:`vandermonde_derivative_basis`.
 
 ``jets.pivot_profile`` eliminates one multidegree per partition of d and
-credits its profile to every composition that rearranges it.  The
-elimination of every composition's own rows (``wronskian.canonical_codes``
-in enumeration order, one forward elimination per (weight, multidegree)
-block) that it replaced is kept here as :func:`formal_pivot_profile`.
+credits its profile to every composition that rearranges it, from signed
+permutation counts in an order-major layout whose top field is the jet order
+(``wronskian.canonical_codes``).  The elimination of every composition's
+own rows that it replaced is kept here as :func:`formal_pivot_profile`: the
+``MonoCodec`` codes of :func:`formal_canonical_codes` in enumeration order,
+one forward elimination per (weight, multidegree) block, with the columns
+by decreasing :func:`code_order`, then ascending code.
 
 ``tableaux.relabel``, ``tableaux.schur_poly_eval`` and
 ``hwv.tensor_sigma_action``, which only the tests called, are kept here as
@@ -132,7 +135,8 @@ from diffhom.hwv import MultiPoly, _codec, _d_t_codes, d_t, full_kernel_vectors,
 from diffhom.pde import vandermonde
 from diffhom.tableaux import (Partition, Permutation, Tableau, compositions, kostka,
                               partitions_of, semistandard_tableaux)
-from diffhom.wronskian import build_wronskian, canonical_codes, enumerate_canonical_data
+from diffhom.wronskian import (_codec as _wronskian_codec, _monomial_codes, build_wronskian,
+                               enumerate_canonical_data)
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -1095,6 +1099,29 @@ def vandermonde_derivative_basis(d: int) -> list[MultiPoly]:
     return out
 
 
+def code_order(codec: MonoCodec, w: int) -> int:
+    """The jet order of the monomial of code ``w`` under ``codec``: per
+    variable, the lowest nonzero field holds its highest order."""
+    width = codec.orders * codec.bits
+    span = (1 << width) - 1
+    top = 0
+    while w:
+        part = w & span
+        if part:
+            top = max(top, codec.orders - 1 - ((part & -part).bit_length() - 1) // codec.bits)
+        w >>= width
+    return top
+
+
+def formal_canonical_codes(d: int, data: Iterable) -> tuple[MonoCodec, Iterator]:
+    """Each canonical datum of degree d with its Wronskian as {code: int
+    coefficient} under the one ``MonoCodec`` of degree d, built as the
+    iterator is read: the census rows before the signed counts and their
+    order-major layout."""
+    codec = _wronskian_codec(d)
+    return codec, ((datum, _monomial_codes(datum.pairs(), codec)) for datum in data)
+
+
 def formal_pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(weight, size, pivot orders) of each weight block of the degree-d
     canonical basis, by ascending weight, the pivot orders as one tuple by
@@ -1107,7 +1134,7 @@ def formal_pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...
     if d == 0:
         codec, rows = MonoCodec(1, 1), [(None, {0: 1})]
     else:
-        codec, rows = canonical_codes(d, enumerate_canonical_data(n, d))
+        codec, rows = formal_canonical_codes(d, enumerate_canonical_data(n, d))
 
     def graded():
         for _, codes in rows:
@@ -1125,7 +1152,7 @@ def formal_pivot_profile(n: int, d: int) -> tuple[tuple[int, int, tuple[int, ...
         for _, weight, codes in group:
             blocks.setdefault(weight, []).append(codes)
         for weight, block in blocks.items():
-            order = {w: codec.order(w) for w in set().union(*block)}
+            order = {w: code_order(codec, w) for w in set().union(*block)}
             cols = sorted(order, key=lambda w: (-order[w], w))
             col = {w: j for j, w in enumerate(cols)}
             pivots = pivot_columns([{col[w]: c for w, c in codes.items()} for codes in block],

@@ -40,7 +40,10 @@ tensors and ``e_iso`` images moved to integer coefficients, and the
 ``kernel --d 7 --k 5`` digest (below ``k = d-1``, so every weight up to the
 middle one is solved, with no duality reading) before the multiplicity
 solver ranked one row per ``D_T`` image instead of one row per image
-monomial.  The
+monomial, and the ``census --n 1 --d 9 --all-k`` and ``census --n 2 --d 6
+--theorem2`` digests before the census rows moved to an order-major code
+layout whose columns sort as plain ints and whose pivot orders are read
+from the top field of each code.  The
 ``wall_time_seconds`` field of ``verify`` and the ``seconds`` field of each
 of its checks are dropped before hashing.
 """
@@ -114,6 +117,10 @@ GOLDEN = {
         "5feb9154d11472af2309232bdcb7cf8a1c1bc432e3b65feb23cc7597d9231d56",
     "verify --suite appendixA --max-d 5":
         "c1a192bf3c8b54701c012c4944bb959136fa4de775e3911f8378bc7d428c1f74",
+    "census --n 1 --d 9 --all-k":
+        "df34d09f8723fcc1e4366699059bfddf8a0ff27b7b92bc9bc4c4bbd666ac324e",
+    "census --n 2 --d 6 --theorem2":
+        "5db48385aa93cb76a54b42246de93b90001a4a0bc9e7c38d1e68c5d0bbddfdcd",
 }
 
 # Exit codes other than 0: ``check`` exits 1 on a non-example.

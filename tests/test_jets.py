@@ -10,7 +10,7 @@ import pytest
 
 import formal
 from diffhom import jets, wronskian
-from diffhom.dpoly import DiffPoly, MonoCodec, gradings, mono_order
+from diffhom.dpoly import DiffPoly, gradings, mono_order
 from diffhom.exact import ONE, operator_rows, rank
 from diffhom.hwv import weight_multiplicities
 from diffhom.jets import (CensusEntry, census, classify_basis, multidegree_profile,
@@ -60,21 +60,21 @@ def fresh_profile():
 
 
 def test_k_stability_sees_an_element_above_the_order_bound(monkeypatch, fresh_profile):
-    # x0^(d-1) x0[d] has order d, so the census at k = d-1 misses it.  The
-    # census codes hold orders up to d-1 only, where x0[d] would alias onto
-    # another field, so the element's weight block gets a codec with room for
+    # x0^(d-1) x0[d] has order d, so the census at k = d-1 misses it.  In
+    # the order-major census layout of one variable, x0[k] sits in field k,
+    # so x0[d] is one field above the census's own orders and its code reads
     # order d.  It joins multidegree (d, 0) at weight d as one more datum.
     n, d = 1, 3
-    wide = MonoCodec(d + 1, wronskian.canonical_codes(d, [])[0].bits)
-    extra = wide.unit(0, d) + (d - 1) * wide.unit(0, 0)
-    assert wide.decode(extra) == ((0, d, 1), (0, 0, d - 1))
+    width = wronskian.canonical_codes(d, 1, [])[0]
+    extra = (1 << d * width) + (d - 1)
+    assert (extra.bit_length() - 1) // width == d
     stand_in = SimpleNamespace(weight=d)
     real_data, real_codes = jets.canonical_data, jets.canonical_codes
     monkeypatch.setattr(jets, "canonical_data",
                         lambda m: list(real_data(m)) + ([stand_in] if m == (d,) else []))
     monkeypatch.setattr(jets, "canonical_codes",
-                        lambda d_, data: ((wide, iter([(stand_in, {extra: 1})]))
-                                          if data == [stand_in] else real_codes(d_, data)))
+                        lambda d_, l, data: ((width, [{extra: 1}]) if data == [stand_in]
+                                             else real_codes(d_, l, data)))
     report = verify_theorem2(n, d)
     item = next(i for i in report.items if i.name == "k_stability")
     assert not item.passed and item.witness == f"census changed at k={d}"
@@ -202,10 +202,10 @@ def test_pivot_profile_refuses_rows_of_one_multidegree_apart(monkeypatch):
     # the oracle eliminates each multidegree's blocks once its rows are read,
     # so a multidegree that comes back would be split into blocks that share
     # monomials
-    codec, rows = wronskian.canonical_codes(3, wronskian.enumerate_canonical_data(1, 3))
+    codec, rows = formal.formal_canonical_codes(3, wronskian.enumerate_canonical_data(1, 3))
     rows = list(rows)
     assert rows[1][0].m == (1, 2)
-    monkeypatch.setattr(formal, "canonical_codes",
+    monkeypatch.setattr(formal, "formal_canonical_codes",
                         lambda d_, data: (codec, iter(rows[:1] + rows[2:] + rows[1:2])))
     with pytest.raises(ValueError, match=r"multidegree \(1, 2\)"):
         formal_pivot_profile(1, 3)
@@ -224,7 +224,7 @@ def test_pivot_profile_matches_every_composition_eliminated(n, d):
     assert _repeated(pivot_profile(n, d)) == formal_pivot_profile(n, d)
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("d", range(1, 8))
 def test_every_ordering_of_a_partition_has_its_profile(d):
     for lam in partitions_of(d):
         profile = multidegree_profile(lam.parts)

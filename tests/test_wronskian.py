@@ -6,6 +6,9 @@ matrix over DiffPoly, whose entries ``formal`` computes independently from
 ``UniPoly`` derivatives, and against the tuple expansion it replaced.  The
 shifted-power family of ``scripts/theta_ranks.py``, a sum of monomial
 Wronskians by multilinearity, is compared against both on rational entries.
+The row-by-row expansion ``_expand`` itself, on matrices of one monomial
+(or zero) per entry, is compared against ``det_expansion`` over DiffPoly,
+and the order-major census codes against the decoded canonical basis.
 The memoized rewriting and the graded exterior pass of the wedge identities
 are compared against the work queue and the ``det_expansion`` minors of
 ``formal``.
@@ -24,16 +27,16 @@ from hypothesis import given, settings, strategies as st
 from diffhom.dpoly import (DiffPoly, MonoCodec, derive, gradings, is_diff_homogeneous,
                            parse, solve_in_span, span_rank, substitute, to_text)
 from diffhom import wronskian
-from diffhom.exact import linear_combination
-from diffhom.wronskian import (_codec, _integral_rows, _wedge_coordinates, basis_manifest,
-                               build_wronskian, canonical_codes, enumerate_canonical_basis,
-                               enumerate_canonical_data, first_wedge_failure, formal_codes,
-                               reduce_to_triangular, standard_nilpotent,
-                               verify_wedge_identity)
-from formal import (UniPoly, WronskSpec, expand_combination, formal_build_wronskian,
-                    formal_matrix_action, formal_reduce_to_triangular,
-                    formal_wedge_coordinates, formal_wronskian, lowering, oracle_wronskian,
-                    wronskian_matrix)
+from diffhom.exact import det_expansion, linear_combination
+from diffhom.wronskian import (_codec, _expand, _integral_rows, _wedge_coordinates,
+                               basis_manifest, build_wronskian, canonical_codes,
+                               enumerate_canonical_basis, enumerate_canonical_data,
+                               first_wedge_failure, formal_codes, reduce_to_triangular,
+                               standard_nilpotent, verify_wedge_identity)
+from formal import (UniPoly, WronskSpec, code_order, expand_combination,
+                    formal_build_wronskian, formal_canonical_codes, formal_matrix_action,
+                    formal_reduce_to_triangular, formal_wedge_coordinates, formal_wronskian,
+                    lowering, oracle_wronskian, wronskian_matrix)
 
 F = Fraction
 
@@ -140,33 +143,91 @@ def test_build_wronskian_matches_tuple_expansion_on_formal_specs():
         assert formal_wronskian(alpha) == formal_build_wronskian(spec, len(alpha) - 1)
 
 
+def _order_major_mono(w, bits, l):
+    """The monomial of an order-major census code: x_v[k] in the field of
+    ``bits`` bits at index k*l + v, as (i, k, e) factors in (i, -k) order."""
+    mask = (1 << bits) - 1
+    factors = []
+    field = 0
+    while w >> field * bits:
+        e = w >> field * bits & mask
+        if e:
+            k, v = divmod(field, l)
+            factors.append((v, k, e))
+        field += 1
+    return tuple(sorted(factors, key=lambda f: (f[0], -f[1])))
+
+
 @pytest.mark.parametrize("n, d", [(1, 5), (2, 4), (3, 3), (0, 4)])
 def test_canonical_codes_decode_to_the_canonical_basis(n, d):
-    codec, rows = canonical_codes(d, enumerate_canonical_data(n, d))
+    data = enumerate_canonical_data(n, d)
+    width, rows = canonical_codes(d, n + 1, data)
+    bits = d.bit_length()
+    assert width == bits * (n + 1)
     basis = enumerate_canonical_basis(n, d)
-    rows = list(rows)
-    assert [datum for datum, _ in rows] == [datum for datum, _ in basis]
-    for (_, codes), (_, poly) in zip(rows, basis):
+    assert [datum for datum, _ in basis] == data and len(rows) == len(data)
+    rows_factorial = math.prod(math.factorial(r) for r in range(d))
+    for codes, (_, poly) in zip(rows, basis):
         assert all(type(c) is int for c in codes.values())
-        assert DiffPoly(n, {codec.decode(w): F(c) for w, c in codes.items()}) == poly
-        assert {codec.order(w) for w in codes} == {
-            max((k for _, k, _ in mono), default=0) for mono in poly.terms}
+        # each coefficient times c(M) = prod_{r<d} r! / prod k!^e
+        decoded = {}
+        for w, c in codes.items():
+            mono = _order_major_mono(w, bits, n + 1)
+            scale = math.prod(math.factorial(k) ** e for _, k, e in mono)
+            assert rows_factorial % scale == 0
+            decoded[mono] = F(c * rows_factorial // scale)
+        assert DiffPoly(n, decoded) == poly
+        # the top field of a code is its jet order, so codes sort by order
+        assert {w: (w.bit_length() - 1) // width for w in codes} == {
+            w: max((k for _, k, _ in _order_major_mono(w, bits, n + 1)), default=0)
+            for w in codes}
 
 
 def test_mono_codec_round_trip():
     codec = MonoCodec(4, 3)
     mono = ((0, 3, 2), (0, 0, 1), (2, 2, 7), (5, 1, 1))
     w = sum(e * codec.unit(i, k) for i, k, e in mono)
-    assert codec.decode(w) == mono and codec.order(w) == 3
-    assert codec.decode(0) == () and codec.order(0) == 0
-    assert codec.order(codec.unit(3, 0) * 5) == 0
+    assert codec.decode(w) == mono and code_order(codec, w) == 3
+    assert codec.decode(0) == () and code_order(codec, 0) == 0
+    assert code_order(codec, codec.unit(3, 0) * 5) == 0
+
+
+def _random_monomial_matrix(rng, d, codec):
+    """A d x d matrix of monomial entries (code, nonzero int) or None, drawn
+    from a few variables, orders and coefficients so that codes collide, and
+    at times with a repeated row, whose determinant is zero."""
+    forms = [[(codec.unit(rng.randrange(2), rng.randrange(3)), rng.choice((-2, -1, 1, 3)))
+              if rng.random() < 0.7 else None for _ in range(d)] for _ in range(d)]
+    if d > 1 and rng.random() < 0.2:
+        forms[-1] = list(forms[0])
+    return forms
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_expand_matches_det_expansion_on_monomial_matrices(d):
+    # one monomial or zero per entry, against the minor expansion over
+    # DiffPoly; colliding codes make terms cancel
+    rng = random.Random(d)
+    codec = _codec(6)
+    one, zero = DiffPoly.const(F(1), 1), DiffPoly.zero(1)
+    cancelled = 0
+    for _ in range(40 if d < 6 else 12):
+        forms = _random_monomial_matrix(rng, d, codec)
+        rows = [[DiffPoly(1, {codec.decode(e[0]): F(e[1])}) if e else zero for e in row]
+                for row in forms]
+        expected = det_expansion(rows, zero, one)
+        got = _expand(forms)
+        assert all(type(c) is int and c for c in got.values())
+        assert DiffPoly(1, {codec.decode(w): F(c) for w, c in got.items()}) == expected
+        cancelled += not got and all(any(row) for row in forms)
+    assert d == 1 or cancelled
 
 
 @pytest.mark.parametrize("n,d", [(1, 4), (2, 3), (0, 5)])
 def test_mono_codec_lowered_matches_derive(n, d):
     # L_1 + ... + L_top on packed codes against derive with lowering(m),
     # summed over m, on the canonical basis and on top = 1 alone
-    codec, rows = canonical_codes(d, enumerate_canonical_data(n, d))
+    codec, rows = formal_canonical_codes(d, enumerate_canonical_data(n, d))
     for _, codes in rows:
         poly = DiffPoly(n, {codec.decode(w): F(c) for w, c in codes.items()})
         for top in (1, d - 1):
