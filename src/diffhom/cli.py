@@ -25,7 +25,6 @@ import math
 import sys
 from collections.abc import Iterator
 from functools import partial
-from pathlib import Path
 
 from . import SCHEMA_VERSION
 from .dpoly import ParseError, gradings, is_diff_homogeneous, parse, to_text
@@ -187,7 +186,8 @@ def _expression_text(arg: str) -> str | None:
     if not arg.startswith("@"):
         return arg
     try:
-        return Path(arg[1:]).read_text(encoding="utf-8").strip()
+        with open(arg[1:], encoding="utf-8") as f:
+            return f.read().strip()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {arg[1:]!r}: {getattr(exc, 'strerror', None) or exc}",
               file=sys.stderr)

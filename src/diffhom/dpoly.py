@@ -21,9 +21,9 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping, NoReturn
 
 from .exact import SparseComb, ONE, add_terms, linear_combination
 from .exact import solve_in_span, span_rank  # bound here for callers
@@ -111,12 +111,9 @@ class DiffPoly(SparseComb):
         return to_text(self)
 
 
-@dataclass(frozen=True)
-class Gradings:
+class Gradings(namedtuple("Gradings", "degree weight order")):
     """Degree/weight are None when monomials disagree (inhomogeneous / non-isobaric)."""
-    degree: int | None
-    weight: int | None
-    order: int
+    __slots__ = ()
 
 
 def gradings(p: DiffPoly) -> Gradings:
@@ -374,8 +371,9 @@ def _lexical_check(text: str) -> None:
         raise ParseError(f"unexpected character {text[at]!r}", at)
 
 
-def _locate_error(text: str, n: int | None) -> NoReturn:
-    """Raise the ParseError of a text that :func:`parse` does not accept.
+def _locate_error(text: str, n: int | None) -> None:
+    """Raise the ParseError of a text that :func:`parse` does not accept;
+    it never returns.
     A lexical error anywhere outranks a syntax error, so it is raised first.
     Then one scan reads factor after factor and builds nothing: it raises
     at the first factor that is malformed, has an index above ``n`` or a

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

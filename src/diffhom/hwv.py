@@ -41,9 +41,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import (ONE, SparseComb, add_terms, integral, linear_combination,
                     nullspace_basis, operator_rows, rank)

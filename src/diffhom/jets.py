@@ -21,8 +21,7 @@ one of them (``pivot_profile``).
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,20 +31,15 @@ from .tableaux import partition_parts
 from .wronskian import CanonicalDatum, canonical_codes, canonical_data, enumerate_canonical_basis
 
 
-@dataclass(frozen=True)
-class BasisClassification:
-    datum: CanonicalDatum
-    order: int
-    weight: int
-    order_bound: int      # max_i (d - 1 - alpha_i) from the exponent data
-    weight_formula: int   # d(d-1)/2 - |alpha|
+class BasisClassification(namedtuple("BasisClassification",
+                                       "datum order weight order_bound weight_formula")):
+    """The computed order and weight of a canonical basis element (its
+    CanonicalDatum), with the closed forms from the exponent data:
+    order_bound = max_i (d - 1 - alpha_i), weight_formula = d(d-1)/2 - |alpha|."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CensusEntry:
-    k: int
-    n: int
-    count: int
+CensusEntry = namedtuple("CensusEntry", "k n count")
 
 
 def classify_basis(n: int, d: int) -> list[BasisClassification]:
@@ -173,18 +167,12 @@ def census(n: int, d: int, k: int) -> list[CensusEntry]:
     return out
 
 
-@dataclass(frozen=True)
-class Theorem2Item:
-    name: str
-    passed: bool
-    witness: str
+Theorem2Item = namedtuple("Theorem2Item", "name passed witness")
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
-    n: int
-    d: int
-    items: tuple[Theorem2Item, ...]
+class Theorem2Report(namedtuple("Theorem2Report", "n d items")):
+    """The Theorem-2 checks of (N, d), a tuple of Theorem2Items."""
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

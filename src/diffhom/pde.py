@@ -14,7 +14,7 @@ which are the MultiPolys with every exponent <= k.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import hwv
 from .exact import ONE, add_terms

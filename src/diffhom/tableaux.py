@@ -16,22 +16,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
 
 from .exact import SparseComb
 
 
-@dataclass(frozen=True)
-class Partition:
-    parts: tuple[int, ...]
+class Partition(namedtuple("Partition", "parts")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
+    def __new__(cls, parts: tuple[int, ...]):
+        if any(p <= 0 for p in parts):
             raise ValueError("partition parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
+        return tuple.__new__(cls, (parts,))
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -103,15 +103,14 @@ def compositions(total: int, parts: int, cap: int | None = None) -> list[tuple[i
     return gen(total, parts)
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(namedtuple("Tableau", "shape filling")):
     """A filling of a Young diagram, stored row-major."""
-    shape: Partition
-    filling: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.filling) != self.shape.size:
+    def __new__(cls, shape: Partition, filling: tuple[int, ...]):
+        if len(filling) != shape.size:
             raise ValueError("filling length does not match shape size")
+        return tuple.__new__(cls, (shape, filling))
 
     def rows(self) -> list[tuple[int, ...]]:
         out = []
@@ -293,14 +292,15 @@ def _strips(parts: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # Permutations and the group algebra of the symmetric group.
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """Bijection of {1..d}; images[i-1] = sigma(i).  (sigma*tau)(i) = sigma(tau(i))."""
-    images: tuple[int, ...]
+class Permutation(namedtuple("Permutation", "images")):
+    """Bijection of {1..d}; images[i-1] = sigma(i).  (sigma*tau)(i) = sigma(tau(i)).
+    Permutations order as their image tuples."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+    def __new__(cls, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("not a bijection of 1..d")
+        return tuple.__new__(cls, (images,))
 
     @classmethod
     def identity(cls, d: int) -> "Permutation":
@@ -316,10 +316,8 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.d != other.d:
             raise ValueError("size mismatch")
-        # a composite of bijections is one: skip the check of __post_init__
-        out = object.__new__(Permutation)
-        object.__setattr__(out, "images", tuple([self.images[i - 1] for i in other.images]))
-        return out
+        # a composite of bijections is one: skip the check of __new__
+        return tuple.__new__(Permutation, (tuple([self.images[i - 1] for i in other.images]),))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.d

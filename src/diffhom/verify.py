@@ -14,8 +14,7 @@ import math
 import os
 import random
 import time
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -39,25 +38,19 @@ DEFAULT_SEED = 20240817
 WEDGE_RANDOM_TRIALS = 20  # random tuples per (d, i) in wedge_random
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    params: dict
-    expected: str
-    computed: str
-    seconds: float = field(default=0.0, compare=False)  # set by the runner
+class CheckResult(namedtuple("CheckResult", "check_id params expected computed seconds",
+                             defaults=(0.0,))):
+    """One check's expected and computed strings; ``seconds`` is set by the runner."""
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.expected == self.computed
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    seed: int
-    results: list[CheckResult]
-    wall_time: float
+class VerificationReport(namedtuple("VerificationReport", "suite seed results wall_time")):
+    """The CheckResults of a suite run, in order, and its wall time."""
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -600,7 +593,7 @@ def over_cap(suite: str, max_d: int | None, max_n: int | None) -> str | None:
 def _run_task(task: partial) -> CheckResult:
     start = time.perf_counter()
     result = task()
-    return replace(result, seconds=time.perf_counter() - start)
+    return result._replace(seconds=time.perf_counter() - start)
 
 
 def run_suite(suite: str, max_d: int | None = None, max_n: int | None = None,

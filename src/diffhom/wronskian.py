@@ -31,9 +31,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import ZERO, add_terms, integral
 from .dpoly import DiffPoly, MonoCodec, gradings, to_json_dict
@@ -119,12 +119,10 @@ def _expand_step(partial: dict[int, dict], row: Sequence[tuple[int, int] | None]
     return grown
 
 
-@dataclass(frozen=True)
-class CanonicalDatum:
+class CanonicalDatum(namedtuple("CanonicalDatum", "m alpha")):
     """Multiplicities m_i (summing to d) together with, per nonzero block, a
     strictly increasing exponent sequence bounded by the cumulative block size."""
-    m: tuple[int, ...]
-    alpha: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def flat_alpha(self) -> tuple[int, ...]:

@@ -13,8 +13,9 @@ from diffhom import jets, wronskian
 from diffhom.dpoly import DiffPoly, gradings, mono_order
 from diffhom.exact import ONE, operator_rows, rank
 from diffhom.hwv import weight_multiplicities
-from diffhom.jets import (CensusEntry, census, classify_basis, multidegree_profile,
-                          orbit_size, pivot_profile, verify_theorem2, weight_census_bound)
+from diffhom.jets import (CensusEntry, Theorem2Item, Theorem2Report, census, classify_basis,
+                          multidegree_profile, orbit_size, pivot_profile, verify_theorem2,
+                          weight_census_bound)
 from diffhom.tableaux import compositions, count_semistandard, partitions_of
 from diffhom.wronskian import enumerate_canonical_basis
 from formal import formal_pivot_profile
@@ -109,6 +110,16 @@ def test_classify_wronskian_entry():
 def test_census_degree_two():
     assert census(1, 2, 1) == [CensusEntry(1, 0, 3), CensusEntry(1, 1, 1)]
     assert census(1, 2, 5) == [CensusEntry(5, 0, 3), CensusEntry(5, 1, 1)]
+
+
+def test_census_records_keep_their_reprs_and_verdicts():
+    entry = CensusEntry(k=0, n=0, count=1)
+    assert repr(entry) == "CensusEntry(k=0, n=0, count=1)"
+    with pytest.raises(AttributeError):
+        entry.count = 2
+    passing, failing = Theorem2Item("a", True, "w"), Theorem2Item("b", False, "w")
+    assert Theorem2Report(1, 2, (passing, passing)).passed
+    assert not Theorem2Report(1, 2, (passing, failing)).passed
 
 
 def test_census_degree_zero_and_validation():

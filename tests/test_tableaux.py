@@ -67,6 +67,22 @@ def test_partition_validation():
         Partition.of(2, 0)
 
 
+def test_records_keep_their_reprs_order_and_read_only_fields():
+    lam = Partition((2, 1))
+    t = Tableau(lam, (0, 0, 1))
+    sigma = Permutation((2, 3, 1))
+    assert (repr(lam), repr(Partition.of(3)), repr(t), repr(sigma)) == (
+        "Partition(2, 1)", "Partition(3,)", "Tableau[0 0; 1]", "Permutation(images=(2, 3, 1))")
+    with pytest.raises(ValueError):
+        Tableau(lam, (0, 0))
+    for record, field in ((lam, "parts"), (t, "shape"), (sigma, "images")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    # permutations order as their image tuples
+    group = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
+    assert sorted(reversed(group)) == group and max(group).images == (3, 2, 1)
+
+
 def test_count_standard_small():
     assert count_standard(Partition.of(1, 1, 1)) == 1
     assert count_standard(Partition.of(2, 1)) == 2

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -115,14 +116,31 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     assert run_suite("rsk", max_d=3, jobs=2).passed
 
 
-def test_importing_verify_loads_no_process_pool():
-    # a serial run must not pay for concurrent.futures.process and multiprocessing
-    code = ("import sys, diffhom.verify; "
-            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+@pytest.mark.parametrize("module", ["diffhom", "diffhom.verify", "diffhom.cli"])
+def test_import_loads_no_module_it_does_not_run(module):
+    # every command starts a fresh interpreter: a serial run must not pay for
+    # the process pool, nor any import for dataclasses (with inspect),
+    # typing or pathlib.  -S, so that no site hook loads one of them first.
+    unused = ("dataclasses", "inspect", "typing", "pathlib",
+              "concurrent.futures.process", "multiprocessing")
+    code = f"import sys, {module}; print(sorted(m for m in {unused!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_check_results_and_reports_are_read_only_records():
+    result = verify._result("x", {"d": 1}, 2, "2")
+    assert repr(result) == ("CheckResult(check_id='x', params={'d': 1}, expected='2', "
+                            "computed='2', seconds=0.0)")
+    assert result.passed and not verify._observe("y", {}, 1)._replace(computed="2").passed
+    timed = verify._run_task(partial(verify._result, "x", {"d": 1}, 2, "2"))
+    assert timed.seconds > 0 and timed._replace(seconds=0.0) == result
+    with pytest.raises(AttributeError):
+        result.seconds = 1.0
+    report = verify.VerificationReport("pde", 1, [result, timed], 0.5)
+    assert report.passed
+    assert not report._replace(results=[result._replace(computed="3")]).passed
 
 
 def test_kernel_suite_builds_each_block_once(monkeypatch):
