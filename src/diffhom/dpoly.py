@@ -25,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 
-from .exact import SparseComb, ONE, add_terms, linear_combination
+from .exact import SparseComb, add_terms, linear_combination
 from .exact import solve_in_span, span_rank  # bound here for callers
 
 # A differential monomial: ((i, k, e), ...) with e > 0, sorted by (i, -k).
@@ -78,7 +78,9 @@ def mono_sort_key(m: DMono):
 
 
 class DiffPoly(SparseComb):
-    """Sparse differential polynomial with Fraction coefficients."""
+    """Sparse differential polynomial over Q.  Coefficients built from
+    integers are ``int`` (Wronskians, D_T, integral parsed coefficients), and
+    a ``Fraction`` enters only with a division that leaves a remainder."""
 
     __slots__ = ("n",)
     _shape = ("n",)
@@ -105,7 +107,7 @@ class DiffPoly(SparseComb):
             raise ValueError(f"variable index {i} exceeds bound {n}")
         if k < 0:
             raise ValueError("negative derivative order")
-        return cls(n, {((i, k, 1),): ONE})
+        return cls(n, {((i, k, 1),): 1})
 
     def __repr__(self) -> str:
         return to_text(self)
@@ -129,7 +131,7 @@ def gradings(p: DiffPoly) -> Gradings:
 
 def substitute(p: DiffPoly, image: Callable[[int, int], DiffPoly], n_out: int | None = None) -> DiffPoly:
     """Ring substitution x_i[k] -> image(i, k), extended multiplicatively."""
-    one = DiffPoly.const(ONE, p.n if n_out is None else n_out)
+    one = DiffPoly.const(1, p.n if n_out is None else n_out)
     powers: dict[tuple[int, int, int], DiffPoly] = {}
 
     def mono_image(mono: DMono) -> DiffPoly:
@@ -488,7 +490,7 @@ def parse(text: str, n: int | None = None) -> DiffPoly:
             mono = tuple([(i, -h, e) for (i, h), e in sorted(exps.items()) if e])
         else:
             mono = tuple(map(_VALUE, entries))
-        pairs.append((mono, Fraction(num) if den == 1 else Fraction(num, den)))
+        pairs.append((mono, Fraction(num, den) if num % den else num // den))
     if n is None:
         n = max((value[0] for key, value in read.values() if key is not None), default=0)
     return DiffPoly(n, add_terms({}, pairs))

@@ -2,10 +2,12 @@
 linear algebra.
 
 The ground field is Q; there are no formal parameters.  A coefficient is an
-``int`` where it is integral (Wronskian expansions, Young symmetrizers,
-tableau tensors and their images) and a :class:`fractions.Fraction` where a
-division enters (echelon forms, kernel vectors, non-integral coordinates);
-:func:`integral` turns an integral ``Fraction`` into its ``int``.
+``int`` wherever its value is integral, and a :class:`fractions.Fraction`
+only where a division leaves a remainder: :func:`echelon` divides by its
+pivots and emits a ``Fraction`` for an entry the pivot does not divide, so
+kernel vectors and coordinates are ``int`` where they are integral.
+Arithmetic keeps its operands' types: a sum or product with a ``Fraction``
+stays a ``Fraction`` even when its value is integral.
 
 Every sparse algebra of the package (DiffPoly, MultiPoly, GroupAlgebraElem)
 is a :class:`SparseComb` over its own keys; a tensor is a MultiPoly with
@@ -22,15 +24,6 @@ import math
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def integral(c: Fraction):
-    """``c`` as an int when it is one, so that integral entries multiply as ints."""
-    return c.numerator if c.denominator == 1 else c
-
 
 def add_terms(terms: dict, pairs: Iterable[tuple[object, object]]) -> dict:
     """Add the (key, coefficient) pairs into ``terms`` in place and return it.
@@ -144,7 +137,7 @@ class SparseComb:
             return NotImplemented
         if exp < 0:
             raise ValueError("negative exponent")
-        out = self.with_terms({self._unit_key(): ONE})
+        out = self.with_terms({self._unit_key(): 1})
         for _ in range(exp):
             out = out * self
         return out
@@ -159,10 +152,12 @@ def linear_combination(like: SparseComb,
 
 
 def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
-    """The primitive integer multiple of a rational row: same support, entries
-    coprime integers.  A row of ints only needs its content divided out."""
+    """The primitive integer multiple of a rational row, as a new dict: same
+    support, entries coprime integers.  A row of ints only needs its content
+    divided out, in the one copy."""
     if all(type(v) is int for v in row.values()):
-        return _primitive(dict(row))
+        g = math.gcd(*row.values())
+        return {c: v // g for c, v in row.items()} if g > 1 else dict(row)
     scale = math.lcm(*(v.denominator for v in row.values()))
     if scale == 1:  # share the numerators: equal new ints would cost memory
         return _primitive({c: v.numerator for c, v in row.items()})
@@ -240,14 +235,15 @@ def echelon(rows: Sequence[Mapping[int, Fraction]], ncols: int
     """Reduced echelon form, with the fixed pivot rule: leftmost column, then
     smallest current row support, then lowest original row index.
 
-    ``rows`` are dicts col -> nonzero Fraction (or int); they are not
-    mutated.  Returns the pivot rows as (pivot_col, row) with ascending pivot
-    columns, pivots normalized to 1.
+    ``rows`` are dicts col -> nonzero int or Fraction; they are not mutated.
+    Returns the pivot rows as (pivot_col, row) with ascending pivot columns,
+    pivots normalized to 1.
 
     The elimination is fraction-free: each row is scaled to a primitive
     integer row, reduced by ``p*row - f*pivot_row``, divided by its content
-    when it becomes a pivot row, and converted back to Fractions only on
-    output.  Scaling keeps a row's
+    when it becomes a pivot row, and divided by its pivot ``p`` only on
+    output: an entry ``v`` becomes the int ``v // p`` when ``p`` divides it,
+    else ``Fraction(v, p)``.  Scaling keeps a row's
     support, so the pivot rule picks the same rows as rational elimination.
     Rows are indexed by their leading column, so each column step touches only
     the rows that hold it, and the reduced form comes from one
@@ -265,7 +261,7 @@ def echelon(rows: Sequence[Mapping[int, Fraction]], ncols: int
             _, pk, rowk = pivots[where[c]]
             row = _primitive(_eliminate(row, pk, row.pop(c), rowk))
         pivots[j] = (col, row.pop(col), row)
-    return [(col, {col: ONE, **{c: Fraction(v, p) for c, v in row.items()}})
+    return [(col, {col: 1, **{c: Fraction(v, p) if v % p else v // p for c, v in row.items()}})
             for col, p, row in pivots]
 
 
@@ -277,7 +273,7 @@ def pivot_columns(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> list[in
 
 
 def rank(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> int:
-    """Rank over Q of sparse rows (dicts col -> nonzero Fraction), deterministic:
+    """Rank over Q of sparse rows (dicts col -> nonzero int or Fraction), deterministic:
     the pivot count of the forward pass, with no reduced form built."""
     return len(_forward(rows, ncols))
 
@@ -285,14 +281,14 @@ def rank(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> int:
 def nullspace_basis(rows: Sequence[Mapping[int, Fraction]],
                     ncols: int) -> list[dict[int, Fraction]]:
     """Basis of the right kernel in reduced echelon form, as sparse rows
-    (dicts col -> nonzero Fraction)."""
+    (dicts col -> nonzero int or Fraction, as :func:`echelon` gives them)."""
     pivots = echelon(rows, ncols)
     pivot_cols = {col for col, _ in pivots}
     raw: list[dict[int, Fraction]] = []
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        v: dict[int, Fraction] = {f: ONE}
+        v: dict[int, Fraction] = {f: 1}
         for col, row in pivots:
             coef = row.get(f)
             if coef:
@@ -369,7 +365,7 @@ def solve_in_span(basis: Sequence[SparseComb], targets: Sequence[SparseComb]
     holds its coordinates, as in the echelon form of (basis, that target)
     alone, since the reduced form is unique."""
     nb = len(basis)
-    xs: list[list[Fraction] | None] = [[ZERO] * nb for _ in targets]
+    xs: list[list[Fraction] | None] = [[0] * nb for _ in targets]
     for col, row in echelon(operator_rows([*basis, *targets], lambda m: m.terms.items()),
                             nb + len(targets)):
         if col >= nb:

@@ -45,8 +45,8 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (ONE, SparseComb, add_terms, integral, linear_combination,
-                    nullspace_basis, operator_rows, rank)
+from .exact import (SparseComb, add_terms, linear_combination, nullspace_basis,
+                    operator_rows, rank)
 from .dpoly import DiffPoly, MonoCodec, solve_in_span
 from .tableaux import (Partition, Tableau, canonical_tableau, compositions, count_standard,
                        partitions_of, semistandard_tableaux, young_symmetrizer)
@@ -135,8 +135,9 @@ def hwv_basis(lam: Partition, k: int, n: int) -> tuple[tuple[Tableau, DiffPoly],
 def _coordinates(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int
                  ) -> list[list[tuple[Fraction, Tableau]] | None]:
     """Per polynomial (each in x_0..x_n), its nonzero coordinates on the
-    semi-standard D_T of shape lam filled with {0..k}, or None if it lies
-    outside their span: one ``solve_in_span`` for the whole family."""
+    semi-standard D_T of shape lam filled with {0..k}, each an ``int`` where
+    integral, or None if it lies outside their span: one ``solve_in_span``
+    for the whole family."""
     basis = hwv_basis(lam, k, n)
     return [None if coeffs is None else [(c, t) for c, (t, _) in zip(coeffs, basis) if c]
             for coeffs in solve_in_span([q for _, q in basis], polys)]
@@ -150,9 +151,10 @@ class MultiPoly(SparseComb):
     """Sparse polynomial in X_1..X_d over Q; keys are exponent vectors.  It is
     also the d-fold tensor power of W = Q^{k+1}: the index vector a of a basis
     tensor is the monomial X^a, so a tensor is a MultiPoly with every exponent
-    <= k.  Coefficients are ``int`` where they are integers (tableau tensors,
-    their symmetrizer projections, the J^(l) rows) and ``Fraction`` where a
-    division enters (kernel vectors, non-integral coordinates)."""
+    <= k.  Coefficients built from integers are ``int`` (tableau tensors,
+    their symmetrizer projections, the J^(l) rows), and a ``Fraction`` enters
+    only with a division that leaves a remainder (kernel vectors,
+    non-integral coordinates)."""
 
     __slots__ = ("nvars",)
     _shape = ("nvars",)
@@ -167,14 +169,14 @@ class MultiPoly(SparseComb):
         super().__init__(terms)
 
     @classmethod
-    def const(cls, c: Fraction, nvars: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+    def const(cls, c: Fraction | int, nvars: int) -> "MultiPoly":
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, i: int, nvars: int) -> "MultiPoly":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): ONE})
+        return cls(nvars, {tuple(e): 1})
 
     def _unit_key(self) -> Index:
         return (0,) * self.nvars
@@ -492,8 +494,8 @@ def full_kernel_vectors(d: int, k: int) -> tuple[MultiPoly, ...]:
 def _e_iso_family(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int) -> list[MultiPoly]:
     """:func:`e_iso` of each polynomial of a family in x_0..x_n, from one
     semi-standard expansion of the whole family (``_coordinates``).  Each
-    tableau tensor is projected once per family, and integral coordinates
-    enter as ``int``, so integral images have ``int`` coefficients."""
+    tableau tensor is projected once per family, and the coordinates are
+    ``int`` where integral, so integral images have ``int`` coefficients."""
     if lam.nparts > n + 1:
         raise ValueError(f"shape with {lam.nparts} rows is too tall for variable bound {n}")
     images: dict[Tableau, MultiPoly] = {}
@@ -505,7 +507,7 @@ def _e_iso_family(polys: Sequence[DiffPoly], lam: Partition, k: int, n: int) -> 
             if s not in images:
                 images[s] = symmetrizer_projection(tensor_of_tableau(s, k), lam)
         out.append(linear_combination(MultiPoly(lam.size),
-                                      ((integral(c), images[s]) for c, s in coords)))
+                                      ((c, images[s]) for c, s in coords)))
     return out
 
 

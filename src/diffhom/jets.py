@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .dpoly import gradings
@@ -61,8 +60,9 @@ def classify_basis(n: int, d: int) -> list[BasisClassification]:
 
 
 def weight_census_bound(n: int, d: int) -> int:
-    """Weights above floor((1 - 1/(N+1)) d^2 / 2) cannot occur."""
-    return math.floor((1 - Fraction(1, n + 1)) * Fraction(d * d, 2))
+    """Weights above floor((1 - 1/(N+1)) d^2 / 2) = floor(N d^2 / (2(N+1)))
+    cannot occur."""
+    return n * d * d // (2 * (n + 1))
 
 
 @lru_cache(maxsize=256)

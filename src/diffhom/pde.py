@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from . import hwv
-from .exact import ONE, add_terms
+from .exact import add_terms
 from .hwv import MultiPoly
 
 
@@ -54,7 +54,7 @@ def solution_space_dim(d: int, bound: int | None = None) -> int:
 
 def vandermonde(d: int) -> MultiPoly:
     """The product of X_i - X_j over i < j."""
-    out = MultiPoly.const(ONE, d)
+    out = MultiPoly.const(1, d)
     for i in range(d):
         for j in range(i + 1, d):
             out = out * (MultiPoly.var(i, d) - MultiPoly.var(j, d))

@@ -35,7 +35,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 
-from .exact import ZERO, add_terms, integral
+from .exact import add_terms
 from .dpoly import DiffPoly, MonoCodec, gradings, to_json_dict
 from .tableaux import compositions
 
@@ -73,7 +73,7 @@ def _codec(d: int) -> MonoCodec:
 
 def _decoded(codes: Mapping[int, int], codec: MonoCodec, n: int) -> DiffPoly:
     """The DiffPoly in x_0..x_n of {packed code: coefficient} under ``codec``."""
-    return DiffPoly(n, {codec.decode(w): Fraction(c) for w, c in codes.items()})
+    return DiffPoly(n, {codec.decode(w): c for w, c in codes.items()})
 
 
 def _expand(forms: Sequence[Sequence[tuple[int, int] | None]]) -> dict[int, int]:
@@ -260,7 +260,6 @@ def rewriting_mismatches(d: int, rewrite: Callable[[tuple[int, ...]], list]
             continue
         reduced: dict[int, int] = {}
         for c, idx in comb:
-            c = integral(c)
             add_terms(reduced, ((w, c * v) for w, v in held[idx].items()))
         if reduced != codes:
             yield alpha
@@ -303,8 +302,8 @@ def _rewritings(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
     return {}
 
 
-def reduce_to_triangular(alpha: Sequence[int]) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Rewrite the exponent family member ``alpha`` as an exact linear
+def reduce_to_triangular(alpha: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """Rewrite the exponent family member ``alpha`` as an integer linear
     combination of members with the triangular bound alpha_i <= i - 1,
     sorted by tuple.
 
@@ -340,7 +339,7 @@ def reduce_to_triangular(alpha: Sequence[int]) -> list[tuple[Fraction, tuple[int
             continue
         memo[stack.pop()] = add_terms({}, ((key, -c) for r in replacements
                                            for key, c in memo[r].items()))
-    return [(Fraction(c), idx) for idx, c in sorted(memo[alpha].items())]
+    return [(c, idx) for idx, c in sorted(memo[alpha].items())]
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +427,11 @@ def _wedge_coordinates(rows: Sequence[Sequence[int]], vectors: Sequence[Sequence
     return {mask: c for (t, mask), c in partial.items() if t == i}
 
 
-def standard_nilpotent(d: int) -> list[list[Fraction]]:
+def standard_nilpotent(d: int) -> list[list[int]]:
     """The map sending basis vector e_i to i * e_{i+1} (1-based), e_d to 0."""
-    m = [[ZERO] * d for _ in range(d)]
+    m = [[0] * d for _ in range(d)]
     for i in range(1, d):
-        m[i][i - 1] = Fraction(i)
+        m[i][i - 1] = i
     return m
 
 

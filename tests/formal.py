@@ -105,6 +105,12 @@ by decreasing :func:`code_order`, then ascending code.
 ``hwv.tensor_sigma_action``, which only the tests called, are kept here as
 :func:`relabel`, :func:`schur_poly_eval` and :func:`tensor_sigma_action`.
 
+``exact.echelon`` emits an ``int`` for every integral entry and a ``Fraction``
+only where its pivot leaves a remainder, and so do ``exact.nullspace_basis``
+and ``exact.solve_in_span``, which read it.  The all-``Fraction`` output
+they gave before is kept here as :func:`formal_echelon` (dense Gauss-Jordan
+over Q), :func:`formal_nullspace_basis` and :func:`formal_solve_in_span`.
+
 ``tableaux.young_symmetrizer`` builds c_T on ``int`` coefficients, and
 ``hwv.symmetrizer_projection`` applies it from one cached index map per
 permutation.  The product of the signed column sum and the row sum in
@@ -129,14 +135,23 @@ from diffhom import hwv
 from diffhom.dpoly import (DiffPoly, DMono, MonoCodec, ParseError, derive,
                            gl_elementary, gradings, mono_multidegree,
                            mono_order, mono_weight, solve_in_span, span_rank, substitute)
-from diffhom.exact import (ONE, ZERO, SparseComb, add_terms, det_expansion,
-                           linear_combination, operator_rows, pivot_columns, rank)
+from diffhom.exact import (SparseComb, add_terms, det_expansion, linear_combination,
+                           operator_rows, pivot_columns, rank)
 from diffhom.hwv import MultiPoly, _codec, _d_t_codes, d_t, full_kernel_vectors, j_ell
 from diffhom.pde import vandermonde
 from diffhom.tableaux import (Partition, Permutation, Tableau, compositions, kostka,
                               partitions_of, semistandard_tableaux)
 from diffhom.wronskian import (_codec as _wronskian_codec, _monomial_codes, build_wronskian,
                                enumerate_canonical_data)
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def integral(c: Fraction):
+    """``c`` as an int when it is one."""
+    return c.numerator if c.denominator == 1 else c
+
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -1201,3 +1216,55 @@ def formal_young_symmetrizer(t: Tableau) -> dict[Permutation, Fraction]:
             key = Permutation(tuple(q[p[i] - 1] for i in range(d)))
             out[key] = out.get(key, Fraction(0)) + Fraction(_sign_by_inversions(q))
     return {key: c for key, c in out.items() if c}
+
+
+def formal_echelon(rows: Sequence[Mapping[int, Fraction]], ncols: int
+                   ) -> list[tuple[int, dict[int, Fraction]]]:
+    """The reduced echelon form of the sparse rows as (pivot_col, row) with
+    ascending pivot columns, every entry a ``Fraction``: dense Gauss-Jordan
+    over Q.  The reduced form of a row space is unique, so the pivot order
+    does not matter."""
+    dense = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    out = []
+    for col in range(ncols):
+        at = next((i for i, r in enumerate(dense) if r[col]), None)
+        if at is None:
+            continue
+        pivot = dense.pop(at)
+        pivot = [v / pivot[col] for v in pivot]
+        dense = [[a - r[col] * b for a, b in zip(r, pivot)] for r in dense]
+        out = [(c, [a - r[col] * b for a, b in zip(r, pivot)]) for c, r in out]
+        out.append((col, pivot))
+    return [(col, {c: v for c, v in enumerate(r) if v}) for col, r in out]
+
+
+def formal_nullspace_basis(rows: Sequence[Mapping[int, Fraction]], ncols: int
+                           ) -> list[dict[int, Fraction]]:
+    """The right kernel of the rows in reduced echelon form, all ``Fraction``:
+    one vector per free column, reduced by :func:`formal_echelon`."""
+    pivots = formal_echelon(rows, ncols)
+    pivot_cols = {col for col, _ in pivots}
+    raw = []
+    for f in range(ncols):
+        if f not in pivot_cols:
+            raw.append({f: ONE, **{col: -row[f] for col, row in pivots if row.get(f)}})
+    return [row for _, row in formal_echelon(raw, ncols)]
+
+
+def formal_solve_in_span(basis: Sequence[SparseComb], targets: Sequence[SparseComb]
+                         ) -> list[list[Fraction] | None]:
+    """Per target, its coordinates in span(basis), all ``Fraction`` and free
+    ones 0, or None when it lies outside, from :func:`formal_echelon` of the
+    columns (basis, then targets), as ``exact.solve_in_span`` reads them."""
+    nb = len(basis)
+    xs: list[list[Fraction] | None] = [[ZERO] * nb for _ in targets]
+    for col, row in formal_echelon(operator_rows([*basis, *targets], lambda m: m.terms.items()),
+                                   nb + len(targets)):
+        if col >= nb:
+            for c in row:
+                xs[c - nb] = None
+            continue
+        for c, v in row.items():
+            if c >= nb:
+                xs[c - nb][col] = v
+    return xs

@@ -10,7 +10,7 @@ import math
 import random
 from fractions import Fraction
 
-from diffhom.exact import ONE, ZERO, det_expansion, rank
+from diffhom.exact import det_expansion, rank
 from diffhom.dpoly import is_diff_homogeneous, solve_in_span, span_rank
 from diffhom.tableaux import (canonical_tableau, count_semistandard,
                               count_standard, group_algebra_mul, partitions_of,
@@ -21,8 +21,8 @@ from diffhom.wronskian import (enumerate_canonical_basis,
 from diffhom.hwv import e_iso, hwv_basis, kernel_dim_full, kernel_dim_isotypic
 from diffhom.pde import newton_operator, solution_space_dim
 from diffhom.jets import census, classify_basis, verify_theorem2
-from formal import (ParamPoly, expand_combination, formal_matrix_action, formal_wronskian,
-                    vandermonde_derivative_basis)
+from formal import (ONE, ZERO, ParamPoly, expand_combination, formal_matrix_action,
+                    formal_wronskian, vandermonde_derivative_basis)
 
 SEED = 20240817
 

@@ -12,10 +12,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from diffhom.exact import (ONE, ZERO, SparseComb, _forward, det_expansion, echelon,
+from diffhom.exact import (SparseComb, _forward, det_expansion, echelon,
                            linear_combination, nullspace_basis, operator_rows,
                            pivot_columns, rank, solve_in_span, span_rank)
-from formal import ParamPoly
+from formal import (ONE, ZERO, ParamPoly, formal_echelon, formal_nullspace_basis,
+                    formal_solve_in_span, integral)
 
 F = Fraction
 P0 = ParamPoly.const(0)
@@ -396,3 +397,42 @@ def test_det_row_swap_changes_sign(data):
     swapped = list(rows)
     swapped[i], swapped[j] = swapped[j], swapped[i]
     assert det_expansion(rows, ZERO, ONE) == -det_expansion(swapped, ZERO, ONE)
+
+
+def _typed(row):
+    """The entries of a row with their types, so that equality compares both."""
+    return {c: (v, type(v)) for c, v in row.items()}
+
+
+def _typed_oracle(row):
+    """An all-Fraction oracle row, each integral entry as its int, typed."""
+    return _typed({c: integral(v) for c, v in row.items()})
+
+
+@given(m=matrices | int_matrices(), f=families())
+@settings(max_examples=150, deadline=None)
+def test_elimination_gives_an_int_exactly_where_the_entry_is_integral(m, f):
+    # echelon, nullspace_basis and solve_in_span against the all-Fraction
+    # output they gave before (formal): the same values, an int for each
+    # integral entry and a Fraction for every other
+    rows, ncols = m
+    assert ([(col, _typed(row)) for col, row in echelon(rows, ncols)]
+            == [(col, _typed_oracle(row)) for col, row in formal_echelon(rows, ncols)])
+    assert (list(map(_typed, nullspace_basis(rows, ncols)))
+            == list(map(_typed_oracle, formal_nullspace_basis(rows, ncols))))
+    basis, target, _ = f
+    [x] = solve_in_span(basis, [target])
+    [expected] = formal_solve_in_span(basis, [target])
+    assert (x is None) == (expected is None)
+    if x is not None:
+        assert _typed(dict(enumerate(x))) == _typed_oracle(dict(enumerate(expected)))
+
+
+def test_elimination_oracle_is_all_fraction():
+    rows = [{0: 2, 1: 4}, {0: 1, 2: 3}]
+    assert formal_echelon(rows, 3) == [(0, {0: 1, 2: 3}), (1, {1: 1, 2: F(-3, 2)})]
+    assert echelon(rows, 3) == formal_echelon(rows, 3)
+    assert [type(v) for _, row in formal_echelon(rows, 3) for v in row.values()] == [F] * 4
+    assert [type(v) for _, row in echelon(rows, 3) for v in row.values()] == [int, int, int, F]
+    [kernel] = nullspace_basis(rows, 3)
+    assert kernel == {0: 1, 1: F(-1, 2), 2: F(-1, 3)} and type(kernel[0]) is int

@@ -11,14 +11,14 @@ import pytest
 import formal
 from diffhom import jets, wronskian
 from diffhom.dpoly import DiffPoly, gradings, mono_order
-from diffhom.exact import ONE, operator_rows, rank
+from diffhom.exact import operator_rows, rank
 from diffhom.hwv import weight_multiplicities
 from diffhom.jets import (CensusEntry, Theorem2Item, Theorem2Report, census, classify_basis,
                           multidegree_profile, orbit_size, pivot_profile, verify_theorem2,
                           weight_census_bound)
 from diffhom.tableaux import compositions, count_semistandard, partitions_of
 from diffhom.wronskian import enumerate_canonical_basis
-from formal import formal_pivot_profile
+from formal import ONE, formal_pivot_profile
 
 F = Fraction
 
@@ -156,6 +156,11 @@ def test_census_totals_monotone_in_k():
 def test_weight_bound():
     assert weight_census_bound(1, 3) == 2
     assert weight_census_bound(2, 3) == 3
+    # the integer division against floor((1 - 1/(N+1)) d^2 / 2) in Fractions
+    for n in range(21):
+        for d in range(41):
+            assert weight_census_bound(n, d) == math.floor(
+                (1 - Fraction(1, n + 1)) * Fraction(d * d, 2)), (n, d)
 
 
 def test_verify_theorem2_grid():

@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 
 from diffhom import hwv
-from diffhom.exact import ONE, operator_rows, rank, span_rank
+from diffhom.exact import operator_rows, rank, span_rank
 from diffhom.hwv import full_kernel_vectors
 from diffhom.pde import (MultiPoly, newton_operator, solution_space_dim, vandermonde,
                          vandermonde_staircase)
 from diffhom.tableaux import compositions, partitions_of
 from diffhom.verify import check_pde_system_equivalence
 import formal
-from formal import vandermonde_derivative_basis
+from formal import ONE, vandermonde_derivative_basis
 
 F = Fraction
 
